@@ -118,7 +118,10 @@ def compare_profile_shares(
     * a step's share growing more than ``warn_delta`` share points warns;
     * more than ``fail_delta`` raises :class:`BenchmarkRegressionError`
       (``REPRO_ALLOW_REGRESSION=1`` demotes to a warning, as in
-      :func:`compare_to_artifact`).
+      :func:`compare_to_artifact`);
+    * a step present on one side only — a renamed, added or removed kernel,
+      whose time the gate above cannot compare — warns by name: the
+      reference is stale and must be refreshed.
 
     Returns the emitted messages; quietly returns ``[]`` when either side
     lacks a profile section (e.g. a reference checked in before profiling
@@ -138,6 +141,14 @@ def compare_profile_shares(
         current_steps = current_shares.get(plan)
         if not isinstance(current_steps, dict) or not isinstance(baseline_steps, dict):
             continue
+        for label, steps in (
+            ("removed since", sorted(set(baseline_steps) - set(current_steps))),
+            ("added since", sorted(set(current_steps) - set(baseline_steps))),
+        ):
+            if steps:
+                message = f"{plan} plan: steps {label} the reference: {', '.join(steps)}"
+                messages.append(message)
+                warnings.warn(message, BenchmarkRegressionWarning, stacklevel=2)
         for step, baseline in baseline_steps.items():
             current = current_steps.get(step)
             if not isinstance(current, (int, float)) or not isinstance(baseline, (int, float)):

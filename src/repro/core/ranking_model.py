@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.data.schema import Batch
+from repro.data.schema import Batch, SessionBatch
 from repro.nn import Module, Tensor, no_grad
 
 __all__ = ["RankingModel"]
@@ -33,7 +33,15 @@ class RankingModel(Module):
         ``forward_kwargs`` are passed through to :meth:`forward`; models with
         extra inference knobs (e.g. AW-MoE's ``gate_override`` used by the
         serving session cache) accept them there.
+
+        A :class:`~repro.data.schema.SessionBatch` is scored as its flat
+        rows — the same contract as the compiled plan: its ``gate_override``
+        has one row per session.
         """
+        if isinstance(batch, SessionBatch):
+            if forward_kwargs.get("gate_override") is not None:
+                forward_kwargs["gate_override"] = batch.expand(forward_kwargs["gate_override"])
+            batch = batch.flat()
         was_training = self.training
         self.eval()
         try:

@@ -13,9 +13,10 @@ truth for that computation:
 * :func:`encode_behavior` — the padded behaviour-sequence arrays consumed by
   the attention layers;
 * :func:`item_dense` — per-item dense profiles (price/popularity/quality/style);
-* :func:`assemble_candidate_batch` — the full feature dump of Fig. 6: one
-  model-ready :data:`~repro.data.schema.Batch` for a (user, query, candidates)
-  triple.
+* :func:`assemble_session` — the full feature dump of Fig. 6: one model-ready
+  :class:`~repro.data.schema.SessionBatch` for a (user, query, candidates)
+  triple, the session side stored once (:func:`session_side` builds that half
+  alone); :func:`assemble_candidate_batch` is its flat per-impression form.
 
 Everything here is deterministic and free of random state, so the serving
 cache (:mod:`repro.serving.cache`) may store and reuse any of these outputs.
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.data.schema import FEATURE_NAMES, Batch
+from repro.data.schema import FEATURE_NAMES, Batch, SessionBatch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (synthetic imports us)
     from repro.data.synthetic import World
@@ -39,6 +40,8 @@ __all__ = [
     "encode_behavior",
     "impression_features",
     "item_dense",
+    "session_side",
+    "assemble_session",
     "assemble_candidate_batch",
 ]
 
@@ -175,7 +178,33 @@ def impression_features(
     return features
 
 
-def assemble_candidate_batch(
+def session_side(
+    world: "World",
+    user: int,
+    query_category: int,
+    spec: int = 1,
+    behavior: Optional[BehaviorEncoding] = None,
+) -> Batch:
+    """The one-row session half of a (user, query) batch: everything the
+    model reads that no candidate changes — all a candidate-independent
+    gate (§III-F1) needs."""
+    if behavior is None:
+        behavior = encode_behavior(world, user, world.config.max_seq_len)
+    items, cats, dense, mask = behavior
+    query_id = query_category * world.config.num_query_specificities + spec + 1
+    return {
+        "behavior_items": items[None],
+        "behavior_categories": cats[None],
+        "behavior_dense": dense[None],
+        "behavior_mask": mask[None],
+        "query": np.array([query_id], dtype=np.int32),
+        "query_category": np.array([query_category + 1], dtype=np.int32),
+        "session_id": np.zeros(1, dtype=np.int64),
+        "user_id": np.array([user], dtype=np.int64),
+    }
+
+
+def assemble_session(
     world: "World",
     user: int,
     query_category: int,
@@ -183,7 +212,7 @@ def assemble_candidate_batch(
     spec: int = 1,
     behavior: Optional[BehaviorEncoding] = None,
     state: Optional[UserState] = None,
-) -> Batch:
+) -> SessionBatch:
     """Model-ready batch for scoring ``candidates`` against one (user, query).
 
     This is the "feature dump" step of the paper's Fig. 6 serving diagram.
@@ -194,23 +223,29 @@ def assemble_candidate_batch(
         state = UserState(world, user)
     cross = cross_features(state, world, candidates)
     features = impression_features(world, user, candidates, query_category, spec, cross, state)
-    if behavior is None:
-        behavior = encode_behavior(world, user, world.config.max_seq_len)
-    items, cats, dense, mask = behavior
-    count = candidates.size
-    query_id = query_category * world.config.num_query_specificities + spec + 1
-    return {
-        "behavior_items": np.tile(items, (count, 1)),
-        "behavior_categories": np.tile(cats, (count, 1)),
-        "behavior_dense": np.tile(dense, (count, 1, 1)),
-        "behavior_mask": np.tile(mask, (count, 1)),
+    candidate = {
         "target_item": (candidates + 1).astype(np.int32),
         "target_category": (world.item_category[candidates] + 1).astype(np.int32),
         "target_dense": item_dense(world, candidates),
-        "query": np.full(count, query_id, dtype=np.int32),
-        "query_category": np.full(count, query_category + 1, dtype=np.int32),
         "other_features": features.astype(np.float32),
-        "label": np.zeros(count, dtype=np.float32),
-        "session_id": np.zeros(count, dtype=np.int64),
-        "user_id": np.full(count, user, dtype=np.int64),
+        "label": np.zeros(candidates.size, dtype=np.float32),
     }
+    return SessionBatch(
+        session_side(world, user, query_category, spec, behavior),
+        candidate,
+        np.array([candidates.size]),
+    )
+
+
+def assemble_candidate_batch(
+    world: "World",
+    user: int,
+    query_category: int,
+    candidates: np.ndarray,
+    spec: int = 1,
+    behavior: Optional[BehaviorEncoding] = None,
+    state: Optional[UserState] = None,
+) -> Batch:
+    """:func:`assemble_session` as one flat row per candidate, the session
+    side repeated — what training, the eager models and the click log read."""
+    return assemble_session(world, user, query_category, candidates, spec, behavior, state).flat()

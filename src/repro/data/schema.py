@@ -9,11 +9,19 @@ for dense features — matching the model input contract documented on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["FEATURE_NAMES", "FIG2_FEATURES", "DatasetMeta", "Batch", "batch_size_of"]
+__all__ = [
+    "FEATURE_NAMES",
+    "FIG2_FEATURES",
+    "DatasetMeta",
+    "Batch",
+    "SessionBatch",
+    "batch_size_of",
+    "concat_batches",
+]
 
 #: Dense ("other") feature vector layout, in order.  The six starred names are
 #: the features plotted in the paper's Fig. 2.
@@ -69,6 +77,82 @@ BATCH_KEYS: Tuple[str, ...] = (
     "session_id",
     "user_id",
 )
+
+
+def concat_batches(batches: Sequence[Batch]) -> Batch:
+    """Row-wise concatenation of batches that share their keys."""
+    return {
+        key: np.concatenate([batch[key] for batch in batches], axis=0)
+        for key in batches[0]
+    }
+
+
+class SessionBatch:
+    """A ranking batch factored by session (§III-F1).
+
+    Everything the model reads about the *user and query* — the behaviour
+    sequence, its mask, the query — is identical for every candidate of a
+    session, so it is stored once: ``session`` arrays have leading dim S,
+    ``candidate`` arrays leading dim N, and ``counts[s]`` candidates belong
+    to session ``s``, contiguously and in session order.  Indexing by key
+    returns whichever side holds it, so the compiled plans
+    (:mod:`repro.infer`) run their session-side kernels on S rows instead
+    of N.  :meth:`flat` is the per-impression :data:`Batch` that training,
+    the eager models and the click log consume.
+    """
+
+    __slots__ = ("session", "candidate", "counts", "bounds")
+
+    def __init__(self, session: Batch, candidate: Batch, counts: np.ndarray) -> None:
+        self.session = session
+        self.candidate = candidate
+        self.counts = np.asarray(counts, dtype=np.int64)
+        # A session without candidates would let S == N with ragged counts,
+        # and "one row per session" is told from "one row per candidate" by
+        # the leading dim alone.
+        if (self.counts < 1).any():
+            raise ValueError(f"every session needs at least one candidate, got counts {counts}")
+        #: Row offsets: session ``s`` owns rows ``bounds[s]:bounds[s + 1]``.
+        self.bounds: List[int] = [0, *np.cumsum(self.counts).tolist()]
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        side = self.session if key in self.session else self.candidate
+        return side[key]
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.session or key in self.candidate
+
+    @property
+    def num_sessions(self) -> int:
+        return len(self.bounds) - 1
+
+    @property
+    def num_rows(self) -> int:
+        return self.bounds[-1]
+
+    def expand(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` with one leading row per session, repeated to one per
+        candidate; anything else must already broadcast against the
+        candidate rows and is returned as is."""
+        if rows.shape[0] != self.num_sessions:
+            return rows
+        return np.repeat(rows, self.counts, axis=0)
+
+    def flat(self) -> Batch:
+        """One row per impression — bit for bit what per-candidate assembly
+        (tiling the session side) produces."""
+        flat = {key: np.repeat(rows, self.counts, axis=0) for key, rows in self.session.items()}
+        flat.update(self.candidate)
+        return flat
+
+    @staticmethod
+    def concat(batches: Sequence["SessionBatch"]) -> "SessionBatch":
+        """Several sessions' batches as one, sessions in the given order."""
+        return SessionBatch(
+            concat_batches([batch.session for batch in batches]),
+            concat_batches([batch.candidate for batch in batches]),
+            np.concatenate([batch.counts for batch in batches]),
+        )
 
 
 @dataclass(frozen=True)

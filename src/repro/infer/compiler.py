@@ -15,18 +15,27 @@ Differences from the eager ``Tensor`` forward, and why they are safe:
 
 * weights are packed **once** (contiguous, float32 by default) instead of
   being re-read through ``Parameter`` wrappers;
-* the attention/gate units' shared ``[h ‖ h⊙key ‖ key]`` input is built once
-  per plan instead of twice (bitwise-identical values);
+* the gate plan's two units share one ``[h ‖ h⊙key ‖ key]`` input instead
+  of building it twice (bitwise-identical values);
 * the K expert heads run as one packed GEMM per layer
   (:class:`~repro.infer.kernels.PackedExperts`) instead of K small matmuls;
+* on a :class:`~repro.data.schema.SessionBatch` the behaviour and query
+  halves of the score plan run **once per session**, not once per candidate
+  — they never read the candidate, exactly like the gate — the attention
+  unit's first layer is split so the pairwise buffer is never built
+  (:class:`~repro.infer.kernels.FactoredUnit`), the attention pooling is one
+  GEMM per session, and the gate and query hiddens are broadcast per
+  session.  A flat :data:`~repro.data.schema.Batch` carries no session
+  structure and runs row for row;
 * every intermediate lives in a :class:`~repro.infer.plan.BufferArena`
   buffer, so steady-state execution allocates nothing.
 
 ``dtype=np.float64`` selects **parity mode**: fusions that could change
-floating-point evaluation order (the packed expert GEMM) are disabled and the
-plan replays the exact eager op order, making compiled scores bitwise equal
-to a float64 eager forward — the compiler's correctness oracle
-(``tests/infer/test_parity.py``).
+floating-point evaluation order (the packed expert GEMM, the factored
+session side) are disabled — a session batch is expanded to flat rows first
+— and the plan replays the exact eager op order, making compiled scores
+bitwise equal to a float64 eager forward — the compiler's correctness
+oracle (``tests/infer/test_parity.py``).
 
 New model families register themselves with :func:`register_compiler`;
 models nobody registered raise :class:`CompileError`, which the serving
@@ -41,11 +50,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.infer.kernels import (
+    FactoredUnit,
     PackedExperts,
     PackedMLP,
+    expand_rows,
     gather_rows,
     masked_pool,
     pairwise_concat,
+    segment_pool,
     sigmoid_,
     softmax_,
     sparsify_top_k_,
@@ -252,16 +264,27 @@ def _unit_scores_step(
 
 
 def _concat_step(
-    name: str, arena: BufferArena, part_keys: List[str], widths: List[int], out_key: str
+    name: str,
+    arena: BufferArena,
+    part_keys: List[str],
+    widths: List[int],
+    out_key: str,
+    session_keys: Tuple[str, ...] = (),
 ) -> PlanStep:
+    """Column-wise concat; ``session_keys`` name the parts that hold one row
+    per session on a factored batch and are broadcast to its candidates."""
     total = sum(widths)
 
     def fn(ctx: dict) -> None:
         first = ctx[part_keys[0]]
+        bounds = ctx["factored"]
         out = arena.lease(name, "out", (first.shape[0], total))
         offset = 0
         for key, width in zip(part_keys, widths):
-            out[:, offset : offset + width] = ctx[key]
+            if bounds is not None and key in session_keys:
+                expand_rows(ctx[key], bounds, out[:, offset : offset + width])
+            else:
+                out[:, offset : offset + width] = ctx[key]
             offset += width
         ctx[out_key] = out
 
@@ -313,14 +336,48 @@ def _build_score_plan(model, dtype: np.dtype, parity: bool) -> InferencePlan:
     if net.pooling != "attention":  # pragma: no cover - AW-MoE always pools by attention
         raise CompileError(f"unsupported input pooling {net.pooling!r}")
     att_pack = PackedMLP.from_module(net.attention.mlp, dtype)
-    steps.append(_pairwise_step("input.att_pairwise", arena, "h_behavior", "h_target", "att_pw"))
-    steps.append(_unit_scores_step("input.att_weights", arena, att_pack, "att_pw", "att_weights", squeeze=True))
+    # Row for row: the eager unit — pairwise input, unit MLP, mask.
+    att_pairwise = _pairwise_step("input.att_weights", arena, "h_behavior", "h_target", "att_pw")
+    att_unit = _unit_scores_step(
+        "input.att_weights", arena, att_pack, "att_pw", "att_weights", squeeze=True
+    )
+    att_factored = FactoredUnit(att_pack, hidden)
+    att_binder = arena.binder("input.att_weights")
+
+    def att_fn(ctx: dict) -> None:
+        bounds = ctx["factored"]
+        if bounds is None:
+            att_pairwise.fn(ctx)
+            att_unit.fn(ctx)
+            return
+        h_behavior, h_target = ctx["h_behavior"], ctx["h_target"]
+        scores = att_factored.run(h_behavior, h_target, bounds, att_binder)
+        scores = scores.reshape(h_target.shape[0], h_behavior.shape[1])
+        mask = _mask32(ctx, arena, "input.att_weights")
+        for s in range(len(bounds) - 1):
+            scores[bounds[s] : bounds[s + 1]] *= mask[s]
+        ctx["att_weights"] = scores
+
+    steps.append(
+        PlanStep(
+            "input.att_weights",
+            "attention",
+            att_fn,
+            reads=("h_behavior", "h_target", "behavior_mask"),
+            writes=("att_weights",),
+            flops=_pack_flops(att_pack),
+        )
+    )
 
     def pool_fn(ctx: dict) -> None:
-        h_behavior = ctx["h_behavior"]
-        out = arena.lease("input.v_user", "out", (h_behavior.shape[0], hidden))
-        scratch = arena.lease("input.v_user", "weighted", h_behavior.shape)
-        masked_pool(h_behavior, ctx["att_weights"], scratch, out)
+        h_behavior, weights = ctx["h_behavior"], ctx["att_weights"]
+        bounds = ctx["factored"]
+        out = arena.lease("input.v_user", "out", (weights.shape[0], hidden))
+        if bounds is None:
+            scratch = arena.lease("input.v_user", "weighted", h_behavior.shape)
+            masked_pool(h_behavior, weights, scratch, out)
+        else:
+            segment_pool(h_behavior, weights, bounds, out)
         ctx["v_user"] = out
 
     steps.append(PlanStep("input.v_user", "pool", pool_fn, reads=("h_behavior", "att_weights"), writes=("v_user",)))
@@ -340,7 +397,10 @@ def _build_score_plan(model, dtype: np.dtype, parity: bool) -> InferencePlan:
         part_keys.append("h_query")
     part_keys.append("h_other")
     steps.append(
-        _concat_step("input.v_imp", arena, part_keys, [hidden] * len(part_keys), "v_imp")
+        _concat_step(
+            "input.v_imp", arena, part_keys, [hidden] * len(part_keys), "v_imp",
+            session_keys=("h_query",),
+        )
     )
 
     num_experts = model.experts.num_experts
@@ -394,9 +454,13 @@ def _build_score_plan(model, dtype: np.dtype, parity: bool) -> InferencePlan:
         )
 
     def mix_fn(ctx: dict) -> None:
-        scores = ctx["expert_scores"]
+        scores, gate, bounds = ctx["expert_scores"], ctx["gate"], ctx["bounds"]
+        if bounds is not None and gate.shape[0] == len(bounds) - 1:
+            # One gate row per session (§III-F1), applied to its candidates.
+            per_row = arena.lease("mix", "gate", scores.shape, dtype=gate.dtype)
+            gate = expand_rows(gate, bounds, per_row)
         weighted = arena.lease("mix", "weighted", scores.shape)
-        np.multiply(ctx["gate"], scores, out=weighted)
+        np.multiply(gate, scores, out=weighted)
         logits = arena.lease("mix", "logits", (scores.shape[0],))
         weighted.sum(axis=1, out=logits)
         ctx["logits"] = logits
@@ -407,15 +471,20 @@ def _build_score_plan(model, dtype: np.dtype, parity: bool) -> InferencePlan:
               "target_item", "target_category", "target_dense", "other_features"]
     if net.query_mlp is not None:
         inputs.append("query")
-    return InferencePlan("score", steps, "logits", arena, tuple(inputs))
+    return InferencePlan("score", steps, "logits", arena, tuple(inputs), expand_sessions=parity)
 
 
-def _build_gate_plan(model, dtype: np.dtype, top_k: Optional[int] = None) -> InferencePlan:
+def _build_gate_plan(
+    model, dtype: np.dtype, parity: bool, top_k: Optional[int] = None
+) -> InferencePlan:
     """The candidate-independent gate subgraph ``g`` (Eq. 6–8).
 
     In search mode this plan never touches the target item, which is what
     lets the session cache evaluate it once per (user, query) and reuse the
-    vector for every candidate — the §III-F1 deployed optimization.
+    vector for every candidate — the §III-F1 deployed optimization: on a
+    session batch it emits one gate row per session.  Keyed on the target
+    item (reco mode), or replaying the eager order (parity), it emits one
+    row per candidate.
     """
     arena = BufferArena(dtype)
     gate = model.gate
@@ -566,7 +635,10 @@ def _build_gate_plan(model, dtype: np.dtype, top_k: Optional[int] = None) -> Inf
         steps.append(PlanStep("gate.topk", "sparsify", sparsify_fn, reads=("gate",), writes=("gate",)))
 
     inputs = ["behavior_items", "behavior_categories", "behavior_dense", "behavior_mask"] + key_inputs
-    return InferencePlan("gate", steps, "gate", arena, tuple(inputs))
+    return InferencePlan(
+        "gate", steps, "gate", arena, tuple(inputs),
+        expand_sessions=parity or config.task != "search",
+    )
 
 
 class CompiledModel:
@@ -589,46 +661,26 @@ class CompiledModel:
         self.gate_plan = gate_plan
         self.score_plan = score_plan
         self.dtype = np.dtype(dtype)
-        #: Uniform-session gate dedup (§III-F1): when every row of a batch
-        #: carries the same behaviour sequence and query — the shape of a
-        #: single-query candidate batch — the candidate-independent gate
-        #: plan runs on one row and is broadcast, instead of redundantly
-        #: scoring B identical rows.  Disabled in float64 parity mode so
-        #: bitwise comparisons see the exact eager op order.
-        self.uniform_session_dedup = self.dtype == np.dtype(np.float32)
 
     @property
     def gate_is_candidate_independent(self) -> bool:
         return bool(getattr(self.source, "gate_is_candidate_independent", False))
 
     # -- scoring --------------------------------------------------------
-    def _uniform_session(self, batch) -> bool:
-        """Whether every row shares the gate plan's inputs (one session)."""
-        for key in self.gate_plan.inputs:
-            array = batch[key]
-            if array.shape[0] > 1 and not (array[1:] == array[:1]).all():
-                return False
-        return True
-
     def _resolve_gate(self, batch, gate_override) -> np.ndarray:
         if gate_override is not None:
             # Cached session gates arrive as float32 exactly like the eager
             # ``AWMoE._coerce_gate``; mixed-dtype multiply promotes identically.
             return np.asarray(gate_override, dtype=np.float32)
-        if self.uniform_session_dedup and self.gate_is_candidate_independent:
-            rows = int(batch[self.gate_plan.inputs[0]].shape[0])
-            if rows > 1 and self._uniform_session(batch):
-                row = {key: batch[key][:1] for key in self.gate_plan.inputs}
-                gate_row = self.gate_plan.run(row)
-                tiled = self.gate_plan.arena.lease(
-                    "uniform", "tile", (rows, gate_row.shape[1])
-                )
-                tiled[...] = gate_row
-                return tiled
         return self.gate_plan.run(batch)
 
     def predict_logits(self, batch, gate_override=None, copy: bool = True) -> np.ndarray:
-        """Raw logits ``Σ_k g_k s_k``.
+        """Raw logits ``Σ_k g_k s_k``, one per candidate row.
+
+        ``batch`` is a flat :data:`~repro.data.schema.Batch` or a
+        :class:`~repro.data.schema.SessionBatch`; a ``gate_override`` for
+        the latter has one row per session (any other leading dim must
+        broadcast against the candidate rows).
 
         ``copy=False`` returns the arena buffer itself, valid only until the
         next call on this plan — an opt-in zero-allocation path for callers
@@ -647,8 +699,9 @@ class CompiledModel:
         return logits.copy() if copy else logits
 
     def serving_gate(self, batch) -> np.ndarray:
-        """Cache-ready gate matrix ``(B, K)`` — always a fresh copy, because
-        the session cache retains it across future plan executions."""
+        """Cache-ready gate matrix — one row per session of a session batch
+        (per row of a flat one); always a fresh copy, because the session
+        cache retains it across future plan executions."""
         return self.gate_plan.run(batch).copy()
 
     # -- profiling ------------------------------------------------------
@@ -707,7 +760,7 @@ class CompiledModel:
 def _compile_awmoe(model, dtype: np.dtype) -> CompiledModel:
     parity = dtype == np.dtype(np.float64)
     top_k = getattr(model, "top_k", None)
-    gate_plan = _build_gate_plan(model, dtype, top_k=top_k)
+    gate_plan = _build_gate_plan(model, dtype, parity, top_k=top_k)
     score_plan = _build_score_plan(model, dtype, parity)
     return CompiledModel(model, gate_plan, score_plan, dtype)
 

@@ -9,7 +9,10 @@ bookkeeping are gone entirely.
 Two execution styles share these kernels:
 
 * **fused float32** (production): activations applied in place, the K expert
-  heads evaluated as one packed GEMM per layer (see :class:`PackedExperts`);
+  heads evaluated as one packed GEMM per layer (see :class:`PackedExperts`),
+  and — on a session-factored batch — the attention unit's first layer split
+  so its behaviour and key thirds run once per session / per candidate
+  instead of once per pair (see :class:`FactoredUnit`);
 * **float64 parity** (testing): the compiler keeps the exact op order of the
   eager :class:`~repro.nn.tensor.Tensor` forward so results are bitwise
   reproducible against a float64 eager model (``tests/infer/test_parity.py``).
@@ -28,9 +31,12 @@ __all__ = [
     "ACTIVATIONS_INPLACE",
     "PackedMLP",
     "PackedExperts",
+    "FactoredUnit",
     "gather_rows",
+    "expand_rows",
     "pairwise_concat",
     "masked_pool",
+    "segment_pool",
     "sigmoid_",
     "softmax_",
     "sparsify_top_k_",
@@ -112,6 +118,16 @@ def gather_rows(table: np.ndarray, indices: np.ndarray, out: np.ndarray) -> None
     exactly like :class:`repro.nn.layers.Embedding`.
     """
     table.take(indices, axis=0, out=out)
+
+
+def expand_rows(rows: np.ndarray, bounds: Sequence[int], out: np.ndarray) -> np.ndarray:
+    """One row per session → one row per candidate: ``out[b_s:b_{s+1}] =
+    rows[s]`` for the row offsets ``bounds`` of a
+    :class:`~repro.data.schema.SessionBatch`.  ``out`` may be a strided
+    slice of a wider buffer."""
+    for s in range(len(bounds) - 1):
+        out[bounds[s] : bounds[s + 1]] = rows[s]
+    return out
 
 
 class PackedMLP:
@@ -246,6 +262,66 @@ class PackedExperts:
         return scores
 
 
+class FactoredUnit:
+    """An activation unit evaluated on a session-factored batch.
+
+    The unit's first layer reads ``[h ‖ h⊙key ‖ key]``; split row-wise into
+    ``W_a``, ``W_b``, ``W_c`` it is ``h·W_a + (h⊙key)·W_b + key·W_c``.  Only
+    the key varies within a session, so for session ``s`` the layer is one
+    GEMM over its candidates' keys,
+
+        z[n, (m, u)] = Σ_h key[n, h] · (h_s[m, h]·W_b[h, u] + W_c[h, u])
+                       + (h_s·W_a + b)[m, u]
+
+    with a per-session weight ``(H, M·U)`` and a per-session bias built from
+    S·M rows: neither the 3H-wide pairwise input nor the (N, M, H) product
+    is ever materialized.  Sums are reassociated relative to the unsplit
+    layer — fused float32 only, never parity mode.
+    """
+
+    __slots__ = ("w_seq", "w_pair", "w_key", "bias", "act", "rest")
+
+    def __init__(self, pack: PackedMLP, hidden: int):
+        weight, self.bias, act = pack.layers[0]
+        self.w_seq = np.ascontiguousarray(weight[:hidden])
+        self.w_pair = weight[hidden : 2 * hidden][:, None, :]  # (H, 1, U)
+        self.w_key = weight[2 * hidden :][:, None, :]
+        self.act = ACTIVATIONS_INPLACE[act]
+        self.rest = PackedMLP(pack.layers[1:]) if len(pack.layers) > 1 else None
+
+    def run(
+        self,
+        h_seq: np.ndarray,
+        h_key: np.ndarray,
+        bounds: Sequence[int],
+        lease: Callable[[str, Tuple[int, ...]], np.ndarray],
+    ) -> np.ndarray:
+        """Unit outputs ``(N·M, out)`` for sessions ``h_seq`` (S, M, H) and
+        candidates ``h_key`` (N, H), candidate rows ``bounds[s]:bounds[s+1]``
+        belonging to session ``s``."""
+        sessions, seq_len, hidden = h_seq.shape
+        rows = h_key.shape[0]
+        width = self.w_seq.shape[1]
+        seq_bias = lease("seq", (sessions * seq_len, width))
+        np.matmul(h_seq.reshape(sessions * seq_len, hidden), self.w_seq, out=seq_bias)
+        if self.bias is not None:
+            seq_bias += self.bias
+        seq_bias = seq_bias.reshape(sessions, seq_len * width)
+        weights = lease("weights", (sessions, hidden, seq_len, width))
+        np.multiply(h_seq.transpose(0, 2, 1)[:, :, :, None], self.w_pair, out=weights)
+        weights += self.w_key
+        weights = weights.reshape(sessions, hidden, seq_len * width)
+        # Not "fc0": the remaining layers lease fc0.. under the same binder.
+        out = lease("split", (rows, seq_len * width))
+        for s in range(sessions):
+            segment = out[bounds[s] : bounds[s + 1]]
+            np.matmul(h_key[bounds[s] : bounds[s + 1]], weights[s], out=segment)
+            segment += seq_bias[s]
+        out = out.reshape(rows * seq_len, width)
+        self.act(out)
+        return out if self.rest is None else self.rest.run(out, lease)
+
+
 def pairwise_concat(
     h_seq: np.ndarray,
     h_key: np.ndarray,
@@ -272,3 +348,15 @@ def masked_pool(
     pooling of Eq. 3 — with ``scratch`` (B, M, H) absorbing the product."""
     np.multiply(h_seq, weights[:, :, None], out=scratch)
     scratch.sum(axis=1, out=out)
+
+
+def segment_pool(
+    h_seq: np.ndarray, weights: np.ndarray, bounds: Sequence[int], out: np.ndarray
+) -> None:
+    """:func:`masked_pool` on a session-factored batch: the candidates of
+    session ``s`` all pool the same ``h_seq[s]`` (M, H), so Eq. 3 is one
+    ``(n_s, M) @ (M, H)`` GEMM per session and the (N, M, H) product is
+    never materialized."""
+    for s in range(len(bounds) - 1):
+        start, stop = bounds[s], bounds[s + 1]
+        np.matmul(weights[start:stop], h_seq[s], out=out[start:stop])

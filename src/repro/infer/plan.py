@@ -29,6 +29,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.infer.kernels import expand_rows
+
 __all__ = ["BufferArena", "PlanStep", "InferencePlan"]
 
 
@@ -115,6 +117,12 @@ class InferencePlan:
     arena: BufferArena
     #: Batch keys the plan reads; binding validates they are present.
     inputs: Tuple[str, ...] = ()
+    #: Replay a session-factored batch row for row: its session-side inputs
+    #: are repeated to one row per candidate before the first step, so every
+    #: kernel sees the flat batch's shapes (float64 parity mode, and a gate
+    #: keyed on the candidate).  ``False`` runs session-side kernels on one
+    #: row per session.
+    expand_sessions: bool = False
     calls: int = 0
     #: Optional :class:`~repro.obs.profiler.PlanProfiler` (duck-typed:
     #: ``record_step(plan_name, step, seconds, ctx)``).  ``None`` keeps the
@@ -131,6 +139,12 @@ class InferencePlan:
     def run(self, batch: Dict[str, np.ndarray], **bound) -> np.ndarray:
         """Execute every step and return the output buffer.
 
+        ``batch`` is a flat :data:`~repro.data.schema.Batch` or a
+        :class:`~repro.data.schema.SessionBatch`; steps find the latter's
+        row offsets under ``ctx["bounds"]`` (``None`` for a flat batch) and,
+        while its session side still has one row per session, under
+        ``ctx["factored"]`` too.
+
         The returned array is **owned by the arena** and is only valid until
         the next ``run`` on this plan — serving consumes it immediately;
         API-level callers go through :meth:`repro.infer.compiler.
@@ -142,7 +156,12 @@ class InferencePlan:
             raise KeyError(f"plan {self.name!r} missing batch inputs {missing}")
         ctx = self._ctx
         ctx.clear()
+        bounds = ctx["bounds"] = getattr(batch, "bounds", None)
+        if bounds is not None and self.expand_sessions:
+            batch = self._expanded(batch, bounds)
+            bounds = None
         ctx["batch"] = batch
+        ctx["factored"] = bounds
         ctx.update(bound)
         profiler = self.profiler
         hook = self.step_hook
@@ -161,6 +180,20 @@ class InferencePlan:
                     hook(step, elapsed)
         self.calls += 1
         return ctx[self.output]
+
+    def _expanded(self, batch, bounds: List[int]) -> Dict[str, np.ndarray]:
+        """The plan's inputs with the session side of ``batch`` repeated to
+        one row per candidate (into arena buffers)."""
+        flat = {}
+        for key in self.inputs:
+            rows = batch[key]
+            if key in batch.session:
+                shape = (bounds[-1],) + rows.shape[1:]
+                rows = expand_rows(
+                    rows, bounds, self.arena.lease("expand", key, shape, dtype=rows.dtype)
+                )
+            flat[key] = rows
+        return flat
 
     def profile_report(self) -> str:
         """The attached profiler's (step, op, shape, calls, total ms,

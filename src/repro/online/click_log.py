@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.data.dataset import RankingDataset
 from repro.data.features import assemble_candidate_batch
-from repro.data.schema import Batch
+from repro.data.schema import Batch, concat_batches
 from repro.data.synthetic import World
 from repro.faults.injector import NULL_INJECTOR
 from repro.utils.atomic import recover_jsonl
@@ -262,8 +262,4 @@ def build_dataset(
         batches.append(batch)
     if not batches:
         return None
-    columns = {
-        key: np.concatenate([batch[key] for batch in batches], axis=0)
-        for key in batches[0]
-    }
-    return RankingDataset(meta=world.meta(), **columns)
+    return RankingDataset(meta=world.meta(), **concat_batches(batches))

@@ -10,8 +10,9 @@ linear in catalog size; the cascade makes the pipeline sublinear:
    ``nprobe`` IVF cells of the query category and returns the best
    ``retrieve_n`` ids by the cascade score below;
 2. **prefilter** — the :class:`~repro.retrieval.prefilter.Prefilter`
-   re-scores those N (adding the user x item cross-feature boost the index
-   cannot express as a dot product) and keeps the top ``prune`` survivors;
+   re-ranks those N by stage 1's score plus the user x item cross-feature
+   boost the index cannot express as a dot product, and keeps the top
+   ``prune`` survivors;
 3. **full ranking** — the compiled AW-MoE scores only the survivors.
 
 The cheap score both stages share is one inner product per item,
@@ -73,7 +74,12 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.data.features import assemble_candidate_batch, item_dense
+from repro.data.features import (
+    assemble_candidate_batch,
+    assemble_session,
+    item_dense,
+    session_side,
+)
 from repro.data.synthetic import AGE_GROUPS
 from repro.obs.trace import NULL_TRACE
 from repro.retrieval.index import ItemIndex
@@ -400,9 +406,9 @@ class RetrievalCascade:
         """
         if not getattr(self._model, "gate_is_candidate_independent", False):
             return None
-        members = self._by_category[query_category]
-        batch = assemble_candidate_batch(self.world, user, query_category, members[:1])
-        return np.asarray(self._scorer.serving_gate(batch)[0], dtype=np.float32)
+        # The gate reads the session side only; no candidate is assembled.
+        session = session_side(self.world, user, query_category)
+        return np.asarray(self._scorer.serving_gate(session)[0], dtype=np.float32)
 
     #: Calibration regimes, constant within a query → select the weight set.
     #: New users' scores are a pure function of (item, age, query) — their
@@ -472,24 +478,32 @@ class RetrievalCascade:
         )
         out[:, 0] = np.minimum(brand_counts[world.item_brand[items]], _BRAND_CAP)
         out[:, 1] = np.minimum(shop_counts[world.item_shop[items]], _SHOP_CAP)
-        # Item repeat count via an (N, H) comparison: a bincount would be
-        # O(catalog) per query, which is exactly what the cascade exists to
-        # avoid (brand/shop vocabularies above are small, the item id space
-        # is not).
-        out[:, 2] = np.minimum(
-            (items[:, None] == history[None, :]).sum(axis=1), _ITEM_CAP
+        # Item repeat count by binary search in the (short) history: a
+        # bincount would be O(catalog) per query, which is exactly what the
+        # cascade exists to avoid (brand/shop vocabularies above are small,
+        # the item id space is not), and an (N, H) comparison is H times the
+        # work of the N lookups.
+        clicked, repeats = np.unique(history, return_counts=True)
+        slot = np.minimum(np.searchsorted(clicked, items), clicked.size - 1)
+        out[:, 2] = np.where(
+            clicked[slot] == items, np.minimum(repeats[slot], _ITEM_CAP), 0.0
         )
-        history_cats = world.item_category[history]
-        same_cat = history_cats[None, :] == world.item_category[items][:, None]
+        # Mean clicked price per category: a (categories, H) table gathered by
+        # item category — the same masked row sums an (N, H) comparison
+        # would repeat for every item of a category.
+        same_cat = (
+            world.item_category[history][None, :]
+            == np.arange(world.config.num_categories)[:, None]
+        )
         cat_counts = same_cat.sum(axis=1)
-        mean_price = np.where(
-            cat_counts > 0,
-            (same_cat * world.item_price_pct[history][None, :]).sum(axis=1)
-            / np.maximum(cat_counts, 1),
-            0.0,
-        )
+        mean_price = (same_cat * world.item_price_pct[history][None, :]).sum(
+            axis=1
+        ) / np.maximum(cat_counts, 1)
+        item_cats = world.item_category[items]
         out[:, 3] = np.where(
-            cat_counts > 0, world.item_price_pct[items] - mean_price, 0.0
+            cat_counts[item_cats] > 0,
+            world.item_price_pct[items] - mean_price[item_cats],
+            0.0,
         )
         return out
 
@@ -516,7 +530,7 @@ class RetrievalCascade:
                 if members.size <= config.calibration_items
                 else rng.choice(members, size=config.calibration_items, replace=False)
             )
-            batch = assemble_candidate_batch(world, user, cat, sample)
+            batch = assemble_session(world, user, cat, sample)
             target = _logits(self._scorer, batch)
             # Head-weighted: what matters is whether a query's top scorers
             # land in the survivor set, not the mean error over the tail.
@@ -643,9 +657,16 @@ class RetrievalCascade:
         with trace.span("session-vector"):
             session_vec = self.session_vector(user, query_category, gate=gate)
         topn = size if self.config.is_exhaustive else min(self.config.retrieve_n, size)
+        # Stage 2 re-ranks by the same inner product plus the cross boost,
+        # so stage 1 hands its scores over instead of stage 2 re-gathering.
+        stage1 = None if self.config.prune is None else np.empty(topn, dtype=np.float32)
         with trace.span("ivf-probe", nprobe=self.config.nprobe, topn=topn) as probe_span:
             candidates = self.index.search(
-                session_vec, query_category, topn=topn, nprobe=self.config.nprobe
+                session_vec,
+                query_category,
+                topn=topn,
+                nprobe=self.config.nprobe,
+                scores_out=stage1,
             )
             probe_span.set(candidates=int(candidates.size))
         if self.config.prune is None or self.config.prune >= candidates.size:
@@ -656,7 +677,11 @@ class RetrievalCascade:
             ]
             with trace.span("prune", survivors=int(self.config.prune)):
                 return self.prefilter.prune(
-                    candidates, session_vec, self.config.prune, extra=boost
+                    candidates,
+                    session_vec,
+                    self.config.prune,
+                    extra=boost,
+                    base=stage1[: candidates.size],
                 )
 
     def score_candidates(
@@ -723,7 +748,7 @@ class RetrievalProbe:
         for user, category in self.queries:
             kept = set(cascade.retrieve(user, category).tolist())
             members = cascade.index.partition_ids(category)
-            batch = assemble_candidate_batch(self.world, user, category, members)
+            batch = assemble_session(self.world, user, category, members)
             full = np.asarray(ranker.predict_proba(batch))
             top = members[np.argsort(-full, kind="stable")][: self.k]
             if top.size == 0:

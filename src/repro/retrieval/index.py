@@ -208,6 +208,7 @@ class ItemIndex:
         category: int,
         topn: int,
         nprobe: Union[int, str] = 8,
+        scores_out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Top-``topn`` item ids of ``category`` by ``<query, x>``.
 
@@ -215,6 +216,10 @@ class ItemIndex:
         exact brute force).  Returns 0-based ids in **ascending id order**:
         the caller re-ranks with a real scorer, and a canonical order makes
         candidate sets reproducible and tie-breaks deterministic.
+
+        ``scores_out`` (float32, at least ``topn`` long) receives the
+        returned ids' scores in the same order, for a caller whose next
+        stage starts from the same inner product.
         """
         part = self._partitions[category]
         if part.size == 0:
@@ -244,7 +249,11 @@ class ItemIndex:
                 np.matmul(part.slab[start:stop], query, out=scores[cursor : cursor + width])
                 ids[cursor : cursor + width] = part.ids[start:stop]
                 cursor += width
-        if topn >= ids.size:
-            return np.sort(ids.copy())
-        keep = np.argpartition(-scores, topn - 1)[:topn]
-        return np.sort(ids[keep])
+        if topn < ids.size:
+            keep = np.argpartition(-scores, topn - 1)[:topn]
+            ids, scores = ids[keep], scores[keep]
+        if scores_out is None:
+            return np.sort(ids)
+        order = np.argsort(ids)
+        scores.take(order, out=scores_out[: order.size])
+        return ids[order]

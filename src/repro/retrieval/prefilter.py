@@ -128,6 +128,7 @@ class Prefilter:
         session_vec: np.ndarray,
         keep: Optional[int],
         extra: Optional[np.ndarray] = None,
+        base: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """The top-``keep`` survivors of ``candidates``, ascending id order.
 
@@ -135,9 +136,16 @@ class Prefilter:
         parity mode.  Selection is ``np.argpartition`` (O(N)), and the
         ascending-id output makes the survivor *set* the only thing pruning
         decides — downstream ranking is order-canonical either way.
+
+        ``base`` is the candidates' ``<session_vec, x>`` when the caller
+        already holds it (stage 1 ranked them by that inner product): the
+        gather and GEMV are skipped and only ``extra`` is added.
         """
         if keep is None or keep >= candidates.size:
             return candidates
-        scores = self.scores(candidates, session_vec, extra=extra)
+        if base is None:
+            scores = self.scores(candidates, session_vec, extra=extra)
+        else:
+            scores = base if extra is None else base + extra
         survivors = np.argpartition(-scores, keep - 1)[:keep]
         return np.sort(candidates[survivors])

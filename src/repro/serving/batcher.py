@@ -28,7 +28,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.data.schema import Batch
+from repro.data.schema import SessionBatch, concat_batches
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.injector import NULL_INJECTOR, CrashFault
 from repro.obs.trace import NULL_SPAN, NULL_TRACE, NULL_TRACER
@@ -47,7 +47,7 @@ class PreparedQuery:
     user: int
     query_category: int
     candidates: np.ndarray
-    batch: Batch
+    batch: SessionBatch
     gate: Optional[np.ndarray]  # (K,) cached session gate, None = cache miss
     enqueue_time: float
     #: Cache generation the gate was read under; if the cache's generation
@@ -362,7 +362,8 @@ class MicroBatcher:
     # execution
     # ------------------------------------------------------------------
     def flush(self) -> List[RankedList]:
-        """Score every pending query in one padded model forward.
+        """Score every pending query in one model forward over their
+        concatenated sessions.
 
         Sampled traces get the shared micro-batched work attached: each
         opens a ``flush`` span holding the batched ``gate-flush`` forward
@@ -372,7 +373,6 @@ class MicroBatcher:
         if not self._pending:
             return []
         pending, self._pending = self._pending, []
-        keys = pending[0].batch.keys()
 
         for q in pending:
             q.queue_span.end()
@@ -414,24 +414,19 @@ class MicroBatcher:
             if self.engine.supports_session_gate:
                 missing = sum(1 for q in pending if q.gate is None)
                 gate_begin = self._clock()
-                self._resolve_gates(pending, keys)
+                self._resolve_gates(pending)
                 gate_end = self._clock()
                 for q, flush_span in sampled:
                     q.trace.record_span(
                         "gate-flush", gate_begin, gate_end,
                         parent=flush_span, sessions=missing,
                     )
-                gate_rows = np.concatenate(
-                    [np.tile(q.gate, (q.num_candidates, 1)) for q in pending], axis=0
-                )
+                gate_rows = np.stack([q.gate for q in pending])  # one row per session
 
-            combined: Batch = {
-                key: np.concatenate([q.batch[key] for q in pending], axis=0)
-                for key in keys
-            }
+            combined = SessionBatch.concat([q.batch for q in pending])
             step_hook = None
             if sampled:
-                total_rows = int(combined["label"].shape[0])
+                total_rows = combined.num_rows
                 # ``begin`` nests each rank span under its trace's open flush
                 # span; the hook fans every kernel's interval out to all of
                 # them.
@@ -497,21 +492,20 @@ class MicroBatcher:
             self.metrics.record_cache(self.cache.gates.stats)
         return results
 
-    def _resolve_gates(self, pending: List[PreparedQuery], keys) -> None:
+    def _resolve_gates(self, pending: List[PreparedQuery]) -> None:
         """Fill cache-missing gate vectors with ONE batched gate forward.
 
         The gate is candidate-independent (§III-F1), so each missing session
-        contributes a single row — its first candidate — to the gate batch.
+        contributes its session side — one row — to the gate batch.
         """
         missing = [q for q in pending if q.gate is None]
         if not missing:
             return
-        gate_batch: Batch = {
-            key: np.concatenate([q.batch[key][:1] for q in missing], axis=0) for key in keys
-        }
         # Resolved through the engine so the compiled gate plan (when one
         # exists) serves the cache, not the eager gate network.
-        gates = self.engine.serving_gate(gate_batch)  # (len(missing), K)
+        gates = self.engine.serving_gate(
+            concat_batches([q.batch.session for q in missing])
+        )  # (len(missing), K)
         for q, gate in zip(missing, gates):
             q.gate = gate
             if self.cache is not None:

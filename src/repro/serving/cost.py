@@ -1,6 +1,6 @@
 """Serving-cost models for the deployed pipeline (paper §III-F).
 
-Two cost comparisons live here, both counting multiply-accumulate FLOPs
+Three cost comparisons live here, all counting multiply-accumulate FLOPs
 from the actual layer shapes of a :class:`repro.core.config.ModelConfig`:
 
 * the **gate optimization** (§III-F1): the paper's initial design fed the
@@ -8,6 +8,10 @@ from the actual layer shapes of a :class:`repro.core.config.ModelConfig`:
   every candidate item in a session; the deployed design feeds only
   user/query-level features, so one gate computation serves all candidates
   — "> 10x saving in computational resource and latency";
+* the **behaviour-side factoring**, the same economy one network over: the
+  input network's behaviour encoder (MLP^I over the sequence) and query MLP
+  never read the candidate either, so the session-factored score plan
+  (:mod:`repro.infer`) runs them once per session too;
 * the **retrieval cascade** (the stage in front of the ranker in Fig. 6):
   exhaustively scoring a category with the full model versus probing the
   ANN item index, prefiltering, and ranking only the survivors
@@ -66,17 +70,28 @@ def gate_network_flops(config: ModelConfig, meta: DatasetMeta, seq_len: int) -> 
     return seq_len * per_item + mlp_flops(key_dim, hidden)
 
 
-def input_network_flops(config: ModelConfig, meta: DatasetMeta, seq_len: int) -> int:
-    """FLOPs of the input network for one impression."""
+def input_session_flops(config: ModelConfig, meta: DatasetMeta, seq_len: int) -> int:
+    """Input-network FLOPs that never read the candidate: MLP^I over the
+    behaviour sequence, plus the query MLP in search mode."""
+    hidden = list(config.input_hidden)
+    total = seq_len * mlp_flops(_item_repr_dim(config, meta), hidden)
+    if config.task == "search":
+        total += mlp_flops(config.query_embed_dim, hidden)
+    return total
+
+
+def input_candidate_flops(config: ModelConfig, meta: DatasetMeta, seq_len: int) -> int:
+    """Input-network FLOPs every candidate pays: the attention unit over the
+    sequence, MLP^I on the target, the other-feature MLP, and the concat."""
     hidden = list(config.input_hidden)
     h = hidden[-1]
-    item_dim = _item_repr_dim(config, meta)
-    per_item = mlp_flops(item_dim, hidden) + mlp_flops(3 * h, list(config.unit_hidden) + [1])
     components = 3 if config.task == "search" else 2
-    fixed = mlp_flops(item_dim, hidden) + mlp_flops(meta.num_features, hidden)
-    if config.task == "search":
-        fixed += mlp_flops(config.query_embed_dim, hidden)
-    return seq_len * per_item + fixed + (components + 1) * h
+    return (
+        seq_len * mlp_flops(3 * h, list(config.unit_hidden) + [1])
+        + mlp_flops(_item_repr_dim(config, meta), hidden)
+        + mlp_flops(meta.num_features, hidden)
+        + (components + 1) * h
+    )
 
 
 def expert_flops(config: ModelConfig, meta: DatasetMeta) -> int:
@@ -87,13 +102,23 @@ def expert_flops(config: ModelConfig, meta: DatasetMeta) -> int:
 
 
 def model_flops(
-    config: ModelConfig, meta: DatasetMeta, seq_len: int, gate_per_item: bool, items: int
+    config: ModelConfig,
+    meta: DatasetMeta,
+    seq_len: int,
+    gate_per_item: bool,
+    items: int,
+    behavior_per_item: bool = True,
 ) -> int:
-    """Total session FLOPs for ``items`` candidates under one gate strategy."""
-    per_item = input_network_flops(config, meta, seq_len) + expert_flops(config, meta)
-    gate = gate_network_flops(config, meta, seq_len)
+    """Total session FLOPs for ``items`` candidates: the gate once per item
+    or per session, and likewise the session side of the input network."""
+    per_item = input_candidate_flops(config, meta, seq_len) + expert_flops(config, meta)
     gate_count = items if gate_per_item else 1
-    return items * per_item + gate_count * gate
+    behavior_count = items if behavior_per_item else 1
+    return (
+        items * per_item
+        + behavior_count * input_session_flops(config, meta, seq_len)
+        + gate_count * gate_network_flops(config, meta, seq_len)
+    )
 
 
 @dataclass(frozen=True)
@@ -105,6 +130,10 @@ class GateCostReport:
     gate_flops: int
     per_item_total: int
     per_session_total: int
+    #: Session side of the input network (one evaluation).
+    behavior_flops: int
+    #: Session total with gate *and* behaviour side once per session.
+    factored_total: int
 
     @property
     def gate_saving_factor(self) -> float:
@@ -115,6 +144,12 @@ class GateCostReport:
     def total_saving_factor(self) -> float:
         """End-to-end session FLOP ratio (per-item / per-session)."""
         return self.per_item_total / self.per_session_total
+
+    @property
+    def behavior_saving_factor(self) -> float:
+        """Session FLOP ratio the factored score plan adds on top of the
+        gate saving (gate per session / gate and behaviour per session)."""
+        return self.per_session_total / self.factored_total
 
 
 def compare_gate_strategies(
@@ -130,6 +165,11 @@ def compare_gate_strategies(
         per_item_total=model_flops(config, meta, seq_len, gate_per_item=True, items=items_per_session),
         per_session_total=model_flops(
             config, meta, seq_len, gate_per_item=False, items=items_per_session
+        ),
+        behavior_flops=input_session_flops(config, meta, seq_len),
+        factored_total=model_flops(
+            config, meta, seq_len, gate_per_item=False, items=items_per_session,
+            behavior_per_item=False,
         ),
     )
 
@@ -182,9 +222,10 @@ def compare_retrieval_strategies(
 
     ``vector_dim`` is the cascade's augmented item-vector width and
     ``num_cells`` the category's IVF cell count (defaults to the index's
-    ``ceil(sqrt(members))`` sizing).  Both pipelines pay one session-gate
-    evaluation (§III-F1); the difference is how many candidates reach the
-    per-item input network + experts.
+    ``ceil(sqrt(members))`` sizing).  Both pipelines pay one evaluation of
+    the session gate (§III-F1) and of the input network's session side; the
+    difference is how many candidates reach the per-item attention, MLPs
+    and experts.
     """
     if category_size < 1:
         raise ValueError("category_size must be >= 1")
@@ -199,8 +240,10 @@ def compare_retrieval_strategies(
     # retrieval depth and passes the whole category through.
     retrieved = category_size if cascade.is_exhaustive else min(cascade.retrieve_n, category_size)
     survivors = retrieved if cascade.prune is None else min(cascade.prune, retrieved)
-    per_item = input_network_flops(config, meta, seq_len) + expert_flops(config, meta)
-    gate = gate_network_flops(config, meta, seq_len)
+    per_item = input_candidate_flops(config, meta, seq_len) + expert_flops(config, meta)
+    session = gate_network_flops(config, meta, seq_len) + input_session_flops(
+        config, meta, seq_len
+    )
     stage1 = 2 * vector_dim * (coarse + probed_rows)
     prefilter = 2 * vector_dim * retrieved + 2 * retrieved
     return CascadeCostReport(
@@ -208,6 +251,6 @@ def compare_retrieval_strategies(
         survivors=survivors,
         stage1_flops=stage1,
         prefilter_flops=prefilter,
-        exhaustive_flops=category_size * per_item + gate,
-        cascade_flops=stage1 + prefilter + survivors * per_item + gate,
+        exhaustive_flops=category_size * per_item + session,
+        cascade_flops=stage1 + prefilter + survivors * per_item + session,
     )

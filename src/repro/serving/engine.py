@@ -39,12 +39,8 @@ from typing import Optional
 import numpy as np
 
 from repro.core.ranking_model import RankingModel
-from repro.data.features import (
-    BehaviorEncoding,
-    assemble_candidate_batch,
-    encode_behavior,
-)
-from repro.data.schema import Batch
+from repro.data.features import BehaviorEncoding, assemble_session, encode_behavior
+from repro.data.schema import SessionBatch
 from repro.data.synthetic import World
 from repro.faults.injector import NULL_INJECTOR
 from repro.infer import CompiledModel, CompileError, compile_model
@@ -260,8 +256,7 @@ class SearchEngine:
         monitor = self.shadow_recall
         members = self._by_category[query_category]
         batch = self.build_batch(user, query_category, members)
-        scorer = self.compiled_model if self.compiled_model is not None else self.model
-        full_scores = np.asarray(scorer.predict_proba(batch))
+        full_scores = self._score_candidates(batch, None)
         k = min(monitor.k, members.size)
         oracle = members[np.argsort(-full_scores, kind="stable")[:k]]
         kept = set(int(item) for item in candidates)
@@ -327,11 +322,12 @@ class SearchEngine:
         candidates: np.ndarray,
         spec: int = 1,
         behavior: Optional[BehaviorEncoding] = None,
-    ) -> Batch:
+    ) -> SessionBatch:
         """Feature assembly for (user, query, candidates) — the feature dump
-        step of Fig. 6.  ``behavior`` accepts a cached encoding so hot users
-        skip re-encoding their history."""
-        return assemble_candidate_batch(
+        step of Fig. 6, the session side stored once (``.flat()`` is the
+        per-candidate batch).  ``behavior`` accepts a cached encoding so hot
+        users skip re-encoding their history."""
+        return assemble_session(
             self.world, user, query_category, candidates, spec=spec, behavior=behavior
         )
 
@@ -344,17 +340,17 @@ class SearchEngine:
     # ------------------------------------------------------------------
     def score_candidates(
         self,
-        batch: Batch,
+        batch: SessionBatch,
         gate: Optional[np.ndarray] = None,
         step_hook=None,
     ) -> np.ndarray:
-        """Predicted probabilities for every row of ``batch``.
+        """Predicted probabilities for every candidate row of ``batch``.
 
-        ``gate`` is an optional precomputed gate matrix ``(B, K)`` (or a
-        single ``(K,)`` session vector, broadcast to all rows); models that
-        support gate overrides skip the gate network entirely — the §III-F1
-        serving optimization.  Scoring executes the compiled plan when one
-        exists; eager otherwise.
+        ``gate`` is an optional precomputed gate matrix with one row per
+        session of ``batch`` (or a single ``(K,)`` vector, applied to every
+        row); models that support gate overrides skip the gate network
+        entirely — the §III-F1 serving optimization.  Scoring executes the
+        compiled plan when one exists; eager otherwise.
 
         ``step_hook`` is a transient per-kernel ``(PlanStep, seconds)``
         callback installed on the compiled score plan for this call only —
@@ -370,25 +366,21 @@ class SearchEngine:
                 plan.step_hook = None
         return self._score_candidates(batch, gate)
 
-    def _score_candidates(self, batch: Batch, gate: Optional[np.ndarray]) -> np.ndarray:
-        if gate is not None and self.supports_session_gate:
-            gate = np.asarray(gate, dtype=np.float32)
-            if gate.ndim == 1:
-                gate = np.tile(gate, (int(batch["label"].shape[0]), 1))
-            if self.compiled_model is not None:
-                return self.compiled_model.predict_proba(batch, gate_override=gate)
-            return self.model.predict_proba(batch, gate_override=gate)
-        if self.compiled_model is not None:
-            return self.compiled_model.predict_proba(batch)
-        return self.model.predict_proba(batch)
+    def _score_candidates(self, batch: SessionBatch, gate: Optional[np.ndarray]) -> np.ndarray:
+        scorer = self.compiled_model if self.compiled_model is not None else self.model
+        if gate is None or not self.supports_session_gate:
+            return scorer.predict_proba(batch)
+        gate = np.asarray(gate, dtype=np.float32)
+        return scorer.predict_proba(batch, gate_override=gate[None] if gate.ndim == 1 else gate)
 
     @property
     def supports_session_gate(self) -> bool:
         """Whether the model's gate can be computed once per session."""
         return bool(getattr(self.model, "gate_is_candidate_independent", False))
 
-    def serving_gate(self, batch: Batch) -> np.ndarray:
-        """Cache-ready gate matrix for every row of ``batch``.
+    def serving_gate(self, batch) -> np.ndarray:
+        """Cache-ready gate matrix: one row per session of a session batch,
+        or per row of a plain batch of session-side arrays.
 
         Runs the compiled **gate plan** (the candidate-independent subgraph
         split out at compile time) when available, so the micro-batcher's
@@ -399,17 +391,16 @@ class SearchEngine:
             return self.compiled_model.serving_gate(batch)
         return self.model.serving_gate(batch)
 
-    def session_gate(self, batch: Batch) -> Optional[np.ndarray]:
-        """The session's gate vector ``g`` (shape ``(K,)``), or ``None``.
+    def session_gate(self, batch: SessionBatch) -> Optional[np.ndarray]:
+        """The gate vector ``g`` (shape ``(K,)``) of a one-session batch, or
+        ``None``.
 
         Only valid for models whose gate ignores the candidate (AW-MoE in
-        search mode): the vector is computed from the batch's first row and
-        applies to every candidate of the session.
+        search mode): the vector applies to every candidate of the session.
         """
         if not self.supports_session_gate:
             return None
-        row = {key: value[:1] for key, value in batch.items()}
-        return self.serving_gate(row)[0]
+        return self.serving_gate(batch)[0]
 
     def search(self, user: int, query_category: int) -> RankedList:
         """Serve one query end to end and record latency.

@@ -414,6 +414,10 @@ class MetricsSink:
                 "session_saving_factor": (
                     self.cost_model.total_saving_factor if self.cost_model else None
                 ),
+                "behavior_flops": self.cost_model.behavior_flops if self.cost_model else None,
+                "behavior_saving_factor": (
+                    self.cost_model.behavior_saving_factor if self.cost_model else None
+                ),
                 "cascade": self.cascade_cost.as_dict() if self.cascade_cost else None,
             },
         }

@@ -1,16 +1,20 @@
 """Public feature-assembly API (``repro.data.features``)."""
 
 import numpy as np
+import pytest
 
 from repro.data import (
+    SessionBatch,
     UserState,
     assemble_candidate_batch,
+    assemble_session,
     cross_features,
     encode_behavior,
     impression_features,
     item_dense,
+    session_side,
 )
-from repro.data.schema import FEATURE_NAMES, validate_batch
+from repro.data.schema import BATCH_KEYS, FEATURE_NAMES, concat_batches, validate_batch
 
 
 def _active_user(world):
@@ -114,3 +118,101 @@ class TestAssembleCandidateBatch:
         assert synthetic.cross_features is cross_features
         assert synthetic.impression_features is impression_features
         assert synthetic.encode_behavior is encode_behavior
+
+
+def _tiled_batch(world, user, query_category, candidates, spec=1):
+    """Per-candidate assembly as it was before batches were factored by
+    session: the session side ``np.tile``d across every candidate row."""
+    state = UserState(world, user)
+    cross = cross_features(state, world, candidates)
+    features = impression_features(world, user, candidates, query_category, spec, cross, state)
+    items, cats, dense, mask = encode_behavior(world, user, world.config.max_seq_len)
+    count = candidates.size
+    query_id = query_category * world.config.num_query_specificities + spec + 1
+    return {
+        "behavior_items": np.tile(items, (count, 1)),
+        "behavior_categories": np.tile(cats, (count, 1)),
+        "behavior_dense": np.tile(dense, (count, 1, 1)),
+        "behavior_mask": np.tile(mask, (count, 1)),
+        "target_item": (candidates + 1).astype(np.int32),
+        "target_category": (world.item_category[candidates] + 1).astype(np.int32),
+        "target_dense": item_dense(world, candidates),
+        "query": np.full(count, query_id, dtype=np.int32),
+        "query_category": np.full(count, query_category + 1, dtype=np.int32),
+        "other_features": features.astype(np.float32),
+        "label": np.zeros(count, dtype=np.float32),
+        "session_id": np.zeros(count, dtype=np.int64),
+        "user_id": np.full(count, user, dtype=np.int64),
+    }
+
+
+def _assert_batches_identical(got, want):
+    assert set(got) == set(want) == set(BATCH_KEYS)
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
+class TestSessionBatch:
+    #: (user offset, category, candidates): unequal counts, a one-candidate
+    #: session, and (below) an empty-history user.
+    QUERIES = [(0, 1, np.arange(6)), (1, 2, np.array([9])), (2, 0, np.arange(3, 7))]
+
+    def _sessions(self, world):
+        empty = next(u for u in range(world.num_users) if world.history_length(u) == 0)
+        users = [_active_user(world), empty, _active_user(world) + 1]
+        return [(users[i], category, candidates) for i, category, candidates in self.QUERIES]
+
+    def test_flat_is_the_tiled_batch_bit_for_bit(self, unit_world):
+        for user, category, candidates in self._sessions(unit_world):
+            want = _tiled_batch(unit_world, user, category, candidates)
+            _assert_batches_identical(
+                assemble_session(unit_world, user, category, candidates).flat(), want
+            )
+            _assert_batches_identical(
+                assemble_candidate_batch(unit_world, user, category, candidates), want
+            )
+
+    def test_concat_flat_is_the_concatenated_per_query_batches(self, unit_world):
+        sessions = self._sessions(unit_world)
+        combined = SessionBatch.concat([assemble_session(unit_world, *q) for q in sessions])
+        tiled = [_tiled_batch(unit_world, *q) for q in sessions]
+        want = {key: np.concatenate([b[key] for b in tiled], axis=0) for key in tiled[0]}
+        _assert_batches_identical(combined.flat(), want)
+        assert combined.num_sessions == 3 and combined.num_rows == 11
+        assert combined.bounds == [0, 6, 7, 11]
+        np.testing.assert_array_equal(combined.counts, [6, 1, 4])
+
+    def test_indexing_returns_the_side_that_holds_the_key(self, unit_world):
+        batch = SessionBatch.concat([assemble_session(unit_world, *q) for q in self._sessions(unit_world)])
+        assert batch["behavior_items"].shape[0] == batch["query"].shape[0] == 3
+        assert batch["target_item"].shape[0] == batch["other_features"].shape[0] == 11
+        assert "behavior_mask" in batch and "label" in batch and "nope" not in batch
+
+    def test_session_side_alone_matches_the_full_assembly(self, unit_world):
+        user = _active_user(unit_world)
+        alone = session_side(unit_world, user, 2)
+        full = assemble_session(unit_world, user, 2, np.arange(4)).session
+        assert set(alone) == set(full)
+        for key in full:
+            np.testing.assert_array_equal(alone[key], full[key], err_msg=key)
+
+    def test_expand_repeats_per_session_rows_only(self, unit_world):
+        batch = SessionBatch.concat([assemble_session(unit_world, *q) for q in self._sessions(unit_world)])
+        gates = np.arange(6.0).reshape(3, 2)
+        np.testing.assert_array_equal(batch.expand(gates), np.repeat(gates, [6, 1, 4], axis=0))
+        per_row = np.zeros((11, 2))
+        assert batch.expand(per_row) is per_row
+
+    def test_flat_validates_and_leading_dims_match_counts(self, unit_world):
+        batch = assemble_session(unit_world, _active_user(unit_world), 1, np.arange(5))
+        validate_batch(batch.flat())
+        assert all(rows.shape[0] == batch.num_sessions == 1 for rows in batch.session.values())
+        assert all(rows.shape[0] == batch.num_rows == 5 for rows in batch.candidate.values())
+
+    def test_a_session_without_candidates_is_rejected(self, unit_world):
+        batch = assemble_session(unit_world, _active_user(unit_world), 1, np.arange(5))
+        with pytest.raises(ValueError, match="at least one candidate"):
+            SessionBatch(
+                concat_batches([batch.session, batch.session]), batch.candidate, np.array([5, 0])
+            )

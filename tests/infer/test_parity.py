@@ -3,8 +3,8 @@
 * **float64 mode** replays the exact eager op order, so compiled scores are
   **bitwise equal** to a float64 eager twin of the model;
 * **float32 fused mode** may reassociate float arithmetic (packed expert
-  GEMM, uniform-session gate dedup) and must stay within 1e-4 relative of
-  the eager float32 forward.
+  GEMM; the session-factored attention, see ``test_factored.py``) and must
+  stay within 1e-4 relative of the eager float32 forward.
 
 Both bars hold for every model the registry can promote: AW-MoE (search and
 reco mode, all Table VI gate ablations), with and without ``gate_override``,
@@ -133,24 +133,6 @@ class TestFloat32Tolerance:
             )
             < RTOL_F32
         )
-
-    def test_uniform_session_dedup_matches_per_row_gate(self, unit_world, test_set):
-        """A single-query candidate batch (tiled session rows) takes the
-        dedup fast path; scores must match the per-row gate computation."""
-        from repro.data.features import assemble_candidate_batch
-
-        model = build_model(
-            "aw_moe", ModelConfig.unit(), test_set.meta, np.random.default_rng(0)
-        )
-        model.eval()
-        compiled = compile_model(model)
-        candidates = np.flatnonzero(unit_world.item_category == 1)[:8]
-        qbatch = assemble_candidate_batch(unit_world, 3, 1, candidates)
-        fast = compiled.predict_proba(qbatch)
-        compiled.uniform_session_dedup = False
-        slow = compiled.predict_proba(qbatch)
-        assert _rel_err(fast, slow) < RTOL_F32
-        assert _rel_err(fast, model.predict_proba(qbatch)) < RTOL_F32
 
 
 class TestHotSwapBoundary:

@@ -41,6 +41,23 @@ class TestPrefilter:
         survivors = prefilter.prune(np.arange(5), np.zeros(5, dtype=np.float32), keep=2)
         np.testing.assert_array_equal(survivors, [1, 3])
 
+    def test_prune_from_base_scores_skips_the_plan(self):
+        """With stage 1's inner products handed over, pruning ranks by
+        ``base + extra`` and never gathers item vectors."""
+        rng = np.random.default_rng(3)
+        vectors = rng.normal(size=(40, 4)).astype(np.float32)
+        prefilter = Prefilter(vectors)
+        candidates = np.arange(0, 40, 2)
+        session = rng.normal(size=4).astype(np.float32)
+        extra = rng.normal(size=candidates.size).astype(np.float32)
+        want = prefilter.prune(candidates, session, keep=6, extra=extra)
+        calls = prefilter.plan.calls
+        got = prefilter.prune(
+            candidates, session, keep=6, extra=extra, base=vectors[candidates] @ session
+        )
+        np.testing.assert_array_equal(got, want)
+        assert prefilter.plan.calls == calls
+
     def test_prune_none_is_identity(self):
         prefilter = Prefilter(np.ones((3, 2), dtype=np.float32), np.zeros(3, dtype=np.float32))
         candidates = np.array([0, 2])
@@ -130,6 +147,27 @@ class TestExhaustiveParity:
             np.sort(first[0].items), np.sort(second[0].items)
         )
 
+    def test_session_gate_assembles_no_candidates(self, unit_world, model, monkeypatch):
+        """The gate reads the session side only: resolving it builds no
+        candidate features, and equals the gate of the session's full batch
+        on both scoring surfaces."""
+        import repro.retrieval.cascade as cascade_module
+
+        for compile_flag in (True, False):
+            engine = SearchEngine(
+                unit_world, model, np.random.default_rng(1), compile=compile_flag,
+                cascade=CascadeConfig(retrieve_n=12, prune=8, nprobe="all"),
+            )
+            batch = engine.build_batch(7, 2, engine.retrieve(2))
+            with monkeypatch.context() as patched:
+                for name in ("assemble_session", "assemble_candidate_batch"):
+                    patched.setattr(
+                        cascade_module, name,
+                        lambda *a, **k: pytest.fail("gate resolution assembled candidates"),
+                    )
+                gate = engine.cascade.resolve_gate(7, 2)
+            np.testing.assert_array_equal(gate, engine.session_gate(batch))
+
     def test_without_user_falls_back_to_sampling(self, unit_world, model):
         """retrieve() without a user cannot personalize; it keeps the
         popularity-sampling behaviour so old callers stay valid."""
@@ -173,6 +211,43 @@ class TestRecallMonotonicity:
         ]
         assert all(a <= b + 1e-12 for a, b in zip(by_nprobe, by_nprobe[1:]))
         assert by_nprobe[-1] == 1.0
+
+    def test_cross_counts_mirror_the_model_features(self, unit_world, model):
+        """The prefilter's counters are the capped twins of the (N, H)
+        ``cross_features`` the ranker reads, looked up instead of compared."""
+        from repro.data.features import UserState, cross_features
+
+        cascade = RetrievalCascade.from_model(
+            model, unit_world, CascadeConfig(retrieve_n=6, prune=4, nprobe=1)
+        )
+        rng = np.random.default_rng(8)
+        for user in range(0, unit_world.num_users, 7):
+            history = unit_world.histories[user]
+            items = rng.choice(unit_world.num_items, size=40, replace=False)
+            items[: min(len(history), 5)] = history[: min(len(history), 5)]
+            cross = cross_features(UserState(unit_world, user), unit_world, items)
+            want = np.stack(
+                [
+                    np.minimum(cross["brand_click_cnt"], 5),
+                    np.minimum(cross["shop_click_cnt"], 5),
+                    np.minimum(cross["item_click_cnt"], 3),
+                    cross["price_gap"],
+                ],
+                axis=1,
+            ).astype(np.float32)
+            np.testing.assert_array_equal(cascade._cross_counts(user, items), want)
+
+    def test_survivors_are_the_top_of_the_cheap_score(self, unit_world, model):
+        """Stage 2 starts from stage 1's inner products; what survives is
+        still the top of ``score_candidates`` over what stage 1 retrieved."""
+        config = CascadeConfig(retrieve_n=30, prune=8, nprobe="all")
+        cascade = RetrievalCascade.from_model(model, unit_world, config)
+        for user, category in [(3, 1), (7, 2), (11, 5)]:
+            session_vec = cascade.session_vector(user, category)
+            retrieved = cascade.index.search(session_vec, category, topn=30, nprobe="all")
+            cheap = cascade.score_candidates(user, category, retrieved)
+            want = np.sort(retrieved[np.argsort(-cheap, kind="stable")[:8]])
+            np.testing.assert_array_equal(cascade.retrieve(user, category), want)
 
     def test_empty_history_users_share_static_ranking(self, unit_world, model):
         """Without history the embedding/profile blocks zero out; what

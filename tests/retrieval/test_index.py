@@ -99,6 +99,16 @@ class TestItemIndex:
         assert np.all(np.diff(ids) > 0)
         assert np.all(categories[ids] == 1)
 
+    @pytest.mark.parametrize("nprobe, topn", [(2, 9), ("all", 9), ("all", 10_000)])
+    def test_scores_out_matches_returned_ids(self, corpus, nprobe, topn):
+        vectors, categories, num_categories = corpus
+        index = ItemIndex(vectors, categories, num_categories)
+        query = np.random.default_rng(5).normal(size=vectors.shape[1]).astype(np.float32)
+        scores = np.full(topn, np.nan, dtype=np.float32)
+        ids = index.search(query, 1, topn=topn, nprobe=nprobe, scores_out=scores)
+        np.testing.assert_array_equal(ids, index.search(query, 1, topn=topn, nprobe=nprobe))
+        np.testing.assert_allclose(scores[: ids.size], vectors[ids] @ query, rtol=1e-5)
+
     def test_empty_partition(self):
         vectors = np.ones((4, 3), dtype=np.float32)
         categories = np.zeros(4, dtype=np.int64)

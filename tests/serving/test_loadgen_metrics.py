@@ -263,6 +263,8 @@ class TestOnlineEventMetrics:
         assert summary["cost"]["gate_flops"] == report.gate_flops
         assert summary["cost"]["gate_flops_saved_by_cache"] == 10 * report.gate_flops
         assert summary["cost"]["session_saving_factor"] > 1.0
+        assert summary["cost"]["behavior_flops"] == report.behavior_flops
+        assert summary["cost"]["behavior_saving_factor"] == report.behavior_saving_factor
         # The cost model survives a merge.
         merged = sink.merge(MetricsSink(clock=ManualClock()))
         assert merged.cost_model is report

@@ -53,6 +53,21 @@ class TestCostModel:
         per_session = model_flops(config, test_set.meta, 100, gate_per_item=False, items=20)
         assert per_item > per_session
 
+    def test_behavior_side_is_paid_once_per_session(self, test_set):
+        """The input network's session term (seq_len x MLP^I + query MLP)
+        is charged per item by the unfactored totals and once by the
+        factored one; the per-candidate term is untouched."""
+        config, meta = ModelConfig.paper(), test_set.meta
+        report = compare_gate_strategies(config, meta, items_per_session=40, seq_len=100)
+        assert report.behavior_flops > 0
+        assert report.per_session_total - report.factored_total == 39 * report.behavior_flops
+        assert report.behavior_saving_factor > 1.0
+        assert model_flops(
+            config, meta, 100, gate_per_item=False, items=40, behavior_per_item=False
+        ) == report.factored_total
+        longer = compare_gate_strategies(config, meta, items_per_session=40, seq_len=200)
+        assert longer.behavior_flops > 1.9 * report.behavior_flops
+
     def test_invalid_items(self, test_set):
         with pytest.raises(ValueError):
             compare_gate_strategies(ModelConfig.paper(), test_set.meta, 0, 10)
@@ -125,7 +140,7 @@ class TestSearchEngine:
     def test_batch_is_valid(self, engine):
         candidates = engine.retrieve(1)
         batch = engine.build_batch(0, 1, candidates)
-        validate_batch(batch)
+        validate_batch(batch.flat())
 
     def test_search_returns_sorted_scores(self, engine):
         result = engine.search(user=3, query_category=2)
@@ -191,7 +206,8 @@ class TestSessionGateScoring:
         batch = engine.build_batch(3, 1, candidates)
         gate = engine.session_gate(batch)
         assert gate is not None and gate.ndim == 1
-        full = engine.model.gate_outputs(batch)
+        full = engine.model.gate_outputs(batch.flat())
+        assert len(full) == candidates.size
         np.testing.assert_allclose(full, np.tile(gate, (len(full), 1)), rtol=1e-6)
 
     def test_score_with_gate_override_identical(self, engine):
@@ -211,6 +227,24 @@ class TestSessionGateScoring:
         # A gate argument is ignored rather than crashing the scorer.
         scores = engine.score_candidates(batch, gate=np.ones(4, dtype=np.float32))
         assert scores.shape == (candidates.size,)
+
+    def test_eager_engine_scores_its_own_session_batch(self, unit_world, engine):
+        """``compile=False`` serves the same factored batches: the eager
+        forward reads their flat rows, a per-session gate is expanded."""
+        eager = SearchEngine(unit_world, engine.model, np.random.default_rng(1), compile=False)
+        candidates = eager.retrieve(2)
+        batch = eager.build_batch(5, 2, candidates)
+        scores = eager.score_candidates(batch)
+        assert scores.shape == (candidates.size,)
+        np.testing.assert_array_equal(scores, engine.model.predict_proba(batch.flat()))
+        gate = eager.session_gate(batch)
+        np.testing.assert_array_equal(gate, engine.model.serving_gate(batch.flat())[0])
+        np.testing.assert_allclose(
+            eager.score_candidates(batch, gate=gate), scores, rtol=1e-6, atol=1e-7
+        )
+        np.testing.assert_allclose(
+            engine.score_candidates(batch, gate=gate), scores, rtol=1e-5, atol=1e-6
+        )
 
 
 class TestABTest:

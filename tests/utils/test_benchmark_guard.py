@@ -13,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 from _helpers import (  # noqa: E402
     BenchmarkRegressionError,
     BenchmarkRegressionWarning,
+    compare_profile_shares,
     compare_to_artifact,
 )
 
@@ -107,3 +108,35 @@ class TestCompareToArtifact:
         report = {"single_query": {"speedup": 2.46}, "fleet": {"qps_improvement": 1.5}}
         with pytest.raises(BenchmarkRegressionError, match="single_query.speedup"):
             compare_to_artifact(report, reference, KEYS, tolerance=0.2, fail_tolerance=0.15)
+
+
+class TestCompareProfileShares:
+    @pytest.fixture()
+    def shares_reference(self, tmp_path):
+        path = tmp_path / "compiled_inference.json"
+        shares = {"score": {"embed": 0.2, "pairwise": 0.3, "experts": 0.5}}
+        path.write_text(json.dumps({"profile": {"shares": shares}}))
+        return path
+
+    def test_same_steps_within_band_are_silent(self, shares_reference):
+        report = {"profile": {"shares": {"score": {"embed": 0.25, "pairwise": 0.3, "experts": 0.45}}}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert compare_profile_shares(report, shares_reference) == []
+
+    def test_added_and_removed_steps_are_named(self, shares_reference):
+        """A renamed kernel has no share to compare on either side; it must
+        not slip through the gate unmentioned."""
+        report = {"profile": {"shares": {"score": {"embed": 0.2, "fused": 0.3, "experts": 0.5}}}}
+        with pytest.warns(BenchmarkRegressionWarning) as caught:
+            messages = compare_profile_shares(report, shares_reference)
+        assert len(messages) == len(caught) == 2
+        assert any("removed" in m and "pairwise" in m for m in messages)
+        assert any("added" in m and "fused" in m for m in messages)
+
+    def test_share_growth_still_gates_beside_a_removed_step(self, shares_reference, monkeypatch):
+        monkeypatch.delenv("REPRO_ALLOW_REGRESSION", raising=False)
+        report = {"profile": {"shares": {"score": {"embed": 0.1, "experts": 0.9}}}}
+        with pytest.warns(BenchmarkRegressionWarning, match="pairwise"):
+            with pytest.raises(BenchmarkRegressionError, match="score.experts"):
+                compare_profile_shares(report, shares_reference)

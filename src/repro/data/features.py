@@ -6,17 +6,24 @@ impression, otherwise offline training and online scoring drift apart — the
 classic training/serving skew problem.  This module is the single source of
 truth for that computation:
 
-* :class:`UserState` — cached per-user history arrays;
-* :func:`cross_features` — two-sided user x item counters (Fig. 2 features);
+* :class:`UserState` — one user's history-only tables (brand / shop /
+  category counts, brand recency, mean clicked price, item repeats), built
+  once and cached by the serving session cache;
+* :class:`ItemSlab` — the world-constant item-side columns, built once per
+  world (``world.item_slab``);
+* :func:`cross_features` — two-sided user x item counters (Fig. 2 features),
+  O(candidates) gathers from a :class:`UserState`;
 * :func:`impression_features` — the dense ``other_features`` matrix in
   :data:`repro.data.schema.FEATURE_NAMES` order;
 * :func:`encode_behavior` — the padded behaviour-sequence arrays consumed by
   the attention layers;
 * :func:`item_dense` — per-item dense profiles (price/popularity/quality/style);
-* :func:`assemble_session` — the full feature dump of Fig. 6: one model-ready
-  :class:`~repro.data.schema.SessionBatch` for a (user, query, candidates)
-  triple, the session side stored once (:func:`session_side` builds that half
-  alone); :func:`assemble_candidate_batch` is its flat per-impression form.
+* :func:`assemble_sessions` — the full feature dump of Fig. 6 for a whole
+  flush: one model-ready :class:`~repro.data.schema.SessionBatch` joining the
+  sessions' user tables to the item slab, the session side stored once
+  (:func:`session_side` builds that half alone); :func:`assemble_session` is
+  its one-session call and :func:`assemble_candidate_batch` that call's flat
+  per-impression form.
 
 Everything here is deterministic and free of random state, so the serving
 cache (:mod:`repro.serving.cache`) may store and reuse any of these outputs.
@@ -24,7 +31,7 @@ cache (:mod:`repro.serving.cache`) may store and reuse any of these outputs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,12 +42,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (synthetic imports us
 
 __all__ = [
     "UserState",
+    "ItemSlab",
     "BehaviorEncoding",
     "cross_features",
     "encode_behavior",
     "impression_features",
     "item_dense",
     "session_side",
+    "assemble_sessions",
     "assemble_session",
     "assemble_candidate_batch",
 ]
@@ -49,74 +58,136 @@ __all__ = [
 BehaviorEncoding = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
+def _table_offsets(world: "World") -> Tuple[int, int, int, int, int]:
+    """Where a :attr:`UserState.table` keeps its brand counts, shop counts,
+    category counts and brand recencies, and its width; the four leading
+    columns are the user's own ``other_features`` (activity, age one-hot)."""
+    brand = 4
+    shop = brand + world.num_brands
+    category = shop + world.config.num_shops
+    recency = category + world.config.num_categories
+    return brand, shop, category, recency, recency + world.num_brands
+
+
 class UserState:
-    """Cached per-user history arrays for fast cross-feature computation."""
+    """Everything the features of one user's impressions read off the
+    history alone, tabulated once: a candidate's cross features are gathers
+    by its brand, shop, category and id.
 
-    __slots__ = ("items", "categories", "brands", "shops", "prices", "length")
+    ``table`` is one float32 row (``brand_count`` / ``shop_count`` /
+    ``category_count`` are views into it) so a flush stacks its users into
+    one array; ``recency`` and ``mean_price`` stay float64 because
+    :func:`cross_features` returns them, and the price gap subtracts, at that
+    precision.  ``clicked`` is the sorted distinct history with ``repeats``
+    counting each item, closed by the sentinel ``num_items`` (0 repeats) so a
+    ``searchsorted`` never lands past the end.  ``behavior`` is the padded
+    behaviour encoding (a precomputed one is taken as is).
+    """
 
-    def __init__(self, world: "World", user: int) -> None:
+    __slots__ = (
+        "user", "items", "categories", "brands", "length", "table", "brand_count",
+        "shop_count", "category_count", "recency", "mean_price", "clicked", "repeats",
+        "behavior",
+    )
+
+    def __init__(
+        self, world: "World", user: int, behavior: Optional[BehaviorEncoding] = None
+    ) -> None:
+        cfg = world.config
         history = world.histories[user]
+        h = len(history)
+        self.user = user
         self.items = history
         self.categories = world.item_category[history]
         self.brands = world.item_brand[history]
-        self.shops = world.item_shop[history]
-        self.prices = world.item_price_pct[history]
-        self.length = len(history)
+        self.length = h
+        self.behavior = behavior or encode_behavior(world, user, cfg.max_seq_len)
+        brand, shop, category, recency, width = _table_offsets(world)
+        self.table = table = np.zeros(width, dtype=np.float32)
+        table[0] = np.log1p(h) / np.log1p(cfg.max_seq_len)
+        table[1 + world.user_age[user]] = 1.0
+        self.brand_count = table[brand:shop]
+        self.shop_count = table[shop:category]
+        self.category_count = table[category:recency]
+        self.brand_count[:] = np.bincount(self.brands, minlength=world.num_brands)
+        self.shop_count[:] = np.bincount(world.item_shop[history], minlength=cfg.num_shops)
+        # Recency of the last same-brand interaction, normalized to [0, 1];
+        # 1.0 when the brand never occurs (matches "Brand_click_time_diff").
+        last = np.full(world.num_brands, -1)
+        last[self.brands] = np.arange(h)  # a repeated brand keeps its last position
+        self.recency = np.where(last >= 0, (h - 1 - last) / max(h, 1), 1.0)
+        table[recency:] = self.recency
+        # Mean clicked price per category: masked (categories, H) row sums.
+        same_category = self.categories[None, :] == np.arange(cfg.num_categories)[:, None]
+        counts = same_category.sum(axis=1)
+        self.category_count[:] = counts
+        self.mean_price = (same_category * world.item_price_pct[history][None, :]).sum(
+            axis=1
+        ) / np.maximum(counts, 1)
+        clicked, repeats = np.unique(history, return_counts=True)
+        self.clicked = np.append(clicked, world.num_items)
+        self.repeats = np.append(repeats, 0).astype(np.float32)
+
+    def repeat_counts(self, items: np.ndarray) -> np.ndarray:
+        """How often the history clicked each of ``items`` (float32)."""
+        slot = np.searchsorted(self.clicked, items)
+        return self.repeats[slot] * (self.clicked[slot] == items)
+
+    def price_gap(self, world: "World", items: np.ndarray) -> np.ndarray:
+        """Each item's price minus the mean price the user clicked in its
+        category (float64); 0 where the category was never clicked."""
+        categories = world.item_category[items]
+        return np.where(
+            self.category_count[categories] > 0,
+            world.item_price_pct[items] - self.mean_price[categories],
+            0.0,
+        )
 
 
 def cross_features(
     state: UserState, world: "World", candidates: np.ndarray
 ) -> Dict[str, np.ndarray]:
     """Two-sided user-item features for a session's candidate set (C,)."""
-    c = candidates.size
-    if state.length == 0:
-        zero = np.zeros(c)
-        return {
-            "item_click_cnt": zero,
-            "brand_click_cnt": zero.copy(),
-            "shop_click_cnt": zero.copy(),
-            "category_click_cnt": zero.copy(),
-            "brand_click_time_diff": np.ones(c),
-            "price_gap": zero.copy(),
-        }
-    cand_brand = world.item_brand[candidates][:, None]
-    cand_shop = world.item_shop[candidates][:, None]
-    cand_cat = world.item_category[candidates][:, None]
-    cand_item = candidates[:, None]
-
-    item_hits = state.items[None, :] == cand_item  # (C, H)
-    brand_hits = state.brands[None, :] == cand_brand
-    shop_hits = state.shops[None, :] == cand_shop
-    cat_hits = state.categories[None, :] == cand_cat
-
-    h = state.length
-    # Recency of the last same-brand interaction, normalized to [0, 1];
-    # 1.0 when the brand never occurs (matches "Brand_click_time_diff").
-    positions = np.arange(h)
-    last_brand_pos = np.where(
-        brand_hits.any(axis=1), (brand_hits * (positions + 1)).max(axis=1) - 1, -1
-    )
-    brand_time_diff = np.where(
-        last_brand_pos >= 0, (h - 1 - last_brand_pos) / max(h, 1), 1.0
-    )
-
-    cat_counts = cat_hits.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        mean_cat_price = np.where(
-            cat_counts > 0,
-            (cat_hits * state.prices[None, :]).sum(axis=1) / np.maximum(cat_counts, 1),
-            0.0,
-        )
-    price_gap = np.where(cat_counts > 0, world.item_price_pct[candidates] - mean_cat_price, 0.0)
-
+    brands = world.item_brand[candidates]
     return {
-        "item_click_cnt": item_hits.sum(axis=1).astype(float),
-        "brand_click_cnt": brand_hits.sum(axis=1).astype(float),
-        "shop_click_cnt": shop_hits.sum(axis=1).astype(float),
-        "category_click_cnt": cat_counts.astype(float),
-        "brand_click_time_diff": brand_time_diff,
-        "price_gap": price_gap,
+        "item_click_cnt": state.repeat_counts(candidates).astype(float),
+        "brand_click_cnt": state.brand_count[brands].astype(float),
+        "shop_click_cnt": state.shop_count[world.item_shop[candidates]].astype(float),
+        "category_click_cnt": state.category_count[world.item_category[candidates]].astype(float),
+        "brand_click_time_diff": state.recency[brands],
+        "price_gap": state.price_gap(world, candidates),
     }
+
+
+class ItemSlab:
+    """The candidate-side columns that depend on the item alone, as the
+    model reads them, gathered by id at assembly.  :func:`~repro.data.
+    synthetic.drift_world` touches none of their sources, so one slab per
+    world (``world.item_slab``) serves every model generation."""
+
+    __slots__ = ("target_category", "dense", "features", "table_columns")
+
+    def __init__(self, world: "World") -> None:
+        self.target_category = (world.item_category + 1).astype(np.int32)
+        self.dense = item_dense(world, slice(None))
+        #: Every item's ``other_features`` row with the item-only columns
+        #: (price, sales, popularity, quality) filled in, zeros elsewhere.
+        self.features = np.zeros((world.num_items, len(FEATURE_NAMES)), dtype=np.float32)
+        self.features[:, 4] = world.item_price_pct
+        self.features[:, 5] = world.item_sales
+        self.features[:, 6] = world.item_popularity
+        self.features[:, 7] = world.item_quality
+        #: ``(4, items)``: where a :attr:`UserState.table` holds the values
+        #: behind each item's ``other_features`` 11..14, in that order.
+        brand, shop, category, recency, _ = _table_offsets(world)
+        self.table_columns = np.stack(
+            [
+                brand + world.item_brand,
+                shop + world.item_shop,
+                category + world.item_category,
+                recency + world.item_brand,
+            ]
+        ).astype(np.int32)
 
 
 def item_dense(world: "World", items: np.ndarray) -> np.ndarray:
@@ -178,6 +249,28 @@ def impression_features(
     return features
 
 
+def _session_rows(
+    world: "World",
+    users: Sequence[int],
+    categories: Sequence[int],
+    behaviors: Sequence[BehaviorEncoding],
+    spec: int,
+) -> Batch:
+    """The session side of a batch, one row per (user, query category)."""
+    category = np.asarray(categories)
+    items, item_categories, dense, mask = zip(*behaviors)
+    return {
+        "behavior_items": np.array(items),
+        "behavior_categories": np.array(item_categories),
+        "behavior_dense": np.array(dense),
+        "behavior_mask": np.array(mask),
+        "query": (category * world.config.num_query_specificities + spec + 1).astype(np.int32),
+        "query_category": (category + 1).astype(np.int32),
+        "session_id": np.zeros(len(users), dtype=np.int64),
+        "user_id": np.array(users, dtype=np.int64),
+    }
+
+
 def session_side(
     world: "World",
     user: int,
@@ -190,18 +283,82 @@ def session_side(
     gate (§III-F1) needs."""
     if behavior is None:
         behavior = encode_behavior(world, user, world.config.max_seq_len)
-    items, cats, dense, mask = behavior
-    query_id = query_category * world.config.num_query_specificities + spec + 1
-    return {
-        "behavior_items": items[None],
-        "behavior_categories": cats[None],
-        "behavior_dense": dense[None],
-        "behavior_mask": mask[None],
-        "query": np.array([query_id], dtype=np.int32),
-        "query_category": np.array([query_category + 1], dtype=np.int32),
-        "session_id": np.zeros(1, dtype=np.int64),
-        "user_id": np.array([user], dtype=np.int64),
+    return _session_rows(world, [user], [query_category], [behavior], spec)
+
+
+#: Caps of ``other_features`` 11..14 (brand, shop and category counts, brand
+#: recency — already a ratio) and what each capped value is divided by.
+_TABLE_CAPS = np.array([[5], [5], [8], [np.inf]], dtype=np.float32)
+_TABLE_SCALES = np.array([[5], [5], [8], [1]], dtype=np.float32)
+
+
+def assemble_sessions(
+    world: "World",
+    states: Sequence[UserState],
+    categories: Sequence[int],
+    candidate_lists: Sequence[np.ndarray],
+    spec: int = 1,
+) -> SessionBatch:
+    """The feature dump of Fig. 6 for many sessions at once: session ``s``
+    scores ``candidate_lists[s]`` for ``states[s]``'s user under query
+    category ``categories[s]``.
+
+    The user side comes tabulated in ``states`` and the item side in
+    ``world.item_slab``; what is left per (user, item) row is a join —
+    gathers into the sessions' stacked tables at per-session offsets — in a
+    fixed number of numpy calls however many sessions a flush or a click
+    window holds.
+    """
+    cfg, slab = world.config, world.item_slab
+    sessions = np.arange(len(states))
+    counts = np.array([len(candidates) for candidates in candidate_lists])
+    candidates = np.concatenate(candidate_lists)
+    session = _session_rows(
+        world,
+        [state.user for state in states],
+        categories,
+        [state.behavior for state in states],
+        spec,
+    )
+    target_category = slab.target_category[candidates]
+
+    tables = np.array([state.table for state in states])
+    features = np.take(slab.features, candidates, axis=0)
+    features[:, :4] = np.repeat(tables[:, :4], counts, axis=0)
+    features[:, 8] = target_category == np.repeat(session["query_category"], counts)
+    features[:, 9] = spec / max(cfg.num_query_specificities - 1, 1)
+    # Item repeats: one binary search over (session, item) keys.  Every
+    # state's ``clicked`` ends in its sentinel, so a key always finds a slot
+    # inside its own session's run.
+    stride = sessions * (world.num_items + 1)
+    clicked = np.concatenate([state.clicked for state in states])
+    clicked += np.repeat(stride, [state.clicked.size for state in states])
+    repeats = np.concatenate([state.repeats for state in states])
+    keys = candidates + np.repeat(stride, counts)
+    slot = np.searchsorted(clicked, keys)
+    item_repeats = repeats[slot] * (clicked[slot] == keys)
+    np.minimum(item_repeats, 3, out=item_repeats)
+    np.divide(item_repeats, 3, out=features[:, 10])
+    # Brand, shop and category counts and brand recency: one (4, N) gather,
+    # columns down the rows so every ufunc loop runs the length of the flush.
+    columns = np.take(slab.table_columns, candidates, axis=1)
+    values = tables.ravel()[columns + np.repeat(sessions * tables.shape[1], counts)]
+    category_old = values[2] > 0
+    np.minimum(values, _TABLE_CAPS, out=values)
+    np.divide(values, _TABLE_SCALES, out=features.T[11:15])
+    mean_price = np.array([state.mean_price for state in states])
+    category = world.item_category[candidates] + np.repeat(sessions * cfg.num_categories, counts)
+    features[:, 15] = np.where(
+        category_old, world.item_price_pct[candidates] - mean_price.ravel()[category], 0.0
+    )
+    candidate = {
+        "target_item": (candidates + 1).astype(np.int32),
+        "target_category": target_category,
+        "target_dense": np.take(slab.dense, candidates, axis=0),
+        "other_features": features,
+        "label": np.zeros(candidates.size, dtype=np.float32),
     }
+    return SessionBatch(session, candidate, counts)
 
 
 def assemble_session(
@@ -213,28 +370,15 @@ def assemble_session(
     behavior: Optional[BehaviorEncoding] = None,
     state: Optional[UserState] = None,
 ) -> SessionBatch:
-    """Model-ready batch for scoring ``candidates`` against one (user, query).
+    """Model-ready batch for scoring ``candidates`` against one (user, query):
+    :func:`assemble_sessions` for a single session.
 
-    This is the "feature dump" step of the paper's Fig. 6 serving diagram.
-    ``behavior`` and ``state`` accept precomputed values (the serving session
-    cache stores the behaviour encoding) so hot users skip re-encoding.
+    ``state`` accepts the user's precomputed tables (the serving session
+    cache stores them); without one, ``behavior`` accepts a precomputed
+    encoding for the state built here.
     """
-    if state is None:
-        state = UserState(world, user)
-    cross = cross_features(state, world, candidates)
-    features = impression_features(world, user, candidates, query_category, spec, cross, state)
-    candidate = {
-        "target_item": (candidates + 1).astype(np.int32),
-        "target_category": (world.item_category[candidates] + 1).astype(np.int32),
-        "target_dense": item_dense(world, candidates),
-        "other_features": features.astype(np.float32),
-        "label": np.zeros(candidates.size, dtype=np.float32),
-    }
-    return SessionBatch(
-        session_side(world, user, query_category, spec, behavior),
-        candidate,
-        np.array([candidates.size]),
-    )
+    state = state or UserState(world, user, behavior)
+    return assemble_sessions(world, [state], [query_category], [candidates], spec)
 
 
 def assemble_candidate_batch(
@@ -247,5 +391,5 @@ def assemble_candidate_batch(
     state: Optional[UserState] = None,
 ) -> Batch:
     """:func:`assemble_session` as one flat row per candidate, the session
-    side repeated — what training, the eager models and the click log read."""
+    side repeated — what training and the eager models read."""
     return assemble_session(world, user, query_category, candidates, spec, behavior, state).flat()

@@ -36,12 +36,14 @@ Everything is deterministic given the ``numpy.random.Generator`` passed in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.data.dataset import RankingDataset
 from repro.data.features import (
+    ItemSlab,
     UserState,
     cross_features,
     encode_behavior,
@@ -194,6 +196,14 @@ class World:
 
     def history_length(self, user: int) -> int:
         return len(self.histories[user])
+
+    @cached_property
+    def item_slab(self) -> ItemSlab:
+        """The item-only feature columns, built on first use and shared by
+        every assembly over this world (it pickles, and publishes through
+        :mod:`repro.infer.slabs`, with the world).  Item arrays never change
+        after generation: :func:`drift_world` moves preferences only."""
+        return ItemSlab(self)
 
     def meta(self) -> DatasetMeta:
         """Dataset metadata; +1 everywhere for the padding id 0."""

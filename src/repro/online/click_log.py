@@ -8,7 +8,7 @@ consumed — the freshness gauge the fleet metrics report).
 
 :func:`build_dataset` turns a window of records back into a
 :class:`~repro.data.dataset.RankingDataset` using the *same* public feature
-assembly (:func:`repro.data.features.assemble_candidate_batch`) the serving
+assembly (:func:`repro.data.features.assemble_sessions`) the serving
 engine used to score the session — the features the model trained on are
 bit-identical to the features it served with, so the online loop introduces
 no training/serving skew.  Mirroring the offline protocol (§IV-A1),
@@ -35,8 +35,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.data.dataset import RankingDataset
-from repro.data.features import assemble_candidate_batch
-from repro.data.schema import Batch, concat_batches
+from repro.data.features import UserState, assemble_sessions
 from repro.data.synthetic import World
 from repro.faults.injector import NULL_INJECTOR
 from repro.utils.atomic import recover_jsonl
@@ -242,7 +241,9 @@ def build_dataset(
     usable session is kept (the canary-holdout convention, matching the
     offline *test*-split protocol).
     """
-    batches: List[Batch] = []
+    usable: List[ClickRecord] = []
+    items: List[np.ndarray] = []
+    labels: List[np.ndarray] = []
     for record in records:
         clicks = record.clicks
         if clicks.size == 0 or clicks.max() < 1 or clicks.min() > 0:
@@ -254,12 +255,22 @@ def build_dataset(
             count = min(positives.size, negatives.size)
             sampled = rng.choice(negatives, size=count, replace=False)
             keep = np.sort(np.concatenate([positives, sampled]))
-        batch = assemble_candidate_batch(
-            world, record.user, record.query_category, record.items[keep]
-        )
-        batch["label"] = clicks[keep].astype(np.float32)
-        batch["session_id"] = np.full(keep.size, record.session_id, dtype=np.int64)
-        batches.append(batch)
-    if not batches:
+        usable.append(record)
+        items.append(record.items[keep])
+        labels.append(clicks[keep])
+    if not usable:
         return None
-    return RankingDataset(meta=world.meta(), **concat_batches(batches))
+    # One assembly for the whole window, each user tabulated once.
+    states = {user: UserState(world, user) for user in {record.user for record in usable}}
+    batch = assemble_sessions(
+        world,
+        [states[record.user] for record in usable],
+        [record.query_category for record in usable],
+        items,
+    ).flat()
+    batch["label"] = np.concatenate(labels).astype(np.float32)
+    batch["session_id"] = np.repeat(
+        np.array([record.session_id for record in usable], dtype=np.int64),
+        [shown.size for shown in items],
+    )
+    return RankingDataset(meta=world.meta(), **batch)

@@ -75,9 +75,9 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.data.features import (
+    UserState,
     assemble_candidate_batch,
     assemble_session,
-    item_dense,
     session_side,
 )
 from repro.data.synthetic import AGE_GROUPS
@@ -229,7 +229,7 @@ class RetrievalCascade:
         table = model.embedder.item.weight.detach_numpy()
         self._emb = np.array(table[1 : world.num_items + 1], dtype=np.float32, order="C")
         self.embed_dim = int(self._emb.shape[1])
-        self._dense = item_dense(world, np.arange(world.num_items))
+        self._dense = world.item_slab.dense
         priors = np.zeros(world.num_items, dtype=np.float32)
         for cat, probs in enumerate(category_probs):
             members = np.flatnonzero(world.item_category == cat)
@@ -417,11 +417,10 @@ class RetrievalCascade:
     _REGIME_NEW_USER, _REGIME_CATEGORY_NEW, _REGIME_CATEGORY_OLD = 0, 1, 2
     _REGIMES = (0, 1, 2)
 
-    def _regime(self, user: int, query_category: int) -> int:
-        history = self.world.histories[user]
-        if len(history) == 0:
+    def _regime(self, state: UserState, query_category: int) -> int:
+        if state.length == 0:
             return self._REGIME_NEW_USER
-        if bool((self.world.item_category[history] == query_category).any()):
+        if state.category_count[query_category] > 0:
             return self._REGIME_CATEGORY_OLD
         return self._REGIME_CATEGORY_NEW
 
@@ -438,15 +437,15 @@ class RetrievalCascade:
         return slice(start, start + self.num_probes)
 
     def _pair_features(
-        self, user: int, items: np.ndarray, gate: Optional[np.ndarray]
+        self, state: UserState, items: np.ndarray, gate: Optional[np.ndarray]
     ) -> np.ndarray:
         """Calibration design matrix: one row per item, the session-resolved
         value of every scored term (vector-space terms first, then the
         cross-feature counters)."""
-        history = self.world.histories[user]
+        history = state.items
         d = self._dense[items]
         n_static, n_probes = self._NUM_STATIC, self.num_probes
-        probe_cols = self.item_vectors[items][:, self._age_block(user)]
+        probe_cols = self.item_vectors[items][:, self._age_block(state.user)]
         features = np.zeros((items.size, self._num_terms), np.float32)
         features[:, :n_static] = self.item_vectors[items][:, :n_static]
         features[:, n_static : n_static + n_probes] = probe_cols
@@ -459,52 +458,25 @@ class RetrievalCascade:
             features[:, cursor] = self._emb[items] @ self._emb[history].mean(axis=0)
             profile = self._dense[history].mean(axis=0)
             features[:, cursor + 1 : cursor + 1 + self._NUM_DENSE] = 2.0 * profile * d - d**2
-            features[:, cursor + 1 + self._NUM_DENSE :] = self._cross_counts(user, items)
+            features[:, cursor + 1 + self._NUM_DENSE :] = self._cross_counts(
+                state.user, items, state
+            )
         return features
 
-    def _cross_counts(self, user: int, items: np.ndarray) -> np.ndarray:
+    def _cross_counts(
+        self, user: int, items: np.ndarray, state: Optional[UserState] = None
+    ) -> np.ndarray:
         """The cheap user x item cross features (capped counters + price
         gap), mirroring their ``FEATURE_NAMES`` counterparts the full model
-        reads — gatherable in O(N) per query, inexpressible as a dot
-        product against a static item vector."""
+        reads — O(N) gathers from the user's tables per query,
+        inexpressible as a dot product against a static item vector."""
         world = self.world
-        history = world.histories[user]
-        out = np.zeros((items.size, 4), dtype=np.float32)
-        if len(history) == 0:
-            return out
-        brand_counts = np.bincount(world.item_brand[history], minlength=world.num_brands)
-        shop_counts = np.bincount(
-            world.item_shop[history], minlength=world.config.num_shops
-        )
-        out[:, 0] = np.minimum(brand_counts[world.item_brand[items]], _BRAND_CAP)
-        out[:, 1] = np.minimum(shop_counts[world.item_shop[items]], _SHOP_CAP)
-        # Item repeat count by binary search in the (short) history: a
-        # bincount would be O(catalog) per query, which is exactly what the
-        # cascade exists to avoid (brand/shop vocabularies above are small,
-        # the item id space is not), and an (N, H) comparison is H times the
-        # work of the N lookups.
-        clicked, repeats = np.unique(history, return_counts=True)
-        slot = np.minimum(np.searchsorted(clicked, items), clicked.size - 1)
-        out[:, 2] = np.where(
-            clicked[slot] == items, np.minimum(repeats[slot], _ITEM_CAP), 0.0
-        )
-        # Mean clicked price per category: a (categories, H) table gathered by
-        # item category — the same masked row sums an (N, H) comparison
-        # would repeat for every item of a category.
-        same_cat = (
-            world.item_category[history][None, :]
-            == np.arange(world.config.num_categories)[:, None]
-        )
-        cat_counts = same_cat.sum(axis=1)
-        mean_price = (same_cat * world.item_price_pct[history][None, :]).sum(
-            axis=1
-        ) / np.maximum(cat_counts, 1)
-        item_cats = world.item_category[items]
-        out[:, 3] = np.where(
-            cat_counts[item_cats] > 0,
-            world.item_price_pct[items] - mean_price[item_cats],
-            0.0,
-        )
+        state = state or UserState(world, user)
+        out = np.empty((items.size, 4), dtype=np.float32)
+        out[:, 0] = np.minimum(state.brand_count[world.item_brand[items]], _BRAND_CAP)
+        out[:, 1] = np.minimum(state.shop_count[world.item_shop[items]], _SHOP_CAP)
+        out[:, 2] = np.minimum(state.repeat_counts(items), _ITEM_CAP)
+        out[:, 3] = state.price_gap(world, items)
         return out
 
     def _calibrate(self):
@@ -530,7 +502,8 @@ class RetrievalCascade:
                 if members.size <= config.calibration_items
                 else rng.choice(members, size=config.calibration_items, replace=False)
             )
-            batch = assemble_session(world, user, cat, sample)
+            state = UserState(world, user)
+            batch = assemble_session(world, user, cat, sample, state=state)
             target = _logits(self._scorer, batch)
             # Head-weighted: what matters is whether a query's top scorers
             # land in the survivor set, not the mean error over the tail.
@@ -539,9 +512,9 @@ class RetrievalCascade:
                 config.calibration_top_weight,
                 1.0,
             )
-            regime = self._regime(user, cat)
+            regime = self._regime(state, cat)
             gate = self._session_gate(user, cat)
-            rows[regime][0].append(self._pair_features(user, sample, gate))
+            rows[regime][0].append(self._pair_features(state, sample, gate))
             rows[regime][1].append(target)
             rows[regime][2].append(sample_weight)
 
@@ -591,6 +564,7 @@ class RetrievalCascade:
         user: int,
         query_category: int,
         gate: Optional[np.ndarray] = None,
+        state: Optional[UserState] = None,
     ) -> np.ndarray:
         """The calibrated query vector: term weights folded into one vector
         so both stages score with a single inner product per item.
@@ -601,8 +575,9 @@ class RetrievalCascade:
         degrades to the static and gate-weighted expert-probe terms, the
         behaviour a candidate generator wants for brand-new users.
         """
-        weights = self._weights[self._regime(user, query_category)]
-        history = self.world.histories[user]
+        state = state or UserState(self.world, user)
+        weights = self._weights[self._regime(state, query_category)]
+        history = state.items
         vec = np.zeros(self.dim, dtype=np.float32)
         n_static, n_probes, n_dense = self._NUM_STATIC, self.num_probes, self._NUM_DENSE
         vec[:n_static] = weights[:n_static]
@@ -644,8 +619,10 @@ class RetrievalCascade:
         query_category: int,
         gate: Optional[np.ndarray] = None,
         trace=NULL_TRACE,
+        state: Optional[UserState] = None,
     ) -> np.ndarray:
         """Candidate ids for one (user, query) — the cascade's stages 1+2.
+        ``state`` accepts the user's cached tables (the micro-batcher's).
 
         A sampled ``trace`` receives one span per sub-stage
         (``session-vector``, ``ivf-probe``, ``prefilter`` → ``prune``) so a
@@ -654,8 +631,9 @@ class RetrievalCascade:
         size = self.index.partition_size(query_category)
         if size == 0:
             raise ValueError(f"category {query_category} has no items")
+        state = state or UserState(self.world, user)
         with trace.span("session-vector"):
-            session_vec = self.session_vector(user, query_category, gate=gate)
+            session_vec = self.session_vector(user, query_category, gate=gate, state=state)
         topn = size if self.config.is_exhaustive else min(self.config.retrieve_n, size)
         # Stage 2 re-ranks by the same inner product plus the cross boost,
         # so stage 1 hands its scores over instead of stage 2 re-gathering.
@@ -672,8 +650,8 @@ class RetrievalCascade:
         if self.config.prune is None or self.config.prune >= candidates.size:
             return candidates
         with trace.span("prefilter", candidates=int(candidates.size)):
-            boost = self._cross_counts(user, candidates) @ self._count_weights[
-                self._regime(user, query_category)
+            boost = self._cross_counts(user, candidates, state) @ self._count_weights[
+                self._regime(state, query_category)
             ]
             with trace.span("prune", survivors=int(self.config.prune)):
                 return self.prefilter.prune(
@@ -689,9 +667,10 @@ class RetrievalCascade:
     ) -> np.ndarray:
         """The cascade's cheap score for explicit candidates (fresh array) —
         what stage 2 ranks by; the retrieval probe's oracle ranking."""
-        session_vec = self.session_vector(user, query_category)
-        boost = self._cross_counts(user, candidates) @ self._count_weights[
-            self._regime(user, query_category)
+        state = UserState(self.world, user)
+        session_vec = self.session_vector(user, query_category, state=state)
+        boost = self._cross_counts(user, candidates, state) @ self._count_weights[
+            self._regime(state, query_category)
         ]
         return self.prefilter.scores(candidates, session_vec, extra=boost).copy()
 

@@ -6,11 +6,12 @@ model as a single batch, trading a bounded queueing delay for much higher
 hardware utilization.  This module implements that tick loop over the
 :class:`~repro.serving.engine.SearchEngine`:
 
-* a query is **prepared** at submit time (retrieval + feature assembly,
-  reusing the session cache's behaviour encodings);
-* the pending set is **flushed** — one concatenated model forward — when it
-  reaches ``max_batch_size`` or when the oldest entry has waited
-  ``flush_deadline_ms`` (checked by :meth:`MicroBatcher.poll`);
+* a query is **prepared** at submit time (its user's feature tables, from
+  the session cache or built once, its gate, and retrieval);
+* the pending set is **flushed** — one vectorised feature assembly and one
+  model forward over all its sessions — when it reaches ``max_batch_size``
+  or when the oldest entry has waited ``flush_deadline_ms`` (checked by
+  :meth:`MicroBatcher.poll`);
 * at flush, gate vectors are resolved per the §III-F1 deployed design: one
   gate evaluation per *cache-missing session* (batched across sessions),
   never one per candidate; cache hits skip the gate network entirely.
@@ -28,7 +29,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.data.schema import SessionBatch, concat_batches
+from repro.data.features import UserState
+from repro.data.schema import SessionBatch
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.injector import NULL_INJECTOR, CrashFault
 from repro.obs.trace import NULL_SPAN, NULL_TRACE, NULL_TRACER
@@ -42,12 +44,13 @@ __all__ = ["MicroBatcher", "PreparedQuery"]
 
 @dataclass
 class PreparedQuery:
-    """One enqueued query with its features assembled and gate resolved."""
+    """One enqueued query: candidates retrieved, gate looked up, and the
+    user's half of the features at hand (the join waits for the flush)."""
 
     user: int
     query_category: int
     candidates: np.ndarray
-    batch: SessionBatch
+    state: UserState
     gate: Optional[np.ndarray]  # (K,) cached session gate, None = cache miss
     enqueue_time: float
     #: Cache generation the gate was read under; if the cache's generation
@@ -93,9 +96,9 @@ class MicroBatcher:
         tests pass a :class:`~repro.serving.metrics.ManualClock`.
     tracer:
         Optional :class:`repro.obs.Tracer`.  A sampled request's trace
-        follows it end to end: ``submit`` (with ``gate`` / ``retrieve`` /
-        ``assemble`` children), ``queue-wait`` (open from submit until the
-        flush picks the query up), and ``flush`` (with the shared batched
+        follows it end to end: ``submit`` (with ``gate`` / ``retrieve``
+        children), ``queue-wait`` (open from submit until the flush picks
+        the query up), and ``flush`` (with the shared ``assemble``, batched
         ``gate-flush`` and per-kernel ``rank`` work attached).  For
         consistent span offsets, pass the tracer the same ``clock``.
     """
@@ -169,12 +172,11 @@ class MicroBatcher:
         trace = self.tracer.trace("serve", user=int(user), category=int(query_category))
         use_gate = self.engine.supports_session_gate
         submit_span = trace.begin("submit")
-        behavior = None
-        if self.cache is not None:
-            behavior = self.cache.get_behavior(user)
-            if behavior is None:
-                behavior = self.engine.encode_user_behavior(user)
-                self.cache.put_behavior(user, behavior)
+        state = self.cache.get_behavior(user) if self.cache is not None else None
+        if state is None:
+            state = self.engine.user_state(user)
+            if self.cache is not None:
+                self.cache.put_behavior(user, state)
         # Gate resolution happens *before* retrieval: a cascade-enabled
         # engine scores retrieval through the same §III-F1 session gate, so
         # a cached vector saves the cascade its own gate evaluation — and on
@@ -196,7 +198,7 @@ class MicroBatcher:
         try:
             with trace.span("retrieve", cascade=self.engine.cascade is not None) as span:
                 candidates = self.engine.retrieve(
-                    query_category, user=user, gate=gate, trace=trace
+                    query_category, user=user, gate=gate, trace=trace, state=state
                 )
                 span.set(candidates=int(candidates.size))
         except CrashFault:
@@ -224,17 +226,13 @@ class MicroBatcher:
                         now, trace=trace, candidates=candidates,
                     )
                 ]
-        with trace.span("assemble"):
-            batch = self.engine.build_batch(
-                user, query_category, candidates, behavior=behavior
-            )
         submit_span.end()
         self._pending.append(
             PreparedQuery(
                 user=user,
                 query_category=query_category,
                 candidates=candidates,
-                batch=batch,
+                state=state,
                 gate=gate,
                 enqueue_time=now,
                 gate_generation=generation,
@@ -362,13 +360,13 @@ class MicroBatcher:
     # execution
     # ------------------------------------------------------------------
     def flush(self) -> List[RankedList]:
-        """Score every pending query in one model forward over their
-        concatenated sessions.
+        """Assemble every pending query's features in one vectorised join
+        and score them in one model forward.
 
         Sampled traces get the shared micro-batched work attached: each
-        opens a ``flush`` span holding the batched ``gate-flush`` forward
-        (timed once, recorded on every sampled trace) and the ``rank``
-        forward with one child span per fused kernel.
+        opens a ``flush`` span holding the ``assemble`` join and the batched
+        ``gate-flush`` forward (each timed once, recorded on every sampled
+        trace) and the ``rank`` forward with one child span per fused kernel.
         """
         if not self._pending:
             return []
@@ -387,14 +385,15 @@ class MicroBatcher:
         # Stale-retrieval guard: a model swap between submit and flush also
         # swaps the engine's cascade; candidates retrieved from the old
         # snapshot were chosen against embeddings the scoring model no
-        # longer owns, so they are re-retrieved (and their features
-        # reassembled) against the current one.  The sanctioned swap path
+        # longer owns, so they are re-retrieved against the current one (no
+        # features exist yet to go stale).  The sanctioned swap path
         # drains first, so this fires only on a swap that skipped the drain
         # — the retrieval analogue of the stale-gate guard below.
         for q in pending:
             if q.cascade is not self.engine.cascade:
-                q.candidates = self.engine.retrieve(q.query_category, user=q.user)
-                q.batch = self.engine.build_batch(q.user, q.query_category, q.candidates)
+                q.candidates = self.engine.retrieve(
+                    q.query_category, user=q.user, state=q.state
+                )
                 q.gate = None
                 q.cascade = self.engine.cascade
 
@@ -410,11 +409,18 @@ class MicroBatcher:
         rank_spans = []
         try:
             self.injector.fire("batcher.flush", batch=len(pending))
+            assemble_begin = self._clock()
+            combined = self.engine.build_batches(
+                [q.state for q in pending],
+                [q.query_category for q in pending],
+                [q.candidates for q in pending],
+            )
+            gate_begin = self._clock()
+            for q, flush_span in sampled:
+                q.trace.record_span("assemble", assemble_begin, gate_begin, parent=flush_span)
             gate_rows: Optional[np.ndarray] = None
             if self.engine.supports_session_gate:
-                missing = sum(1 for q in pending if q.gate is None)
-                gate_begin = self._clock()
-                self._resolve_gates(pending)
+                missing = self._resolve_gates(pending, combined)
                 gate_end = self._clock()
                 for q, flush_span in sampled:
                     q.trace.record_span(
@@ -423,7 +429,6 @@ class MicroBatcher:
                     )
                 gate_rows = np.stack([q.gate for q in pending])  # one row per session
 
-            combined = SessionBatch.concat([q.batch for q in pending])
             step_hook = None
             if sampled:
                 total_rows = combined.num_rows
@@ -492,21 +497,24 @@ class MicroBatcher:
             self.metrics.record_cache(self.cache.gates.stats)
         return results
 
-    def _resolve_gates(self, pending: List[PreparedQuery]) -> None:
-        """Fill cache-missing gate vectors with ONE batched gate forward.
+    def _resolve_gates(self, pending: List[PreparedQuery], combined: SessionBatch) -> int:
+        """Fill cache-missing gate vectors with ONE batched gate forward;
+        returns how many were missing.
 
         The gate is candidate-independent (§III-F1), so each missing session
-        contributes its session side — one row — to the gate batch.
+        contributes its row of the flush's session side to the gate batch.
         """
-        missing = [q for q in pending if q.gate is None]
+        missing = [row for row, q in enumerate(pending) if q.gate is None]
         if not missing:
-            return
+            return 0
         # Resolved through the engine so the compiled gate plan (when one
         # exists) serves the cache, not the eager gate network.
         gates = self.engine.serving_gate(
-            concat_batches([q.batch.session for q in missing])
+            {key: rows[missing] for key, rows in combined.session.items()}
         )  # (len(missing), K)
-        for q, gate in zip(missing, gates):
+        for row, gate in zip(missing, gates):
+            q = pending[row]
             q.gate = gate
             if self.cache is not None:
                 self.cache.put_gate(q.user, q.query_category, gate)
+        return len(missing)

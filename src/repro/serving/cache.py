@@ -4,13 +4,14 @@ The deployed AW-MoE evaluates the gate network **once per user/query
 session** because the gate reads only the behaviour sequence and the query —
 never the candidate item.  Under production traffic the same users issue
 many queries (and re-issue the same query category while paginating), so the
-per-session gate vector and the user's encoded behaviour features are ideal
+per-session gate vector and the user's half of the feature dump are ideal
 cache entries:
 
 * gate vectors are keyed ``(user, query_category)`` — a hit skips the gate
   network entirely (the > 10x resource saving of §III-F);
-* behaviour encodings are keyed ``user`` — a hit skips history padding and
-  dense-profile lookup during feature assembly.
+* user states (:class:`~repro.data.features.UserState`: the history-only
+  feature tables plus the behaviour encoding) are keyed ``user`` — a hit
+  leaves feature assembly only the per-candidate join, done once per flush.
 
 Both live in bounded LRU stores with hit/miss/eviction accounting so the
 metrics sink (:mod:`repro.serving.metrics`) can report cache effectiveness.
@@ -24,7 +25,7 @@ from typing import Any, Hashable, Optional, Tuple
 
 import numpy as np
 
-from repro.data.features import BehaviorEncoding
+from repro.data.features import UserState
 
 __all__ = ["CacheStats", "LRUCache", "SessionCache"]
 
@@ -121,7 +122,7 @@ class SessionCache:
     gate_capacity:
         Maximum number of per-(user, query-category) gate vectors retained.
     behavior_capacity:
-        Maximum number of per-user behaviour encodings retained; defaults to
+        Maximum number of per-user states retained; defaults to
         ``gate_capacity``.
     """
 
@@ -145,12 +146,12 @@ class SessionCache:
     def put_gate(self, user: int, query_category: int, gate: np.ndarray) -> None:
         self.gates.put((user, query_category), gate)
 
-    # -- behaviour encodings --------------------------------------------
-    def get_behavior(self, user: int) -> Optional[BehaviorEncoding]:
+    # -- user states (feature tables + behaviour encoding) ---------------
+    def get_behavior(self, user: int) -> Optional[UserState]:
         return self.behaviors.get(user)
 
-    def put_behavior(self, user: int, encoding: BehaviorEncoding) -> None:
-        self.behaviors.put(user, encoding)
+    def put_behavior(self, user: int, state: UserState) -> None:
+        self.behaviors.put(user, state)
 
     # -- accounting ------------------------------------------------------
     @property
@@ -167,8 +168,8 @@ class SessionCache:
 
         Called on model hot-swap (:meth:`repro.serving.cluster.ShardedCluster.
         swap_model`): gate vectors are a function of the model's weights, so
-        none may survive a version switch.  Behaviour encodings are pure
-        data features (independent of the model) and are kept unless
+        none may survive a version switch.  User states are pure data
+        features (independent of the model) and are kept unless
         ``include_behaviors`` is set.
         """
         self.gates.clear()
@@ -180,7 +181,7 @@ class SessionCache:
         """Drop every entry derived from ``user``'s behaviour sequence.
 
         Production systems call this when the user's history changes (a new
-        click invalidates both the encoding and all cached gate vectors).
+        click invalidates the tables, the encoding and all cached gate vectors).
         """
         self.behaviors.pop(user)
         for key in self.gates.keys():

@@ -34,12 +34,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.ranking_model import RankingModel
-from repro.data.features import BehaviorEncoding, assemble_session, encode_behavior
+from repro.data.features import (
+    BehaviorEncoding,
+    UserState,
+    assemble_session,
+    assemble_sessions,
+    encode_behavior,
+)
 from repro.data.schema import SessionBatch
 from repro.data.synthetic import World
 from repro.faults.injector import NULL_INJECTOR
@@ -199,6 +205,7 @@ class SearchEngine:
         user: Optional[int] = None,
         gate: Optional[np.ndarray] = None,
         trace=NULL_TRACE,
+        state: Optional[UserState] = None,
     ) -> np.ndarray:
         """Candidate generation: the retrieval cascade when one is attached,
         the popularity-biased in-category sample otherwise.
@@ -208,8 +215,9 @@ class SearchEngine:
         prunes to the survivors the full model will rank — sublinear in
         category size.  ``gate`` forwards a cached §III-F1 session-gate
         vector (the micro-batcher passes its session-cache entry) so the
-        cascade skips its own gate evaluation.  In the cascade's
-        exhaustive-parity mode this returns every category member in
+        cascade skips its own gate evaluation; ``state`` likewise forwards
+        the user's cached tables to the prefilter's cross features.  In the
+        cascade's exhaustive-parity mode this returns every category member in
         ascending id order, exactly like the sampling path's small-category
         case.
 
@@ -224,7 +232,9 @@ class SearchEngine:
             raise ValueError(f"category {query_category} has no items")
         self.injector.fire("engine.retrieve", category=int(query_category))
         if self.cascade is not None and user is not None:
-            candidates = self.cascade.retrieve(user, query_category, gate=gate, trace=trace)
+            candidates = self.cascade.retrieve(
+                user, query_category, gate=gate, trace=trace, state=state
+            )
             if self.shadow_recall is not None and self.shadow_recall.should_sample():
                 with trace.span("shadow-recall") as span:
                     recall = self._shadow_probe(user, query_category, candidates)
@@ -331,6 +341,19 @@ class SearchEngine:
             self.world, user, query_category, candidates, spec=spec, behavior=behavior
         )
 
+    def build_batches(
+        self, states: Sequence[UserState], categories: Sequence[int], candidate_lists
+    ) -> SessionBatch:
+        """:meth:`build_batch` for a whole flush in one vectorised join:
+        session ``s`` is ``states[s]``'s user querying ``categories[s]`` over
+        ``candidate_lists[s]``."""
+        return assemble_sessions(self.world, states, categories, candidate_lists)
+
+    def user_state(self, user: int) -> UserState:
+        """The user half of every assembly: feature tables plus behaviour
+        encoding, all history-only (cacheable)."""
+        return UserState(self.world, user, self.encode_user_behavior(user))
+
     def encode_user_behavior(self, user: int) -> BehaviorEncoding:
         """Padded behaviour-sequence arrays for one user (cacheable)."""
         return encode_behavior(self.world, user, self.world.config.max_seq_len)
@@ -415,15 +438,18 @@ class SearchEngine:
         """
         trace = self.tracer.trace("search", user=int(user), category=int(query_category))
         start = time.perf_counter()
+        state = self.user_state(user)  # shared by retrieval and assembly
         gate = None
         if self.cascade is not None and self.supports_session_gate:
             with trace.span("gate", source="resolve"):
                 gate = self.cascade.resolve_gate(user, query_category)
         with trace.span("retrieve", cascade=self.cascade is not None) as retrieve_span:
-            candidates = self.retrieve(query_category, user=user, gate=gate, trace=trace)
+            candidates = self.retrieve(
+                query_category, user=user, gate=gate, trace=trace, state=state
+            )
             retrieve_span.set(candidates=int(candidates.size))
         with trace.span("assemble"):
-            batch = self.build_batch(user, query_category, candidates)
+            batch = self.build_batches([state], [query_category], [candidates])
         with trace.span("rank", rows=int(candidates.size)) as rank_span:
             scores = self.score_candidates(
                 batch, gate=gate, step_hook=kernel_span_hook(trace, rank_span)

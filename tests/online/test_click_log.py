@@ -88,6 +88,48 @@ class TestBuildDataset:
         np.testing.assert_array_equal(dataset.behavior_items, served["behavior_items"])
         np.testing.assert_array_equal(dataset.query, served["query"])
 
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_window_is_the_per_record_batches_bit_for_bit(self, unit_world, sampled):
+        """One assembly per window == one per record, concatenated: the
+        negative-sampling draws keep their record order, the same user
+        recurs, and unusable records in between contribute nothing."""
+        draw = np.random.default_rng(9)
+        log = ClickLog()
+        for user in (3, 11, 3, 40, 11, 7):
+            items = draw.choice(unit_world.num_items, size=int(draw.integers(2, 9)), replace=False)
+            clicks = (draw.random(items.size) < 0.4).astype(np.float32)
+            clicks[0], clicks[1] = 1.0, 0.0
+            log.log_session(user, int(draw.integers(0, 8)), items, clicks)
+            _log_one(log, user=user, clicks=(0, 0, 0, 0))
+        records = log.read_new()
+        rng = np.random.default_rng(4) if sampled else None
+        dataset = build_dataset(unit_world, records, rng=rng)
+
+        rng = np.random.default_rng(4) if sampled else None
+        want = []
+        for record in records:
+            clicks = record.clicks
+            if clicks.max() < 1 or clicks.min() > 0:
+                continue
+            keep = np.arange(record.num_shown)
+            if rng is not None:
+                positives, negatives = np.flatnonzero(clicks == 1), np.flatnonzero(clicks == 0)
+                count = min(positives.size, negatives.size)
+                keep = np.sort(
+                    np.concatenate([positives, rng.choice(negatives, size=count, replace=False)])
+                )
+            batch = assemble_candidate_batch(
+                unit_world, record.user, record.query_category, record.items[keep]
+            )
+            batch["label"] = clicks[keep].astype(np.float32)
+            batch["session_id"] = np.full(keep.size, record.session_id, dtype=np.int64)
+            want.append(batch)
+        for key in want[0]:
+            rows = np.concatenate([batch[key] for batch in want])
+            got = getattr(dataset, key)
+            assert got.dtype == rows.dtype, key
+            assert got.tobytes() == rows.tobytes(), key
+
     def test_multiple_sessions_concatenate(self, unit_world):
         log = ClickLog()
         _log_one(log, user=1)

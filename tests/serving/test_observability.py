@@ -214,7 +214,9 @@ class TestBatcherTraces:
         spans, children = _span_tree(first)
         top_level = [s["name"] for s in first["spans"] if s["parent"] is None]
         assert top_level == ["submit", "queue-wait", "flush"]
-        assert children["submit"] == ["gate", "retrieve", "assemble"]
+        # The feature join happens once per flush, not once per submit.
+        assert children["submit"] == ["gate", "retrieve"]
+        assert children["flush"][:2] == ["assemble", "gate-flush"]
         assert "rank" in children["flush"]
         assert "experts" in children["rank"]  # shared batch work fanned out
         # The first query waited for the second; the second never queued.

@@ -22,8 +22,7 @@ truth for that computation:
   flush: one model-ready :class:`~repro.data.schema.SessionBatch` joining the
   sessions' user tables to the item slab, the session side stored once
   (:func:`session_side` builds that half alone); :func:`assemble_session` is
-  its one-session call and :func:`assemble_candidate_batch` that call's flat
-  per-impression form.
+  its one-session call (``.flat()`` gives the per-impression form).
 
 Everything here is deterministic and free of random state, so the serving
 cache (:mod:`repro.serving.cache`) may store and reuse any of these outputs.
@@ -51,7 +50,6 @@ __all__ = [
     "session_side",
     "assemble_sessions",
     "assemble_session",
-    "assemble_candidate_batch",
 ]
 
 #: ``(items, categories, dense, mask)`` rows returned by :func:`encode_behavior`.
@@ -380,16 +378,3 @@ def assemble_session(
     state = state or UserState(world, user, behavior)
     return assemble_sessions(world, [state], [query_category], [candidates], spec)
 
-
-def assemble_candidate_batch(
-    world: "World",
-    user: int,
-    query_category: int,
-    candidates: np.ndarray,
-    spec: int = 1,
-    behavior: Optional[BehaviorEncoding] = None,
-    state: Optional[UserState] = None,
-) -> Batch:
-    """:func:`assemble_session` as one flat row per candidate, the session
-    side repeated — what training and the eager models read."""
-    return assemble_session(world, user, query_category, candidates, spec, behavior, state).flat()

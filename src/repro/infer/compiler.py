@@ -645,9 +645,10 @@ class CompiledModel:
     """A model frozen for serving: gate plan + score plan + packed weights.
 
     Mirrors the :class:`~repro.core.ranking_model.RankingModel` inference
-    surface (``predict_logits`` / ``predict_proba`` / ``serving_gate`` /
-    ``gate_is_candidate_independent``) so the serving stack and the canary
-    gate can swap it in wherever an eager model scored before.
+    surface (``predict_logits`` / ``predict_proba`` / ``expert_scores`` /
+    ``serving_gate`` / ``gate_is_candidate_independent``) so the serving
+    stack and the canary gate can swap it in wherever an eager model scored
+    before.
     """
 
     def __init__(
@@ -697,6 +698,11 @@ class CompiledModel:
         logits = self.predict_logits(batch, gate_override=gate_override, copy=False)
         sigmoid_(logits)
         return logits.copy() if copy else logits
+
+    def expert_scores(self, batch) -> np.ndarray:
+        """Per-expert scores ``s`` (rows, K) of a flat or a session batch, as
+        the eager ``AWMoE.expert_scores``: the score plan short of its mix."""
+        return self.score_plan.run(batch, output="expert_scores").copy()
 
     def serving_gate(self, batch) -> np.ndarray:
         """Cache-ready gate matrix — one row per session of a session batch

@@ -136,8 +136,11 @@ class InferencePlan:
     )
     _ctx: dict = field(default_factory=dict, repr=False)
 
-    def run(self, batch: Dict[str, np.ndarray], **bound) -> np.ndarray:
-        """Execute every step and return the output buffer.
+    def run(
+        self, batch: Dict[str, np.ndarray], output: Optional[str] = None, **bound
+    ) -> np.ndarray:
+        """Execute every step and return the output buffer — or, with
+        ``output``, stop after the last step writing that result and return it.
 
         ``batch`` is a flat :data:`~repro.data.schema.Batch` or a
         :class:`~repro.data.schema.SessionBatch`; steps find the latter's
@@ -163,14 +166,19 @@ class InferencePlan:
         ctx["batch"] = batch
         ctx["factored"] = bounds
         ctx.update(bound)
+        steps = self.steps
+        if output is None:
+            output = self.output
+        else:
+            steps = steps[: 1 + max(i for i, step in enumerate(steps) if output in step.writes)]
         profiler = self.profiler
         hook = self.step_hook
         if profiler is None and hook is None:
-            for step in self.steps:
+            for step in steps:
                 step.fn(ctx)
         else:
             clock = time.perf_counter
-            for step in self.steps:
+            for step in steps:
                 begin = clock()
                 step.fn(ctx)
                 elapsed = clock() - begin
@@ -179,7 +187,7 @@ class InferencePlan:
                 if hook is not None:
                     hook(step, elapsed)
         self.calls += 1
-        return ctx[self.output]
+        return ctx[output]
 
     def _expanded(self, batch, bounds: List[int]) -> Dict[str, np.ndarray]:
         """The plan's inputs with the session side of ``batch`` repeated to

@@ -63,23 +63,20 @@ this oracle).
 A cascade is a snapshot of one model version.  It is built (and rebuilt on
 every hot swap) by :meth:`repro.serving.engine.SearchEngine.set_model`,
 which assigns model, plan, and cascade together — retrieval can never serve
-embeddings of a model that is no longer scoring.
+embeddings of a model that is no longer scoring.  The fleet answers nothing
+meanwhile, so the build scores through the request path's own fast paths.
 """
 
 from __future__ import annotations
 
 import copy
+import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.data.features import (
-    UserState,
-    assemble_candidate_batch,
-    assemble_session,
-    session_side,
-)
+from repro.data.features import UserState, assemble_session, assemble_sessions, session_side
 from repro.data.synthetic import AGE_GROUPS
 from repro.obs.trace import NULL_TRACE
 from repro.retrieval.index import ItemIndex
@@ -190,12 +187,18 @@ class RetrievalCascade:
     Build order (all deterministic given the model snapshot and config):
 
     1. snapshot the item-embedding table; assemble the raw feature blocks;
-    2. **probe pass** — every expert scores every item once under a fixed
-       empty-history reference session (one exhaustive-scan equivalent, the
-       dominant rebuild cost, amortized over serving);
+    2. **probe pass** — every expert scores every item once per age group
+       under a fixed empty-history reference session, in one-session chunks
+       through the scorer's ``expert_scores`` (on a compiled plan the
+       session side runs once per chunk, not per item); the item matrix is
+       standardized;
     3. **calibration** — top-weighted ridge fit of the per-regime score
-       weights against full-model logits on sampled (user, item) pairs;
-    4. standardize the item matrix, build the IVF index and the prefilter.
+       weights against full-model logits on sampled (user, item) pairs,
+       scored a few probe queries per flush;
+    4. build the IVF index (k-means per category) and the prefilter.
+
+    Steps 2–3 score through ``scorer`` (the plan the engine serves with);
+    ``stats()["build_seconds"]`` splits the build's wall time by phase.
     """
 
     # Vector-space layout:
@@ -245,6 +248,7 @@ class RetrievalCascade:
         # The age one-hot block width is fixed by the feature schema, not by
         # which ages this world happened to sample.
         self.num_ages = len(AGE_GROUPS)
+        marks = [time.perf_counter()]
         expert_probes = self._probe_pass()
         #: Probe columns per age block (experts, or 1 for gateless models).
         self.num_probes = int(expert_probes.shape[1]) // self.num_ages
@@ -268,7 +272,9 @@ class RetrievalCascade:
         )
         self.dim = int(self.item_vectors.shape[1])
 
+        marks.append(time.perf_counter())
         self._weights, self._count_weights, self.calibration_r2 = self._calibrate()
+        marks.append(time.perf_counter())
 
         self.index = ItemIndex(
             self.item_vectors,
@@ -278,6 +284,10 @@ class RetrievalCascade:
             seed=config.seed,
         )
         self.prefilter = Prefilter(self.item_vectors)
+        marks.append(time.perf_counter())
+        #: Wall seconds per build phase, reported by :meth:`stats` (``probe``
+        #: runs up to the standardized item matrix).
+        self.build_seconds = dict(zip(("probe", "calibrate", "index"), np.diff(marks).tolist()))
 
     @classmethod
     def from_model(
@@ -345,48 +355,64 @@ class RetrievalCascade:
         lengths = [len(h) for h in self.world.histories]
         return int(np.argmin(lengths))
 
+    @property
+    def _build_rows(self) -> int:
+        """Rows per build-time scoring call: what a one-session serving flush
+        ranks (``prune`` survivors, else a whole category).  The serving
+        plan does the build and its arena keeps a buffer set per shape, so
+        the build scores only in shapes serving allocates anyway."""
+        return self.config.prune or max(members.size for members in self._by_category)
+
     def _probe_pass(self) -> np.ndarray:
         """Per-(age, expert) scores of every item in its own category under
-        the reference session — ``num_ages`` exhaustive-scan equivalents per
-        build, the dominant rebuild cost.
+        the reference session, through the scorer's ``expert_scores``: on a
+        compiled plan the behaviour side of each one-session chunk runs once,
+        not once per item.
 
-        The batch is assembled once per category from the reference user,
-        then the age one-hot block of ``other_features`` is patched per age
-        group (age is a model input the reference user fixes otherwise).
-        Models without an expert pool (the single-FFN baselines) contribute
-        a single pseudo-expert column per age: their full-model logit.
+        Each chunk is assembled once, then the age one-hot block of
+        ``other_features`` is patched per age group (a model input the
+        reference user fixes otherwise).  Models without an expert pool (the
+        single-FFN baselines) contribute their logit as one pseudo-expert.
         """
-        user = self._probe_user
-        has_experts = hasattr(self._model, "expert_scores")
+        state = UserState(self.world, self._probe_user)
+        has_experts = hasattr(self._scorer, "expert_scores")
+        eager = self._scorer is self._model  # whose ``expert_scores`` reads flat rows
         columns = None
         for cat, members in enumerate(self._by_category):
             if members.size == 0:
                 continue
-            batch = assemble_candidate_batch(self.world, user, cat, members)
-            for age in range(self.num_ages):
-                batch["other_features"][:, 1 : 1 + self.num_ages] = 0.0
-                batch["other_features"][:, 1 + age] = 1.0
-                if has_experts:
-                    scores = np.asarray(self._model.expert_scores(batch), dtype=np.float32)
-                else:
-                    scores = _logits(self._scorer, batch)[:, None].astype(np.float32)
-                if columns is None:
-                    columns = np.zeros(
-                        (self.world.num_items, self.num_ages * scores.shape[1]),
-                        dtype=np.float32,
-                    )
-                width = columns.shape[1] // self.num_ages
-                columns[members, age * width : (age + 1) * width] = scores
+            rows = min(self._build_rows, members.size)
+            # Equal-shape chunks; the last one steps back over rows already
+            # scored rather than leave a remainder shape in the arena.
+            for start in [*range(0, members.size - rows, rows), members.size - rows]:
+                chunk = members[start : start + rows]
+                batch = assemble_session(self.world, state.user, cat, chunk, state=state)
+                for age in range(self.num_ages):
+                    batch["other_features"][:, 1 : 1 + self.num_ages] = 0.0
+                    batch["other_features"][:, 1 + age] = 1.0
+                    if has_experts:
+                        scores = self._scorer.expert_scores(batch.flat() if eager else batch)
+                    else:
+                        scores = _logits(self._scorer, batch)[:, None]
+                    if columns is None:
+                        shape = (self.world.num_items, self.num_ages, scores.shape[1])
+                        columns = np.zeros(shape, dtype=np.float32)
+                    columns[chunk, age] = scores
         if columns is None:  # pragma: no cover - needs a world with zero items
-            columns = np.zeros((self.world.num_items, self.num_ages), dtype=np.float32)
-        return columns
+            columns = np.zeros((self.world.num_items, self.num_ages, 1), dtype=np.float32)
+        return columns.reshape(self.world.num_items, -1)
 
     def resolve_gate(
-        self, user: int, query_category: int, gate: Optional[np.ndarray] = None
+        self,
+        user: int,
+        query_category: int,
+        gate: Optional[np.ndarray] = None,
+        state: Optional[UserState] = None,
     ) -> Optional[np.ndarray]:
         """The session-gate vector retrieval scores with: the supplied
         cached vector when there is one, else one gate-plan evaluation
-        (``None`` for models without a candidate-independent gate).
+        (``None`` for models without a candidate-independent gate), reading
+        the behaviour encoding off ``state`` when the caller holds one.
 
         Callers that also *score* with the gate (the engine's single-query
         path, the micro-batcher) resolve it here once and pass it both to
@@ -395,19 +421,26 @@ class RetrievalCascade:
         """
         if gate is not None:
             return gate
-        return self._session_gate(user, query_category)
+        return self._session_gate(user, query_category, state)
 
-    def _session_gate(self, user: int, query_category: int) -> Optional[np.ndarray]:
+    @property
+    def _has_session_gate(self) -> bool:
+        return getattr(self._model, "gate_is_candidate_independent", False)
+
+    def _session_gate(
+        self, user: int, query_category: int, state: Optional[UserState] = None
+    ) -> Optional[np.ndarray]:
         """The user's session gate ``g`` (§III-F1) — the expert-activation
         vector the full model will apply to every candidate of this session.
         ``None`` when the model's gate is candidate-dependent or absent
         (baselines): the interaction block then stays zero and retrieval
         falls back to the statically weighted expert probes.
         """
-        if not getattr(self._model, "gate_is_candidate_independent", False):
+        if not self._has_session_gate:
             return None
         # The gate reads the session side only; no candidate is assembled.
-        session = session_side(self.world, user, query_category)
+        behavior = state.behavior if state else None
+        session = session_side(self.world, user, query_category, behavior=behavior)
         return np.asarray(self._scorer.serving_gate(session)[0], dtype=np.float32)
 
     #: Calibration regimes, constant within a query → select the weight set.
@@ -479,20 +512,17 @@ class RetrievalCascade:
         out[:, 3] = state.price_gap(world, items)
         return out
 
-    def _calibrate(self):
-        """Top-weighted ridge fit of the cheap score against full-model logits.
-
-        Returns per-regime ``(weights, count_weights)`` plus the in-sample
-        R² (reported via :meth:`stats`; a diagnostic, not a gate).  A regime
-        with no sampled rows inherits its nearest neighbour's fit, which
-        keeps tiny test worlds working.
-        """
-        config = self.config
-        world = self.world
+    def _calibration_rows(self) -> dict:
+        """Per regime, the ``(design, target, sample_weight)`` blocks of the
+        sampled probe queries, scored through the serving surface a few
+        queries per flush."""
+        config, world = self.config, self.world
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xCA11]))
-        num_terms = self._num_terms
         rows: dict = {regime: ([], [], []) for regime in self._REGIMES}
         categories = [cat for cat, m in enumerate(self._by_category) if m.size > 0]
+        # Every draw first, in one fixed order (the build is a pure function
+        # of snapshot and config), then scoring in flushes of whole queries.
+        queries = []
         for _ in range(config.calibration_queries):
             user = int(rng.integers(0, world.num_users))
             cat = int(categories[rng.integers(0, len(categories))])
@@ -502,22 +532,40 @@ class RetrievalCascade:
                 if members.size <= config.calibration_items
                 else rng.choice(members, size=config.calibration_items, replace=False)
             )
-            state = UserState(world, user)
-            batch = assemble_session(world, user, cat, sample, state=state)
-            target = _logits(self._scorer, batch)
-            # Head-weighted: what matters is whether a query's top scorers
-            # land in the survivor set, not the mean error over the tail.
-            sample_weight = np.where(
-                target >= np.quantile(target, _TOP_QUANTILE),
-                config.calibration_top_weight,
-                1.0,
-            )
-            regime = self._regime(state, cat)
-            gate = self._session_gate(user, cat)
-            rows[regime][0].append(self._pair_features(state, sample, gate))
-            rows[regime][1].append(target)
-            rows[regime][2].append(sample_weight)
+            queries.append((UserState(world, user), cat, sample))
+        per_flush = max(1, self._build_rows // max(sample.size for _, _, sample in queries))
+        for start in range(0, len(queries), per_flush):
+            flush = queries[start : start + per_flush]
+            states, cats, samples = zip(*flush)
+            batch = assemble_sessions(world, states, cats, samples)
+            targets = _logits(self._scorer, batch)
+            gates = self._scorer.serving_gate(batch.session) if self._has_session_gate else None
+            for s, (state, cat, sample) in enumerate(flush):
+                target = targets[batch.bounds[s] : batch.bounds[s + 1]]
+                # Head-weighted: what matters is whether a query's top scorers
+                # land in the survivor set, not the mean error over the tail.
+                sample_weight = np.where(
+                    target >= np.quantile(target, _TOP_QUANTILE),
+                    config.calibration_top_weight,
+                    1.0,
+                )
+                regime = self._regime(state, cat)
+                gate = None if gates is None else gates[s].astype(np.float32)
+                rows[regime][0].append(self._pair_features(state, sample, gate))
+                rows[regime][1].append(target)
+                rows[regime][2].append(sample_weight)
+        return rows
 
+    def _calibrate(self):
+        """Top-weighted ridge fit of the cheap score against full-model logits.
+
+        Returns per-regime ``(weights, count_weights)`` plus the in-sample
+        R² (reported via :meth:`stats`; a diagnostic, not a gate).  A regime
+        with no sampled rows inherits its nearest neighbour's fit, which
+        keeps tiny test worlds working.
+        """
+        num_terms = self._num_terms
+        rows = self._calibration_rows()
         fits: dict = {}
         r2: dict = {}
         for regime in self._REGIMES:
@@ -530,7 +578,7 @@ class RetrievalCascade:
             z = (design - design.mean(axis=0)) / scale
             centered = target - np.average(target, weights=sample_weight)
             weighted_z = z * sample_weight[:, None]
-            gram = z.T @ weighted_z + config.ridge_lambda * np.eye(num_terms)
+            gram = z.T @ weighted_z + self.config.ridge_lambda * np.eye(num_terms)
             weights = np.linalg.solve(gram, weighted_z.T @ centered) / scale
             fits[regime] = weights.astype(np.float32)
             variance = np.var(target)
@@ -588,7 +636,7 @@ class RetrievalCascade:
         age_block = self._age_block(user)
         vec[age_block] = weights[n_static : n_static + n_probes]
         if gate is None:
-            gate = self._session_gate(user, query_category)
+            gate = self._session_gate(user, query_category, state)
         if gate is not None:
             vec[age_block] += weights[n_static + n_probes : n_static + 2 * n_probes] * gate
         cursor = n_static + 2 * n_probes
@@ -681,6 +729,7 @@ class RetrievalCascade:
         report["nprobe"] = self.config.nprobe
         report["vector_dim"] = self.dim
         report["expert_probes"] = self.num_probes
+        report["build_seconds"] = dict(self.build_seconds)
         report["calibration_r2"] = {
             "new_user": self.calibration_r2[self._REGIME_NEW_USER],
             "category_new": self.calibration_r2[self._REGIME_CATEGORY_NEW],

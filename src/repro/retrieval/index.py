@@ -44,34 +44,34 @@ def kmeans(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Plain vectorized Lloyd's k-means: ``(centroids, assignments)``.
 
-    Deterministic given ``rng``.  Distances use the expanded form
-    ``||x||^2 - 2 x.c + ||c||^2`` so each iteration is one GEMM over the
-    partition.  Clusters that empty out are re-seeded to the point farthest
-    from its centroid, keeping every cell non-degenerate.
+    Deterministic given ``rng``.  Each iteration is one GEMM over the
+    partition (the nearest centroid minimizes ``||c||^2 - 2 x.c``; ``||x||^2``
+    shifts every candidate alike) and one sorted segment sum for all
+    centroids.  An emptied cell takes the point farthest from its centroid.
     """
     n = vectors.shape[0]
     num_clusters = int(min(max(num_clusters, 1), n))
     centroids = vectors[rng.choice(n, size=num_clusters, replace=False)].copy()
-    x_sq = (vectors**2).sum(axis=1)
     assignments = np.zeros(n, dtype=np.int64)
     for _ in range(iterations):
-        # (N, K) squared distances without materializing differences.
-        dists = x_sq[:, None] - 2.0 * (vectors @ centroids.T) + (centroids**2).sum(axis=1)
+        dists = vectors @ (-2.0 * centroids).T
+        dists += (centroids**2).sum(axis=1)
         assignments = dists.argmin(axis=1)
-        # Each point's distance to its own centroid, maintained across the
-        # reseeding loop so two empty clusters in one iteration cannot both
-        # steal the same farthest point (which would leave one still empty
-        # with a duplicate centroid).
-        own_dist = dists[np.arange(n), assignments].copy()
-        for k in range(num_clusters):
-            members = assignments == k
-            if members.any():
-                centroids[k] = vectors[members].mean(axis=0)
-            else:
+        counts = np.bincount(assignments, minlength=num_clusters)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            own_dist = (vectors**2).sum(axis=1) + dists[np.arange(n), assignments]
+            for k in empty:
+                # Only a cell with a point to spare gives one up: no reseed
+                # empties its donor or takes what another empty cell just took.
+                own_dist[counts[assignments] < 2] = -np.inf
                 farthest = int(own_dist.argmax())
-                centroids[k] = vectors[farthest]
-                assignments[farthest] = k
-                own_dist[farthest] = -np.inf
+                counts[assignments[farthest]] -= 1
+                assignments[farthest], counts[k] = k, 1
+        # Cell-ordered rows: every centroid is one segment of one reduceat.
+        order = np.argsort(assignments, kind="stable")
+        sums = np.add.reduceat(vectors[order], np.cumsum(counts) - counts, axis=0)
+        centroids = sums / counts[:, None].astype(vectors.dtype)
     return centroids, assignments
 
 

@@ -191,7 +191,7 @@ class MicroBatcher:
                 generation = self.cache.generation
             gate_span.set(cache_hit=gate is not None)
             if use_gate and gate is None and self.engine.cascade is not None:
-                gate = self.engine.cascade.resolve_gate(user, query_category)
+                gate = self.engine.cascade.resolve_gate(user, query_category, state=state)
                 if gate is not None and self.cache is not None:
                     self.cache.put_gate(user, query_category, gate)
                     generation = self.cache.generation

@@ -442,7 +442,7 @@ class SearchEngine:
         gate = None
         if self.cascade is not None and self.supports_session_gate:
             with trace.span("gate", source="resolve"):
-                gate = self.cascade.resolve_gate(user, query_category)
+                gate = self.cascade.resolve_gate(user, query_category, state=state)
         with trace.span("retrieve", cascade=self.cascade is not None) as retrieve_span:
             candidates = self.retrieve(
                 query_category, user=user, gate=gate, trace=trace, state=state

@@ -6,7 +6,6 @@ import pytest
 from repro.data import (
     SessionBatch,
     UserState,
-    assemble_candidate_batch,
     assemble_session,
     cross_features,
     encode_behavior,
@@ -85,7 +84,7 @@ class TestAssembleCandidateBatch:
     def test_batch_is_valid(self, unit_world):
         user = _active_user(unit_world)
         candidates = np.arange(6)
-        batch = assemble_candidate_batch(unit_world, user, 1, candidates)
+        batch = assemble_session(unit_world, user, 1, candidates).flat()
         validate_batch(batch)
         assert batch["label"].shape == (6,)
         np.testing.assert_array_equal(batch["target_item"], candidates + 1)
@@ -94,9 +93,9 @@ class TestAssembleCandidateBatch:
         """The cached-behaviour path must not change a single byte."""
         user = _active_user(unit_world)
         candidates = np.arange(4)
-        fresh = assemble_candidate_batch(unit_world, user, 2, candidates)
+        fresh = assemble_session(unit_world, user, 2, candidates).flat()
         behavior = encode_behavior(unit_world, user, unit_world.config.max_seq_len)
-        cached = assemble_candidate_batch(unit_world, user, 2, candidates, behavior=behavior)
+        cached = assemble_session(unit_world, user, 2, candidates, behavior=behavior).flat()
         for key in fresh:
             np.testing.assert_array_equal(fresh[key], cached[key], err_msg=key)
 
@@ -107,7 +106,7 @@ class TestAssembleCandidateBatch:
         candidates = np.arange(5)
         cross = cross_features(state, unit_world, candidates)
         features = impression_features(unit_world, user, candidates, 1, 1, cross, state)
-        batch = assemble_candidate_batch(unit_world, user, 1, candidates, spec=1)
+        batch = assemble_session(unit_world, user, 1, candidates, spec=1).flat()
         np.testing.assert_array_equal(batch["other_features"], features.astype(np.float32))
         assert features.shape[1] == len(FEATURE_NAMES)
 
@@ -168,9 +167,6 @@ class TestSessionBatch:
             want = _tiled_batch(unit_world, user, category, candidates)
             _assert_batches_identical(
                 assemble_session(unit_world, user, category, candidates).flat(), want
-            )
-            _assert_batches_identical(
-                assemble_candidate_batch(unit_world, user, category, candidates), want
             )
 
     def test_concat_flat_is_the_concatenated_per_query_batches(self, unit_world):

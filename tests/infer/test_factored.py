@@ -82,6 +82,13 @@ class TestFloat64Bitwise:
         assert np.array_equal(compiled.predict_logits(factored), twin.predict_logits(flat))
         # ... and equals the same plan fed the flat rows directly.
         assert np.array_equal(compiled.predict_proba(factored), compiled.predict_proba(flat))
+        # The plan stopped short of its mix is the eager expert pool, and
+        # mixing by hand lands on the plan's own logits.
+        experts = compiled.expert_scores(factored)
+        assert np.array_equal(experts, twin.expert_scores(flat))
+        assert np.array_equal(compiled.expert_scores(flat), experts)
+        mixed = (compiled.serving_gate(flat) * experts).sum(axis=1)
+        assert np.array_equal(mixed, compiled.predict_logits(factored))
 
     def test_per_session_gate_override_bitwise(self, model, factored):
         """Cached gates travel one row per session; both surfaces broadcast
@@ -130,6 +137,15 @@ class TestFloat32Factored:
         assert scores.shape == (factored.num_rows,)
         assert _rel_err(scores, identity) < RTOL_F32
         assert _rel_err(scores, model.predict_proba(factored.flat())) < RTOL_F32
+        experts = compiled.expert_scores(factored)
+        want = model.expert_scores(factored.flat())
+        assert experts.shape == want.shape
+        for got in (experts, compiled.expert_scores(factored.flat())):
+            np.testing.assert_allclose(got, want, rtol=RTOL_F32, atol=1e-6)
+        mixed = (factored.expand(compiled.serving_gate(factored)) * experts).sum(axis=1)
+        np.testing.assert_allclose(
+            mixed, compiled.predict_logits(factored), rtol=RTOL_F32, atol=1e-6
+        )
         for start, stop in zip(factored.bounds, factored.bounds[1:]):
             np.testing.assert_array_equal(
                 np.argsort(-scores[start:stop], kind="stable")[:10],

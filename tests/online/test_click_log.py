@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.features import assemble_candidate_batch
+from repro.data.features import assemble_session
 from repro.online import ClickLog, build_dataset
 
 
@@ -82,7 +82,7 @@ class TestBuildDataset:
         user, category, items = 3, 1, np.array([5, 9, 2, 7])
         record = log.log_session(user, category, items, np.array([1.0, 0, 0, 0]))
         dataset = build_dataset(unit_world, [record])
-        served = assemble_candidate_batch(unit_world, user, category, items)
+        served = assemble_session(unit_world, user, category, items).flat()
         np.testing.assert_array_equal(dataset.other_features, served["other_features"])
         np.testing.assert_array_equal(dataset.target_item, served["target_item"])
         np.testing.assert_array_equal(dataset.behavior_items, served["behavior_items"])
@@ -118,9 +118,9 @@ class TestBuildDataset:
                 keep = np.sort(
                     np.concatenate([positives, rng.choice(negatives, size=count, replace=False)])
                 )
-            batch = assemble_candidate_batch(
+            batch = assemble_session(
                 unit_world, record.user, record.query_category, record.items[keep]
-            )
+            ).flat()
             batch["label"] = clicks[keep].astype(np.float32)
             batch["session_id"] = np.full(keep.size, record.session_id, dtype=np.int64)
             want.append(batch)

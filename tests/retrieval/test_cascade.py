@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import ModelConfig, build_model
+from repro.infer import compile_model
 from repro.retrieval import (
     CascadeConfig,
     Prefilter,
@@ -132,9 +133,9 @@ class TestExhaustiveParity:
         calls = []
         original = engine.cascade._session_gate
 
-        def counting_gate(user, category):
+        def counting_gate(user, category, state=None):
             calls.append((user, category))
-            return original(user, category)
+            return original(user, category, state)
 
         monkeypatch.setattr(engine.cascade, "_session_gate", counting_gate)
         batcher.submit(7, 2)  # cache miss: the cascade evaluates its own gate
@@ -149,8 +150,10 @@ class TestExhaustiveParity:
 
     def test_session_gate_assembles_no_candidates(self, unit_world, model, monkeypatch):
         """The gate reads the session side only: resolving it builds no
-        candidate features, and equals the gate of the session's full batch
-        on both scoring surfaces."""
+        candidate features — and, handed the caller's ``UserState``, encodes
+        no behaviour either — and equals the gate of the session's full
+        batch on both scoring surfaces."""
+        import repro.data.features as features_module
         import repro.retrieval.cascade as cascade_module
 
         for compile_flag in (True, False):
@@ -160,13 +163,22 @@ class TestExhaustiveParity:
             )
             batch = engine.build_batch(7, 2, engine.retrieve(2))
             with monkeypatch.context() as patched:
-                for name in ("assemble_session", "assemble_candidate_batch"):
+                for name in ("assemble_session", "assemble_sessions"):
                     patched.setattr(
                         cascade_module, name,
                         lambda *a, **k: pytest.fail("gate resolution assembled candidates"),
                     )
                 gate = engine.cascade.resolve_gate(7, 2)
+                state = engine.user_state(7)
+                patched.setattr(
+                    features_module, "encode_behavior",
+                    lambda *a, **k: pytest.fail("gate resolution re-encoded the behaviour"),
+                )
+                from_state = engine.cascade.resolve_gate(7, 2, state=state)
+                via_vector = engine.cascade.session_vector(7, 2, state=state)
             np.testing.assert_array_equal(gate, engine.session_gate(batch))
+            np.testing.assert_array_equal(from_state, gate)
+            np.testing.assert_array_equal(via_vector, engine.cascade.session_vector(7, 2))
 
     def test_without_user_falls_back_to_sampling(self, unit_world, model):
         """retrieve() without a user cannot personalize; it keeps the
@@ -358,3 +370,117 @@ class TestRetrievalProbe:
         assert not report.passed
         assert any("retrieval recall" in reason for reason in report.reasons)
         assert report.candidate["retrieval_recall"] == 0.5
+
+
+def _per_query_calibration_rows(cascade):
+    """The calibration loop this repo shipped before probe queries were
+    scored a flush at a time: one assembly, one gate evaluation and one
+    ranker call per sampled query.  Kept verbatim as the oracle — the RNG
+    draw order (user, category, items per query) is part of the contract."""
+    from repro.data.features import UserState, assemble_session
+    from repro.retrieval.cascade import _TOP_QUANTILE, _logits
+
+    config = cascade.config
+    world = cascade.world
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xCA11]))
+    rows: dict = {regime: ([], [], []) for regime in cascade._REGIMES}
+    categories = [cat for cat, m in enumerate(cascade._by_category) if m.size > 0]
+    for _ in range(config.calibration_queries):
+        user = int(rng.integers(0, world.num_users))
+        cat = int(categories[rng.integers(0, len(categories))])
+        members = cascade._by_category[cat]
+        sample = (
+            members
+            if members.size <= config.calibration_items
+            else rng.choice(members, size=config.calibration_items, replace=False)
+        )
+        state = UserState(world, user)
+        batch = assemble_session(world, user, cat, sample, state=state)
+        target = _logits(cascade._scorer, batch)
+        sample_weight = np.where(
+            target >= np.quantile(target, _TOP_QUANTILE),
+            config.calibration_top_weight,
+            1.0,
+        )
+        regime = cascade._regime(state, cat)
+        gate = cascade._session_gate(user, cat)
+        rows[regime][0].append(cascade._pair_features(state, sample, gate))
+        rows[regime][1].append(target)
+        rows[regime][2].append(sample_weight)
+    return rows
+
+
+class TestBuildThroughServingPaths:
+    """The rebuild scores through the surface the fleet serves with."""
+
+    def test_compiled_build_never_runs_the_eager_model(self, unit_world, model, monkeypatch):
+        calls = []
+        for name in ("forward", "expert_scores"):
+            monkeypatch.setattr(model, name, lambda *a, _name=name, **k: calls.append(_name))
+        cascade = RetrievalCascade.from_model(
+            model, unit_world, CascadeConfig(retrieve_n=6, prune=4, nprobe=1),
+            scorer=compile_model(model),
+        )
+        assert calls == []
+        assert cascade.num_probes == model.config.num_experts
+
+    def test_build_leaves_no_buffers_serving_would_not_hold(self, unit_world, model):
+        """The engine's serving plan does the build, and its arena keeps
+        every shape it ever saw: after one flush of every batch size, a plan
+        that also built holds within 10% of one that only served."""
+        config = CascadeConfig(
+            retrieve_n=6, prune=4, nprobe="all", calibration_queries=16, calibration_items=2
+        )
+        builder = SearchEngine(unit_world, model, np.random.default_rng(1), cascade=config)
+        server = SearchEngine(
+            unit_world, model, np.random.default_rng(1), cascade=config,
+            prebuilt_cascade=builder.cascade.worker_view(),
+        )
+        held = []
+        for engine in (builder, server):
+            batcher = MicroBatcher(engine, max_batch_size=8, cache=SessionCache(64))
+            for size in range(1, 5):
+                for user in range(size):
+                    batcher.submit(3 + 7 * user, (user + size) % 8)
+                assert len(batcher.flush()) == size
+            held.append(engine.compiled_model.stats()["score"]["arena_bytes"])
+        assert held[1] > 0
+        assert held[0] <= 1.1 * held[1]
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_batched_calibration_matches_the_per_query_loop(self, unit_world, model, compiled):
+        # Whole categories (7-19 items) are sampled and two or more fit one
+        # 40-row flush, so the flushes are ragged.
+        config = CascadeConfig(retrieve_n=60, prune=40, nprobe="all", calibration_queries=24)
+        cascade = RetrievalCascade.from_model(
+            model, unit_world, config, scorer=compile_model(model) if compiled else None
+        )
+        want_rows = _per_query_calibration_rows(cascade)
+        got_rows = cascade._calibration_rows()
+        exact = cascade._NUM_STATIC + cascade.num_probes  # pure gathers by sampled item
+        for regime in cascade._REGIMES:
+            assert len(got_rows[regime][0]) == len(want_rows[regime][0])
+            for got, want in zip(got_rows[regime][0], want_rows[regime][0]):
+                np.testing.assert_array_equal(got[:, :exact], want[:, :exact])
+                np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+        cascade._calibration_rows = lambda: want_rows
+        weights, count_weights, r2 = cascade._calibrate()
+        for regime in cascade._REGIMES:
+            for got, want in (
+                (cascade._weights[regime], weights[regime]),
+                (cascade._count_weights[regime], count_weights[regime]),
+            ):
+                np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
+            assert cascade.calibration_r2[regime] == pytest.approx(r2[regime], abs=1e-6)
+
+    def test_build_seconds_survive_publish(self, unit_world, model):
+        import pickle
+
+        cascade = RetrievalCascade.from_model(
+            model, unit_world, CascadeConfig(retrieve_n=6, prune=4, nprobe=1)
+        )
+        phases = cascade.stats()["build_seconds"]
+        assert set(phases) == {"probe", "calibrate", "index"}
+        assert all(seconds > 0 for seconds in phases.values())
+        attached = pickle.loads(pickle.dumps(cascade.detach_for_publish())).worker_view()
+        assert attached.stats()["build_seconds"] == phases

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.retrieval import ItemIndex, kmeans
 
@@ -24,7 +25,75 @@ def _brute_force(vectors, categories, query, category, topn):
     return np.sort(members[keep])
 
 
+def _kmeans_per_cell(vectors, num_clusters, rng, iterations=8):
+    """The k-means this repo shipped before the centroid update was one
+    sorted segment sum: full expanded distances, one boolean mask and one
+    mean per cell per iteration.  Kept verbatim as the oracle; the last
+    return value says whether any cell ever emptied."""
+    n = vectors.shape[0]
+    num_clusters = int(min(max(num_clusters, 1), n))
+    centroids = vectors[rng.choice(n, size=num_clusters, replace=False)].copy()
+    x_sq = (vectors**2).sum(axis=1)
+    assignments = np.zeros(n, dtype=np.int64)
+    emptied = False
+    for _ in range(iterations):
+        dists = x_sq[:, None] - 2.0 * (vectors @ centroids.T) + (centroids**2).sum(axis=1)
+        assignments = dists.argmin(axis=1)
+        own_dist = dists[np.arange(n), assignments].copy()
+        for k in range(num_clusters):
+            members = assignments == k
+            if members.any():
+                centroids[k] = vectors[members].mean(axis=0)
+            else:
+                emptied = True
+                farthest = int(own_dist.argmax())
+                centroids[k] = vectors[farthest]
+                assignments[farthest] = k
+                own_dist[farthest] = -np.inf
+    return centroids, assignments, emptied
+
+
+_KMEANS = settings(deadline=None, max_examples=40, derandomize=True)
+
+
 class TestKMeans:
+    @_KMEANS
+    @given(n=st.integers(8, 160), d=st.integers(2, 8), k=st.integers(1, 12), seed=st.integers(0, 99))
+    def test_matches_the_per_cell_loop(self, n, d, k, seed):
+        """Dropping ``||x||^2`` from the argmin and summing cells by segment
+        changes no assignment and moves centroids by float32 rounding only."""
+        points = np.random.default_rng(seed).normal(size=(n, d)).astype(np.float32)
+        want_c, want_a, emptied = _kmeans_per_cell(points, k, np.random.default_rng(seed + 1))
+        got_c, got_a = kmeans(points, k, np.random.default_rng(seed + 1))
+        assert set(np.unique(got_a)) == set(range(min(k, n)))
+        if not emptied:
+            np.testing.assert_array_equal(got_a, want_a)
+            np.testing.assert_allclose(got_c, want_c, rtol=1e-5, atol=1e-5)
+
+    @_KMEANS
+    @given(
+        distinct=st.integers(2, 30),
+        copies=st.integers(1, 4),
+        spare=st.integers(0, 3),
+        seed=st.integers(0, 99),
+    )
+    def test_forced_empty_cells_are_refilled(self, distinct, copies, spare, seed):
+        """Duplicate points with k close to n: duplicated initial centroids
+        leave cells empty at once.  Every cell still ends with a member, two
+        runs from one seed agree bitwise, and — when the points are all
+        distinct — no two centroids coincide."""
+        base = np.random.default_rng(seed).normal(size=(distinct, 3)).astype(np.float32)
+        points = np.repeat(base, copies, axis=0)
+        k = max(1, points.shape[0] - spare)
+        centroids, assignments = kmeans(points, k, np.random.default_rng(seed))
+        again = kmeans(points, k, np.random.default_rng(seed))
+        assert centroids.shape == (k, 3)
+        assert np.bincount(assignments, minlength=k).min() >= 1
+        assert centroids.tobytes() == again[0].tobytes()
+        assert assignments.tobytes() == again[1].tobytes()
+        if copies == 1:
+            assert np.unique(centroids, axis=0).shape[0] == k
+
     def test_deterministic_given_rng_seed(self):
         rng = np.random.default_rng(3)
         points = rng.normal(size=(100, 4)).astype(np.float32)

@@ -57,12 +57,13 @@ from repro.online import (
 )
 from repro.serving import (
     DegradationPolicy,
+    FleetConfig,
     ManualClock,
     MicroBatcher,
     SearchEngine,
     SessionCache,
-    ShardedCluster,
     ZipfLoadGenerator,
+    build_fleet,
     replay,
 )
 from repro.utils import SeedBank, print_table
@@ -113,16 +114,19 @@ def test_chaos_soak(tmp_path):
         clock=clock.now,
     )
     alerts = AlertManager(default_fault_alert_rules())
-    cluster = ShardedCluster(
+    cluster = build_fleet(
         world,
         seed_model,
-        num_shards=NUM_SHARDS,
-        seed=SEED,
-        max_batch_size=8,
-        flush_deadline_ms=10.0,
-        cache_capacity=1024,
+        FleetConfig(
+            num_workers=NUM_SHARDS,
+            seed=SEED,
+            max_batch_size=8,
+            flush_deadline_ms=10.0,
+            cache_capacity=1024,
+            policy=DegradationPolicy(deadline_ms=100.0),
+        ),
+        backend="inprocess",
         clock=clock,
-        policy=DegradationPolicy(deadline_ms=100.0),
         injector=injector,
         alerts=alerts,
     )

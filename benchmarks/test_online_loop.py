@@ -58,9 +58,10 @@ from repro.online import (
     PositionBiasedClickModel,
 )
 from repro.serving import (
+    FleetConfig,
     ManualClock,
-    ShardedCluster,
     ZipfLoadGenerator,
+    build_fleet,
     compare_gate_strategies,
 )
 from repro.utils import SeedBank, print_table
@@ -122,14 +123,17 @@ def test_online_loop(tmp_path_factory):
     train_metrics = MetricsRegistry()
     drift = DriftMonitor(min_samples=10)
     alerts = AlertManager(ALERT_RULES)
-    cluster = ShardedCluster(
+    cluster = build_fleet(
         world,
         seed_model,
-        num_shards=NUM_SHARDS,
-        seed=SEED,
-        max_batch_size=8,
-        flush_deadline_ms=10.0,
-        cache_capacity=1024,
+        FleetConfig(
+            num_workers=NUM_SHARDS,
+            seed=SEED,
+            max_batch_size=8,
+            flush_deadline_ms=10.0,
+            cache_capacity=1024,
+        ),
+        backend="inprocess",
         clock=clock,
         slo=SloTracker(latency_slo_ms=250.0),
         drift=drift,
@@ -338,10 +342,13 @@ def test_drift_smoke(tmp_path_factory):
 
         clock = ManualClock()
         drift_monitor = DriftMonitor(min_samples=10)
-        cluster = ShardedCluster(
-            world, make_model(trained=True), num_shards=2, seed=0,
-            max_batch_size=4, flush_deadline_ms=5.0, cache_capacity=128,
-            clock=clock, drift=drift_monitor,
+        cluster = build_fleet(
+            world, make_model(trained=True),
+            FleetConfig(
+                num_workers=2, seed=0, max_batch_size=4, flush_deadline_ms=5.0,
+                cache_capacity=128,
+            ),
+            backend="inprocess", clock=clock, drift=drift_monitor,
         )
         loop = OnlineLoop(
             world=world,

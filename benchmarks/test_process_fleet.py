@@ -39,8 +39,7 @@ from repro.core import ModelConfig, TrainConfig, build_model, train_model
 from repro.data import WorldConfig, make_search_datasets
 from repro.faults import default_fleet_chaos_plan, run_fleet_soak
 from repro.infer import shared_memory_available
-from repro.serving import FleetSupervisor, ZipfLoadGenerator, build_fleet
-from repro.serving.fleet import fleet_config
+from repro.serving import FleetConfig, ZipfLoadGenerator, build_fleet
 from repro.utils import SeedBank, print_table
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
@@ -117,7 +116,7 @@ def test_process_fleet():
         bank.child("traffic"), world=world, zipf_exponent=1.1, target_qps=300.0
     )
     traffic = generator.generate(BENCH_EVENTS)
-    config = fleet_config(num_workers=NUM_WORKERS, seed=SEED)
+    config = FleetConfig(num_workers=NUM_WORKERS, seed=SEED)
 
     # -- identity + in-process baseline ---------------------------------
     inproc = build_fleet(world, serve_model, config, backend="inprocess")
@@ -141,7 +140,7 @@ def test_process_fleet():
     _watchdog("process-multi")
 
     single = build_fleet(
-        world, serve_model, fleet_config(num_workers=1, seed=SEED), backend="process"
+        world, serve_model, FleetConfig(num_workers=1, seed=SEED), backend="process"
     )
     single_results, single_s = _drive(single, traffic)
     single.stop()
@@ -164,16 +163,17 @@ def test_process_fleet():
 
     # -- chaos soak ------------------------------------------------------
     plan = default_fleet_chaos_plan(seed=SEED, workers=NUM_WORKERS)
-    soak_fleet = FleetSupervisor(
+    soak_fleet = build_fleet(
         world,
         serve_model,
-        fleet_config(
+        FleetConfig(
             num_workers=NUM_WORKERS,
             seed=SEED,
             heartbeat_interval_s=0.02,
             heartbeat_deadline_s=0.25,
             restart_backoff_s=0.02,
         ),
+        backend="process",
         version="v1",
         fault_plan=plan,
     )

@@ -53,9 +53,10 @@ from repro.data.synthetic import build_train_dataset, generate_world, simulate_s
 from repro.obs import ShadowRecallMonitor
 from repro.retrieval import CascadeConfig, RetrievalProbe
 from repro.serving import (
+    FleetConfig,
     SearchEngine,
-    ShardedCluster,
     ZipfLoadGenerator,
+    build_fleet,
     compare_retrieval_strategies,
     replay,
 )
@@ -203,15 +204,18 @@ def test_retrieval_cascade_speedup_and_recall():
     np.testing.assert_array_equal(got.scores, want.scores)
 
     # -- fleet integration: cascade behind the sharded micro-batching stack
-    cluster = ShardedCluster(
+    cluster = build_fleet(
         world,
         model,
-        num_shards=2,
-        seed=5,
-        max_batch_size=8,
-        flush_deadline_ms=50.0,
-        cache_capacity=2048,
-        cascade=CASCADE,
+        FleetConfig(
+            num_workers=2,
+            seed=5,
+            max_batch_size=8,
+            flush_deadline_ms=50.0,
+            cache_capacity=2048,
+            cascade=CASCADE,
+        ),
+        backend="inprocess",
     )
     # Re-time the exhaustive baseline interleaved with the fleet replay:
     # the fleet-vs-exhaustive gate below compares two wall-clock numbers,

@@ -43,12 +43,13 @@ from repro.infer import PlanProfiler, compile_model
 from repro.obs import JsonlTraceExporter, ShadowRecallMonitor, SloTracker, Tracer
 from repro.retrieval import CascadeConfig
 from repro.serving import (
+    FleetConfig,
     MetricsSink,
     MicroBatcher,
     SearchEngine,
     SessionCache,
-    ShardedCluster,
     ZipfLoadGenerator,
+    build_fleet,
     replay,
 )
 from repro.utils import print_table
@@ -234,15 +235,18 @@ def test_compiled_inference_speedup(search_data, trained_models):
     # the code, not the neighbourhood.
     for _ in range(1 if SMOKE else 2):
         for label, compile_flag in (("eager", False), ("compiled", True)):
-            cluster = ShardedCluster(
+            cluster = build_fleet(
                 world,
                 model,
-                num_shards=2,
-                seed=5,
-                max_batch_size=8,
-                flush_deadline_ms=50.0,
-                cache_capacity=2048,
-                compile=compile_flag,
+                FleetConfig(
+                    num_workers=2,
+                    seed=5,
+                    max_batch_size=8,
+                    flush_deadline_ms=50.0,
+                    cache_capacity=2048,
+                    compile=compile_flag,
+                ),
+                backend="inprocess",
             )
             results, seconds = _timed(lambda: replay(cluster, events))
             assert len(results) == NUM_QUERIES
@@ -528,18 +532,21 @@ def test_traced_fleet_artifacts(search_data, trained_models):
     slo = SloTracker(latency_slo_ms=250.0, availability_target=0.99, window_seconds=600.0)
     with JsonlTraceExporter(str(TRACE_ARTIFACT)) as exporter:
         tracer = Tracer(sample_rate=1.0, exporter=exporter)
-        cluster = ShardedCluster(
+        cluster = build_fleet(
             world,
             model,
-            num_shards=2,
-            seed=5,
-            max_batch_size=8,
-            flush_deadline_ms=50.0,
-            cache_capacity=2048,
-            cascade=CascadeConfig(
-                retrieve_n=24, prune=12, nprobe=2,
-                calibration_queries=32, calibration_items=64,
+            FleetConfig(
+                num_workers=2,
+                seed=5,
+                max_batch_size=8,
+                flush_deadline_ms=50.0,
+                cache_capacity=2048,
+                cascade=CascadeConfig(
+                    retrieve_n=24, prune=12, nprobe=2,
+                    calibration_queries=32, calibration_items=64,
+                ),
             ),
+            backend="inprocess",
             slo=slo,
             tracer=tracer,
         )

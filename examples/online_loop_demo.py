@@ -31,7 +31,7 @@ from repro.online import (
     OnlineLoop,
     PositionBiasedClickModel,
 )
-from repro.serving import ManualClock, ShardedCluster, ZipfLoadGenerator
+from repro.serving import FleetConfig, ManualClock, ZipfLoadGenerator, build_fleet
 from repro.utils import SeedBank, print_table
 
 NUM_CYCLES = 3
@@ -59,9 +59,13 @@ def main() -> None:
 
     # --- assemble the loop --------------------------------------------
     clock = ManualClock()
-    cluster = ShardedCluster(
-        world, seed_model, num_shards=2, seed=SEED,
-        max_batch_size=8, flush_deadline_ms=10.0, cache_capacity=1024, clock=clock,
+    cluster = build_fleet(
+        world, seed_model,
+        FleetConfig(
+            num_workers=2, seed=SEED, max_batch_size=8, flush_deadline_ms=10.0,
+            cache_capacity=1024,
+        ),
+        backend="inprocess", clock=clock,
     )
     registry_dir = tempfile.mkdtemp(prefix="awmoe-registry-")
     loop = OnlineLoop(

@@ -17,9 +17,10 @@ from repro.core import ModelConfig, TrainConfig, build_model, train_model
 from repro.data import WorldConfig, make_search_datasets
 from repro.obs import SloTracker, Tracer
 from repro.serving import (
+    FleetConfig,
     SearchEngine,
-    ShardedCluster,
     ZipfLoadGenerator,
+    build_fleet,
     compare_gate_strategies,
     replay,
     run_ab_test,
@@ -78,9 +79,10 @@ def main() -> None:
     print("\nReplaying 300 Zipf-distributed queries through a 4-shard cluster ...")
     tracer = Tracer(sample_rate=0.1, seed=3)
     slo = SloTracker(latency_slo_ms=100.0, availability_target=0.99)
-    cluster = ShardedCluster(
-        world, aw_moe, num_shards=4, seed=21, max_batch_size=16,
-        flush_deadline_ms=50.0, tracer=tracer, slo=slo,
+    cluster = build_fleet(
+        world, aw_moe,
+        FleetConfig(num_workers=4, seed=21, max_batch_size=16, flush_deadline_ms=50.0),
+        backend="inprocess", tracer=tracer, slo=slo,
     )
     events = ZipfLoadGenerator(
         np.random.default_rng(13), world=world, zipf_exponent=1.2

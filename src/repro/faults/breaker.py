@@ -14,9 +14,9 @@ Classic three-state breaker (closed → open → half-open → closed):
   close it again.
 
 The breaker only *counts* — routing decisions (skip this shard, reroute
-to a sibling) live in :class:`~repro.serving.cluster.ShardedCluster`,
-which also records the ``circuit_open``/``circuit_closed`` events on
-state transitions.
+to a sibling) live in :class:`~repro.serving.fleet.Fleet`; the guard and
+the ``circuit_open``/``circuit_closed`` events on state transitions are
+:meth:`repro.serving.shard.ShardWorker.submit`.
 """
 
 from __future__ import annotations

@@ -34,9 +34,9 @@ __all__ = [
 #: feeds into its snapshots (``repro.obs.AlertRule.parse`` syntax).  Two
 #: consecutive breaches are required for the rate rules so one bad flush
 #: doesn't page; an open breaker pages immediately — it *is* the incident.
-#: The fleet rules evaluate over :meth:`repro.serving.fleet.FleetSupervisor.
-#: telemetry_extra` scalars; a snapshot without them (the in-process path)
-#: counts as healthy — absent data is not an incident.
+#: The fleet rules evaluate over :meth:`repro.serving.fleet.Fleet.
+#: telemetry_extra` scalars; a snapshot without them counts as healthy —
+#: absent data is not an incident.
 DEFAULT_FAULT_ALERT_RULES = (
     "shed-rate: shed_rate > 0.05 for 2",
     "fallback-share: degraded_share > 0.25 for 2",
@@ -96,7 +96,9 @@ def default_chaos_plan(seed: int = 0, shards: int = 2) -> FaultPlan:
             FaultSpec("canary.judge", "transient", times=1),
             # One crash mid-hot-swap at the last shard: every earlier shard
             # has already swapped and must roll back to a consistent
-            # generation.  ``after=1`` spares the bootstrap deployment.
+            # generation.  ``after=1`` spares the bootstrap deployment.  (On
+            # the process backend the worker that crashes here is killed and
+            # restarts onto the published generation instead.)
             FaultSpec(
                 "swap.shard", "crash",
                 after=1, times=1, match={"shard": shards - 1},
@@ -203,8 +205,9 @@ def run_fleet_soak(
     swap_models: Optional[List[Any]] = None,
     settle_s: float = 0.0,
 ) -> Dict[str, Any]:
-    """Drive a :class:`~repro.serving.fleet.FleetSupervisor` through
-    generated traffic (plus optional hot swaps) and audit zero drops.
+    """Drive a :class:`~repro.serving.fleet.Fleet` (sized for the process
+    backend) through generated traffic (plus optional hot swaps) and audit
+    zero drops.
 
     ``swap_models`` hot-swaps each ``(model, version)`` pair at evenly
     spaced points in the traffic — under a fleet fault plan the first swap
@@ -246,7 +249,7 @@ def run_fleet_soak(
         "restarts": fleet.restarts_total,
         "quarantined": fleet.quarantined_workers,
         "workers_available": fleet.workers_available,
-        "recovered_segments": list(fleet.recovered_segments),
+        "recovered_segments": fleet.summary().get("recovered_segments", []),
         "worker_status": fleet.worker_status(),
         "event_counts": counts,
         "faults_fired_supervisor": fleet.injector.fired(),

@@ -68,14 +68,14 @@ KNOWN_POINTS = frozenset(
         "batcher.flush",  # MicroBatcher.flush, before the batched forward
         "engine.retrieve",  # SearchEngine.retrieve (cascade or sampling)
         "cascade.build",  # SearchEngine.set_model, before the index rebuild
-        "swap.shard",  # ShardedCluster.swap_model, between drain and set_model
+        "swap.shard",  # ShardWorker.swap, between drain and set_model
         "registry.save_index",  # ModelRegistry._save_index (torn index writes)
         "registry.checkpoint",  # ModelRegistry.register (checkpoint corruption)
         "clicklog.append",  # ClickLog disk append (torn log records)
         "trainer.update",  # IncrementalTrainer.update entry
         "canary.judge",  # CanaryGate.judge entry
-        # Process fleet (repro.serving.fleet):
-        "worker.spawn",  # FleetSupervisor spawning a worker process
+        # Process backend (repro.serving.pipe):
+        "worker.spawn",  # PipeTransport spawning a worker process
         "worker.exec",  # worker request execution (crash = simulated OOM kill)
         "worker.heartbeat",  # worker heartbeat send (crash = beat lost)
         "slab.publish",  # SnapshotSlab.publish (torn_write = partial segment)

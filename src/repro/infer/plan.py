@@ -17,7 +17,7 @@ asserts it).
 
 Thread-safety: a plan owns mutable buffers, so one plan must not be executed
 concurrently from multiple threads — give each worker its own compiled plan
-(:class:`~repro.serving.cluster.ShardedCluster` compiles per shard), exactly
+(:class:`~repro.serving.shard.ShardWorker` compiles per shard), exactly
 as each training process owns its own activations.
 """
 

@@ -326,7 +326,8 @@ class SnapshotSlab:
         ``SharedMemory.close`` unmaps under them and any later access is a
         segfault.  Only close once nothing reachable references the
         payload's arrays (readers that swap generations must retain the
-        old handle instead; see ``_WorkerSystem.handle_swap``)."""
+        old handle instead; see the swap op of
+        ``repro.serving.pipe._worker_main``)."""
         try:
             self._segment.close()
         except BufferError:

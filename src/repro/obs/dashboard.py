@@ -278,7 +278,7 @@ def render_dashboard(
     All panels are optional; omitted ones simply do not render.  ``traces``
     takes JSON trace records (``Trace.to_dict()`` form — e.g. a
     :class:`~repro.obs.trace.Tracer`'s ``finished`` ring).  ``breakers``
-    takes per-shard circuit-breaker status rows (``ShardedCluster.
+    takes per-shard circuit-breaker status rows (``Fleet.
     breaker_status()``) and ``tiers`` the degradation-tier response counts;
     together they render the resilience panel.
     """

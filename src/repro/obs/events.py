@@ -39,7 +39,7 @@ EVENT_KINDS = frozenset(
         "quarantine",  # a corrupted candidate checkpoint was quarantined
         "retry",  # a transient train/canary failure was retried with backoff
         "state_recovered",  # persistent state (index/log/shm) was repaired at startup
-        # Process fleet (repro.serving.fleet):
+        # Process backend (repro.serving.pipe):
         "worker_spawned",  # a fleet worker process came up and acked ready
         "worker_died",  # a worker crashed or was declared hung and killed
         "worker_restarted",  # a dead worker was respawned after backoff

@@ -4,7 +4,7 @@ The paper's AW-MoE is a *deployed* ranker: it is refreshed continuously from
 live click logs, not trained once offline (§III-F).  This package closes
 that loop over the serving subsystem of :mod:`repro.serving`::
 
-    traffic ──► ShardedCluster ──rankings──► click model (position-biased)
+    traffic ──► Fleet ───────────rankings──► click model (position-biased)
                      ▲                            │
                      │ hot swap                   ▼ clicks
                 model registry ◄── register ── click log (append-only)

@@ -5,7 +5,7 @@ fleet::
 
           ┌────────────────────────────────────────────────────────┐
           ▼                                                        │
-    ShardedCluster ──RankedLists──► PositionBiasedClickModel       │
+    Fleet ─────────RankedLists───► PositionBiasedClickModel       │
           ▲                               │ clicks                 │
           │ hot swap                      ▼                        │
     ModelRegistry ◄── register ── ClickLog ── read_new ──► IncrementalTrainer
@@ -41,7 +41,8 @@ from repro.online.click_log import ClickLog, build_dataset
 from repro.online.click_model import PositionBiasedClickModel
 from repro.online.incremental import IncrementalTrainer
 from repro.online.registry import CorruptCheckpointError, ModelRegistry
-from repro.serving.cluster import ShardedCluster, SwapFailed
+from repro.serving.fleet import Fleet
+from repro.serving.shard import SwapFailed
 from repro.serving.engine import RankedList
 from repro.serving.loadgen import TrafficEvent, replay
 from repro.serving.metrics import ManualClock
@@ -110,7 +111,7 @@ class OnlineLoop:
     world:
         The synthetic world traffic and features are drawn from.
     cluster:
-        The serving fleet (PR 1's :class:`~repro.serving.cluster.ShardedCluster`).
+        The serving fleet (:func:`repro.serving.build_fleet`, either backend).
     trainer:
         Warm-start trainer owning the *training twin* of the production
         model.  The fleet never serves this object: deployments load a
@@ -169,7 +170,7 @@ class OnlineLoop:
     def __init__(
         self,
         world: World,
-        cluster: ShardedCluster,
+        cluster: Fleet,
         trainer: IncrementalTrainer,
         model_factory: Callable[[], RankingModel],
         registry: ModelRegistry,
@@ -485,7 +486,7 @@ class OnlineLoop:
                 "degraded_share": float(merged.degraded_share),
                 "open_breakers": float(self.cluster.open_breakers),
             }
-            shadow = getattr(self.cluster, "shadow_recall", None)
+            shadow = self.cluster.shadow_recall
             if shadow is not None and shadow.samples:
                 extra["retrieval_recall_at_k"] = shadow.recall_at_k
             snapshot = telemetry_snapshot(

@@ -3,7 +3,7 @@
 The serving pipeline mirrors the paper's Fig. 6 deployment, grown into a
 high-throughput subsystem::
 
-    traffic (loadgen) ──► shard router (cluster) ──► micro-batcher (batcher)
+    traffic (loadgen) ──► shard router (fleet) ────► micro-batcher (batcher)
                                                           │
                              session cache (cache) ◄──────┤ gate reuse
                                                           ▼
@@ -17,8 +17,13 @@ high-throughput subsystem::
   gate evaluation per session (§III-F1);
 * :mod:`~repro.serving.cache` — LRU session cache for gate vectors and
   behaviour encodings, with hit/miss accounting;
-* :mod:`~repro.serving.cluster` — deterministic user → shard hashing over
-  N independent workers;
+* :mod:`~repro.serving.shard` — deterministic user → shard hashing,
+  :class:`FleetConfig` (the one description of a shard stack) and
+  :class:`ShardWorker` (the one place it is assembled);
+* :mod:`~repro.serving.fleet` — :class:`Fleet`, the one routing / failover /
+  hot-swap / telemetry policy, over a transport: shards called in-thread, or
+  hosted in supervised worker processes (:mod:`~repro.serving.pipe`);
+  :func:`build_fleet` is the front door for both;
 * :mod:`~repro.serving.loadgen` — Zipf user traffic with Poisson arrivals;
 * :mod:`~repro.serving.metrics` — QPS, latency percentiles, batch-size
   histogram, cache hit rate (bounded-memory streaming histograms by
@@ -27,18 +32,18 @@ high-throughput subsystem::
   FLOP cost model and simulated online A/B test.
 
 Observability threads through every layer via :mod:`repro.obs`: pass a
-:class:`repro.obs.Tracer` to the engine/batcher/cluster for per-request
+:class:`repro.obs.Tracer` to the engine/batcher/fleet for per-request
 span trees (submit → queue-wait → gate → retrieve → rank → flush, with
 cascade sub-stages and per-kernel rank children), and a
-:class:`repro.obs.SloTracker` to the cluster for sliding-window p99 and
-error-budget burn rate — surfaced by ``ShardedCluster.fleet_report()``.
+:class:`repro.obs.SloTracker` to the fleet for sliding-window p99 and
+error-budget burn rate — surfaced by ``Fleet.fleet_report()``.
 
 Scoring executes through the compiled inference path (:mod:`repro.infer`)
 by default: engines compile models into flat fused-kernel plans at
 construction and on every hot swap; models with no registered compiler
 serve through the eager forward.
 
-The stack is hot-swappable: :meth:`ShardedCluster.swap_model` drains each
+The stack is hot-swappable: :meth:`Fleet.swap_model` drains each
 shard between micro-batches, recompiles and switches the model+plan, and
 invalidates the gate cache (generation-tagged), which is how the online
 learning loop (:mod:`repro.online`) deploys refreshed versions with zero
@@ -57,7 +62,6 @@ shard from taking its users down with it.
 from repro.serving.ab_test import ABTestResult, run_ab_test
 from repro.serving.batcher import MicroBatcher, PreparedQuery
 from repro.serving.cache import CacheStats, LRUCache, SessionCache
-from repro.serving.cluster import ShardedCluster, ShardWorker, SwapFailed, shard_for_user
 from repro.serving.degrade import (
     TIER_FULL,
     TIER_POPULARITY,
@@ -75,7 +79,7 @@ from repro.serving.cost import (
     model_flops,
 )
 from repro.serving.engine import RankedList, SearchEngine
-from repro.serving.fleet import FleetConfig, FleetSupervisor, build_fleet
+from repro.serving.fleet import Fleet, build_fleet
 from repro.serving.loadgen import TrafficEvent, ZipfLoadGenerator, replay
 from repro.serving.metrics import (
     ManualClock,
@@ -83,6 +87,7 @@ from repro.serving.metrics import (
     latency_percentile,
     sorted_percentile,
 )
+from repro.serving.shard import FleetConfig, ShardWorker, SwapFailed, shard_for_user
 
 __all__ = [
     "ABTestResult",
@@ -92,12 +97,11 @@ __all__ = [
     "CacheStats",
     "LRUCache",
     "SessionCache",
-    "ShardedCluster",
     "ShardWorker",
     "SwapFailed",
     "shard_for_user",
+    "Fleet",
     "FleetConfig",
-    "FleetSupervisor",
     "build_fleet",
     "TIER_FULL",
     "TIER_POPULARITY",

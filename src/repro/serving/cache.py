@@ -166,8 +166,8 @@ class SessionCache:
     def invalidate_all(self, include_behaviors: bool = False) -> None:
         """Drop every cached gate vector and bump :attr:`generation`.
 
-        Called on model hot-swap (:meth:`repro.serving.cluster.ShardedCluster.
-        swap_model`): gate vectors are a function of the model's weights, so
+        Called on model hot-swap (:meth:`repro.serving.shard.ShardWorker.
+        swap`): gate vectors are a function of the model's weights, so
         none may survive a version switch.  User states are pure data
         features (independent of the model) and are kept unless
         ``include_behaviors`` is set.

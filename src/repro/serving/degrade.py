@@ -26,7 +26,9 @@ clock reads — the pre-policy hot path, bitwise identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
+
+import numpy as np
 
 __all__ = [
     "TIER_FULL",
@@ -34,6 +36,7 @@ __all__ = [
     "TIER_POPULARITY",
     "TIERS",
     "DegradationPolicy",
+    "popularity_floor",
 ]
 
 TIER_FULL = "full"
@@ -42,6 +45,36 @@ TIER_POPULARITY = "popularity"
 
 #: Ladder order, best tier first.
 TIERS = (TIER_FULL, TIER_PREFILTER, TIER_POPULARITY)
+
+
+def popularity_floor(
+    members: np.ndarray,
+    probs: np.ndarray,
+    limit: int,
+    candidates: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ladder's last rung: ``(items, scores)`` ranked by popularity prior.
+
+    ``members`` are one category's item ids in ascending order and ``probs``
+    their prior (:func:`repro.retrieval.category_popularity_probs`).  No
+    model, no RNG, no per-user state — nothing left to fail.  The one
+    implementation behind both :meth:`SearchEngine.degraded_ranking
+    <repro.serving.engine.SearchEngine.degraded_ranking>` and the fleet's
+    last resort, so a shard and the fleet above it give the same answer:
+    float32 scores, stable sort, at most ``limit`` items.  ``candidates``
+    restricts the ranking to an already-retrieved shortlist.
+    """
+    if candidates is not None and len(candidates):
+        shortlist = np.asarray(candidates)
+        # Members are sorted ascending, so popularity priors for an
+        # arbitrary shortlist are a searchsorted away.
+        index = np.clip(np.searchsorted(members, shortlist), 0, probs.size - 1)
+        scores = probs[index].astype(np.float32)
+    else:
+        shortlist = members
+        scores = probs.astype(np.float32)
+    order = np.argsort(-scores, kind="stable")[:limit]
+    return shortlist[order], scores[order]
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,12 @@ from repro.infer import CompiledModel, CompileError, compile_model
 from repro.obs import NULL_TRACE, NULL_TRACER, ShadowRecallMonitor
 from repro.obs.trace import kernel_span_hook
 from repro.retrieval import CascadeConfig, RetrievalCascade, category_popularity_probs
-from repro.serving.degrade import TIER_FULL, TIER_POPULARITY, TIER_PREFILTER
+from repro.serving.degrade import (
+    TIER_FULL,
+    TIER_POPULARITY,
+    TIER_PREFILTER,
+    popularity_floor,
+)
 
 __all__ = ["RankedList", "SearchEngine"]
 
@@ -140,8 +145,8 @@ class SearchEngine:
 
         ``cascade`` accepts a prebuilt retrieval cascade for **this model's
         snapshot** (a :meth:`~repro.retrieval.RetrievalCascade.worker_view`
-        of a shared build — :meth:`repro.serving.cluster.ShardedCluster.
-        swap_model` builds once and hands each shard a view); when omitted
+        of a shared build — :meth:`repro.serving.fleet.Fleet.swap_model`
+        builds once and hands each shard a view); when omitted
         and a cascade config is attached, the engine builds its own.
 
         Compilation — and, when a :class:`~repro.retrieval.CascadeConfig` is
@@ -154,7 +159,7 @@ class SearchEngine:
         analogue of a stale gate vector).  Callers that batch queries must
         drain pending work first so no flush mixes versions, and must
         invalidate any cache holding gate vectors from the old model —
-        :meth:`repro.serving.cluster.ShardedCluster.swap_model` does both.
+        :meth:`repro.serving.shard.ShardWorker.swap` does both.
         Models with no registered compiler serve through the eager forward.
         """
         # "cascade.build" injection point: an index-build exception here
@@ -310,20 +315,13 @@ class SearchEngine:
                 return shortlist[order], scores[order], TIER_PREFILTER
             except Exception:
                 pass  # the floor of the ladder below never fails
-        members = self._by_category[query_category]
-        probs = self._category_pop_probs[query_category]
-        if candidates is not None and len(candidates):
-            shortlist = np.asarray(candidates)
-            # Members are sorted ascending, so popularity priors for an
-            # arbitrary shortlist are a searchsorted away.
-            index = np.searchsorted(members, shortlist)
-            index = np.clip(index, 0, probs.size - 1)
-            scores = probs[index].astype(np.float32)
-        else:
-            shortlist = members
-            scores = probs.astype(np.float32)
-        order = np.argsort(-scores, kind="stable")[: self.candidates_per_query]
-        return shortlist[order], scores[order], TIER_POPULARITY
+        items, scores = popularity_floor(
+            self._by_category[query_category],
+            self._category_pop_probs[query_category],
+            self.candidates_per_query,
+            candidates,
+        )
+        return items, scores, TIER_POPULARITY
 
     def build_batch(
         self,

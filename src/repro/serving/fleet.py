@@ -1,53 +1,29 @@
-"""Supervised multi-process serving fleet over shared-memory model slabs.
+"""The serving fleet: one routing/failover/telemetry policy over a transport.
 
-:class:`~repro.serving.cluster.ShardedCluster` scales the serving stack
-across shards *inside one interpreter*; this module promotes those shards
-to real worker processes, which is what the compiled plan's contiguous
-weight buffers (PR 3) and the cascade's cell-ordered index slabs (PR 5)
-were packed for: the supervisor publishes one
-:class:`~repro.infer.slabs.SnapshotSlab` holding the model, the world, and
-the detached cascade build, and every worker maps it zero-copy — the
-weights exist once in physical memory no matter how many processes serve.
+:class:`Fleet` is everything that does not depend on *where* the shards
+(:class:`~repro.serving.shard.ShardWorker`) run: user → shard routing, the
+``(home + k) % N`` failover order, the popularity last resort, re-dispatch
+of what a dead shard left behind, metric merging and the reports.  Where
+they run is the transport's business — :class:`InThreadTransport` calls
+them in the caller's interpreter, :class:`~repro.serving.pipe.PipeTransport`
+hosts each in a supervised worker process.  A transport is
 
-The robustness core is :class:`FleetSupervisor`:
+* ``workers``, one endpoint per shard, whose ``submit(user, category)``
+  raises :class:`~repro.serving.shard.ShardRefused` when the shard will
+  not take the request — in-thread that endpoint *is* the
+  :class:`ShardWorker`, so the request path adds no call layer, allocation,
+  lock or pickling;
+* over all shards: ``poll()``, ``flush()``, ``next_flush_due()``,
+  ``swap(model, version)``, ``reports(fresh)`` — one status row per shard,
+  its sink under ``metrics`` while it has one — ``describe()``, ``stop()``;
+* state: ``injector``, ``generation``, and three buffers the fleet drains —
+  ``delivered`` (results that arrived outside an exchange), ``orphans``
+  (requests of a dead shard, to re-dispatch) and ``retired`` (sinks of
+  dead incarnations).
 
-* **Heartbeats** — workers beat over their pipe every
-  ``heartbeat_interval_s`` carrying a cumulative telemetry snapshot
-  (metrics sink, shadow recall, injector log); a worker silent past
-  ``heartbeat_deadline_s`` is declared hung, killed, and restarted.
-* **Crash detection** — a dead pipe or a nonzero exit is a worker death;
-  the supervisor emits a typed ``worker_died`` event (exit code, beats
-  missed, outstanding requests) and merges the worker's **last-flushed
-  snapshot** so no telemetry is lost to an abnormal exit.
-* **Zero drops** — requests in flight on a dead worker re-dispatch
-  deterministically through the same ``(home + offset) % N`` failover
-  order the in-process cluster uses, and when no worker is available the
-  supervisor itself answers from the popularity prior (the PR 8
-  degradation-ladder floor), so every submitted request is answered.
-* **Restart with backoff + flap quarantine** — restarts reuse the
-  currently published slab generation and back off exponentially; a worker
-  that keeps dying inside ``quarantine_window_s`` is parked
-  (``worker_quarantined``) and its users reroute to siblings.
-* **Atomic hot swap** — ``swap_model`` publishes the new generation's
-  slab, verifies it, flips workers one by one (drain → attach → ack), and
-  unlinks the old slab only after every live worker has acked the flip;
-  restarts that race the swap attach the new generation.  A torn publish
-  (injected or real) is destroyed and retried — readers can never observe
-  a mixed generation because a slab is only attachable once its header
-  commits.
-* **Orphan sweep** — startup and shutdown reclaim stale ``repro_slab_*``
-  segments left by a crashed supervisor (``state_recovered`` events).
-
-Fault injection threads through the new layer at ``worker.spawn``,
-``worker.exec``, ``worker.heartbeat`` and ``slab.publish``; a
-:class:`~repro.faults.FaultPlan` ships to each worker, whose injector
-binds ``worker=<id>``/``shard=<id>`` so plans target individual processes
-deterministically.
-
-:func:`build_fleet` is the front door: ``backend="process"`` builds the
-supervisor, ``backend="inprocess"`` returns a plain
-:class:`ShardedCluster` — the *same object* PR 8 shipped, so the fallback
-path is bitwise-identical — and ``backend="auto"`` picks by platform.
+Swap-failure handling is the one place the transports legitimately differ:
+an in-thread shard is rolled back, a process that fails its flip is killed
+and restarts onto the generation already published.
 """
 
 from __future__ import annotations
@@ -55,357 +31,170 @@ from __future__ import annotations
 import os
 import signal
 import time
-import traceback
-from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.core.ranking_model import RankingModel
 from repro.data.synthetic import World
 from repro.faults.breaker import CircuitBreaker
-from repro.faults.injector import (
-    NULL_INJECTOR,
-    CrashFault,
-    FaultInjector,
-    FaultPlan,
-    InjectedFault,
+from repro.faults.injector import NULL_INJECTOR, FaultInjector, FaultPlan
+from repro.infer.slabs import shared_memory_available
+from repro.obs import (
+    NULL_TRACER,
+    AlertManager,
+    DriftMonitor,
+    ShadowRecallMonitor,
+    write_dashboard,
 )
-from repro.infer.compiler import CompileError, compile_model
-from repro.infer.slabs import (
-    SnapshotSlab,
-    TornSlabError,
-    shared_memory_available,
-    sweep_orphan_slabs,
-)
-from repro.obs import ShadowRecallMonitor
-from repro.retrieval import CascadeConfig, RetrievalCascade, category_popularity_probs
-from repro.serving.batcher import MicroBatcher
-from repro.serving.cache import SessionCache
-from repro.serving.cluster import ShardedCluster, SwapFailed, shard_for_user
-from repro.serving.degrade import TIER_POPULARITY, DegradationPolicy
-from repro.serving.engine import RankedList, SearchEngine
+from repro.retrieval import category_popularity_probs
+from repro.serving.degrade import TIER_POPULARITY, popularity_floor
+from repro.serving.engine import RankedList
 from repro.serving.metrics import MetricsSink
-from repro.utils.rng import SeedBank
+from repro.serving.pipe import PipeTransport
+from repro.serving.shard import (
+    HEALTHY,
+    QUARANTINED,
+    FleetConfig,
+    ShardRefused,
+    ShardWorker,
+    SwapFailed,
+    shard_for_user,
+)
 from repro.utils.tables import format_table
 
-__all__ = ["FleetConfig", "FleetSupervisor", "build_fleet"]
-
-#: Worker states tracked by the supervisor.
-HEALTHY = "healthy"
-RESTARTING = "restarting"
-QUARANTINED = "quarantined"
-STOPPED = "stopped"
-
-#: Exit code a worker uses for an injected ``worker.exec`` crash (the
-#: simulated OOM kill) — distinguishable from a real fault in the logs.
-_EXIT_EXEC_CRASH = 13
-#: Exit code for an unexpected exception escaping the worker loop.
-_EXIT_FATAL = 21
+__all__ = ["Fleet", "InThreadTransport", "build_fleet"]
 
 
-class _WorkerFailure(Exception):
-    """Internal: a worker died or hung mid-exchange; reason in ``args[0]``."""
+class InThreadTransport:
+    """Every shard is a :class:`ShardWorker` in the caller's interpreter and
+    every operation a direct call on it.  ``live`` are that interpreter's
+    collaborators (``clock`` always among them), handed to every shard."""
 
-
-class _RequestRejected(Exception):
-    """Internal: the worker refused this request (breaker open / injected
-    crash at its batcher) — fail over without killing the process."""
-
-
-@dataclass(frozen=True)
-class FleetConfig:
-    """Everything a worker process needs to rebuild its serving stack.
-
-    The per-shard construction parameters mirror
-    :class:`~repro.serving.cluster.ShardedCluster` exactly — same
-    :class:`~repro.utils.rng.SeedBank` child streams, same batcher/cache
-    wiring — which is what makes the process fleet's scores bitwise
-    identical to the in-process fleet's.  The supervisor-only knobs
-    (heartbeat, backoff, quarantine) tune the robustness machinery.
-    """
-
-    num_workers: int = 2
-    seed: int = 0
-    max_batch_size: int = 8
-    flush_deadline_ms: float = 5.0
-    cache_capacity: int = 512
-    candidates_per_query: Optional[int] = None
-    compile: bool = True
-    cascade: Optional[CascadeConfig] = None
-    policy: Optional[DegradationPolicy] = None
-    breaker_failure_threshold: int = 3
-    breaker_cooldown_s: float = 0.05
-    shadow_recall_rate: float = 0.0
-    shadow_recall_k: int = 10
-    # --- supervisor knobs -------------------------------------------------
-    heartbeat_interval_s: float = 0.05
-    heartbeat_deadline_s: float = 1.0
-    request_timeout_s: float = 10.0
-    startup_timeout_s: float = 30.0
-    restart_backoff_s: float = 0.05
-    restart_backoff_max_s: float = 2.0
-    max_restarts: int = 3
-    quarantine_window_s: float = 30.0
-    start_method: str = "fork"
-
-    def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {self.num_workers}")
-        if self.heartbeat_interval_s <= 0:
-            raise ValueError("heartbeat_interval_s must be > 0")
-        if self.heartbeat_deadline_s < self.heartbeat_interval_s:
-            raise ValueError("heartbeat_deadline_s must cover >= 1 interval")
-        if self.max_restarts < 1:
-            raise ValueError(f"max_restarts must be >= 1, got {self.max_restarts}")
-
-
-# ----------------------------------------------------------------------
-# Worker process
-# ----------------------------------------------------------------------
-class _WorkerSystem:
-    """One worker's serving stack, rebuilt from an attached slab."""
+    # Nothing arrives outside a call and nothing dies, so the buffers the
+    # fleet drains are permanently empty.
+    delivered = orphans = retired = ()
 
     def __init__(
         self,
-        worker_id: int,
-        slab_name: str,
+        world: World,
+        model: RankingModel,
         config: FleetConfig,
-        plan: Optional[FaultPlan],
+        version: Optional[str],
+        fault_plan: Optional[FaultPlan],
+        events,
+        **live: Any,
     ) -> None:
-        self.worker_id = int(worker_id)
-        self.config = config
-        self.injector = (
-            FaultInjector(plan).bind(shard=self.worker_id, worker=self.worker_id)
-            if plan is not None
-            else NULL_INJECTOR
+        self.injector = live.setdefault(
+            "injector", FaultInjector(fault_plan) if fault_plan is not None else NULL_INJECTOR
         )
-        self.slab = SnapshotSlab.attach(slab_name)
-        #: Superseded generations whose arrays may still be referenced by
-        #: the engine (the world never changes across swaps, so its views
-        #: stay rooted in the bootstrap generation's mapping).
-        self._retired_slabs: List[SnapshotSlab] = []
-        payload = self.slab.payload
-        self.generation = int(payload["generation"])
-        world: World = payload["world"]
-        model: RankingModel = payload["model"]
-        shadow = None
-        if config.shadow_recall_rate > 0:
-            shadow = ShadowRecallMonitor(
-                rate=config.shadow_recall_rate,
-                k=config.shadow_recall_k,
-                seed=config.seed + self.worker_id + 1,
+        self.generation = 0
+        self._events, self._clock = events, live["clock"]
+        self.workers: List[ShardWorker] = []
+        # One cascade build for the whole fleet: shard 0 builds it, every
+        # other shard gets a worker view (shared immutable snapshot, own
+        # prefilter scratch) — probe pass, calibration, and k-means are paid
+        # once, not per shard.
+        for shard in range(config.num_workers):
+            self.workers.append(
+                ShardWorker(
+                    config, shard, world, model, version, self._shared_cascade(),
+                    events=events, **live,
+                )
             )
-        self.shadow = shadow
-        # Construction mirrors ShardedCluster.__init__ for shard
-        # ``worker_id``: same SeedBank child stream, same batcher wiring.
-        bank = SeedBank(config.seed)
-        self.engine = SearchEngine(
-            world,
-            model,
-            bank.child(f"shard-{self.worker_id}"),
-            candidates_per_query=config.candidates_per_query,
-            model_version=payload.get("version"),
-            compile=config.compile,
-            cascade=config.cascade,
-            prebuilt_cascade=self._cascade_view(payload),
-            shadow_recall=shadow,
-            injector=self.injector,
-        )
-        self.cache = SessionCache(config.cache_capacity)
-        self.metrics = MetricsSink()
-        self.breaker = CircuitBreaker(
-            failure_threshold=config.breaker_failure_threshold,
-            cooldown_s=config.breaker_cooldown_s,
-        )
-        self.batcher = MicroBatcher(
-            self.engine,
-            max_batch_size=config.max_batch_size,
-            flush_deadline_ms=config.flush_deadline_ms,
-            cache=self.cache,
-            metrics=self.metrics,
-            policy=config.policy,
-            injector=self.injector,
-            breaker=self.breaker,
-        )
 
-    @staticmethod
-    def _cascade_view(payload: Dict[str, Any]) -> Optional[RetrievalCascade]:
-        detached = payload.get("cascade")
-        if detached is None:
-            return None
-        # worker_view restores the per-worker prefilter scratch; set_model
-        # binds this worker's compiled plan as the scorer.
-        return detached.worker_view()
+    def _shared_cascade(self):
+        """A view of shard 0's cascade for a later shard (``None`` for shard
+        0 itself, and without a cascade config)."""
+        built = self.workers[0].engine.cascade if self.workers else None
+        return built.worker_view() if built is not None else None
 
-    # ------------------------------------------------------------------
-    def report(self) -> Dict[str, Any]:
-        """Cumulative telemetry snapshot — associative, so the supervisor
-        always merges only the *latest* snapshot per worker incarnation."""
-        return {
-            "worker": self.worker_id,
-            "pid": os.getpid(),
-            "generation": self.generation,
-            "metrics": self.metrics,
-            "shadow": self.shadow,
-            "queries": self.engine.queries_served,
-            "avg_latency_ms": self.engine.avg_latency_ms,
-            "cache_hit_rate": self.cache.gate_hit_rate,
-            "breaker": self.breaker.state,
-            "faults_fired": self.injector.fired(),
+    def poll(self) -> List[RankedList]:
+        return [result for worker in self.workers for result in worker.batcher.poll()]
+
+    def next_flush_due(self) -> Optional[float]:
+        dues = (worker.batcher.next_flush_due() for worker in self.workers)
+        return min((due for due in dues if due is not None), default=None)
+
+    def flush(self) -> List[RankedList]:
+        return [result for worker in self.workers for result in worker.batcher.flush()]
+
+    def reports(self, fresh: bool = False) -> List[Dict[str, Any]]:
+        health = {
+            "state": HEALTHY, "pid": os.getpid(), "generation": self.generation, "restarts": 0
         }
+        return [{**worker.report(), **health} for worker in self.workers]
 
-    def handle_submit(self, user: int, category: int) -> List[RankedList]:
-        if not self.breaker.allow():
-            raise _RequestRejected("breaker_open")
-        try:
-            results = self.batcher.submit(user, category)
-        except CrashFault:
-            self.breaker.record_failure()
-            raise _RequestRejected("crash") from None
-        self.breaker.record_success()
-        return results
+    def describe(self) -> Dict[str, Any]:
+        return {"slab_bytes": 0}
 
-    def handle_swap(self, slab_name: str) -> List[RankedList]:
-        drained = self.batcher.flush()
-        new_slab = SnapshotSlab.attach(slab_name)
-        payload = new_slab.payload
-        self.engine.set_model(
-            payload["model"],
-            payload.get("version"),
-            cascade=self._cascade_view(payload),
-        )
-        self.cache.invalidate_all()
-        self.generation = int(payload["generation"])
-        # The old mapping must stay mapped: numpy views do NOT pin a
-        # SharedMemory mapping (close() unmaps under them), and the engine
-        # still holds world arrays from the generation it was built on.
-        # Retaining the handle costs one idle mapping per swap; the pages
-        # are freed when the worker restarts or stops.
-        self._retired_slabs.append(self.slab)
-        self.slab = new_slab
+    def swap(self, model: RankingModel, version: Optional[str]) -> List[RankedList]:
+        """Shard by shard, **transactional at fleet granularity**.
+
+        The cascade's expensive build output (probe pass, calibration,
+        index slabs) is an *immutable* snapshot, so it is built once — by
+        shard 0's swap — and every other shard receives a
+        :meth:`~repro.retrieval.RetrievalCascade.worker_view` of it.
+
+        The previous model/version/cascade of every shard is captured up
+        front, and a failure at any shard rolls every already-swapped shard
+        back to its captured state — the old cascade objects are reused, no
+        rebuild on the rollback path — with a fresh generation bump, so no
+        gate vector resolved against the transient new model can survive.
+        All shards new on success, all shards old on :class:`SwapFailed`,
+        never mixed.
+        """
+        previous = [
+            (worker.engine.model, worker.engine.model_version, worker.engine.cascade)
+            for worker in self.workers
+        ]
+        drained: List[RankedList] = []
+        for index, worker in enumerate(self.workers):
+            try:
+                worker.swap(
+                    model, version, self._shared_cascade() if index else None, drained
+                )
+            except Exception as exc:
+                for swapped, state in zip(self.workers[:index], previous):
+                    swapped.engine.set_model(state[0], state[1], cascade=state[2])
+                    swapped.cache.invalidate_all()
+                self._events.record(
+                    "rollback", self._clock(), version=version,
+                    swapped_shards=index, reason=type(exc).__name__,
+                )
+                raise SwapFailed(
+                    f"hot swap to {version!r} failed at shard {index}: {exc}",
+                    drained=drained,
+                ) from exc
+        self.generation += 1
         return drained
 
-
-def _fleet_worker_main(
-    worker_id: int,
-    slab_name: str,
-    config: FleetConfig,
-    plan: Optional[FaultPlan],
-    conn: Any,
-) -> None:
-    """Worker entry point: attach the slab, serve the pipe, beat."""
-    try:
-        system = _WorkerSystem(worker_id, slab_name, config, plan)
-    except Exception:
-        try:
-            conn.send(("fatal", worker_id, traceback.format_exc()))
-        except OSError:
-            pass
-        os._exit(_EXIT_FATAL)
-    conn.send(("ready", worker_id, os.getpid(), system.generation))
-    last_beat = time.monotonic()
-    try:
-        while True:
-            now = time.monotonic()
-            if now - last_beat >= config.heartbeat_interval_s:
-                last_beat = now
-                try:
-                    system.injector.fire("worker.heartbeat")
-                    conn.send(
-                        ("beat", worker_id, now, system.generation, system.report())
-                    )
-                except InjectedFault:
-                    pass  # the beat is lost — that *is* the fault
-            timeout = max(0.0, last_beat + config.heartbeat_interval_s - now)
-            due = system.batcher.next_flush_due()
-            if due is not None:
-                timeout = min(timeout, max(0.0, due - time.perf_counter()))
-            if not conn.poll(timeout):
-                flushed = system.batcher.poll()
-                if flushed:
-                    conn.send(("results", worker_id, flushed, system.generation))
-                continue
-            message = conn.recv()
-            op, rid = message[0], message[1]
-            if op == "stop":
-                conn.send(("ack", rid, "stop", system.report(), system.generation))
-                break
-            try:
-                if op == "submit":
-                    _, _, user, category = message
-                    try:
-                        system.injector.fire("worker.exec", op="submit", user=user)
-                    except CrashFault:
-                        os._exit(_EXIT_EXEC_CRASH)  # simulated OOM kill
-                    payload: Any = system.handle_submit(user, category)
-                elif op == "flush":
-                    system.injector.fire("worker.exec", op="flush")
-                    payload = system.batcher.flush()
-                elif op == "poll":
-                    payload = system.batcher.poll()
-                elif op == "swap":
-                    _, _, new_name, _version = message
-                    system.injector.fire("worker.exec", op="swap")
-                    payload = system.handle_swap(new_name)
-                elif op == "report":
-                    payload = system.report()
-                else:
-                    raise RuntimeError(f"unknown fleet op {op!r}")
-            except _RequestRejected as rejected:
-                conn.send(("nack", rid, str(rejected)))
-                continue
-            except InjectedFault as fault:
-                conn.send(("nack", rid, type(fault).__name__))
-                continue
-            conn.send(("ack", rid, op, payload, system.generation))
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass  # supervisor went away — exit quietly
-    except Exception:
-        try:
-            conn.send(("fatal", worker_id, traceback.format_exc()))
-        except OSError:
-            pass
-        os._exit(_EXIT_FATAL)
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
+    def stop(self) -> None:
+        pass
 
 
-# ----------------------------------------------------------------------
-# Supervisor
-# ----------------------------------------------------------------------
-@dataclass
-class _WorkerHandle:
-    """Supervisor-side bookkeeping for one worker slot."""
+class Fleet:
+    """Route queries across ``config.num_workers`` shards behind a transport.
 
-    worker_id: int
-    state: str = RESTARTING
-    process: Any = None
-    conn: Any = None
-    pid: Optional[int] = None
-    generation: int = 0
-    last_beat: float = 0.0
-    last_report: Optional[Dict[str, Any]] = None
-    #: FIFO of ``(user, category)`` queued on the worker, unanswered.
-    outstanding: Deque[Tuple[int, int]] = field(default_factory=deque)
-    restart_times: Deque[float] = field(default_factory=deque)
-    restart_at: float = 0.0
-    restarts: int = 0
-    spawn_attempt: int = 0
+    ``backend="inprocess"`` accepts this interpreter's ``live`` objects:
+    ``clock`` (a :class:`~repro.serving.metrics.ManualClock` for simulated
+    time), ``tracer`` (one sampling decision per request, wherever it
+    lands), ``slo`` (every shard's sink feeds the same sliding windows, so
+    p99 and burn rate are fleet-wide), a ``shadow_recall`` monitor shared
+    by every shard's engine, and an ``injector``.  None of them can cross
+    into a worker process: ``backend="process"`` raises ``TypeError`` on
+    any, takes faults as a ``fault_plan``, and reads :attr:`tracer` /
+    :attr:`slo` / :attr:`shadow_recall` as the null tracer / ``None``.
 
+    ``drift`` and ``alerts`` are never fed by the fleet — the online loop
+    owns observation and evaluation — but holding them here lets
+    :meth:`fleet_report` and the HTML dashboard surface their state next to
+    the serving metrics they alarm on.
 
-class FleetSupervisor:
-    """Own a pool of worker processes serving one published slab generation.
-
-    The public surface is duck-typed to :class:`ShardedCluster` — ``submit``
-    / ``poll`` / ``flush`` / ``swap_model`` / ``merged_metrics`` /
-    ``summary`` / ``fleet_report`` — so load generators
-    (:func:`repro.serving.loadgen.replay`) and soak drivers run unchanged
-    against either backend.
+    Every submitted query yields a response; on the process backend
+    delivery is at-least-once (a re-dispatched request can be answered
+    twice), and any call may return results of earlier ones.
     """
 
     def __init__(
@@ -413,694 +202,461 @@ class FleetSupervisor:
         world: World,
         model: RankingModel,
         config: Optional[FleetConfig] = None,
+        backend: str = "inprocess",
         version: Optional[str] = None,
         fault_plan: Optional[FaultPlan] = None,
+        drift: Optional[DriftMonitor] = None,
+        alerts: Optional[AlertManager] = None,
+        **live: Any,
     ) -> None:
-        if not shared_memory_available():
-            raise RuntimeError(
-                "POSIX shared memory unavailable; use build_fleet(backend='inprocess')"
-            )
         self.config = config if config is not None else FleetConfig()
-        self.num_workers = self.config.num_workers
+        self.num_shards = self.config.num_workers
+        self.backend = backend
+        #: The version currently serving (identical across shards).
         self.model_version = version
-        self.generation = 0
-        self.fault_plan = fault_plan
-        #: Supervisor control-plane sink: fleet lifecycle events, shed
-        #: queries, swap records — merged into :meth:`merged_metrics`.
-        self.control = MetricsSink()
-        self.injector = (
-            FaultInjector(fault_plan, events=self.control.events)
-            if fault_plan is not None
-            else NULL_INJECTOR
-        )
-        #: Orphan segments reclaimed at startup (satellite: crash recovery).
-        self.recovered_segments = sweep_orphan_slabs(
-            events=self.control.events, clock=time.monotonic
-        )
+        self.drift = drift
+        self.alerts = alerts
+        live = {name: value for name, value in live.items() if value is not None}
+        self.tracer = live.get("tracer", NULL_TRACER)
+        self.slo = live.get("slo")
+        self.shadow_recall: Optional[ShadowRecallMonitor] = live.get("shadow_recall")
+        if backend == "process":
+            self._clock = time.monotonic
+        elif backend == "inprocess":
+            self._clock = live.setdefault("clock", time.perf_counter)
+        else:
+            raise ValueError(f"unknown backend {backend!r}")
         self._world = world
-        self._model = model
-        self._by_category = [
-            np.flatnonzero(world.item_category == cat)
-            for cat in range(world.config.num_categories)
-        ]
-        self._pop_probs = category_popularity_probs(world)
-        self._candidates = (
-            self.config.candidates_per_query or world.config.items_per_session
+        #: Fleet-level control-plane sink: one entry per deployment or
+        #: lifecycle event (hot swap, canary verdict, click-log lag, worker
+        #: death) regardless of shard count, plus the last-resort answers;
+        #: merged into :meth:`merged_metrics`.
+        self.control = MetricsSink(clock=self._clock, slo=self.slo)
+        transport = PipeTransport if backend == "process" else InThreadTransport
+        self.transport = transport(
+            world, model, self.config, version, fault_plan, self.control.events, **live
         )
-        self._rid = 0
-        self._delivered: List[RankedList] = []
-        self._redispatch: Deque[Tuple[int, int]] = deque()
-        self._retired_reports: List[Dict[str, Any]] = []
-        self._stopped = False
-        import multiprocessing
-
-        method = self.config.start_method
-        if method not in multiprocessing.get_all_start_methods():
-            method = "spawn"
-        self._ctx = multiprocessing.get_context(method)
-        self._slab = self._publish(model, version, generation=0)
-        self.workers = [_WorkerHandle(worker_id=i) for i in range(self.num_workers)]
-        for handle in self.workers:
-            self._spawn(handle)
+        #: Fleet fault injector (:class:`repro.faults.FaultInjector`); each
+        #: shard binds its id so plans can target individual shards.
+        self.injector = self.transport.injector
+        #: Per-shard endpoints: :class:`ShardWorker` in-process, the
+        #: supervisor's worker handles on the process backend.
+        self.workers = self.transport.workers
 
     # ------------------------------------------------------------------
-    # slab lifecycle
-    # ------------------------------------------------------------------
-    def _build_cascade(self, model: RankingModel) -> Optional[RetrievalCascade]:
-        if self.config.cascade is None:
-            return None
-        compiled = None
-        if self.config.compile:
-            try:
-                compiled = compile_model(model)
-            except CompileError:
-                compiled = None
-        cascade = RetrievalCascade.from_model(
-            model,
-            self._world,
-            self.config.cascade,
-            self._pop_probs,
-            scorer=compiled if compiled is not None else model,
-        )
-        return cascade.detach_for_publish()
-
-    def _publish(
-        self, model: RankingModel, version: Optional[str], generation: int
-    ) -> SnapshotSlab:
-        """Publish one generation's slab, retrying torn publishes.
-
-        A torn segment (the ``slab.publish`` ``torn_write`` fault — the
-        injected stand-in for a crash mid-write) is destroyed and the
-        publish retried under a fresh name; readers never see it because
-        its header was never committed.
-        """
-        payload = {
-            "world": self._world,
-            "model": model,
-            "cascade": self._build_cascade(model),
-            "version": version,
-            "generation": int(generation),
-        }
-        failures = 0
-        while True:
-            try:
-                slab = SnapshotSlab.publish(
-                    payload, injector=self.injector, generation=int(generation)
-                )
-            except TornSlabError as torn:
-                torn.slab.destroy()
-                self.control.events.record(
-                    "slab_unlinked",
-                    time.monotonic(),
-                    segment=torn.slab.name,
-                    generation=int(generation),
-                    reason="torn_publish",
-                )
-                failures += 1
-                if failures >= 3:
-                    raise SwapFailed(
-                        f"slab publish for generation {generation} torn "
-                        f"{failures} times"
-                    ) from torn
-                continue
-            except InjectedFault as fault:
-                failures += 1
-                if failures >= 3:
-                    raise SwapFailed(
-                        f"slab publish for generation {generation} failed: {fault}"
-                    ) from fault
-                continue
-            break
-        self.control.events.record(
-            "slab_published",
-            time.monotonic(),
-            segment=slab.name,
-            generation=int(generation),
-            nbytes=slab.nbytes,
-        )
-        return slab
-
-    # ------------------------------------------------------------------
-    # spawn / restart / death
-    # ------------------------------------------------------------------
-    def _spawn(self, handle: _WorkerHandle) -> bool:
-        handle.spawn_attempt += 1
-        try:
-            self.injector.fire(
-                "worker.spawn", worker=handle.worker_id, attempt=handle.spawn_attempt
-            )
-        except InjectedFault as fault:
-            self._schedule_restart(handle, reason=f"spawn_{type(fault).__name__}")
-            return False
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_fleet_worker_main,
-            args=(
-                handle.worker_id,
-                self._slab.name,
-                self.config,
-                self.fault_plan,
-                child_conn,
-            ),
-            daemon=True,
-            name=f"repro-fleet-{handle.worker_id}",
-        )
-        process.start()
-        child_conn.close()
-        handle.process = process
-        handle.conn = parent_conn
-        deadline = time.monotonic() + self.config.startup_timeout_s
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not parent_conn.poll(max(remaining, 0.0)):
-                self._on_death(handle, reason="spawn_timeout")
-                return False
-            try:
-                message = parent_conn.recv()
-            except (EOFError, OSError):
-                self._on_death(handle, reason="spawn_died")
-                return False
-            if message[0] == "ready":
-                break
-            if message[0] == "fatal":
-                self._on_death(handle, reason="spawn_fatal", detail=message[2])
-                return False
-            # beats or stale results from a previous incarnation: ignore.
-        handle.pid = message[2]
-        handle.generation = message[3]
-        handle.state = HEALTHY
-        handle.last_beat = time.monotonic()
-        kind = "worker_restarted" if handle.restarts else "worker_spawned"
-        self.control.events.record(
-            kind,
-            time.monotonic(),
-            worker=handle.worker_id,
-            pid=handle.pid,
-            generation=handle.generation,
-            attempt=handle.spawn_attempt,
-        )
-        return True
-
-    def _schedule_restart(self, handle: _WorkerHandle, reason: str) -> None:
-        now = time.monotonic()
-        handle.restart_times.append(now)
-        while (
-            handle.restart_times
-            and now - handle.restart_times[0] > self.config.quarantine_window_s
-        ):
-            handle.restart_times.popleft()
-        handle.restarts += 1
-        if len(handle.restart_times) > self.config.max_restarts:
-            handle.state = QUARANTINED
-            self.control.events.record(
-                "worker_quarantined",
-                now,
-                worker=handle.worker_id,
-                restarts_in_window=len(handle.restart_times),
-                window_s=self.config.quarantine_window_s,
-                reason=reason,
-            )
-            return
-        backoff = min(
-            self.config.restart_backoff_s * (2 ** (len(handle.restart_times) - 1)),
-            self.config.restart_backoff_max_s,
-        )
-        handle.state = RESTARTING
-        handle.restart_at = now + backoff
-
-    def _on_death(
-        self,
-        handle: _WorkerHandle,
-        reason: str,
-        beats_missed: Optional[int] = None,
-        detail: Optional[str] = None,
-    ) -> None:
-        """A worker is gone: harvest telemetry, re-queue its requests,
-        schedule the restart (or quarantine)."""
-        process = handle.process
-        exit_code: Optional[int] = None
-        if process is not None:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=1.0)
-            exit_code = process.exitcode
-        if handle.conn is not None:
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-            handle.conn = None
-        # Final telemetry flush: the last-beaten snapshot is cumulative for
-        # the incarnation, so merging it loses nothing the worker measured.
-        if handle.last_report is not None:
-            self._retired_reports.append(handle.last_report)
-            handle.last_report = None
-        orphaned = len(handle.outstanding)
-        while handle.outstanding:
-            self._redispatch.append(handle.outstanding.popleft())
-        attrs: Dict[str, Any] = {
-            "worker": handle.worker_id,
-            "reason": reason,
-            "exit_code": exit_code,
-            "outstanding": orphaned,
-        }
-        if beats_missed is not None:
-            attrs["beats_missed"] = beats_missed
-        if detail is not None:
-            attrs["detail"] = detail[-400:]
-        self.control.events.record("worker_died", time.monotonic(), **attrs)
-        handle.process = None
-        handle.pid = None
-        self._schedule_restart(handle, reason=reason)
-
-    def _service(self) -> None:
-        """Housekeeping pass: pump pipes, detect hangs, restart due workers."""
-        if self._stopped:
-            return
-        now = time.monotonic()
-        for handle in self.workers:
-            if handle.state == HEALTHY:
-                self._pump(handle)
-            if handle.state == HEALTHY:
-                process_dead = handle.process is not None and not handle.process.is_alive()
-                silence = time.monotonic() - handle.last_beat
-                if process_dead:
-                    self._on_death(handle, reason="crashed")
-                elif silence > self.config.heartbeat_deadline_s:
-                    missed = int(silence / self.config.heartbeat_interval_s)
-                    self._on_death(handle, reason="hung", beats_missed=missed)
-            elif handle.state == RESTARTING and now >= handle.restart_at:
-                self._spawn(handle)
-
-    # ------------------------------------------------------------------
-    # pipe pumping
-    # ------------------------------------------------------------------
-    def _pump(self, handle: _WorkerHandle) -> None:
-        """Drain asynchronous traffic (beats, deadline-flush results)."""
-        conn = handle.conn
-        if conn is None:
-            return
-        try:
-            while conn.poll(0):
-                self._absorb(handle, conn.recv())
-        except (EOFError, OSError):
-            self._on_death(handle, reason="crashed")
-        except _WorkerFailure as failure:
-            detail = failure.args[1] if len(failure.args) > 1 else None
-            self._on_death(handle, reason="fatal", detail=detail)
-
-    def _absorb(self, handle: _WorkerHandle, message: Tuple) -> bool:
-        """Process one asynchronous message; False for ack/nack (caller's)."""
-        kind = message[0]
-        if kind == "beat":
-            handle.last_beat = time.monotonic()
-            handle.generation = message[3]
-            handle.last_report = message[4]
-            return True
-        if kind == "results":
-            self._deliver(handle, message[2])
-            return True
-        if kind == "fatal":
-            raise _WorkerFailure("fatal", message[2])
-        return False
-
-    def _deliver(self, handle: _WorkerHandle, results: List[RankedList]) -> None:
-        for ranking in results:
-            key = (int(ranking.user), int(ranking.query_category))
-            try:
-                handle.outstanding.remove(key)
-            except ValueError:
-                pass  # a redispatched twin already answered it
-            self._delivered.append(ranking)
-
-    def _exchange(self, handle: _WorkerHandle, request: Tuple, timeout: float) -> Tuple:
-        """Send one request and wait for its ack, absorbing async traffic.
-
-        Raises :class:`_WorkerFailure` on a dead pipe or timeout (the
-        caller kills/restarts) and :class:`_RequestRejected` on a nack.
-        """
-        conn = handle.conn
-        rid = request[1]
-        try:
-            conn.send(request)
-        except (OSError, ValueError) as exc:
-            raise _WorkerFailure("send_failed") from exc
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise _WorkerFailure("timeout")
-            try:
-                if not conn.poll(remaining):
-                    raise _WorkerFailure("timeout")
-                message = conn.recv()
-            except (EOFError, OSError) as exc:
-                raise _WorkerFailure("crashed") from exc
-            if self._absorb(handle, message):
-                continue
-            kind = message[0]
-            if kind == "nack" and message[1] == rid:
-                raise _RequestRejected(message[2])
-            if kind == "ack" and message[1] == rid:
-                return message
-            # stale ack from a timed-out earlier exchange: drop it.
-
-    def _next_rid(self) -> int:
-        self._rid += 1
-        return self._rid
-
-    # ------------------------------------------------------------------
-    # serving surface (duck-typed to ShardedCluster)
+    # routing
     # ------------------------------------------------------------------
     def shard_for(self, user: int) -> int:
-        return shard_for_user(user, self.num_workers)
+        return shard_for_user(user, self.num_shards)
+
+    def worker_for(self, user: int):
+        return self.workers[self.shard_for(user)]
 
     def submit(self, user: int, query_category: int) -> List[RankedList]:
-        """Route one query; returns every result ready right now.
+        """Route one query to its owning shard; returns what is ready now.
 
-        The return value interleaves this query's batch results (if its
-        batch flushed) with deadline flushes and re-dispatched answers that
-        arrived on the pipes — exactly the at-least-once delivery contract
-        ``poll``/``flush`` already have on the in-process cluster.
+        Fault-aware routing: a shard that refuses (breaker open, process
+        down) is skipped, and one that crashes on the submit — a
+        :class:`~repro.faults.CrashFault` at ``batcher.submit`` — records a
+        breaker failure and the query **reroutes deterministically** to the
+        next sibling — ``(home + 1) % N``, ``(home + 2) % N``, … — so the
+        same user under the same fault state always lands on the same
+        fallback shard (its gate/behaviour caches stay warm there for the
+        duration of the incident).  If every shard refuses, the popularity
+        prior answers as the last-resort tier: a submitted query *always*
+        yields a response.  On the healthy in-process path this is the
+        home shard's :meth:`ShardWorker.submit` and nothing else.
         """
-        self._service()
-        out = self._submit_once(int(user), int(query_category))
-        out.extend(self._drain_redispatch())
-        out.extend(self._drain_delivered())
-        return out
-
-    def _submit_once(self, user: int, category: int) -> List[RankedList]:
-        home = self.shard_for(user)
-        for offset in range(self.num_workers):
-            handle = self.workers[(home + offset) % self.num_workers]
-            if handle.state != HEALTHY:
-                continue
-            rid = self._next_rid()
-            handle.outstanding.append((user, category))
+        workers = self.workers
+        home = shard_for_user(user, self.num_shards)
+        for offset in range(self.num_shards):
+            shard = (home + offset) % self.num_shards
             try:
-                ack = self._exchange(
-                    handle,
-                    ("submit", rid, user, category),
-                    self.config.request_timeout_s,
-                )
-            except _RequestRejected:
-                try:
-                    handle.outstanding.remove((user, category))
-                except ValueError:
-                    pass
-                self.control.events.record(
-                    "shard_failover",
-                    time.monotonic(),
-                    shard=handle.worker_id,
-                    user=user,
-                )
-                continue
-            except _WorkerFailure as failure:
-                self._on_death(handle, reason=str(failure.args[0]))
-                continue  # the request re-queued via outstanding → redispatch
-            self._deliver(handle, ack[3])
-            return self._drain_delivered()
-        return [self._last_resort(user, category)]
+                results = workers[shard].submit(user, query_category)
+                break
+            except ShardRefused as refused:
+                if refused.reason == "crash":
+                    self.control.events.record(
+                        "shard_failover", self._clock(), shard=shard, user=int(user)
+                    )
+        else:
+            results = [self._last_resort(user, query_category)]
+        transport = self.transport
+        if transport.orphans or transport.delivered:
+            results = results + self._drain()
+        return results
 
-    def _drain_redispatch(self) -> List[RankedList]:
-        out: List[RankedList] = []
-        while self._redispatch:
-            user, category = self._redispatch.popleft()
-            out.extend(self._submit_once(user, category))
-        return out
-
-    def _drain_delivered(self) -> List[RankedList]:
-        delivered, self._delivered = self._delivered, []
-        return delivered
+    @cached_property
+    def _popularity(self) -> List[tuple]:
+        """Per-category ``(members, prior)``, built on the first last-resort
+        answer — a healthy fleet never pays for it."""
+        probs = category_popularity_probs(self._world)
+        return [
+            (np.flatnonzero(self._world.item_category == cat), probs[cat])
+            for cat in range(len(probs))
+        ]
 
     def _last_resort(self, user: int, query_category: int) -> RankedList:
-        """No worker available: the popularity prior answers from the
-        supervisor itself — the same ladder floor the in-process cluster
-        serves, with nothing left to fail."""
-        members = self._by_category[query_category]
-        probs = self._pop_probs[query_category]
-        order = np.argsort(-probs, kind="stable")[: self._candidates]
-        now = time.monotonic()
-        self.control.record_query(0.0)
+        """Every shard refused: the popularity prior answers from the fleet
+        itself (no model forward, no cascade, no shard — nothing left to
+        fail), counted as a shed response on the control sink."""
+        limit = self.config.candidates_per_query or self._world.config.items_per_session
+        items, scores = popularity_floor(*self._popularity[query_category], limit)
+        now = self._clock()
+        self.control.record_query(0.0, now=now)
         self.control.record_tier(TIER_POPULARITY)
         self.control.record_shed()
         self.control.events.record(
-            "load_shed", now, user=int(user), reason="no_worker_available"
+            "load_shed", now, user=int(user), reason="all_shards_unavailable"
         )
         return RankedList(
             user=user,
             query_category=query_category,
-            items=members[order],
-            scores=probs[order].astype(np.float32),
+            items=items,
+            scores=scores,
             latency_ms=0.0,
             model_version=self.model_version,
             tier=TIER_POPULARITY,
         )
 
+    def _drain(self) -> List[RankedList]:
+        """Re-submit what dead shards left unanswered (so: down the same
+        failover order), then collect what arrived outside an exchange."""
+        transport = self.transport
+        results: List[RankedList] = []
+        if transport.orphans:
+            orphans = list(transport.orphans)
+            transport.orphans.clear()
+            for user, category in orphans:
+                results.extend(self.submit(user, category))
+        if transport.delivered:
+            results.extend(transport.delivered)
+            transport.delivered.clear()
+        return results
+
     def poll(self) -> List[RankedList]:
-        """Deadline check across the fleet; returns everything flushed."""
-        self._service()
-        out = self._drain_redispatch()
-        out.extend(self._drain_delivered())
-        return out
+        """Deadline check on every shard; returns all flushed results."""
+        return self.transport.poll() + self._drain()
 
     def next_flush_due(self) -> Optional[float]:
-        """Workers flush on their own deadlines in real time."""
-        return None
+        """Earliest deadline-trigger time across shards (``None`` if idle,
+        or when shards flush on their own timers)."""
+        return self.transport.next_flush_due()
 
     def flush(self) -> List[RankedList]:
-        """Force-flush every healthy worker (end-of-traffic drain)."""
-        self._service()
-        out: List[RankedList] = []
-        for handle in self.workers:
-            if handle.state != HEALTHY:
-                continue
-            rid = self._next_rid()
-            try:
-                ack = self._exchange(
-                    handle, ("flush", rid), self.config.request_timeout_s
-                )
-            except _RequestRejected:
-                continue
-            except _WorkerFailure as failure:
-                self._on_death(handle, reason=str(failure.args[0]))
-                continue
-            self._deliver(handle, ack[3])
-        out.extend(self._drain_redispatch())
-        out.extend(self._drain_delivered())
-        return out
+        """Force-flush every shard (end-of-traffic drain)."""
+        return self.transport.flush() + self._drain()
 
     # ------------------------------------------------------------------
     # model lifecycle
     # ------------------------------------------------------------------
-    def swap_model(
-        self, model: RankingModel, version: Optional[str] = None
-    ) -> List[RankedList]:
-        """Atomic generation flip: publish → verify → flip workers → unlink.
+    @property
+    def generation(self) -> int:
+        """Hot swaps committed since construction."""
+        return self.transport.generation
 
-        The new slab is published and verified first (torn publishes are
-        destroyed and retried; exhaustion raises :class:`SwapFailed` with
-        the fleet still consistently on the old generation).  Once the new
-        slab is durable the supervisor commits: every worker restart from
-        here attaches the *new* generation, each live worker drains its
-        batcher and flips (drain → attach → ack — no flush can mix
-        versions), and the old slab is unlinked only after every live
-        worker has acked.  A worker dying mid-flip restarts onto the new
-        generation, so the fleet converges rather than mixing.
+    def swap_model(self, model: RankingModel, version: Optional[str] = None) -> List[RankedList]:
+        """Hot-swap every shard to ``model`` with zero dropped queries
+        (per shard: :meth:`ShardWorker.swap`; across shards: the
+        transport's ``swap``).
+
+        Returns the drained results (old-version rankings), which callers
+        serving live traffic should still deliver.  On :class:`SwapFailed`
+        the fleet is consistently on the old generation and the exception
+        carries what was drained.
         """
-        self._service()
-        new_generation = self.generation + 1
-        slab = self._publish(model, version, generation=new_generation)
-        old_slab = self._slab
-        # Commit point: restarts now attach the new generation.
-        self._slab = slab
-        self._model = model
-        drained: List[RankedList] = []
-        for handle in self.workers:
-            if handle.state != HEALTHY:
-                continue
-            rid = self._next_rid()
-            try:
-                ack = self._exchange(
-                    handle,
-                    ("swap", rid, slab.name, version),
-                    self.config.request_timeout_s,
-                )
-            except _RequestRejected:
-                self._on_death(handle, reason="swap_rejected")
-                continue
-            except _WorkerFailure as failure:
-                self._on_death(handle, reason=str(failure.args[0]))
-                continue
-            self._deliver(handle, ack[3])
-            handle.generation = ack[4]
-        self.generation = new_generation
+        drained = self.transport.swap(model, version)
         self.model_version = version
-        old_slab.destroy()
         self.control.events.record(
-            "slab_unlinked",
-            time.monotonic(),
-            segment=old_slab.name,
-            generation=new_generation - 1,
-            reason="superseded",
+            "cache_invalidation", self._clock(), shards=self.num_shards
         )
         self.control.record_swap(version=version)
-        self.control.events.record(
-            "cache_invalidation", time.monotonic(), shards=self.num_workers
-        )
-        drained.extend(self._drain_redispatch())
-        drained.extend(self._drain_delivered())
+        drained.extend(self._drain())
         return drained
 
+    def attach_shadow_recall(self, monitor: Optional[ShadowRecallMonitor]) -> None:
+        """Attach (or replace, or with ``None`` detach) the fleet's shared
+        shadow-recall monitor at runtime (in-process backend only).
+
+        The ops pattern this serves: warm or benchmark a fleet clean, then
+        switch sampling on — every shard's engine consults ``monitor`` on
+        its next cascade retrieval.
+        """
+        for worker in self.workers:
+            worker.engine.shadow_recall = monitor
+        self.shadow_recall = monitor
+
     # ------------------------------------------------------------------
-    # telemetry
+    # fleet health
     # ------------------------------------------------------------------
     def refresh_reports(self) -> None:
-        """Ask every healthy worker for a fresh cumulative snapshot."""
-        self._service()
-        for handle in self.workers:
-            if handle.state != HEALTHY:
-                continue
-            rid = self._next_rid()
-            try:
-                ack = self._exchange(
-                    handle, ("report", rid), self.config.request_timeout_s
-                )
-            except _RequestRejected:
-                continue
-            except _WorkerFailure as failure:
-                self._on_death(handle, reason=str(failure.args[0]))
-                continue
-            handle.last_report = ack[3]
-            handle.generation = ack[4]
+        """Pull a fresh report from every shard that can give one (a no-op
+        in-process, where reports are always live)."""
+        self.transport.reports(fresh=True)
 
-    def merged_metrics(self) -> MetricsSink:
-        """Control sink + every incarnation's latest snapshot, pooled."""
-        merged = self.control
-        for report in self._retired_reports:
-            merged = merged.merge(report["metrics"])
-        for handle in self.workers:
-            if handle.last_report is not None:
-                merged = merged.merge(handle.last_report["metrics"])
-        return merged
-
-    def merged_shadow_recall(self) -> Optional[ShadowRecallMonitor]:
-        """Fleet-wide shadow recall (None when sampling is disabled)."""
-        monitors = [
-            report["shadow"]
-            for report in self._retired_reports
-            if report.get("shadow") is not None
+    def worker_status(self) -> List[Dict[str, Any]]:
+        """Per-shard status rows (JSON-able): ``shard``, ``state``, ``pid``,
+        ``generation``, ``restarts``, ``outstanding`` and — as of the
+        shard's latest report, absent while it has none — ``queries``,
+        ``avg_latency_ms``, ``cache_hit_rate``, ``breaker``."""
+        return [
+            {key: value for key, value in report.items() if key != "metrics"}
+            for report in self.transport.reports()
         ]
-        monitors.extend(
-            handle.last_report["shadow"]
-            for handle in self.workers
-            if handle.last_report is not None
-            and handle.last_report.get("shadow") is not None
+
+    def breaker_status(self) -> List[Dict[str, object]]:
+        """Per-shard circuit-breaker health state (a shard that is down has
+        no row)."""
+        return [
+            {"shard": row["shard"], **row["breaker"]}
+            for row in self.worker_status()
+            if "breaker" in row
+        ]
+
+    @property
+    def open_breakers(self) -> int:
+        """Shards currently not fully closed (open or half-open)."""
+        return sum(
+            1 for row in self.breaker_status() if row["state"] != CircuitBreaker.CLOSED
         )
-        if not monitors:
-            return None
-        merged = monitors[0]
-        for monitor in monitors[1:]:
-            merged = merged.merge(monitor)
-        return merged
 
     @property
     def workers_available(self) -> int:
-        return sum(1 for handle in self.workers if handle.state == HEALTHY)
+        return sum(1 for row in self.worker_status() if row["state"] == HEALTHY)
 
     @property
     def restarts_total(self) -> int:
-        return sum(handle.restarts for handle in self.workers)
+        return sum(row["restarts"] for row in self.worker_status())
 
     @property
     def quarantined_workers(self) -> int:
-        return sum(1 for handle in self.workers if handle.state == QUARANTINED)
-
-    def worker_status(self) -> List[Dict[str, Any]]:
-        """Per-worker health rows for reports and dashboards."""
-        rows = []
-        for handle in self.workers:
-            report = handle.last_report or {}
-            rows.append(
-                {
-                    "worker": handle.worker_id,
-                    "state": handle.state,
-                    "pid": handle.pid,
-                    "generation": handle.generation,
-                    "restarts": handle.restarts,
-                    "queries": report.get("queries", 0),
-                    "outstanding": len(handle.outstanding),
-                }
-            )
-        return rows
+        return sum(1 for row in self.worker_status() if row["state"] == QUARANTINED)
 
     def telemetry_extra(self) -> Dict[str, float]:
         """Scalars for :func:`repro.obs.telemetry_snapshot`'s ``extra`` —
         the namespace the fleet alert rules evaluate over."""
         return {
             "worker_restarts": float(self.restarts_total),
-            "worker_deaths": float(
-                self.control.events.counts().get("worker_died", 0)
-            ),
+            "worker_deaths": float(self.control.events.counts().get("worker_died", 0)),
             "quarantined_workers": float(self.quarantined_workers),
             "workers_available": float(self.workers_available),
             "slab_generation": float(self.generation),
-            "slab_bytes": float(self._slab.nbytes),
+            "slab_bytes": float(self.transport.describe()["slab_bytes"]),
         }
 
-    def summary(self) -> Dict[str, Any]:
-        """Fleet report: merged headline metrics + supervisor health."""
+    def kill_worker(self, shard: int, sig: int = signal.SIGKILL) -> Optional[int]:
+        """Crash drill (process backend): signal a shard's worker process."""
+        return self.transport.kill(shard, sig)
+
+    def stop(self) -> None:
+        """Release everything the transport holds (worker processes, shared
+        memory); idempotent, and a no-op in-process."""
+        self.transport.stop()
+
+    def __enter__(self) -> "Fleet":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.stop()
+
+    # ------------------------------------------------------------------
+    # fleet metrics
+    # ------------------------------------------------------------------
+    def merged_metrics(self) -> MetricsSink:
+        """The control-plane sink plus every incarnation's latest shard
+        sink (dead incarnations included), pooled into one."""
+        merged = self.control
+        for sink in self.transport.retired:
+            merged = merged.merge(sink)
+        for report in self.transport.reports():
+            if "metrics" in report:
+                merged = merged.merge(report["metrics"])
+        return merged
+
+    def summary(self) -> Dict[str, object]:
+        """Fleet report: merged headline metrics plus the per-shard rows."""
         self.refresh_reports()
         fleet = self.merged_metrics().summary()
-        fleet["num_shards"] = self.num_workers
-        fleet["backend"] = "process"
+        fleet["num_shards"] = self.num_shards
+        fleet["backend"] = self.backend
+        fleet["model_version"] = self.model_version or "unversioned"
         fleet["generation"] = self.generation
-        fleet["slab"] = self._slab.describe()
-        fleet["workers"] = self.worker_status()
-        fleet["restarts"] = self.restarts_total
-        fleet["quarantined"] = self.quarantined_workers
-        fleet["recovered_segments"] = list(self.recovered_segments)
+        fleet["shards"] = self.worker_status()
+        fleet["breakers"] = self.breaker_status()
+        fleet.update(self.transport.describe())
         return fleet
 
-    def fleet_report(self) -> str:
-        """Text dashboard mirroring ``ShardedCluster.fleet_report``."""
-        self.refresh_reports()
-        merged = self.merged_metrics()
-        summary = merged.summary()
+    def dashboard(
+        self, path: str, registry=None, title: str = "repro fleet", traces=None
+    ) -> str:
+        """Write the self-contained HTML dashboard; returns ``path``.
+
+        Renders everything the text :meth:`fleet_report` shows — fleet
+        summary, streaming metrics, SLO, control-plane events — plus the
+        drift, alert, and shadow-recall panels and the tracer's recent
+        sampled span trees (request traces and, when the online loop shares
+        this tracer, refresh-cycle traces).  ``registry`` merges extra
+        metrics in (the online loop passes the trainer's registry so
+        train-step histograms land on the same page).  ``traces`` overrides
+        the trace list — pass ``list(loop.tracer.finished)`` to render the
+        refresh-cycle spans when the loop's tracer is separate from the
+        fleet's request tracer.
+        """
+        summary = self.summary()
+        merged_registry = self.merged_metrics().to_registry()
+        if registry is not None:
+            merged_registry = merged_registry.merge(registry)
+        degradation = summary["degradation"]
+        flat_summary = {
+            "shards": self.num_shards,
+            "model_version": summary["model_version"],
+            "queries": summary["queries"],
+            "qps": round(summary["qps"], 1),
+            "p50_ms": round(summary["latency_ms"]["p50"], 3),
+            "p99_ms": round(summary["latency_ms"]["p99"], 3),
+            "mean_batch": round(summary["mean_batch_size"], 2),
+            "cache_hit_rate": round(summary["cache"]["hit_rate"], 4),
+            "requests_shed": degradation["shed"],
+            "degraded_share": round(degradation["degraded_share"], 4),
+            "open_breakers": self.open_breakers,
+        }
+        return write_dashboard(
+            path,
+            title=title,
+            summary=flat_summary,
+            registry=merged_registry,
+            slo=self.slo,
+            events=self.control.events,
+            drift=self.drift,
+            alerts=self.alerts,
+            shadow=self.shadow_recall,
+            breakers=summary["breakers"],
+            tiers=degradation["tiers"],
+            traces=(
+                traces
+                if traces is not None
+                else (list(self.tracer.finished) if self.tracer.enabled else None)
+            ),
+        )
+
+    def fleet_report(self, dashboard_path: Optional[str] = None) -> str:
+        """Text dashboard of the fleet: headline metrics, per-shard status,
+        the degradation ladder, SLO status, drift/alert/shadow-recall
+        state, and the recent control-plane event tail — what examples and
+        benchmarks print after a traffic run.  ``dashboard_path``
+        additionally writes the HTML dashboard there and appends its
+        location to the report."""
+        summary = self.summary()
         latency = summary["latency_ms"]
-        version = self.model_version or "unversioned"
+        degradation = summary["degradation"]
+        tiers = degradation["tiers"]
+        title = f"fleet — {self.num_shards} shard(s), model {summary['model_version']}"
+        if summary["slab_bytes"]:
+            title += (
+                f", generation {self.generation},"
+                f" slab {summary['slab_bytes'] / 1024:.0f} KiB"
+            )
         sections = [
             format_table(
-                ["queries", "qps", "p50 ms", "p99 ms", "mean batch", "generation"],
+                ["queries", "qps", "p50 ms", "p95 ms", "p99 ms", "mean batch", "cache hit"],
                 [[
                     summary["queries"],
                     f"{summary['qps']:.0f}",
                     f"{latency['p50']:.2f}",
+                    f"{latency['p95']:.2f}",
                     f"{latency['p99']:.2f}",
                     f"{summary['mean_batch_size']:.2f}",
-                    self.generation,
+                    f"{summary['cache']['hit_rate']:.1%}",
                 ]],
-                title=(
-                    f"process fleet — {self.num_workers} worker(s), model {version},"
-                    f" slab {self._slab.nbytes / 1024:.0f} KiB"
-                ),
+                title=title,
             ),
             format_table(
-                ["worker", "state", "pid", "gen", "restarts", "queries", "outstanding"],
+                ["shard", "state", "pid", "gen", "restarts", "outstanding",
+                 "queries", "avg ms", "cache hit", "breaker", "opens"],
                 [
                     [
-                        row["worker"], row["state"], row["pid"] or "-",
-                        row["generation"], row["restarts"], row["queries"],
-                        row["outstanding"],
+                        row["shard"], row["state"], row["pid"] or "-",
+                        row["generation"], row["restarts"], row["outstanding"],
+                        *(
+                            [
+                                row["queries"],
+                                f"{row['avg_latency_ms']:.2f}",
+                                f"{row['cache_hit_rate']:.1%}",
+                                row["breaker"]["state"],
+                                row["breaker"]["opens"],
+                            ]
+                            if "breaker" in row
+                            else ["-"] * 5
+                        ),
                     ]
-                    for row in self.worker_status()
+                    for row in summary["shards"]
                 ],
-                title="workers",
+                title="per-shard",
+            ),
+            format_table(
+                ["full", "prefilter", "popularity", "shed", "degraded share", "open breakers"],
+                [[
+                    tiers.get("full", 0),
+                    tiers.get("prefilter", 0),
+                    tiers.get("popularity", 0),
+                    degradation["shed"],
+                    f"{degradation['degraded_share']:.2%}",
+                    self.open_breakers,
+                ]],
+                title="degradation ladder",
             ),
         ]
+        if self.slo is not None:
+            status = self.slo.status()
+            sections.append(
+                f"SLO: p99 {status['p99_ms']:.2f} ms vs {status['latency_slo_ms']:.2f} ms"
+                f" | violation rate {status['violation_rate']:.2%}"
+                f" | error-budget burn {status['error_budget_burn_rate']:.2f}x"
+                f" | {'HEALTHY' if status['healthy'] else 'BURNING'}"
+            )
+        if self.tracer.enabled:
+            stats = self.tracer.stats()
+            sections.append(
+                f"tracing: {stats['sampled']}/{stats['started']} requests sampled"
+                f" (rate {stats['sample_rate']:.2f}), {stats['exported']} exported"
+            )
+        shadow = self.shadow_recall
+        if shadow is not None and shadow.samples:
+            sections.append(
+                f"shadow recall@{shadow.k}: {shadow.recall_at_k:.4f} over "
+                f"{shadow.samples}/{shadow.requests} sampled retrievals"
+                f" (rate {shadow.rate:.3%})"
+            )
+        if self.drift is not None and self.drift.has_reference:
+            sections.append(
+                format_table(
+                    ["feature", "psi", "ks", "live n"],
+                    [
+                        [name, f"{scores['psi']:.4f}", f"{scores['ks']:.4f}",
+                         scores["live_samples"]]
+                        for name, scores in sorted(self.drift.scores().items())
+                    ],
+                    title="drift vs training reference",
+                )
+            )
+        if self.alerts is not None and self.alerts.rules:
+            firing = self.alerts.firing()
+            sections.append(
+                format_table(
+                    ["rule", "predicate", "state", "last value"],
+                    [
+                        [
+                            row["rule"],
+                            f"{row['metric']} {row['op']} {row['threshold']:g}",
+                            "FIRING" if row["firing"] else "ok",
+                            "-" if row["last_value"] is None
+                            else f"{row['last_value']:.4f}",
+                        ]
+                        for row in self.alerts.status()
+                    ],
+                    title=f"alerts — {len(firing)} firing",
+                )
+            )
         events = self.control.events.tail(8)
         if events:
             sections.append(
@@ -1110,84 +666,14 @@ class FleetSupervisor:
                         [f"{event.timestamp:.3f}", event.kind, str(event.attrs)]
                         for event in events
                     ],
-                    title="recent supervisor events",
+                    title="recent control-plane events",
                 )
             )
+        if dashboard_path is not None:
+            sections.append(f"dashboard: {self.dashboard(dashboard_path)}")
         return "\n\n".join(sections)
 
-    # ------------------------------------------------------------------
-    # shutdown
-    # ------------------------------------------------------------------
-    def stop(self) -> None:
-        """Graceful shutdown: final telemetry flush, kill stragglers,
-        unlink the published slab, sweep anything left."""
-        if self._stopped:
-            return
-        self._stopped = True
-        for handle in self.workers:
-            if handle.state == HEALTHY and handle.conn is not None:
-                rid = self._next_rid()
-                try:
-                    ack = self._exchange(handle, ("stop", rid), timeout=2.0)
-                    handle.last_report = ack[3]
-                except (_WorkerFailure, _RequestRejected):
-                    pass
-            if handle.last_report is not None:
-                self._retired_reports.append(handle.last_report)
-                handle.last_report = None
-            process = handle.process
-            if process is not None:
-                process.join(timeout=1.0)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=1.0)
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=1.0)
-            if handle.conn is not None:
-                try:
-                    handle.conn.close()
-                except OSError:
-                    pass
-                handle.conn = None
-            handle.state = STOPPED
-        self._slab.destroy()
-        sweep_orphan_slabs(events=self.control.events, clock=time.monotonic)
 
-    def __enter__(self) -> "FleetSupervisor":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
-
-    def __del__(self) -> None:  # pragma: no cover - GC-order dependent
-        try:
-            self.stop()
-        except Exception:
-            pass
-
-    # ------------------------------------------------------------------
-    # crash drill (used by chaos tests and the runbook)
-    # ------------------------------------------------------------------
-    def kill_worker(self, worker_id: int, sig: int = signal.SIGKILL) -> Optional[int]:
-        """Send ``sig`` to a worker process — the crash-drill entry point.
-
-        Returns the pid signalled (None if the worker has no live process).
-        Detection, telemetry harvest, re-dispatch, and restart all happen
-        through the normal supervision path on the next ``_service`` pass.
-        """
-        handle = self.workers[worker_id]
-        if handle.process is None or not handle.process.is_alive():
-            return None
-        pid = handle.process.pid
-        os.kill(pid, sig)
-        handle.process.join(timeout=2.0)
-        return pid
-
-
-# ----------------------------------------------------------------------
-# front door
-# ----------------------------------------------------------------------
 def build_fleet(
     world: World,
     model: RankingModel,
@@ -1195,61 +681,18 @@ def build_fleet(
     backend: str = "auto",
     version: Optional[str] = None,
     fault_plan: Optional[FaultPlan] = None,
-    **cluster_kwargs: Any,
-):
-    """Build a serving fleet: process-backed supervisor or in-process cluster.
+    **live: Any,
+) -> Fleet:
+    """Build a serving fleet — the front door.
 
-    ``backend="inprocess"`` returns a plain :class:`ShardedCluster` built
-    with the matching constructor arguments — the exact object (and
-    therefore the exact behavior, bit for bit) the single-process path has
-    always had.  ``backend="process"`` returns a :class:`FleetSupervisor`.
+    ``backend="inprocess"`` runs the shards in this interpreter,
+    ``backend="process"`` as supervised worker processes, and
     ``backend="auto"`` picks ``process`` when POSIX shared memory works
-    here and ``inprocess`` otherwise.  ``cluster_kwargs`` pass extra
-    :class:`ShardedCluster` arguments (tracer, slo, …) on the in-process
-    path only.
+    here and ``inprocess`` otherwise: the same :class:`Fleet` serving the
+    same ``config`` with bitwise-identical scores.  ``live`` passes
+    ``drift`` / ``alerts`` and this interpreter's collaborators (see
+    :class:`Fleet` for which of them the process backend can honour).
     """
-    config = config if config is not None else FleetConfig()
     if backend == "auto":
         backend = "process" if shared_memory_available() else "inprocess"
-    if backend == "process":
-        if cluster_kwargs:
-            raise TypeError(
-                f"cluster kwargs {sorted(cluster_kwargs)} apply to the "
-                "in-process backend only"
-            )
-        return FleetSupervisor(
-            world, model, config, version=version, fault_plan=fault_plan
-        )
-    if backend != "inprocess":
-        raise ValueError(f"unknown backend {backend!r}")
-    injector = (
-        FaultInjector(fault_plan) if fault_plan is not None else None
-    )
-    cluster = ShardedCluster(
-        world,
-        model,
-        num_shards=config.num_workers,
-        seed=config.seed,
-        max_batch_size=config.max_batch_size,
-        flush_deadline_ms=config.flush_deadline_ms,
-        cache_capacity=config.cache_capacity,
-        candidates_per_query=config.candidates_per_query,
-        compile=config.compile,
-        cascade=config.cascade,
-        policy=config.policy,
-        injector=injector,
-        breaker_failure_threshold=config.breaker_failure_threshold,
-        breaker_cooldown_s=config.breaker_cooldown_s,
-        **cluster_kwargs,
-    )
-    if version is not None:
-        for worker in cluster.workers:
-            worker.engine.model_version = version
-    return cluster
-
-
-# Re-exported for convenience: tests and benchmarks parameterize over a
-# config while keeping the frozen dataclass ergonomics.
-def fleet_config(**overrides: Any) -> FleetConfig:
-    """A :class:`FleetConfig` with ``overrides`` applied to the defaults."""
-    return replace(FleetConfig(), **overrides)
+    return Fleet(world, model, config, backend, version, fault_plan, **live)

@@ -17,7 +17,7 @@ uniform traffic would never revisit a session key.
 
 :func:`replay` drives any system with ``submit/poll/flush`` (a
 :class:`~repro.serving.batcher.MicroBatcher` or a
-:class:`~repro.serving.cluster.ShardedCluster`) through an event list,
+:class:`~repro.serving.fleet.Fleet`) through an event list,
 advancing a :class:`~repro.serving.metrics.ManualClock` to each arrival so
 simulated-time runs are fully deterministic.
 """

@@ -10,23 +10,23 @@ from repro.serving import (
     TIER_POPULARITY,
     TIER_PREFILTER,
     DegradationPolicy,
+    FleetConfig,
     ManualClock,
-    ShardedCluster,
+    build_fleet,
 )
 
 
 def _cluster(world, model, clock, policy=None, injector=None, **kwargs):
-    kwargs.setdefault("num_shards", 1)
+    kwargs.setdefault("num_workers", 1)
     kwargs.setdefault("max_batch_size", 4)
     kwargs.setdefault("flush_deadline_ms", 1e6)
-    return ShardedCluster(
+    return build_fleet(
         world,
         model,
-        seed=0,
+        FleetConfig(seed=0, policy=policy, **kwargs),
+        backend="inprocess",
         clock=clock.now,
-        policy=policy,
         injector=injector,
-        **kwargs,
     )
 
 

@@ -3,8 +3,9 @@
 from repro.faults import CircuitBreaker, FaultInjector, FaultPlan, FaultSpec
 from repro.serving import (
     TIER_POPULARITY,
+    FleetConfig,
     ManualClock,
-    ShardedCluster,
+    build_fleet,
     shard_for_user,
 )
 
@@ -18,16 +19,19 @@ def _users_on_shard(shard, num_shards, count=8):
 def _cluster(world, model, clock, injector, num_shards=2, **kwargs):
     kwargs.setdefault("max_batch_size", 100)
     kwargs.setdefault("flush_deadline_ms", 1e6)
-    return ShardedCluster(
+    return build_fleet(
         world,
         model,
-        num_shards=num_shards,
-        seed=0,
+        FleetConfig(
+            num_workers=num_shards,
+            seed=0,
+            breaker_failure_threshold=3,
+            breaker_cooldown_s=0.05,
+            **kwargs,
+        ),
+        backend="inprocess",
         clock=clock.now,
         injector=injector,
-        breaker_failure_threshold=3,
-        breaker_cooldown_s=0.05,
-        **kwargs,
     )
 
 

@@ -15,8 +15,7 @@ from repro.faults import (
 )
 from repro.infer import shared_memory_available
 from repro.obs import AlertManager
-from repro.serving import FleetSupervisor, ZipfLoadGenerator
-from repro.serving.fleet import fleet_config
+from repro.serving import FleetConfig, ZipfLoadGenerator, build_fleet
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(), reason="POSIX shared memory unavailable"
@@ -85,14 +84,14 @@ class TestSigkillMidBatch:
         # Satellite 1: SIGKILL a worker while its batcher holds queued
         # requests; nothing may drop and the supervisor must restart it
         # within the heartbeat deadline plus backoff.
-        config = fleet_config(
+        config = FleetConfig(
             num_workers=2,
             max_batch_size=8,
             flush_deadline_ms=1e6,  # keep requests queued in the batcher
             heartbeat_deadline_s=0.5,
             restart_backoff_s=0.02,
         )
-        with FleetSupervisor(unit_world, make_model(), config) as fleet:
+        with build_fleet(unit_world, make_model(), config, backend="process") as fleet:
             traffic = generator.generate(30)
             results = []
             killed_at = None
@@ -128,14 +127,15 @@ class TestFleetSoak:
         # transiently.  Invariants: zero drops, >= 1 automatic restart,
         # no leaked shared-memory segments.
         plan = default_fleet_chaos_plan(seed=3, workers=2)
-        config = fleet_config(
+        config = FleetConfig(
             num_workers=2,
             heartbeat_interval_s=0.02,
             heartbeat_deadline_s=0.2,
             restart_backoff_s=0.02,
         )
-        fleet = FleetSupervisor(
-            unit_world, make_model(), config, version="v1", fault_plan=plan
+        fleet = build_fleet(
+            unit_world, make_model(), config, backend="process", version="v1",
+            fault_plan=plan,
         )
         try:
             report = run_fleet_soak(
@@ -161,8 +161,8 @@ class TestFleetSoak:
     ):
         import json
 
-        config = fleet_config(num_workers=2)
-        with FleetSupervisor(unit_world, make_model(), config) as fleet:
+        config = FleetConfig(num_workers=2)
+        with build_fleet(unit_world, make_model(), config, backend="process") as fleet:
             report = run_fleet_soak(fleet, generator, events=20)
         parsed = json.loads(json.dumps(report))
         assert parsed["submitted"] == 20

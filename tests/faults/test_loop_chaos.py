@@ -23,7 +23,13 @@ from repro.online import (
     OnlineLoop,
     PositionBiasedClickModel,
 )
-from repro.serving import DegradationPolicy, ManualClock, ShardedCluster, ZipfLoadGenerator
+from repro.serving import (
+    DegradationPolicy,
+    FleetConfig,
+    ManualClock,
+    ZipfLoadGenerator,
+    build_fleet,
+)
 
 
 def _chaos_loop(
@@ -43,18 +49,21 @@ def _chaos_loop(
     trainer = IncrementalTrainer(
         make_model(trained=True), train_config, seed=5, injector=inj
     )
-    cluster = ShardedCluster(
+    cluster = build_fleet(
         unit_world,
         make_model(trained=False),
-        num_shards=2,
-        seed=0,
-        max_batch_size=4,
-        flush_deadline_ms=5.0,
-        cache_capacity=128,
+        FleetConfig(
+            num_workers=2,
+            seed=0,
+            max_batch_size=4,
+            flush_deadline_ms=5.0,
+            cache_capacity=128,
+            policy=policy,
+            breaker_cooldown_s=breaker_cooldown_s,
+        ),
+        backend="inprocess",
         clock=clock,
-        policy=policy,
         injector=inj,
-        breaker_cooldown_s=breaker_cooldown_s,
     )
     inj.events = cluster.control.events
     loop = OnlineLoop(

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.serving import ManualClock, ShardedCluster, SwapFailed, shard_for_user
+from repro.serving import FleetConfig, ManualClock, SwapFailed, build_fleet, shard_for_user
 
 
 def _cluster(world, model, injector=None):
-    return ShardedCluster(
+    return build_fleet(
         world,
         model,
-        num_shards=2,
-        seed=0,
-        max_batch_size=100,
-        flush_deadline_ms=1e6,
+        FleetConfig(num_workers=2, seed=0, max_batch_size=100, flush_deadline_ms=1e6),
+        backend="inprocess",
         clock=ManualClock().now,
         injector=injector,
     )

@@ -20,7 +20,7 @@ from repro.data import WorldConfig
 from repro.data.amazon import make_amazon_datasets
 from repro.data.dataset import iterate_batches
 from repro.infer import CompiledModel, compile_model, float64_twin
-from repro.serving import ManualClock, ShardedCluster
+from repro.serving import FleetConfig, ManualClock, build_fleet
 
 RTOL_F32 = 1e-4
 
@@ -143,9 +143,15 @@ class TestHotSwapBoundary:
         model_a = make_model(trained=True)
         model_b = make_model(trained=False, init_seed=99)
         clock = ManualClock()
-        cluster = ShardedCluster(
-            unit_world, model_a, num_shards=2, seed=0, max_batch_size=4,
-            flush_deadline_ms=5.0, cache_capacity=64, clock=clock,
+        cluster = build_fleet(
+            unit_world,
+            model_a,
+            FleetConfig(
+                num_workers=2, seed=0, max_batch_size=4, flush_deadline_ms=5.0,
+                cache_capacity=64,
+            ),
+            backend="inprocess",
+            clock=clock,
         )
         for worker in cluster.workers:
             worker.engine.set_model(model_a, "v1")
@@ -176,8 +182,9 @@ class TestHotSwapBoundary:
         assert not np.allclose(compiled_scores, eager_a, rtol=1e-3)
 
     def test_swap_recompiles_plan_object(self, unit_world, make_model):
-        cluster = ShardedCluster(
-            unit_world, make_model(trained=True), num_shards=1, seed=0, clock=ManualClock()
+        cluster = build_fleet(
+            unit_world, make_model(trained=True), FleetConfig(num_workers=1, seed=0),
+            backend="inprocess", clock=ManualClock(),
         )
         worker = cluster.workers[0]
         old_plan = worker.engine.compiled_model

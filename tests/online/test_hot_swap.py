@@ -6,11 +6,12 @@ import pytest
 
 from repro.retrieval import CascadeConfig
 from repro.serving import (
+    FleetConfig,
     ManualClock,
     MicroBatcher,
     SearchEngine,
     SessionCache,
-    ShardedCluster,
+    build_fleet,
 )
 
 
@@ -29,14 +30,14 @@ def model_b(make_model):
 @pytest.fixture()
 def cluster(unit_world, model_a):
     clock = ManualClock()
-    cluster = ShardedCluster(
+    cluster = build_fleet(
         unit_world,
         model_a,
-        num_shards=2,
-        seed=0,
-        max_batch_size=4,
-        flush_deadline_ms=5.0,
-        cache_capacity=64,
+        FleetConfig(
+            num_workers=2, seed=0, max_batch_size=4, flush_deadline_ms=5.0,
+            cache_capacity=64,
+        ),
+        backend="inprocess",
         clock=clock,
     )
     for worker in cluster.workers:
@@ -115,16 +116,15 @@ class TestCascadeSwapUnderLoad:
 
     @pytest.fixture()
     def cascade_cluster(self, unit_world, model_a):
-        cluster = ShardedCluster(
+        cluster = build_fleet(
             unit_world,
             model_a,
-            num_shards=2,
-            seed=0,
-            max_batch_size=4,
-            flush_deadline_ms=5.0,
-            cache_capacity=64,
+            FleetConfig(
+                num_workers=2, seed=0, max_batch_size=4, flush_deadline_ms=5.0,
+                cache_capacity=64, cascade=self.CASCADE,
+            ),
+            backend="inprocess",
             clock=ManualClock(),
-            cascade=self.CASCADE,
         )
         for worker in cluster.workers:
             worker.engine.set_model(model_a, "v1")

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.infer import shared_memory_available
+from repro.obs import AlertManager
 from repro.online import (
     CanaryGate,
     ClickModelConfig,
@@ -11,7 +13,7 @@ from repro.online import (
     OnlineLoop,
     PositionBiasedClickModel,
 )
-from repro.serving import ManualClock, ShardedCluster, ZipfLoadGenerator
+from repro.serving import FleetConfig, ManualClock, ZipfLoadGenerator, build_fleet
 
 
 def _make_loop(
@@ -24,14 +26,14 @@ def _make_loop(
 ):
     clock = ManualClock()
     trainer = IncrementalTrainer(make_model(trained=True), train_config, seed=5)
-    cluster = ShardedCluster(
+    cluster = build_fleet(
         unit_world,
         make_model(trained=False),
-        num_shards=2,
-        seed=0,
-        max_batch_size=4,
-        flush_deadline_ms=5.0,
-        cache_capacity=128,
+        FleetConfig(
+            num_workers=2, seed=0, max_batch_size=4, flush_deadline_ms=5.0,
+            cache_capacity=128,
+        ),
+        backend="inprocess",
         clock=clock,
     )
     loop = OnlineLoop(
@@ -180,3 +182,43 @@ class TestEmptyLogIdentity:
         assert report.candidate_version is None
         assert loop.production_model is not None
         np.testing.assert_array_equal(before, loop.production_model.predict_proba(batch))
+
+
+class TestAlertsOnEitherBackend:
+    @pytest.mark.parametrize("backend", ["inprocess", "process"])
+    def test_one_cycle_evaluates_a_rule_over_fleet_health(
+        self, backend, tmp_path, unit_world, make_model, online_train_config
+    ):
+        # The loop reads open_breakers / shadow_recall / slo off the fleet
+        # when it evaluates alerts; both backends must carry them.
+        if backend == "process" and not shared_memory_available():
+            pytest.skip("POSIX shared memory unavailable")
+        alerts = AlertManager(["open-breakers: open_breakers >= 1"])
+        with build_fleet(
+            unit_world,
+            make_model(trained=False),
+            FleetConfig(num_workers=2, seed=0, max_batch_size=4),
+            backend=backend,
+        ) as fleet:
+            loop = OnlineLoop(
+                world=unit_world,
+                cluster=fleet,
+                trainer=IncrementalTrainer(
+                    make_model(trained=True), online_train_config, seed=5
+                ),
+                model_factory=lambda: make_model(trained=False),
+                registry=ModelRegistry(str(tmp_path / "registry"), clock=lambda: 0.0),
+                canary=CanaryGate(tolerance=1.0),
+                click_model=PositionBiasedClickModel(
+                    unit_world, np.random.default_rng(3), ClickModelConfig()
+                ),
+                seed=11,
+                alerts=alerts,
+            )
+            loop.bootstrap()
+            report = loop.run_cycle(_events(unit_world, 40))
+            assert report.queries_served == 40
+            assert report.alerts is None  # evaluated, nothing fired
+            assert alerts.evaluations == 1
+            assert alerts.status()[0]["last_value"] == 0.0
+            assert alerts.events is fleet.control.events

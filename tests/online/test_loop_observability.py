@@ -27,7 +27,7 @@ from repro.online import (
     OnlineLoop,
     PositionBiasedClickModel,
 )
-from repro.serving import ManualClock, ShardedCluster, ZipfLoadGenerator
+from repro.serving import FleetConfig, ManualClock, ZipfLoadGenerator, build_fleet
 from repro.utils.rng import generator
 
 
@@ -56,14 +56,14 @@ def _build_loop(tmp_path, learning_rate=1e-3, rules=(), min_samples=10):
     )
     drift = DriftMonitor(min_samples=min_samples)
     alerts = AlertManager(rules) if rules else None
-    cluster = ShardedCluster(
+    cluster = build_fleet(
         world,
         make_model(trained=True),
-        num_shards=2,
-        seed=0,
-        max_batch_size=4,
-        flush_deadline_ms=5.0,
-        cache_capacity=128,
+        FleetConfig(
+            num_workers=2, seed=0, max_batch_size=4, flush_deadline_ms=5.0,
+            cache_capacity=128,
+        ),
+        backend="inprocess",
         clock=clock,
         slo=SloTracker(latency_slo_ms=50.0),
         drift=drift,

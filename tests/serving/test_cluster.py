@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core import ModelConfig, build_model
-from repro.serving import ManualClock, ShardedCluster, shard_for_user
+from repro.serving import FleetConfig, ManualClock, build_fleet, shard_for_user
 
 
 @pytest.fixture()
 def cluster(unit_world, test_set):
     model = build_model("aw_moe", ModelConfig.unit(), test_set.meta, np.random.default_rng(0))
-    return ShardedCluster(
+    return build_fleet(
         unit_world,
         model,
-        num_shards=3,
-        seed=11,
-        max_batch_size=4,
-        flush_deadline_ms=1e9,
+        FleetConfig(num_workers=3, seed=11, max_batch_size=4, flush_deadline_ms=1e9),
+        backend="inprocess",
         clock=ManualClock(),
     )
 
@@ -91,4 +89,4 @@ class TestClusterServing:
     def test_invalid_num_shards(self, unit_world, test_set):
         model = build_model("dnn", ModelConfig.unit(), test_set.meta, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            ShardedCluster(unit_world, model, num_shards=0)
+            build_fleet(unit_world, model, FleetConfig(num_workers=0), backend="inprocess")

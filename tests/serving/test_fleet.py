@@ -10,12 +10,13 @@ from repro.core import ModelConfig, build_model
 from repro.faults import FaultPlan, FaultSpec
 from repro.infer import SnapshotSlab, shared_memory_available
 from repro.serving import (
+    TIER_POPULARITY,
     FleetConfig,
-    FleetSupervisor,
-    ShardedCluster,
+    SearchEngine,
+    ZipfLoadGenerator,
     build_fleet,
+    replay,
 )
-from repro.serving.fleet import fleet_config
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(), reason="POSIX shared memory unavailable"
@@ -64,25 +65,27 @@ def _key(results):
 
 
 class TestBackends:
-    def test_inprocess_backend_is_a_plain_sharded_cluster(
+    def test_inprocess_backend_spawns_nothing(
         self, unit_world, fleet_model
     ):
         cluster = build_fleet(
             unit_world,
             fleet_model,
-            fleet_config(num_workers=2),
+            FleetConfig(num_workers=2),
             backend="inprocess",
             version="v1",
         )
-        assert type(cluster) is ShardedCluster
+        counts = cluster.control.events.counts()
+        assert "worker_spawned" not in counts and "slab_published" not in counts
+        assert cluster.telemetry_extra()["slab_bytes"] == 0
         assert all(w.engine.model_version == "v1" for w in cluster.workers)
 
     def test_auto_prefers_processes_when_shm_works(self, unit_world, fleet_model):
         fleet = build_fleet(
-            unit_world, fleet_model, fleet_config(num_workers=1), backend="auto"
+            unit_world, fleet_model, FleetConfig(num_workers=1), backend="auto"
         )
         try:
-            assert isinstance(fleet, FleetSupervisor)
+            assert fleet.backend == "process"
         finally:
             fleet.stop()
 
@@ -93,7 +96,7 @@ class TestBackends:
             build_fleet(unit_world, fleet_model, backend="process", tracer=object())
 
     def test_process_fleet_matches_inprocess_bitwise(self, unit_world, fleet_model):
-        config = fleet_config(num_workers=3, seed=11)
+        config = FleetConfig(num_workers=3, seed=11)
         traffic = _traffic(unit_world, 30)
         inproc = build_fleet(unit_world, fleet_model, config, backend="inprocess")
         expected = _key(_drain(inproc, traffic))
@@ -107,12 +110,101 @@ class TestBackends:
         np.testing.assert_array_equal(got[2], expected[2])
 
 
+class TestOneSurface:
+    """One fleet class over two transports: the same members answer on both."""
+
+    @pytest.mark.parametrize("backend", ["inprocess", "process"])
+    def test_public_members_answer_on_both_backends(
+        self, backend, unit_world, fleet_model, swap_target, tmp_path
+    ):
+        events = ZipfLoadGenerator(
+            np.random.default_rng(2), world=unit_world
+        ).generate(24)
+        with build_fleet(
+            unit_world,
+            fleet_model,
+            FleetConfig(num_workers=2, seed=4),
+            backend=backend,
+            version="v1",
+        ) as fleet:
+            assert len(replay(fleet, events)) == 24
+            assert fleet.model_version == "v1"
+            assert fleet.submit(3, 0) == []
+            assert fleet.next_flush_due() is None or fleet.next_flush_due() > 0
+            assert len(fleet.poll() + fleet.flush()) == 1
+            fleet.refresh_reports()
+            assert fleet.merged_metrics().queries == 25
+            assert fleet.open_breakers == 0
+            assert [row["state"] for row in fleet.breaker_status()] == ["closed"] * 2
+            assert [row["state"] for row in fleet.worker_status()] == ["healthy"] * 2
+            assert fleet.restarts_total == 0
+            assert fleet.telemetry_extra()["slab_bytes"] >= 0
+            assert fleet.telemetry_extra()["workers_available"] == 2.0
+            # Collaborators nobody passed read as None / the null tracer.
+            assert fleet.slo is fleet.drift is fleet.alerts is fleet.shadow_recall is None
+            assert not fleet.tracer.enabled
+            summary = fleet.summary()
+            assert summary["backend"] == backend
+            assert sum(shard["queries"] for shard in summary["shards"]) == 25
+            html = tmp_path / "fleet.html"
+            report = fleet.fleet_report(dashboard_path=str(html))
+            assert "fleet — 2 shard(s), model v1" in report
+            assert "p95 ms" in report and "degradation ladder" in report
+            assert f"dashboard: {html}" in report and html.stat().st_size > 0
+            assert fleet.dashboard(str(html)) == str(html)
+            fleet.swap_model(swap_target, "v2")
+            assert fleet.model_version == "v2" and fleet.generation == 1
+            assert fleet.control.events.counts()["hot_swap"] == 1
+            fleet.stop()  # idempotent: the ``with`` exit stops again
+
+    def test_inprocess_summary_keys_are_a_subset_of_the_process_keys(
+        self, unit_world, fleet_model
+    ):
+        keys = {}
+        for backend in ("inprocess", "process"):
+            with build_fleet(unit_world, fleet_model, backend=backend) as fleet:
+                _drain(fleet, _traffic(unit_world, 6))
+                keys[backend] = set(fleet.summary())
+        assert keys["inprocess"] <= keys["process"]
+        assert {"slab", "recovered_segments"} <= keys["process"] - keys["inprocess"]
+
+    def test_last_resort_is_one_popularity_floor(self, unit_world, fleet_model):
+        # Every shard refuses (its batcher crashes on every submit): both
+        # backends must give the answer SearchEngine.degraded_ranking gives.
+        plan = FaultPlan(
+            seed=0, specs=(FaultSpec("batcher.submit", "crash", times=None),)
+        )
+        user = 3
+        category = int(np.argmax(unit_world.user_interests[user]))
+        engine = SearchEngine(unit_world, fleet_model, np.random.default_rng(0))
+        items, scores, tier = engine.degraded_ranking(user, category, TIER_POPULARITY)
+        for backend in ("inprocess", "process"):
+            with build_fleet(
+                unit_world,
+                fleet_model,
+                FleetConfig(num_workers=2),
+                backend=backend,
+                version="v1",
+                fault_plan=plan,
+            ) as fleet:
+                (answer,) = fleet.submit(user, category)
+                shed = fleet.control.events.events("load_shed")
+                assert fleet.merged_metrics().shed == 1
+            assert (answer.tier, answer.model_version) == (tier, "v1")
+            np.testing.assert_array_equal(answer.items, items)
+            np.testing.assert_array_equal(answer.scores, scores)
+            assert answer.scores.dtype == np.float32
+            assert [event.attrs for event in shed] == [
+                {"user": user, "reason": "all_shards_unavailable"}
+            ]
+
+
 class TestSupervision:
     def test_sigkill_worker_restarts_and_drops_nothing(
         self, unit_world, fleet_model
     ):
-        config = fleet_config(num_workers=2, restart_backoff_s=0.01)
-        with FleetSupervisor(unit_world, fleet_model, config) as fleet:
+        config = FleetConfig(num_workers=2, restart_backoff_s=0.01)
+        with build_fleet(unit_world, fleet_model, config, backend="process") as fleet:
             traffic = _traffic(unit_world, 24)
             results = []
             for index, (user, category) in enumerate(traffic):
@@ -145,14 +237,14 @@ class TestSupervision:
                 ),
             ),
         )
-        config = fleet_config(
+        config = FleetConfig(
             num_workers=2,
             heartbeat_interval_s=0.02,
             heartbeat_deadline_s=0.15,
             restart_backoff_s=5.0,  # keep it down so the death is observable
         )
-        with FleetSupervisor(
-            unit_world, fleet_model, config, fault_plan=plan
+        with build_fleet(
+            unit_world, fleet_model, config, backend="process", fault_plan=plan
         ) as fleet:
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
@@ -169,10 +261,10 @@ class TestSupervision:
         self, unit_world, fleet_model
     ):
         # Two deaths inside the window with max_restarts=1: quarantine.
-        config = fleet_config(
+        config = FleetConfig(
             num_workers=2, max_restarts=1, restart_backoff_s=0.01
         )
-        with FleetSupervisor(unit_world, fleet_model, config) as fleet:
+        with build_fleet(unit_world, fleet_model, config, backend="process") as fleet:
             victim = next(
                 u for u in range(unit_world.config.num_users)
                 if fleet.shard_for(u) == 0
@@ -200,8 +292,8 @@ class TestSupervision:
     ):
         # The sole worker is dead and still backing off: the supervisor's
         # popularity floor answers rather than dropping.
-        config = fleet_config(num_workers=1, restart_backoff_s=5.0)
-        with FleetSupervisor(unit_world, fleet_model, config) as fleet:
+        config = FleetConfig(num_workers=1, restart_backoff_s=5.0)
+        with build_fleet(unit_world, fleet_model, config, backend="process") as fleet:
             fleet.kill_worker(0)
             category = int(np.argmax(unit_world.user_interests[3]))
             results = fleet.submit(3, category)
@@ -211,10 +303,10 @@ class TestSupervision:
             assert fleet.merged_metrics().shed >= 1
 
     def test_dead_worker_telemetry_is_not_lost(self, unit_world, fleet_model):
-        config = fleet_config(
+        config = FleetConfig(
             num_workers=2, heartbeat_interval_s=0.02, restart_backoff_s=5.0
         )
-        with FleetSupervisor(unit_world, fleet_model, config) as fleet:
+        with build_fleet(unit_world, fleet_model, config, backend="process") as fleet:
             traffic = _traffic(unit_world, 16)
             for user, category in traffic:
                 fleet.submit(user, category)
@@ -240,14 +332,14 @@ class TestSwap:
     def test_generation_flip_is_atomic_and_unlinks_old_slab(
         self, unit_world, fleet_model, swap_target
     ):
-        config = fleet_config(num_workers=2)
-        with FleetSupervisor(
-            unit_world, fleet_model, config, version="v1"
+        config = FleetConfig(num_workers=2)
+        with build_fleet(
+            unit_world, fleet_model, config, backend="process", version="v1"
         ) as fleet:
             pre_swap = _traffic(unit_world, 8)
             for user, category in pre_swap:
                 fleet.submit(user, category)
-            old_name = fleet._slab.name
+            old_name = fleet.transport.slab.name
             drained = fleet.swap_model(swap_target, version="v2")
             # Requests accepted before the flip complete on the old model.
             assert {r.model_version for r in drained} <= {"v1"}
@@ -273,9 +365,9 @@ class TestSwap:
             seed=0,
             specs=(FaultSpec("slab.publish", "torn_write", after=1, times=1),),
         )
-        config = fleet_config(num_workers=2)
-        with FleetSupervisor(
-            unit_world, fleet_model, config, fault_plan=plan
+        config = FleetConfig(num_workers=2)
+        with build_fleet(
+            unit_world, fleet_model, config, backend="process", fault_plan=plan
         ) as fleet:
             fleet.swap_model(swap_target, version="v2")
             counts = fleet.control.events.counts()
@@ -288,9 +380,9 @@ class TestSwap:
             assert {r.model_version for r in results} == {"v2"}
 
     def test_stop_leaves_no_segments_behind(self, unit_world, fleet_model):
-        config = fleet_config(num_workers=2)
-        fleet = FleetSupervisor(unit_world, fleet_model, config)
-        name = fleet._slab.name
+        config = FleetConfig(num_workers=2)
+        fleet = build_fleet(unit_world, fleet_model, config, backend="process")
+        name = fleet.transport.slab.name
         _drain(fleet, _traffic(unit_world, 6))
         fleet.stop()
         assert not SnapshotSlab.exists(name)
@@ -305,7 +397,7 @@ class TestConfig:
             FleetConfig(heartbeat_deadline_s=0.01, heartbeat_interval_s=0.05)
 
     def test_fleet_config_overrides(self):
-        config = fleet_config(num_workers=5, seed=3)
+        config = FleetConfig(num_workers=5, seed=3)
         assert config.num_workers == 5
         assert config.seed == 3
         assert config.max_batch_size == FleetConfig().max_batch_size
@@ -322,9 +414,9 @@ class TestConfig:
                 ),
             ),
         )
-        config = fleet_config(num_workers=2, restart_backoff_s=0.01)
-        with FleetSupervisor(
-            unit_world, fleet_model, config, fault_plan=plan
+        config = FleetConfig(num_workers=2, restart_backoff_s=0.01)
+        with build_fleet(
+            unit_world, fleet_model, config, backend="process", fault_plan=plan
         ) as fleet:
             assert fleet.workers_available == 2  # bootstrap unaffected
             fleet.kill_worker(0)

@@ -14,11 +14,12 @@ from repro.obs import InMemoryExporter, SloTracker, Tracer
 from repro.retrieval import CascadeConfig
 from repro.serving import (
     CacheStats,
+    FleetConfig,
     ManualClock,
     MetricsSink,
     MicroBatcher,
     SearchEngine,
-    ShardedCluster,
+    build_fleet,
     latency_percentile,
 )
 
@@ -271,11 +272,11 @@ class TestClusterObservability:
         clock = ManualClock()
         tracer = Tracer(exporter=InMemoryExporter(), clock=clock)
         slo = SloTracker(latency_slo_ms=1e6, window_seconds=600.0)
-        cluster = ShardedCluster(
+        cluster = build_fleet(
             unit_world,
             model,
-            num_shards=2,
-            max_batch_size=2,
+            FleetConfig(num_workers=2, max_batch_size=2),
+            backend="inprocess",
             clock=clock,
             tracer=tracer,
             slo=slo,

@@ -6,7 +6,13 @@ import pytest
 from repro.core import ModelConfig, build_model
 from repro.obs import MetricsRegistry, ShadowRecallMonitor
 from repro.retrieval import CascadeConfig, RetrievalProbe
-from repro.serving import SearchEngine, ShardedCluster, ZipfLoadGenerator, replay
+from repro.serving import (
+    FleetConfig,
+    SearchEngine,
+    ZipfLoadGenerator,
+    build_fleet,
+    replay,
+)
 
 
 @pytest.fixture()
@@ -123,12 +129,14 @@ class TestEngineShadowProbe:
     def test_cluster_runtime_attachment(self, unit_world, model):
         """The benchmark/ops pattern: time a fleet clean, then switch the
         shared monitor on — every shard's engine starts consulting it."""
-        cluster = ShardedCluster(
+        cluster = build_fleet(
             unit_world,
             model,
-            num_shards=2,
-            seed=0,
-            cascade=CascadeConfig(retrieve_n=32, prune=16, nprobe=2),
+            FleetConfig(
+                num_workers=2, seed=0,
+                cascade=CascadeConfig(retrieve_n=32, prune=16, nprobe=2),
+            ),
+            backend="inprocess",
         )
         events = ZipfLoadGenerator(
             np.random.default_rng(5), world=unit_world

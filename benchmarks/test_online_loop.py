@@ -205,10 +205,6 @@ def test_online_loop(tmp_path_factory):
 
     # -- observability artifacts: refresh traces + dashboard -------------
     trace_exporter.close()
-    dashboard_path = cluster.dashboard(
-        str(DASHBOARD), registry=train_metrics, traces=list(loop.tracer.finished)
-    )
-
     fleet = cluster.summary()
     report = {
         "smoke": SMOKE,
@@ -265,10 +261,13 @@ def test_online_loop(tmp_path_factory):
         f"NDCG={online_metrics['ndcg']:.4f}"
     )
 
-    # Note: fleet_report(dashboard_path=...) would re-render the dashboard
-    # without the refresh traces, so the dashboard is written above instead.
-    print(cluster.fleet_report())
-    print(f"dashboard: {dashboard_path}")
+    print(
+        cluster.fleet_report(
+            dashboard_path=str(DASHBOARD),
+            registry=train_metrics,
+            traces=list(loop.tracer.finished),
+        )
+    )
 
     # -- acceptance ------------------------------------------------------
     promotions = sum(1 for row in cycle_rows if row.promoted)
@@ -304,8 +303,8 @@ def test_online_loop(tmp_path_factory):
     # The dashboard artifact rendered with its panels.
     html = DASHBOARD.read_text()
     assert html.startswith("<!DOCTYPE html>")
-    for anchor in ("Alerts", "Drift", "Control-plane events", "Sampled traces",
-                   "train_step_ms"):
+    for anchor in ("alerts —", "drift vs training reference", "control-plane events",
+                   "Sampled traces", "train_step_ms"):
         assert anchor in html, f"dashboard panel anchor {anchor!r} missing"
 
 

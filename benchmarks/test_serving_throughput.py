@@ -581,6 +581,6 @@ def test_traced_fleet_artifacts(search_data, trained_models):
         assert required in span_names, f"span {required!r} missing from trace"
     # The metrics snapshot is streaming (bounded): no raw latency list, yet
     # percentiles and the SLO verdict are present.
-    assert merged.latencies_ms is None
+    assert not hasattr(merged, "latencies_ms")
     assert snapshot["summary"]["latency_ms"]["p99"] > 0.0
     assert snapshot["summary"]["slo"]["window_requests"] == num_queries

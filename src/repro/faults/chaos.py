@@ -17,6 +17,7 @@ benchmark: a soak you can import is a soak tests can shrink.
 
 from __future__ import annotations
 
+import time
 from typing import Any, Dict, List, Optional
 
 from repro.faults.injector import FaultInjector, FaultPlan, FaultSpec
@@ -34,9 +35,9 @@ __all__ = [
 #: feeds into its snapshots (``repro.obs.AlertRule.parse`` syntax).  Two
 #: consecutive breaches are required for the rate rules so one bad flush
 #: doesn't page; an open breaker pages immediately — it *is* the incident.
-#: The fleet rules evaluate over :meth:`repro.serving.fleet.Fleet.
-#: telemetry_extra` scalars; a snapshot without them counts as healthy —
-#: absent data is not an incident.
+#: Every rule names a :meth:`repro.serving.fleet.Fleet.telemetry_extra`
+#: scalar, which the loop's snapshot carries on either backend; a snapshot
+#: without one counts as healthy — absent data is not an incident.
 DEFAULT_FAULT_ALERT_RULES = (
     "shed-rate: shed_rate > 0.05 for 2",
     "fallback-share: degraded_share > 0.25 for 2",
@@ -182,15 +183,15 @@ def run_chaos_soak(
         submitted += len(events)
         answered += report.queries_served
         reports.append(report.summary())
-    summary = loop.cluster.merged_metrics().summary()
+    summary = loop.cluster.summary()
     return {
         "cycles": int(cycles),
         "submitted": submitted,
         "answered": answered,
         "dropped": submitted - answered,
         "degradation": summary["degradation"],
-        "breakers": loop.cluster.breaker_status(),
-        "open_breakers": loop.cluster.open_breakers,
+        "breakers": summary["breakers"],
+        "open_breakers": int(summary["telemetry"]["open_breakers"]),
         "rollbacks": sum(1 for report in reports if report["rollback"] is not None),
         "event_counts": loop.cluster.control.events.counts(),
         "faults_fired": None if injector is None else injector.fired(),
@@ -232,26 +233,25 @@ def run_fleet_soak(
         answered += len(fleet.submit(event.user, event.query_category))
     answered += len(fleet.flush())
     if settle_s > 0:
-        import time as _time
-
-        deadline = _time.monotonic() + settle_s
-        while _time.monotonic() < deadline:
+        deadline = time.monotonic() + settle_s
+        while time.monotonic() < deadline:
             answered += len(fleet.poll())
-            _time.sleep(0.01)
+            time.sleep(0.01)
         answered += len(fleet.flush())
-    counts = fleet.control.events.counts()
+    summary = fleet.summary()
+    telemetry = summary["telemetry"]
     return {
         "submitted": len(traffic),
         "answered": answered,
         "dropped": len(traffic) - answered,
         "swaps": swaps_done,
         "generation": fleet.generation,
-        "restarts": fleet.restarts_total,
-        "quarantined": fleet.quarantined_workers,
-        "workers_available": fleet.workers_available,
-        "recovered_segments": fleet.summary().get("recovered_segments", []),
-        "worker_status": fleet.worker_status(),
-        "event_counts": counts,
+        "restarts": int(telemetry["worker_restarts"]),
+        "quarantined": int(telemetry["quarantined_workers"]),
+        "workers_available": int(telemetry["workers_available"]),
+        "recovered_segments": summary.get("recovered_segments", []),
+        "worker_status": summary["shards"],
+        "event_counts": fleet.control.events.counts(),
         "faults_fired_supervisor": fleet.injector.fired(),
-        "telemetry": fleet.telemetry_extra(),
+        "telemetry": telemetry,
     }

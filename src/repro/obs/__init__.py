@@ -23,15 +23,23 @@ package is the instrument layer threaded through all of them:
   online counterpart of the build-time :class:`~repro.retrieval.RetrievalProbe`;
 * :mod:`~repro.obs.alerts` — declarative :class:`AlertRule` predicates over
   the telemetry snapshot, evaluated with hysteresis into typed events;
-* :mod:`~repro.obs.dashboard` — the whole telemetry surface rendered into
-  one self-contained HTML file.
+* :mod:`~repro.obs.dashboard` — one section list built from a fleet's
+  telemetry snapshot, rendered as text tables or as one self-contained
+  HTML file.
 
 Everything here is numpy-and-stdlib only and imports nothing from the
 serving stack — serving imports obs, never the reverse.
 """
 
 from repro.obs.alerts import AlertManager, AlertRule, AlertTransition, telemetry_snapshot
-from repro.obs.dashboard import render_dashboard, write_dashboard
+from repro.obs.dashboard import (
+    Bar,
+    Section,
+    render_dashboard,
+    render_text,
+    report_sections,
+    write_dashboard,
+)
 from repro.obs.drift import (
     DriftMonitor,
     ks_from_counts,
@@ -62,6 +70,10 @@ __all__ = [
     "AlertRule",
     "AlertTransition",
     "telemetry_snapshot",
+    "Bar",
+    "Section",
+    "report_sections",
+    "render_text",
     "render_dashboard",
     "write_dashboard",
     "DriftMonitor",

@@ -146,8 +146,9 @@ def telemetry_snapshot(
     * SLO → ``slo_p99_ms``, ``slo_violation_rate``, ``slo_burn_rate``;
     * drift → ``drift_psi_<feature>``, ``drift_ks_<feature>``, plus the
       headline ``drift_psi_worst``;
-    * ``extra`` merges last (callers inject e.g. ``retrieval_recall_at_k``
-      or click-log lag).
+    * ``extra`` merges last (the online loop injects
+      ``Fleet.telemetry()``'s scalars — worker / breaker / shed,
+      ``retrieval_recall_at_k`` — and click-log lag).
     """
     snapshot: Dict[str, float] = {}
     if registry is not None:

@@ -21,6 +21,7 @@ list-based sink had, at O(1) memory per shard.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
@@ -293,14 +294,18 @@ class MetricsRegistry:
         return len(self._metrics)
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Union of both registries; shared names merge metric-wise."""
+        """Union of both registries; shared names merge metric-wise.  A
+        metric only one side holds is copied, so the result never aliases
+        an instrument either operand keeps recording into."""
         merged = MetricsRegistry()
         for name, metric in self._metrics.items():
             twin = other._metrics.get(name)
-            merged._metrics[name] = metric.merge(twin) if twin is not None else metric
+            merged._metrics[name] = (
+                metric.merge(twin) if twin is not None else copy.deepcopy(metric)
+            )
         for name, metric in other._metrics.items():
             if name not in merged._metrics:
-                merged._metrics[name] = metric
+                merged._metrics[name] = copy.deepcopy(metric)
         return merged
 
     def to_json(self) -> Dict[str, Any]:

@@ -142,9 +142,10 @@ class OnlineLoop:
         (that window *is* the click log the candidate trained on).
     alerts:
         Optional :class:`~repro.obs.AlertManager`, evaluated once per cycle
-        against the merged telemetry snapshot (trainer metrics, fleet SLO,
-        drift scores, click-log lag, shadow recall).  Unless it already has
-        an event log, it is bound to the cluster's control-plane
+        against the merged telemetry snapshot (``Fleet.telemetry()`` —
+        pooled serving registry and fleet scalars — trainer metrics, fleet
+        SLO, drift scores and click-log lag).  Unless it already has an
+        event log, it is bound to the cluster's control-plane
         :class:`~repro.obs.EventLog`, so alert transitions interleave with
         hot swaps and canary verdicts in one timeline.
     retry_attempts / retry_backoff_s:
@@ -477,23 +478,14 @@ class OnlineLoop:
                 },
             )
         if self.alerts is not None:
-            merged = self.cluster.merged_metrics()
-            extra = {
-                "click_log_lag": float(self.click_log.lag),
-                # Resilience telemetry: the degradation ladder and breaker
-                # state are alertable (and drive the watch-window rollback).
-                "shed_rate": float(merged.shed_rate),
-                "degraded_share": float(merged.degraded_share),
-                "open_breakers": float(self.cluster.open_breakers),
-            }
-            shadow = self.cluster.shadow_recall
-            if shadow is not None and shadow.samples:
-                extra["retrieval_recall_at_k"] = shadow.recall_at_k
+            # Everything a rule may name: the fleet's scalars and the pooled
+            # serving registry next to the trainer's metrics, SLO and drift.
+            registry, extra = self.cluster.telemetry()
+            extra["click_log_lag"] = float(self.click_log.lag)
+            if self.trainer.metrics is not None:
+                registry = registry.merge(self.trainer.metrics)
             snapshot = telemetry_snapshot(
-                registry=self.trainer.metrics,
-                slo=self.cluster.slo,
-                drift=self.drift,
-                extra=extra,
+                registry=registry, slo=self.cluster.slo, drift=self.drift, extra=extra
             )
             transitions = self.alerts.evaluate(snapshot, now)
             if transitions:

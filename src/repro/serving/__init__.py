@@ -26,8 +26,9 @@ high-throughput subsystem::
   :func:`build_fleet` is the front door for both;
 * :mod:`~repro.serving.loadgen` — Zipf user traffic with Poisson arrivals;
 * :mod:`~repro.serving.metrics` — QPS, latency percentiles, batch-size
-  histogram, cache hit rate (bounded-memory streaming histograms by
-  default; Prometheus-text export via ``MetricsSink.prometheus_text``);
+  histogram, cache hit rate: :class:`MetricsSink` records into the
+  instruments of a :class:`repro.obs.MetricsRegistry` it owns (bounded
+  memory; Prometheus-text export via ``MetricsSink.prometheus_text``);
 * :mod:`~repro.serving.cost` / :mod:`~repro.serving.ab_test` — the paper's
   FLOP cost model and simulated online A/B test.
 
@@ -36,7 +37,10 @@ Observability threads through every layer via :mod:`repro.obs`: pass a
 span trees (submit → queue-wait → gate → retrieve → rank → flush, with
 cascade sub-stages and per-kernel rank children), and a
 :class:`repro.obs.SloTracker` to the fleet for sliding-window p99 and
-error-budget burn rate — surfaced by ``Fleet.fleet_report()``.
+error-budget burn rate.  ``Fleet.summary()`` is the one telemetry
+snapshot: ``Fleet.fleet_report()`` (text), ``Fleet.dashboard()`` (HTML),
+``Fleet.telemetry()`` (what alert rules evaluate over) and the soak
+artifacts all render or read it.
 
 Scoring executes through the compiled inference path (:mod:`repro.infer`)
 by default: engines compile models into flat fused-kernel plans at
@@ -85,7 +89,6 @@ from repro.serving.metrics import (
     ManualClock,
     MetricsSink,
     latency_percentile,
-    sorted_percentile,
 )
 from repro.serving.shard import FleetConfig, ShardWorker, SwapFailed, shard_for_user
 
@@ -123,5 +126,4 @@ __all__ = [
     "ManualClock",
     "MetricsSink",
     "latency_percentile",
-    "sorted_percentile",
 ]

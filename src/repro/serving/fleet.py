@@ -32,7 +32,7 @@ import os
 import signal
 import time
 from functools import cached_property
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +45,11 @@ from repro.obs import (
     NULL_TRACER,
     AlertManager,
     DriftMonitor,
+    MetricsRegistry,
+    Section,
     ShadowRecallMonitor,
+    render_text,
+    report_sections,
     write_dashboard,
 )
 from repro.retrieval import category_popularity_probs
@@ -62,7 +66,6 @@ from repro.serving.shard import (
     SwapFailed,
     shard_for_user,
 )
-from repro.utils.tables import format_table
 
 __all__ = ["Fleet", "InThreadTransport", "build_fleet"]
 
@@ -399,50 +402,46 @@ class Fleet:
         ``generation``, ``restarts``, ``outstanding`` and — as of the
         shard's latest report, absent while it has none — ``queries``,
         ``avg_latency_ms``, ``cache_hit_rate``, ``breaker``."""
-        return [
-            {key: value for key, value in report.items() if key != "metrics"}
-            for report in self.transport.reports()
-        ]
+        return _status_rows(self.transport.reports())
 
     def breaker_status(self) -> List[Dict[str, object]]:
         """Per-shard circuit-breaker health state (a shard that is down has
         no row)."""
-        return [
-            {"shard": row["shard"], **row["breaker"]}
-            for row in self.worker_status()
-            if "breaker" in row
-        ]
+        return _breaker_rows(self.worker_status())
 
+    def _health(self, shards: List[Dict[str, Any]]) -> Dict[str, float]:
+        """The fleet scalars that status rows give without a sink merge."""
+        return {
+            "worker_restarts": float(sum(row["restarts"] for row in shards)),
+            "worker_deaths": float(self.control.events.counts().get("worker_died", 0)),
+            "quarantined_workers": float(sum(row["state"] == QUARANTINED for row in shards)),
+            "workers_available": float(sum(row["state"] == HEALTHY for row in shards)),
+            "slab_generation": float(self.generation),
+            "slab_bytes": float(self.transport.describe()["slab_bytes"]),
+            "open_breakers": float(
+                sum(row["state"] != CircuitBreaker.CLOSED for row in _breaker_rows(shards))
+            ),
+        }
+
+    # The status accessors walk the shards' latest reports — no RPC, no sink
+    # merge — so a harness may read them between passes; each is the
+    # :meth:`summary` value of the same name as of the last heartbeat.
     @property
     def open_breakers(self) -> int:
         """Shards currently not fully closed (open or half-open)."""
-        return sum(
-            1 for row in self.breaker_status() if row["state"] != CircuitBreaker.CLOSED
-        )
+        return int(self._health(self.worker_status())["open_breakers"])
 
     @property
     def workers_available(self) -> int:
-        return sum(1 for row in self.worker_status() if row["state"] == HEALTHY)
+        return int(self._health(self.worker_status())["workers_available"])
 
     @property
     def restarts_total(self) -> int:
-        return sum(row["restarts"] for row in self.worker_status())
+        return int(self._health(self.worker_status())["worker_restarts"])
 
     @property
     def quarantined_workers(self) -> int:
-        return sum(1 for row in self.worker_status() if row["state"] == QUARANTINED)
-
-    def telemetry_extra(self) -> Dict[str, float]:
-        """Scalars for :func:`repro.obs.telemetry_snapshot`'s ``extra`` —
-        the namespace the fleet alert rules evaluate over."""
-        return {
-            "worker_restarts": float(self.restarts_total),
-            "worker_deaths": float(self.control.events.counts().get("worker_died", 0)),
-            "quarantined_workers": float(self.quarantined_workers),
-            "workers_available": float(self.workers_available),
-            "slab_generation": float(self.generation),
-            "slab_bytes": float(self.transport.describe()["slab_bytes"]),
-        }
+        return int(self._health(self.worker_status())["quarantined_workers"])
 
     def kill_worker(self, shard: int, sig: int = signal.SIGKILL) -> Optional[int]:
         """Crash drill (process backend): signal a shard's worker process."""
@@ -460,218 +459,139 @@ class Fleet:
         self.stop()
 
     # ------------------------------------------------------------------
-    # fleet metrics
+    # fleet telemetry: one snapshot, two renderings
     # ------------------------------------------------------------------
-    def merged_metrics(self) -> MetricsSink:
-        """The control-plane sink plus every incarnation's latest shard
-        sink (dead incarnations included), pooled into one."""
-        merged = self.control
+    def _pooled(self, reports: List[Dict[str, Any]]) -> MetricsSink:
+        # Folded onto a fresh sink, so the result never is (or shares an
+        # instrument with) the control sink or a shard's.
+        merged = MetricsSink(clock=self._clock, slo=self.slo).merge(self.control)
         for sink in self.transport.retired:
             merged = merged.merge(sink)
-        for report in self.transport.reports():
+        for report in reports:
             if "metrics" in report:
                 merged = merged.merge(report["metrics"])
         return merged
 
-    def summary(self) -> Dict[str, object]:
-        """Fleet report: merged headline metrics plus the per-shard rows."""
-        self.refresh_reports()
-        fleet = self.merged_metrics().summary()
-        fleet["num_shards"] = self.num_shards
-        fleet["backend"] = self.backend
-        fleet["model_version"] = self.model_version or "unversioned"
-        fleet["generation"] = self.generation
-        fleet["shards"] = self.worker_status()
-        fleet["breakers"] = self.breaker_status()
-        fleet.update(self.transport.describe())
-        return fleet
+    def merged_metrics(self) -> MetricsSink:
+        """The control-plane sink plus every incarnation's latest shard
+        sink (dead incarnations included), pooled into one."""
+        return self._pooled(self.transport.reports())
+
+    def _observe(self) -> Tuple[MetricsSink, List[Dict[str, Any]], Dict[str, float]]:
+        """One fresh ``transport.reports()`` walk and one pooling pass: the
+        pooled sink, the shard rows and the scalars alert rules may name."""
+        reports = self.transport.reports(fresh=True)
+        pooled = self._pooled(reports)
+        shards = _status_rows(reports)
+        telemetry = {
+            **self._health(shards),
+            # Resilience: the degradation ladder is alertable (and drives
+            # the online loop's watch-window rollback).
+            "shed_rate": pooled.shed_rate,
+            "degraded_share": pooled.degraded_share,
+        }
+        shadow = self.shadow_recall
+        if shadow is not None and shadow.samples:
+            telemetry["retrieval_recall_at_k"] = shadow.recall_at_k
+        return pooled, shards, telemetry
+
+    def telemetry(self) -> Tuple[MetricsRegistry, Dict[str, float]]:
+        """What alert rules evaluate over, from one :meth:`summary`-grade
+        pass without the rendering work: the pooled serving registry and
+        the fleet scalars — :func:`repro.obs.telemetry_snapshot`'s
+        ``registry`` and ``extra``."""
+        pooled, _, telemetry = self._observe()
+        return pooled.to_registry(), telemetry
+
+    def telemetry_extra(self) -> Dict[str, float]:
+        """The fleet scalars of :meth:`summary` (its ``telemetry``)."""
+        return self._observe()[2]
+
+    def summary(self, registry: Optional[MetricsRegistry] = None) -> Dict[str, Any]:
+        """The one telemetry snapshot (JSON-able): everything
+        :meth:`fleet_report`, the dashboard, the alert rules and the soak
+        artifacts show, from one fresh ``transport.reports()`` walk and one
+        pooling pass.
+
+        On top of the pooled sink's :meth:`MetricsSink.summary` — headline
+        metrics, ``cache``, ``online``, ``degradation``, ``events`` totals,
+        ``slo``, ``cost`` — it carries the fleet's identity (``num_shards``,
+        ``backend``, ``model_version``, ``generation``, the transport's
+        ``describe()``), the per-shard ``shards`` and ``breakers`` rows, the
+        ``telemetry`` scalars alert rules may name (:meth:`telemetry_extra`),
+        the pooled registry as ``metrics`` (with ``registry`` merged in — the
+        trainer's, say, so train-step histograms land on the same page),
+        and the state of every attached collaborator or
+        ``None``: ``tracer`` stats, ``shadow_recall`` stats, ``drift``
+        scores, ``alerts`` rows, plus the control-plane ``event_tail``.
+        """
+        pooled, shards, telemetry = self._observe()
+        metrics = pooled.to_registry()
+        if registry is not None:
+            metrics = metrics.merge(registry)
+        shadow = self.shadow_recall
+        return {
+            **pooled.summary(),
+            "num_shards": self.num_shards,
+            "backend": self.backend,
+            "model_version": self.model_version or "unversioned",
+            "generation": self.generation,
+            "shards": shards,
+            "breakers": _breaker_rows(shards),
+            **self.transport.describe(),
+            "telemetry": telemetry,
+            "metrics": metrics.to_json(),
+            "tracer": self.tracer.stats() if self.tracer.enabled else None,
+            "shadow_recall": shadow.stats() if shadow is not None else None,
+            "drift": self.drift.to_dict() if self.drift is not None else None,
+            "alerts": self.alerts.status() if self.alerts is not None else None,
+            "event_tail": [event.to_dict() for event in self.control.events.tail(12)],
+        }
+
+    def _write_page(
+        self, path: str, sections: List[Section], traces=None, title: str = "repro fleet"
+    ) -> str:
+        if traces is None and self.tracer.enabled:
+            traces = list(self.tracer.finished)
+        return write_dashboard(path, sections, title=title, traces=traces)
 
     def dashboard(
         self, path: str, registry=None, title: str = "repro fleet", traces=None
     ) -> str:
         """Write the self-contained HTML dashboard; returns ``path``.
 
-        Renders everything the text :meth:`fleet_report` shows — fleet
-        summary, streaming metrics, SLO, control-plane events — plus the
-        drift, alert, and shadow-recall panels and the tracer's recent
-        sampled span trees (request traces and, when the online loop shares
-        this tracer, refresh-cycle traces).  ``registry`` merges extra
-        metrics in (the online loop passes the trainer's registry so
-        train-step histograms land on the same page).  ``traces`` overrides
-        the trace list — pass ``list(loop.tracer.finished)`` to render the
+        The same sections as :meth:`fleet_report` from the same
+        :meth:`summary` (``registry`` merges extra metrics in), plus the
+        tracer's recent sampled span trees.  ``traces`` overrides the trace
+        list — pass ``list(loop.tracer.finished)`` to render the
         refresh-cycle spans when the loop's tracer is separate from the
         fleet's request tracer.
         """
-        summary = self.summary()
-        merged_registry = self.merged_metrics().to_registry()
-        if registry is not None:
-            merged_registry = merged_registry.merge(registry)
-        degradation = summary["degradation"]
-        flat_summary = {
-            "shards": self.num_shards,
-            "model_version": summary["model_version"],
-            "queries": summary["queries"],
-            "qps": round(summary["qps"], 1),
-            "p50_ms": round(summary["latency_ms"]["p50"], 3),
-            "p99_ms": round(summary["latency_ms"]["p99"], 3),
-            "mean_batch": round(summary["mean_batch_size"], 2),
-            "cache_hit_rate": round(summary["cache"]["hit_rate"], 4),
-            "requests_shed": degradation["shed"],
-            "degraded_share": round(degradation["degraded_share"], 4),
-            "open_breakers": self.open_breakers,
-        }
-        return write_dashboard(
-            path,
-            title=title,
-            summary=flat_summary,
-            registry=merged_registry,
-            slo=self.slo,
-            events=self.control.events,
-            drift=self.drift,
-            alerts=self.alerts,
-            shadow=self.shadow_recall,
-            breakers=summary["breakers"],
-            tiers=degradation["tiers"],
-            traces=(
-                traces
-                if traces is not None
-                else (list(self.tracer.finished) if self.tracer.enabled else None)
-            ),
-        )
+        return self._write_page(path, report_sections(self.summary(registry)), traces, title)
 
-    def fleet_report(self, dashboard_path: Optional[str] = None) -> str:
-        """Text dashboard of the fleet: headline metrics, per-shard status,
-        the degradation ladder, SLO status, drift/alert/shadow-recall
-        state, and the recent control-plane event tail — what examples and
-        benchmarks print after a traffic run.  ``dashboard_path``
-        additionally writes the HTML dashboard there and appends its
-        location to the report."""
-        summary = self.summary()
-        latency = summary["latency_ms"]
-        degradation = summary["degradation"]
-        tiers = degradation["tiers"]
-        title = f"fleet — {self.num_shards} shard(s), model {summary['model_version']}"
-        if summary["slab_bytes"]:
-            title += (
-                f", generation {self.generation},"
-                f" slab {summary['slab_bytes'] / 1024:.0f} KiB"
-            )
-        sections = [
-            format_table(
-                ["queries", "qps", "p50 ms", "p95 ms", "p99 ms", "mean batch", "cache hit"],
-                [[
-                    summary["queries"],
-                    f"{summary['qps']:.0f}",
-                    f"{latency['p50']:.2f}",
-                    f"{latency['p95']:.2f}",
-                    f"{latency['p99']:.2f}",
-                    f"{summary['mean_batch_size']:.2f}",
-                    f"{summary['cache']['hit_rate']:.1%}",
-                ]],
-                title=title,
-            ),
-            format_table(
-                ["shard", "state", "pid", "gen", "restarts", "outstanding",
-                 "queries", "avg ms", "cache hit", "breaker", "opens"],
-                [
-                    [
-                        row["shard"], row["state"], row["pid"] or "-",
-                        row["generation"], row["restarts"], row["outstanding"],
-                        *(
-                            [
-                                row["queries"],
-                                f"{row['avg_latency_ms']:.2f}",
-                                f"{row['cache_hit_rate']:.1%}",
-                                row["breaker"]["state"],
-                                row["breaker"]["opens"],
-                            ]
-                            if "breaker" in row
-                            else ["-"] * 5
-                        ),
-                    ]
-                    for row in summary["shards"]
-                ],
-                title="per-shard",
-            ),
-            format_table(
-                ["full", "prefilter", "popularity", "shed", "degraded share", "open breakers"],
-                [[
-                    tiers.get("full", 0),
-                    tiers.get("prefilter", 0),
-                    tiers.get("popularity", 0),
-                    degradation["shed"],
-                    f"{degradation['degraded_share']:.2%}",
-                    self.open_breakers,
-                ]],
-                title="degradation ladder",
-            ),
-        ]
-        if self.slo is not None:
-            status = self.slo.status()
-            sections.append(
-                f"SLO: p99 {status['p99_ms']:.2f} ms vs {status['latency_slo_ms']:.2f} ms"
-                f" | violation rate {status['violation_rate']:.2%}"
-                f" | error-budget burn {status['error_budget_burn_rate']:.2f}x"
-                f" | {'HEALTHY' if status['healthy'] else 'BURNING'}"
-            )
-        if self.tracer.enabled:
-            stats = self.tracer.stats()
-            sections.append(
-                f"tracing: {stats['sampled']}/{stats['started']} requests sampled"
-                f" (rate {stats['sample_rate']:.2f}), {stats['exported']} exported"
-            )
-        shadow = self.shadow_recall
-        if shadow is not None and shadow.samples:
-            sections.append(
-                f"shadow recall@{shadow.k}: {shadow.recall_at_k:.4f} over "
-                f"{shadow.samples}/{shadow.requests} sampled retrievals"
-                f" (rate {shadow.rate:.3%})"
-            )
-        if self.drift is not None and self.drift.has_reference:
-            sections.append(
-                format_table(
-                    ["feature", "psi", "ks", "live n"],
-                    [
-                        [name, f"{scores['psi']:.4f}", f"{scores['ks']:.4f}",
-                         scores["live_samples"]]
-                        for name, scores in sorted(self.drift.scores().items())
-                    ],
-                    title="drift vs training reference",
-                )
-            )
-        if self.alerts is not None and self.alerts.rules:
-            firing = self.alerts.firing()
-            sections.append(
-                format_table(
-                    ["rule", "predicate", "state", "last value"],
-                    [
-                        [
-                            row["rule"],
-                            f"{row['metric']} {row['op']} {row['threshold']:g}",
-                            "FIRING" if row["firing"] else "ok",
-                            "-" if row["last_value"] is None
-                            else f"{row['last_value']:.4f}",
-                        ]
-                        for row in self.alerts.status()
-                    ],
-                    title=f"alerts — {len(firing)} firing",
-                )
-            )
-        events = self.control.events.tail(8)
-        if events:
-            sections.append(
-                format_table(
-                    ["t", "kind", "attrs"],
-                    [
-                        [f"{event.timestamp:.3f}", event.kind, str(event.attrs)]
-                        for event in events
-                    ],
-                    title="recent control-plane events",
-                )
-            )
-        if dashboard_path is not None:
-            sections.append(f"dashboard: {self.dashboard(dashboard_path)}")
-        return "\n\n".join(sections)
+    def fleet_report(
+        self, dashboard_path: Optional[str] = None, registry=None, traces=None
+    ) -> str:
+        """Text rendering of :meth:`summary` — what examples and benchmarks
+        print after a traffic run.  ``dashboard_path`` additionally writes
+        the HTML dashboard there from the same snapshot (the other
+        arguments are :meth:`dashboard`'s) and appends its location."""
+        sections = report_sections(self.summary(registry))
+        text = render_text(sections)
+        if dashboard_path is None:
+            return text
+        return f"{text}\n\ndashboard: {self._write_page(dashboard_path, sections, traces)}"
+
+
+def _status_rows(reports: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    return [
+        {key: value for key, value in report.items() if key != "metrics"}
+        for report in reports
+    ]
+
+
+def _breaker_rows(shards: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    return [{"shard": row["shard"], **row["breaker"]} for row in shards if "breaker" in row]
 
 
 def build_fleet(

@@ -1,5 +1,7 @@
 """OnlineLoop end to end: refresh cycles, skew-freedom, empty-log identity."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -189,15 +191,21 @@ class TestAlertsOnEitherBackend:
     def test_one_cycle_evaluates_a_rule_over_fleet_health(
         self, backend, tmp_path, unit_world, make_model, online_train_config
     ):
-        # The loop reads open_breakers / shadow_recall / slo off the fleet
-        # when it evaluates alerts; both backends must carry them.
+        # The loop evaluates alerts on the fleet's one snapshot: the fleet
+        # scalars (telemetry_extra) and the pooled serving registry must
+        # reach the rules on both backends, not only the trainer's metrics.
         if backend == "process" and not shared_memory_available():
             pytest.skip("POSIX shared memory unavailable")
-        alerts = AlertManager(["open-breakers: open_breakers >= 1"])
+        alerts = AlertManager([
+            "open-breakers: open_breakers >= 1",
+            "fleet-capacity: workers_available < 1",
+            "served: repro_queries_total > 1000000",
+            "restarted: worker_restarts >= 1",
+        ])
         with build_fleet(
             unit_world,
             make_model(trained=False),
-            FleetConfig(num_workers=2, seed=0, max_batch_size=4),
+            FleetConfig(num_workers=2, seed=0, max_batch_size=4, restart_backoff_s=0.01),
             backend=backend,
         ) as fleet:
             loop = OnlineLoop(
@@ -220,5 +228,27 @@ class TestAlertsOnEitherBackend:
             assert report.queries_served == 40
             assert report.alerts is None  # evaluated, nothing fired
             assert alerts.evaluations == 1
-            assert alerts.status()[0]["last_value"] == 0.0
             assert alerts.events is fleet.control.events
+            last = {row["rule"]: row["last_value"] for row in alerts.status()}
+            assert last == {
+                "open-breakers": 0.0, "fleet-capacity": 2.0, "served": 40.0, "restarted": 0.0
+            }
+            if backend == "process":
+                # A worker death reaches the rules through the same snapshot.
+                fleet.kill_worker(0)
+                deadline = time.monotonic() + 10.0
+
+                def restarted():
+                    # The state reads "healthy" until a poll notices the
+                    # death, so wait for the death event first.
+                    died = fleet.control.events.counts().get("worker_died", 0)
+                    return died >= 1 and fleet.workers[0].state == "healthy"
+
+                while not restarted() and time.monotonic() < deadline:
+                    fleet.poll()
+                    time.sleep(0.01)
+                assert restarted()
+                report = loop.run_cycle(_events(unit_world, 20, seed=8))
+                assert report.queries_served >= 20  # at-least-once delivery
+                (fired,) = [row for row in report.alerts if row["rule"] == "restarted"]
+                assert fired["action"] == "fired" and fired["value"] >= 1.0

@@ -152,14 +152,15 @@ class TestMetricsSink:
     def test_summary_is_json_ready(self):
         import json
 
-        sink = MetricsSink(clock=ManualClock(), exact=True)
+        sink = MetricsSink(clock=ManualClock())
         sink.record_query(5.0, now=0.0)
         sink.record_query(7.0, now=1.0)
         sink.record_batch(2)
         summary = sink.summary()
         payload = json.loads(json.dumps(summary))
         assert payload["queries"] == 2
-        assert payload["latency_ms"]["p50"] == 5.0
+        assert payload["latency_ms"]["mean"] == 6.0  # the mean is exact
+        assert payload["latency_ms"]["p50"] == pytest.approx(5.0, rel=0.02)
         assert payload["mean_batch_size"] == 2.0
 
     def test_manual_clock_validation(self):
@@ -213,39 +214,20 @@ class TestOnlineEventMetrics:
         }
 
     def test_summary_percentiles_match_single_sort(self):
-        """In exact mode summary() sorts the latency list once and must read
-        the same nearest-rank values latency_percentile computes from
-        scratch."""
+        """summary() reads its percentiles off the streaming histogram; they
+        must stay within its 2% bound of the nearest-rank values
+        latency_percentile computes by sorting the list the test holds."""
         rng = np.random.default_rng(8)
-        sink = MetricsSink(clock=ManualClock(), exact=True)
-        for value in rng.random(257) * 100:
-            sink.record_query(float(value))
+        latencies = [float(value) for value in rng.random(257) * 100]
+        sink = MetricsSink(clock=ManualClock())
+        for value in latencies:
+            sink.record_query(value)
         summary = sink.summary()
         for key, p in (("p50", 50), ("p95", 95), ("p99", 99)):
-            assert summary["latency_ms"][key] == latency_percentile(sink.latencies_ms, p)
-
-    def test_cascade_cost_in_summary_and_merge(self, unit_world):
-        from repro.retrieval import CascadeConfig
-        from repro.serving import compare_retrieval_strategies
-
-        report = compare_retrieval_strategies(
-            ModelConfig.unit(),
-            unit_world.meta(),
-            seq_len=8,
-            category_size=1000,
-            cascade=CascadeConfig(retrieve_n=128, prune=32, nprobe=4),
-            vector_dim=10,
-        )
-        sink = MetricsSink(clock=ManualClock())
-        assert sink.summary()["cost"]["cascade"] is None
-        sink.record_cascade_cost(report)
-        cascade = sink.summary()["cost"]["cascade"]
-        assert cascade["survivors"] == 32
-        assert cascade["total_saving_factor"] > 1.0
-        merged = sink.merge(MetricsSink(clock=ManualClock()))
-        assert merged.cascade_cost is report
-        merged = MetricsSink(clock=ManualClock()).merge(sink)
-        assert merged.cascade_cost is report
+            assert summary["latency_ms"][key] == pytest.approx(
+                latency_percentile(latencies, p), rel=0.02
+            )
+        assert summary["latency_ms"]["mean"] == pytest.approx(np.mean(latencies))
 
     def test_cost_model_translates_cache_hits_to_flops(self, unit_world):
         from repro.serving import compare_gate_strategies

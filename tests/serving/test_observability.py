@@ -1,7 +1,8 @@
 """Observability threaded through the serving stack.
 
-Covers the MetricsSink streaming/exact duality, its event + SLO + registry
-surface, and the request traces the engine, batcher, and cluster emit.
+Covers the MetricsSink's registry instruments, its event + SLO + export
+surface, the request traces the engine, batcher, and cluster emit, and the
+one fleet snapshot both report back-ends render.
 """
 
 import json
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import ModelConfig, build_model
-from repro.obs import InMemoryExporter, SloTracker, Tracer
+from repro.obs import InMemoryExporter, SloTracker, Tracer, report_sections
 from repro.retrieval import CascadeConfig
 from repro.serving import (
     CacheStats,
@@ -49,7 +50,7 @@ def _span_tree(trace_dict):
 
 
 # ----------------------------------------------------------------------
-# MetricsSink: streaming by default, exact on request
+# MetricsSink: one writer, recording straight into registry instruments
 # ----------------------------------------------------------------------
 class TestSinkModes:
     def test_streaming_sink_holds_no_raw_samples(self):
@@ -57,47 +58,111 @@ class TestSinkModes:
         for i in range(100):
             sink.record_query(float(i + 1))
             sink.record_batch((i % 4) + 1)
-        assert sink.latencies_ms is None
-        assert sink.batch_sizes is None
+        assert not hasattr(sink, "latencies_ms") and not hasattr(sink, "batch_sizes")
         assert sink.queries == 100
+        assert sink.batch_size_histogram() == {1: 25, 2: 25, 3: 25, 4: 25}
         assert sink.max_batch_size == 4
 
     def test_streaming_percentiles_track_exact(self):
         rng = np.random.default_rng(0)
         latencies = (rng.lognormal(1.0, 0.7, size=5_000) + 0.1).tolist()
-        streaming = MetricsSink(clock=ManualClock())
-        exact = MetricsSink(clock=ManualClock(), exact=True)
+        sink = MetricsSink(clock=ManualClock())
         for latency in latencies:
-            streaming.record_query(latency)
-            exact.record_query(latency)
-        for p in (50.0, 95.0, 99.0):
-            truth = latency_percentile(latencies, p)
-            assert exact.percentile(p) == truth  # exact mode is bitwise
-            assert streaming.percentile(p) == pytest.approx(truth, rel=0.02)
-
-    def test_batch_histograms_agree_across_modes(self):
-        streaming = MetricsSink(clock=ManualClock())
-        exact = MetricsSink(clock=ManualClock(), exact=True)
-        for size in [3, 1, 3, 7, 1, 3]:
-            streaming.record_batch(size)
-            exact.record_batch(size)
-        expected = {1: 2, 3: 3, 7: 1}
-        assert streaming.batch_size_histogram() == expected
-        assert exact.batch_size_histogram() == expected
-        assert streaming.max_batch_size == exact.max_batch_size == 7
-
-    def test_merge_demotes_to_streaming_unless_both_exact(self):
-        exact_a = MetricsSink(clock=ManualClock(), exact=True)
-        exact_b = MetricsSink(clock=ManualClock(), exact=True)
-        streaming = MetricsSink(clock=ManualClock())
-        for sink, latency in ((exact_a, 1.0), (exact_b, 2.0), (streaming, 3.0)):
             sink.record_query(latency)
-        both_exact = exact_a.merge(exact_b)
-        assert both_exact.exact and sorted(both_exact.latencies_ms) == [1.0, 2.0]
-        demoted = exact_a.merge(streaming)
-        assert not demoted.exact and demoted.latencies_ms is None
-        assert demoted.queries == 2
-        assert demoted.percentile(99) == pytest.approx(3.0, rel=0.02)
+        for p in (50.0, 95.0, 99.0):
+            truth = latency_percentile(latencies, p)  # oracle over the held list
+            assert sink.percentile(p) == pytest.approx(truth, rel=0.02)
+
+    def test_sink_records_into_its_registry_and_exports_snapshots(self):
+        """No mirror: ``sink.registry`` holds the instruments the sink
+        records into.  ``to_registry()`` and ``merge()`` results are
+        snapshots — they alias no instrument a sink keeps recording into."""
+        sink = MetricsSink(clock=ManualClock())
+        sink.record_query(2.0)
+        sink.record_tier("full")
+        assert sink.registry.get("repro_latency_ms").count == 1
+        assert sink.registry.get("repro_served_full_total").value == 1
+        exported = sink.to_registry()
+        merged = sink.merge(MetricsSink(clock=ManualClock()))
+        sink.record_query(3.0)
+        sink.record_tier("full")
+        sink.record_swap()
+        assert sink.registry.get("repro_latency_ms").count == sink.queries == 2
+        for snapshot in (exported, merged.registry):
+            assert snapshot.get("repro_latency_ms").count == 1
+            assert snapshot.get("repro_served_full_total").value == 1
+            assert snapshot.get("repro_model_swaps_total").value == 0
+        # ...and recording into a merged sink leaves its operands alone.
+        merged.record_query(5.0)
+        merged.record_tier("popularity")
+        assert (merged.queries, sink.queries) == (2, 2)
+        assert sink.tier_counts == {"full": 2}
+
+    def test_merged_ratios_are_pooled_not_maxed(self):
+        """Two shards with different batch sizes / shed rates: the merged
+        gauges are ratios of the pooled counters (Gauge.merge alone would
+        report the worst shard's)."""
+        a, b = MetricsSink(clock=ManualClock()), MetricsSink(clock=ManualClock())
+        for size in (2, 2, 2):
+            a.record_batch(size)
+        b.record_batch(8)
+        for _ in range(9):
+            a.record_tier("full")
+        b.record_tier("popularity")
+        b.record_shed()
+        merged = a.merge(b).to_registry()
+        assert merged.get("repro_mean_batch_size").value == pytest.approx(14 / 4)
+        assert merged.get("repro_shed_rate").value == pytest.approx(1 / 10)
+        assert merged.get("repro_degraded_share").value == pytest.approx(1 / 10)
+        # ...where each shard alone reads 2.0 / 8.0 and 0.0 / 1.0.
+        assert b.to_registry().get("repro_mean_batch_size").value == 8.0
+        assert b.to_registry().get("repro_shed_rate").value == 1.0
+
+    def test_export_names_and_values_for_fixed_traffic(self):
+        """The Prometheus / JSON surface for a fixed recorded traffic — the
+        metric names and values the pre-instrument sink exported."""
+        sink = MetricsSink(clock=ManualClock())
+        for latency in (1.0, 2.0, 8.0):
+            sink.record_query(latency)
+            sink.record_tier("full")
+        sink.record_query(0.0)
+        sink.record_tier("popularity")
+        sink.record_shed()
+        sink.record_batch(3)
+        sink.record_cache(CacheStats(hits=1, misses=2, evictions=0))
+        sink.record_swap(version="v2")
+        sink.record_canary(True)
+        sink.record_canary(False)
+        sink.record_log_lag(5)
+        payload = sink.to_registry().to_json()
+        scalars = {
+            name: metric["value"] for name, metric in payload.items() if "value" in metric
+        }
+        assert scalars == {
+            "repro_queries_total": 4,
+            "repro_batches_total": 1,
+            "repro_mean_batch_size": 3.0,
+            "repro_cache_hits_total": 1,
+            "repro_cache_misses_total": 2,
+            "repro_cache_evictions_total": 0,
+            "repro_model_swaps_total": 1,
+            "repro_canary_passes_total": 1,
+            "repro_canary_failures_total": 1,
+            "repro_click_log_lag": 5.0,
+            "repro_served_full_total": 3,
+            "repro_served_popularity_total": 1,
+            "repro_requests_shed_total": 1,
+            "repro_shed_rate": 0.25,
+            "repro_degraded_share": 0.25,
+        }
+        assert set(payload) - set(scalars) == {"repro_latency_ms"}
+        assert payload["repro_latency_ms"]["count"] == 4
+        assert payload["repro_latency_ms"]["sum"] == 11.0
+        text = sink.prometheus_text()
+        for name, value in scalars.items():
+            assert f"{name} {value:g}" in text.splitlines()
+        assert "# TYPE repro_latency_ms histogram" in text
+        assert 'repro_latency_ms_bucket{le="+Inf"} 4' in text
 
 
 class TestSinkEventsAndSlo:
@@ -296,6 +361,83 @@ class TestClusterObservability:
         assert "requests sampled (rate 1.00)" in report
         assert "recent control-plane events" in report
         assert "hot_swap" in report and "cache_invalidation" in report
+
+    def test_text_and_html_show_the_same_sections(self, cluster, tmp_path):
+        """One snapshot, one section list: whatever the text report shows
+        the dashboard shows too (registry metrics, per-shard table, p95,
+        tracer stats included); span trees are the one HTML-only panel."""
+        cluster, clock = cluster
+        for user in range(8):
+            cluster.submit(user, user % 3)
+        cluster.flush()
+        cluster.swap_model(cluster.workers[0].engine.model, version="v2")
+        sections = report_sections(cluster.summary())
+        titles = [section.title for section in sections]
+        for expected in ("per-shard", "degradation ladder", "circuit breakers", "SLO",
+                         "tracing", "metrics — histograms", "recent control-plane events"):
+            assert expected in titles
+        path = tmp_path / "fleet.html"
+        text = cluster.fleet_report(dashboard_path=str(path))
+        html = path.read_text()
+        for title in titles:
+            assert title in text and title in html
+        assert "p95 ms" in html and "repro_latency_ms" in text
+        assert "Sampled traces" in html and "Sampled traces" not in text
+
+    def test_one_snapshot_is_one_merge_and_one_reports_walk(self, cluster, tmp_path, monkeypatch):
+        cluster, clock = cluster
+        for user in range(8):
+            cluster.submit(user, 0)
+        cluster.flush()
+        calls = {"reports": 0, "merge": 0}
+        reports, merge = cluster.transport.reports, MetricsSink.merge
+
+        def counting_reports(fresh=False):
+            calls["reports"] += 1
+            return reports(fresh)
+
+        def counting_merge(self, other):
+            calls["merge"] += 1
+            return merge(self, other)
+
+        monkeypatch.setattr(cluster.transport, "reports", counting_reports)
+        monkeypatch.setattr(MetricsSink, "merge", counting_merge)
+        for render in (
+            cluster.summary,
+            cluster.fleet_report,
+            lambda: cluster.dashboard(str(tmp_path / "a.html")),
+            lambda: cluster.fleet_report(dashboard_path=str(tmp_path / "b.html")),
+            cluster.telemetry_extra,
+            cluster.telemetry,
+        ):
+            calls.update(reports=0, merge=0)
+            render()
+            # One walk; one pooling pass = the control sink and each shard's
+            # folded onto a fresh one.
+            assert calls == {"reports": 1, "merge": cluster.num_shards + 1}
+        # The status accessors stay dict walks over the last reports: no merge.
+        calls.update(reports=0, merge=0)
+        assert cluster.worker_status() and cluster.open_breakers == 0
+        assert calls == {"reports": 2, "merge": 0}
+
+    def test_health_accessors_read_the_snapshot(self, cluster):
+        cluster, clock = cluster
+        cluster.submit(1, 0)
+        cluster.flush()
+        summary = cluster.summary()
+        telemetry = cluster.telemetry_extra()
+        assert telemetry == summary["telemetry"] == cluster.telemetry()[1]
+        assert cluster.telemetry()[0].to_json() == summary["metrics"]
+        # The pooled view is nobody's recording sink.
+        assert cluster.merged_metrics().registry is not cluster.control.registry
+        assert {"shed_rate", "degraded_share", "open_breakers", "workers_available",
+                "worker_restarts", "quarantined_workers", "slab_bytes"} <= set(telemetry)
+        assert cluster.open_breakers == telemetry["open_breakers"] == 0
+        assert cluster.workers_available == telemetry["workers_available"] == 2
+        assert cluster.restarts_total == cluster.quarantined_workers == 0
+        assert cluster.worker_status() == summary["shards"]
+        assert cluster.breaker_status() == summary["breakers"]
+        json.dumps(summary)  # the whole snapshot is an artifact
 
     def test_shard_sinks_feed_one_slo(self, cluster):
         cluster, clock = cluster

@@ -96,7 +96,6 @@ class TrainConfig:
     # are 4-5 orders of magnitude smaller, so the default is higher.
     learning_rate: float = 2e-3
     weight_decay: float = 0.01
-    grad_clip: float = 5.0
     # Learning-rate multiplier for the gate network's parameters (1.0 = off).
     # Small-scale MoE training benefits from a faster gate; see trainer docs.
     gate_lr_multiplier: float = 1.0
@@ -108,7 +107,6 @@ class TrainConfig:
     # Behaviour-sequence augmentation: "mask" (paper), "reorder" or "crop"
     # (future-work extensions, §V).
     augmentation: str = "mask"
-    log_every: int = 0
     # Train through the fused fast path: packed-expert GEMMs, fused
     # linear+bias+activation kernels, shared-trunk contrastive views, and a
     # recycled gradient-buffer arena.  ``False`` selects the eager reference

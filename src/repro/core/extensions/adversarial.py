@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.aw_moe import AWMoE
 from repro.core.config import TrainConfig
+from repro.core.trainer import GRAD_CLIP
 from repro.data.dataset import RankingDataset, iterate_batches
 from repro.nn import AdamW, Tensor, bce_with_logits, clip_grad_norm
 from repro.utils.logging import RunLog
@@ -67,7 +68,7 @@ def train_adversarial_aw_moe(
         model.parameters(), lr=config.learning_rate, weight_decay=config.weight_decay
     )
     if log is None:
-        log = RunLog(name="adversarial-aw-moe", echo_every=config.log_every)
+        log = RunLog(name="adversarial-aw-moe")
 
     model.train()
     step = 0
@@ -85,8 +86,7 @@ def train_adversarial_aw_moe(
             loss = rank_loss + corr_loss * adversarial_weight
             optimizer.zero_grad()
             loss.backward()
-            if config.grad_clip:
-                clip_grad_norm(model.parameters(), config.grad_clip)
+            clip_grad_norm(model.parameters(), GRAD_CLIP)
             optimizer.step()
             log.log(step, loss=loss.item(), rank_loss=rank_loss.item(), corr=corr_loss.item())
     model.eval()

@@ -1,7 +1,7 @@
 """End-to-end training loop for every compared ranking model.
 
 Implements the paper's objective ``L = L_rank + λ·L_cl`` (Eq. 11) with AdamW,
-mini-batch shuffling, optional gradient clipping, and deterministic seeding.
+mini-batch shuffling, gradient clipping, and deterministic seeding.
 The same trainer handles gateless baselines (λ term skipped) and AW-MoE with
 or without contrastive learning, so Tables II–V differ only in the model and
 the ``contrastive`` flag — as in the paper.
@@ -24,6 +24,9 @@ from repro.utils.logging import RunLog
 from repro.utils.rng import SeedBank
 
 __all__ = ["train_model", "train_step", "build_optimizers", "build_strategy"]
+
+#: Global gradient-norm ceiling applied before every optimizer step.
+GRAD_CLIP = 5.0
 
 
 def train_model(
@@ -50,7 +53,7 @@ def train_model(
     strategy = build_strategy(config)
     arena = GradArena() if config.fast_path else None
     if log is None:
-        log = RunLog(name=type(model).__name__, echo_every=config.log_every)
+        log = RunLog(name=type(model).__name__)
 
     model.train()
     step = 0
@@ -111,11 +114,10 @@ def train_step(
         for optimizer in optimizers:
             optimizer.zero_grad()
         loss.backward()
-        if config.grad_clip:
-            # clip_grad_norm returns the pre-clip global norm — the training
-            # health signal the refresh-cycle telemetry streams (a norm spike
-            # on a fresh click window is the earliest divergence symptom).
-            extra["grad_norm"] = float(clip_grad_norm(model.parameters(), config.grad_clip))
+        # clip_grad_norm returns the pre-clip global norm — the training
+        # health signal the refresh-cycle telemetry streams (a norm spike
+        # on a fresh click window is the earliest divergence symptom).
+        extra["grad_norm"] = float(clip_grad_norm(model.parameters(), GRAD_CLIP))
         for optimizer in optimizers:
             optimizer.step()
     if arena is not None:

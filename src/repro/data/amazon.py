@@ -15,7 +15,9 @@ The underlying world reuses :mod:`repro.data.synthetic`: the same archetype /
 style / interest structure drives which items a user reviews, so the
 recommendation experiment exercises the same personalization machinery as the
 search experiment, matching the paper's argument that its conclusions carry
-over.
+over.  Every row comes from :func:`repro.data.features.assemble_sessions`
+run on the world cut before each user's held-out review; with no query, the
+query-dependent columns are zero.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.data.dataset import RankingDataset
-from repro.data.schema import FEATURE_NAMES, DatasetMeta
-from repro.data.features import item_dense as _item_dense
+from repro.data.features import UserState, assemble_sessions
+from repro.data.schema import DatasetMeta
 from repro.data.synthetic import World, WorldConfig, generate_world
 from repro.utils.rng import SeedBank
 
@@ -40,115 +42,39 @@ def amazon_meta(world: World) -> DatasetMeta:
     return replace(base, task="reco", num_queries=1)
 
 
-def _review_features(world: World, user: int, history: np.ndarray, item: int) -> np.ndarray:
-    """Dense feature vector for a (user, candidate item) pair.
-
-    Reuses the search-feature layout; query-dependent entries are zero
-    because the recommendation scenario has no query.
-    """
-    features = np.zeros(len(FEATURE_NAMES), dtype=np.float32)
-    h = len(history)
-    features[0] = np.log1p(h) / np.log1p(world.config.max_seq_len)
-    features[1 + world.user_age[user]] = 1.0
-    features[4] = world.item_price_pct[item]
-    features[5] = world.item_sales[item]
-    features[6] = world.item_popularity[item]
-    features[7] = world.item_quality[item]
-    if h:
-        hist_brands = world.item_brand[history]
-        hist_shops = world.item_shop[history]
-        hist_cats = world.item_category[history]
-        features[10] = min(int((history == item).sum()), 3) / 3.0
-        features[11] = min(int((hist_brands == world.item_brand[item]).sum()), 5) / 5.0
-        features[12] = min(int((hist_shops == world.item_shop[item]).sum()), 5) / 5.0
-        cat_hits = hist_cats == world.item_category[item]
-        features[13] = min(int(cat_hits.sum()), 8) / 8.0
-        brand_positions = np.flatnonzero(hist_brands == world.item_brand[item])
-        if brand_positions.size:
-            features[14] = (h - 1 - brand_positions[-1]) / max(h, 1)
-        else:
-            features[14] = 1.0
-        if cat_hits.any():
-            mean_price = world.item_price_pct[history[cat_hits]].mean()
-            features[15] = world.item_price_pct[item] - mean_price
-    else:
-        features[14] = 1.0
-    return features
-
-
-def _encode_history(
-    world: World, history: np.ndarray, max_len: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    items = np.zeros(max_len, dtype=np.int32)
-    cats = np.zeros(max_len, dtype=np.int32)
-    dense = np.zeros((max_len, 4), dtype=np.float32)
-    mask = np.zeros(max_len, dtype=np.float32)
-    recent = history[-max_len:]
-    n = len(recent)
-    if n:
-        items[:n] = recent + 1
-        cats[:n] = world.item_category[recent] + 1
-        dense[:n] = _item_dense(world, recent)
-        mask[:n] = 1.0
-    return items, cats, dense, mask
-
-
 def _build_rows(
     world: World, users: np.ndarray, rng: np.random.Generator, meta: DatasetMeta
 ) -> RankingDataset:
-    """Leave-one-out rows: per user, last review positive + 1 random negative."""
-    max_len = world.config.max_seq_len
+    """Leave-one-out rows: per user, last review positive + 1 random negative,
+    featurized against the world as it stood before the held-out review."""
     n_items = world.num_items
-    rows: List[Tuple] = []
+    kept: List[int] = []
+    pairs: List[np.ndarray] = []
     for user in users:
         history = world.histories[user]
         if len(history) < 2:
             continue  # need at least one behaviour plus the held-out review
         target_pos = int(history[-1])
-        prefix = history[:-1]
         negative = int(rng.integers(0, n_items))
         while negative == target_pos:
             negative = int(rng.integers(0, n_items))
-        encoded = _encode_history(world, prefix, max_len)
-        for item, label in ((target_pos, 1.0), (negative, 0.0)):
-            rows.append((user, item, label, encoded))
-    if not rows:
+        kept.append(int(user))
+        pairs.append(np.array([target_pos, negative]))
+    if not kept:
         raise ValueError("no users with enough history; increase world size")
 
-    count = len(rows)
-    behavior_items = np.stack([r[3][0] for r in rows])
-    behavior_cats = np.stack([r[3][1] for r in rows])
-    behavior_dense = np.stack([r[3][2] for r in rows])
-    behavior_mask = np.stack([r[3][3] for r in rows])
-    user_col = np.asarray([r[0] for r in rows], dtype=np.int64)
-    item_col = np.asarray([r[1] for r in rows], dtype=np.int64)
-    label_col = np.asarray([r[2] for r in rows], dtype=np.float32)
-    features = np.stack(
-        [
-            _review_features(world, int(r[0]), world.histories[int(r[0])][:-1], int(r[1]))
-            for r in rows
-        ]
-    ).astype(np.float32)
-
-    return RankingDataset(
-        behavior_items=behavior_items,
-        behavior_categories=behavior_cats,
-        behavior_dense=behavior_dense,
-        behavior_mask=behavior_mask,
-        target_item=(item_col + 1).astype(np.int32),
-        target_category=(world.item_category[item_col] + 1).astype(np.int32),
-        target_dense=_item_dense(world, item_col),
-        query=np.zeros(count, dtype=np.int32),
-        query_category=np.zeros(count, dtype=np.int32),
-        other_features=features,
-        label=label_col,
-        # Each user is one "session": the paper computes only the overall
-        # AUC here, which with 1 pos + 1 neg per user coincides with the
-        # session-averaged pairwise metric.
-        session_id=user_col.copy(),
-        user_id=user_col,
-        meta=meta,
-    )
+    before = replace(world, histories=[history[:-1] for history in world.histories])
+    # No query: category -1 encodes to the padding id and matches no item.
+    batch = assemble_sessions(
+        before, [UserState(before, user) for user in kept], [-1] * len(kept), pairs, spec=0
+    ).flat()
+    batch["query"] = np.zeros_like(batch["query"])
+    batch["label"] = np.tile(np.array([1.0, 0.0], dtype=np.float32), len(kept))
+    # Each user is one "session": the paper computes only the overall AUC
+    # here, which with 1 pos + 1 neg per user coincides with the
+    # session-averaged pairwise metric.
+    batch["session_id"] = batch["user_id"].copy()
+    return RankingDataset(meta=meta, **batch)
 
 
 def make_amazon_datasets(

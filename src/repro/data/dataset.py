@@ -7,7 +7,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.data.schema import Batch, DatasetMeta
+from repro.data.schema import BATCH_KEYS, Batch, DatasetMeta
 
 __all__ = ["RankingDataset", "iterate_batches"]
 
@@ -39,20 +39,7 @@ class RankingDataset:
 
     def __post_init__(self) -> None:
         n = len(self.label)
-        for name in (
-            "behavior_items",
-            "behavior_categories",
-            "behavior_dense",
-            "behavior_mask",
-            "target_item",
-            "target_category",
-            "target_dense",
-            "query",
-            "query_category",
-            "other_features",
-            "session_id",
-            "user_id",
-        ):
+        for name in BATCH_KEYS:
             column = getattr(self, name)
             if column.shape[0] != n:
                 raise ValueError(f"column {name!r} has {column.shape[0]} rows, expected {n}")
@@ -65,41 +52,11 @@ class RankingDataset:
     # ------------------------------------------------------------------
     def subset(self, indices: np.ndarray) -> "RankingDataset":
         """Return a new dataset holding only ``indices`` (copy-free views)."""
-        indices = np.asarray(indices)
-        return RankingDataset(
-            behavior_items=self.behavior_items[indices],
-            behavior_categories=self.behavior_categories[indices],
-            behavior_dense=self.behavior_dense[indices],
-            behavior_mask=self.behavior_mask[indices],
-            target_item=self.target_item[indices],
-            target_category=self.target_category[indices],
-            target_dense=self.target_dense[indices],
-            query=self.query[indices],
-            query_category=self.query_category[indices],
-            other_features=self.other_features[indices],
-            label=self.label[indices],
-            session_id=self.session_id[indices],
-            user_id=self.user_id[indices],
-            meta=self.meta,
-        )
+        return RankingDataset(meta=self.meta, **self.batch_at(np.asarray(indices)))
 
     def batch_at(self, indices: np.ndarray) -> Batch:
         """Materialize a batch dict for the given row indices."""
-        return {
-            "behavior_items": self.behavior_items[indices],
-            "behavior_categories": self.behavior_categories[indices],
-            "behavior_dense": self.behavior_dense[indices],
-            "behavior_mask": self.behavior_mask[indices],
-            "target_item": self.target_item[indices],
-            "target_category": self.target_category[indices],
-            "target_dense": self.target_dense[indices],
-            "query": self.query[indices],
-            "query_category": self.query_category[indices],
-            "other_features": self.other_features[indices],
-            "label": self.label[indices],
-            "session_id": self.session_id[indices],
-            "user_id": self.user_id[indices],
-        }
+        return {name: getattr(self, name)[indices] for name in BATCH_KEYS}
 
     # ------------------------------------------------------------------
     # summary statistics (Table I)

@@ -1,10 +1,14 @@
 """Public feature-assembly API shared by offline generation and online serving.
 
-The synthetic log generator (:mod:`repro.data.synthetic`) and the serving
-stack (:mod:`repro.serving`) must compute *exactly* the same features for an
-impression, otherwise offline training and online scoring drift apart — the
-classic training/serving skew problem.  This module is the single source of
-truth for that computation:
+The synthetic log generator (:mod:`repro.data.synthetic`), the Amazon split
+(:mod:`repro.data.amazon`), the click log (:mod:`repro.online.click_log`)
+and the serving stack (:mod:`repro.serving`) must compute *exactly* the same
+features for an impression, otherwise offline training and online scoring
+drift apart — the classic training/serving skew problem.  This module is the
+single source of truth for that computation, by construction: all of them
+hand ``(state, category, candidates)`` to :func:`assemble_sessions`, the only
+function in ``src/repro`` that builds a feature row, and CI fails when
+another file allocates a ``len(FEATURE_NAMES)``-wide matrix.
 
 * :class:`UserState` — one user's history-only tables (brand / shop /
   category counts, brand recency, mean clicked price, item repeats), built
@@ -12,17 +16,16 @@ truth for that computation:
 * :class:`ItemSlab` — the world-constant item-side columns, built once per
   world (``world.item_slab``);
 * :func:`cross_features` — two-sided user x item counters (Fig. 2 features),
-  O(candidates) gathers from a :class:`UserState`;
-* :func:`impression_features` — the dense ``other_features`` matrix in
-  :data:`repro.data.schema.FEATURE_NAMES` order;
+  O(candidates) gathers from a :class:`UserState`; the label model's input;
 * :func:`encode_behavior` — the padded behaviour-sequence arrays consumed by
   the attention layers;
 * :func:`item_dense` — per-item dense profiles (price/popularity/quality/style);
 * :func:`assemble_sessions` — the full feature dump of Fig. 6 for a whole
-  flush: one model-ready :class:`~repro.data.schema.SessionBatch` joining the
-  sessions' user tables to the item slab, the session side stored once
-  (:func:`session_side` builds that half alone); :func:`assemble_session` is
-  its one-session call (``.flat()`` gives the per-impression form).
+  flush, click window or log chunk: one model-ready
+  :class:`~repro.data.schema.SessionBatch` joining the sessions' user tables
+  to the item slab, the session side stored once (:func:`session_side`
+  builds that half alone); :func:`assemble_session` is its one-session call
+  (``.flat()`` gives the per-impression form).
 
 Everything here is deterministic and free of random state, so the serving
 cache (:mod:`repro.serving.cache`) may store and reuse any of these outputs.
@@ -30,7 +33,7 @@ cache (:mod:`repro.serving.cache`) may store and reuse any of these outputs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,11 +48,14 @@ __all__ = [
     "BehaviorEncoding",
     "cross_features",
     "encode_behavior",
-    "impression_features",
     "item_dense",
     "session_side",
     "assemble_sessions",
     "assemble_session",
+    "ITEM_CAP",
+    "BRAND_CAP",
+    "SHOP_CAP",
+    "CATEGORY_CAP",
 ]
 
 #: ``(items, categories, dense, mask)`` rows returned by :func:`encode_behavior`.
@@ -217,42 +223,12 @@ def encode_behavior(world: "World", user: int, max_len: int) -> BehaviorEncoding
     return items, cats, dense, mask
 
 
-def impression_features(
-    world: "World",
-    user: int,
-    candidates: np.ndarray,
-    query_cat: int,
-    spec: int,
-    cross: Dict[str, np.ndarray],
-    state: UserState,
-) -> np.ndarray:
-    """Dense feature matrix (C, F) following ``FEATURE_NAMES`` order."""
-    cfg = world.config
-    c = candidates.size
-    features = np.zeros((c, len(FEATURE_NAMES)), dtype=np.float32)
-    features[:, 0] = np.log1p(state.length) / np.log1p(cfg.max_seq_len)
-    features[:, 1 + world.user_age[user]] = 1.0
-    features[:, 4] = world.item_price_pct[candidates]
-    features[:, 5] = world.item_sales[candidates]
-    features[:, 6] = world.item_popularity[candidates]
-    features[:, 7] = world.item_quality[candidates]
-    features[:, 8] = (world.item_category[candidates] == query_cat).astype(np.float32)
-    features[:, 9] = spec / max(cfg.num_query_specificities - 1, 1)
-    features[:, 10] = np.minimum(cross["item_click_cnt"], 3) / 3.0
-    features[:, 11] = np.minimum(cross["brand_click_cnt"], 5) / 5.0
-    features[:, 12] = np.minimum(cross["shop_click_cnt"], 5) / 5.0
-    features[:, 13] = np.minimum(cross["category_click_cnt"], 8) / 8.0
-    features[:, 14] = cross["brand_click_time_diff"]
-    features[:, 15] = cross["price_gap"]
-    return features
-
-
 def _session_rows(
     world: "World",
     users: Sequence[int],
     categories: Sequence[int],
     behaviors: Sequence[BehaviorEncoding],
-    spec: int,
+    spec: Union[int, np.ndarray],
 ) -> Batch:
     """The session side of a batch, one row per (user, query category)."""
     category = np.asarray(categories)
@@ -284,10 +260,12 @@ def session_side(
     return _session_rows(world, [user], [query_category], [behavior], spec)
 
 
-#: Caps of ``other_features`` 11..14 (brand, shop and category counts, brand
-#: recency — already a ratio) and what each capped value is divided by.
-_TABLE_CAPS = np.array([[5], [5], [8], [np.inf]], dtype=np.float32)
-_TABLE_SCALES = np.array([[5], [5], [8], [1]], dtype=np.float32)
+#: Where the click counters of ``other_features`` 10..13 saturate; each is
+#: divided by its cap (:mod:`repro.retrieval.cascade` clips its boosts alike).
+ITEM_CAP, BRAND_CAP, SHOP_CAP, CATEGORY_CAP = 3.0, 5.0, 5.0, 8.0
+#: Columns 11..14 as one (4, N) gather; brand recency is already a ratio.
+_TABLE_CAPS = np.array([[BRAND_CAP], [SHOP_CAP], [CATEGORY_CAP], [np.inf]], dtype=np.float32)
+_TABLE_SCALES = np.array([[BRAND_CAP], [SHOP_CAP], [CATEGORY_CAP], [1]], dtype=np.float32)
 
 
 def assemble_sessions(
@@ -295,11 +273,12 @@ def assemble_sessions(
     states: Sequence[UserState],
     categories: Sequence[int],
     candidate_lists: Sequence[np.ndarray],
-    spec: int = 1,
+    spec: Union[int, Sequence[int]] = 1,
 ) -> SessionBatch:
     """The feature dump of Fig. 6 for many sessions at once: session ``s``
     scores ``candidate_lists[s]`` for ``states[s]``'s user under query
-    category ``categories[s]``.
+    category ``categories[s]`` at specificity ``spec`` (one value, or one
+    per session).
 
     The user side comes tabulated in ``states`` and the item side in
     ``world.item_slab``; what is left per (user, item) row is a join —
@@ -311,6 +290,7 @@ def assemble_sessions(
     sessions = np.arange(len(states))
     counts = np.array([len(candidates) for candidates in candidate_lists])
     candidates = np.concatenate(candidate_lists)
+    spec = np.broadcast_to(spec, sessions.shape)
     session = _session_rows(
         world,
         [state.user for state in states],
@@ -324,7 +304,7 @@ def assemble_sessions(
     features = np.take(slab.features, candidates, axis=0)
     features[:, :4] = np.repeat(tables[:, :4], counts, axis=0)
     features[:, 8] = target_category == np.repeat(session["query_category"], counts)
-    features[:, 9] = spec / max(cfg.num_query_specificities - 1, 1)
+    features[:, 9] = np.repeat(spec / max(cfg.num_query_specificities - 1, 1), counts)
     # Item repeats: one binary search over (session, item) keys.  Every
     # state's ``clicked`` ends in its sentinel, so a key always finds a slot
     # inside its own session's run.
@@ -335,8 +315,8 @@ def assemble_sessions(
     keys = candidates + np.repeat(stride, counts)
     slot = np.searchsorted(clicked, keys)
     item_repeats = repeats[slot] * (clicked[slot] == keys)
-    np.minimum(item_repeats, 3, out=item_repeats)
-    np.divide(item_repeats, 3, out=features[:, 10])
+    np.minimum(item_repeats, ITEM_CAP, out=item_repeats)
+    np.divide(item_repeats, ITEM_CAP, out=features[:, 10])
     # Brand, shop and category counts and brand recency: one (4, N) gather,
     # columns down the rows so every ufunc loop runs the length of the flush.
     columns = np.take(slab.table_columns, candidates, axis=1)

@@ -42,15 +42,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.data.dataset import RankingDataset
-from repro.data.features import (
-    ItemSlab,
-    UserState,
-    cross_features,
-    encode_behavior,
-    impression_features,
-    item_dense,
-)
-from repro.data.schema import FEATURE_NAMES, DatasetMeta
+from repro.data.features import ItemSlab, UserState, assemble_sessions, cross_features
+from repro.data.schema import BATCH_KEYS, DatasetMeta, concat_batches
 
 __all__ = [
     "ARCHETYPES",
@@ -77,6 +70,17 @@ AGE_GROUPS: Tuple[str, ...] = ("young", "mid", "elderly")
 _PRICE, _BRAND, _TREND, _QUALITY = range(4)
 _YOUNG, _MID, _ELDERLY = range(3)
 
+#: Age group probabilities (young, mid, elderly).
+_AGE_PROBS = (0.35, 0.45, 0.20)
+#: Mean history length by age group (heavy-tailed around these).
+_MEAN_HISTORY = (10.0, 8.0, 2.0)
+#: Fraction of users with empty histories ("new users" in Fig. 7).
+_NEW_USER_FRACTION = 0.08
+#: Global intercept of the label model; tuned for ~10% positive rate.
+_LABEL_BIAS = -4.4
+#: Std of the label-model noise.
+_LABEL_NOISE = 0.3
+
 
 @dataclass(frozen=True)
 class WorldConfig:
@@ -89,18 +93,8 @@ class WorldConfig:
     num_shops: int = 120
     num_query_specificities: int = 3
     max_seq_len: int = 20
-    #: Mean history length by age group (heavy-tailed around these).
-    mean_history: Tuple[float, float, float] = (10.0, 8.0, 2.0)
-    #: Fraction of users with empty histories ("new users" in Fig. 7).
-    new_user_fraction: float = 0.08
-    #: Age group probabilities (young, mid, elderly).
-    age_probs: Tuple[float, float, float] = (0.35, 0.45, 0.20)
     #: Candidates shown per search session.
     items_per_session: int = 12
-    #: Global intercept of the label model; tuned for ~10% positive rate.
-    label_bias: float = -4.4
-    #: Std of the label-model noise.
-    label_noise: float = 0.3
 
     @staticmethod
     def unit() -> "WorldConfig":
@@ -256,7 +250,7 @@ def generate_world(config: WorldConfig, rng: np.random.Generator) -> World:
 
     n_users = cfg.num_users
     user_archetype = rng.integers(0, len(ARCHETYPES), size=n_users)
-    user_age = rng.choice(len(AGE_GROUPS), size=n_users, p=cfg.age_probs)
+    user_age = rng.choice(len(AGE_GROUPS), size=n_users, p=_AGE_PROBS)
     user_interests = rng.dirichlet(np.full(n_cats, 0.3), size=n_users)
     user_style = rng.random(n_users)
 
@@ -311,10 +305,10 @@ def _sample_histories(
     n_cats = cfg.num_categories
     by_category = [np.flatnonzero(item_category == cat) for cat in range(n_cats)]
     histories: List[np.ndarray] = []
-    means = np.asarray(cfg.mean_history)
+    means = np.asarray(_MEAN_HISTORY)
 
     for user in range(len(archetype)):
-        if rng.random() < cfg.new_user_fraction:
+        if rng.random() < _NEW_USER_FRACTION:
             histories.append(np.empty(0, dtype=np.int64))
             continue
         length = int(min(cfg.max_seq_len, 1 + rng.poisson(max(means[age[user]] - 1, 0.1))))
@@ -397,20 +391,24 @@ def drift_world(
 # ----------------------------------------------------------------------
 @dataclass
 class SearchLog:
-    """Impression-level log of simulated search sessions (pre-sampling)."""
+    """Impression-level log of simulated search sessions (pre-sampling):
+    the world plus one column per :data:`~repro.data.schema.BATCH_KEYS` name,
+    as :func:`~repro.data.features.assemble_sessions` lays them out."""
 
     world: World
-    session_id: np.ndarray  # (N,)
-    user_id: np.ndarray  # (N,)
-    query: np.ndarray  # (N,) 1-based query ids
-    query_category: np.ndarray  # (N,) 1-based category ids
-    target_item: np.ndarray  # (N,) 1-based item ids
-    label: np.ndarray  # (N,) float {0, 1}
-    other_features: np.ndarray  # (N, F) float32
     behavior_items: np.ndarray  # (N, M) 1-based, 0-padded
     behavior_categories: np.ndarray  # (N, M)
     behavior_dense: np.ndarray  # (N, M, D)
     behavior_mask: np.ndarray  # (N, M)
+    target_item: np.ndarray  # (N,) 1-based item ids
+    target_category: np.ndarray  # (N,) 1-based category ids
+    target_dense: np.ndarray  # (N, D)
+    query: np.ndarray  # (N,) 1-based query ids
+    query_category: np.ndarray  # (N,) 1-based category ids
+    other_features: np.ndarray  # (N, F) float32
+    label: np.ndarray  # (N,) float {0, 1}
+    session_id: np.ndarray  # (N,)
+    user_id: np.ndarray  # (N,)
 
     def __len__(self) -> int:
         return len(self.label)
@@ -433,7 +431,6 @@ def _true_logits(
     A style-match term rewards items near the user's latent style, which is
     only recoverable from the behaviour sequence (DIN's attention signal).
     """
-    cfg = world.config
     cats = world.item_category[candidates]
     interest = world.user_interests[user, cats]
     rel = (cats == query_cat).astype(float)
@@ -442,7 +439,7 @@ def _true_logits(
     quality = world.item_quality[candidates]
     style_match = 1.0 - 3.0 * np.abs(world.item_style[candidates] - world.user_style[user])
 
-    z = cfg.label_bias + 1.4 * rel + 1.2 * interest + 1.2 * style_match
+    z = _LABEL_BIAS + 1.4 * rel + 1.2 * interest + 1.2 * style_match
 
     cat_old = cross["category_click_cnt"] > 0
     # Category-new behaviour: follow the trend, anchor on price; effect sizes
@@ -471,6 +468,12 @@ def _true_logits(
     return z
 
 
+#: Sessions joined per :func:`assemble_sessions` call while a log is built.
+#: A chunk stacks one user table per session, so this bounds the join's
+#: working set however long the log is.
+_LOG_CHUNK_SESSIONS = 256
+
+
 def simulate_search_log(
     world: World,
     num_sessions: int,
@@ -481,7 +484,10 @@ def simulate_search_log(
 
     Users are sampled proportionally to activity (active users search more,
     as in a real log); the retrieval step is popularity-biased within the
-    query category, mimicking an engine's candidate generator.
+    query category, mimicking an engine's candidate generator.  The loop
+    draws sessions and labels only; the feature columns are the serving
+    path's own dump (§III-F2, Fig. 6) — the collected sessions joined
+    through :func:`~repro.data.features.assemble_sessions`, a chunk at a time.
     """
     cfg = world.config
     n_users = world.num_users
@@ -492,19 +498,13 @@ def simulate_search_log(
     by_category = [np.flatnonzero(world.item_category == cat) for cat in range(n_cats)]
     all_items = np.arange(world.num_items)
 
-    rows_session: List[int] = []
-    rows_user: List[int] = []
-    rows_query: List[int] = []
-    rows_query_cat: List[int] = []
-    rows_item: List[np.ndarray] = []
-    rows_label: List[np.ndarray] = []
-    rows_features: List[np.ndarray] = []
-    behavior_rows: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-
     states: Dict[int, UserState] = {}
-    feature_count = len(FEATURE_NAMES)
+    # Per session, in ``assemble_sessions`` argument order:
+    # (user state, query category, candidates, specificity).
+    sessions: List[Tuple[UserState, int, np.ndarray, int]] = []
+    labels: List[np.ndarray] = []
 
-    for s in range(num_sessions):
+    for _ in range(num_sessions):
         user = int(rng.choice(n_users, p=user_probs))
         state = states.get(user)
         if state is None:
@@ -517,7 +517,6 @@ def simulate_search_log(
         else:
             query_cat = int(rng.integers(0, n_cats))
         spec = int(rng.integers(0, cfg.num_query_specificities))
-        query_id = query_cat * cfg.num_query_specificities + spec + 1
 
         # Retrieval: popularity-biased within category, a few off-category.
         members = by_category[query_cat]
@@ -534,56 +533,23 @@ def simulate_search_log(
 
         cross = cross_features(state, world, candidates)
         logits = _true_logits(world, user, candidates, query_cat, cross)
-        logits = logits + rng.normal(0, cfg.label_noise, size=logits.size)
-        labels = (rng.random(logits.size) < 1.0 / (1.0 + np.exp(-logits))).astype(np.float32)
+        logits = logits + rng.normal(0, _LABEL_NOISE, size=logits.size)
+        purchased = rng.random(logits.size) < 1.0 / (1.0 + np.exp(-logits))
+        labels.append(purchased.astype(np.float32))
+        sessions.append((state, query_cat, candidates, spec))
 
-        features = impression_features(world, user, candidates, query_cat, spec, cross, state)
-        assert features.shape[1] == feature_count
-
-        rows_session.append(start_session_id + s)
-        rows_user.append(user)
-        rows_query.append(query_id)
-        rows_query_cat.append(query_cat + 1)
-        rows_item.append(candidates + 1)
-        rows_label.append(labels)
-        rows_features.append(features)
-        behavior_rows.append(encode_behavior(world, user, cfg.max_seq_len))
-
-    counts = [len(items) for items in rows_item]
-    session_col = np.repeat(np.asarray(rows_session, dtype=np.int64), counts)
-    user_col = np.repeat(np.asarray(rows_user, dtype=np.int64), counts)
-    query_col = np.repeat(np.asarray(rows_query, dtype=np.int32), counts)
-    query_cat_col = np.repeat(np.asarray(rows_query_cat, dtype=np.int32), counts)
-    item_col = np.concatenate(rows_item).astype(np.int32)
-    label_col = np.concatenate(rows_label).astype(np.float32)
-    features_col = np.concatenate(rows_features).astype(np.float32)
-    behavior_items = np.repeat(
-        np.stack([row[0] for row in behavior_rows]), counts, axis=0
+    columns = concat_batches(
+        [
+            assemble_sessions(world, *zip(*sessions[start : start + _LOG_CHUNK_SESSIONS])).flat()
+            for start in range(0, num_sessions, _LOG_CHUNK_SESSIONS)
+        ]
     )
-    behavior_cats = np.repeat(
-        np.stack([row[1] for row in behavior_rows]), counts, axis=0
+    columns["label"] = np.concatenate(labels)
+    columns["session_id"] = np.repeat(
+        np.arange(start_session_id, start_session_id + num_sessions, dtype=np.int64),
+        [candidates.size for _, _, candidates, _ in sessions],
     )
-    behavior_dense = np.repeat(
-        np.stack([row[2] for row in behavior_rows]), counts, axis=0
-    )
-    behavior_mask = np.repeat(
-        np.stack([row[3] for row in behavior_rows]), counts, axis=0
-    )
-
-    return SearchLog(
-        world=world,
-        session_id=session_col,
-        user_id=user_col,
-        query=query_col,
-        query_category=query_cat_col,
-        target_item=item_col,
-        label=label_col,
-        other_features=features_col,
-        behavior_items=behavior_items,
-        behavior_categories=behavior_cats,
-        behavior_dense=behavior_dense,
-        behavior_mask=behavior_mask,
-    )
+    return SearchLog(world=world, **columns)
 
 
 # ----------------------------------------------------------------------
@@ -591,20 +557,7 @@ def simulate_search_log(
 # ----------------------------------------------------------------------
 def _dataset_from_rows(log: SearchLog, rows: np.ndarray) -> RankingDataset:
     return RankingDataset(
-        behavior_items=log.behavior_items[rows],
-        behavior_categories=log.behavior_categories[rows],
-        behavior_dense=log.behavior_dense[rows],
-        behavior_mask=log.behavior_mask[rows],
-        target_item=log.target_item[rows],
-        target_category=(log.world.item_category[log.target_item[rows] - 1] + 1).astype(np.int32),
-        target_dense=item_dense(log.world, log.target_item[rows] - 1),
-        query=log.query[rows],
-        query_category=log.query_category[rows],
-        other_features=log.other_features[rows],
-        label=log.label[rows],
-        session_id=log.session_id[rows],
-        user_id=log.user_id[rows],
-        meta=log.world.meta(),
+        meta=log.world.meta(), **{key: getattr(log, key)[rows] for key in BATCH_KEYS}
     )
 
 

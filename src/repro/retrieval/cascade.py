@@ -76,7 +76,15 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.data.features import UserState, assemble_session, assemble_sessions, session_side
+from repro.data.features import (
+    BRAND_CAP,
+    ITEM_CAP,
+    SHOP_CAP,
+    UserState,
+    assemble_session,
+    assemble_sessions,
+    session_side,
+)
 from repro.data.synthetic import AGE_GROUPS
 from repro.obs.trace import NULL_TRACE
 from repro.retrieval.index import ItemIndex
@@ -87,14 +95,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CascadeConfig", "RetrievalCascade", "RetrievalProbe", "category_popularity_probs"]
 
-#: Caps applied to the cross-feature counters, matching the clipping of the
-#: corresponding ``FEATURE_NAMES`` entries the full model consumes
-#: (``impression_features``: item at 3, brand at 5, shop at 5) so the
-#: prefilter boost saturates exactly where the model's feature does.
-_BRAND_CAP, _SHOP_CAP, _ITEM_CAP = 5.0, 5.0, 3.0
 #: Calibration rows whose target logit falls in the top tail of their probe
-#: query get up-weighted by ``CascadeConfig.calibration_top_weight``.
+#: query get up-weighted by ``_TOP_WEIGHT``: retrieval recall lives at the
+#: head of the ranking, so the fit trades mean accuracy for head accuracy.
 _TOP_QUANTILE = 0.95
+_TOP_WEIGHT = 10.0
+#: Ridge regularizer of the calibration fit.
+_RIDGE_LAMBDA = 1.0
 
 
 @dataclass(frozen=True)
@@ -110,18 +117,10 @@ class CascadeConfig:
     prune: Optional[int] = 1024
     #: IVF cells probed per query; ``"all"`` scans the whole category.
     nprobe: Union[int, str] = 32
-    #: IVF cells per category; ``None`` = ceil(sqrt(members)).
-    clusters_per_partition: Optional[int] = None
     #: Build-time calibration: (user, category) probe queries sampled ...
     calibration_queries: int = 128
     #: ... and items scored per probe query (capped by category size).
     calibration_items: int = 256
-    #: Weight multiplier on each probe query's top-``1 - _TOP_QUANTILE``
-    #: scorers: retrieval recall lives at the head of the ranking, so the
-    #: fit trades mean accuracy for head accuracy.
-    calibration_top_weight: float = 10.0
-    #: Ridge regularizer of the calibration fit.
-    ridge_lambda: float = 1.0
     #: Seeds the IVF k-means and the calibration sampling (builds are
     #: deterministic given the snapshot).
     seed: int = 0
@@ -137,8 +136,6 @@ class CascadeConfig:
             raise ValueError("calibration_queries must be >= 2")
         if self.calibration_items < 2:
             raise ValueError("calibration_items must be >= 2")
-        if self.calibration_top_weight < 1:
-            raise ValueError("calibration_top_weight must be >= 1")
 
     @staticmethod
     def exhaustive() -> "CascadeConfig":
@@ -280,7 +277,6 @@ class RetrievalCascade:
             self.item_vectors,
             world.item_category,
             world.config.num_categories,
-            clusters_per_partition=config.clusters_per_partition,
             seed=config.seed,
         )
         self.prefilter = Prefilter(self.item_vectors)
@@ -421,15 +417,13 @@ class RetrievalCascade:
         """
         if gate is not None:
             return gate
-        return self._session_gate(user, query_category, state)
+        return self._session_gate(state or UserState(self.world, user), query_category)
 
     @property
     def _has_session_gate(self) -> bool:
         return getattr(self._model, "gate_is_candidate_independent", False)
 
-    def _session_gate(
-        self, user: int, query_category: int, state: Optional[UserState] = None
-    ) -> Optional[np.ndarray]:
+    def _session_gate(self, state: UserState, query_category: int) -> Optional[np.ndarray]:
         """The user's session gate ``g`` (§III-F1) — the expert-activation
         vector the full model will apply to every candidate of this session.
         ``None`` when the model's gate is candidate-dependent or absent
@@ -439,8 +433,7 @@ class RetrievalCascade:
         if not self._has_session_gate:
             return None
         # The gate reads the session side only; no candidate is assembled.
-        behavior = state.behavior if state else None
-        session = session_side(self.world, user, query_category, behavior=behavior)
+        session = session_side(self.world, state.user, query_category, behavior=state.behavior)
         return np.asarray(self._scorer.serving_gate(session)[0], dtype=np.float32)
 
     #: Calibration regimes, constant within a query → select the weight set.
@@ -491,24 +484,21 @@ class RetrievalCascade:
             features[:, cursor] = self._emb[items] @ self._emb[history].mean(axis=0)
             profile = self._dense[history].mean(axis=0)
             features[:, cursor + 1 : cursor + 1 + self._NUM_DENSE] = 2.0 * profile * d - d**2
-            features[:, cursor + 1 + self._NUM_DENSE :] = self._cross_counts(
-                state.user, items, state
-            )
+            features[:, cursor + 1 + self._NUM_DENSE :] = self._cross_counts(state, items)
         return features
 
-    def _cross_counts(
-        self, user: int, items: np.ndarray, state: Optional[UserState] = None
-    ) -> np.ndarray:
+    def _cross_counts(self, state: UserState, items: np.ndarray) -> np.ndarray:
         """The cheap user x item cross features (capped counters + price
         gap), mirroring their ``FEATURE_NAMES`` counterparts the full model
-        reads — O(N) gathers from the user's tables per query,
-        inexpressible as a dot product against a static item vector."""
+        reads — capped where :func:`~repro.data.features.assemble_sessions`
+        caps them, so the boost saturates exactly where the model's feature
+        does.  O(N) gathers from the user's tables per query, inexpressible
+        as a dot product against a static item vector."""
         world = self.world
-        state = state or UserState(world, user)
         out = np.empty((items.size, 4), dtype=np.float32)
-        out[:, 0] = np.minimum(state.brand_count[world.item_brand[items]], _BRAND_CAP)
-        out[:, 1] = np.minimum(state.shop_count[world.item_shop[items]], _SHOP_CAP)
-        out[:, 2] = np.minimum(state.repeat_counts(items), _ITEM_CAP)
+        out[:, 0] = np.minimum(state.brand_count[world.item_brand[items]], BRAND_CAP)
+        out[:, 1] = np.minimum(state.shop_count[world.item_shop[items]], SHOP_CAP)
+        out[:, 2] = np.minimum(state.repeat_counts(items), ITEM_CAP)
         out[:, 3] = state.price_gap(world, items)
         return out
 
@@ -545,9 +535,7 @@ class RetrievalCascade:
                 # Head-weighted: what matters is whether a query's top scorers
                 # land in the survivor set, not the mean error over the tail.
                 sample_weight = np.where(
-                    target >= np.quantile(target, _TOP_QUANTILE),
-                    config.calibration_top_weight,
-                    1.0,
+                    target >= np.quantile(target, _TOP_QUANTILE), _TOP_WEIGHT, 1.0
                 )
                 regime = self._regime(state, cat)
                 gate = None if gates is None else gates[s].astype(np.float32)
@@ -578,7 +566,7 @@ class RetrievalCascade:
             z = (design - design.mean(axis=0)) / scale
             centered = target - np.average(target, weights=sample_weight)
             weighted_z = z * sample_weight[:, None]
-            gram = z.T @ weighted_z + self.config.ridge_lambda * np.eye(num_terms)
+            gram = z.T @ weighted_z + _RIDGE_LAMBDA * np.eye(num_terms)
             weights = np.linalg.solve(gram, weighted_z.T @ centered) / scale
             fits[regime] = weights.astype(np.float32)
             variance = np.var(target)
@@ -636,7 +624,7 @@ class RetrievalCascade:
         age_block = self._age_block(user)
         vec[age_block] = weights[n_static : n_static + n_probes]
         if gate is None:
-            gate = self._session_gate(user, query_category, state)
+            gate = self._session_gate(state, query_category)
         if gate is not None:
             vec[age_block] += weights[n_static + n_probes : n_static + 2 * n_probes] * gate
         cursor = n_static + 2 * n_probes
@@ -698,7 +686,7 @@ class RetrievalCascade:
         if self.config.prune is None or self.config.prune >= candidates.size:
             return candidates
         with trace.span("prefilter", candidates=int(candidates.size)):
-            boost = self._cross_counts(user, candidates, state) @ self._count_weights[
+            boost = self._cross_counts(state, candidates) @ self._count_weights[
                 self._regime(state, query_category)
             ]
             with trace.span("prune", survivors=int(self.config.prune)):
@@ -711,13 +699,21 @@ class RetrievalCascade:
                 )
 
     def score_candidates(
-        self, user: int, query_category: int, candidates: np.ndarray
+        self,
+        user: int,
+        query_category: int,
+        candidates: np.ndarray,
+        gate: Optional[np.ndarray] = None,
+        state: Optional[UserState] = None,
     ) -> np.ndarray:
         """The cascade's cheap score for explicit candidates (fresh array) —
-        what stage 2 ranks by; the retrieval probe's oracle ranking."""
-        state = UserState(self.world, user)
-        session_vec = self.session_vector(user, query_category, state=state)
-        boost = self._cross_counts(user, candidates, state) @ self._count_weights[
+        what stage 2 ranks by; the retrieval probe's oracle ranking.  The
+        degraded tiers hand over the ``gate`` and ``state`` their request
+        already resolved, so answering below the full tier tabulates no user
+        and runs no gate plan."""
+        state = state or UserState(self.world, user)
+        session_vec = self.session_vector(user, query_category, gate=gate, state=state)
+        boost = self._cross_counts(state, candidates) @ self._count_weights[
             self._regime(state, query_category)
         ]
         return self.prefilter.scores(candidates, session_vec, extra=boost).copy()

@@ -8,7 +8,7 @@ the best matches.  This module is that structure in vectorized NumPy:
 * items are first partitioned **by category** (search retrieval is
   category-constrained, exactly like the production candidate generator the
   paper's Fig. 6 sits behind), then each category is split into
-  ``clusters_per_partition`` k-means cells over the item vectors;
+  ``ceil(sqrt(members))`` k-means cells over the item vectors;
 * every category stores one **contiguous float32 slab** of its item vectors,
   ordered by cell, so probing a cell is a contiguous-slice GEMV — no gather,
   no per-item Python work;
@@ -107,9 +107,6 @@ class ItemIndex:
         ``(num_items,)`` 0-based category of every item.
     num_categories:
         Total category count (empty categories get empty partitions).
-    clusters_per_partition:
-        IVF cells per category; defaults to ``ceil(sqrt(members))`` — the
-        classic IVF sizing that balances coarse and fine scan costs.
     seed:
         Seeds the k-means of every partition; two builds from the same
         snapshot are bitwise identical.
@@ -120,7 +117,6 @@ class ItemIndex:
         vectors: np.ndarray,
         item_category: np.ndarray,
         num_categories: int,
-        clusters_per_partition: Optional[int] = None,
         seed: int = 0,
     ) -> None:
         vectors = np.asarray(vectors, dtype=np.float32)
@@ -133,15 +129,12 @@ class ItemIndex:
         self._partitions: List[_Partition] = []
         for cat in range(int(num_categories)):
             members = np.flatnonzero(item_category == cat)
-            self._partitions.append(
-                self._build_partition(vectors, members, clusters_per_partition, seed, cat)
-            )
+            self._partitions.append(self._build_partition(vectors, members, seed, cat))
 
     @staticmethod
     def _build_partition(
         vectors: np.ndarray,
         members: np.ndarray,
-        clusters_per_partition: Optional[int],
         seed: int,
         cat: int,
     ) -> _Partition:
@@ -153,11 +146,8 @@ class ItemIndex:
                 centroids=empty.copy(),
                 offsets=np.zeros(1, dtype=np.int64),
             )
-        cells = (
-            int(np.ceil(np.sqrt(members.size)))
-            if clusters_per_partition is None
-            else int(clusters_per_partition)
-        )
+        # The classic IVF sizing that balances coarse and fine scan costs.
+        cells = int(np.ceil(np.sqrt(members.size)))
         member_vectors = vectors[members]
         rng = np.random.default_rng(np.random.SeedSequence([seed, cat]))
         centroids, assignments = kmeans(member_vectors, cells, rng)

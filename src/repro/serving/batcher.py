@@ -223,7 +223,7 @@ class MicroBatcher:
                 return [
                     self._respond_degraded(
                         user, query_category, TIER_PREFILTER, "deadline_budget",
-                        now, trace=trace, candidates=candidates,
+                        now, trace=trace, candidates=candidates, gate=gate, state=state,
                     )
                 ]
         submit_span.end()
@@ -280,7 +280,7 @@ class MicroBatcher:
         """Admission control: is the queue too deep or too stale to join?"""
         if policy.max_queue is not None and len(self._pending) >= policy.max_queue:
             return True
-        if policy.shed_when_stale and self._pending:
+        if self._pending:
             waited_ms = (now - self._pending[0].enqueue_time) * 1000.0
             return waited_ms > policy.deadline_ms
         return False
@@ -295,16 +295,20 @@ class MicroBatcher:
         trace=NULL_TRACE,
         candidates: Optional[np.ndarray] = None,
         shed: bool = False,
+        gate: Optional[np.ndarray] = None,
+        state: Optional[UserState] = None,
     ) -> RankedList:
         """Answer one request below the full tier, immediately.
 
         The response is produced by :meth:`SearchEngine.degraded_ranking`
         (which may itself fall further down the ladder), counted on the
         metrics sink, stamped on the trace as a span attribute, and logged
-        as a typed ``load_shed`` / ``degraded`` event.
+        as a typed ``load_shed`` / ``degraded`` event.  ``gate`` and
+        ``state`` forward what submit already prepared for this request, so
+        the tiers that exist because time ran out redo none of it.
         """
         items, scores, tier = self.engine.degraded_ranking(
-            user, query_category, tier, candidates=candidates
+            user, query_category, tier, candidates=candidates, gate=gate, state=state
         )
         done = self._clock()
         latency_ms = (done - enqueue_time) * 1000.0
@@ -349,6 +353,8 @@ class MicroBatcher:
                 q.enqueue_time,
                 trace=q.trace,
                 candidates=q.candidates,
+                gate=q.gate,
+                state=q.state,
             )
             for q in pending
         ]

@@ -77,6 +77,11 @@ def popularity_floor(
     return shortlist[order], scores[order]
 
 
+#: Share of ``DegradationPolicy.deadline_ms`` that submit-side preparation
+#: may burn before a request is answered from the prefilter tier.
+_FULL_BUDGET_FRACTION = 0.5
+
+
 @dataclass(frozen=True)
 class DegradationPolicy:
     """Per-request deadline budget and admission control for the batcher.
@@ -87,36 +92,26 @@ class DegradationPolicy:
         End-to-end per-request budget.  Arrivals are shed (answered
         immediately at the popularity tier) while the oldest queued request
         has already waited past this deadline — the queue is drowning, so
-        new work must not pile on.
-    full_budget_fraction:
-        How much of ``deadline_ms`` submit-side preparation (gate +
-        retrieval) may consume before the request drops to the prefilter
-        tier instead of queueing for the full forward.
+        new work must not pile on.  Submit-side preparation (gate +
+        retrieval) may consume ``_FULL_BUDGET_FRACTION`` of it before the
+        request drops to the prefilter tier instead of queueing for the
+        full forward.
     max_queue:
         Bounded-queue admission control: arrivals beyond this many pending
         requests are shed.  ``None`` leaves the queue bounded only by the
         batcher's ``max_batch_size`` flush trigger.
-    shed_when_stale:
-        Disable to keep admission purely size-based (used by tests that
-        want deterministic queue-depth shedding only).
     """
 
     deadline_ms: float = 50.0
-    full_budget_fraction: float = 0.5
     max_queue: Optional[int] = None
-    shed_when_stale: bool = True
 
     def __post_init__(self) -> None:
         if self.deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be > 0, got {self.deadline_ms}")
-        if not 0.0 < self.full_budget_fraction <= 1.0:
-            raise ValueError(
-                f"full_budget_fraction must be in (0, 1], got {self.full_budget_fraction}"
-            )
         if self.max_queue is not None and self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1 or None, got {self.max_queue}")
 
     @property
     def degrade_after_ms(self) -> float:
         """Submit-side budget before dropping to the prefilter tier."""
-        return self.deadline_ms * self.full_budget_fraction
+        return self.deadline_ms * _FULL_BUDGET_FRACTION

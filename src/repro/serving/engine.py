@@ -285,6 +285,8 @@ class SearchEngine:
         query_category: int,
         tier: str,
         candidates: Optional[np.ndarray] = None,
+        gate: Optional[np.ndarray] = None,
+        state: Optional[UserState] = None,
     ) -> tuple:
         """Best-effort ``(items, scores, tier)`` below the full tier.
 
@@ -299,16 +301,23 @@ class SearchEngine:
         ``candidates`` restricts ranking to an already-retrieved shortlist
         (the deadline-budget path reuses its submit-time retrieval); when
         omitted the popularity tier ranks the whole category and the
-        prefilter tier retrieves through the cascade first.
+        prefilter tier retrieves through the cascade first.  ``gate`` and
+        ``state`` are the session gate and user tables the request already
+        resolved: with them the prefilter tier tabulates nothing and never
+        calls the model it is degrading away from.
         """
         if tier == TIER_PREFILTER and self.cascade is not None and user is not None:
             try:
                 if candidates is None:
-                    shortlist = self.cascade.retrieve(user, query_category)
+                    shortlist = self.cascade.retrieve(
+                        user, query_category, gate=gate, state=state
+                    )
                 else:
                     shortlist = np.asarray(candidates)
                 scores = np.asarray(
-                    self.cascade.score_candidates(user, query_category, shortlist),
+                    self.cascade.score_candidates(
+                        user, query_category, shortlist, gate=gate, state=state
+                    ),
                     dtype=np.float32,
                 )
                 order = np.argsort(-scores, kind="stable")

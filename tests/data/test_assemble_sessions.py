@@ -2,9 +2,10 @@
 
 The reference here is the pre-table implementation kept verbatim: four
 ``(C, H)`` comparisons per (user, candidates) pair, ``impression_features``
-on their sums, one session at a time, joined by ``SessionBatch.concat``.
-``UserState``'s tables, ``cross_features``' gathers and ``assemble_sessions``'
-stacked joins must reproduce its every key, dtype and bit.
+(kept in ``feature_oracles``) on their sums, one session at a time, joined
+by ``SessionBatch.concat``.  ``UserState``'s tables, ``cross_features``'
+gathers and ``assemble_sessions``' stacked joins must reproduce its every
+key, dtype and bit.
 """
 
 from dataclasses import replace
@@ -23,10 +24,11 @@ from repro.data import (
     cross_features,
     encode_behavior,
     generate_world,
-    impression_features,
     item_dense,
     session_side,
 )
+
+from feature_oracles import impression_features
 
 #: More repeats of one item than ``item_click_cnt``'s cap of 3.
 REPEATS = 5
@@ -88,11 +90,11 @@ def _reference_cross(world, user, candidates):
     }
 
 
-def _reference_session(world, user, category, candidates):
+def _reference_session(world, user, category, candidates, spec=1):
     """``assemble_session`` as it was, on the reference cross features."""
     cross = _reference_cross(world, user, candidates)
     features = impression_features(
-        world, user, candidates, category, 1, cross, UserState(world, user)
+        world, user, candidates, category, spec, cross, UserState(world, user)
     )
     behavior = encode_behavior(world, user, world.config.max_seq_len)
     candidate = {
@@ -103,7 +105,7 @@ def _reference_session(world, user, category, candidates):
         "label": np.zeros(candidates.size, dtype=np.float32),
     }
     return SessionBatch(
-        session_side(world, user, category, behavior=behavior), candidate, [candidates.size]
+        session_side(world, user, category, spec, behavior=behavior), candidate, [candidates.size]
     )
 
 
@@ -181,6 +183,46 @@ def test_the_named_corners(name):
         [c for _, c, _ in sessions], [items for _, _, items in sessions],
     )
     _assert_bitwise(got, SessionBatch.concat([_reference_session(world, *s) for s in sessions]))
+
+
+@pytest.mark.parametrize("name", ["unit", "small", "large-catalog"])
+def test_per_session_spec_is_the_scalar_spec_concat(name):
+    """``spec`` as one value per session (how the offline log calls it)
+    equals one scalar-``spec`` call per session, and the reference."""
+    world, (empty, fan, *others) = _world(name)
+    rng = np.random.default_rng(11)
+    levels = world.config.num_query_specificities
+    users = [empty, fan, *others[: 2 * levels]]
+    sessions = [
+        (user, int(rng.integers(world.num_categories)),
+         np.unique(rng.choice(world.num_items, size=int(rng.integers(1, 14)))))
+        for user in users
+    ]
+    specs = np.arange(len(sessions)) % levels
+    assert set(specs) == set(range(levels))
+    states = [UserState(world, user) for user, _, _ in sessions]
+    got = assemble_sessions(
+        world, states, [c for _, c, _ in sessions], [items for _, _, items in sessions], specs
+    )
+    per_session = SessionBatch.concat(
+        [
+            assemble_sessions(world, [state], [category], [items], int(spec))
+            for state, (_, category, items), spec in zip(states, sessions, specs)
+        ]
+    )
+    _assert_bitwise(got, per_session)
+    reference = [
+        _reference_session(world, *session, int(spec)) for session, spec in zip(sessions, specs)
+    ]
+    _assert_bitwise(got, SessionBatch.concat(reference))
+    # A plain list of specs is the same call.
+    _assert_bitwise(
+        assemble_sessions(
+            world, states, [c for _, c, _ in sessions],
+            [items for _, _, items in sessions], specs.tolist(),
+        ),
+        got,
+    )
 
 
 @pytest.mark.parametrize("name", ["unit", "small", "large-catalog"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import RankingDataset, iterate_batches
-from repro.data.schema import validate_batch
+from repro.data.schema import BATCH_KEYS, validate_batch
 
 
 class TestDatasetShape:
@@ -34,6 +34,26 @@ class TestDatasetShape:
                 user_id=test_set.user_id,
                 meta=test_set.meta,
             )
+
+
+    @pytest.mark.parametrize("name", BATCH_KEYS)
+    def test_any_mismatched_column_rejected(self, test_set, name):
+        columns = test_set.batch_at(np.arange(len(test_set)))
+        columns[name] = columns[name][:-1]
+        with pytest.raises(ValueError):
+            RankingDataset(meta=test_set.meta, **columns)
+
+    def test_batch_and_subset_carry_exactly_the_schema(self, test_set):
+        idx = np.array([3, 0, 3])
+        batch = test_set.batch_at(idx)
+        assert tuple(batch) == BATCH_KEYS
+        sub = test_set.subset(idx)
+        assert set(vars(sub)) == {*BATCH_KEYS, "meta"}
+        for name in BATCH_KEYS:
+            want = getattr(test_set, name)[idx]
+            np.testing.assert_array_equal(batch[name], want, err_msg=name)
+            np.testing.assert_array_equal(getattr(sub, name), want, err_msg=name)
+            assert batch[name].dtype == want.dtype
 
 
 class TestSubset:

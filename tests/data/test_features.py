@@ -9,11 +9,12 @@ from repro.data import (
     assemble_session,
     cross_features,
     encode_behavior,
-    impression_features,
     item_dense,
     session_side,
 )
 from repro.data.schema import BATCH_KEYS, FEATURE_NAMES, concat_batches, validate_batch
+
+from feature_oracles import impression_features
 
 
 def _active_user(world):
@@ -111,12 +112,19 @@ class TestAssembleCandidateBatch:
         assert features.shape[1] == len(FEATURE_NAMES)
 
     def test_offline_generator_uses_same_implementation(self):
-        """The synthetic log generator scores with these exact functions."""
+        """The synthetic log generator and the Amazon split label with
+        ``cross_features`` and featurize through ``assemble_sessions`` — the
+        function a flush calls — and carry no feature code of their own."""
+        import repro.data.amazon as amazon
         import repro.data.synthetic as synthetic
+        from repro.data import assemble_sessions
 
         assert synthetic.cross_features is cross_features
-        assert synthetic.impression_features is impression_features
-        assert synthetic.encode_behavior is encode_behavior
+        assert synthetic.assemble_sessions is assemble_sessions
+        assert amazon.assemble_sessions is assemble_sessions
+        for module in (synthetic, amazon):
+            for gone in ("impression_features", "encode_behavior", "item_dense", "FEATURE_NAMES"):
+                assert not hasattr(module, gone), (module.__name__, gone)
 
 
 def _tiled_batch(world, user, query_category, candidates, spec=1):

@@ -1,10 +1,20 @@
 """Synthetic-world invariants: the planted structure the experiments rely on."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.data import WorldConfig, generate_world, make_search_datasets, simulate_search_log
-from repro.data.synthetic import ARCHETYPES, build_test_dataset, build_train_dataset
+from repro.data.schema import BATCH_KEYS, FEATURE_NAMES
+from repro.data.synthetic import (
+    _LOG_CHUNK_SESSIONS,
+    ARCHETYPES,
+    build_test_dataset,
+    build_train_dataset,
+)
+
+from feature_oracles import search_log_loop
 
 @pytest.fixture(scope="module")
 def world():
@@ -119,6 +129,47 @@ class TestSessionSimulation:
         target_cats = world.item_category[log.target_item - 1] + 1
         match = (target_cats == log.query_category).mean()
         assert match > 0.6
+
+
+class TestLogIsTheServingAssembly:
+    """The log's columns come from chunked ``assemble_sessions`` calls after
+    the RNG loop; the per-session loop it replaced is the oracle."""
+
+    #: Not a multiple of the chunk, and more than one chunk.
+    SESSIONS = _LOG_CHUNK_SESSIONS + 45
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            WorldConfig.unit(),
+            WorldConfig.small(),
+            replace(WorldConfig.large_catalog(6000, 4), num_users=300),
+        ],
+        ids=["unit", "small", "large-catalog"],
+    )
+    def test_every_column_is_the_per_session_loop(self, config, seed):
+        world = generate_world(config, np.random.default_rng(seed))
+        log = simulate_search_log(
+            world, self.SESSIONS, np.random.default_rng(seed + 20), start_session_id=7
+        )
+        want = search_log_loop(
+            world, self.SESSIONS, np.random.default_rng(seed + 20), start_session_id=7
+        )
+        assert list(want) == list(BATCH_KEYS)
+        for key, column in want.items():
+            got = getattr(log, key)
+            assert got.dtype == column.dtype, key
+            assert got.shape == column.shape, key
+            assert got.tobytes() == column.tobytes(), key
+        # What the comparison covered: several chunks with a ragged last one,
+        # ids offset by the start, every specificity, off-category candidates.
+        assert self.SESSIONS % _LOG_CHUNK_SESSIONS and self.SESSIONS > _LOG_CHUNK_SESSIONS
+        sessions = np.unique(log.session_id)
+        assert sessions[0] == 7 and sessions.size == self.SESSIONS
+        spec = log.other_features[:, FEATURE_NAMES.index("query_specificity")]
+        assert np.unique(spec).size == config.num_query_specificities
+        assert (log.target_category != log.query_category).any()
 
 
 class TestDatasetConstruction:

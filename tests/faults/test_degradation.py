@@ -165,6 +165,93 @@ class TestFaultFallbacks:
         assert [r.tier for r in full] == [TIER_FULL, TIER_FULL]
 
 
+class TestDegradedTiersRedoNoSubmitWork:
+    """The budget and failed-flush tiers answer from what submit prepared:
+    the request's ``UserState`` and its resolved session gate."""
+
+    CASCADE = CascadeConfig(retrieve_n=32, prune=8, nprobe=2)
+
+    def _counted_cluster(self, world, model, monkeypatch, spec, **kwargs):
+        """A cascade fleet under ``spec``, plus one ``{"states", "gates"}``
+        count of ``UserState`` constructions and gate-plan runs per degraded
+        response (taken around ``_respond_degraded``, so submit's own
+        preparation is outside it)."""
+        import repro.data.features as features
+
+        clock = ManualClock()
+        inj = FaultInjector(FaultPlan(specs=[spec]), sleeper=clock.advance)
+        cluster = _cluster(
+            world, model, clock, policy=DegradationPolicy(deadline_ms=50.0),
+            injector=inj, cascade=self.CASCADE, **kwargs,
+        )
+        worker = cluster.workers[0]
+        counts = {"states": 0, "gates": 0}
+        init = features.UserState.__init__
+        gate_plan = worker.engine.compiled_model.gate_plan
+        run = gate_plan.run
+
+        def counting_init(state, *args, **kw):
+            counts["states"] += 1
+            init(state, *args, **kw)
+
+        def counting_run(*args, **kw):
+            counts["gates"] += 1
+            return run(*args, **kw)
+
+        monkeypatch.setattr(features.UserState, "__init__", counting_init)
+        monkeypatch.setattr(gate_plan, "run", counting_run)
+        respond = worker.batcher._respond_degraded
+        inside = []
+
+        def bracketed(*args, **kw):
+            assert kw["gate"] is not None and kw["state"] is not None
+            before = dict(counts)
+            response = respond(*args, **kw)
+            inside.append({key: counts[key] - before[key] for key in counts})
+            return response
+
+        monkeypatch.setattr(worker.batcher, "_respond_degraded", bracketed)
+        return cluster, counts, inside
+
+    def _assert_is_the_fresh_ranking(self, engine, response):
+        """Same items, scores and tier as ranking the shortlist from scratch."""
+        items, scores, tier = engine.degraded_ranking(
+            response.user, response.query_category, TIER_PREFILTER,
+            candidates=np.sort(response.items),
+        )
+        assert response.tier == tier == TIER_PREFILTER
+        np.testing.assert_array_equal(response.items, items)
+        np.testing.assert_allclose(response.scores, scores, rtol=1e-6)
+
+    def test_deadline_budget_response(self, world, make_model, monkeypatch):
+        cluster, counts, inside = self._counted_cluster(
+            world, make_model(trained=True), monkeypatch,
+            FaultSpec("engine.retrieve", "latency", latency_ms=100.0, times=1),
+        )
+        (degraded,) = cluster.submit(3, 1)
+        assert counts == {"states": 1, "gates": 1}  # submit's own preparation
+        assert inside == [{"states": 0, "gates": 0}]
+        events = cluster.workers[0].metrics.events.events("degraded")
+        assert events[0].attrs["reason"] == "deadline_budget"
+        self._assert_is_the_fresh_ranking(cluster.workers[0].engine, degraded)
+
+    def test_failed_flush_responses(self, world, make_model, monkeypatch):
+        cluster, counts, inside = self._counted_cluster(
+            world, make_model(trained=True), monkeypatch,
+            FaultSpec("batcher.flush", "crash", times=1), max_batch_size=2,
+        )
+        cluster.submit(3, 1)
+        results = cluster.submit(5, 2)  # size trigger -> flush -> injected crash
+        assert counts == {"states": 2, "gates": 2}
+        assert inside == [{"states": 0, "gates": 0}] * 2
+        reasons = {
+            e.attrs["reason"] for e in cluster.workers[0].metrics.events.events("degraded")
+        }
+        assert reasons == {"flush:CrashFault"}
+        for response in results:
+            self._assert_is_the_fresh_ranking(cluster.workers[0].engine, response)
+
+
 class TestDisabledPathIdentity:
     def test_armed_but_empty_injector_is_bitwise_identical(self, world, make_model):
         """No specs + generous policy must reproduce the plain fleet exactly."""

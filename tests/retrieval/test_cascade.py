@@ -133,9 +133,9 @@ class TestExhaustiveParity:
         calls = []
         original = engine.cascade._session_gate
 
-        def counting_gate(user, category, state=None):
-            calls.append((user, category))
-            return original(user, category, state)
+        def counting_gate(state, category):
+            calls.append((state.user, category))
+            return original(state, category)
 
         monkeypatch.setattr(engine.cascade, "_session_gate", counting_gate)
         batcher.submit(7, 2)  # cache miss: the cascade evaluates its own gate
@@ -247,7 +247,9 @@ class TestRecallMonotonicity:
                 ],
                 axis=1,
             ).astype(np.float32)
-            np.testing.assert_array_equal(cascade._cross_counts(user, items), want)
+            np.testing.assert_array_equal(
+                cascade._cross_counts(UserState(unit_world, user), items), want
+            )
 
     def test_survivors_are_the_top_of_the_cheap_score(self, unit_world, model):
         """Stage 2 starts from stage 1's inner products; what survives is
@@ -378,7 +380,7 @@ def _per_query_calibration_rows(cascade):
     ranker call per sampled query.  Kept verbatim as the oracle — the RNG
     draw order (user, category, items per query) is part of the contract."""
     from repro.data.features import UserState, assemble_session
-    from repro.retrieval.cascade import _TOP_QUANTILE, _logits
+    from repro.retrieval.cascade import _TOP_QUANTILE, _TOP_WEIGHT, _logits
 
     config = cascade.config
     world = cascade.world
@@ -399,11 +401,11 @@ def _per_query_calibration_rows(cascade):
         target = _logits(cascade._scorer, batch)
         sample_weight = np.where(
             target >= np.quantile(target, _TOP_QUANTILE),
-            config.calibration_top_weight,
+            _TOP_WEIGHT,
             1.0,
         )
         regime = cascade._regime(state, cat)
-        gate = cascade._session_gate(user, cat)
+        gate = cascade._session_gate(state, cat)
         rows[regime][0].append(cascade._pair_features(state, sample, gate))
         rows[regime][1].append(target)
         rows[regime][2].append(sample_weight)

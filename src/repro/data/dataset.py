@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.data.schema import BATCH_KEYS, Batch, DatasetMeta
+from repro.data.schema import BATCH_KEYS, Batch, DatasetMeta, SessionBatch
 
 __all__ = ["RankingDataset", "iterate_batches"]
 
@@ -36,6 +36,8 @@ class RankingDataset:
     session_id: np.ndarray  # (N,) int64
     user_id: np.ndarray  # (N,) int64
     meta: DatasetMeta
+    #: The same rows by session, where the builder had them (click windows).
+    sessions: Optional[SessionBatch] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.label)

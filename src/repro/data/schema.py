@@ -145,6 +145,15 @@ class SessionBatch:
         flat.update(self.candidate)
         return flat
 
+    def sessions(self, start: int, stop: int) -> "SessionBatch":
+        """Sessions ``start:stop`` as a batch of views (nothing is copied)."""
+        rows = slice(self.bounds[start], self.bounds[stop])
+        return SessionBatch(
+            {key: side[start:stop] for key, side in self.session.items()},
+            {key: side[rows] for key, side in self.candidate.items()},
+            self.counts[start:stop],
+        )
+
     @staticmethod
     def concat(batches: Sequence["SessionBatch"]) -> "SessionBatch":
         """Several sessions' batches as one, sessions in the given order."""

@@ -3,18 +3,20 @@
 The paper averages a per-session pairwise AUC over all test sessions, and
 additionally reports ``AUC@10`` computed on each session's top-10 items by
 predicted score.  Sessions lacking both a positive and a negative (within the
-cutoff, for @10) are skipped, as they contribute no pairs.
+cutoff, for @10) are skipped, as they contribute no pairs.  All sessions are
+ranked in one ``lexsort`` and reduced with ``np.bincount``; :func:`binary_auc`
+is the per-group oracle.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from scipy.stats import rankdata
 
-__all__ = ["binary_auc", "session_auc", "session_auc_at_k", "global_auc"]
+__all__ = ["binary_auc", "session_auc", "session_auc_at_k", "per_session_auc", "global_auc"]
 
 
 def binary_auc(scores: np.ndarray, labels: np.ndarray) -> Optional[float]:
@@ -37,14 +39,10 @@ def binary_auc(scores: np.ndarray, labels: np.ndarray) -> Optional[float]:
 
 def session_auc(scores: np.ndarray, labels: np.ndarray, sessions: np.ndarray) -> float:
     """Mean per-session AUC (Eq. 12) over sessions with both classes."""
-    values = []
-    for rows in _session_rows(sessions):
-        auc = binary_auc(scores[rows], labels[rows])
-        if auc is not None:
-            values.append(auc)
-    if not values:
+    values, _ = per_session_auc(scores, labels, sessions)
+    if not values.size:
         raise ValueError("no session contains both a positive and a negative")
-    return float(np.mean(values))
+    return float(values.mean())
 
 
 def session_auc_at_k(
@@ -53,15 +51,49 @@ def session_auc_at_k(
     """Mean per-session AUC over each session's top-``k`` predicted items."""
     if k < 2:
         raise ValueError(f"k must be >= 2 for a pairwise metric, got {k}")
-    values = []
-    for rows in _session_rows(sessions):
-        top = rows[np.argsort(-scores[rows], kind="stable")[:k]]
-        auc = binary_auc(scores[top], labels[top])
-        if auc is not None:
-            values.append(auc)
-    if not values:
+    values, _ = per_session_auc(scores, labels, sessions, k)
+    if not values.size:
         raise ValueError(f"no session has both classes within its top-{k}")
-    return float(np.mean(values))
+    return float(values.mean())
+
+
+def per_session_auc(
+    scores: np.ndarray, labels: np.ndarray, sessions: np.ndarray, k: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`binary_auc` of every session (of its top-``k`` rows, with ``k``)
+    that holds both classes, and those sessions' ids, in ascending id order."""
+    scores, labels, sessions = np.asarray(scores), np.asarray(labels), np.asarray(sessions)
+    order, group, position = _rank_sessions(scores, sessions)
+    if k is not None:
+        keep = position < k
+        order, group, position = order[keep], group[keep], position[keep]
+    scores, positive, negative = scores[order], labels[order] == 1, labels[order] == 0
+    # Tie-averaged ascending ranks from run lengths: a run of ``length`` equal
+    # scores starting ``position`` places from the top of a ``size``-row
+    # session shares rank ``size - position - (length - 1) / 2``.
+    head = np.ones(order.size, dtype=bool)
+    head[1:] = (group[1:] != group[:-1]) | (scores[1:] != scores[:-1])
+    run = np.cumsum(head) - 1
+    ranks = (np.bincount(group)[group] - position[head][run]) - (np.bincount(run)[run] - 1) / 2
+    positives = np.bincount(group, weights=positive)
+    negatives = np.bincount(group, weights=negative)
+    rank_sum = np.bincount(group, weights=ranks * positive)
+    both = (positives > 0) & (negatives > 0)
+    positives, negatives = positives[both], negatives[both]
+    values = (rank_sum[both] - positives * (positives + 1) / 2) / (positives * negatives)
+    return values, sessions[order[position == 0]][both]
+
+
+def _rank_sessions(scores: np.ndarray, sessions: np.ndarray):
+    """Every session ranked at once: ``order`` sorts rows by (session, score
+    descending, row) — a stable ``argsort(-scores)`` inside each session —
+    ``group`` is the sorted rows' dense session index (ascending session id)
+    and ``position`` their 0-based rank inside the session."""
+    order = np.lexsort((-np.asarray(scores, dtype=float), sessions))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = sessions[order[1:]] != sessions[order[:-1]]
+    group = np.cumsum(first) - 1
+    return order, group, np.arange(order.size) - np.flatnonzero(first)[group]
 
 
 def global_auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -71,15 +103,3 @@ def global_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     if auc is None:
         raise ValueError("global AUC needs both classes present")
     return auc
-
-
-def _session_rows(sessions: np.ndarray):
-    """Yield row-index arrays per session (order-independent)."""
-    sessions = np.asarray(sessions)
-    order = np.argsort(sessions, kind="stable")
-    sorted_sessions = sessions[order]
-    boundaries = np.flatnonzero(np.diff(sorted_sessions)) + 1
-    starts = np.concatenate([[0], boundaries])
-    stops = np.concatenate([boundaries, [len(sessions)]])
-    for start, stop in zip(starts, stops):
-        yield order[start:stop]

@@ -7,13 +7,13 @@ predicted ordering is normalized by the DCG of the label-ideal ordering.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.eval.auc import _session_rows
+from repro.eval.auc import _rank_sessions
 
-__all__ = ["session_ndcg", "dcg"]
+__all__ = ["session_ndcg", "per_session_ndcg", "dcg"]
 
 
 def dcg(ordered_labels: np.ndarray, k: Optional[int] = None) -> float:
@@ -28,25 +28,33 @@ def dcg(ordered_labels: np.ndarray, k: Optional[int] = None) -> float:
 
 
 def session_ndcg(
-    scores: np.ndarray,
-    labels: np.ndarray,
-    sessions: np.ndarray,
-    k: Optional[int] = None,
+    scores: np.ndarray, labels: np.ndarray, sessions: np.ndarray, k: Optional[int] = None
 ) -> float:
     """Mean per-session NDCG (Eq. 13); ``k`` truncates at a cutoff.
 
     Sessions with no positive item have an undefined ideal DCG and are
     skipped, mirroring the AUC treatment.
     """
-    values = []
-    for rows in _session_rows(sessions):
-        session_labels = labels[rows]
-        ideal = dcg(np.sort(session_labels)[::-1], k)
-        if ideal == 0.0:
-            continue
-        order = np.argsort(-scores[rows], kind="stable")
-        realized = dcg(session_labels[order], k)
-        values.append(realized / ideal)
-    if not values:
+    values, _ = per_session_ndcg(scores, labels, sessions, k)
+    if not values.size:
         raise ValueError("no session contains a positive item")
-    return float(np.mean(values))
+    return float(values.mean())
+
+
+def per_session_ndcg(
+    scores: np.ndarray, labels: np.ndarray, sessions: np.ndarray, k: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """NDCG of every session with a non-zero ideal :func:`dcg`, and those
+    sessions' ids, in ascending id order."""
+    labels, sessions = np.asarray(labels, dtype=float), np.asarray(sessions)
+    order, group, position = _rank_sessions(scores, sessions)
+    # The ideal ordering sorts the same sessions by label, so it shares
+    # ``group`` and ``position`` with the predicted one.
+    ideal_order = np.lexsort((-labels, sessions))
+    discounts = 1.0 / np.log2(position + 2.0)
+    if k is not None:
+        discounts[position >= k] = 0.0
+    ideal = np.bincount(group, weights=labels[ideal_order] * discounts)
+    realized = np.bincount(group, weights=labels[order] * discounts)
+    defined = ideal != 0.0
+    return realized[defined] / ideal[defined], sessions[order[position == 0]][defined]

@@ -15,8 +15,8 @@ import numpy as np
 
 from scipy.stats import norm
 
-from repro.eval.auc import binary_auc
-from repro.eval.ndcg import dcg
+from repro.eval.auc import per_session_auc
+from repro.eval.ndcg import per_session_ndcg
 
 __all__ = [
     "paired_bootstrap_pvalue",
@@ -39,32 +39,11 @@ def session_metric_samples(
     paired comparisons because the *labels* determine definedness for ndcg,
     while for auc@k the model's own top-k does).
     """
-    from repro.eval.auc import _session_rows
-
-    values = []
-    ids = []
-    for rows in _session_rows(np.asarray(sessions)):
-        session_scores = scores[rows]
-        session_labels = labels[rows]
-        if metric == "auc":
-            if k is not None:
-                top = np.argsort(-session_scores, kind="stable")[:k]
-                session_scores = session_scores[top]
-                session_labels = session_labels[top]
-            value = binary_auc(session_scores, session_labels)
-        elif metric == "ndcg":
-            ideal = dcg(np.sort(session_labels)[::-1], k)
-            if ideal == 0.0:
-                value = None
-            else:
-                order = np.argsort(-session_scores, kind="stable")
-                value = dcg(session_labels[order], k) / ideal
-        else:
-            raise ValueError(f"unknown metric {metric!r}")
-        if value is not None:
-            values.append(value)
-            ids.append(sessions[rows[0]])
-    return np.asarray(values, dtype=float), np.asarray(ids)
+    if metric == "auc":
+        return per_session_auc(scores, labels, sessions, k)
+    if metric == "ndcg":
+        return per_session_ndcg(scores, labels, sessions, k)
+    raise ValueError(f"unknown metric {metric!r}")
 
 
 def paired_bootstrap_pvalue(

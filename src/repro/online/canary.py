@@ -19,10 +19,14 @@ its recall against its own exhaustive-parity oracle, and blocks promotion
 below the configured floor.
 
 The replay scores through the **compiled inference path** (:mod:`repro.
-infer`) — the same plan the fleet will execute after promotion — so the
-canary gates what production actually serves, compilation included; a bug
-in a model's compiled plan is caught here, before the swap.  Models with no
-registered compiler replay eagerly, matching their serving fallback.
+infer`) — the plan the fleet will execute after promotion — fed what serving
+feeds it: a click-log hold-out keeps the :class:`~repro.data.schema.
+SessionBatch` it was assembled as, and :func:`~repro.eval.predict_scores`
+hands a compiled model session slices of it, so gate, behaviour encoder and
+query side run once per *session* (§III-F1).  The canary therefore gates the
+plan production serves, factored kernels and compilation included; a bug in
+either is caught here, before the swap.  Models with no registered compiler,
+and datasets without session structure, replay row for row.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from repro.eval.auc import session_auc
 from repro.eval.evaluator import predict_scores
 from repro.eval.ndcg import session_ndcg
 from repro.faults.injector import NULL_INJECTOR
-from repro.infer import CompileError, compile_model
-from repro.obs import NULL_TRACE
+from repro.infer import CompiledModel, CompileError, compile_model
+from repro.obs import NULL_SPAN, NULL_TRACE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.retrieval import RetrievalProbe
@@ -120,7 +124,11 @@ class CanaryGate:
         model object: the incremental trainer may update a model's weights
         in place between refresh cycles, and a cached plan (a weight
         *snapshot*) would silently replay stale weights.  Packing is
-        sub-millisecond at this scale; staleness is a wrong promotion.
+        sub-millisecond at this scale; staleness is a wrong promotion.  What
+        a fresh compile does cost is a cold arena per distinct chunk shape
+        (score + gate 46 + 42 MiB when 1024 *rows* ran the flat kernels,
+        28 + 4 MiB for the same rows as ≈ 100 sessions) — hence a bounded
+        chunk, not one batch.
         """
         if self.use_compiled:
             try:
@@ -133,12 +141,17 @@ class CanaryGate:
         """The gated session metrics of ``model`` on ``holdout``."""
         return self._evaluate_with(self._scorer(model), holdout)
 
-    def _evaluate_with(self, scorer, holdout: RankingDataset) -> Dict[str, float]:
+    def _evaluate_with(self, scorer, holdout: RankingDataset, span=NULL_SPAN) -> Dict[str, float]:
         scores = predict_scores(scorer, holdout)
-        return {
+        metrics = {
             name: self._METRIC_FNS[name](scores, holdout.label, holdout.session_id)
             for name in self.metrics
         }
+        attrs = {name: round(value, 6) for name, value in metrics.items()}
+        if isinstance(scorer, CompiledModel):  # one plan execution per chunk
+            attrs["chunks"] = scorer.score_plan.calls
+        span.set(**attrs)
+        return metrics
 
     def judge(
         self,
@@ -158,15 +171,16 @@ class CanaryGate:
         candidate/production replays and the retrieval probe land as child
         spans under the caller's open ``canary`` span, so a slow judgement
         is attributable to its stage (the probe's cascade rebuild dominates
-        at large catalogs).
+        at large catalogs); each ``replay`` span carries ``rows``,
+        ``sessions`` and, for a compiled scorer, ``chunks``.
         """
         self.injector.fire("canary.judge", rows=len(holdout))
         # One compile per judgement: weights cannot change mid-call, so the
         # replay and the retrieval probe share the same scoring surface.
         candidate_scorer = self._scorer(candidate)
-        with trace.span("replay", model="candidate", rows=len(holdout)) as span:
-            candidate_metrics = self._evaluate_with(candidate_scorer, holdout)
-            span.set(**{name: round(value, 6) for name, value in candidate_metrics.items()})
+        shape = {"rows": len(holdout), "sessions": holdout.num_sessions()}
+        with trace.span("replay", model="candidate", **shape) as span:
+            candidate_metrics = self._evaluate_with(candidate_scorer, holdout, span)
         reasons: List[str] = []
         if self.retrieval_probe is not None:
             # The probe's cascade build scores through the same compiled
@@ -188,8 +202,8 @@ class CanaryGate:
                 production=None,
                 reasons=tuple(reasons),
             )
-        with trace.span("replay", model="production", rows=len(holdout)):
-            production_metrics = self.evaluate(production, holdout)
+        with trace.span("replay", model="production", **shape) as span:
+            production_metrics = self._evaluate_with(self._scorer(production), holdout, span)
         for name in self.metrics:
             floor = production_metrics[name] - self.tolerance
             if candidate_metrics[name] < floor:

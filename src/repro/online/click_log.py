@@ -239,7 +239,9 @@ def build_dataset(
     ``rng``, negatives are downsampled to 1:1 per session, mirroring the
     offline protocol of §IV-A1; without one, every shown impression of a
     usable session is kept (the canary-holdout convention, matching the
-    offline *test*-split protocol).
+    offline *test*-split protocol).  The dataset keeps the window's
+    :class:`~repro.data.schema.SessionBatch` as ``sessions``: the canary
+    replays it session by session, as serving scored it.
     """
     usable: List[ClickRecord] = []
     items: List[np.ndarray] = []
@@ -262,15 +264,16 @@ def build_dataset(
         return None
     # One assembly for the whole window, each user tabulated once.
     states = {user: UserState(world, user) for user in {record.user for record in usable}}
-    batch = assemble_sessions(
+    sessions = assemble_sessions(
         world,
         [states[record.user] for record in usable],
         [record.query_category for record in usable],
         items,
-    ).flat()
-    batch["label"] = np.concatenate(labels).astype(np.float32)
-    batch["session_id"] = np.repeat(
-        np.array([record.session_id for record in usable], dtype=np.int64),
-        [shown.size for shown in items],
     )
-    return RankingDataset(meta=world.meta(), **batch)
+    sessions.candidate["label"] = np.concatenate(labels).astype(np.float32)
+    sessions.session["session_id"] = np.array(
+        [record.session_id for record in usable], dtype=np.int64
+    )
+    dataset = RankingDataset(meta=world.meta(), **sessions.flat())
+    dataset.sessions = sessions
+    return dataset

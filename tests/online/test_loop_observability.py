@@ -120,6 +120,12 @@ class TestRefreshTracing:
         replays = [s for s in record["spans"] if s["name"] == "replay"]
         assert {r["attrs"]["model"] for r in replays} == {"candidate", "production"}
         assert all(r["parent"] == spans["canary"]["id"] for r in replays)
+        # A slow judgement is sized from the trace alone: rows, sessions and
+        # the plan executions (chunks) the replay took.
+        for replay in replays:
+            assert replay["attrs"]["rows"] == spans["read_new"]["attrs"]["holdout_rows"]
+            assert 0 < replay["attrs"]["sessions"] < replay["attrs"]["rows"]
+            assert replay["attrs"]["chunks"] == 1  # < 1024 rows: one slice
 
         assert spans["serve"]["attrs"]["events"] == 200
         assert spans["read_new"]["attrs"]["train_rows"] == report.train_rows

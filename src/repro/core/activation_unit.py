@@ -21,11 +21,35 @@ import numpy as np
 
 from repro.nn import MLP, Module, Tensor, concat
 
-__all__ = ["ActivationUnit"]
+__all__ = ["ActivationUnit", "pairwise", "padded_key"]
+
+
+def pairwise(h: Tensor, key: Tensor) -> Tensor:
+    """``[h ‖ h ⊙ key ‖ key]`` — the input of both units (Fig. 4a/4c).
+
+    ``key`` is already expanded to ``h``'s shape, so the helper is
+    layout-agnostic: padded ``(B, M, H)`` on the reference path, packed
+    ``(P, H)`` valid positions on the fast path.
+    """
+    return concat([h, h * key, key], axis=-1)
+
+
+def padded_key(h_seq: Tensor, h_key: Tensor) -> Tensor:
+    """Broadcast the key ``(B, H)`` over a padded sequence ``(B, M, H)``."""
+    batch, seq_len, hidden = h_seq.shape
+    if h_key.shape != (batch, hidden):
+        raise ValueError(f"key shape {h_key.shape} incompatible with sequence {h_seq.shape}")
+    return h_key.expand_dims(1).broadcast_to((batch, seq_len, hidden))
 
 
 class ActivationUnit(Module):
-    """Attention scorer producing one weight per behaviour item."""
+    """Attention scorer producing one weight per behaviour item.
+
+    ``self.mlp`` maps a :func:`pairwise` tensor of either layout to
+    ``outputs`` scores per item; the validity mask enters only as the final
+    multiply, so callers that score one sequence under several masks (or on
+    packed valid positions only) call the MLP once and mask downstream.
+    """
 
     def __init__(
         self,
@@ -33,12 +57,13 @@ class ActivationUnit(Module):
         unit_hidden: Tuple[int, ...],
         rng: np.random.Generator,
         output_activation: str = "linear",
+        outputs: int = 1,
     ) -> None:
         super().__init__()
         self.hidden_dim = hidden_dim
         self.mlp = MLP(
             3 * hidden_dim,
-            list(unit_hidden) + [1],
+            list(unit_hidden) + [outputs],
             rng,
             activation="relu",
             output_activation=output_activation,
@@ -49,21 +74,6 @@ class ActivationUnit(Module):
             last = getattr(self.mlp, f"fc{len(unit_hidden)}")
             if last.bias is not None:
                 last.bias.data[:] = 0.1
-
-    def raw_scores(self, h_seq: Tensor, h_key: Tensor) -> Tensor:
-        """Mask-independent attention scores ``(B, M)``.
-
-        The validity mask enters the unit only as the final multiply, so
-        shared-trunk evaluations (the contrastive fast path scores one
-        behaviour sequence under several masks) compute this once and apply
-        each mask downstream.
-        """
-        batch, seq_len, hidden = h_seq.shape
-        if h_key.shape != (batch, hidden):
-            raise ValueError(f"key shape {h_key.shape} incompatible with sequence {h_seq.shape}")
-        key = h_key.expand_dims(1).broadcast_to((batch, seq_len, hidden))
-        pairwise = concat([h_seq, h_seq * key, key], axis=-1)
-        return self.mlp(pairwise).squeeze(2)
 
     def forward(self, h_seq: Tensor, h_key: Tensor, mask: np.ndarray) -> Tensor:
         """Score every sequence position against the key.
@@ -81,4 +91,5 @@ class ActivationUnit(Module):
         -------
         Attention weights ``(B, M)``, zero at padded positions.
         """
-        return self.raw_scores(h_seq, h_key) * np.asarray(mask, dtype=np.float32)
+        raw = self.mlp(pairwise(h_seq, padded_key(h_seq, h_key))).squeeze(2)
+        return raw * np.asarray(mask, dtype=np.float32)

@@ -30,7 +30,7 @@ from repro.core.gate_network import GateNetwork
 from repro.core.input_network import FeatureEmbedder, InputNetwork
 from repro.core.ranking_model import RankingModel
 from repro.data.schema import Batch, DatasetMeta
-from repro.nn import Tensor, no_grad
+from repro.nn import Tensor, is_fast_math, no_grad
 
 __all__ = ["AWMoE"]
 
@@ -82,12 +82,15 @@ class AWMoE(RankingModel):
         representation for the contrastive loss, exactly as the paper
         imposes the InfoNCE loss on the gate-network output (§III-D).
         """
+        if gate_override is None and is_fast_math():
+            logits, gates = self.forward_with_gate_views(batch, ())
+            return logits, gates[0]
         v_imp = self.input_network(batch)
         scores = self.experts(v_imp)  # (B, K)
         if gate_override is None:
-            gate = self.gate(batch)  # (B, K)
+            gate = self.applied_gate(self.gate(batch))  # (B, K)
         else:
-            gate = self._coerce_gate(gate_override)
+            gate = Tensor(np.asarray(gate_override, dtype=np.float32))
         logits = (gate * scores).sum(axis=1)
         return logits, gate
 
@@ -98,21 +101,24 @@ class AWMoE(RankingModel):
 
         Returns ``(logits, gates)`` where ``gates[0]`` is the anchor gate
         (the one the logits use, under the batch's own mask) and
-        ``gates[1:]`` correspond to ``extra_masks``.  The training fast path
-        uses this to obtain the contrastive anchor *and* positive from one
-        shared gate trunk (:meth:`GateNetwork.forward_views`) instead of two
-        full gate forward passes per step.
+        ``gates[1:]`` correspond to ``extra_masks``.  This is the training
+        fast path: the behaviour sequence is gathered **once**, at the
+        positions valid under any view, for both the input network and the
+        shared gate trunk (:meth:`GateNetwork.forward_views`) — one trunk pass
+        for the logits, the contrastive anchor *and* positive, none on padding.
         """
-        v_imp = self.input_network(batch)
-        scores = self.experts(v_imp)  # (B, K)
-        gates = self.gate.forward_views(batch, [None, *extra_masks])
+        masks = [batch["behavior_mask"], *extra_masks]
+        packed = self.embedder.packed(batch, masks)
+        scores = self.experts(self.input_network(batch, packed))  # (B, K)
+        gates = self.gate.forward_views(batch, masks, packed)
+        gates[0] = self.applied_gate(gates[0])
         logits = (gates[0] * scores).sum(axis=1)
         return logits, gates
 
-    @staticmethod
-    def _coerce_gate(gate_override: np.ndarray) -> Tensor:
-        """Wrap a cached gate matrix for use in the forward pass."""
-        return Tensor(np.asarray(gate_override, dtype=np.float32))
+    def applied_gate(self, gate: Tensor) -> Tensor:
+        """The anchor gate as the forward pass applies it (hook: the sparse
+        top-K extension sparsifies here; augmented views stay raw)."""
+        return gate
 
     @property
     def gate_is_candidate_independent(self) -> bool:

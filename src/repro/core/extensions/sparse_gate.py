@@ -9,8 +9,6 @@ rest contribute nothing, so at inference those experts can be skipped).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
 import numpy as np
 
 from repro.core.aw_moe import AWMoE
@@ -59,38 +57,11 @@ class SparseGatedAWMoE(AWMoE):
             )
         self.top_k = top_k
 
-    def forward_with_gate(
-        self, batch: Batch, gate_override: Optional[np.ndarray] = None
-    ) -> Tuple[Tensor, Tensor]:
-        v_imp = self.input_network(batch)
-        scores = self.experts(v_imp)
-        if gate_override is None:
-            gate = sparse_top_k(self.gate(batch), self.top_k)
-        else:
-            # Cached session gates are stored post-sparsification (see
-            # serving_gate), so the override is applied as-is.
-            gate = self._coerce_gate(gate_override)
-        logits = (gate * scores).sum(axis=1)
-        return logits, gate
-
-    def forward_with_gate_views(
-        self, batch: Batch, extra_masks: Sequence[np.ndarray]
-    ) -> Tuple[Tensor, List[Tensor]]:
-        """Shared-trunk views with the anchor sparsified.
-
-        Mirrors the eager training semantics exactly: the anchor gate (which
-        both weights the experts and anchors the contrastive loss, see
-        :meth:`forward_with_gate`) is top-K sparsified, while the augmented
-        views stay dense like :meth:`AWMoE.gate_vector` leaves them.  Without
-        this override the inherited fast path would train a dense gate and
-        serve a sparse one.
-        """
-        v_imp = self.input_network(batch)
-        scores = self.experts(v_imp)
-        gates = self.gate.forward_views(batch, [None, *extra_masks])
-        gates[0] = sparse_top_k(gates[0], self.top_k)
-        logits = (gates[0] * scores).sum(axis=1)
-        return logits, gates
+    def applied_gate(self, gate: Tensor) -> Tensor:
+        """Top-K sparsify the anchor gate — it both weights the experts and
+        anchors the contrastive loss; cached session gates are stored
+        post-sparsification (:meth:`serving_gate`), so overrides skip this."""
+        return sparse_top_k(gate, self.top_k)
 
     def serving_gate(self, batch: Batch) -> np.ndarray:
         """Cacheable gate = raw gate sparsified, matching the forward pass."""

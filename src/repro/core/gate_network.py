@@ -35,12 +35,13 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.activation_unit import ActivationUnit
+from repro.core.activation_unit import ActivationUnit, pairwise
 from repro.core.config import ModelConfig
 from repro.core.gate_unit import GateUnit
-from repro.core.input_network import FeatureEmbedder
+from repro.core.input_network import FeatureEmbedder, PackedBehavior
 from repro.data.schema import Batch, DatasetMeta
 from repro.nn import MLP, Module, Parameter, Tensor, concat, softmax
+from repro.nn import is_fast_math, repeat_rows, segment_sum
 
 __all__ = ["GateNetwork"]
 
@@ -111,8 +112,11 @@ class GateNetwork(Module):
         ``mask_override`` substitutes the behaviour validity mask — the
         contrastive learning strategy (§III-D) passes the randomly masked
         mask here to obtain the positive view ``g(u')`` without rebuilding
-        the batch.
+        the batch.  This is the padded reference; under
+        :func:`repro.nn.fast_math` the packed :meth:`forward_views` answers.
         """
+        if is_fast_math():
+            return self.forward_views(batch, [mask_override])[0]
         mask = batch["behavior_mask"] if mask_override is None else mask_override
         mask = np.asarray(mask, dtype=np.float32)
         h_behavior = self.behavior_mlp(self.embedder.behavior(batch))  # (B, M, H)
@@ -137,7 +141,9 @@ class GateNetwork(Module):
             else:
                 pooled = (h_behavior * mask[:, :, None]).sum(axis=1) * (1.0 / counts)
             gate = self.pooled_mlp(concat([pooled, h_key], axis=-1))
+        return self._finish(gate)
 
+    def _finish(self, gate: Tensor) -> Tensor:
         if self.bias is not None:
             gate = gate + self.bias
         if self.config.normalize_gate:
@@ -145,71 +151,56 @@ class GateNetwork(Module):
         return gate
 
     def forward_views(
-        self, batch: Batch, masks: Sequence[Optional[np.ndarray]]
+        self,
+        batch: Batch,
+        masks: Sequence[Optional[np.ndarray]],
+        packed: Optional[PackedBehavior] = None,
     ) -> List[Tensor]:
         """Gate vectors for several mask views of ONE behaviour sequence.
 
         The contrastive objective (§III-D) needs the gate under the original
-        mask (anchor) and under a randomly masked view (positive).  Running
-        :meth:`forward` twice recomputes the whole trunk — embeddings,
-        ``MLP^G``, the key MLP, and both unit MLPs — even though none of it
-        depends on the mask: the mask only gates the final pooling (Eq. 8).
-        This method evaluates the trunk once and derives every view with one
-        batched masked-pooling op over the stacked ``(V, B, M)`` masks, so
-        the duplicated trunk forward *and* its duplicated backward disappear
-        from the training hot path.
+        mask (anchor) and under a randomly masked view (positive).  None of
+        the trunk — embeddings, ``MLP^G``, the key MLP, both unit MLPs —
+        depends on the mask, which only gates the final pooling (Eq. 8), and
+        a padded position never reaches a sum.  So the trunk runs once, on
+        the ``P`` positions valid under *any* view (``packed``, gathered here
+        unless the caller shares one), both units read one pairwise tensor,
+        and every view is a per-position weight ``mask_v[rows, cols]``
+        applied before one segment-sum back to ``(B, V, ·)``.
 
         ``None`` entries resolve to the batch's own ``behavior_mask``.
         Views only share the trunk when the id arrays are identical — the
         "reorder" augmentation rewrites ids and must keep using two full
         forward passes.
         """
-        resolved = [
-            np.asarray(
-                batch["behavior_mask"] if mask is None else mask, dtype=np.float32
-            )
+        stacked = np.stack([
+            np.asarray(batch["behavior_mask"] if mask is None else mask, dtype=np.float32)
             for mask in masks
-        ]
-        h_behavior = self.behavior_mlp(self.embedder.behavior(batch))  # (B, M, H)
+        ])  # (V, B, M)
+        rows, cols, embedded = packed or self.embedder.packed(batch, stacked)
+        h_behavior = self.behavior_mlp(embedded)  # (P, H)
         h_key = self._key_hidden(batch)  # (B, H)
-        stacked = np.stack(resolved)  # (V, B, M)
-        counts = np.maximum(stacked.sum(axis=2, keepdims=True), 1.0)  # (V, B, 1)
+        view_weights = stacked[:, rows, cols].T  # (P, V)
 
-        if self.gate_unit is not None:
-            raw_scores = self.gate_unit.raw_scores(h_behavior, h_key)  # (B, M, K)
+        # What every view pools per position: the gate unit's expert scores
+        # (else the behaviour hiddens), attention-weighted when configured.
+        per_position = h_behavior
+        if self.gate_unit is not None or self.activation_unit is not None:
+            pair = pairwise(h_behavior, repeat_rows(h_key, rows))
+            if self.gate_unit is not None:
+                per_position = self.gate_unit.mlp(pair)  # (P, K)
             if self.activation_unit is not None:
-                raw_weights = self.activation_unit.raw_scores(h_behavior, h_key)  # (B, M)
-                # Per view v: ((raw_s·m_v) ⊙ (raw_w·m_v)) summed over M —
-                # the same elementwise products as the eager per-view pass,
-                # evaluated as one broadcast op over the stacked masks.
-                masked_scores = raw_scores.expand_dims(0) * Tensor(stacked[:, :, :, None])
-                masked_weights = (raw_weights.expand_dims(0) * Tensor(stacked)).expand_dims(3)
-                gates = (masked_scores * masked_weights).sum(axis=2) * (1.0 / counts)
-            else:
-                masked_scores = raw_scores.expand_dims(0) * Tensor(stacked[:, :, :, None])
-                gates = masked_scores.sum(axis=2) * (1.0 / counts)
-            views = [gates[v] for v in range(len(resolved))]
-        else:
-            # Ablation variants pool the behaviour hiddens per view and run
-            # the fallback FFN on each; the trunk (h_behavior, h_key, raw
-            # attention scores) is still shared across views.
-            raw_weights = (
-                self.activation_unit.raw_scores(h_behavior, h_key)
-                if self.activation_unit is not None
-                else None
-            )
-            views = []
-            for v, mask in enumerate(resolved):
-                count = counts[v]
-                if raw_weights is not None:
-                    weights = raw_weights * mask
-                    pooled = (h_behavior * weights.expand_dims(2)).sum(axis=1) * (1.0 / count)
-                else:
-                    pooled = (h_behavior * mask[:, :, None]).sum(axis=1) * (1.0 / count)
-                views.append(self.pooled_mlp(concat([pooled, h_key], axis=-1)))
-
-        if self.bias is not None:
-            views = [gate + self.bias for gate in views]
-        if self.config.normalize_gate:
-            views = [softmax(gate, axis=-1) for gate in views]
-        return views
+                per_position = per_position * self.activation_unit.mlp(pair)  # (P, 1)
+                if self.gate_unit is not None:
+                    # The reference masks scores and weights separately.
+                    view_weights = view_weights * view_weights
+        scale = 1.0 / np.maximum(stacked.sum(axis=2), 1.0).T  # (B, V)
+        pooled = segment_sum(
+            per_position.expand_dims(1) * view_weights[:, :, None], rows, stacked.shape[1]
+        ) * scale[:, :, None]  # (B, V, K or H)
+        views = [pooled[:, v] for v in range(len(masks))]
+        if self.gate_unit is None:
+            # Ablation variants run the fallback FFN on each view's pooled
+            # behaviour hiddens.
+            views = [self.pooled_mlp(concat([view, h_key], axis=-1)) for view in views]
+        return [self._finish(gate) for gate in views]

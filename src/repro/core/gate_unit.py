@@ -13,12 +13,13 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.nn import MLP, Module, Tensor, concat
+from repro.core.activation_unit import ActivationUnit, padded_key, pairwise
+from repro.nn import Tensor
 
 __all__ = ["GateUnit"]
 
 
-class GateUnit(Module):
+class GateUnit(ActivationUnit):
     """Per-item expert-activation scorer: ``a_j = Θ(h_bj, h_q) ∈ R^K``."""
 
     def __init__(
@@ -29,33 +30,8 @@ class GateUnit(Module):
         rng: np.random.Generator,
         output_activation: str = "linear",
     ) -> None:
-        super().__init__()
-        self.hidden_dim = hidden_dim
+        super().__init__(hidden_dim, unit_hidden, rng, output_activation, outputs=num_experts)
         self.num_experts = num_experts
-        self.mlp = MLP(
-            3 * hidden_dim,
-            list(unit_hidden) + [num_experts],
-            rng,
-            activation="relu",
-            output_activation=output_activation,
-        )
-        if output_activation == "relu":
-            last = getattr(self.mlp, f"fc{len(unit_hidden)}")
-            if last.bias is not None:
-                last.bias.data[:] = 0.1
-
-    def raw_scores(self, h_seq: Tensor, h_key: Tensor) -> Tensor:
-        """Mask-independent per-item expert scores ``(B, M, K)``.
-
-        As in :meth:`ActivationUnit.raw_scores`, the mask only gates the
-        output, so multi-view (contrastive) evaluations share this result.
-        """
-        batch, seq_len, hidden = h_seq.shape
-        if h_key.shape != (batch, hidden):
-            raise ValueError(f"key shape {h_key.shape} incompatible with sequence {h_seq.shape}")
-        key = h_key.expand_dims(1).broadcast_to((batch, seq_len, hidden))
-        pairwise = concat([h_seq, h_seq * key, key], axis=-1)
-        return self.mlp(pairwise)
 
     def forward(self, h_seq: Tensor, h_key: Tensor, mask: np.ndarray) -> Tensor:
         """Per-item, per-expert activation scores.
@@ -75,4 +51,4 @@ class GateUnit(Module):
         Activation scores ``(B, M, K)``, zero at padded positions.
         """
         mask3 = np.asarray(mask, dtype=np.float32)[:, :, None]
-        return self.raw_scores(h_seq, h_key) * mask3
+        return self.mlp(pairwise(h_seq, padded_key(h_seq, h_key))) * mask3

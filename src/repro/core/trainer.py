@@ -46,6 +46,11 @@ def train_model(
         raise TypeError(
             f"contrastive training requested but {type(model).__name__} has no gate network"
         )
+    if len(train_set) < config.batch_size:
+        raise ValueError(
+            f"train set has {len(train_set)} rows, fewer than batch_size {config.batch_size}: "
+            "every batch would be dropped and no step would run"
+        )
     bank = SeedBank(seed)
     shuffle_rng = bank.child("shuffle")
     cl_rng = bank.child("contrastive")
@@ -85,8 +90,9 @@ def train_step(
     objective.
 
     With ``config.fast_path`` the step runs under :func:`repro.nn.fast_math`
-    — packed-expert GEMMs, fused linear kernels, and (for AW-MoE with a
-    mask-type augmentation) the shared-trunk contrastive pair — while
+    — packed-expert GEMMs, fused linear kernels, the behaviour trunk on the
+    step's valid positions only (gathered once per step), and (for AW-MoE
+    with a mask-type augmentation) the shared-trunk contrastive pair — while
     ``arena``, when supplied by a surrounding training loop, recycles
     gradient buffers across steps.  Both paths draw from ``cl_rng`` in the
     same order, so fast and eager runs see identical augmentations and

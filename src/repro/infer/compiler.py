@@ -671,7 +671,7 @@ class CompiledModel:
     def _resolve_gate(self, batch, gate_override) -> np.ndarray:
         if gate_override is not None:
             # Cached session gates arrive as float32 exactly like the eager
-            # ``AWMoE._coerce_gate``; mixed-dtype multiply promotes identically.
+            # ``AWMoE.forward_with_gate``; mixed-dtype multiply promotes identically.
             return np.asarray(gate_override, dtype=np.float32)
         return self.gate_plan.run(batch)
 

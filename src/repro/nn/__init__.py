@@ -34,6 +34,8 @@ from repro.nn.ops import (
     masked_fill,
     maximum,
     minimum,
+    repeat_rows,
+    segment_sum,
     softmax,
     stack,
     take,
@@ -82,6 +84,8 @@ __all__ = [
     "minimum",
     "embedding",
     "take",
+    "repeat_rows",
+    "segment_sum",
     "linear",
     "softmax",
     "log_softmax",

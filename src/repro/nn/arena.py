@@ -35,6 +35,7 @@ Correctness invariants (relied on by :mod:`repro.nn.tensor`):
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -44,13 +45,18 @@ __all__ = ["GradArena", "fast_math", "is_fast_math", "active_arena"]
 
 
 class GradArena:
-    """A pool of reusable gradient buffers keyed by ``(shape, dtype)``.
+    """A pool of reusable gradient buffers leased by row *capacity*.
 
-    Buffers are handed out LIFO so the most recently touched (cache-warm)
-    memory is reused first.  The arena never zeroes on lease — callers that
-    need zeroed memory use :meth:`lease_zeros` — and never shrinks; the
-    steady-state footprint is one buffer per live gradient of the largest
-    training step seen.
+    The packed training step has a different leading dimension (its valid
+    behaviour positions) every step, so pools are keyed by trailing dims and
+    dtype only and kept sorted by rows: a lease takes the smallest buffer
+    with enough rows (most recently released first among equals) and hands
+    out its leading ``[:rows]`` view; :meth:`release` files it back by
+    ``.base``.  A miss drops one too-small buffer for the new one (more than
+    128 rows round up to a multiple of 128), so a pool holds as many buffers
+    as were ever live at once, each at most the largest size seen — not one
+    set per distinct shape.  The arena never zeroes on lease — callers that
+    need zeroed memory use :meth:`lease_zeros`.
     """
 
     __slots__ = ("_free", "allocations", "reuses")
@@ -61,14 +67,23 @@ class GradArena:
         self.reuses = 0
 
     def lease(self, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        """Return an uninitialised buffer of ``shape``/``dtype``."""
-        key = (tuple(shape), np.dtype(dtype))
-        stack = self._free.get(key)
-        if stack:
+        """Return an uninitialised C-contiguous buffer of ``shape``/``dtype``."""
+        shape = tuple(shape)
+        if not shape:
+            return self.lease((1,), dtype).reshape(())
+        rows = shape[0]
+        pool = self._free.setdefault((shape[1:], np.dtype(dtype)), [])
+        fit = bisect.bisect_left(pool, rows, key=len)
+        if fit < len(pool):
             self.reuses += 1
-            return stack.pop()
-        self.allocations += 1
-        return np.empty(key[0], dtype=key[1])
+            buffer = pool.pop(fit)
+        else:
+            if pool:
+                pool.pop()
+            self.allocations += 1
+            capacity = rows if rows <= 128 else -(-rows // 128) * 128
+            buffer = np.empty((capacity, *shape[1:]), dtype=dtype)
+        return buffer if len(buffer) == rows else buffer[:rows]
 
     def lease_zeros(self, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         """Return a zero-filled buffer (for scatter-add accumulation)."""
@@ -77,11 +92,13 @@ class GradArena:
         return buffer
 
     def release(self, buffer: Optional[np.ndarray]) -> None:
-        """Return ``buffer`` to the pool.  ``None`` is ignored."""
+        """Return ``buffer`` (or the buffer it is a view of) to the pool."""
         if buffer is None:
             return
-        key = (buffer.shape, buffer.dtype)
-        self._free.setdefault(key, []).append(buffer)
+        if buffer.base is not None:
+            buffer = buffer.base
+        pool = self._free.setdefault((buffer.shape[1:], buffer.dtype), [])
+        pool.insert(bisect.bisect_left(pool, len(buffer), key=len), buffer)
 
     def release_grads(self, params: Iterable) -> None:
         """Reclaim the ``.grad`` buffers of ``params`` (post optimizer step).
@@ -95,9 +112,10 @@ class GradArena:
                 param.grad = None
 
     def stats(self) -> Dict[str, int]:
-        """Allocation counters plus the current pooled-buffer count."""
-        pooled = sum(len(stack) for stack in self._free.values())
-        return {"allocations": self.allocations, "reuses": self.reuses, "pooled": pooled}
+        """Allocation counters plus the pooled buffers' count and bytes."""
+        pooled = [buffer for pool in self._free.values() for buffer in pool]
+        counts = {"allocations": self.allocations, "reuses": self.reuses, "pooled": len(pooled)}
+        return {**counts, "pooled_bytes": sum(buffer.nbytes for buffer in pooled)}
 
 
 _FAST_MATH = False

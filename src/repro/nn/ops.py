@@ -23,6 +23,8 @@ __all__ = [
     "minimum",
     "embedding",
     "take",
+    "repeat_rows",
+    "segment_sum",
     "linear",
     "softmax",
     "log_softmax",
@@ -149,6 +151,52 @@ def take(tensor: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
             tensor._accumulate(full)
 
     return Tensor._make(data, (tensor,), backward)
+
+
+def _segment_sum(x: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """Sum rows of ``x`` (P, ...) into ``size`` segments; ``rows`` is sorted.
+    ``np.add.reduceat`` returns the *element* at an empty segment's start, so
+    it is only shown the non-empty segments; empty ones stay exactly 0."""
+    out = np.zeros((size, *x.shape[1:]), dtype=x.dtype)
+    counts = np.bincount(rows, minlength=size)
+    filled = counts > 0
+    if x.shape[0]:
+        out[filled] = np.add.reduceat(x, (np.cumsum(counts) - counts)[filled], axis=0)
+    return out
+
+
+def repeat_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """Row ``rows[p]`` of ``x`` (B, ...) at packed position ``p``: ``(P, ...)``.
+
+    ``rows`` is the sorted row index of every valid position of a padded
+    ``(B, M)`` layout; the backward pass is :func:`segment_sum`.
+    """
+    data = x.data[rows]
+    if not is_grad_enabled():
+        return Tensor._from_data(data)
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(_segment_sum(grad, rows, x.data.shape[0]))
+
+    return Tensor._make(data, (x,), backward)
+
+
+def segment_sum(x: Tensor, rows: np.ndarray, size: int) -> Tensor:
+    """Sum packed positions ``(P, ...)`` back into their rows: ``(size, ...)``.
+
+    The packed twin of ``.sum(axis=1)`` over a padded layout; rows without a
+    position are exactly 0.  The backward pass is :func:`repeat_rows`.
+    """
+    data = _segment_sum(x.data, rows, size)
+    if not is_grad_enabled():
+        return Tensor._from_data(data)
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(grad[rows])
+
+    return Tensor._make(data, (x,), backward)
 
 
 def _accumulate_matmul(tensor: Tensor, a: np.ndarray, b: np.ndarray) -> None:

@@ -21,6 +21,8 @@ from __future__ import annotations
 import time
 from typing import Optional
 
+import numpy as np
+
 from repro.core.config import TrainConfig
 from repro.core.ranking_model import RankingModel
 from repro.core.trainer import build_optimizers, build_strategy, train_step
@@ -55,8 +57,9 @@ class IncrementalTrainer:
         Optional :class:`~repro.obs.MetricsRegistry`.  When attached, every
         train step streams its wall-clock (``train_step_ms``), loss
         (``train_loss``), and pre-clip gradient norm (``train_grad_norm``)
-        into fixed-size histograms, plus a ``train_steps_total`` counter —
-        the learning-loop half of the fleet's telemetry.
+        into fixed-size histograms, plus the ``train_steps_total`` /
+        ``train_positions_total`` / ``train_padded_positions_total``
+        counters — the learning-loop half of the fleet's telemetry.
     injector:
         Optional :class:`~repro.faults.FaultInjector`; :meth:`update` visits
         the ``trainer.update`` point at entry, so a chaos plan can make a
@@ -109,7 +112,9 @@ class IncrementalTrainer:
 
         ``trace`` accepts the refresh cycle's :class:`~repro.obs.Trace`:
         each epoch becomes a child span (nested under the caller's open
-        ``train`` span) carrying its mean loss and gradient norm, so a
+        ``train`` span) carrying its mean loss and gradient norm and the work
+        it did — ``steps``, the valid behaviour ``positions`` processed and the
+        ``padded_positions`` (rows × M) they were cut from, exact counts — so a
         refresh trace shows *where inside training* the time and the loss
         went, not just that training happened.
         """
@@ -124,7 +129,7 @@ class IncrementalTrainer:
         self.model.train()
         step = 0
         for epoch in range(self.config.epochs):
-            epoch_steps = 0
+            epoch_steps = positions = padded = 0
             loss_sum = 0.0
             grad_norm_sum = 0.0
             with trace.span("epoch", index=epoch) as epoch_span:
@@ -144,15 +149,21 @@ class IncrementalTrainer:
                     )
                     log.log(step, epoch=epoch, **metrics)
                     epoch_steps += 1
+                    mask = batch["behavior_mask"]
+                    valid = int(np.count_nonzero(mask))
+                    positions += valid
+                    padded += mask.size
                     loss_sum += metrics["loss"]
                     grad_norm_sum += metrics.get("grad_norm", 0.0)
                     if self.metrics is not None:
                         self._record_step_metrics(
-                            (time.perf_counter() - step_start) * 1000.0, metrics
+                            (time.perf_counter() - step_start) * 1000.0, metrics, valid, mask.size
                         )
                 if epoch_steps:
                     epoch_span.set(
                         steps=epoch_steps,
+                        positions=positions,
+                        padded_positions=padded,
                         mean_loss=loss_sum / epoch_steps,
                         mean_grad_norm=grad_norm_sum / epoch_steps,
                     )
@@ -161,9 +172,13 @@ class IncrementalTrainer:
         self.total_steps += step
         return log
 
-    def _record_step_metrics(self, elapsed_ms: float, metrics: dict) -> None:
+    def _record_step_metrics(
+        self, elapsed_ms: float, metrics: dict, positions: int, padded: int
+    ) -> None:
         registry = self.metrics
         registry.counter("train_steps_total", "train steps across all refreshes").inc()
+        registry.counter("train_positions_total", "valid behaviour positions trained").inc(positions)
+        registry.counter("train_padded_positions_total", "rows x M they were cut from").inc(padded)
         registry.histogram("train_step_ms", "per-step training wall-clock (ms)").record(
             elapsed_ms
         )

@@ -44,6 +44,17 @@ class TestTrainer:
         with pytest.raises(TypeError):
             train_model(model, train_set, TrainConfig(contrastive=True), seed=1)
 
+    def test_dataset_smaller_than_one_batch_rejected(self, train_set):
+        """drop_last would discard the only batch: zero steps, an empty log."""
+        model = build_model("dnn", ModelConfig.unit(), train_set.meta, np.random.default_rng(0))
+        tiny = train_set.subset(np.arange(10))
+        before = model.state_dict()
+        with pytest.raises(ValueError, match=r"10 rows.*batch_size 64"):
+            train_model(model, tiny, TrainConfig(batch_size=64), seed=1)
+        after = model.state_dict()
+        assert all(np.array_equal(before[name], after[name]) for name in before)
+        assert len(train_model(model, tiny, TrainConfig(epochs=1, batch_size=10), seed=1)) == 1
+
     def test_contrastive_logs_cl_loss(self, train_set, fast_train_config):
         model = build_model("aw_moe", ModelConfig.unit(), train_set.meta, np.random.default_rng(0))
         log = train_model(model, train_set, fast_train_config.with_contrastive(), seed=1)

@@ -94,6 +94,9 @@ def _build_loop(tmp_path, learning_rate=1e-3, rules=(), min_samples=10):
 class TestRefreshTracing:
     def test_cycle_emits_nested_span_tree(self, tmp_path):
         loop, gen, exporter = _build_loop(tmp_path)
+        windows = []
+        update = loop.trainer.update
+        loop.trainer.update = lambda dataset, **kw: windows.append(dataset) or update(dataset, **kw)
         report = loop.run_cycle(gen.generate(200))
         assert report.promoted
 
@@ -116,6 +119,20 @@ class TestRefreshTracing:
         assert epochs[0]["attrs"]["steps"] > 0
         assert "mean_loss" in epochs[0]["attrs"]
         assert "mean_grad_norm" in epochs[0]["attrs"]
+        # How much work the steps did, as exact counts: every row of the
+        # window trains once per epoch, so an epoch processes the window's
+        # valid behaviour positions out of rows x M padded ones.
+        (window,) = windows
+        for epoch in epochs:
+            assert epoch["attrs"]["positions"] == int(window.behavior_lengths().sum())
+            assert epoch["attrs"]["padded_positions"] == window.behavior_mask.size
+        registry = loop.trainer.metrics
+        assert registry.counter("train_positions_total").value == sum(
+            e["attrs"]["positions"] for e in epochs
+        )
+        assert registry.counter("train_padded_positions_total").value == sum(
+            e["attrs"]["padded_positions"] for e in epochs
+        )
 
         replays = [s for s in record["spans"] if s["name"] == "replay"]
         assert {r["attrs"]["model"] for r in replays} == {"candidate", "production"}

@@ -1,10 +1,6 @@
-"""Shared helpers for the benchmarks: table building and artifact guards."""
+"""Shared helpers for the benchmarks: table building and the kernel-share gate."""
 
-import json
-import os
-import warnings
-from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -16,162 +12,54 @@ from repro.eval.ndcg import session_ndcg
 from repro.utils import format_float, print_table
 
 
-class BenchmarkRegressionWarning(UserWarning):
-    """A benchmark metric regressed versus the checked-in reference artifact."""
-
-
-class BenchmarkRegressionError(AssertionError):
-    """A benchmark metric regressed past the hard gate — the build is red.
-
-    Raised by :func:`compare_to_artifact` when a metric falls more than
-    ``fail_tolerance`` below the checked-in reference.  Set
-    ``REPRO_ALLOW_REGRESSION=1`` to demote the failure to a warning (e.g. a
-    PR that knowingly trades throughput for a feature — land it, then
-    refresh ``benchmarks/reference/`` in the same PR).
-    """
-
-
-def _dig(report: Dict, key_path: Sequence[str]):
-    value = report
-    for key in key_path:
-        if not isinstance(value, dict) or key not in value:
-            return None
-        value = value[key]
-    return value
-
-
-def compare_to_artifact(
-    report: Dict,
-    reference_path: Path,
-    key_paths: Sequence[Sequence[str]],
-    tolerance: float = 0.2,
-    fail_tolerance: float = 0.3,
-) -> List[str]:
-    """Benchmark-regression gate against the checked-in reference artifact.
-
-    Compares higher-is-better metrics (QPS, steps/sec, speedup ratios) at
-    each ``key_path`` in ``report`` against the reference artifact at
-    ``reference_path``:
-
-    * a drop beyond ``tolerance`` emits a :class:`BenchmarkRegressionWarning`
-      — a signal to investigate;
-    * a drop beyond ``fail_tolerance`` raises
-      :class:`BenchmarkRegressionError` — a red build.  The gated key paths
-      should therefore be machine-portable *ratios* (speedup vs an eager
-      baseline measured in the same run), not raw wall-clock numbers.
-
-    ``REPRO_ALLOW_REGRESSION=1`` is the escape hatch: hard failures demote
-    to warnings so a deliberate regression can land together with a
-    refreshed reference artifact.  Returns the list of emitted messages
-    (empty when clean or when no reference exists yet).
-    """
-    if not reference_path.exists():
-        return []
-    allow = os.environ.get("REPRO_ALLOW_REGRESSION", "") == "1"
-    reference = json.loads(reference_path.read_text())
-    messages: List[str] = []
-    failures: List[str] = []
-    for key_path in key_paths:
-        current = _dig(report, key_path)
-        baseline = _dig(reference, key_path)
-        if not isinstance(current, (int, float)) or not isinstance(baseline, (int, float)):
-            continue  # a partial key path is a stale reference, not a crash
-        if baseline <= 0:
-            continue
-        # The two thresholds act independently, so a fail_tolerance tighter
-        # than the warn tolerance still gates.
-        drop = 1.0 - current / baseline
-        if drop <= min(tolerance, fail_tolerance):
-            continue
-        message = (
-            f"{'.'.join(key_path)} regressed {drop:.0%} "
-            f"vs reference ({current:.2f} < {baseline:.2f} - {tolerance:.0%})"
-        )
-        messages.append(message)
-        if drop > fail_tolerance and not allow:
-            failures.append(message)
-        else:
-            warnings.warn(message, BenchmarkRegressionWarning, stacklevel=2)
-    if failures:
-        raise BenchmarkRegressionError(
-            "benchmark regression beyond the hard gate "
-            f"(>{fail_tolerance:.0%}; REPRO_ALLOW_REGRESSION=1 to override):\n  "
-            + "\n  ".join(failures)
-        )
-    return messages
+#: Share points a step may gain on its baseline before the gate fails.
+SHARE_FAIL_DELTA = 0.25
 
 
 def compare_profile_shares(
-    report: Dict,
-    reference_path: Path,
-    warn_delta: float = 0.10,
-    fail_delta: float = 0.25,
-) -> List[str]:
-    """Regression gate on per-kernel time *shares* from the plan profiler.
+    shares: Dict[str, Dict[str, float]], baseline: Dict[str, Dict[str, float]]
+) -> None:
+    """Gate on per-kernel time *shares* from the plan profiler.
 
-    Shares (each step's fraction of its plan's wall time) are the most
-    machine-portable profile quantity: absolute kernel times move with the
-    CPU, but one kernel suddenly eating a much larger slice of the plan is a
-    code regression.  Compares ``report["profile"]["shares"]`` — a
-    ``{plan: {step: share}}`` mapping — against the reference artifact:
-
-    * a step's share growing more than ``warn_delta`` share points warns;
-    * more than ``fail_delta`` raises :class:`BenchmarkRegressionError`
-      (``REPRO_ALLOW_REGRESSION=1`` demotes to a warning, as in
-      :func:`compare_to_artifact`);
-    * a step present on one side only — a renamed, added or removed kernel,
-      whose time the gate above cannot compare — warns by name: the
-      reference is stale and must be refreshed.
-
-    Returns the emitted messages; quietly returns ``[]`` when either side
-    lacks a profile section (e.g. a reference checked in before profiling
-    existed), so the gate is safe to call unconditionally.
+    Both arguments map ``{plan: {step: share}}``, a share being the step's
+    fraction of its plan's wall time within one run — the one profile
+    quantity that does not move with the CPU: absolute kernel times do, but
+    one kernel suddenly eating a much larger slice of its plan is a code
+    regression.  Raises ``AssertionError`` naming every step whose share
+    grew more than :data:`SHARE_FAIL_DELTA` over ``baseline``, and every
+    step present on one side only (a renamed, added or removed kernel has
+    no share to compare: refresh the baseline literal beside the call).
     """
-    current_shares = _dig(report, ("profile", "shares"))
-    if not reference_path.exists() or not isinstance(current_shares, dict):
-        return []
-    reference = json.loads(reference_path.read_text())
-    baseline_shares = _dig(reference, ("profile", "shares"))
-    if not isinstance(baseline_shares, dict):
-        return []
-    allow = os.environ.get("REPRO_ALLOW_REGRESSION", "") == "1"
-    messages: List[str] = []
-    failures: List[str] = []
-    for plan, baseline_steps in baseline_shares.items():
-        current_steps = current_shares.get(plan)
-        if not isinstance(current_steps, dict) or not isinstance(baseline_steps, dict):
-            continue
-        for label, steps in (
-            ("removed since", sorted(set(baseline_steps) - set(current_steps))),
-            ("added since", sorted(set(current_steps) - set(baseline_steps))),
+    problems: List[str] = []
+    for plan, baseline_steps in baseline.items():
+        steps = shares.get(plan, {})
+        for label, names in (
+            ("removed since", sorted(set(baseline_steps) - set(steps))),
+            ("added since", sorted(set(steps) - set(baseline_steps))),
         ):
-            if steps:
-                message = f"{plan} plan: steps {label} the reference: {', '.join(steps)}"
-                messages.append(message)
-                warnings.warn(message, BenchmarkRegressionWarning, stacklevel=2)
-        for step, baseline in baseline_steps.items():
-            current = current_steps.get(step)
-            if not isinstance(current, (int, float)) or not isinstance(baseline, (int, float)):
-                continue
-            delta = current - baseline
-            if delta <= min(warn_delta, fail_delta):
-                continue
-            message = (
-                f"{plan}.{step} time share grew {delta * 100:.0f} points "
-                f"vs reference ({current:.1%} > {baseline:.1%} + {warn_delta:.0%})"
-            )
-            messages.append(message)
-            if delta > fail_delta and not allow:
-                failures.append(message)
-            else:
-                warnings.warn(message, BenchmarkRegressionWarning, stacklevel=2)
-    if failures:
-        raise BenchmarkRegressionError(
-            "per-kernel profile regression beyond the hard gate "
-            f"(>{fail_delta * 100:.0f} share points; REPRO_ALLOW_REGRESSION=1 "
-            "to override):\n  " + "\n  ".join(failures)
+            if names:
+                problems.append(f"{plan} plan: steps {label} the baseline: {', '.join(names)}")
+        for step, base in baseline_steps.items():
+            delta = steps.get(step, base) - base
+            if delta > SHARE_FAIL_DELTA:
+                problems.append(
+                    f"{plan}.{step} time share grew {delta * 100:.0f} points "
+                    f"({steps[step]:.1%} > {base:.1%} + {SHARE_FAIL_DELTA:.0%})"
+                )
+    if problems:
+        raise AssertionError("per-kernel profile shares moved:\n  " + "\n  ".join(problems))
+
+
+def assert_same_rankings(got, want) -> None:
+    """Two replays answered the same requests from the same tiers with
+    bitwise-equal items and scores."""
+    assert len(got) == len(want)
+    for result, expected in zip(got, want):
+        assert (result.user, result.query_category, result.tier) == (
+            expected.user, expected.query_category, expected.tier
         )
-    return messages
+        np.testing.assert_array_equal(result.items, expected.items)
+        np.testing.assert_array_equal(result.scores, expected.scores)
 
 
 MODEL_LABELS = {

@@ -14,13 +14,12 @@ and audits the robustness contract:
 * both persistence surfaces (registry index, click log) **restart clean**
   after the beating.
 
-A second benchmark gates the cost of the fault layer itself: serving with
-the injector disabled and no degradation policy must stay within **5%** of
-the pre-fault-layer hot path, and an *armed-but-empty* injector plus a
-generous policy must produce bitwise-identical rankings (the acceptance
-criterion of the PR).  The timing gate reuses the jitter-aware convention
-of ``test_serving_throughput.py``: hard assertions only on quiet machines,
-direction checks + artifact warnings elsewhere.
+A second benchmark checks that the fault layer is invisible when it has
+nothing to do: an *armed-but-empty* injector plus a generous policy must
+produce bitwise-identical rankings to the path with neither (the acceptance
+criterion of the PR).  Its seconds column is one reading per configuration;
+the disabled layer's cost sits under ``qps_saturated`` on ``head-inproc`` in
+``benchmarks/perf/run.py``.
 
 Artifacts (CI-uploaded): ``chaos_soak.json`` (the soak report),
 ``fault_events.jsonl`` (every injected fault, one JSON line each), and
@@ -32,11 +31,11 @@ timeline).  ``REPRO_SMOKE=1`` shrinks cycles and traffic for CI.
 import json
 import os
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 
+from _helpers import assert_same_rankings
 from repro.core import ModelConfig, TrainConfig, build_model, train_model
 from repro.data import WorldConfig, make_search_datasets
 from repro.faults import (
@@ -69,7 +68,6 @@ from repro.serving import (
 from repro.utils import SeedBank, print_table
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
-STRICT_TIMING = not SMOKE and not os.environ.get("CI")
 
 SEED = 29
 NUM_SHARDS = 2
@@ -215,14 +213,13 @@ def test_chaos_soak(tmp_path):
 
 
 def test_fault_layer_overhead():
-    """The fault layer must be free when off, and invisible when empty.
+    """The fault layer must be invisible when empty.
 
-    Three configurations replay identical Zipf traffic through the
+    Two configurations replay identical Zipf traffic through the
     micro-batched serving path:
 
-    * ``baseline`` — no injector, no policy (the pre-PR hot path);
-    * ``disabled`` — the defaults spelled explicitly (``NULL_INJECTOR``
-      semantics): must be bitwise identical and is the <5% gate subject;
+    * ``baseline`` — no injector, no policy (``NULL_INJECTOR``, the
+      pre-fault-layer hot path);
     * ``armed-empty`` — a real :class:`FaultInjector` with an empty plan
       plus a generous :class:`DegradationPolicy`: pays the per-point visit
       scan and the budget clock reads, must still rank identically.
@@ -238,7 +235,6 @@ def test_fault_layer_overhead():
     events = ZipfLoadGenerator(
         np.random.default_rng(17), world=world, zipf_exponent=1.2
     ).generate(OVERHEAD_QUERIES)
-    repeats = 2 if SMOKE else 3
 
     def run_once(injector, policy):
         engine = SearchEngine(
@@ -258,55 +254,20 @@ def test_fault_layer_overhead():
         assert len(results) == OVERHEAD_QUERIES
         return results, seconds
 
-    configs = {
-        "baseline": lambda: (None, None),
-        "disabled": lambda: (None, None),
-        "armed-empty": lambda: (
-            FaultInjector(FaultPlan()),
-            DegradationPolicy(deadline_ms=1e9),
-        ),
-    }
-    samples = {name: [] for name in configs}
-    rankings = {}
-    # Interleave configurations inside each repeat (the jitter-aware
-    # pattern of test_serving_throughput.py): monotonic machine drift then
-    # cancels out of the ratios instead of landing on one side.
-    for _ in range(repeats):
-        for name, make_args in configs.items():
-            results, seconds = run_once(*make_args())
-            samples[name].append(seconds)
-            rankings.setdefault(name, results)
+    baseline, baseline_seconds = run_once(None, None)
+    armed, armed_seconds = run_once(
+        FaultInjector(FaultPlan()), DegradationPolicy(deadline_ms=1e9)
+    )
 
-    # Bitwise identity: disabled and armed-empty match the baseline exactly.
-    for name in ("disabled", "armed-empty"):
-        for got, want in zip(rankings[name], rankings["baseline"]):
-            assert got.user == want.user
-            assert got.tier == want.tier == "full"
-            np.testing.assert_array_equal(got.items, want.items)
-            np.testing.assert_array_equal(got.scores, want.scores)
+    # Bitwise identity: armed-empty matches the baseline exactly.
+    assert all(result.tier == "full" for result in baseline)
+    assert_same_rankings(armed, baseline)
 
-    baseline = min(samples["baseline"])
-    disabled = min(samples["disabled"])
-    armed = min(samples["armed-empty"])
-    disabled_overhead = disabled / baseline - 1.0
-    armed_overhead = armed / baseline - 1.0
-    jitter = max(samples["baseline"]) / min(samples["baseline"]) - 1.0
-    quiet = jitter < 0.05
-    if STRICT_TIMING and quiet:
-        assert disabled_overhead < 0.05, (
-            f"disabled fault layer costs {disabled_overhead:.1%} (gate: <5%)"
-        )
-    elif disabled_overhead >= 0.05:
-        warnings.warn(
-            f"disabled fault-layer overhead {disabled_overhead:.1%} >= 5% "
-            f"(baseline jitter {jitter:.1%}; not gated on this machine)"
-        )
     print_table(
-        ["Config", "Best seconds", "Overhead"],
+        ["Config", "Seconds"],
         [
-            ["baseline", f"{baseline:.4f}", "-"],
-            ["disabled", f"{disabled:.4f}", f"{disabled_overhead:+.2%}"],
-            ["armed-empty", f"{armed:.4f}", f"{armed_overhead:+.2%}"],
+            ["baseline", f"{baseline_seconds:.4f}"],
+            ["armed-empty", f"{armed_seconds:.4f}"],
         ],
-        title="Fault-layer overhead (identical rankings asserted)",
+        title="Fault layer, armed but empty (identical rankings asserted)",
     )

@@ -6,11 +6,10 @@ shard cluster it generalizes:
 * **identity** — the process fleet must return bitwise-identical rankings
   to the in-process cluster (same seeds, same per-shard SeedBank streams,
   zero-copy weight slabs notwithstanding);
-* **throughput** — QPS for the in-process cluster vs 1-worker and
-  N-worker process fleets.  On multi-core hosts the N-worker fleet should
-  scale past the in-process ceiling; on the 1-CPU CI runner the artifact
-  records the per-backend numbers and the IPC overhead honestly instead
-  of asserting a scaling that physically cannot appear;
+* **throughput** — one QPS reading each for the in-process cluster and the
+  1-worker and N-worker process fleets, recorded in the artifact; the pipe's
+  cost is judged by ``benchmarks/perf/run.py`` (``head-process`` against
+  ``head-inproc``, ``fleet.*_cpu_ms_per_req``), not here;
 * **chaos soak** — :func:`repro.faults.default_fleet_chaos_plan` (worker
   OOM-kill mid-batch, hung-worker heartbeat loss, torn slab publish,
   transient respawn failure) driven through :func:`run_fleet_soak` with a
@@ -28,13 +27,11 @@ traffic for CI.
 import json
 import os
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _helpers import compare_to_artifact
 from repro.core import ModelConfig, TrainConfig, build_model, train_model
 from repro.data import WorldConfig, make_search_datasets
 from repro.faults import default_fleet_chaos_plan, run_fleet_soak
@@ -55,7 +52,10 @@ ARTIFACT = _ARTIFACTS / ("process_fleet_smoke.json" if SMOKE else "process_fleet
 EVENTS_LOG = _ARTIFACTS / (
     "fleet_events_smoke.jsonl" if SMOKE else "fleet_events.jsonl"
 )
-REFERENCE = Path(__file__).parent / "reference" / "process_fleet.json"
+#: Floor on the fraction of scores bitwise equal to the in-process fleet's
+#: (readings 0.992-0.9996; the rest differ by one float32 ULP, see the
+#: identity block below, where ``atol=1e-6`` bounds every score).
+SCORES_EXACT_FLOOR = 0.95
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(), reason="POSIX shared memory unavailable"
@@ -137,6 +137,9 @@ def test_process_fleet():
     np.testing.assert_array_equal(got[1], expected[1])
     np.testing.assert_allclose(got[2], expected[2], rtol=0, atol=1e-6)
     score_exact = float(np.mean(got[2] == expected[2]))
+    assert score_exact >= SCORES_EXACT_FLOOR, (
+        f"only {score_exact:.4f} of scores bitwise equal in-process (floor {SCORES_EXACT_FLOOR})"
+    )
     _watchdog("process-multi")
 
     single = build_fleet(
@@ -153,13 +156,6 @@ def test_process_fleet():
         "process_1_worker": len(traffic) / single_s,
         f"process_{NUM_WORKERS}_workers": len(traffic) / multi_s,
     }
-    scaling = multi_s and single_s / multi_s
-    if cores >= 2 * NUM_WORKERS and scaling < 1.1:
-        warnings.warn(
-            f"process fleet did not scale on {cores} cores: "
-            f"{NUM_WORKERS}-worker speedup {scaling:.2f}x over 1 worker",
-            UserWarning,
-        )
 
     # -- chaos soak ------------------------------------------------------
     plan = default_fleet_chaos_plan(seed=SEED, workers=NUM_WORKERS)
@@ -212,7 +208,6 @@ def test_process_fleet():
             "score_atol": 1e-6,
         },
         "qps": qps,
-        "speedup_multi_vs_single": scaling,
         "soak": soak,
         "elapsed_s": time.monotonic() - _START,
     }
@@ -220,18 +215,6 @@ def test_process_fleet():
     with EVENTS_LOG.open("w", encoding="utf-8") as handle:
         for record in supervisor_events:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-    # The score-exactness fraction is a property of the code (slab views +
-    # BLAS alignment), hard-gated against the checked-in reference; the
-    # multi-vs-single speedup is IPC-overhead-sensitive wall clock, too
-    # noisy on shared runners to hard-gate: fail_tolerance=1.0 keeps it
-    # warn-only (and on multi-core hardware it can only improve).
-    compare_to_artifact(
-        report, REFERENCE, [("identity", "scores_exact_fraction")]
-    )
-    compare_to_artifact(
-        report, REFERENCE, [("speedup_multi_vs_single",)], fail_tolerance=1.0
-    )
 
     print_table(
         ["Metric", "Value"],

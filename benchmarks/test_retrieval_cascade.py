@@ -13,26 +13,15 @@ AW-MoE on it, and compares:
   IVF ANN index over the model's item vectors → calibrated linear prefilter
   → full model on the K survivors.
 
-Acceptance: **>= 3.5x end-to-end QPS** with **recall@10 >= 0.95** against the
-exhaustive oracle's top-10, on identical Zipf traffic.  The ratio is
-exhaustive / (retrieval stages + ranker on the survivors), so it is capped by
-category size / survivors (7.8x here) and falls whenever the ranker gets
-cheaper per row, which speeds up both paths.  The bar was 5x while the ranker
-re-encoded the behaviour sequence per candidate: on one box exhaustive took
-34 ms and the cascade 5.1 ms a query (6.3-6.8x), and 5x left the cascade's own
-stages (gate + session vector + probe + prefilter) 2.5 ms a query.  With the
-session-factored score plan the same box reads 11-12 ms and 2.2-2.4 ms
-(4.5-5.1x, after the prefilter's cross counters became lookups and stage 2
-started from stage 1's inner products): 5x would leave those stages 0.8 ms,
-which is what they cost, so a best-of-2 reading sits on the bar; 3.5x leaves
-them 1.7 ms — less than the old bar allowed.  Recall is
-deterministic given the seed and is asserted in every mode; the QPS ratio
-is hard-asserted on quiet machines (``STRICT_TIMING``) and direction-checked
-elsewhere.  The artifact (``retrieval_cascade.json``) feeds the regression
-gate against the checked-in reference: **recall hard-gates** (>20% down
-warns, >30% fails — ``REPRO_ALLOW_REGRESSION=1`` to override); the
-wall-clock speedup ratio is warn-only there, because the acceptance block
-below already owns its pass/fail policy per machine class.
+Acceptance: **recall@10 >= 0.95** against the exhaustive oracle's top-10 on
+identical Zipf traffic (deterministic given the seed, asserted in every
+mode), the fleet within 0.02 of it, the live shadow-recall monitor within
+0.02 of the offline probe, and ``CascadeConfig.exhaustive()`` bitwise the
+pre-cascade pipeline.  The QPS column is one reading per path for the
+artifact: cascade ÷ exhaustive is capped by category size / survivors (7.8x
+here) and *falls* whenever the shared ranker gets cheaper per row, so it is
+not a gate — ``benchmarks/perf/run.py`` judges cascade speed
+(``qps_saturated`` on ``catalog-cascade``, ``retrieval.*_ms_per_req``).
 
 ``REPRO_SMOKE=1`` shrinks the catalog and query counts so CI exercises the
 whole path on every push (its artifact goes to ``*_smoke.json``).
@@ -41,12 +30,10 @@ whole path on every push (its artifact goes to ``*_smoke.json``).
 import json
 import os
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from _helpers import compare_to_artifact
 from repro.core import ModelConfig, TrainConfig, build_model, train_model
 from repro.data import WorldConfig
 from repro.data.synthetic import build_train_dataset, generate_world, simulate_search_log
@@ -63,15 +50,11 @@ from repro.serving import (
 from repro.utils import SeedBank, print_table
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
-STRICT_TIMING = not SMOKE and not os.environ.get("CI")
 _SUFFIX = "_smoke" if SMOKE else ""
 ARTIFACT = Path(__file__).parent / "artifacts" / f"retrieval_cascade{_SUFFIX}.json"
-REFERENCE = Path(__file__).parent / "reference" / "retrieval_cascade.json"
 
 #: Catalog scale: >= 100k items in full mode (acceptance floor).  Smoke
-#: keeps the same ~10k items-per-category shape and only drops categories,
-#: so the speedup ratio (which is governed by category size / survivors)
-#: stays comparable to the full-mode reference artifact the gate reads.
+#: keeps the same ~10k items-per-category shape and only drops categories.
 NUM_ITEMS = 30_000 if SMOKE else 120_000
 NUM_CATEGORIES = 3 if SMOKE else 12
 #: Training budget: the cascade serves a *converged* ranker (the realistic
@@ -89,9 +72,6 @@ CASCADE = CascadeConfig(
     calibration_items=512,
 )
 RECALL_FLOOR = 0.95
-#: Quiet-machine bar on cascade QPS / exhaustive QPS (see the module docstring:
-#: it bounds the retrieval stages' cost per query, and tighter than 5x once did).
-SPEEDUP_FLOOR = 3.5
 
 
 def _recall_at_10(cascade_items: np.ndarray, oracle_top10: np.ndarray) -> float:
@@ -124,33 +104,19 @@ def test_retrieval_cascade_speedup_and_recall():
     engine = SearchEngine(world, model, np.random.default_rng(7), cascade=CASCADE)
     build_seconds = time.perf_counter() - build_start
 
-    # Interleaved best-of-2 per path: the speedup is an in-run ratio, but a
-    # background hiccup during one short replay can still swamp it; keeping
-    # each path's best pass makes the ratio a property of the code.  Recall
-    # is deterministic (no RNG in the cascade path) so pass 1's results are
-    # the results.
     oracle = {}
+    start = time.perf_counter()
+    for event in events:
+        result = exhaustive.search(event.user, event.query_category)
+        oracle[(event.user, event.query_category)] = result.items[:10]
+    exhaustive_qps = NUM_QUERIES / (time.perf_counter() - start)
     recalls = []
-    exhaustive_seconds = cascade_seconds = float("inf")
-    for attempt in range(2):
-        start = time.perf_counter()
-        for event in events:
-            result = exhaustive.search(event.user, event.query_category)
-            if attempt == 0:
-                oracle[(event.user, event.query_category)] = result.items[:10]
-        exhaustive_seconds = min(exhaustive_seconds, time.perf_counter() - start)
-        start = time.perf_counter()
-        for event in events:
-            result = engine.search(event.user, event.query_category)
-            if attempt == 0:
-                recalls.append(
-                    _recall_at_10(result.items, oracle[(event.user, event.query_category)])
-                )
-        cascade_seconds = min(cascade_seconds, time.perf_counter() - start)
-    exhaustive_qps = NUM_QUERIES / exhaustive_seconds
-    cascade_qps = NUM_QUERIES / cascade_seconds
+    start = time.perf_counter()
+    for event in events:
+        result = engine.search(event.user, event.query_category)
+        recalls.append(_recall_at_10(result.items, oracle[(event.user, event.query_category)]))
+    cascade_qps = NUM_QUERIES / (time.perf_counter() - start)
     recall = float(np.mean(recalls))
-    speedup = cascade_qps / exhaustive_qps
 
     # -- knob sweep: the recall <-> speed trade the cascade exposes -------
     sweep_rows = []
@@ -217,26 +183,9 @@ def test_retrieval_cascade_speedup_and_recall():
         ),
         backend="inprocess",
     )
-    # Re-time the exhaustive baseline interleaved with the fleet replay:
-    # the fleet-vs-exhaustive gate below compares two wall-clock numbers,
-    # and when the suite has been running for minutes the machine drifts —
-    # measured minutes apart, that drift can exceed the gate's margin.
-    # Interleaved best-of-2 (same rationale as the single-engine section
-    # above) makes the ratio a property of the code; the table and speedup
-    # still report the earlier numbers.
-    adjacent_exhaustive_seconds = fleet_seconds = float("inf")
-    for _ in range(2):
-        start = time.perf_counter()
-        for event in events:
-            exhaustive.search(event.user, event.query_category)
-        adjacent_exhaustive_seconds = min(
-            adjacent_exhaustive_seconds, time.perf_counter() - start
-        )
-        start = time.perf_counter()
-        fleet_results = replay(cluster, events)
-        fleet_seconds = min(fleet_seconds, time.perf_counter() - start)
-    adjacent_exhaustive_qps = NUM_QUERIES / adjacent_exhaustive_seconds
-    fleet_qps = NUM_QUERIES / fleet_seconds
+    start = time.perf_counter()
+    fleet_results = replay(cluster, events)
+    fleet_qps = NUM_QUERIES / (time.perf_counter() - start)
     assert len(fleet_results) == NUM_QUERIES
     fleet_recall = float(
         np.mean(
@@ -247,9 +196,9 @@ def test_retrieval_cascade_speedup_and_recall():
         )
     )
 
-    # Shadow-recall acceptance: attach a 100%-rate shadow monitor *after*
-    # the timed replay (a full-rate oracle re-run per query would dominate
-    # the QPS measurement; production runs at ~0.5%) and replay the same
+    # Shadow-recall acceptance: attach a 100%-rate shadow monitor (after
+    # the QPS reading: a full-rate oracle re-run per query would dominate
+    # it; production runs at ~0.5%) and replay the same
     # traffic — the live monitor's estimate must agree with the canary
     # RetrievalProbe run offline over the same queries.  Both consult the
     # exhaustive oracle, so any gap is a wiring bug.
@@ -297,7 +246,6 @@ def test_retrieval_cascade_speedup_and_recall():
                 "nprobe": CASCADE.nprobe,
             },
             "qps": cascade_qps,
-            "qps_speedup": speedup,
             "recall_at_10": recall,
             "recall_min": float(np.min(recalls)),
             "index_build_seconds": build_seconds,
@@ -318,17 +266,6 @@ def test_retrieval_cascade_speedup_and_recall():
     ARTIFACT.parent.mkdir(parents=True, exist_ok=True)
     ARTIFACT.write_text(json.dumps(report, indent=2))
 
-    # Recall is deterministic given the seed, so it hard-gates everywhere.
-    # The speedup is an in-run wall-clock ratio: the acceptance block below
-    # already hard-asserts it on quiet machines and treats off-box dips as
-    # warn-only, so the artifact gate must not re-promote those dips to a
-    # red build (fail_tolerance=1.0 keeps it a warning).
-    regressions = compare_to_artifact(
-        report, REFERENCE, [("cascade", "recall_at_10")]
-    ) + compare_to_artifact(
-        report, REFERENCE, [("cascade", "qps_speedup")], fail_tolerance=1.0
-    )
-
     print_table(
         ["Path", "nprobe", "N", "K", "recall@10", "QPS"],
         [["exhaustive (oracle)", "-", "-", "-", "1.000", f"{exhaustive_qps:.0f}"]]
@@ -341,26 +278,11 @@ def test_retrieval_cascade_speedup_and_recall():
         ),
     )
     print(
-        f"Speedup: {speedup:.1f}x  recall@10: {recall:.3f}  "
-        f"index rebuild: {build_seconds:.1f}s  "
+        f"recall@10: {recall:.3f}  index rebuild: {build_seconds:.1f}s  "
         f"cost-model saving: {cost.total_saving_factor:.1f}x"
     )
-    if regressions:
-        print("regression warnings:", *regressions, sep="\n  ")
 
-    # Acceptance: recall is machine-portable and always gated; the wall-clock
-    # ratio is hard-gated on quiet machines and direction-checked elsewhere
-    # (the artifact gate above still catches regressions on CI).
+    # Acceptance: recall is deterministic given the seed, so it is asserted
+    # in every mode.
     assert recall >= RECALL_FLOOR, f"recall@10 {recall:.3f} < {RECALL_FLOOR}"
     assert fleet_recall >= RECALL_FLOOR - 0.02
-    if STRICT_TIMING:
-        assert speedup >= SPEEDUP_FLOOR, f"cascade speedup {speedup:.2f}x < {SPEEDUP_FLOOR}x"
-        assert fleet_qps > adjacent_exhaustive_qps
-    else:
-        assert speedup > 2.0
-        if speedup < SPEEDUP_FLOOR:
-            warnings.warn(
-                f"cascade speedup {speedup:.2f}x < {SPEEDUP_FLOOR}x off-box "
-                "(timing noise or a real regression — see the artifact)",
-                stacklevel=2,
-            )

@@ -1,31 +1,28 @@
-"""Training-throughput benchmark: the fast path vs the eager reference.
+"""Training-throughput benchmark: the fast path beside the eager reference.
 
-Measures what the serve→learn→swap loop actually pays for (§III-F): raw
-``train_step`` throughput on the AW-MoE contrastive configuration, and the
-wall time of a full :class:`~repro.online.incremental.IncrementalTrainer`
-refresh cycle.  The fast path (``TrainConfig.fast_path``) runs packed-expert
-GEMMs, fused linear kernels, the shared-trunk contrastive pair, and the
-gradient-buffer arena; the eager path is the bitwise-reproducible reference.
+Runs what the serve→learn→swap loop actually pays for (§III-F): ``train_step``
+over one epoch of the AW-MoE contrastive configuration, and a full
+:class:`~repro.online.incremental.IncrementalTrainer` refresh cycle.  The
+fast path (``TrainConfig.fast_path``) runs packed-expert GEMMs, fused linear
+kernels, the shared-trunk contrastive pair, and the gradient-buffer arena;
+the eager path is the bitwise-reproducible reference.
 
-Writes ``benchmarks/artifacts/training_throughput.json`` and gates the
-speedup *ratios* (machine-portable, both sides measured in the same run)
-against ``benchmarks/reference/training_throughput.json`` via
-:func:`_helpers.compare_to_artifact` — a >30% ratio regression is a red
-build unless ``REPRO_ALLOW_REGRESSION=1``.
+Asserted: after one epoch over identical batches and rng streams the two
+paths' losses agree.  The steps/sec and seconds columns are one reading each,
+written to ``benchmarks/artifacts/training_throughput.json``; training speed
+is judged by ``benchmarks/perf/run.py`` (``train_rows_per_s``, ``refresh_s``).
 
-``REPRO_SMOKE=1`` shrinks the dataset and timing repeats so CI can gate the
-training path on every push.
+``REPRO_SMOKE=1`` shrinks the dataset so CI can run the training path on
+every push.
 """
 
 import json
 import os
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from _helpers import compare_to_artifact
 from repro.core import ModelConfig, TrainConfig, build_model
 from repro.core.trainer import build_optimizers, build_strategy, train_step
 from repro.data import WorldConfig, make_search_datasets
@@ -35,14 +32,11 @@ from repro.online import IncrementalTrainer
 from repro.utils import SeedBank, print_table
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
-STRICT_TIMING = not SMOKE and not os.environ.get("CI")
 TRAIN_SESSIONS = 400 if SMOKE else 2000
 REFRESH_SESSIONS = 120 if SMOKE else 500
-TIMING_REPEATS = 1 if SMOKE else 3
 BATCH_SIZE = 256
 _SUFFIX = "_smoke" if SMOKE else ""
 ARTIFACT = Path(__file__).parent / "artifacts" / f"training_throughput{_SUFFIX}.json"
-REFERENCE = Path(__file__).parent / "reference" / "training_throughput.json"
 
 
 def _train_config(fast: bool) -> TrainConfig:
@@ -66,15 +60,10 @@ def _steps_per_second(model, batches, config) -> tuple:
     model.train()
     for batch in batches[:2]:  # warm caches, arena, BLAS threads
         train_step(model, batch, config, optimizers, strategy, cl_rng, arena)
-    best = float("inf")
-    final_loss = 0.0
-    for _ in range(TIMING_REPEATS):
-        start = time.perf_counter()
-        for batch in batches:
-            metrics = train_step(model, batch, config, optimizers, strategy, cl_rng, arena)
-        best = min(best, (time.perf_counter() - start) / len(batches))
-        final_loss = metrics["loss"]
-    return 1.0 / best, final_loss
+    start = time.perf_counter()
+    for batch in batches:
+        metrics = train_step(model, batch, config, optimizers, strategy, cl_rng, arena)
+    return len(batches) / (time.perf_counter() - start), metrics["loss"]
 
 
 def test_training_throughput():
@@ -94,7 +83,6 @@ def test_training_throughput():
         )
         sps, loss = _steps_per_second(model, batches, _train_config(fast))
         results[label] = {"steps_per_sec": sps, "final_loss": loss}
-    step_speedup = results["fast"]["steps_per_sec"] / results["eager"]["steps_per_sec"]
 
     # -- refresh-cycle wall time (the online loop's unit of work) ---------
     _, refresh_window, _ = make_search_datasets(
@@ -106,13 +94,9 @@ def test_training_throughput():
             "aw_moe", ModelConfig.small(), refresh_window.meta, SeedBank(55).child("model")
         )
         trainer = IncrementalTrainer(model, _train_config(fast), seed=5)
-        best = float("inf")
-        for _ in range(TIMING_REPEATS):
-            start = time.perf_counter()
-            trainer.update(refresh_window)
-            best = min(best, time.perf_counter() - start)
-        refresh[label] = {"seconds": best}
-    refresh_speedup = refresh["eager"]["seconds"] / refresh["fast"]["seconds"]
+        start = time.perf_counter()
+        trainer.update(refresh_window)
+        refresh[label] = {"seconds": time.perf_counter() - start}
 
     # The two paths optimize the same objective: after one epoch over
     # identical batches and rng streams the losses must agree tightly (the
@@ -128,62 +112,30 @@ def test_training_throughput():
         "train_step": {
             "eager_steps_per_sec": results["eager"]["steps_per_sec"],
             "fast_steps_per_sec": results["fast"]["steps_per_sec"],
-            "speedup": step_speedup,
         },
         "refresh_cycle": {
             "sessions": REFRESH_SESSIONS,
             "eager_seconds": refresh["eager"]["seconds"],
             "fast_seconds": refresh["fast"]["seconds"],
-            "speedup": refresh_speedup,
         },
     }
     ARTIFACT.parent.mkdir(parents=True, exist_ok=True)
     ARTIFACT.write_text(json.dumps(report, indent=2))
-    # Speedup ratios are properties of the code, not the machine — the
-    # steps/sec ratio is gated hard even in smoke mode (this is the
-    # benchmark-regression gate CI relies on; raw steps/sec stays
-    # informational).  The refresh cycle is a fraction of a second in smoke
-    # mode, too short to hard-gate on shared runners: fail_tolerance=1.0
-    # keeps it warn-only.
-    regressions = compare_to_artifact(
-        report, REFERENCE, [("train_step", "speedup")]
-    ) + compare_to_artifact(
-        report, REFERENCE, [("refresh_cycle", "speedup")], fail_tolerance=1.0
-    )
 
     print_table(
-        ["Path", "eager", "fast", "speedup"],
+        ["Path", "eager", "fast"],
         [
             [
                 "train_step throughput",
                 f"{results['eager']['steps_per_sec']:.1f} steps/s",
                 f"{results['fast']['steps_per_sec']:.1f} steps/s",
-                f"{step_speedup:.2f}x",
             ],
             [
                 "refresh-cycle wall time",
                 f"{refresh['eager']['seconds']:.2f} s",
                 f"{refresh['fast']['seconds']:.2f} s",
-                f"{refresh_speedup:.2f}x",
             ],
         ],
         title=f"Training throughput — artifact: {ARTIFACT.name}"
         + (" [smoke]" if SMOKE else ""),
     )
-    if regressions:
-        print("regression warnings:", *regressions, sep="\n  ")
-
-    # Acceptance: the fast path must at least double train-step throughput
-    # on a quiet machine; shared CI runners check direction plus the ratio
-    # gate above.
-    if STRICT_TIMING:
-        assert step_speedup >= 2.0
-        assert refresh_speedup > 1.5
-    else:
-        assert step_speedup > 1.2
-        if refresh_speedup < 1.0:
-            warnings.warn(
-                f"refresh-cycle speedup {refresh_speedup:.2f} < 1.0 "
-                "(timing noise or a real regression — see the artifact)",
-                stacklevel=2,
-            )

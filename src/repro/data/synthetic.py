@@ -115,18 +115,6 @@ class WorldConfig:
         return WorldConfig()
 
     @staticmethod
-    def full() -> "WorldConfig":
-        """Larger scale for the recorded EXPERIMENTS.md runs."""
-        return WorldConfig(
-            num_users=30000,
-            num_items=5000,
-            num_categories=40,
-            brands_per_category=8,
-            num_shops=600,
-            max_seq_len=30,
-        )
-
-    @staticmethod
     def large_catalog(num_items: int = 120_000, num_categories: int = 12) -> "WorldConfig":
         """Catalog-dominated scale for the retrieval-cascade benchmarks.
 

@@ -4,7 +4,6 @@ from repro.eval.auc import binary_auc, global_auc, session_auc, session_auc_at_k
 from repro.eval.clustering import fig7_user_groups, nearest_centroid_purity, silhouette_score
 from repro.eval.evaluator import (
     METRIC_NAMES,
-    evaluate_global_auc,
     evaluate_ranking,
     predict_scores,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "nearest_centroid_purity",
     "silhouette_score",
     "METRIC_NAMES",
-    "evaluate_global_auc",
     "evaluate_ranking",
     "predict_scores",
     "FeatureImportanceResult",

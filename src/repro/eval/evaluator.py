@@ -15,7 +15,7 @@ import numpy as np
 from repro.core.ranking_model import RankingModel
 from repro.data.dataset import RankingDataset, iterate_batches
 from repro.data.schema import SessionBatch
-from repro.eval.auc import global_auc, session_auc, session_auc_at_k
+from repro.eval.auc import session_auc, session_auc_at_k
 from repro.eval.ndcg import session_ndcg
 from repro.infer import CompiledModel
 
@@ -79,11 +79,3 @@ def evaluate_ranking(
         "ndcg": session_ndcg(scores, labels, sessions),
         f"ndcg@{k}": session_ndcg(scores, labels, sessions, k=k),
     }
-
-
-def evaluate_global_auc(
-    model: RankingModel, dataset: RankingDataset, batch_size: int = 1024
-) -> Dict[str, float]:
-    """Overall AUC only — the Amazon-protocol metric of Table V."""
-    scores = predict_scores(model, dataset, batch_size)
-    return {"auc": global_auc(scores, dataset.label)}

@@ -20,7 +20,6 @@ from repro.infer.compiler import (
     CompileError,
     compile_model,
     float64_twin,
-    register_compiler,
 )
 from repro.infer.kernels import PackedExperts, PackedMLP, sigmoid_
 from repro.infer.plan import BufferArena, InferencePlan, PlanStep
@@ -39,7 +38,6 @@ __all__ = [
     "CompileError",
     "compile_model",
     "float64_twin",
-    "register_compiler",
     "PackedExperts",
     "PackedMLP",
     "sigmoid_",

@@ -37,19 +37,22 @@ session side) are disabled — a session batch is expanded to flat rows first
 bitwise equal to a float64 eager forward — the compiler's correctness
 oracle (``tests/infer/test_parity.py``).
 
-New model families register themselves with :func:`register_compiler`;
-models nobody registered raise :class:`CompileError`, which the serving
-stack treats as "fall back to the eager forward".
+Models that are not an :class:`~repro.core.aw_moe.AWMoE` (the sparse-gate
+extension is one), or that use an activation the kernels lack, raise
+:class:`CompileError`, which the serving stack treats as "fall back to the
+eager forward".
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.aw_moe import AWMoE
 from repro.infer.kernels import (
+    CompileError,
     FactoredUnit,
     PackedExperts,
     PackedMLP,
@@ -68,13 +71,8 @@ __all__ = [
     "CompileError",
     "CompiledModel",
     "compile_model",
-    "register_compiler",
     "float64_twin",
 ]
-
-
-class CompileError(RuntimeError):
-    """Raised when no compiler is registered for a model's type."""
 
 
 def _pack_flops(pack: PackedMLP) -> int:
@@ -89,36 +87,25 @@ def _pack_flops(pack: PackedMLP) -> int:
     return mlp_flops(pack.in_features, [weight.shape[1] for weight, _, _ in pack.layers])
 
 
-_COMPILERS: Dict[type, Callable] = {}
-
-
-def register_compiler(model_cls: type) -> Callable:
-    """Class decorator-style registration: ``fn(model, dtype) -> CompiledModel``."""
-
-    def decorator(fn: Callable) -> Callable:
-        _COMPILERS[model_cls] = fn
-        return fn
-
-    return decorator
-
-
 def compile_model(model, dtype=np.float32) -> "CompiledModel":
     """Compile ``model``'s forward into an allocation-free inference plan.
 
-    Dispatches over the model's MRO so subclasses (e.g. the sparse-gate
-    extension) can either reuse or override their parent's compiler.
+    Any :class:`~repro.core.aw_moe.AWMoE` compiles; the sparse-gate
+    extension is a subclass whose ``top_k`` the gate plan picks up from the
+    instance (its cached gates are stored post-sparsification).
     """
     dtype = np.dtype(dtype)
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise CompileError(f"unsupported plan dtype {dtype}")
-    for klass in type(model).__mro__:
-        fn = _COMPILERS.get(klass)
-        if fn is not None:
-            return fn(model, dtype)
-    raise CompileError(
-        f"no inference compiler registered for {type(model).__name__}; "
-        "serving falls back to the eager forward"
-    )
+    if not isinstance(model, AWMoE):
+        raise CompileError(
+            f"no inference compiler for {type(model).__name__}; "
+            "serving falls back to the eager forward"
+        )
+    parity = dtype == np.dtype(np.float64)
+    gate_plan = _build_gate_plan(model, dtype, parity, top_k=getattr(model, "top_k", None))
+    score_plan = _build_score_plan(model, dtype, parity)
+    return CompiledModel(model, gate_plan, score_plan, dtype)
 
 
 def float64_twin(model):
@@ -761,24 +748,3 @@ class CompiledModel:
             f"CompiledModel({type(self.source).__name__}, dtype={self.dtype}, "
             f"score_steps={self.score_plan.num_steps}, gate_steps={self.gate_plan.num_steps})"
         )
-
-
-def _compile_awmoe(model, dtype: np.dtype) -> CompiledModel:
-    parity = dtype == np.dtype(np.float64)
-    top_k = getattr(model, "top_k", None)
-    gate_plan = _build_gate_plan(model, dtype, parity, top_k=top_k)
-    score_plan = _build_score_plan(model, dtype, parity)
-    return CompiledModel(model, gate_plan, score_plan, dtype)
-
-
-def _register_builtin_compilers() -> None:
-    from repro.core.aw_moe import AWMoE
-    from repro.core.extensions.sparse_gate import SparseGatedAWMoE
-
-    _COMPILERS[AWMoE] = _compile_awmoe
-    # The sparse extension stores cached gates post-sparsification, so the
-    # same compiler applies — ``top_k`` is picked up from the instance.
-    _COMPILERS[SparseGatedAWMoE] = _compile_awmoe
-
-
-_register_builtin_compilers()

@@ -28,7 +28,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
-    "ACTIVATIONS_INPLACE",
+    "CompileError",
+    "inplace_activation",
     "PackedMLP",
     "PackedExperts",
     "FactoredUnit",
@@ -43,38 +44,32 @@ __all__ = [
 ]
 
 
+class CompileError(RuntimeError):
+    """Raised when a model cannot be compiled into an inference plan."""
+
+
 def _relu_(buf: np.ndarray) -> None:
     np.maximum(buf, 0, out=buf)
-
-
-def _sigmoid_(buf: np.ndarray) -> None:
-    sigmoid_(buf)
-
-
-def _tanh_(buf: np.ndarray) -> None:
-    np.tanh(buf, out=buf)
-
-
-def _leaky_relu_(buf: np.ndarray) -> None:
-    # The one activation that cannot be fully in-place: the where= mask is a
-    # transient bool allocation.  No current model config selects leaky_relu
-    # on a compiled path; if one ever does, route the mask through the arena.
-    np.multiply(buf, 0.01, out=buf, where=buf < 0)
 
 
 def _identity_(buf: np.ndarray) -> None:
     return None
 
 
-#: In-place activation kernels keyed by the layer-zoo activation names.
-ACTIVATIONS_INPLACE: dict = {
+#: In-place activation kernels for the activations the paper's MLPs use.
+_ACTIVATIONS_INPLACE: dict = {
     "relu": _relu_,
-    "sigmoid": _sigmoid_,
-    "tanh": _tanh_,
-    "leaky_relu": _leaky_relu_,
     "linear": _identity_,
     None: _identity_,
 }
+
+
+def inplace_activation(name: Optional[str]) -> Callable[[np.ndarray], None]:
+    """The in-place kernel for a layer-zoo activation name."""
+    try:
+        return _ACTIVATIONS_INPLACE[name]
+    except KeyError:
+        raise CompileError(f"no in-place kernel for activation {name!r}") from None
 
 
 def sigmoid_(buf: np.ndarray) -> None:
@@ -149,7 +144,7 @@ class PackedMLP:
         # Per-layer (slot, W, b, activation_kernel) resolved once at pack
         # time so the hot loop does no string formatting or dict lookups.
         self._program = [
-            (f"fc{i}", weight, bias, ACTIVATIONS_INPLACE[act])
+            (f"fc{i}", weight, bias, inplace_activation(act))
             for i, (weight, bias, act) in enumerate(layers)
         ]
 
@@ -215,7 +210,7 @@ class PackedExperts:
         self.first_bias = (
             np.concatenate(biases) if biases[0] is not None else None
         )
-        self.first_act = packs[0].layers[0][2]
+        self.first_act = inplace_activation(packs[0].layers[0][2])
         # Deeper layers: (K, H_in, H_out) weight stacks + (K, 1, H_out) biases.
         self.deep: List[Tuple[np.ndarray, Optional[np.ndarray], Optional[str]]] = []
         for layer in range(1, depth):
@@ -229,7 +224,7 @@ class PackedExperts:
             )
             self.deep.append((w, b, packs[0].layers[layer][2]))
         self._deep_program = [
-            (f"kbh{i + 1}", w, b, ACTIVATIONS_INPLACE[act])
+            (f"kbh{i + 1}", w, b, inplace_activation(act))
             for i, (w, b, act) in enumerate(self.deep)
         ]
 
@@ -244,7 +239,7 @@ class PackedExperts:
         np.matmul(v_imp, self.first_weight, out=h1)
         if self.first_bias is not None:
             h1 += self.first_bias
-        ACTIVATIONS_INPLACE[self.first_act](h1)
+        self.first_act(h1)
         if not self.deep:
             return h1  # single-layer experts: h1 already is (B, K)
         # (B, K*H) -> (K, B, H) for batched per-expert GEMMs.
@@ -286,7 +281,7 @@ class FactoredUnit:
         self.w_seq = np.ascontiguousarray(weight[:hidden])
         self.w_pair = weight[hidden : 2 * hidden][:, None, :]  # (H, 1, U)
         self.w_key = weight[2 * hidden :][:, None, :]
-        self.act = ACTIVATIONS_INPLACE[act]
+        self.act = inplace_activation(act)
         self.rest = PackedMLP(pack.layers[1:]) if len(pack.layers) > 1 else None
 
     def run(

@@ -216,10 +216,6 @@ class InferencePlan:
             plan=self.name, title=f"plan {self.name!r} kernel profile"
         )
 
-    def describe(self) -> List[str]:
-        """Human-readable program listing (used by tests and ``__repr__``)."""
-        return [f"{step.kind:<10} {step.name}" for step in self.steps]
-
     @property
     def num_steps(self) -> int:
         return len(self.steps)

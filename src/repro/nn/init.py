@@ -14,10 +14,6 @@ __all__ = [
     "zeros",
     "ones",
     "normal",
-    "uniform",
-    "xavier_uniform",
-    "xavier_normal",
-    "he_uniform",
     "he_normal",
 ]
 
@@ -37,38 +33,12 @@ def normal(shape: Tuple[int, ...], rng: np.random.Generator, std: float = 0.01) 
     return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
-def uniform(shape: Tuple[int, ...], rng: np.random.Generator, bound: float = 0.05) -> np.ndarray:
-    """Uniform initialization on ``[-bound, bound]``."""
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
 def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
     if len(shape) < 2:
         raise ValueError(f"fan-in/fan-out requires >= 2 dimensions, got {shape}")
     fan_in = int(np.prod(shape[:-1]))
     fan_out = shape[-1]
     return fan_in, fan_out
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier uniform initialization for tanh/sigmoid layers."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal initialization."""
-    fan_in, fan_out = _fan_in_out(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(np.float32)
-
-
-def he_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming uniform initialization for ReLU layers."""
-    fan_in, _ = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 def he_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:

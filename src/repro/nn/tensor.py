@@ -86,13 +86,6 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _as_array(value: Arrayish, dtype: np.dtype) -> np.ndarray:
-    """Coerce ``value`` to a NumPy array of ``dtype``."""
-    if isinstance(value, Tensor):
-        raise TypeError("expected raw data, got a Tensor")
-    return np.asarray(value, dtype=dtype)
-
-
 class Tensor:
     """A NumPy-backed tensor participating in reverse-mode autodiff."""
 

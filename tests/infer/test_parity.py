@@ -7,9 +7,12 @@
   stay within 1e-4 relative of the eager float32 forward.
 
 Both bars hold for every model the registry can promote: AW-MoE (search and
-reco mode, all Table VI gate ablations), with and without ``gate_override``,
-the sparse-gate extension — and across hot-swap boundaries.
+reco mode, all Table VI gate ablations, the softmax-normalized gate), with
+and without ``gate_override``, the sparse-gate extension — and across
+hot-swap boundaries.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,9 +37,17 @@ def batch(test_set):
     return next(iterate_batches(test_set, 64))
 
 
+ALL_VARIANTS = [
+    "aw_moe", "ablation_gu0_au0", "ablation_gu1_au0", "ablation_gu0_au1",
+    "normalize_gate", "sparse_top2",
+]
+GATE_VARIANTS = ["aw_moe", "normalize_gate", "sparse_top2"]
+
+
 def _model_variants(meta):
     """Every promotable architecture: full AW-MoE, the Table VI gate
-    ablations, and the sparse top-K extension."""
+    ablations, the softmax-normalized gate (the plan's ``gate.softmax``
+    step), and the sparse top-K extension."""
     variants = {}
     variants["aw_moe"] = build_model(
         "aw_moe", ModelConfig.unit(), meta, np.random.default_rng(0)
@@ -46,6 +57,9 @@ def _model_variants(meta):
         variants[f"ablation_gu{int(gu)}_au{int(au)}"] = build_model(
             "aw_moe", config, meta, np.random.default_rng(1)
         )
+    variants["normalize_gate"] = build_model(
+        "aw_moe", replace(ModelConfig.unit(), normalize_gate=True), meta, np.random.default_rng(3)
+    )
     variants["sparse_top2"] = SparseGatedAWMoE(
         ModelConfig.unit(), meta, np.random.default_rng(2), top_k=2
     )
@@ -55,9 +69,7 @@ def _model_variants(meta):
 class TestFloat64Bitwise:
     """Parity mode must reproduce a float64 eager forward bit for bit."""
 
-    @pytest.mark.parametrize(
-        "name", ["aw_moe", "ablation_gu0_au0", "ablation_gu1_au0", "ablation_gu0_au1", "sparse_top2"]
-    )
+    @pytest.mark.parametrize("name", ALL_VARIANTS)
     def test_scores_bitwise(self, test_set, batch, name):
         model = _model_variants(test_set.meta)[name]
         model.eval()
@@ -67,7 +79,7 @@ class TestFloat64Bitwise:
         assert np.array_equal(compiled.predict_proba(batch), twin.predict_proba(batch))
         assert np.array_equal(compiled.predict_logits(batch), twin.predict_logits(batch))
 
-    @pytest.mark.parametrize("name", ["aw_moe", "sparse_top2"])
+    @pytest.mark.parametrize("name", GATE_VARIANTS)
     def test_serving_gate_bitwise(self, test_set, batch, name):
         model = _model_variants(test_set.meta)[name]
         model.eval()
@@ -76,7 +88,7 @@ class TestFloat64Bitwise:
         twin.eval()
         assert np.array_equal(compiled.serving_gate(batch), twin.serving_gate(batch))
 
-    @pytest.mark.parametrize("name", ["aw_moe", "sparse_top2"])
+    @pytest.mark.parametrize("name", GATE_VARIANTS)
     def test_gate_override_bitwise(self, test_set, batch, name):
         """Cached float32 session gates flow through both paths identically."""
         model = _model_variants(test_set.meta)[name]
@@ -109,9 +121,7 @@ class TestFloat64Bitwise:
 class TestFloat32Tolerance:
     """Fused float32 mode: within 1e-4 relative of the eager float32 path."""
 
-    @pytest.mark.parametrize(
-        "name", ["aw_moe", "ablation_gu0_au0", "ablation_gu1_au0", "ablation_gu0_au1", "sparse_top2"]
-    )
+    @pytest.mark.parametrize("name", ALL_VARIANTS)
     def test_scores_close(self, test_set, batch, name):
         model = _model_variants(test_set.meta)[name]
         model.eval()
@@ -119,7 +129,7 @@ class TestFloat32Tolerance:
         assert isinstance(compiled, CompiledModel)
         assert _rel_err(compiled.predict_proba(batch), model.predict_proba(batch)) < RTOL_F32
 
-    @pytest.mark.parametrize("name", ["aw_moe", "sparse_top2"])
+    @pytest.mark.parametrize("name", GATE_VARIANTS)
     def test_gate_and_override_close(self, test_set, batch, name):
         model = _model_variants(test_set.meta)[name]
         model.eval()

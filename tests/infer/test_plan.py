@@ -105,6 +105,14 @@ class TestFallback:
         with pytest.raises(CompileError):
             compile_model(dnn)
 
+    def test_activation_without_a_kernel_raises(self, test_set):
+        """The in-place kernel table covers what the paper's MLPs use; an MLP
+        with any other activation must refuse to compile, not KeyError."""
+        model = build_model("aw_moe", ModelConfig.unit(), test_set.meta, np.random.default_rng(0))
+        model.experts.expert0.mlp.activation = "tanh"
+        with pytest.raises(CompileError, match="tanh"):
+            compile_model(model)
+
     def test_engine_falls_back_to_eager(self, unit_world, test_set):
         """Baselines with no compiler still serve — eagerly."""
         dnn = build_model("dnn", ModelConfig.unit(), test_set.meta, np.random.default_rng(0))

@@ -7,7 +7,9 @@ checkpoint, transient train/canary failures, and a crash mid-hot-swap —
 and audits the robustness contract:
 
 * **zero dropped requests**: every submitted query is answered from some
-  tier of the degradation ladder (full / prefilter / popularity);
+  tier of the degradation ladder (full / prefilter / popularity), and the
+  ladder is actually taken — the policy's submit-side budget sits below the
+  plan's injected retrieval latency, so slow requests answer degraded;
 * at least one automatic **rollback** fires (the corrupted candidate is
   quarantined, the torn swap is rolled back) and the loop keeps promoting
   afterwards;
@@ -71,6 +73,10 @@ SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
 
 SEED = 29
 NUM_SHARDS = 2
+#: Per-request deadline: ``degrade_after_ms`` (half of it, 15 ms) sits below
+#: the 20 ms retrieval latency ``default_chaos_plan`` injects, so every slow
+#: retrieval crosses the submit-side budget and answers below the full tier.
+DEADLINE_MS = 30.0
 NUM_CYCLES = 3 if SMOKE else 4
 QUERIES_PER_CYCLE = 80 if SMOKE else 200
 WARMUP_SESSIONS = 250 if SMOKE else 600
@@ -121,7 +127,7 @@ def test_chaos_soak(tmp_path):
             max_batch_size=8,
             flush_deadline_ms=10.0,
             cache_capacity=1024,
-            policy=DegradationPolicy(deadline_ms=100.0),
+            policy=DegradationPolicy(deadline_ms=DEADLINE_MS),
         ),
         backend="inprocess",
         clock=clock,
@@ -145,7 +151,6 @@ def test_chaos_soak(tmp_path):
         canary=CanaryGate(tolerance=1.0, injector=injector),
         click_model=PositionBiasedClickModel(world, bank.child("clicks")),
         click_log=ClickLog(path=str(tmp_path / "clicks.jsonl"), injector=injector),
-        clock=clock,
         seed=SEED,
         alerts=alerts,
         watch_cycles=2,
@@ -164,6 +169,9 @@ def test_chaos_soak(tmp_path):
     # -- the robustness contract ----------------------------------------
     assert result["dropped"] == 0, "every submitted request must be answered"
     assert result["faults_fired"] > 0, "the chaos plan must actually fire"
+    tiers = result["degradation"]["tiers"]
+    degraded = sum(count for tier, count in tiers.items() if tier != "full")
+    assert degraded > 0, f"the slow retrievals must take the degradation ladder: {tiers}"
     assert result["rollbacks"] >= 1, "the corrupted candidate must roll back"
     assert result["event_counts"].get("rollback", 0) >= 1
     assert result["event_counts"].get("quarantine", 0) >= 1

@@ -159,7 +159,6 @@ def test_online_loop(tmp_path_factory):
         registry=registry,
         canary=CanaryGate(tolerance=0.02),
         click_model=PositionBiasedClickModel(world, bank.child("clicks")),
-        clock=clock,
         seed=SEED,
         tracer=Tracer(sample_rate=1.0, exporter=trace_exporter, clock=clock.now),
         drift=drift,
@@ -363,7 +362,6 @@ def test_drift_smoke(tmp_path_factory):
             ),
             canary=CanaryGate(tolerance=1.0),
             click_model=PositionBiasedClickModel(world, np.random.default_rng(3)),
-            clock=clock,
             seed=11,
             drift=drift_monitor,
         )

@@ -76,7 +76,6 @@ def main() -> None:
         registry=ModelRegistry(registry_dir, clock=clock),
         canary=CanaryGate(tolerance=0.02),
         click_model=PositionBiasedClickModel(world, bank.child("clicks")),
-        clock=clock,
         seed=SEED,
     )
     version = loop.bootstrap()

@@ -6,11 +6,13 @@ the activation unit scores how strongly the item should be attended to:
 
     Φ(h_b, h_key) = MLP([h_b ‖ h_b ⊙ h_key ‖ h_key])  →  scalar weight
 
-The element-wise product is the "product" box in Fig. 4a.  The ReLU noted in
-Fig. 4a is the MLP's hidden activation; the output weight is linear and
-unnormalized, as in DIN (no softmax over the sequence).  A ReLU output is
-available via ``output_activation`` but collapses to dead all-zero gates at
-small scale (see DESIGN.md fidelity notes).
+The element-wise product is the "product" box in Fig. 4a.  The output weight
+is linear and unnormalized, as in DIN (no softmax over the sequence), and
+that is a decision, not an option: Fig. 4a also draws a ReLU at the unit's
+output, but here a ReLU output collapses to all-zero gates (a unit that
+starts or drifts negative everywhere passes no gradient and never recovers),
+so the ReLU of Fig. 4a is kept on the hidden layers only — the one MLP shape
+of :class:`repro.nn.MLP`.  The gate unit Θ inherits the same choice.
 """
 
 from __future__ import annotations
@@ -56,24 +58,11 @@ class ActivationUnit(Module):
         hidden_dim: int,
         unit_hidden: Tuple[int, ...],
         rng: np.random.Generator,
-        output_activation: str = "linear",
         outputs: int = 1,
     ) -> None:
         super().__init__()
         self.hidden_dim = hidden_dim
-        self.mlp = MLP(
-            3 * hidden_dim,
-            list(unit_hidden) + [outputs],
-            rng,
-            activation="relu",
-            output_activation=output_activation,
-        )
-        if output_activation == "relu":
-            # Nudge the output bias positive so a ReLU output does not start
-            # dead (all-zero attention would zero every gradient).
-            last = getattr(self.mlp, f"fc{len(unit_hidden)}")
-            if last.bias is not None:
-                last.bias.data[:] = 0.1
+        self.mlp = MLP(3 * hidden_dim, list(unit_hidden) + [outputs], rng)
 
     def forward(self, h_seq: Tensor, h_key: Tensor, mask: np.ndarray) -> Tensor:
         """Score every sequence position against the key.

@@ -50,11 +50,7 @@ class AWMoE(RankingModel):
         self.embedder = FeatureEmbedder(config, meta, rng)
         self.input_network = InputNetwork(config, meta, self.embedder, rng, pooling="attention")
         self.experts = ExpertPool(
-            self.input_network.output_dim,
-            config.expert_hidden,
-            config.num_experts,
-            rng,
-            dropout=config.dropout,
+            self.input_network.output_dim, config.expert_hidden, config.num_experts, rng
         )
         self.gate = GateNetwork(config, meta, self.embedder, rng)
 
@@ -150,22 +146,10 @@ class AWMoE(RankingModel):
     # ------------------------------------------------------------------
     def gate_outputs(self, batch: Batch) -> np.ndarray:
         """Gate vectors as plain arrays (used by the Fig. 7 t-SNE study)."""
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                return self.gate(batch).numpy()
-        finally:
-            if was_training:
-                self.train()
+        with no_grad():
+            return self.gate(batch).numpy()
 
     def expert_scores(self, batch: Batch) -> np.ndarray:
         """Per-expert scores ``s`` as plain arrays (expert-utilization study)."""
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                return self.experts(self.input_network(batch)).numpy()
-        finally:
-            if was_training:
-                self.train()
+        with no_grad():
+            return self.experts(self.input_network(batch)).numpy()

@@ -18,7 +18,7 @@ from repro.core.expert import ExpertPool
 from repro.core.input_network import FeatureEmbedder, InputNetwork
 from repro.core.ranking_model import RankingModel
 from repro.data.schema import Batch, DatasetMeta
-from repro.nn import MLP, Tensor, softmax
+from repro.nn import MLP, Tensor, no_grad, softmax
 
 __all__ = ["CategoryMoE"]
 
@@ -32,17 +32,10 @@ class CategoryMoE(RankingModel):
         self.embedder = FeatureEmbedder(config, meta, rng)
         self.input_network = InputNetwork(config, meta, self.embedder, rng, pooling="attention")
         self.experts = ExpertPool(
-            self.input_network.output_dim,
-            config.expert_hidden,
-            config.num_experts,
-            rng,
-            dropout=config.dropout,
+            self.input_network.output_dim, config.expert_hidden, config.num_experts, rng
         )
         self.gate_mlp = MLP(
-            config.category_embed_dim,
-            list(config.unit_hidden) + [config.num_experts],
-            rng,
-            activation="relu",
+            config.category_embed_dim, list(config.unit_hidden) + [config.num_experts], rng
         )
 
     def _gate_key(self, batch: Batch) -> np.ndarray:
@@ -60,14 +53,6 @@ class CategoryMoE(RankingModel):
 
     def gate_outputs(self, batch: Batch) -> np.ndarray:
         """Softmax gate vectors as arrays (for expert-utilization analysis)."""
-        from repro.nn import no_grad
-
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                category_embed = self.embedder.category(self._gate_key(batch))
-                return softmax(self.gate_mlp(category_embed), axis=-1).numpy()
-        finally:
-            if was_training:
-                self.train()
+        with no_grad():
+            category_embed = self.embedder.category(self._gate_key(batch))
+            return softmax(self.gate_mlp(category_embed), axis=-1).numpy()

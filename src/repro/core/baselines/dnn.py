@@ -28,9 +28,7 @@ class DNN(RankingModel):
         self.config = config
         self.embedder = FeatureEmbedder(config, meta, rng)
         self.input_network = InputNetwork(config, meta, self.embedder, rng, pooling="sum")
-        self.ffn = Expert(
-            self.input_network.output_dim, config.expert_hidden, rng, dropout=config.dropout
-        )
+        self.ffn = Expert(self.input_network.output_dim, config.expert_hidden, rng)
 
     def forward(self, batch: Batch) -> Tensor:
         return self.ffn(self.input_network(batch))

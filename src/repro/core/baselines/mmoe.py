@@ -45,19 +45,12 @@ class MMoE(RankingModel):
         self.embedder = FeatureEmbedder(config, meta, rng)
         self.input_network = InputNetwork(config, meta, self.embedder, rng, pooling="attention")
         self.experts = ExpertPool(
-            self.input_network.output_dim,
-            config.expert_hidden,
-            config.num_experts,
-            rng,
-            dropout=config.dropout,
+            self.input_network.output_dim, config.expert_hidden, config.num_experts, rng
         )
         self._gates: List[MLP] = []
         for t in range(num_tasks):
             gate = MLP(
-                self.input_network.output_dim,
-                list(config.unit_hidden) + [config.num_experts],
-                rng,
-                activation="relu",
+                self.input_network.output_dim, list(config.unit_hidden) + [config.num_experts], rng
             )
             setattr(self, f"gate{t}", gate)
             self._gates.append(gate)

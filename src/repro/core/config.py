@@ -45,8 +45,6 @@ class ModelConfig:
     # Softmax-normalize the gate output over experts.  The paper's AW gate is
     # unnormalized (Eq. 8); Category-MoE [34] uses a softmax gate.
     normalize_gate: bool = False
-    # Dropout on expert hidden layers.
-    dropout: float = 0.0
 
     @staticmethod
     def paper(task: str = "search") -> "ModelConfig":
@@ -108,7 +106,7 @@ class TrainConfig:
     # (future-work extensions, §V).
     augmentation: str = "mask"
     # Train through the fused fast path: packed-expert GEMMs, fused
-    # linear+bias+activation kernels, shared-trunk contrastive views, and a
+    # linear+bias+ReLU kernels, shared-trunk contrastive views, and a
     # recycled gradient-buffer arena.  ``False`` selects the eager reference
     # path — op for op the original implementation, with bitwise-reproducible
     # loss curves — which the fast path is parity-tested against.

@@ -40,10 +40,9 @@ class Expert(Module):
         input_dim: int,
         hidden: Tuple[int, ...],
         rng: np.random.Generator,
-        dropout: float = 0.0,
     ) -> None:
         super().__init__()
-        self.mlp = MLP(input_dim, list(hidden) + [1], rng, activation="relu", dropout=dropout)
+        self.mlp = MLP(input_dim, list(hidden) + [1], rng)
 
     def forward(self, v_imp: Tensor) -> Tensor:
         """Score a batch of impression vectors: ``(B, D) -> (B,)``."""
@@ -63,22 +62,20 @@ class ExpertPool(Module):
         hidden: Tuple[int, ...],
         num_experts: int,
         rng: np.random.Generator,
-        dropout: float = 0.0,
     ) -> None:
         super().__init__()
         if num_experts < 1:
             raise ValueError(f"need at least one expert, got {num_experts}")
         self.num_experts = num_experts
-        self.dropout = dropout
         self._experts: List[Expert] = []
         for k in range(num_experts):
-            expert = Expert(input_dim, hidden, rng, dropout=dropout)
+            expert = Expert(input_dim, hidden, rng)
             setattr(self, f"expert{k}", expert)
             self._experts.append(expert)
 
     def forward(self, v_imp: Tensor) -> Tensor:
         """Expert scores ``s`` with shape ``(B, K)``."""
-        if is_fast_math() and not (self.training and self.dropout > 0.0):
+        if is_fast_math():
             return self.forward_packed(v_imp)
         return self.forward_eager(v_imp)
 
@@ -98,10 +95,6 @@ class ExpertPool(Module):
         backward splits the packed gradient back onto the per-expert
         parameters, so the model remains checkpoint- and optimizer-
         compatible with the eager path.
-
-        Per-expert dropout streams cannot be replayed through a packed
-        evaluation, so :meth:`forward` only dispatches here when dropout is
-        inactive (eval mode or ``dropout == 0``).
         """
         mlps = [expert.mlp for expert in self._experts]
         depth = len(mlps[0]._linears)
@@ -109,8 +102,7 @@ class ExpertPool(Module):
         for layer in range(depth):
             weights = stack([mlp._linears[layer].weight for mlp in mlps])  # (K, in, out)
             biases = stack([mlp._linears[layer].bias for mlp in mlps])  # (K, out)
-            activation = mlps[0].output_activation if layer == depth - 1 else mlps[0].activation
-            h = linear_op(h, weights, biases, activation=activation)
+            h = linear_op(h, weights, biases, relu=layer < depth - 1)
         # (K, B, 1) -> (B, K)
         return h.squeeze(2).transpose(1, 0)
 

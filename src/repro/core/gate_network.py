@@ -64,14 +64,14 @@ class GateNetwork(Module):
         k = config.num_experts
 
         # MLP^G: same shapes as MLP^I but independent parameters (§III-C2).
-        self.behavior_mlp = MLP(embedder.item_repr_dim, hidden, rng, activation="relu")
+        self.behavior_mlp = MLP(embedder.item_repr_dim, hidden, rng)
         if config.task == "search":
             key_dim = embedder.query_repr_dim
         else:
             # Recommendation mode: no query; the target item is the key
             # (§IV-A2, "the query was replaced by the target item").
             key_dim = embedder.item_repr_dim
-        self.key_mlp = MLP(key_dim, hidden, rng, activation="relu")
+        self.key_mlp = MLP(key_dim, hidden, rng)
 
         self.gate_unit = (
             GateUnit(self.hidden_dim, k, config.unit_hidden, rng)
@@ -86,12 +86,7 @@ class GateNetwork(Module):
         # Fallback FFN used by the ablation variants without the gate unit:
         # pooled behaviour ‖ key -> K scores.
         if self.gate_unit is None:
-            self.pooled_mlp = MLP(
-                2 * self.hidden_dim,
-                list(config.unit_hidden) + [k],
-                rng,
-                activation="relu",
-            )
+            self.pooled_mlp = MLP(2 * self.hidden_dim, list(config.unit_hidden) + [k], rng)
         else:
             self.pooled_mlp = None
         # Initialized at 1/K so training starts from a uniform mixture:

@@ -4,7 +4,7 @@ Structurally the same as the activation unit, except the output is a
 K-dimensional vector: for each behaviour item it produces one activation
 score per expert (Eq. 7), capturing that item's fine-grained evidence about
 which experts suit the current user.  As with the activation unit, the ReLU
-in Fig. 4c is the hidden activation; outputs are linear by default.
+of Fig. 4c is the hidden activation; the outputs are linear.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ class GateUnit(ActivationUnit):
         num_experts: int,
         unit_hidden: Tuple[int, ...],
         rng: np.random.Generator,
-        output_activation: str = "linear",
     ) -> None:
-        super().__init__(hidden_dim, unit_hidden, rng, output_activation, outputs=num_experts)
+        super().__init__(hidden_dim, unit_hidden, rng, outputs=num_experts)
         self.num_experts = num_experts
 
     def forward(self, h_seq: Tensor, h_key: Tensor, mask: np.ndarray) -> Tensor:

@@ -108,10 +108,10 @@ class InputNetwork(Module):
         self.hidden_dim = hidden[-1]
         # MLP^I shared by behaviour items and the target item (they live in
         # the same representation space so the attention can compare them).
-        self.behavior_mlp = MLP(embedder.item_repr_dim, hidden, rng, activation="relu")
-        self.other_mlp = MLP(meta.num_features, hidden, rng, activation="relu")
+        self.behavior_mlp = MLP(embedder.item_repr_dim, hidden, rng)
+        self.other_mlp = MLP(meta.num_features, hidden, rng)
         if config.task == "search":
-            self.query_mlp = MLP(embedder.query_repr_dim, hidden, rng, activation="relu")
+            self.query_mlp = MLP(embedder.query_repr_dim, hidden, rng)
         else:
             self.query_mlp = None
         if pooling == "attention":

@@ -42,14 +42,8 @@ class RankingModel(Module):
             if forward_kwargs.get("gate_override") is not None:
                 forward_kwargs["gate_override"] = batch.expand(forward_kwargs["gate_override"])
             batch = batch.flat()
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                return self.forward(batch, **forward_kwargs).numpy()
-        finally:
-            if was_training:
-                self.train()
+        with no_grad():
+            return self.forward(batch, **forward_kwargs).numpy()
 
     def predict_proba(self, batch: Batch, **forward_kwargs) -> np.ndarray:
         """Predicted interaction probabilities ``ŷ = σ(logit)``."""

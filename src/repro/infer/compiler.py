@@ -37,8 +37,7 @@ session side) are disabled — a session batch is expanded to flat rows first
 bitwise equal to a float64 eager forward — the compiler's correctness
 oracle (``tests/infer/test_parity.py``).
 
-Models that are not an :class:`~repro.core.aw_moe.AWMoE` (the sparse-gate
-extension is one), or that use an activation the kernels lack, raise
+Models that are not an :class:`~repro.core.aw_moe.AWMoE` raise
 :class:`CompileError`, which the serving stack treats as "fall back to the
 eager forward".
 """
@@ -84,7 +83,7 @@ def _pack_flops(pack: PackedMLP) -> int:
     # so a module-level import here would be order-sensitive.
     from repro.serving.cost import mlp_flops
 
-    return mlp_flops(pack.in_features, [weight.shape[1] for weight, _, _ in pack.layers])
+    return mlp_flops(pack.in_features, [weight.shape[1] for weight, _ in pack.layers])
 
 
 def compile_model(model, dtype=np.float32) -> "CompiledModel":
@@ -172,7 +171,7 @@ def _mlp_step(
     in_key: str,
     out_key: str,
 ) -> PlanStep:
-    """Fused matmul+bias+activation chain; 3-D inputs run as one flat GEMM."""
+    """Fused matmul+bias+ReLU chain; 3-D inputs run as one flat GEMM."""
 
     binder = arena.binder(name)
 

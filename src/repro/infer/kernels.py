@@ -8,7 +8,7 @@ bookkeeping are gone entirely.
 
 Two execution styles share these kernels:
 
-* **fused float32** (production): activations applied in place, the K expert
+* **fused float32** (production): ReLUs applied in place, the K expert
   heads evaluated as one packed GEMM per layer (see :class:`PackedExperts`),
   and — on a session-factored batch — the attention unit's first layer split
   so its behaviour and key thirds run once per session / per candidate
@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "CompileError",
-    "inplace_activation",
     "PackedMLP",
     "PackedExperts",
     "FactoredUnit",
@@ -46,30 +45,6 @@ __all__ = [
 
 class CompileError(RuntimeError):
     """Raised when a model cannot be compiled into an inference plan."""
-
-
-def _relu_(buf: np.ndarray) -> None:
-    np.maximum(buf, 0, out=buf)
-
-
-def _identity_(buf: np.ndarray) -> None:
-    return None
-
-
-#: In-place activation kernels for the activations the paper's MLPs use.
-_ACTIVATIONS_INPLACE: dict = {
-    "relu": _relu_,
-    "linear": _identity_,
-    None: _identity_,
-}
-
-
-def inplace_activation(name: Optional[str]) -> Callable[[np.ndarray], None]:
-    """The in-place kernel for a layer-zoo activation name."""
-    try:
-        return _ACTIVATIONS_INPLACE[name]
-    except KeyError:
-        raise CompileError(f"no in-place kernel for activation {name!r}") from None
 
 
 def sigmoid_(buf: np.ndarray) -> None:
@@ -128,33 +103,31 @@ def expand_rows(rows: np.ndarray, bounds: Sequence[int], out: np.ndarray) -> np.
 class PackedMLP:
     """An :class:`repro.nn.layers.MLP` frozen into contiguous weight arrays.
 
-    ``layers`` holds ``(W, b, activation)`` triples in execution order;
-    weights are packed once at compile time in the plan dtype.  Dropout
-    layers vanish (inference always runs eval semantics).
+    ``layers`` holds ``(W, b)`` pairs in execution order, ReLU after every
+    layer but the last (the one MLP shape); weights are packed once at
+    compile time in the plan dtype.
     """
 
     __slots__ = ("layers", "in_features", "out_features", "_program")
 
-    def __init__(self, layers: List[Tuple[np.ndarray, Optional[np.ndarray], Optional[str]]]):
+    def __init__(self, layers: List[Tuple[np.ndarray, Optional[np.ndarray]]]):
         if not layers:
             raise ValueError("PackedMLP needs at least one layer")
         self.layers = layers
         self.in_features = int(layers[0][0].shape[0])
         self.out_features = int(layers[-1][0].shape[1])
-        # Per-layer (slot, W, b, activation_kernel) resolved once at pack
-        # time so the hot loop does no string formatting or dict lookups.
+        # Per-layer (slot, W, b, relu) resolved once at pack time so the
+        # hot loop does no string formatting.
+        last = len(layers) - 1
         self._program = [
-            (f"fc{i}", weight, bias, inplace_activation(act))
-            for i, (weight, bias, act) in enumerate(layers)
+            (f"fc{i}", weight, bias, i < last) for i, (weight, bias) in enumerate(layers)
         ]
 
     @staticmethod
     def from_module(mlp, dtype: np.dtype) -> "PackedMLP":
         """Pack a :class:`repro.nn.layers.MLP` (weights copied, contiguous)."""
         layers = []
-        last = len(mlp._linears) - 1
-        for i, linear in enumerate(mlp._linears):
-            act = mlp.output_activation if i == last else mlp.activation
+        for linear in mlp._linears:
             # Always a copy: a plan must be a snapshot, never an alias of
             # live training weights (hot-swap compiles the new model while
             # the old plan keeps serving).
@@ -164,7 +137,7 @@ class PackedMLP:
                 if linear.bias is not None
                 else None
             )
-            layers.append((weight, bias, act))
+            layers.append((weight, bias))
         return PackedMLP(layers)
 
     def run(self, x2d: np.ndarray, lease: Callable[[str, Tuple[int, ...]], np.ndarray]) -> np.ndarray:
@@ -176,12 +149,13 @@ class PackedMLP:
         """
         h = x2d
         rows = x2d.shape[0]
-        for slot, weight, bias, act in self._program:
+        for slot, weight, bias, relu in self._program:
             out = lease(slot, (rows, weight.shape[1]))
             np.matmul(h, weight, out=out)
             if bias is not None:
                 out += bias
-            act(out)
+            if relu:
+                np.maximum(out, 0, out=out)
             h = out
         return h
 
@@ -196,13 +170,13 @@ class PackedExperts:
     and evaluates experts one by one in the eager op order instead.
     """
 
-    __slots__ = ("first_weight", "first_bias", "first_act", "deep", "num_experts", "widths", "_deep_program")
+    __slots__ = ("first_weight", "first_bias", "deep", "num_experts", "widths", "_deep_program")
 
     def __init__(self, experts: Sequence, dtype: np.dtype):
         packs = [PackedMLP.from_module(e.mlp, dtype) for e in experts]
         self.num_experts = len(packs)
         depth = len(packs[0].layers)
-        self.widths = [w for (w, _, _) in packs[0].layers]
+        self.widths = [w for (w, _) in packs[0].layers]
         self.first_weight = np.ascontiguousarray(
             np.concatenate([p.layers[0][0] for p in packs], axis=1)
         )
@@ -210,9 +184,8 @@ class PackedExperts:
         self.first_bias = (
             np.concatenate(biases) if biases[0] is not None else None
         )
-        self.first_act = inplace_activation(packs[0].layers[0][2])
         # Deeper layers: (K, H_in, H_out) weight stacks + (K, 1, H_out) biases.
-        self.deep: List[Tuple[np.ndarray, Optional[np.ndarray], Optional[str]]] = []
+        self.deep: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
         for layer in range(1, depth):
             w = np.ascontiguousarray(np.stack([p.layers[layer][0] for p in packs]))
             b = (
@@ -222,10 +195,9 @@ class PackedExperts:
                 if packs[0].layers[layer][1] is not None
                 else None
             )
-            self.deep.append((w, b, packs[0].layers[layer][2]))
+            self.deep.append((w, b))
         self._deep_program = [
-            (f"kbh{i + 1}", w, b, inplace_activation(act))
-            for i, (w, b, act) in enumerate(self.deep)
+            (f"kbh{i + 1}", w, b, i < len(self.deep) - 1) for i, (w, b) in enumerate(self.deep)
         ]
 
     def run(
@@ -239,18 +211,19 @@ class PackedExperts:
         np.matmul(v_imp, self.first_weight, out=h1)
         if self.first_bias is not None:
             h1 += self.first_bias
-        self.first_act(h1)
         if not self.deep:
             return h1  # single-layer experts: h1 already is (B, K)
+        np.maximum(h1, 0, out=h1)
         # (B, K*H) -> (K, B, H) for batched per-expert GEMMs.
         h = lease("kbh0", (k, batch, h1_width))
         h[...] = h1.reshape(batch, k, h1_width).transpose(1, 0, 2)
-        for slot, weight, bias, act in self._deep_program:
+        for slot, weight, bias, relu in self._deep_program:
             out = lease(slot, (k, batch, weight.shape[2]))
             np.matmul(h, weight, out=out)
             if bias is not None:
                 out += bias
-            act(out)
+            if relu:
+                np.maximum(out, 0, out=out)
             h = out
         scores = lease("scores", (batch, k))
         scores[...] = h.reshape(k, batch).T
@@ -274,14 +247,13 @@ class FactoredUnit:
     layer — fused float32 only, never parity mode.
     """
 
-    __slots__ = ("w_seq", "w_pair", "w_key", "bias", "act", "rest")
+    __slots__ = ("w_seq", "w_pair", "w_key", "bias", "rest")
 
     def __init__(self, pack: PackedMLP, hidden: int):
-        weight, self.bias, act = pack.layers[0]
+        weight, self.bias = pack.layers[0]
         self.w_seq = np.ascontiguousarray(weight[:hidden])
         self.w_pair = weight[hidden : 2 * hidden][:, None, :]  # (H, 1, U)
         self.w_key = weight[2 * hidden :][:, None, :]
-        self.act = inplace_activation(act)
         self.rest = PackedMLP(pack.layers[1:]) if len(pack.layers) > 1 else None
 
     def run(
@@ -313,8 +285,10 @@ class FactoredUnit:
             np.matmul(h_key[bounds[s] : bounds[s + 1]], weights[s], out=segment)
             segment += seq_bias[s]
         out = out.reshape(rows * seq_len, width)
-        self.act(out)
-        return out if self.rest is None else self.rest.run(out, lease)
+        if self.rest is None:
+            return out
+        np.maximum(out, 0, out=out)
+        return self.rest.run(out, lease)
 
 
 def pairwise_concat(

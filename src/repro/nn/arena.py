@@ -5,9 +5,9 @@ The compiled serving path (:mod:`repro.infer`) executes in a shape-keyed
 same idea to **autograd**: in steady-state training every step re-allocates
 the same gradient arrays — one per op output plus one per parameter — only
 to free them all again before the next step.  :class:`GradArena` recycles
-those buffers across steps, and :func:`fast_math` switches the layer zoo
-onto fused kernels (matmul + bias + activation as one op, packed-expert
-GEMMs) that cut the op count of the hot training step.
+those buffers across steps, and :func:`fast_math` switches the layers
+onto fused kernels (matmul + bias + ReLU as one op, packed-expert GEMMs)
+that cut the op count of the hot training step.
 
 Two coupled switches, one context manager::
 

@@ -10,22 +10,12 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = [
-    "zeros",
-    "ones",
-    "normal",
-    "he_normal",
-]
+__all__ = ["zeros", "normal", "he_normal"]
 
 
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:
     """All-zero initialization (biases)."""
     return np.zeros(shape, dtype=np.float32)
-
-
-def ones(shape: Tuple[int, ...]) -> np.ndarray:
-    """All-one initialization (scale parameters)."""
-    return np.ones(shape, dtype=np.float32)
 
 
 def normal(shape: Tuple[int, ...], rng: np.random.Generator, std: float = 0.01) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Neural network layers used throughout the AW-MoE reproduction.
 
-The paper's building blocks (Fig. 4) are all small MLPs with ReLU activations
-plus embedding tables, so the layer zoo here is intentionally compact:
-``Linear``, ``Embedding``, ``MLP``, ``Dropout``, ``LayerNorm``, ``Sequential``.
+Every network of the paper (Fig. 4 — input network, experts, gate and
+activation units) and of every baseline is an MLP with ReLU hidden layers and
+a linear output over embedding tables, so the layer set is exactly
+``Linear``, ``Embedding`` and that one ``MLP`` shape.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -18,40 +19,15 @@ from repro.nn.ops import embedding as embedding_op
 from repro.nn.ops import linear as linear_op
 from repro.nn.tensor import Tensor
 
-__all__ = ["Linear", "Embedding", "MLP", "Dropout", "LayerNorm", "Sequential", "Identity"]
-
-Activation = Optional[str]
-
-_ACTIVATIONS: dict = {
-    "relu": lambda x: x.relu(),
-    "sigmoid": lambda x: x.sigmoid(),
-    "tanh": lambda x: x.tanh(),
-    "leaky_relu": lambda x: x.leaky_relu(),
-    None: lambda x: x,
-    "linear": lambda x: x,
-}
-
-
-def apply_activation(x: Tensor, name: Activation) -> Tensor:
-    """Apply a named activation; ``None``/``"linear"`` is the identity."""
-    try:
-        return _ACTIVATIONS[name](x)
-    except KeyError:
-        raise ValueError(f"unknown activation {name!r}; expected one of {sorted(k for k in _ACTIVATIONS if k)}")
-
-
-class Identity(Module):
-    """A no-op module, useful as a placeholder in ablations."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
+__all__ = ["Linear", "Embedding", "MLP"]
 
 
 class Linear(Module):
     """Affine layer ``y = x W + b`` applied over the last dimension.
 
     Accepts inputs with any number of leading dimensions, e.g. per-item
-    hidden vectors of shape ``(batch, seq_len, in_features)``.
+    hidden vectors of shape ``(batch, seq_len, in_features)``.  Weights are
+    He-normal (the layers feed ReLUs), biases zero.
     """
 
     def __init__(
@@ -60,12 +36,11 @@ class Linear(Module):
         out_features: int,
         rng: np.random.Generator,
         bias: bool = True,
-        weight_init: Callable = init.he_normal,
     ) -> None:
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Parameter(weight_init((in_features, out_features), rng))
+        self.weight = Parameter(init.he_normal((in_features, out_features), rng))
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -114,101 +89,26 @@ class Embedding(Module):
         return embedding_op(self.weight, indices)
 
 
-class Dropout(Module):
-    """Inverted dropout; active only in training mode."""
-
-    def __init__(self, p: float, rng: np.random.Generator) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(np.float32) / keep
-        return x * mask
-
-
-class LayerNorm(Module):
-    """Layer normalization over the last dimension."""
-
-    def __init__(self, num_features: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.num_features = num_features
-        self.eps = eps
-        self.gamma = Parameter(init.ones((num_features,)))
-        self.beta = Parameter(init.zeros((num_features,)))
-
-    def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / (var + self.eps).sqrt()
-        return normed * self.gamma + self.beta
-
-
-class Sequential(Module):
-    """Run child modules in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self._layers: List[Module] = []
-        for i, module in enumerate(modules):
-            setattr(self, f"layer{i}", module)
-            self._layers.append(module)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self._layers:
-            x = layer(x)
-        return x
-
-    def __len__(self) -> int:
-        return len(self._layers)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._layers[index]
-
-
 class MLP(Module):
-    """Multi-layer perceptron with a shared hidden activation.
+    """Multi-layer perceptron: ReLU on every hidden layer, linear output.
 
-    ``hidden_sizes`` lists every layer width after the input, matching the
-    paper's notation: the expert network "MLP (512x256x1)" is
-    ``MLP(in_dim, [512, 256, 1])``.  The final layer is linear unless
-    ``output_activation`` says otherwise; the paper applies ReLU at the output
-    of its activation/gate units (Fig. 4), which callers request explicitly.
+    ``sizes`` lists every layer width after the input, matching the paper's
+    notation: the expert network "MLP (512x256x1)" is
+    ``MLP(in_dim, [512, 256, 1], rng)``.  The paper's figures draw a ReLU at
+    the output of the activation/gate units too; here every output is linear
+    (see :mod:`repro.core.activation_unit` for why).
     """
 
-    def __init__(
-        self,
-        in_features: int,
-        hidden_sizes: Sequence[int],
-        rng: np.random.Generator,
-        activation: Activation = "relu",
-        output_activation: Activation = None,
-        dropout: float = 0.0,
-    ) -> None:
+    def __init__(self, in_features: int, sizes: Sequence[int], rng: np.random.Generator) -> None:
         super().__init__()
-        if not hidden_sizes:
+        if not sizes:
             raise ValueError("MLP requires at least one layer size")
-        self.activation = activation
-        self.output_activation = output_activation
         self._linears: List[Linear] = []
-        self._dropouts: List[Optional[Dropout]] = []
         previous = in_features
-        for i, width in enumerate(hidden_sizes):
+        for i, width in enumerate(sizes):
             layer = Linear(previous, width, rng)
             setattr(self, f"fc{i}", layer)
             self._linears.append(layer)
-            if dropout > 0.0 and i < len(hidden_sizes) - 1:
-                drop = Dropout(dropout, rng)
-                setattr(self, f"drop{i}", drop)
-                self._dropouts.append(drop)
-            else:
-                self._dropouts.append(None)
             previous = width
         self.out_features = previous
 
@@ -216,14 +116,11 @@ class MLP(Module):
         last = len(self._linears) - 1
         fused = is_fast_math()
         for i, layer in enumerate(self._linears):
-            name = self.output_activation if i == last else self.activation
-            if fused and name in (None, "linear", "relu"):
-                # One graph node per layer: matmul + bias + activation fused.
-                x = linear_op(x, layer.weight, layer.bias, activation=name)
+            if fused:
+                # One graph node per layer: matmul + bias + ReLU fused.
+                x = linear_op(x, layer.weight, layer.bias, relu=i < last)
             else:
                 x = layer(x)
-                x = apply_activation(x, name)
-            drop = self._dropouts[i]
-            if drop is not None:
-                x = drop(x)
+                if i < last:
+                    x = x.relu()
         return x

@@ -1,8 +1,7 @@
 """Loss functions: ranking loss (Eq. 1) and contrastive InfoNCE loss (Eq. 10).
 
-``bce_with_logits`` and ``softmax_cross_entropy`` are fused ops with
-numerically stable forward passes and hand-written backward passes; the
-InfoNCE loss is composed from primitive ops so its gradient flows into the
+``bce_with_logits`` is a fused op with a numerically stable forward pass
+and a hand-written backward pass; the InfoNCE loss is composed from primitive ops so its gradient flows into the
 gate network exactly as in the paper.
 """
 
@@ -15,13 +14,7 @@ import numpy as np
 from repro.nn.ops import concat, logsumexp
 from repro.nn.tensor import Tensor
 
-__all__ = [
-    "bce_with_logits",
-    "binary_cross_entropy",
-    "mse_loss",
-    "softmax_cross_entropy",
-    "info_nce",
-]
+__all__ = ["bce_with_logits", "info_nce"]
 
 
 def _targets_array(targets: Union[Tensor, np.ndarray], dtype: np.dtype) -> np.ndarray:
@@ -47,45 +40,6 @@ def bce_with_logits(logits: Tensor, targets: Union[Tensor, np.ndarray]) -> Tenso
         if logits.requires_grad:
             sig = 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
             logits._accumulate(grad * (sig - y) / count)
-
-    return Tensor._make(data, (logits,), backward)
-
-
-def binary_cross_entropy(
-    probs: Tensor, targets: Union[Tensor, np.ndarray], eps: float = 1e-7
-) -> Tensor:
-    """Mean binary cross-entropy on probabilities already in (0, 1)."""
-    y = Tensor(_targets_array(targets, probs.data.dtype))
-    p = probs.clip(eps, 1.0 - eps)
-    loss = -(y * p.log() + (1.0 - y) * (1.0 - p).log())
-    return loss.mean()
-
-
-def mse_loss(predictions: Tensor, targets: Union[Tensor, np.ndarray]) -> Tensor:
-    """Mean squared error."""
-    y = Tensor(_targets_array(targets, predictions.data.dtype))
-    diff = predictions - y
-    return (diff * diff).mean()
-
-
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy between ``logits`` (B, C) and integer ``labels`` (B,)."""
-    labels = np.asarray(labels)
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be 2-D (batch, classes), got {logits.shape}")
-    z = logits.data
-    m = z.max(axis=1, keepdims=True)
-    shifted = z - m
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - lse
-    batch = z.shape[0]
-    data = np.asarray(-log_probs[np.arange(batch), labels].mean(), dtype=z.dtype)
-
-    def backward(grad: np.ndarray) -> None:
-        if logits.requires_grad:
-            softmax_vals = np.exp(log_probs)
-            softmax_vals[np.arange(batch), labels] -= 1.0
-            logits._accumulate(grad * softmax_vals / batch)
 
     return Tensor._make(data, (logits,), backward)
 

@@ -1,8 +1,8 @@
 """Module and Parameter abstractions, mirroring the familiar layer API.
 
 A :class:`Module` owns :class:`Parameter` tensors and child modules; it exposes
-recursive parameter iteration (for optimizers), a training/eval mode switch
-(for dropout), and a flat ``state_dict`` (for checkpointing).
+recursive parameter iteration (for optimizers), a training/eval mode flag,
+and a flat ``state_dict`` (for checkpointing).
 """
 
 from __future__ import annotations
@@ -91,26 +91,22 @@ class Module:
         """Total number of scalar weights in the module tree."""
         return sum(param.size for param in self.parameters())
 
-    def zero_grad(self) -> None:
-        """Reset accumulated gradients on every parameter."""
-        for param in self.parameters():
-            param.grad = None
-
     # ------------------------------------------------------------------
-    # train / eval mode
+    # train / eval mode — no layer reads the flag; the trainers and the
+    # perf harness still set it, so it stays.
     # ------------------------------------------------------------------
     @property
     def training(self) -> bool:
         return self._training
 
     def train(self) -> "Module":
-        """Put the module tree in training mode (dropout active)."""
+        """Put the module tree in training mode."""
         for module in self.modules():
             module._training = True
         return self
 
     def eval(self) -> "Module":
-        """Put the module tree in evaluation mode (dropout disabled)."""
+        """Put the module tree in evaluation mode."""
         for module in self.modules():
             module._training = False
         return self

@@ -1,9 +1,9 @@
 """Free-function tensor operations built on :class:`repro.nn.tensor.Tensor`.
 
 These complement the methods on ``Tensor`` with operations that either take
-multiple tensors (``concat``, ``stack``, ``where``), take integer index arrays
-(``embedding``, ``take``), or fuse several primitive steps for numerical
-stability (``log_softmax``, ``logsumexp``, ``bce_with_logits``).
+multiple tensors (``concat``, ``stack``), take integer index arrays
+(``embedding``, ``take``, ``repeat_rows``, ``segment_sum``), or fuse several
+primitive steps (``linear``, ``softmax``, ``logsumexp``).
 """
 
 from __future__ import annotations
@@ -18,16 +18,12 @@ from repro.nn.tensor import Tensor, _unbroadcast, is_grad_enabled
 __all__ = [
     "concat",
     "stack",
-    "where",
-    "maximum",
-    "minimum",
     "embedding",
     "take",
     "repeat_rows",
     "segment_sum",
     "linear",
     "softmax",
-    "log_softmax",
     "logsumexp",
     "masked_fill",
 ]
@@ -68,35 +64,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 tensor._accumulate(np.ascontiguousarray(moved[i]))
 
     return Tensor._make(data, tuple(tensors), backward)
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Select from ``a`` where ``condition`` is true, else from ``b``.
-
-    ``condition`` is a plain boolean array (non-differentiable).
-    """
-    condition = np.asarray(condition, dtype=bool)
-    data = np.where(condition, a.data, b.data)
-    if not is_grad_enabled():
-        return Tensor._from_data(data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad * condition, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(grad * ~condition, b.shape))
-
-    return Tensor._make(data, (a, b), backward)
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise maximum; ties route gradient to the first operand."""
-    return where(a.data >= b.data, a, b)
-
-
-def minimum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise minimum; ties route gradient to the first operand."""
-    return where(a.data <= b.data, a, b)
 
 
 def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
@@ -221,18 +188,13 @@ def _accumulate_matmul(tensor: Tensor, a: np.ndarray, b: np.ndarray) -> None:
         tensor.grad += a @ b
 
 
-def linear(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    activation: Optional[str] = None,
-) -> Tensor:
-    """Fused affine op: ``activation(x @ weight + bias)`` as ONE graph node.
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, relu: bool = False) -> Tensor:
+    """Fused affine op: ``x @ weight + bias`` (then ReLU) as ONE graph node.
 
     The eager reference path builds this from three ops (matmul, broadcast
-    add, activation), each with its own output allocation, backward closure,
+    add, ReLU), each with its own output allocation, backward closure,
     and gradient buffer.  The training fast path (:func:`repro.nn.fast_math`)
-    fuses them: the bias add and the activation run in place on the matmul
+    fuses them: the bias add and the ReLU run in place on the matmul
     output, and one backward closure writes the three gradients with single
     GEMMs (``out=`` into arena buffers when one is active).
 
@@ -245,13 +207,8 @@ def linear(
       ``(K, B, in)``; forward and backward each run as one batched GEMM.
       Bias, when given, has shape ``(K, out)``.
 
-    ``activation`` is ``None``/``"linear"`` or ``"relu"`` — the only
-    activations on the training hot path; anything else should be applied as
-    a separate op.
+    ``relu`` marks a hidden layer of an :class:`repro.nn.layers.MLP`.
     """
-    if activation not in (None, "linear", "relu"):
-        raise ValueError(f"linear() cannot fuse activation {activation!r}")
-    relu = activation == "relu"
     wd = weight.data
     xd = x.data
     if xd.shape[-1] != wd.shape[-2]:
@@ -360,25 +317,6 @@ def softmax(tensor: Tensor, axis: int = -1) -> Tensor:
         if tensor.requires_grad:
             dot = (grad * data).sum(axis=axis, keepdims=True)
             tensor._accumulate(data * (grad - dot))
-
-    return Tensor._make(data, (tensor,), backward)
-
-
-def log_softmax(tensor: Tensor, axis: int = -1) -> Tensor:
-    """Log-softmax along ``axis``; stable fused forward/backward."""
-    x = tensor.data
-    m = x.max(axis=axis, keepdims=True)
-    shifted = x - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
-    if not is_grad_enabled():
-        return Tensor._from_data(data)
-    softmax_vals = np.exp(data)
-
-    def backward(grad: np.ndarray) -> None:
-        if tensor.requires_grad:
-            total = grad.sum(axis=axis, keepdims=True)
-            tensor._accumulate(grad - softmax_vals * total)
 
     return Tensor._make(data, (tensor,), backward)
 

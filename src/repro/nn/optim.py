@@ -1,8 +1,5 @@
-"""Optimizers and learning-rate schedulers.
-
-The paper trains with AdamW (initial learning rate 1e-4); SGD, momentum SGD
-and Adam are provided for completeness and for the ablation benchmarks.
-"""
+"""The paper's optimizer (§IV-D: AdamW, initial learning rate 1e-4) and
+global-norm gradient clipping."""
 
 from __future__ import annotations
 
@@ -12,20 +9,34 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdamW", "StepLR", "CosineLR", "clip_grad_norm"]
+__all__ = ["AdamW", "clip_grad_norm"]
+
+#: Adam's moment decay rates and denominator guard — one value each in use.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-class Optimizer:
-    """Base optimizer holding a parameter list and the learning rate."""
+class AdamW:
+    """Adam with decoupled weight decay (Loshchilov & Hutter, 2019).
 
-    def __init__(self, params: Sequence[Parameter], lr: float) -> None:
+    ``weight_decay=0`` is classic Adam.  The mutable state — ``_step_count``
+    (bias correction) and the ``_m`` / ``_v`` moments keyed by the
+    parameter's index in ``params`` — is what
+    :func:`repro.nn.serialization.optimizer_state` checkpoints.
+    """
+
+    def __init__(
+        self, params: Sequence[Parameter], lr: float = 1e-4, weight_decay: float = 0.01
+    ) -> None:
         self.params: List[Parameter] = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
+        self.weight_decay = weight_decay
         self._step_count = 0
+        self._m: Dict[int, np.ndarray] = {}
+        self._v: Dict[int, np.ndarray] = {}
 
     def zero_grad(self) -> None:
         """Clear gradients on all managed parameters."""
@@ -35,140 +46,26 @@ class Optimizer:
     def step(self) -> None:
         """Apply one update using the gradients currently stored."""
         self._step_count += 1
-        for i, param in enumerate(self.params):
+        for index, param in enumerate(self.params):
             if param.grad is not None:
-                self._update(i, param)
+                self._update(index, param)
 
     def _update(self, index: int, param: Parameter) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def _update(self, index: int, param: Parameter) -> None:
-        grad = param.grad
         if self.weight_decay:
-            grad = grad + self.weight_decay * param.data
-        if self.momentum:
-            velocity = self._velocity.get(index)
-            if velocity is None:
-                velocity = np.zeros_like(param.data)
-            velocity = self.momentum * velocity + grad
-            self._velocity[index] = velocity
-            grad = velocity
-        param.data -= self.lr * grad
-
-
-class Adam(Optimizer):
-    """Adam with L2 regularization folded into the gradient (classic Adam)."""
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 1e-3,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._m: Dict[int, np.ndarray] = {}
-        self._v: Dict[int, np.ndarray] = {}
-
-    def _moments(self, index: int, param: Parameter):
+            param.data -= self.lr * self.weight_decay * param.data
+        grad = param.grad
         m = self._m.get(index)
         if m is None:
             m = np.zeros_like(param.data)
             v = np.zeros_like(param.data)
         else:
             v = self._v[index]
-        return m, v
-
-    def _update(self, index: int, param: Parameter) -> None:
-        grad = param.grad
-        if self.weight_decay:
-            grad = grad + self.weight_decay * param.data
-        m, v = self._moments(index, param)
-        m = self.beta1 * m + (1 - self.beta1) * grad
-        v = self.beta2 * v + (1 - self.beta2) * grad * grad
+        m = BETA1 * m + (1 - BETA1) * grad
+        v = BETA2 * v + (1 - BETA2) * grad * grad
         self._m[index], self._v[index] = m, v
-        m_hat = m / (1 - self.beta1 ** self._step_count)
-        v_hat = v / (1 - self.beta2 ** self._step_count)
-        param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class AdamW(Adam):
-    """AdamW: decoupled weight decay (Loshchilov & Hutter, 2019).
-
-    This is the optimizer the paper uses (§IV-D), with lr=1e-4.
-    """
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 1e-4,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ) -> None:
-        super().__init__(params, lr=lr, betas=betas, eps=eps, weight_decay=0.0)
-        self.decoupled_weight_decay = weight_decay
-
-    def _update(self, index: int, param: Parameter) -> None:
-        if self.decoupled_weight_decay:
-            param.data -= self.lr * self.decoupled_weight_decay * param.data
-        super()._update(index, param)
-
-
-class StepLR:
-    """Multiply the optimizer learning rate by ``gamma`` every ``step_size`` steps."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5) -> None:
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._count = 0
-
-    def step(self) -> None:
-        self._count += 1
-        if self._count % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-
-
-class CosineLR:
-    """Cosine-anneal the learning rate from its initial value to ``min_lr``."""
-
-    def __init__(self, optimizer: Optimizer, total_steps: int, min_lr: float = 0.0) -> None:
-        if total_steps <= 0:
-            raise ValueError("total_steps must be positive")
-        self.optimizer = optimizer
-        self.total_steps = total_steps
-        self.min_lr = min_lr
-        self.base_lr = optimizer.lr
-        self._count = 0
-
-    def step(self) -> None:
-        self._count = min(self._count + 1, self.total_steps)
-        progress = self._count / self.total_steps
-        scale = 0.5 * (1 + np.cos(np.pi * progress))
-        self.optimizer.lr = self.min_lr + (self.base_lr - self.min_lr) * scale
+        m_hat = m / (1 - BETA1 ** self._step_count)
+        v_hat = v / (1 - BETA2 ** self._step_count)
+        param.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def clip_grad_norm(params: Sequence[Parameter], max_norm: float) -> float:

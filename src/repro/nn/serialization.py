@@ -7,8 +7,8 @@ Two layers of API:
 * :func:`save_module` / :func:`load_module` — model parameters only (enough
   for inference / serving);
 * :func:`optimizer_state` / :func:`load_optimizer_state` — the mutable state
-  of an optimizer (step count, learning rate, Adam moment buffers, SGD
-  velocities), keyed by parameter *index* within the optimizer's list;
+  of an :class:`~repro.nn.optim.AdamW` (step count, learning rate, moment
+  buffers), keyed by parameter *index* within the optimizer's list;
 * :func:`save_training_state` / :func:`load_training_state` — one archive
   holding model parameters, every optimizer's state, and arbitrary scalar
   ``extra`` metadata.  This is what warm-start / incremental training
@@ -31,7 +31,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.nn.module import Module
-from repro.nn.optim import Optimizer
+from repro.nn.optim import AdamW
 
 __all__ = [
     "save_state",
@@ -45,8 +45,8 @@ __all__ = [
 ]
 
 #: Optimizer buffer slots serialized by :func:`optimizer_state`: Adam first
-#: and second moments, SGD momentum velocities.
-_BUFFER_SLOTS = ("_m", "_v", "_velocity")
+#: and second moments.
+_BUFFER_SLOTS = ("_m", "_v")
 
 
 def save_state(state: Dict[str, np.ndarray], path: str) -> None:
@@ -78,27 +78,24 @@ def load_module(module: Module, path: str) -> Module:
 # ----------------------------------------------------------------------
 # optimizer state
 # ----------------------------------------------------------------------
-def optimizer_state(optimizer: Optimizer) -> Dict[str, np.ndarray]:
+def optimizer_state(optimizer: AdamW) -> Dict[str, np.ndarray]:
     """Flat state dict of an optimizer's mutable state.
 
     Captures the step count (Adam bias correction), the current learning
-    rate (schedulers mutate it), and every moment/velocity buffer keyed by
-    the parameter's index in ``optimizer.params``.
+    rate, and every moment buffer keyed by the parameter's index in
+    ``optimizer.params``.
     """
     state: Dict[str, np.ndarray] = {
         "step_count": np.asarray(optimizer._step_count, dtype=np.int64),
         "lr": np.asarray(optimizer.lr, dtype=np.float64),
     }
     for slot in _BUFFER_SLOTS:
-        buffers = getattr(optimizer, slot, None)
-        if buffers is None:
-            continue
-        for index, buffer in buffers.items():
+        for index, buffer in getattr(optimizer, slot).items():
             state[f"{slot[1:]}.{index}"] = np.asarray(buffer)
     return state
 
 
-def load_optimizer_state(optimizer: Optimizer, state: Dict[str, np.ndarray]) -> Optimizer:
+def load_optimizer_state(optimizer: AdamW, state: Dict[str, np.ndarray]) -> AdamW:
     """Restore :func:`optimizer_state` output into ``optimizer`` in place.
 
     The optimizer must manage the same parameter list (same count, same
@@ -107,9 +104,7 @@ def load_optimizer_state(optimizer: Optimizer, state: Dict[str, np.ndarray]) -> 
     optimizer._step_count = int(state["step_count"])
     optimizer.lr = float(state["lr"])
     for slot in _BUFFER_SLOTS:
-        buffers = getattr(optimizer, slot, None)
-        if buffers is None:
-            continue
+        buffers = getattr(optimizer, slot)
         prefix = slot[1:] + "."
         buffers.clear()
         for name, value in state.items():
@@ -137,7 +132,7 @@ def load_optimizer_state(optimizer: Optimizer, state: Dict[str, np.ndarray]) -> 
 def save_training_state(
     path: str,
     module: Module,
-    optimizers: Sequence[Optimizer] = (),
+    optimizers: Sequence[AdamW] = (),
     extra: Optional[Dict[str, float]] = None,
 ) -> None:
     """Checkpoint model parameters, optimizer state, and scalar metadata.
@@ -160,7 +155,7 @@ def save_training_state(
 def load_training_state(
     path: str,
     module: Module,
-    optimizers: Sequence[Optimizer] = (),
+    optimizers: Sequence[AdamW] = (),
 ) -> Dict[str, float]:
     """Restore :func:`save_training_state`; returns the ``extra`` metadata.
 

@@ -120,17 +120,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.data.dtype
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
-
     def numpy(self) -> np.ndarray:
         """Return the underlying array (not a copy)."""
         return self.data
@@ -157,14 +146,6 @@ class Tensor:
     def item(self) -> float:
         """Return the value of a single-element tensor as a Python float."""
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _raise_item(self)
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-        return Tensor._from_data(self.data)
-
-    def copy(self) -> "Tensor":
-        """Return a detached deep copy of this tensor."""
-        return Tensor(self.data.copy(), dtype=self.data.dtype)
 
     # ------------------------------------------------------------------
     # graph construction / backprop
@@ -289,9 +270,6 @@ class Tensor:
 
         return Tensor._make(data, (self, other), backward)
 
-    def __radd__(self, other: Arrayish) -> "Tensor":
-        return self.__add__(other)
-
     def __sub__(self, other: Arrayish) -> "Tensor":
         if not _GRAD_ENABLED:
             return Tensor._from_data(self.data - _raw_as(other, self.data.dtype))
@@ -306,11 +284,6 @@ class Tensor:
 
         return Tensor._make(data, (self, other), backward)
 
-    def __rsub__(self, other: Arrayish) -> "Tensor":
-        if not _GRAD_ENABLED:
-            return Tensor._from_data(_raw_as(other, self.data.dtype) - self.data)
-        return _wrap(other, self.data.dtype).__sub__(self)
-
     def __mul__(self, other: Arrayish) -> "Tensor":
         if not _GRAD_ENABLED:
             return Tensor._from_data(self.data * _raw_as(other, self.data.dtype))
@@ -324,9 +297,6 @@ class Tensor:
                 other._accumulate(_unbroadcast(grad * self.data, other.shape))
 
         return Tensor._make(data, (self, other), backward)
-
-    def __rmul__(self, other: Arrayish) -> "Tensor":
-        return self.__mul__(other)
 
     def __truediv__(self, other: Arrayish) -> "Tensor":
         if not _GRAD_ENABLED:
@@ -344,75 +314,9 @@ class Tensor:
 
         return Tensor._make(data, (self, other), backward)
 
-    def __rtruediv__(self, other: Arrayish) -> "Tensor":
-        if not _GRAD_ENABLED:
-            return Tensor._from_data(_raw_as(other, self.data.dtype) / self.data)
-        return _wrap(other, self.data.dtype).__truediv__(self)
-
-    def __neg__(self) -> "Tensor":
-        if not _GRAD_ENABLED:
-            return Tensor._from_data(-self.data)
-        data = -self.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(-grad)
-
-        return Tensor._make(data, (self,), backward)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        if not _GRAD_ENABLED:
-            return Tensor._from_data(self.data ** exponent)
-        data = self.data ** exponent
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(data, (self,), backward)
-
-    # ------------------------------------------------------------------
-    # comparisons (non-differentiable, return plain arrays)
-    # ------------------------------------------------------------------
-    def __gt__(self, other: Arrayish) -> np.ndarray:
-        return self.data > _raw(other)
-
-    def __lt__(self, other: Arrayish) -> np.ndarray:
-        return self.data < _raw(other)
-
-    def __ge__(self, other: Arrayish) -> np.ndarray:
-        return self.data >= _raw(other)
-
-    def __le__(self, other: Arrayish) -> np.ndarray:
-        return self.data <= _raw(other)
-
     # ------------------------------------------------------------------
     # nonlinearities
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-        if not _GRAD_ENABLED:
-            return Tensor._from_data(data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * data)
-
-        return Tensor._make(data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        if not _GRAD_ENABLED:
-            return Tensor._from_data(np.log(self.data))
-        data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
-
-        return Tensor._make(data, (self,), backward)
-
     def sqrt(self) -> "Tensor":
         data = np.sqrt(self.data)
         if not _GRAD_ENABLED:
@@ -424,17 +328,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def abs(self) -> "Tensor":
-        if not _GRAD_ENABLED:
-            return Tensor._from_data(np.abs(self.data))
-        data = np.abs(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * np.sign(self.data))
-
-        return Tensor._make(data, (self,), backward)
-
     def relu(self) -> "Tensor":
         if not _GRAD_ENABLED:
             return Tensor._from_data(np.maximum(self.data, 0))
@@ -443,61 +336,6 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad * (self.data > 0))
-
-        return Tensor._make(data, (self,), backward)
-
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        if not _GRAD_ENABLED:
-            return Tensor._from_data(
-                np.where(self.data > 0, self.data, negative_slope * self.data)
-            )
-        data = np.where(self.data > 0, self.data, negative_slope * self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                scale = np.where(self.data > 0, 1.0, negative_slope).astype(self.data.dtype)
-                self._accumulate(grad * scale)
-
-        return Tensor._make(data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        # Numerically stable piecewise formulation.
-        x = self.data
-        data = np.empty_like(x)
-        pos = x >= 0
-        data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        data[~pos] = ex / (1.0 + ex)
-        if not _GRAD_ENABLED:
-            return Tensor._from_data(data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * data * (1.0 - data))
-
-        return Tensor._make(data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-        if not _GRAD_ENABLED:
-            return Tensor._from_data(data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - data * data))
-
-        return Tensor._make(data, (self,), backward)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        """Clamp values to ``[low, high]``; gradient flows inside the range."""
-        if not _GRAD_ENABLED:
-            return Tensor._from_data(np.clip(self.data, low, high))
-        data = np.clip(self.data, low, high)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                inside = (self.data >= low) & (self.data <= high)
-                self._accumulate(grad * inside)
 
         return Tensor._make(data, (self,), backward)
 
@@ -523,28 +361,6 @@ class Tensor:
         count = self.data.size if axis is None else _axis_size(self.shape, axis)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
-        if not _GRAD_ENABLED:
-            return Tensor._from_data(data)
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            g = grad
-            d = data
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-                d = np.expand_dims(d, axis=axis)
-            mask = (self.data == d).astype(self.data.dtype)
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(g * mask / counts)
-
-        return Tensor._make(data, (self,), backward)
-
-    def min(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        return -((-self).max(axis=axis, keepdims=keepdims))
-
     # ------------------------------------------------------------------
     # linear algebra
     # ------------------------------------------------------------------
@@ -565,9 +381,6 @@ class Tensor:
                 other._accumulate(_unbroadcast(g, other.shape))
 
         return Tensor._make(data, (self, other), backward)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return self.matmul(other)
 
     # ------------------------------------------------------------------
     # shape manipulation
@@ -601,11 +414,6 @@ class Tensor:
                 self._accumulate(grad.transpose(inverse))
 
         return Tensor._make(data, (self,), backward)
-
-    def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
-        axes = list(range(self.ndim))
-        axes[axis1], axes[axis2] = axes[axis2], axes[axis1]
-        return self.transpose(*axes)
 
     def expand_dims(self, axis: int) -> "Tensor":
         if not _GRAD_ENABLED:
@@ -660,10 +468,6 @@ def _wrap(value: Arrayish, dtype: np.dtype) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(np.asarray(value, dtype=dtype), dtype=dtype)
-
-
-def _raw(value: Arrayish) -> np.ndarray:
-    return value.data if isinstance(value, Tensor) else np.asarray(value)
 
 
 def _raw_as(value: Arrayish, dtype: np.dtype) -> np.ndarray:

@@ -18,7 +18,7 @@ package is the instrument layer threaded through all of them:
 * :mod:`~repro.obs.profiler` — per-kernel timing + FLOP attribution for
   compiled :class:`~repro.infer.plan.InferencePlan` executions;
 * :mod:`~repro.obs.drift` — streaming PSI/KS between a training-time
-  reference sketch and live-traffic sketches (mergeable across shards);
+  reference sketch and live-traffic sketches;
 * :mod:`~repro.obs.recall` — head-sampled live retrieval recall@k, the
   online counterpart of the build-time :class:`~repro.retrieval.RetrievalProbe`;
 * :mod:`~repro.obs.alerts` — declarative :class:`AlertRule` predicates over

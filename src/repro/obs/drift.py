@@ -11,8 +11,7 @@ right now.
 
 Both sides are :class:`~repro.obs.streaming.StreamingHistogram`\\ s, so the
 whole monitor inherits the streaming-metrics contract: O(1) memory per
-feature, and per-shard live sketches fold associatively (``merge``) into one
-fleet view — the property ROADMAP item 1's multi-process fleet needs.
+feature.  The online loop owns the one monitor.
 
 Two scores per feature, both computed from the shared exponential bucket
 layout:
@@ -33,7 +32,7 @@ reference at promotion time.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,10 +139,6 @@ class DriftMonitor:
     observations
     clamp to ``0.0`` — drift features are rates and means, where a tiny
     negative is numerical noise, not a histogram-contract violation.
-
-    Per-shard monitors fold with :meth:`merge` (live sketches add bucket-
-    wise; a shared reference passes through), and :meth:`worker_view` hands
-    a shard its own empty live sketches over the same frozen reference.
     """
 
     def __init__(
@@ -185,10 +180,6 @@ class DriftMonitor:
             sketch = self._live[name] = self._new_sketch(name)
         sketch.record(max(float(value), 0.0))
 
-    def observe_many(self, name: str, values: Iterable[float]) -> None:
-        for value in values:
-            self.observe(name, value)
-
     # ------------------------------------------------------------------
     # reference lifecycle
     # ------------------------------------------------------------------
@@ -215,10 +206,6 @@ class DriftMonitor:
     def reset_live(self) -> None:
         """Drop the live window (e.g. after scoring a completed cycle)."""
         self._live = {name: self._new_sketch(name) for name in self._live}
-
-    def live_samples(self, name: str) -> int:
-        sketch = self._live.get(name)
-        return 0 if sketch is None else sketch.count
 
     # ------------------------------------------------------------------
     # scoring
@@ -269,68 +256,6 @@ class DriftMonitor:
             if worst_name is None or score > worst_psi:
                 worst_name, worst_psi = name, score
         return worst_name, worst_psi
-
-    # ------------------------------------------------------------------
-    # fleet plumbing
-    # ------------------------------------------------------------------
-    def worker_view(self) -> "DriftMonitor":
-        """A per-shard monitor: same frozen reference, empty live sketches."""
-        view = DriftMonitor(
-            min_value=self.min_value,
-            growth=self.growth,
-            num_buckets=self.num_buckets,
-            min_samples=self.min_samples,
-        )
-        view._reference = self._reference  # shared immutable snapshot
-        view.reference_samples = self.reference_samples
-        view._live = {name: view._new_sketch(name) for name in self._reference}
-        return view
-
-    def merge(self, other: "DriftMonitor") -> "DriftMonitor":
-        """Associative fold of per-shard monitors into one fleet view.
-
-        Live sketches add bucket-wise.  References pass through unless both
-        sides hold distinct ones, in which case they add too — PSI and KS
-        are computed from normalized counts, so merging identical reference
-        sketches (the shared-snapshot case) leaves every score unchanged.
-        """
-        if (self.min_value, self.growth, self.num_buckets) != (
-            other.min_value,
-            other.growth,
-            other.num_buckets,
-        ):
-            raise ValueError("cannot merge drift monitors with different bucket layouts")
-        merged = DriftMonitor(
-            min_value=self.min_value,
-            growth=self.growth,
-            num_buckets=self.num_buckets,
-            min_samples=min(self.min_samples, other.min_samples),
-        )
-        for name in set(self._live) | set(other._live):
-            mine = self._live.get(name)
-            theirs = other._live.get(name)
-            if mine is not None and theirs is not None:
-                merged._live[name] = mine.merge(theirs)
-            else:
-                source = mine if mine is not None else theirs
-                merged._live[name] = source.merge(merged._new_sketch(name))
-        if self._reference is other._reference:
-            merged._reference = self._reference
-            merged.reference_samples = self.reference_samples
-        else:
-            for name in set(self._reference) | set(other._reference):
-                mine = self._reference.get(name)
-                theirs = other._reference.get(name)
-                if mine is not None and theirs is not None:
-                    merged._reference[name] = mine.merge(theirs)
-                else:
-                    source = mine if mine is not None else theirs
-                    merged._reference[name] = source.merge(merged._new_sketch(name))
-            merged.reference_samples = sum(
-                sketch.count for sketch in merged._reference.values()
-            )
-        merged.freezes = max(self.freezes, other.freezes)
-        return merged
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready snapshot (dashboard / benchmark artifacts)."""

@@ -18,8 +18,8 @@ decision is reproducible across runs.
 The running recall publishes as a ``retrieval_recall_at_k`` gauge when a
 :class:`~repro.obs.streaming.MetricsRegistry` is attached, and the full
 per-sample distribution lands in a streaming histogram so the dashboard can
-show the spread, not just the mean.  Monitors merge associatively across
-shards (sample counts and histograms add).
+show the spread, not just the mean.  The shards of a fleet share one
+monitor.
 """
 
 from __future__ import annotations
@@ -109,20 +109,6 @@ class ShadowRecallMonitor:
     def recall_at_k(self) -> float:
         """Running mean recall@k over every shadowed call (0.0 before any)."""
         return self._recall_sum / self.samples if self.samples else 0.0
-
-    def merge(self, other: "ShadowRecallMonitor") -> "ShadowRecallMonitor":
-        """Associative fold of per-shard monitors (counts and sums add)."""
-        if self.k != other.k:
-            raise ValueError(f"cannot merge monitors with k={self.k} and k={other.k}")
-        merged = ShadowRecallMonitor(
-            rate=max(self.rate, other.rate), k=self.k, gauge_name=self.gauge_name
-        )
-        merged.requests = self.requests + other.requests
-        merged.samples = self.samples + other.samples
-        merged._recall_sum = self._recall_sum + other._recall_sum
-        merged.last_recall = other.last_recall if other.last_recall is not None else self.last_recall
-        merged.histogram = self.histogram.merge(other.histogram)
-        return merged
 
     def stats(self) -> Dict[str, Any]:
         return {

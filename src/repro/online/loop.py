@@ -125,9 +125,6 @@ class OnlineLoop:
     holdout_every:
         Every Nth logged session is withheld from training and reserved for
         the canary replay (production vs candidate on identical traffic).
-    clock:
-        Optional :class:`~repro.serving.metrics.ManualClock` for
-        deterministic simulated-time replay (also timestamps click records).
     tracer:
         Optional :class:`~repro.obs.Tracer` for **refresh-cycle traces**:
         each :meth:`run_cycle` emits one span tree (``serve → read_new →
@@ -153,8 +150,8 @@ class OnlineLoop:
         :class:`~repro.faults.TransientFault` (injected, or any future
         genuinely-transient failure raised as one) is retried up to
         ``retry_attempts`` times with exponential backoff (``backoff *
-        2**attempt`` seconds, advanced on the loop's :class:`ManualClock`
-        when one is installed, so tests pay no wall-clock).  Exhaustion
+        2**attempt`` seconds, advanced on the fleet's :class:`ManualClock`
+        when it runs on one, so tests pay no wall-clock).  Exhaustion
         re-raises — a persistently failing refresh must be loud.
     watch_cycles:
         Post-promotion watch window: if any alert rule *fires* within this
@@ -166,6 +163,13 @@ class OnlineLoop:
         alarms routinely should not demote a healthy model; pair it with
         rules over the resilience telemetry
         (:func:`repro.faults.default_fault_alert_rules`).
+
+    Time comes from the fleet: every event the loop records, every click
+    timestamp and every retry backoff reads ``cluster.clock`` — so the loop's
+    and the fleet's control-plane events share one time base — and a
+    :class:`~repro.serving.metrics.ManualClock` passed to
+    :func:`~repro.serving.build_fleet` makes the whole loop replay in
+    deterministic simulated time.
     """
 
     def __init__(
@@ -180,7 +184,6 @@ class OnlineLoop:
         click_log: Optional[ClickLog] = None,
         holdout_every: int = 5,
         seed: int = 0,
-        clock: Optional[ManualClock] = None,
         tracer=None,
         drift: Optional[DriftMonitor] = None,
         alerts: Optional[AlertManager] = None,
@@ -203,7 +206,9 @@ class OnlineLoop:
         self.click_model = click_model
         self.click_log = click_log if click_log is not None else ClickLog()
         self.holdout_every = int(holdout_every)
-        self.clock = clock
+        self.clock = cluster.clock
+        #: The fleet's clock when it is simulated (``None`` on wall time).
+        self._manual = self.clock if isinstance(self.clock, ManualClock) else None
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.drift = drift
         self.alerts = alerts
@@ -274,11 +279,11 @@ class OnlineLoop:
         self._production_model = serving_copy
 
     def _now(self) -> float:
-        return self.clock.now() if self.clock is not None else time.time()
+        return self.clock()
 
     def _sleep(self, seconds: float) -> None:
-        if self.clock is not None:
-            self.clock.advance(seconds)
+        if self._manual is not None:
+            self._manual.advance(seconds)
         else:  # pragma: no cover - wall-clock path
             time.sleep(seconds)
 
@@ -400,21 +405,21 @@ class OnlineLoop:
     def serve_and_log(self, events: Sequence[TrafficEvent]) -> List[RankedList]:
         """Replay ``events`` through the fleet, simulating + logging clicks.
 
-        Event times are relative ("seconds since traffic start"), but the
-        loop's :class:`ManualClock` spans *all* cycles and never moves
+        Event times are relative ("seconds since traffic start"), but a
+        simulated fleet clock spans *all* cycles and never moves
         backwards — so each cycle's events are re-based onto the current
         clock.  Without this, every cycle after the first would replay in
         the clock's past: deadline flushes would never fire and click
         timestamps would freeze.
         """
         events = list(events)
-        if self.clock is not None:
-            base = self.clock.now()
+        if self._manual is not None:
+            base = self._manual.now()
             events = [
                 TrafficEvent(base + event.time, event.user, event.query_category)
                 for event in events
             ]
-        results = replay(self.cluster, events, clock=self.clock)
+        results = replay(self.cluster, events, clock=self._manual)
         for ranking in results:
             shown = self.click_model.shown_positions(ranking)
             clicks = self.click_model.clicks(ranking)

@@ -16,7 +16,7 @@ The engine exposes two scoring paths:
 
 * :meth:`SearchEngine.search` — the classic one-query-per-call loop: one
   full model forward (gate included) per query;
-* :meth:`SearchEngine.score_candidates` + :meth:`SearchEngine.session_gate`
+* :meth:`SearchEngine.score_candidates` + :meth:`SearchEngine.serving_gate`
   — the decomposed path used by the micro-batcher
   (:mod:`repro.serving.batcher`): the gate is evaluated once per session
   (and cached across sessions by :mod:`repro.serving.cache`), while the
@@ -195,11 +195,6 @@ class SearchEngine:
         self.compiled_model = compiled
         self.cascade = cascade
         self.model_version = version
-
-    @property
-    def is_compiled(self) -> bool:
-        """Whether scoring runs through a compiled plan (vs eager fallback)."""
-        return self.compiled_model is not None
 
     # ------------------------------------------------------------------
     # pipeline stages
@@ -421,17 +416,6 @@ class SearchEngine:
             return self.compiled_model.serving_gate(batch)
         return self.model.serving_gate(batch)
 
-    def session_gate(self, batch: SessionBatch) -> Optional[np.ndarray]:
-        """The gate vector ``g`` (shape ``(K,)``) of a one-session batch, or
-        ``None``.
-
-        Only valid for models whose gate ignores the candidate (AW-MoE in
-        search mode): the vector applies to every candidate of the session.
-        """
-        if not self.supports_session_gate:
-            return None
-        return self.serving_gate(batch)[0]
-
     def search(self, user: int, query_category: int) -> RankedList:
         """Serve one query end to end and record latency.
 
@@ -481,11 +465,6 @@ class SearchEngine:
         """Account one served query (also used by the micro-batcher)."""
         self.queries_served += 1
         self.total_latency_ms += latency_ms
-
-    def reset_stats(self) -> None:
-        """Zero the latency accounting (e.g. between benchmark phases)."""
-        self.queries_served = 0
-        self.total_latency_ms = 0.0
 
     @property
     def avg_latency_ms(self) -> float:

@@ -32,7 +32,7 @@ import os
 import signal
 import time
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,7 +73,8 @@ __all__ = ["Fleet", "InThreadTransport", "build_fleet"]
 class InThreadTransport:
     """Every shard is a :class:`ShardWorker` in the caller's interpreter and
     every operation a direct call on it.  ``live`` are that interpreter's
-    collaborators (``clock`` always among them), handed to every shard."""
+    collaborators (``clock`` always among them), handed to every shard; a
+    ``fault_plan`` becomes an injector on that clock and the control log."""
 
     # Nothing arrives outside a call and nothing dies, so the buffers the
     # fleet drains are permanently empty.
@@ -89,11 +90,14 @@ class InThreadTransport:
         events,
         **live: Any,
     ) -> None:
+        self._events, self._clock = events, live["clock"]
         self.injector = live.setdefault(
-            "injector", FaultInjector(fault_plan) if fault_plan is not None else NULL_INJECTOR
+            "injector",
+            FaultInjector(fault_plan, clock=self._clock, events=events)
+            if fault_plan is not None
+            else NULL_INJECTOR,
         )
         self.generation = 0
-        self._events, self._clock = events, live["clock"]
         self.workers: List[ShardWorker] = []
         # One cascade build for the whole fleet: shard 0 builds it, every
         # other shard gets a worker view (shared immutable snapshot, own
@@ -223,18 +227,21 @@ class Fleet:
         self.tracer = live.get("tracer", NULL_TRACER)
         self.slo = live.get("slo")
         self.shadow_recall: Optional[ShadowRecallMonitor] = live.get("shadow_recall")
-        if backend == "process":
-            self._clock = time.monotonic
-        elif backend == "inprocess":
-            self._clock = live.setdefault("clock", time.perf_counter)
-        else:
+        if backend not in ("process", "inprocess"):
             raise ValueError(f"unknown backend {backend!r}")
+        #: The one time base of the control plane: every event the fleet, its
+        #: transport, its fault injector and an
+        #: :class:`~repro.online.OnlineLoop` over it record is stamped here.
+        self.clock: Callable[[], float] = (
+            time.monotonic if backend == "process"
+            else live.setdefault("clock", time.perf_counter)
+        )
         self._world = world
         #: Fleet-level control-plane sink: one entry per deployment or
         #: lifecycle event (hot swap, canary verdict, click-log lag, worker
         #: death) regardless of shard count, plus the last-resort answers;
         #: merged into :meth:`merged_metrics`.
-        self.control = MetricsSink(clock=self._clock, slo=self.slo)
+        self.control = MetricsSink(clock=self.clock, slo=self.slo)
         transport = PipeTransport if backend == "process" else InThreadTransport
         self.transport = transport(
             world, model, self.config, version, fault_plan, self.control.events, **live
@@ -280,7 +287,7 @@ class Fleet:
             except ShardRefused as refused:
                 if refused.reason == "crash":
                     self.control.events.record(
-                        "shard_failover", self._clock(), shard=shard, user=int(user)
+                        "shard_failover", self.clock(), shard=shard, user=int(user)
                     )
         else:
             results = [self._last_resort(user, query_category)]
@@ -305,7 +312,7 @@ class Fleet:
         fail), counted as a shed response on the control sink."""
         limit = self.config.candidates_per_query or self._world.config.items_per_session
         items, scores = popularity_floor(*self._popularity[query_category], limit)
-        now = self._clock()
+        now = self.clock()
         self.control.record_query(0.0, now=now)
         self.control.record_tier(TIER_POPULARITY)
         self.control.record_shed()
@@ -371,7 +378,7 @@ class Fleet:
         drained = self.transport.swap(model, version)
         self.model_version = version
         self.control.events.record(
-            "cache_invalidation", self._clock(), shards=self.num_shards
+            "cache_invalidation", self.clock(), shards=self.num_shards
         )
         self.control.record_swap(version=version)
         drained.extend(self._drain())
@@ -464,7 +471,7 @@ class Fleet:
     def _pooled(self, reports: List[Dict[str, Any]]) -> MetricsSink:
         # Folded onto a fresh sink, so the result never is (or shares an
         # instrument with) the control sink or a shard's.
-        merged = MetricsSink(clock=self._clock, slo=self.slo).merge(self.control)
+        merged = MetricsSink(clock=self.clock, slo=self.slo).merge(self.control)
         for sink in self.transport.retired:
             merged = merged.merge(sink)
         for report in reports:

@@ -287,7 +287,9 @@ class PipeTransport:
         self.config = config
         self.fault_plan = fault_plan
         self.injector = (
-            FaultInjector(fault_plan, events=events) if fault_plan is not None else NULL_INJECTOR
+            FaultInjector(fault_plan, clock=time.monotonic, events=events)
+            if fault_plan is not None
+            else NULL_INJECTOR
         )
         self.events = events
         self.generation = 0

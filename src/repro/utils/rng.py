@@ -1,7 +1,7 @@
 """Deterministic random-number management.
 
 Every stochastic component in the reproduction (weight init, data generation,
-dropout, masking augmentation, negative sampling) draws from a named child
+masking augmentation, negative sampling) draws from a named child
 generator derived from one experiment seed, so results are reproducible and
 components do not perturb each other's streams when code is added or removed.
 """

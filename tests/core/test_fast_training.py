@@ -20,8 +20,8 @@ from repro.nn import GradArena, Tensor, fast_math
 from repro.utils import SeedBank
 
 
-def _pool(dropout=0.0, seed=0):
-    return ExpertPool(12, (16, 8), 4, np.random.default_rng(seed), dropout=dropout)
+def _pool(seed=0):
+    return ExpertPool(12, (16, 8), 4, np.random.default_rng(seed))
 
 
 class TestPackedExpertPool:
@@ -40,7 +40,8 @@ class TestPackedExpertPool:
 
         pool.forward_eager(Tensor(data)).backward(upstream)
         eager_grads = {name: p.grad.copy() for name, p in pool.named_parameters()}
-        pool.zero_grad()
+        for param in pool.parameters():
+            param.grad = None
         pool.forward_packed(Tensor(data)).backward(upstream)
         for name, param in pool.named_parameters():
             assert np.allclose(eager_grads[name], param.grad, atol=1e-5), name
@@ -52,21 +53,6 @@ class TestPackedExpertPool:
         with fast_math():
             fast = pool(v_imp)
         assert np.allclose(eager.numpy(), fast.numpy(), atol=1e-6)
-
-    def test_dropout_falls_back_to_eager(self):
-        pool = _pool(dropout=0.5)
-        pool.train()
-        v_imp = Tensor(np.random.default_rng(5).normal(size=(4, 12)).astype(np.float32))
-        calls = []
-        original = pool.forward_eager
-        pool.forward_eager = lambda v: calls.append(1) or original(v)
-        with fast_math():
-            pool(v_imp)
-        assert calls, "training-mode dropout must use the per-expert eager path"
-        pool.eval()
-        with fast_math():
-            out = pool(v_imp)  # eval mode: dropout off, packed path fine
-        assert out.shape == (4, 4)
 
 
 class TestGateViews:
@@ -254,7 +240,8 @@ def _weights(batch, num_experts, seed=5):
 
 
 def _grads(model, loss):
-    model.zero_grad()
+    for param in model.parameters():
+        param.grad = None
     loss.backward()
     return {name: p.grad.copy() for name, p in model.named_parameters() if p.grad is not None}
 
@@ -387,10 +374,10 @@ class TestPackedTrunkParity:
         linear_rows, gathers = [], []
         original_linear, original_embedding = layers.linear_op, layers.embedding_op
 
-        def recording_linear(x, weight, bias=None, activation=None):
+        def recording_linear(x, weight, bias=None, relu=False):
             if id(weight) in trunk:
                 linear_rows.append(x.shape[0] if x.ndim == 2 else -1)
-            return original_linear(x, weight, bias, activation=activation)
+            return original_linear(x, weight, bias, relu=relu)
 
         def recording_embedding(weight, indices):
             gathers.append((id(weight), np.shape(indices)))

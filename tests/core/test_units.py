@@ -44,11 +44,6 @@ class TestActivationUnit:
         unit(h_seq, h_key, mask).sum().backward()
         assert h_seq.grad is not None
 
-    def test_relu_output_variant_non_negative(self):
-        unit = ActivationUnit(H, (8, 4), RNG, output_activation="relu")
-        h_seq, h_key, mask = _inputs()
-        assert np.all(unit(h_seq, h_key, mask).numpy() >= 0.0)
-
     def test_depends_on_key(self):
         unit = ActivationUnit(H, (8, 4), RNG)
         h_seq, h_key, mask = _inputs()

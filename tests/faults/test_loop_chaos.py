@@ -79,7 +79,6 @@ def _chaos_loop(
             unit_world, np.random.default_rng(3), ClickModelConfig()
         ),
         click_log=ClickLog(path=str(tmp_path / "clicks.jsonl"), injector=inj),
-        clock=clock,
         seed=11,
         alerts=alerts,
         watch_cycles=watch_cycles,

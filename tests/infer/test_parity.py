@@ -165,7 +165,7 @@ class TestHotSwapBoundary:
         )
         for worker in cluster.workers:
             worker.engine.set_model(model_a, "v1")
-            assert worker.engine.is_compiled
+            assert worker.engine.compiled_model is not None
 
         rng = np.random.default_rng(7)
         events = [(int(rng.integers(0, 150)), int(rng.integers(0, 8))) for _ in range(24)]

@@ -105,31 +105,23 @@ class TestFallback:
         with pytest.raises(CompileError):
             compile_model(dnn)
 
-    def test_activation_without_a_kernel_raises(self, test_set):
-        """The in-place kernel table covers what the paper's MLPs use; an MLP
-        with any other activation must refuse to compile, not KeyError."""
-        model = build_model("aw_moe", ModelConfig.unit(), test_set.meta, np.random.default_rng(0))
-        model.experts.expert0.mlp.activation = "tanh"
-        with pytest.raises(CompileError, match="tanh"):
-            compile_model(model)
-
     def test_engine_falls_back_to_eager(self, unit_world, test_set):
         """Baselines with no compiler still serve — eagerly."""
         dnn = build_model("dnn", ModelConfig.unit(), test_set.meta, np.random.default_rng(0))
         engine = SearchEngine(unit_world, dnn, np.random.default_rng(1))
-        assert not engine.is_compiled
+        assert engine.compiled_model is None
         result = engine.search(user=3, query_category=2)
         assert np.all(np.diff(result.scores) <= 0)
 
     def test_engine_compiles_awmoe_by_default(self, unit_world, model):
         engine = SearchEngine(unit_world, model, np.random.default_rng(1))
-        assert engine.is_compiled
+        assert engine.compiled_model is not None
         result = engine.search(user=3, query_category=2)
         assert result.items.size == result.scores.size
 
     def test_compile_false_forces_eager(self, unit_world, model):
         engine = SearchEngine(unit_world, model, np.random.default_rng(1), compile=False)
-        assert not engine.is_compiled
+        assert engine.compiled_model is None
 
 
 class TestApiContracts:

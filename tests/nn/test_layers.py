@@ -1,19 +1,9 @@
-"""Layer behaviour: shapes, modes, parameter registration, edge cases."""
+"""Layer behaviour: shapes, the one MLP shape, parameter registration, edge cases."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    Dropout,
-    Embedding,
-    Identity,
-    LayerNorm,
-    Linear,
-    MLP,
-    Sequential,
-    Tensor,
-)
-from repro.nn.layers import apply_activation
+from repro.nn import Embedding, Linear, MLP, Tensor
 
 RNG = np.random.default_rng(5)
 
@@ -74,78 +64,6 @@ class TestEmbedding:
         assert np.allclose(table.weight.grad[1], 2.0)
 
 
-class TestDropout:
-    def test_identity_in_eval_mode(self):
-        drop = Dropout(0.5, RNG)
-        drop.eval()
-        x = Tensor(np.ones((4, 4)))
-        assert np.allclose(drop(x).numpy(), 1.0)
-
-    def test_masks_in_train_mode(self):
-        drop = Dropout(0.5, np.random.default_rng(0))
-        drop.train()
-        out = drop(Tensor(np.ones((100, 100))))
-        zeros = (out.numpy() == 0).mean()
-        assert 0.4 < zeros < 0.6
-
-    def test_inverted_scaling_preserves_mean(self):
-        drop = Dropout(0.3, np.random.default_rng(0))
-        drop.train()
-        out = drop(Tensor(np.ones((200, 200))))
-        assert out.numpy().mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_zero_probability_is_identity(self):
-        drop = Dropout(0.0, RNG)
-        drop.train()
-        x = Tensor(RNG.random((3, 3)))
-        assert np.allclose(drop(x).numpy(), x.numpy())
-
-    def test_invalid_probability_rejected(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0, RNG)
-        with pytest.raises(ValueError):
-            Dropout(-0.1, RNG)
-
-
-class TestLayerNorm:
-    def test_output_normalized(self):
-        norm = LayerNorm(8)
-        out = norm(Tensor(RNG.random((4, 8)) * 10 + 3)).numpy()
-        assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-4)
-        assert np.allclose(out.std(axis=-1), 1.0, atol=1e-2)
-
-    def test_learnable_scale_and_shift(self):
-        norm = LayerNorm(4)
-        norm.gamma.data[:] = 2.0
-        norm.beta.data[:] = 1.0
-        out = norm(Tensor(RNG.random((3, 4)))).numpy()
-        assert out.mean(axis=-1) == pytest.approx(np.ones(3), abs=1e-4)
-
-    def test_gradients_flow(self):
-        norm = LayerNorm(4)
-        out = norm(Tensor(RNG.random((3, 4)), requires_grad=True))
-        out.sum().backward()
-        assert norm.gamma.grad is not None
-        assert norm.beta.grad is not None
-
-
-class TestSequential:
-    def test_applies_in_order(self):
-        seq = Sequential(Identity(), Identity())
-        x = Tensor(np.ones(3))
-        assert np.allclose(seq(x).numpy(), 1.0)
-
-    def test_len_and_getitem(self):
-        first = Identity()
-        seq = Sequential(first, Identity(), Identity())
-        assert len(seq) == 3
-        assert seq[0] is first
-
-    def test_registers_child_parameters(self):
-        seq = Sequential(Linear(2, 3, RNG), Linear(3, 1, RNG))
-        assert len(seq.parameters()) == 4
-
-
 class TestMLP:
     def test_paper_expert_shape(self):
         mlp = MLP(128, [512, 256, 1], RNG)
@@ -153,7 +71,7 @@ class TestMLP:
         assert mlp.out_features == 1
 
     def test_hidden_activation_applied(self):
-        mlp = MLP(2, [3, 1], RNG, activation="relu")
+        mlp = MLP(2, [3, 1], RNG)
         for layer in mlp._linears:
             layer.weight.data[:] = -1.0
             layer.bias.data[:] = 0.0
@@ -162,14 +80,15 @@ class TestMLP:
         assert out.numpy()[0, 0] == 0.0
 
     def test_output_activation(self):
-        mlp = MLP(2, [3, 1], RNG, output_activation="sigmoid")
-        out = mlp(Tensor(RNG.random((5, 2)))).numpy()
-        assert np.all((out > 0) & (out < 1))
-
-    def test_dropout_only_on_hidden_layers(self):
-        mlp = MLP(4, [8, 8, 1], RNG, dropout=0.5)
-        assert mlp._dropouts[-1] is None
-        assert mlp._dropouts[0] is not None
+        """The output layer is linear: negative scores pass through."""
+        mlp = MLP(2, [3, 1], RNG)
+        for layer in mlp._linears:
+            layer.weight.data[:] = 1.0
+            layer.bias.data[:] = 0.0
+        mlp.fc1.bias.data[:] = -10.0
+        out = mlp(Tensor(np.ones((1, 2))))
+        # Hidden output is relu(2) = 2 per unit, 3 units sum to 6, bias -10.
+        assert out.numpy()[0, 0] == -4.0
 
     def test_empty_hidden_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -178,16 +97,3 @@ class TestMLP:
     def test_3d_input(self):
         mlp = MLP(4, [8, 2], RNG)
         assert mlp(Tensor(np.ones((2, 5, 4)))).shape == (2, 5, 2)
-
-
-class TestActivationDispatch:
-    def test_known_names(self):
-        x = Tensor(np.array([-1.0, 1.0]))
-        assert np.allclose(apply_activation(x, None).numpy(), x.numpy())
-        assert np.allclose(apply_activation(x, "linear").numpy(), x.numpy())
-        assert apply_activation(x, "relu").numpy()[0] == 0.0
-        assert apply_activation(x, "tanh").numpy()[1] == pytest.approx(np.tanh(1.0), rel=1e-5)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            apply_activation(Tensor(np.ones(2)), "swishish")

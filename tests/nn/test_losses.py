@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import (
-    Tensor,
-    bce_with_logits,
-    binary_cross_entropy,
-    info_nce,
-    mse_loss,
-    softmax_cross_entropy,
-)
+from repro.nn import Tensor, bce_with_logits, info_nce
 from repro.nn.gradcheck import check_gradients
 
 RNG = np.random.default_rng(3)
@@ -61,59 +54,6 @@ class TestBCEWithLogits:
     def test_accepts_tensor_targets(self):
         loss = bce_with_logits(Tensor(np.zeros(2)), Tensor(np.array([0.0, 1.0])))
         assert np.isfinite(loss.item())
-
-
-class TestBinaryCrossEntropy:
-    def test_matches_bce_with_logits(self):
-        logits = np.array([0.3, -0.7, 1.2])
-        targets = np.array([1.0, 0.0, 1.0])
-        a = bce_with_logits(Tensor(logits, dtype=np.float64), targets).item()
-        probs = Tensor(1 / (1 + np.exp(-logits)), dtype=np.float64)
-        b = binary_cross_entropy(probs, targets).item()
-        assert a == pytest.approx(b, rel=1e-5)
-
-    def test_clipping_prevents_infinity(self):
-        loss = binary_cross_entropy(Tensor(np.array([0.0, 1.0])), np.array([1.0, 0.0]))
-        assert np.isfinite(loss.item())
-
-
-class TestMSE:
-    def test_value(self):
-        loss = mse_loss(Tensor(np.array([1.0, 2.0])), np.array([0.0, 0.0]))
-        assert loss.item() == pytest.approx(2.5)
-
-    def test_zero_at_perfect_fit(self):
-        x = RNG.random(5)
-        assert mse_loss(Tensor(x), x).item() == pytest.approx(0.0, abs=1e-10)
-
-    def test_grad(self):
-        y = RNG.random(4)
-        assert_grad_ok(lambda ts: mse_loss(ts[0], y), [RNG.random(4)])
-
-
-class TestSoftmaxCrossEntropy:
-    def test_matches_manual(self):
-        logits = RNG.random((3, 4))
-        labels = np.array([0, 3, 1])
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        expected = -log_probs[np.arange(3), labels].mean()
-        loss = softmax_cross_entropy(Tensor(logits, dtype=np.float64), labels)
-        assert loss.item() == pytest.approx(expected, rel=1e-6)
-
-    def test_uniform_logits_give_log_classes(self):
-        loss = softmax_cross_entropy(Tensor(np.zeros((2, 5))), np.array([0, 4]))
-        assert loss.item() == pytest.approx(np.log(5), rel=1e-5)
-
-    def test_grad(self):
-        labels = np.array([1, 0, 2])
-        assert_grad_ok(
-            lambda ts: softmax_cross_entropy(ts[0], labels), [RNG.random((3, 3))]
-        )
-
-    def test_rejects_1d_logits(self):
-        with pytest.raises(ValueError):
-            softmax_cross_entropy(Tensor(np.zeros(3)), np.array([0]))
 
 
 class TestInfoNCE:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Linear, Module, Parameter, Tensor
+from repro.nn import Linear, Module, Parameter
 
 RNG = np.random.default_rng(9)
 
@@ -61,14 +61,6 @@ class TestModes:
         assert all(not m.training for m in model.modules())
         model.train()
         assert all(m.training for m in model.modules())
-
-    def test_zero_grad_clears(self):
-        model = _Child()
-        out = model(Tensor(np.ones((1, 2))))
-        out.sum().backward()
-        assert model.weight.grad is not None
-        model.zero_grad()
-        assert model.weight.grad is None
 
 
 class TestStateDict:

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, concat, embedding, log_softmax, logsumexp, masked_fill
-from repro.nn import maximum, minimum, softmax, stack, take, where
+from repro.nn import Tensor, concat, embedding, logsumexp, masked_fill, softmax, stack, take
 from repro.nn.gradcheck import check_gradients
 
 RNG = np.random.default_rng(7)
@@ -53,29 +52,6 @@ class TestStack:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             stack([])
-
-
-class TestWhere:
-    def test_forward(self):
-        cond = np.array([True, False, True])
-        out = where(cond, Tensor(np.ones(3)), Tensor(np.zeros(3)))
-        assert list(out.numpy()) == [1.0, 0.0, 1.0]
-
-    def test_grad_routes_by_condition(self):
-        cond = RNG.random((3, 4)) > 0.5
-        assert_grad_ok(
-            lambda ts: where(cond, ts[0], ts[1]), [RNG.random((3, 4)), RNG.random((3, 4))]
-        )
-
-    def test_maximum_matches_numpy(self):
-        a, b = RNG.random(10), RNG.random(10)
-        out = maximum(Tensor(a), Tensor(b))
-        assert np.allclose(out.numpy(), np.maximum(a, b), atol=1e-6)
-
-    def test_minimum_matches_numpy(self):
-        a, b = RNG.random(10), RNG.random(10)
-        out = minimum(Tensor(a), Tensor(b))
-        assert np.allclose(out.numpy(), np.minimum(a, b), atol=1e-6)
 
 
 class TestEmbedding:
@@ -143,16 +119,6 @@ class TestSoftmax:
     def test_stable_for_large_inputs(self):
         out = softmax(Tensor(np.array([[1000.0, 1000.0]])), axis=-1)
         assert np.allclose(out.numpy(), 0.5)
-
-
-class TestLogSoftmax:
-    def test_matches_log_of_softmax(self):
-        x = RNG.random((3, 4))
-        expected = np.log(softmax(Tensor(x)).numpy())
-        assert np.allclose(log_softmax(Tensor(x)).numpy(), expected, atol=1e-6)
-
-    def test_grad(self):
-        assert_grad_ok(lambda ts: log_softmax(ts[0], axis=-1), [RNG.random((3, 4))])
 
 
 class TestLogsumexp:

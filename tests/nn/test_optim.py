@@ -1,9 +1,9 @@
-"""Optimizers and schedulers."""
+"""The one optimizer (AdamW; classic Adam at weight_decay=0) and gradient clipping."""
 
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, AdamW, CosineLR, Parameter, StepLR, clip_grad_norm
+from repro.nn import AdamW, Parameter, clip_grad_norm
 
 
 def quadratic_step(optimizer, param, target=0.0):
@@ -12,55 +12,12 @@ def quadratic_step(optimizer, param, target=0.0):
     optimizer.step()
 
 
-class TestSGD:
-    def test_plain_step(self):
-        p = Parameter(np.array([1.0], dtype=np.float32))
-        opt = SGD([p], lr=0.1)
-        quadratic_step(opt, p)
-        assert p.numpy()[0] == pytest.approx(0.9)
-
-    def test_converges_on_quadratic(self):
-        p = Parameter(np.array([5.0], dtype=np.float32))
-        opt = SGD([p], lr=0.3)
-        for _ in range(50):
-            quadratic_step(opt, p)
-        assert abs(p.numpy()[0]) < 1e-3
-
-    def test_momentum_accelerates(self):
-        p_plain = Parameter(np.array([5.0], dtype=np.float32))
-        p_momentum = Parameter(np.array([5.0], dtype=np.float32))
-        plain = SGD([p_plain], lr=0.05)
-        momentum = SGD([p_momentum], lr=0.05, momentum=0.9)
-        for _ in range(10):
-            quadratic_step(plain, p_plain)
-            quadratic_step(momentum, p_momentum)
-        assert abs(p_momentum.numpy()[0]) < abs(p_plain.numpy()[0])
-
-    def test_weight_decay_shrinks_weights(self):
-        p = Parameter(np.array([1.0], dtype=np.float32))
-        opt = SGD([p], lr=0.1, weight_decay=1.0)
-        p.grad = np.zeros(1, dtype=np.float32)
-        opt.step()
-        assert p.numpy()[0] == pytest.approx(0.9)
-
-    def test_skips_params_without_grad(self):
-        p = Parameter(np.array([1.0], dtype=np.float32))
-        SGD([p], lr=0.1).step()
-        assert p.numpy()[0] == 1.0
-
-    def test_empty_params_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-
-    def test_non_positive_lr_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.0)
-
-
 class TestAdam:
+    """The Adam update rule: AdamW without weight decay."""
+
     def test_first_step_size_is_lr(self):
         p = Parameter(np.array([1.0], dtype=np.float32))
-        opt = Adam([p], lr=0.1)
+        opt = AdamW([p], lr=0.1, weight_decay=0.0)
         p.grad = np.array([0.5], dtype=np.float32)
         opt.step()
         # Bias correction makes the first step ≈ lr * sign(grad).
@@ -68,14 +25,14 @@ class TestAdam:
 
     def test_converges_on_quadratic(self):
         p = Parameter(np.array([3.0], dtype=np.float32))
-        opt = Adam([p], lr=0.2)
+        opt = AdamW([p], lr=0.2, weight_decay=0.0)
         for _ in range(150):
             quadratic_step(opt, p)
         assert abs(p.numpy()[0]) < 5e-2
 
     def test_zero_grad(self):
         p = Parameter(np.array([1.0], dtype=np.float32))
-        opt = Adam([p], lr=0.1)
+        opt = AdamW([p], lr=0.1, weight_decay=0.0)
         p.grad = np.ones(1, dtype=np.float32)
         opt.zero_grad()
         assert p.grad is None
@@ -102,36 +59,18 @@ class TestAdamW:
             quadratic_step(opt, p)
         assert abs(p.numpy()[0]) < 1e-2
 
+    def test_skips_params_without_grad(self):
+        p = Parameter(np.array([1.0], dtype=np.float32))
+        AdamW([p], lr=0.1).step()
+        assert p.numpy()[0] == 1.0
 
-class TestSchedulers:
-    def test_step_lr_halves(self):
-        p = Parameter(np.zeros(1))
-        opt = SGD([p], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        sched.step()
-        assert opt.lr == 1.0
-        sched.step()
-        assert opt.lr == 0.5
-
-    def test_step_lr_invalid_step_size(self):
+    def test_empty_params_rejected(self):
         with pytest.raises(ValueError):
-            StepLR(SGD([Parameter(np.zeros(1))], lr=1.0), step_size=0)
+            AdamW([], lr=0.1)
 
-    def test_cosine_reaches_min(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = CosineLR(opt, total_steps=10, min_lr=0.1)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.1, abs=1e-6)
-
-    def test_cosine_monotone_decrease(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = CosineLR(opt, total_steps=5)
-        values = []
-        for _ in range(5):
-            sched.step()
-            values.append(opt.lr)
-        assert values == sorted(values, reverse=True)
+    def test_non_positive_lr_rejected(self):
+        with pytest.raises(ValueError):
+            AdamW([Parameter(np.zeros(1))], lr=0.0)
 
 
 class TestClipGradNorm:

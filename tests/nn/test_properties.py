@@ -29,14 +29,15 @@ class TestAlgebraicProperties:
         assert np.allclose(left, right)
 
     @given(small_arrays())
-    def test_double_negation(self, a):
+    def test_subtraction_undoes_addition(self, a):
         t = Tensor(a, dtype=np.float64)
-        assert np.allclose((-(-t)).numpy(), a)
+        u = Tensor(np.full_like(a, 3.25), dtype=np.float64)
+        assert np.allclose(((t + u) - u).numpy(), a)
 
     @given(small_arrays())
-    def test_exp_log_inverse(self, a):
+    def test_sqrt_inverts_square(self, a):
         t = Tensor(np.abs(a) + 0.5, dtype=np.float64)
-        assert np.allclose(t.log().exp().numpy(), t.numpy(), rtol=1e-8)
+        assert np.allclose((t * t).sqrt().numpy(), t.numpy(), rtol=1e-8)
 
     @given(small_arrays())
     def test_relu_idempotent(self, a):
@@ -126,7 +127,7 @@ class TestPackedLinearProperties:
         x = Tensor(rng.normal(size=(batch, din)), dtype=np.float64)
         w = Tensor(rng.normal(size=(k, din, dout)), dtype=np.float64)
         b = Tensor(rng.normal(size=(k, dout)), dtype=np.float64)
-        packed = linear(x, w, b, activation="relu" if relu else None).numpy()
+        packed = linear(x, w, b, relu=relu).numpy()
         for expert in range(k):
             reference = x.numpy() @ w.numpy()[expert] + b.numpy()[expert]
             if relu:
@@ -175,7 +176,7 @@ class TestPackedLinearProperties:
         x = Tensor(rng.normal(size=(batch, m, din)), requires_grad=True, dtype=np.float64)
         w = Tensor(rng.normal(size=(din, dout)), requires_grad=True, dtype=np.float64)
         b = Tensor(rng.normal(size=(dout,)), requires_grad=True, dtype=np.float64)
-        fused = linear(x, w, b, activation="relu")
+        fused = linear(x, w, b, relu=True)
         fused.sum().backward()
         fused_grads = (x.grad.copy(), w.grad.copy(), b.grad.copy())
 

@@ -115,7 +115,7 @@ class TestArenaRowCapacity:
         def step(p):
             rows = np.sort(rng.integers(0, 128, size=p))
             with fast_math(arena):
-                hidden = linear(Tensor(rng.normal(size=(p, 6))), w1, activation="relu")
+                hidden = linear(Tensor(rng.normal(size=(p, 6))), w1, relu=True)
                 segment_sum(linear(hidden, w2), rows, 128).sum().backward()
             arena.release_grads([w1, w2])
 

@@ -10,7 +10,7 @@ class TestConstruction:
     def test_from_list(self):
         t = Tensor([1.0, 2.0, 3.0])
         assert t.shape == (3,)
-        assert t.dtype == np.float32
+        assert t.numpy().dtype == np.float32
 
     def test_from_array_keeps_values(self):
         data = np.arange(6, dtype=np.float64).reshape(2, 3)
@@ -19,7 +19,7 @@ class TestConstruction:
 
     def test_dtype_override(self):
         t = Tensor([1.0], dtype=np.float64)
-        assert t.dtype == np.float64
+        assert t.numpy().dtype == np.float64
 
     def test_from_tensor_copies_reference(self):
         a = Tensor([1.0, 2.0])
@@ -43,37 +43,9 @@ class TestIntrospection:
         assert t.ndim == 3
         assert t.size == 24
 
-    def test_len(self):
-        assert len(Tensor(np.zeros((5, 2)))) == 5
-
-    def test_repr_mentions_shape(self):
-        assert "shape=(2, 2)" in repr(Tensor(np.zeros((2, 2))))
-
-    def test_repr_mentions_requires_grad(self):
-        assert "requires_grad=True" in repr(Tensor([1.0], requires_grad=True))
-
     def test_item_requires_single_element(self):
         with pytest.raises(ValueError):
             Tensor([1.0, 2.0]).item()
-
-
-class TestDetach:
-    def test_detach_shares_data(self):
-        t = Tensor([1.0, 2.0], requires_grad=True)
-        d = t.detach()
-        assert d.numpy() is t.numpy()
-        assert not d.requires_grad
-
-    def test_detach_cuts_graph(self):
-        t = Tensor([1.0], requires_grad=True)
-        out = (t * 2.0).detach() * 3.0
-        assert not out.requires_grad
-
-    def test_copy_is_independent(self):
-        t = Tensor([1.0, 2.0])
-        c = t.copy()
-        c.data[0] = 99.0
-        assert t.numpy()[0] == 1.0
 
 
 class TestNoGrad:
@@ -99,20 +71,6 @@ class TestNoGrad:
         with no_grad():
             t = Tensor([1.0], requires_grad=True)
         assert not t.requires_grad
-
-
-class TestComparisons:
-    def test_gt_returns_array(self):
-        result = Tensor([1.0, 3.0]) > 2.0
-        assert isinstance(result, np.ndarray)
-        assert list(result) == [False, True]
-
-    def test_comparison_with_tensor(self):
-        a = Tensor([1.0, 5.0])
-        b = Tensor([2.0, 2.0])
-        assert list(a < b) == [True, False]
-        assert list(a >= b) == [False, True]
-        assert list(a <= b) == [True, False]
 
 
 class TestBackwardErrors:

@@ -157,9 +157,11 @@ class TestTelemetrySnapshot:
         slo = SloTracker(latency_slo_ms=50.0)
         slo.record(5.0, now=0.0)
         drift = DriftMonitor(min_samples=1)
-        drift.observe_many("ctr", [0.1] * 30)
+        for _ in range(30):
+            drift.observe("ctr", 0.1)
         drift.freeze_reference()
-        drift.observe_many("ctr", [0.9] * 30)
+        for _ in range(30):
+            drift.observe("ctr", 0.9)
         snapshot = telemetry_snapshot(
             registry=registry, slo=slo, drift=drift, extra={"click_log_lag": 2.0}
         )

@@ -30,9 +30,11 @@ def _full_telemetry():
     events = EventLog()
     events.record("hot_swap", 1.0, version="v0002")
     drift = DriftMonitor(min_samples=1)
-    drift.observe_many("ctr", [0.1] * 40)
+    for _ in range(40):
+        drift.observe("ctr", 0.1)
     drift.freeze_reference()
-    drift.observe_many("ctr", [0.9] * 40)
+    for _ in range(40):
+        drift.observe("ctr", 0.9)
     alerts = AlertManager(["ctr-drift: drift_psi_ctr > 0.25 severity critical"], events=events)
     alerts.evaluate({"drift_psi_ctr": drift.psi("ctr")}, 2.0)
     shadow = ShadowRecallMonitor(rate=1.0, k=10)

@@ -200,7 +200,7 @@ class TestGenerationGuard:
         # Seed the cache with a v1 gate, then enqueue a query that hits it.
         candidates = engine.retrieve(category)
         seed_batch = engine.build_batch(user, category, candidates)
-        cache.put_gate(user, category, engine.session_gate(seed_batch))
+        cache.put_gate(user, category, engine.serving_gate(seed_batch)[0])
         batcher.submit(user, category)
         assert batcher._pending[0].gate is not None
 
@@ -253,7 +253,7 @@ class TestGenerationGuard:
         user, category = 11, 2
         candidates = engine.retrieve(category)
         seed_batch = engine.build_batch(user, category, candidates)
-        stale_gate = engine.session_gate(seed_batch)
+        stale_gate = engine.serving_gate(seed_batch)[0]
         cache.put_gate(user, category, stale_gate)
         batcher.submit(user, category)
         engine.set_model(model_b, "v2")  # no invalidate_all: the bug

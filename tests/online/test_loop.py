@@ -53,7 +53,6 @@ def _make_loop(
             ClickModelConfig(),
             relevance_fn=relevance_fn,
         ),
-        clock=clock,
         seed=11,
     )
     return loop

@@ -80,7 +80,6 @@ def _build_loop(tmp_path, learning_rate=1e-3, rules=(), min_samples=10):
         click_model=PositionBiasedClickModel(
             world, np.random.default_rng(3), ClickModelConfig()
         ),
-        clock=clock,
         seed=11,
         tracer=Tracer(sample_rate=1.0, exporter=exporter, clock=clock.now),
         drift=drift,
@@ -174,7 +173,7 @@ class TestDriftLifecycle:
         report = loop.run_cycle(gen.generate(200))
         assert report.promoted
         assert loop.drift.has_reference
-        assert loop.drift.live_samples("ctr") == 0  # fresh window after freeze
+        assert loop.drift.scores()["ctr"]["live_samples"] == 0  # fresh window after freeze
         # First cycle has no reference yet, so no scores in its report.
         assert report.drift is None
 

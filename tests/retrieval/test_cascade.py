@@ -176,7 +176,7 @@ class TestExhaustiveParity:
                 )
                 from_state = engine.cascade.resolve_gate(7, 2, state=state)
                 via_vector = engine.cascade.session_vector(7, 2, state=state)
-            np.testing.assert_array_equal(gate, engine.session_gate(batch))
+            np.testing.assert_array_equal(gate, engine.serving_gate(batch)[0])
             np.testing.assert_array_equal(from_state, gate)
             np.testing.assert_array_equal(via_vector, engine.cascade.session_vector(7, 2))
 

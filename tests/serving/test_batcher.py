@@ -245,7 +245,7 @@ class TestFlushLevelAssembly:
                 ranking.scores, reference.model.predict_proba(batch), rtol=1e-5, atol=1e-6
             )
             np.testing.assert_allclose(
-                cache.get_gate(user, qcat), reference.session_gate(batch), rtol=1e-6
+                cache.get_gate(user, qcat), reference.serving_gate(batch)[0], rtol=1e-6
             )
             assert cache.get_behavior(user) is states[user]
 

@@ -163,12 +163,6 @@ class TestSearchEngine:
         gone; ``avg_latency_ms`` is the only name."""
         assert not hasattr(engine, "mean_latency_ms")
 
-    def test_reset_stats(self, engine):
-        engine.search(1, 0)
-        engine.reset_stats()
-        assert engine.queries_served == 0
-        assert engine.avg_latency_ms == 0.0
-
     def test_retrieve_small_category_returns_whole_inventory(self, unit_world, test_set):
         """A category with fewer items than candidates_per_query exposes all
         of its items — no sampling error, no short list surprises."""
@@ -204,7 +198,7 @@ class TestSessionGateScoring:
     def test_session_gate_matches_full_forward(self, engine):
         candidates = engine.retrieve(1)
         batch = engine.build_batch(3, 1, candidates)
-        gate = engine.session_gate(batch)
+        gate = engine.serving_gate(batch)[0]
         assert gate is not None and gate.ndim == 1
         full = engine.model.gate_outputs(batch.flat())
         assert len(full) == candidates.size
@@ -214,7 +208,7 @@ class TestSessionGateScoring:
         candidates = engine.retrieve(2)
         batch = engine.build_batch(5, 2, candidates)
         plain = engine.score_candidates(batch)
-        gated = engine.score_candidates(batch, gate=engine.session_gate(batch))
+        gated = engine.score_candidates(batch, gate=engine.serving_gate(batch)[0])
         np.testing.assert_allclose(plain, gated, rtol=1e-6, atol=1e-7)
 
     def test_gateless_model_reports_no_session_gate(self, unit_world, test_set):
@@ -223,7 +217,6 @@ class TestSessionGateScoring:
         assert not engine.supports_session_gate
         candidates = engine.retrieve(1)
         batch = engine.build_batch(3, 1, candidates)
-        assert engine.session_gate(batch) is None
         # A gate argument is ignored rather than crashing the scorer.
         scores = engine.score_candidates(batch, gate=np.ones(4, dtype=np.float32))
         assert scores.shape == (candidates.size,)
@@ -237,7 +230,7 @@ class TestSessionGateScoring:
         scores = eager.score_candidates(batch)
         assert scores.shape == (candidates.size,)
         np.testing.assert_array_equal(scores, engine.model.predict_proba(batch.flat()))
-        gate = eager.session_gate(batch)
+        gate = eager.serving_gate(batch)[0]
         np.testing.assert_array_equal(gate, engine.model.serving_gate(batch.flat())[0])
         np.testing.assert_allclose(
             eager.score_candidates(batch, gate=gate), scores, rtol=1e-6, atol=1e-7

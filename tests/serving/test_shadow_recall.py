@@ -57,21 +57,6 @@ class TestBookkeeping:
         assert registry.gauge("retrieval_recall_at_k").value == pytest.approx(0.75)
         assert monitor.stats()["samples"] == 2
 
-    def test_merge_pools_counts_and_sums(self):
-        a, b = ShadowRecallMonitor(rate=1.0), ShadowRecallMonitor(rate=1.0)
-        for _ in range(3):
-            a.should_sample()
-        a.observe(1.0)
-        b.should_sample()
-        b.observe(0.0)
-        merged = a.merge(b)
-        assert merged.requests == 4
-        assert merged.samples == 2
-        assert merged.recall_at_k == pytest.approx(0.5)
-        assert merged.histogram.count == 2
-        with pytest.raises(ValueError):
-            a.merge(ShadowRecallMonitor(k=5))
-
 
 class TestEngineShadowProbe:
     def test_exhaustive_cascade_scores_perfect_recall(self, unit_world, model):

@@ -41,6 +41,7 @@ from _helpers import assert_same_rankings
 from repro.core import ModelConfig, TrainConfig, build_model, train_model
 from repro.data import WorldConfig, make_search_datasets
 from repro.faults import (
+    NULL_INJECTOR,
     FaultInjector,
     FaultPlan,
     default_chaos_plan,
@@ -59,6 +60,7 @@ from repro.online import (
 from repro.serving import (
     DegradationPolicy,
     FleetConfig,
+    FleetContext,
     ManualClock,
     MicroBatcher,
     SearchEngine,
@@ -130,11 +132,8 @@ def test_chaos_soak(tmp_path):
             policy=DegradationPolicy(deadline_ms=DEADLINE_MS),
         ),
         backend="inprocess",
-        clock=clock,
-        injector=injector,
-        alerts=alerts,
+        ctx=FleetContext(clock=clock, injector=injector, alerts=alerts),
     )
-    injector.events = cluster.control.events
     loop = OnlineLoop(
         world=world,
         cluster=cluster,
@@ -152,7 +151,6 @@ def test_chaos_soak(tmp_path):
         click_model=PositionBiasedClickModel(world, bank.child("clicks")),
         click_log=ClickLog(path=str(tmp_path / "clicks.jsonl"), injector=injector),
         seed=SEED,
-        alerts=alerts,
         watch_cycles=2,
     )
     generator = ZipfLoadGenerator(
@@ -245,16 +243,15 @@ def test_fault_layer_overhead():
     ).generate(OVERHEAD_QUERIES)
 
     def run_once(injector, policy):
-        engine = SearchEngine(
-            world, model, np.random.default_rng(7), injector=injector
-        )
+        ctx = FleetContext(injector=injector)
+        engine = SearchEngine(world, model, np.random.default_rng(7), ctx=ctx)
         batcher = MicroBatcher(
             engine,
             max_batch_size=16,
             flush_deadline_ms=50.0,
             cache=SessionCache(2048),
-            injector=injector,
             policy=policy,
+            ctx=ctx,
         )
         start = time.perf_counter()
         results = replay(batcher, events)
@@ -262,7 +259,7 @@ def test_fault_layer_overhead():
         assert len(results) == OVERHEAD_QUERIES
         return results, seconds
 
-    baseline, baseline_seconds = run_once(None, None)
+    baseline, baseline_seconds = run_once(NULL_INJECTOR, None)
     armed, armed_seconds = run_once(
         FaultInjector(FaultPlan()), DegradationPolicy(deadline_ms=1e9)
     )

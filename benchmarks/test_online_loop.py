@@ -59,6 +59,7 @@ from repro.online import (
 )
 from repro.serving import (
     FleetConfig,
+    FleetContext,
     ManualClock,
     ZipfLoadGenerator,
     build_fleet,
@@ -134,10 +135,9 @@ def test_online_loop(tmp_path_factory):
             cache_capacity=1024,
         ),
         backend="inprocess",
-        clock=clock,
-        slo=SloTracker(latency_slo_ms=250.0),
-        drift=drift,
-        alerts=alerts,
+        ctx=FleetContext(
+            clock=clock, slo=SloTracker(latency_slo_ms=250.0), drift=drift, alerts=alerts
+        ),
     )
     cluster.control.record_cost_model(
         compare_gate_strategies(
@@ -161,8 +161,6 @@ def test_online_loop(tmp_path_factory):
         click_model=PositionBiasedClickModel(world, bank.child("clicks")),
         seed=SEED,
         tracer=Tracer(sample_rate=1.0, exporter=trace_exporter, clock=clock.now),
-        drift=drift,
-        alerts=alerts,
     )
     loop.bootstrap()
 
@@ -346,7 +344,7 @@ def test_drift_smoke(tmp_path_factory):
                 num_workers=2, seed=0, max_batch_size=4, flush_deadline_ms=5.0,
                 cache_capacity=128,
             ),
-            backend="inprocess", clock=clock, drift=drift_monitor,
+            backend="inprocess", ctx=FleetContext(clock=clock, drift=drift_monitor),
         )
         loop = OnlineLoop(
             world=world,
@@ -363,7 +361,6 @@ def test_drift_smoke(tmp_path_factory):
             canary=CanaryGate(tolerance=1.0),
             click_model=PositionBiasedClickModel(world, np.random.default_rng(3)),
             seed=11,
-            drift=drift_monitor,
         )
         loop.bootstrap()
         gen = ZipfLoadGenerator(

@@ -36,7 +36,7 @@ from repro.core import ModelConfig, TrainConfig, build_model, train_model
 from repro.data import WorldConfig, make_search_datasets
 from repro.faults import default_fleet_chaos_plan, run_fleet_soak
 from repro.infer import shared_memory_available
-from repro.serving import FleetConfig, ZipfLoadGenerator, build_fleet
+from repro.serving import FleetConfig, FleetContext, ZipfLoadGenerator, build_fleet
 from repro.utils import SeedBank, print_table
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
@@ -171,7 +171,7 @@ def test_process_fleet():
         ),
         backend="process",
         version="v1",
-        fault_plan=plan,
+        ctx=FleetContext(fault_plan=plan),
     )
     try:
         soak = run_fleet_soak(

@@ -40,10 +40,17 @@ import numpy as np
 from _helpers import assert_same_rankings, compare_profile_shares
 from repro.data import SessionBatch
 from repro.infer import PlanProfiler, compile_model
-from repro.obs import JsonlTraceExporter, ShadowRecallMonitor, SloTracker, Tracer
+from repro.obs import (
+    NULL_TRACER,
+    JsonlTraceExporter,
+    ShadowRecallMonitor,
+    SloTracker,
+    Tracer,
+)
 from repro.retrieval import CascadeConfig
 from repro.serving import (
     FleetConfig,
+    FleetContext,
     MetricsSink,
     MicroBatcher,
     SearchEngine,
@@ -273,11 +280,10 @@ def test_compiled_inference_speedup(search_data, trained_models):
     # suddenly eating a much larger slice of the plan is a code regression
     # whatever the machine's absolute speed.
     profiler = PlanProfiler()
-    compiled.attach_profiler(profiler)
-    for _ in range(loops):
-        compiled.predict_proba(flush_batch)
-    profile_table = compiled.profile_report()
-    compiled.attach_profiler(None)
+    with profiler.profiling(compiled.gate_plan, compiled.score_plan):
+        for _ in range(loops):
+            compiled.predict_proba(flush_batch)
+    profile_table = profiler.report_table(title="AWMoE kernel profile")
     profile_shares = {plan: profiler.shares(plan) for plan in profiler.plans()}
 
     report = {
@@ -351,27 +357,26 @@ def test_tracing_overhead(search_data, trained_models):
     )
 
     def run_once(tracer, cascade=None, shadow=None):
-        engine = SearchEngine(
-            world, model, np.random.default_rng(7), cascade=cascade, shadow_recall=shadow
-        )
+        ctx = FleetContext(tracer=tracer, shadow_recall=shadow)
+        engine = SearchEngine(world, model, np.random.default_rng(7), cascade=cascade, ctx=ctx)
         batcher = MicroBatcher(
             engine,
             max_batch_size=MAX_BATCH,
             flush_deadline_ms=50.0,
             cache=SessionCache(2048),
-            tracer=tracer,
+            ctx=ctx,
         )
         results, seconds = _timed(lambda: replay(batcher, events))
         assert len(results) == NUM_QUERIES
         return results, NUM_QUERIES / seconds
 
-    baseline, baseline_qps = run_once(None)
+    baseline, baseline_qps = run_once(NULL_TRACER)
     disabled, disabled_qps = run_once(Tracer(sample_rate=0.0))
     sampled, sampled_qps = run_once(Tracer(sample_rate=1.0))
     assert_same_rankings(disabled, baseline)
     assert_same_rankings(sampled, baseline)
 
-    cascade_baseline, cascade_qps = run_once(None, cascade)
+    cascade_baseline, cascade_qps = run_once(NULL_TRACER, cascade)
     monitored, monitored_qps = run_once(
         Tracer(sample_rate=0.0), cascade, ShadowRecallMonitor(rate=0.0)
     )
@@ -442,8 +447,7 @@ def test_traced_fleet_artifacts(search_data, trained_models):
                 ),
             ),
             backend="inprocess",
-            slo=slo,
-            tracer=tracer,
+            ctx=FleetContext(slo=slo, tracer=tracer),
         )
         results = replay(cluster, events)
         assert len(results) == num_queries

@@ -31,7 +31,7 @@ from repro.online import (
     OnlineLoop,
     PositionBiasedClickModel,
 )
-from repro.serving import FleetConfig, ManualClock, ZipfLoadGenerator, build_fleet
+from repro.serving import FleetConfig, FleetContext, ManualClock, ZipfLoadGenerator, build_fleet
 from repro.utils import SeedBank, print_table
 
 NUM_CYCLES = 3
@@ -65,7 +65,7 @@ def main() -> None:
             num_workers=2, seed=SEED, max_batch_size=8, flush_deadline_ms=10.0,
             cache_capacity=1024,
         ),
-        backend="inprocess", clock=clock,
+        backend="inprocess", ctx=FleetContext(clock=clock),
     )
     registry_dir = tempfile.mkdtemp(prefix="awmoe-registry-")
     loop = OnlineLoop(

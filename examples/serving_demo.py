@@ -18,6 +18,7 @@ from repro.data import WorldConfig, make_search_datasets
 from repro.obs import SloTracker, Tracer
 from repro.serving import (
     FleetConfig,
+    FleetContext,
     SearchEngine,
     ZipfLoadGenerator,
     build_fleet,
@@ -82,7 +83,7 @@ def main() -> None:
     cluster = build_fleet(
         world, aw_moe,
         FleetConfig(num_workers=4, seed=21, max_batch_size=16, flush_deadline_ms=50.0),
-        backend="inprocess", tracer=tracer, slo=slo,
+        backend="inprocess", ctx=FleetContext(tracer=tracer, slo=slo),
     )
     events = ZipfLoadGenerator(
         np.random.default_rng(13), world=world, zipf_exponent=1.2

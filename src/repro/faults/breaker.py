@@ -14,15 +14,18 @@ Classic three-state breaker (closed → open → half-open → closed):
   close it again.
 
 The breaker only *counts* — routing decisions (skip this shard, reroute
-to a sibling) live in :class:`~repro.serving.fleet.Fleet`; the guard and
-the ``circuit_open``/``circuit_closed`` events on state transitions are
-:meth:`repro.serving.shard.ShardWorker.submit`.
+to a sibling) live in :class:`~repro.serving.fleet.Fleet` and the guard in
+:meth:`repro.serving.shard.ShardWorker.submit`.  It records its own
+transitions: with an ``events`` log attached, every trip is a
+``circuit_open`` and every recovery a ``circuit_closed`` event carrying
+``shard``, whichever path — a crashed submit, a failed flush, a half-open
+trial — reported the outcome that caused it.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Optional
 
 __all__ = ["CircuitBreaker"]
 
@@ -38,6 +41,8 @@ class CircuitBreaker:
         cooldown_s: float = 0.05,
         success_threshold: int = 1,
         clock: Callable[[], float] = time.perf_counter,
+        events: Any = None,
+        shard: Optional[int] = None,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError(f"failure_threshold must be >= 1, got {failure_threshold}")
@@ -49,6 +54,9 @@ class CircuitBreaker:
         self.success_threshold = int(success_threshold)
         self.cooldown_s = float(cooldown_s)
         self._clock = clock
+        #: :class:`~repro.obs.EventLog` receiving the state transitions.
+        self.events = events
+        self.shard = shard
         self.state = self.CLOSED
         self._consecutive_failures = 0
         self._trial_successes = 0
@@ -79,6 +87,8 @@ class CircuitBreaker:
             if self._trial_successes >= self.success_threshold:
                 self.state = self.CLOSED
                 self._consecutive_failures = 0
+                if self.events is not None:
+                    self.events.record("circuit_closed", self._clock(), shard=self.shard)
         elif self._consecutive_failures:
             self._consecutive_failures = 0
 
@@ -97,6 +107,10 @@ class CircuitBreaker:
         self.opens += 1
         self._consecutive_failures = 0
         self._trial_successes = 0
+        if self.events is not None:
+            self.events.record(
+                "circuit_open", self._opened_at, shard=self.shard, failures=self.failures_total
+            )
 
     def status(self) -> Dict[str, Any]:
         return {

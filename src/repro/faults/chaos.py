@@ -252,6 +252,6 @@ def run_fleet_soak(
         "recovered_segments": summary.get("recovered_segments", []),
         "worker_status": summary["shards"],
         "event_counts": fleet.control.events.counts(),
-        "faults_fired_supervisor": fleet.injector.fired(),
+        "faults_fired_supervisor": fleet.ctx.injector.fired(),
         "telemetry": telemetry,
     }

@@ -696,29 +696,6 @@ class CompiledModel:
         cache retains it across future plan executions."""
         return self.gate_plan.run(batch).copy()
 
-    # -- profiling ------------------------------------------------------
-    def attach_profiler(self, profiler) -> None:
-        """Time every kernel of both plans with ``profiler`` (a
-        :class:`~repro.obs.profiler.PlanProfiler`); pass ``None`` to detach
-        and restore the unconditional fast loop."""
-        self.gate_plan.profiler = profiler
-        self.score_plan.profiler = profiler
-
-    @property
-    def profiler(self):
-        return self.score_plan.profiler
-
-    def profile_report(self) -> str:
-        """Combined per-kernel table over the gate and score plans."""
-        if self.score_plan.profiler is None:
-            raise RuntimeError(
-                "no profiler attached; call attach_profiler(PlanProfiler()) "
-                "before scoring"
-            )
-        return self.score_plan.profiler.report_table(
-            title=f"{type(self.source).__name__} kernel profile"
-        )
-
     # -- introspection --------------------------------------------------
     def stats(self) -> Dict[str, object]:
         """Arena and call accounting for benchmarks and tests."""

@@ -124,14 +124,13 @@ class InferencePlan:
     #: row per session.
     expand_sessions: bool = False
     calls: int = 0
-    #: Optional :class:`~repro.obs.profiler.PlanProfiler` (duck-typed:
-    #: ``record_step(plan_name, step, seconds, ctx)``).  ``None`` keeps the
-    #: unconditional fast loop — attaching is strictly opt-in.
-    profiler: Optional[object] = field(default=None, repr=False, compare=False)
-    #: Optional per-execution hook ``(step, seconds) -> None``; the serving
-    #: tracer installs one transiently to attach per-kernel spans to sampled
-    #: traces without the allocation cost of a persistent profiler.
-    step_hook: Optional[Callable[[PlanStep, float], None]] = field(
+    #: Optional per-kernel hook ``(step, seconds, ctx) -> None``, called
+    #: after each step with its wall time and the execution ctx (the step's
+    #: outputs are in it).  The one way kernels are timed: the tracer's
+    #: :func:`~repro.obs.trace.kernel_span_hook` and
+    #: :meth:`~repro.obs.profiler.PlanProfiler.profiling` install one.  ``None``
+    #: keeps the untimed loop.
+    step_hook: Optional[Callable[[PlanStep, float, dict], None]] = field(
         default=None, repr=False, compare=False
     )
     _ctx: dict = field(default_factory=dict, repr=False)
@@ -171,9 +170,8 @@ class InferencePlan:
             output = self.output
         else:
             steps = steps[: 1 + max(i for i, step in enumerate(steps) if output in step.writes)]
-        profiler = self.profiler
         hook = self.step_hook
-        if profiler is None and hook is None:
+        if hook is None:
             for step in steps:
                 step.fn(ctx)
         else:
@@ -181,11 +179,7 @@ class InferencePlan:
             for step in steps:
                 begin = clock()
                 step.fn(ctx)
-                elapsed = clock() - begin
-                if profiler is not None:
-                    profiler.record_step(self.name, step, elapsed, ctx)
-                if hook is not None:
-                    hook(step, elapsed)
+                hook(step, clock() - begin, ctx)
         self.calls += 1
         return ctx[output]
 
@@ -202,19 +196,6 @@ class InferencePlan:
                 )
             flat[key] = rows
         return flat
-
-    def profile_report(self) -> str:
-        """The attached profiler's (step, op, shape, calls, total ms,
-        % of plan) table for this plan; raises without a profiler."""
-        if self.profiler is None:
-            raise RuntimeError(
-                f"plan {self.name!r} has no profiler attached; "
-                "set plan.profiler = PlanProfiler() (or CompiledModel."
-                "attach_profiler) before running it"
-            )
-        return self.profiler.report_table(
-            plan=self.name, title=f"plan {self.name!r} kernel profile"
-        )
 
     @property
     def num_steps(self) -> int:

@@ -1,9 +1,9 @@
 """Per-kernel profiling for compiled inference plans.
 
-A :class:`PlanProfiler` attaches to one or more
-:class:`~repro.infer.plan.InferencePlan` instances (via
-``CompiledModel.attach_profiler`` or by assigning ``plan.profiler``) and
-times every fused kernel step of every execution, aggregating:
+A :class:`PlanProfiler` is a ``step_hook`` consumer: inside
+``with profiler.profiling(*plans):`` every fused kernel step of every
+execution of those :class:`~repro.infer.plan.InferencePlan` instances is
+timed and aggregated:
 
 * wall time and call count per step;
 * rows processed (the leading dimensions of the step's output);
@@ -14,13 +14,14 @@ times every fused kernel step of every execution, aggregating:
 
 ``report()`` returns rows suitable for JSON; ``report_table()`` renders the
 (step, op, shape, calls, total ms, % of plan) table the benchmarks print.
-Profiling is opt-in: a plan with no profiler attached executes its original
-unconditional loop (the overhead benchmark guards that path).
+Profiling is opt-in: outside the block each plan is back on the hook it had
+(usually none: the untimed loop).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.utils.tables import format_table
 
@@ -67,8 +68,24 @@ class PlanProfiler:
     def __init__(self) -> None:
         self._stats: Dict[Tuple[str, str], _StepStat] = {}
 
+    @contextmanager
+    def profiling(self, *plans) -> Iterator["PlanProfiler"]:
+        """Record every kernel of ``plans`` while the block runs: each plan's
+        ``step_hook`` feeds :meth:`record_step`, and gets its previous hook
+        back on exit."""
+        previous = [plan.step_hook for plan in plans]
+        for plan in plans:
+            plan.step_hook = lambda step, seconds, ctx, name=plan.name: self.record_step(
+                name, step, seconds, ctx
+            )
+        try:
+            yield self
+        finally:
+            for plan, hook in zip(plans, previous):
+                plan.step_hook = hook
+
     def record_step(self, plan_name: str, step, seconds: float, ctx: dict) -> None:
-        """Called by :meth:`InferencePlan.run` after each step executes."""
+        """One executed step of ``plan_name`` (``ctx`` holds its output)."""
         key = (plan_name, step.name)
         stat = self._stats.get(key)
         if stat is None:

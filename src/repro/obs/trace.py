@@ -30,7 +30,7 @@ import os
 import random
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 __all__ = [
     "Span",
@@ -258,23 +258,28 @@ class _NullTrace:
 NULL_TRACE = _NullTrace()
 
 
-def kernel_span_hook(trace: Any, parent: Any) -> Optional[Callable]:
-    """A ``(PlanStep, seconds)`` hook attaching per-kernel child spans.
+def kernel_span_hook(*parents: Tuple[Any, Any]) -> Optional[Callable]:
+    """A step hook attaching per-kernel child spans under each ``(trace,
+    parent span)`` pair.
 
     Built for :meth:`repro.infer.plan.InferencePlan.run`'s ``step_hook``:
-    after each fused kernel executes, a child span under ``parent`` records
-    its name, op kind, per-row FLOPs, and measured interval.  Returns
-    ``None`` for unsampled traces, which keeps the plan on its unconditional
-    fast loop — the hook exists only for requests actually being traced.
+    after each fused kernel executes, every sampled trace records a child
+    span under its parent with the kernel's name, op kind, per-row FLOPs and
+    measured interval — one pair for :meth:`SearchEngine.search`, one per
+    sampled request for a micro-batched flush.  Returns ``None`` when no
+    trace is sampled, which keeps the plan on its untimed loop.
     """
-    if not trace.sampled:
+    parents = tuple((trace, parent) for trace, parent in parents if trace.sampled)
+    if not parents:
         return None
+    clock = parents[0][0]._clock
 
-    def hook(step: Any, seconds: float, _trace=trace, _parent=parent) -> None:
-        now = _trace._clock()
-        _trace.record_span(
-            step.name, now - seconds, now, parent=_parent, kind=step.kind, flops=step.flops
-        )
+    def hook(step: Any, seconds: float, ctx: dict) -> None:
+        now = clock()
+        for trace, parent in parents:
+            trace.record_span(
+                step.name, now - seconds, now, parent=parent, kind=step.kind, flops=step.flops
+            )
 
     return hook
 

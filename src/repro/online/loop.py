@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.ranking_model import RankingModel
 from repro.data.synthetic import World
 from repro.faults.injector import TransientFault
-from repro.obs import NULL_TRACER, AlertManager, DriftMonitor, telemetry_snapshot
+from repro.obs import NULL_TRACER, telemetry_snapshot
 from repro.online.canary import CanaryGate, CanaryReport
 from repro.online.click_log import ClickLog, build_dataset
 from repro.online.click_model import PositionBiasedClickModel
@@ -131,20 +131,6 @@ class OnlineLoop:
         train [per-epoch children] → register → canary [replay +
         recall-probe children] → swap``) — the learning-loop counterpart of
         the fleet's per-request traces.
-    drift:
-        Optional :class:`~repro.obs.DriftMonitor`.  Served sessions stream
-        CTR, predicted scores, score-calibration gap, and shown-item
-        price/popularity into its live sketches; each promotion freezes the
-        live window as the new production model's training-time reference
-        (that window *is* the click log the candidate trained on).
-    alerts:
-        Optional :class:`~repro.obs.AlertManager`, evaluated once per cycle
-        against the merged telemetry snapshot (``Fleet.telemetry()`` —
-        pooled serving registry and fleet scalars — trainer metrics, fleet
-        SLO, drift scores and click-log lag).  Unless it already has an
-        event log, it is bound to the cluster's control-plane
-        :class:`~repro.obs.EventLog`, so alert transitions interleave with
-        hot swaps and canary verdicts in one timeline.
     retry_attempts / retry_backoff_s:
         Transient-failure policy for the train and canary stages: a
         :class:`~repro.faults.TransientFault` (injected, or any future
@@ -164,12 +150,24 @@ class OnlineLoop:
         rules over the resilience telemetry
         (:func:`repro.faults.default_fault_alert_rules`).
 
-    Time comes from the fleet: every event the loop records, every click
-    timestamp and every retry backoff reads ``cluster.clock`` — so the loop's
-    and the fleet's control-plane events share one time base — and a
-    :class:`~repro.serving.metrics.ManualClock` passed to
-    :func:`~repro.serving.build_fleet` makes the whole loop replay in
-    deterministic simulated time.
+    The monitors and the time base come from the fleet's
+    :class:`~repro.serving.FleetContext` (``cluster.ctx``):
+
+    * ``drift`` — served sessions stream CTR, predicted scores,
+      score-calibration gap, and shown-item price/popularity into its live
+      sketches; each promotion freezes the live window as the new
+      production model's training-time reference (that window *is* the
+      click log the candidate trained on);
+    * ``alerts`` — evaluated once per cycle against the merged telemetry
+      snapshot (``Fleet.telemetry()`` — pooled serving registry and fleet
+      scalars — trainer metrics, fleet SLO, drift scores and click-log
+      lag); the fleet bound it to its control-plane event log, so alert
+      transitions interleave with hot swaps and canary verdicts in one
+      timeline;
+    * ``clock`` — every event the loop records, every click timestamp and
+      every retry backoff reads it, so a
+      :class:`~repro.serving.metrics.ManualClock` in the fleet's context
+      makes the whole loop replay in deterministic simulated time.
     """
 
     def __init__(
@@ -184,9 +182,7 @@ class OnlineLoop:
         click_log: Optional[ClickLog] = None,
         holdout_every: int = 5,
         seed: int = 0,
-        tracer=None,
-        drift: Optional[DriftMonitor] = None,
-        alerts: Optional[AlertManager] = None,
+        tracer=NULL_TRACER,
         retry_attempts: int = 3,
         retry_backoff_s: float = 0.05,
         watch_cycles: int = 0,
@@ -206,14 +202,10 @@ class OnlineLoop:
         self.click_model = click_model
         self.click_log = click_log if click_log is not None else ClickLog()
         self.holdout_every = int(holdout_every)
-        self.clock = cluster.clock
+        self.clock = cluster.ctx.clock
         #: The fleet's clock when it is simulated (``None`` on wall time).
         self._manual = self.clock if isinstance(self.clock, ManualClock) else None
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.drift = drift
-        self.alerts = alerts
-        if alerts is not None and alerts.events is None:
-            alerts.events = cluster.control.events
+        self.tracer = tracer
         self.retry_attempts = int(retry_attempts)
         self.retry_backoff_s = float(retry_backoff_s)
         self.watch_cycles = int(watch_cycles)
@@ -314,89 +306,50 @@ class OnlineLoop:
                     self._sleep(self.retry_backoff_s * (2.0**attempt))
         raise last
 
-    def _recover_failed_deploy(
+    def _roll_back(
         self,
-        entry,
-        parent: Optional[int],
-        exc: Exception,
+        version: int,
+        parent: int,
+        reason: str,
         report: CycleReport,
+        quarantine: Optional[str] = None,
     ) -> None:
-        """A promotion failed partway — restore the parent everywhere.
+        """Return production, the registry and the training twin to ``parent``.
 
-        Reached when :meth:`_deploy` raised after ``promote``: either the
-        candidate's checkpoint failed its integrity check
-        (:class:`CorruptCheckpointError` — the fleet was never touched) or
-        the hot swap crashed mid-drain (:class:`SwapFailed` — the cluster
-        already rolled its shards back).  In both cases the fleet still
-        serves the parent; what needs repair is the *registry* (production
-        pointer moved to the failed candidate) and the *training twin*
-        (its weights are the failed candidate's — left in place they would
-        silently become the base of every future refresh).
+        Two paths get here.  A promotion that failed partway (:meth:`_deploy`
+        raised after ``promote``): a corrupt checkpoint — ``quarantine``
+        carries the integrity error, the fleet was never touched — or a
+        mid-swap crash the fleet already rolled back.  Or an alert fired
+        inside the post-promotion watch window: ``version`` passed its
+        canary but misbehaves in production, so the fleet is swapped back
+        too.  Either way the registry's production pointer and the training
+        twin's weights are the failed version's and are restored (left in
+        place they would silently become the base of every future
+        refresh), and ``version`` is quarantined or rejected.
         """
-        corrupt = isinstance(exc, CorruptCheckpointError)
-        if parent is not None:
-            self.registry.promote(parent)
-        if corrupt:
-            self.registry.quarantine(entry.version)
+        self.registry.promote(parent)
+        if quarantine is not None:
+            self.registry.quarantine(version)
             self.cluster.control.events.record(
-                "quarantine", self._now(), version=entry.version, reason=str(exc)[:200]
+                "quarantine", self._now(), version=version, reason=quarantine
             )
         else:
-            self.registry.reject(entry.version)
-        if parent is not None:
-            # Roll the training twin back to the production lineage.  A
-            # quarantined candidate's *checkpoint* is damaged but the
-            # trainer's in-memory weights are not — they are still rolled
-            # back because an undeployable candidate must not seed the next.
-            self.registry.load_into(parent, self.trainer.model, trainer=self.trainer)
-        self.cluster.control.events.record(
-            "rollback",
-            self._now(),
-            version=entry.version,
-            restored=parent,
-            reason=f"deploy_failed:{type(exc).__name__}",
-        )
-        if self.drift is not None:
-            self.drift.reset_live()
-        report.rollback = {
-            "version": entry.version,
-            "restored": parent,
-            "reason": f"deploy_failed:{type(exc).__name__}",
-            "quarantined": corrupt,
-        }
-
-    def _auto_rollback(self, rule: str, report: CycleReport) -> None:
-        """An alert fired inside the watch window: demote the fresh version.
-
-        The watched version passed its canary but is misbehaving in
-        production (shed rate up, fallback share up, breakers opening);
-        production, the registry, and the training twin all return to the
-        promotion's parent.  The rolled-back version is marked ``rejected``
-        — its metrics were fine, its behaviour was not.
-        """
-        watch = self._watch
-        self._watch = None
-        parent = watch["parent"]
-        if parent is None:  # a bootstrap deployment has nothing to return to
-            return
-        self.registry.promote(parent)
-        self.registry.reject(watch["version"])
-        self._deploy(parent)
+            self.registry.reject(version)
+        # A failed deploy left the fleet on the parent; a watch-window alert
+        # finds it serving ``version``.
+        if self.cluster.model_version != self.registry.label(parent):
+            self._deploy(parent)
         self.registry.load_into(parent, self.trainer.model, trainer=self.trainer)
         self.cluster.control.events.record(
-            "rollback",
-            self._now(),
-            version=watch["version"],
-            restored=parent,
-            reason=f"alert:{rule}",
+            "rollback", self._now(), version=version, restored=parent, reason=reason
         )
-        if self.drift is not None:
-            self.drift.reset_live()
+        if self.cluster.ctx.drift is not None:
+            self.cluster.ctx.drift.reset_live()
         report.rollback = {
-            "version": watch["version"],
+            "version": version,
             "restored": parent,
-            "reason": f"alert:{rule}",
-            "quarantined": False,
+            "reason": reason,
+            "quarantined": quarantine is not None,
         }
 
     # ------------------------------------------------------------------
@@ -431,7 +384,7 @@ class OnlineLoop:
                 model_version=ranking.model_version,
                 timestamp=self._now(),
             )
-            if self.drift is not None:
+            if self.cluster.ctx.drift is not None:
                 self._observe_drift(ranking, shown, clicks)
         return results
 
@@ -445,7 +398,7 @@ class OnlineLoop:
         exposure* (price/popularity of what was actually shown, which moves
         when user interests rotate onto different catalog regions).
         """
-        drift = self.drift
+        drift = self.cluster.ctx.drift
         scores = ranking.scores[:shown]
         ctr = float(clicks.mean()) if clicks.size else 0.0
         mean_score = float(scores.mean()) if scores.size else 0.0
@@ -469,9 +422,10 @@ class OnlineLoop:
         event; alert transitions record their own typed events.
         """
         now = self._now()
-        if self.drift is not None and self.drift.has_reference:
-            report.drift = self.drift.scores()
-            worst_name, worst_psi = self.drift.worst()
+        ctx = self.cluster.ctx
+        if ctx.drift is not None and ctx.drift.has_reference:
+            report.drift = ctx.drift.scores()
+            worst_name, worst_psi = ctx.drift.worst()
             self.cluster.control.events.record(
                 "drift_score",
                 now,
@@ -482,7 +436,7 @@ class OnlineLoop:
                     for name, scores in report.drift.items()
                 },
             )
-        if self.alerts is not None:
+        if ctx.alerts is not None:
             # Everything a rule may name: the fleet's scalars and the pooled
             # serving registry next to the trainer's metrics, SLO and drift.
             registry, extra = self.cluster.telemetry()
@@ -490,9 +444,9 @@ class OnlineLoop:
             if self.trainer.metrics is not None:
                 registry = registry.merge(self.trainer.metrics)
             snapshot = telemetry_snapshot(
-                registry=registry, slo=self.cluster.slo, drift=self.drift, extra=extra
+                registry=registry, slo=ctx.slo, drift=ctx.drift, extra=extra
             )
-            transitions = self.alerts.evaluate(snapshot, now)
+            transitions = ctx.alerts.evaluate(snapshot, now)
             if transitions:
                 report.alerts = [
                     {
@@ -503,13 +457,18 @@ class OnlineLoop:
                     for transition in transitions
                 ]
             fired = [t.rule.name for t in transitions if t.action == "fired"]
+            watch = self._watch
             if (
                 fired
-                and self._watch is not None
-                and self.cycles_run < self._watch["until"]
-                and self.production_version == self._watch["version"]
+                and watch is not None
+                and self.cycles_run < watch["until"]
+                and self.production_version == watch["version"]
             ):
-                self._auto_rollback(fired[0], report)
+                self._watch = None
+                if watch["parent"] is not None:  # a bootstrap has nothing to return to
+                    self._roll_back(
+                        watch["version"], watch["parent"], f"alert:{fired[0]}", report
+                    )
         if self._watch is not None and self.cycles_run >= self._watch["until"]:
             self._watch = None  # watch window expired cleanly
 
@@ -563,9 +522,10 @@ class OnlineLoop:
         report.clicks = int(sum(record.num_clicks for record in records))
         report.train_rows = 0 if train_set is None else len(train_set)
         self.cycles_run += 1
+        drift = self.cluster.ctx.drift
         if train_set is None:
-            if self.drift is not None:
-                self.drift.reset_live()
+            if drift is not None:
+                drift.reset_live()
             trace.finish(promoted=False, reason="no_usable_feedback")
             self.reports.append(report)
             return report
@@ -627,18 +587,22 @@ class OnlineLoop:
                     # serve (corrupt checkpoint, mid-swap crash).  Restore
                     # the parent everywhere and report the cycle unpromoted.
                     swap_span.set(failed=type(exc).__name__)
-                    self._recover_failed_deploy(entry, parent, exc, report)
+                    corrupt = isinstance(exc, CorruptCheckpointError)
+                    self._roll_back(
+                        entry.version, parent, f"deploy_failed:{type(exc).__name__}",
+                        report, quarantine=str(exc)[:200] if corrupt else None,
+                    )
             if deployed:
                 self._watch = {
                     "version": entry.version,
                     "parent": parent,
                     "until": self.cycles_run + self.watch_cycles,
                 }
-                if self.drift is not None:
+                if drift is not None:
                     # The live window just served is the click-log window the
                     # promoted candidate trained on: freeze it as the new
                     # production model's training-time reference.
-                    self.drift.freeze_reference()
+                    drift.freeze_reference()
             passed = deployed
         else:
             with trace.span("rollback", version=self.registry.label(entry.version)):
@@ -650,10 +614,10 @@ class OnlineLoop:
                 # versions always carry full training state, so optimizer
                 # moments roll back too.
                 self.registry.load_into(parent, self.trainer.model, trainer=self.trainer)
-            if self.drift is not None:
+            if drift is not None:
                 # Production did not change; next cycle compares its own
                 # window against the same reference, not an accumulation.
-                self.drift.reset_live()
+                drift.reset_live()
         report.promoted = passed
         report.production_version = self.production_version
         trace.finish(

@@ -17,6 +17,9 @@ high-throughput subsystem::
   gate evaluation per session (§III-F1);
 * :mod:`~repro.serving.cache` — LRU session cache for gate vectors and
   behaviour encodings, with hit/miss accounting;
+* :mod:`~repro.serving.context` — :class:`FleetContext`, the one frozen
+  object carrying the live collaborators (clock, tracer, injector / fault
+  plan, SLO tracker, shadow recall, drift, alerts) down the stack;
 * :mod:`~repro.serving.shard` — deterministic user → shard hashing,
   :class:`FleetConfig` (the one description of a shard stack) and
   :class:`ShardWorker` (the one place it is assembled);
@@ -32,12 +35,12 @@ high-throughput subsystem::
 * :mod:`~repro.serving.cost` / :mod:`~repro.serving.ab_test` — the paper's
   FLOP cost model and simulated online A/B test.
 
-Observability threads through every layer via :mod:`repro.obs`: pass a
-:class:`repro.obs.Tracer` to the engine/batcher/fleet for per-request
+Observability threads through every layer via :mod:`repro.obs`: a
+:class:`repro.obs.Tracer` in the :class:`FleetContext` gives per-request
 span trees (submit → queue-wait → gate → retrieve → rank → flush, with
 cascade sub-stages and per-kernel rank children), and a
-:class:`repro.obs.SloTracker` to the fleet for sliding-window p99 and
-error-budget burn rate.  ``Fleet.summary()`` is the one telemetry
+:class:`repro.obs.SloTracker` sliding-window p99 and error-budget burn
+rate.  ``Fleet.summary()`` is the one telemetry
 snapshot: ``Fleet.fleet_report()`` (text), ``Fleet.dashboard()`` (HTML),
 ``Fleet.telemetry()`` (what alert rules evaluate over) and the soak
 artifacts all render or read it.
@@ -66,6 +69,7 @@ shard from taking its users down with it.
 from repro.serving.ab_test import ABTestResult, run_ab_test
 from repro.serving.batcher import MicroBatcher, PreparedQuery
 from repro.serving.cache import CacheStats, LRUCache, SessionCache
+from repro.serving.context import FleetContext
 from repro.serving.degrade import (
     TIER_FULL,
     TIER_POPULARITY,
@@ -100,6 +104,7 @@ __all__ = [
     "CacheStats",
     "LRUCache",
     "SessionCache",
+    "FleetContext",
     "ShardWorker",
     "SwapFailed",
     "shard_for_user",

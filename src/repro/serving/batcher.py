@@ -23,18 +23,18 @@ Scores are identical to the one-query-at-a-time path — the batcher changes
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.data.features import UserState
 from repro.data.schema import SessionBatch
 from repro.faults.breaker import CircuitBreaker
-from repro.faults.injector import NULL_INJECTOR, CrashFault
-from repro.obs.trace import NULL_SPAN, NULL_TRACE, NULL_TRACER
+from repro.faults.injector import CrashFault
+from repro.obs.trace import NULL_SPAN, NULL_TRACE, kernel_span_hook
 from repro.serving.cache import SessionCache
+from repro.serving.context import FleetContext
 from repro.serving.degrade import TIER_FULL, TIER_POPULARITY, TIER_PREFILTER, DegradationPolicy
 from repro.serving.engine import RankedList, SearchEngine
 from repro.serving.metrics import MetricsSink
@@ -91,16 +91,23 @@ class MicroBatcher:
     metrics:
         Optional :class:`~repro.serving.metrics.MetricsSink` receiving
         latency, batch-size, and cache accounting.
-    clock:
-        Time source in **seconds** (defaults to ``time.perf_counter``);
-        tests pass a :class:`~repro.serving.metrics.ManualClock`.
-    tracer:
-        Optional :class:`repro.obs.Tracer`.  A sampled request's trace
-        follows it end to end: ``submit`` (with ``gate`` / ``retrieve``
-        children), ``queue-wait`` (open from submit until the flush picks
-        the query up), and ``flush`` (with the shared ``assemble``, batched
+    policy:
+        Deadline budget + admission control (:class:`~repro.serving.
+        degrade.DegradationPolicy`).  ``None`` — the default — performs no
+        budget or queue checks at all: the pre-policy hot path.
+    breaker:
+        The owning shard's circuit breaker; the batcher only reports flush
+        outcomes to it — routing decisions live in the fleet.
+    ctx:
+        The :class:`~repro.serving.context.FleetContext` whose ``clock``
+        (seconds; a :class:`~repro.serving.metrics.ManualClock` in tests),
+        ``tracer`` and ``injector`` (``batcher.submit`` / ``batcher.flush``
+        fault points) the batcher uses.  A sampled request's trace follows
+        it end to end: ``submit`` (with ``gate`` / ``retrieve`` children),
+        ``queue-wait`` (open from submit until the flush picks the query
+        up), and ``flush`` (with the shared ``assemble``, batched
         ``gate-flush`` and per-kernel ``rank`` work attached).  For
-        consistent span offsets, pass the tracer the same ``clock``.
+        consistent span offsets, give the tracer the same clock.
     """
 
     def __init__(
@@ -110,11 +117,9 @@ class MicroBatcher:
         flush_deadline_ms: float = 5.0,
         cache: Optional[SessionCache] = None,
         metrics: Optional[MetricsSink] = None,
-        clock: Callable[[], float] = time.perf_counter,
-        tracer=None,
         policy: Optional[DegradationPolicy] = None,
-        injector=None,
         breaker: Optional[CircuitBreaker] = None,
+        ctx: FleetContext = FleetContext(),
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -124,17 +129,12 @@ class MicroBatcher:
         self.max_batch_size = int(max_batch_size)
         self.flush_deadline_ms = float(flush_deadline_ms)
         self.cache = cache
-        self.metrics = metrics if metrics is not None else MetricsSink(clock=clock)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Deadline budget + admission control (:class:`~repro.serving.
-        #: degrade.DegradationPolicy`).  ``None`` — the default — performs
-        #: no budget or queue checks at all: the pre-policy hot path.
+        self.metrics = metrics if metrics is not None else MetricsSink(clock=ctx.clock)
         self.policy = policy
-        self.injector = injector if injector is not None else NULL_INJECTOR
-        #: Owning shard's circuit breaker; the batcher only reports flush
-        #: outcomes to it — routing decisions live in the cluster.
         self.breaker = breaker
-        self._clock = clock
+        self.tracer = ctx.tracer
+        self.injector = ctx.injector
+        self._clock = ctx.clock
         self._pending: List[PreparedQuery] = []
 
     # ------------------------------------------------------------------
@@ -435,26 +435,13 @@ class MicroBatcher:
                     )
                 gate_rows = np.stack([q.gate for q in pending])  # one row per session
 
-            step_hook = None
-            if sampled:
-                total_rows = combined.num_rows
-                # ``begin`` nests each rank span under its trace's open flush
-                # span; the hook fans every kernel's interval out to all of
-                # them.
-                rank_spans = [
-                    (q.trace, q.trace.begin("rank", rows=total_rows)) for q, _ in sampled
-                ]
-
-                def step_hook(step, seconds):
-                    now = self._clock()
-                    for trace, rank_span in rank_spans:
-                        trace.record_span(
-                            step.name, now - seconds, now,
-                            parent=rank_span, kind=step.kind, flops=step.flops,
-                        )
-
+            # ``begin`` nests each rank span under its trace's open flush
+            # span; the hook fans every kernel's interval out to all of them.
+            rank_spans = [
+                (q.trace, q.trace.begin("rank", rows=combined.num_rows)) for q, _ in sampled
+            ]
             scores = self.engine.score_candidates(
-                combined, gate=gate_rows, step_hook=step_hook
+                combined, gate=gate_rows, step_hook=kernel_span_hook(*rank_spans)
             )
         except Exception as exc:
             # The batched forward (or its gate resolution) failed — degrade

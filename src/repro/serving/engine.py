@@ -48,11 +48,11 @@ from repro.data.features import (
 )
 from repro.data.schema import SessionBatch
 from repro.data.synthetic import World
-from repro.faults.injector import NULL_INJECTOR
 from repro.infer import CompiledModel, CompileError, compile_model
-from repro.obs import NULL_TRACE, NULL_TRACER, ShadowRecallMonitor
+from repro.obs import NULL_TRACE
 from repro.obs.trace import kernel_span_hook
 from repro.retrieval import CascadeConfig, RetrievalCascade, category_popularity_probs
+from repro.serving.context import FleetContext
 from repro.serving.degrade import (
     TIER_FULL,
     TIER_POPULARITY,
@@ -82,7 +82,16 @@ class RankedList:
 
 
 class SearchEngine:
-    """Retrieval + ranking pipeline over a synthetic world."""
+    """Retrieval + ranking pipeline over a synthetic world.
+
+    From ``ctx`` (:class:`~repro.serving.context.FleetContext`) the engine
+    uses the ``tracer`` (:meth:`search` spans), the ``injector``
+    (``engine.retrieve`` / ``cascade.build`` fault points) and the
+    ``shadow_recall`` monitor: a head-sampled fraction of live cascade
+    retrievals is re-run through the exhaustive oracle (full-model top-k over
+    every category member — the ``nprobe="all"``/``prune=None`` surface)
+    after the query is answered, measuring live recall@k.
+    """
 
     def __init__(
         self,
@@ -94,26 +103,13 @@ class SearchEngine:
         compile: bool = True,
         cascade: Optional[CascadeConfig] = None,
         prebuilt_cascade: Optional[RetrievalCascade] = None,
-        tracer=None,
-        shadow_recall: Optional[ShadowRecallMonitor] = None,
-        injector=None,
+        ctx: FleetContext = FleetContext(),
     ) -> None:
         self.world = world
         self._rng = rng
-        #: Fault injector (:class:`repro.faults.FaultInjector`).  ``None``
-        #: installs the shared no-op injector — same pattern as the tracer,
-        #: so the disabled path never branches.
-        self.injector = injector if injector is not None else NULL_INJECTOR
-        #: Optional :class:`~repro.obs.ShadowRecallMonitor`: a head-sampled
-        #: fraction of live cascade retrievals is re-run through the
-        #: exhaustive oracle (full-model top-k over every category member —
-        #: the ``nprobe="all"``/``prune=None`` surface) after the query is
-        #: answered, measuring live recall@k.  Shards share one monitor.
-        self.shadow_recall = shadow_recall
-        #: Request tracer (:class:`repro.obs.Tracer`).  ``None`` installs the
-        #: shared no-op tracer, so instrumentation never branches on "is
-        #: tracing configured?" in the hot path.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.injector = ctx.injector
+        self.shadow_recall = ctx.shadow_recall
+        self.tracer = ctx.tracer
         self.candidates_per_query = candidates_per_query or world.config.items_per_session
         self._by_category = [
             np.flatnonzero(world.item_category == cat)
@@ -377,18 +373,19 @@ class SearchEngine:
         entirely — the §III-F1 serving optimization.  Scoring executes the
         compiled plan when one exists; eager otherwise.
 
-        ``step_hook`` is a transient per-kernel ``(PlanStep, seconds)``
-        callback installed on the compiled score plan for this call only —
-        the tracer uses it to attach per-kernel spans to a sampled request.
-        It is ignored on the eager path (no kernel boundaries to time).
+        ``step_hook`` is a per-kernel hook (``InferencePlan.step_hook``)
+        installed on the compiled score plan for this call only — the
+        tracer's :func:`~repro.obs.trace.kernel_span_hook` attaches
+        per-kernel spans to sampled requests this way.  It is ignored on the
+        eager path (no kernel boundaries to time).
         """
         if step_hook is not None and self.compiled_model is not None:
             plan = self.compiled_model.score_plan
-            plan.step_hook = step_hook
+            previous, plan.step_hook = plan.step_hook, step_hook
             try:
                 return self._score_candidates(batch, gate)
             finally:
-                plan.step_hook = None
+                plan.step_hook = previous
         return self._score_candidates(batch, gate)
 
     def _score_candidates(self, batch: SessionBatch, gate: Optional[np.ndarray]) -> np.ndarray:
@@ -443,7 +440,7 @@ class SearchEngine:
             batch = self.build_batches([state], [query_category], [candidates])
         with trace.span("rank", rows=int(candidates.size)) as rank_span:
             scores = self.score_candidates(
-                batch, gate=gate, step_hook=kernel_span_hook(trace, rank_span)
+                batch, gate=gate, step_hook=kernel_span_hook((trace, rank_span))
             )
         order = np.argsort(-scores, kind="stable")
         elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -16,7 +16,7 @@ hosts each in a supervised worker process.  A transport is
 * over all shards: ``poll()``, ``flush()``, ``next_flush_due()``,
   ``swap(model, version)``, ``reports(fresh)`` — one status row per shard,
   its sink under ``metrics`` while it has one — ``describe()``, ``stop()``;
-* state: ``injector``, ``generation``, and three buffers the fleet drains —
+* state: ``generation``, and three buffers the fleet drains —
   ``delivered`` (results that arrived outside an exchange), ``orphans``
   (requests of a dead shard, to re-dispatch) and ``retired`` (sinks of
   dead incarnations).
@@ -31,20 +31,17 @@ from __future__ import annotations
 import os
 import signal
 import time
+from dataclasses import replace
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.ranking_model import RankingModel
 from repro.data.synthetic import World
 from repro.faults.breaker import CircuitBreaker
-from repro.faults.injector import NULL_INJECTOR, FaultInjector, FaultPlan
 from repro.infer.slabs import shared_memory_available
 from repro.obs import (
-    NULL_TRACER,
-    AlertManager,
-    DriftMonitor,
     MetricsRegistry,
     Section,
     ShadowRecallMonitor,
@@ -53,6 +50,7 @@ from repro.obs import (
     write_dashboard,
 )
 from repro.retrieval import category_popularity_probs
+from repro.serving.context import FleetContext
 from repro.serving.degrade import TIER_POPULARITY, popularity_floor
 from repro.serving.engine import RankedList
 from repro.serving.metrics import MetricsSink
@@ -72,9 +70,8 @@ __all__ = ["Fleet", "InThreadTransport", "build_fleet"]
 
 class InThreadTransport:
     """Every shard is a :class:`ShardWorker` in the caller's interpreter and
-    every operation a direct call on it.  ``live`` are that interpreter's
-    collaborators (``clock`` always among them), handed to every shard; a
-    ``fault_plan`` becomes an injector on that clock and the control log."""
+    every operation a direct call on it, built on the fleet's ``ctx``; each
+    shard's breaker records its transitions on ``events``, the control log."""
 
     # Nothing arrives outside a call and nothing dies, so the buffers the
     # fleet drains are permanently empty.
@@ -86,17 +83,10 @@ class InThreadTransport:
         model: RankingModel,
         config: FleetConfig,
         version: Optional[str],
-        fault_plan: Optional[FaultPlan],
+        ctx: FleetContext,
         events,
-        **live: Any,
     ) -> None:
-        self._events, self._clock = events, live["clock"]
-        self.injector = live.setdefault(
-            "injector",
-            FaultInjector(fault_plan, clock=self._clock, events=events)
-            if fault_plan is not None
-            else NULL_INJECTOR,
-        )
+        self._events, self._clock = events, ctx.clock
         self.generation = 0
         self.workers: List[ShardWorker] = []
         # One cascade build for the whole fleet: shard 0 builds it, every
@@ -104,12 +94,11 @@ class InThreadTransport:
         # prefilter scratch) — probe pass, calibration, and k-means are paid
         # once, not per shard.
         for shard in range(config.num_workers):
-            self.workers.append(
-                ShardWorker(
-                    config, shard, world, model, version, self._shared_cascade(),
-                    events=events, **live,
-                )
+            worker = ShardWorker(
+                config, shard, world, model, version, self._shared_cascade(), ctx
             )
+            worker.breaker.events = events
+            self.workers.append(worker)
 
     def _shared_cascade(self):
         """A view of shard 0's cascade for a later shard (``None`` for shard
@@ -184,20 +173,17 @@ class InThreadTransport:
 class Fleet:
     """Route queries across ``config.num_workers`` shards behind a transport.
 
-    ``backend="inprocess"`` accepts this interpreter's ``live`` objects:
-    ``clock`` (a :class:`~repro.serving.metrics.ManualClock` for simulated
-    time), ``tracer`` (one sampling decision per request, wherever it
-    lands), ``slo`` (every shard's sink feeds the same sliding windows, so
-    p99 and burn rate are fleet-wide), a ``shadow_recall`` monitor shared
-    by every shard's engine, and an ``injector``.  None of them can cross
-    into a worker process: ``backend="process"`` raises ``TypeError`` on
-    any, takes faults as a ``fault_plan``, and reads :attr:`tracer` /
-    :attr:`slo` / :attr:`shadow_recall` as the null tracer / ``None``.
-
-    ``drift`` and ``alerts`` are never fed by the fleet — the online loop
-    owns observation and evaluation — but holding them here lets
-    :meth:`fleet_report` and the HTML dashboard surface their state next to
-    the serving metrics they alarm on.
+    ``ctx`` (:class:`~repro.serving.context.FleetContext`) is the one way
+    live collaborators enter: ``backend="inprocess"`` hands it to every
+    shard, so one tracer samples each request wherever it lands, one SLO
+    tracker sees every shard's latencies and one shadow-recall monitor every
+    engine's retrievals.  Those cannot cross into a worker process:
+    ``backend="process"`` ships ``fault_plan`` to its workers, keeps
+    ``drift`` / ``alerts`` for the supervisor, raises ``TypeError`` naming
+    any other field set away from its default, and stamps the control plane
+    with ``time.monotonic``.  At build the fleet turns a ``fault_plan`` into
+    the injector on its clock and points every collaborator without an
+    event log at :attr:`control`'s.
 
     Every submitted query yields a response; on the process backend
     delivery is at-least-once (a re-dispatched request can be answered
@@ -211,44 +197,34 @@ class Fleet:
         config: Optional[FleetConfig] = None,
         backend: str = "inprocess",
         version: Optional[str] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        drift: Optional[DriftMonitor] = None,
-        alerts: Optional[AlertManager] = None,
-        **live: Any,
+        ctx: FleetContext = FleetContext(),
     ) -> None:
         self.config = config if config is not None else FleetConfig()
         self.num_shards = self.config.num_workers
         self.backend = backend
         #: The version currently serving (identical across shards).
         self.model_version = version
-        self.drift = drift
-        self.alerts = alerts
-        live = {name: value for name, value in live.items() if value is not None}
-        self.tracer = live.get("tracer", NULL_TRACER)
-        self.slo = live.get("slo")
-        self.shadow_recall: Optional[ShadowRecallMonitor] = live.get("shadow_recall")
-        if backend not in ("process", "inprocess"):
+        if backend == "process":
+            ctx.check_portable()
+            ctx = replace(ctx, clock=time.monotonic)
+        elif backend != "inprocess":
             raise ValueError(f"unknown backend {backend!r}")
-        #: The one time base of the control plane: every event the fleet, its
-        #: transport, its fault injector and an
-        #: :class:`~repro.online.OnlineLoop` over it record is stamped here.
-        self.clock: Callable[[], float] = (
-            time.monotonic if backend == "process"
-            else live.setdefault("clock", time.perf_counter)
-        )
         self._world = world
+        #: The fleet's live collaborators; ``ctx.clock`` is the one time base
+        #: of the control plane: every event the fleet, its transport, its
+        #: fault injector and an :class:`~repro.online.OnlineLoop` over it
+        #: record is stamped there.
+        self.ctx = ctx.armed()
         #: Fleet-level control-plane sink: one entry per deployment or
         #: lifecycle event (hot swap, canary verdict, click-log lag, worker
         #: death) regardless of shard count, plus the last-resort answers;
         #: merged into :meth:`merged_metrics`.
-        self.control = MetricsSink(clock=self.clock, slo=self.slo)
+        self.control = MetricsSink(clock=self.ctx.clock, slo=self.ctx.slo)
+        self.ctx.bind_events(self.control.events)
         transport = PipeTransport if backend == "process" else InThreadTransport
         self.transport = transport(
-            world, model, self.config, version, fault_plan, self.control.events, **live
+            world, model, self.config, version, self.ctx, self.control.events
         )
-        #: Fleet fault injector (:class:`repro.faults.FaultInjector`); each
-        #: shard binds its id so plans can target individual shards.
-        self.injector = self.transport.injector
         #: Per-shard endpoints: :class:`ShardWorker` in-process, the
         #: supervisor's worker handles on the process backend.
         self.workers = self.transport.workers
@@ -287,7 +263,7 @@ class Fleet:
             except ShardRefused as refused:
                 if refused.reason == "crash":
                     self.control.events.record(
-                        "shard_failover", self.clock(), shard=shard, user=int(user)
+                        "shard_failover", self.ctx.clock(), shard=shard, user=int(user)
                     )
         else:
             results = [self._last_resort(user, query_category)]
@@ -312,7 +288,7 @@ class Fleet:
         fail), counted as a shed response on the control sink."""
         limit = self.config.candidates_per_query or self._world.config.items_per_session
         items, scores = popularity_floor(*self._popularity[query_category], limit)
-        now = self.clock()
+        now = self.ctx.clock()
         self.control.record_query(0.0, now=now)
         self.control.record_tier(TIER_POPULARITY)
         self.control.record_shed()
@@ -378,7 +354,7 @@ class Fleet:
         drained = self.transport.swap(model, version)
         self.model_version = version
         self.control.events.record(
-            "cache_invalidation", self.clock(), shards=self.num_shards
+            "cache_invalidation", self.ctx.clock(), shards=self.num_shards
         )
         self.control.record_swap(version=version)
         drained.extend(self._drain())
@@ -394,7 +370,7 @@ class Fleet:
         """
         for worker in self.workers:
             worker.engine.shadow_recall = monitor
-        self.shadow_recall = monitor
+        self.ctx = replace(self.ctx, shadow_recall=monitor)
 
     # ------------------------------------------------------------------
     # fleet health
@@ -471,7 +447,7 @@ class Fleet:
     def _pooled(self, reports: List[Dict[str, Any]]) -> MetricsSink:
         # Folded onto a fresh sink, so the result never is (or shares an
         # instrument with) the control sink or a shard's.
-        merged = MetricsSink(clock=self.clock, slo=self.slo).merge(self.control)
+        merged = MetricsSink(clock=self.ctx.clock, slo=self.ctx.slo).merge(self.control)
         for sink in self.transport.retired:
             merged = merged.merge(sink)
         for report in reports:
@@ -497,7 +473,7 @@ class Fleet:
             "shed_rate": pooled.shed_rate,
             "degraded_share": pooled.degraded_share,
         }
-        shadow = self.shadow_recall
+        shadow = self.ctx.shadow_recall
         if shadow is not None and shadow.samples:
             telemetry["retrieval_recall_at_k"] = shadow.recall_at_k
         return pooled, shards, telemetry
@@ -536,7 +512,7 @@ class Fleet:
         metrics = pooled.to_registry()
         if registry is not None:
             metrics = metrics.merge(registry)
-        shadow = self.shadow_recall
+        ctx = self.ctx
         return {
             **pooled.summary(),
             "num_shards": self.num_shards,
@@ -548,18 +524,18 @@ class Fleet:
             **self.transport.describe(),
             "telemetry": telemetry,
             "metrics": metrics.to_json(),
-            "tracer": self.tracer.stats() if self.tracer.enabled else None,
-            "shadow_recall": shadow.stats() if shadow is not None else None,
-            "drift": self.drift.to_dict() if self.drift is not None else None,
-            "alerts": self.alerts.status() if self.alerts is not None else None,
+            "tracer": ctx.tracer.stats() if ctx.tracer.enabled else None,
+            "shadow_recall": ctx.shadow_recall.stats() if ctx.shadow_recall is not None else None,
+            "drift": ctx.drift.to_dict() if ctx.drift is not None else None,
+            "alerts": ctx.alerts.status() if ctx.alerts is not None else None,
             "event_tail": [event.to_dict() for event in self.control.events.tail(12)],
         }
 
     def _write_page(
         self, path: str, sections: List[Section], traces=None, title: str = "repro fleet"
     ) -> str:
-        if traces is None and self.tracer.enabled:
-            traces = list(self.tracer.finished)
+        if traces is None and self.ctx.tracer.enabled:
+            traces = list(self.ctx.tracer.finished)
         return write_dashboard(path, sections, title=title, traces=traces)
 
     def dashboard(
@@ -607,8 +583,7 @@ def build_fleet(
     config: Optional[FleetConfig] = None,
     backend: str = "auto",
     version: Optional[str] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    **live: Any,
+    ctx: FleetContext = FleetContext(),
 ) -> Fleet:
     """Build a serving fleet — the front door.
 
@@ -616,10 +591,10 @@ def build_fleet(
     ``backend="process"`` as supervised worker processes, and
     ``backend="auto"`` picks ``process`` when POSIX shared memory works
     here and ``inprocess`` otherwise: the same :class:`Fleet` serving the
-    same ``config`` with bitwise-identical scores.  ``live`` passes
-    ``drift`` / ``alerts`` and this interpreter's collaborators (see
-    :class:`Fleet` for which of them the process backend can honour).
+    same ``config`` with bitwise-identical scores.  ``ctx`` carries this
+    interpreter's live collaborators (see :class:`Fleet` for which of them
+    the process backend can honour).
     """
     if backend == "auto":
         backend = "process" if shared_memory_available() else "inprocess"
-    return Fleet(world, model, config, backend, version, fault_plan, **live)
+    return Fleet(world, model, config, backend, version, ctx)

@@ -46,20 +46,14 @@ import signal
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.ranking_model import RankingModel
 from repro.data.synthetic import World
-from repro.faults.injector import (
-    NULL_INJECTOR,
-    CrashFault,
-    FaultInjector,
-    FaultPlan,
-    InjectedFault,
-)
+from repro.faults.injector import CrashFault, FaultPlan, InjectedFault
 from repro.infer.slabs import (
     SnapshotSlab,
     TornSlabError,
@@ -67,6 +61,7 @@ from repro.infer.slabs import (
     sweep_orphan_slabs,
 )
 from repro.retrieval import RetrievalCascade
+from repro.serving.context import FleetContext
 from repro.serving.engine import RankedList, SearchEngine
 from repro.serving.shard import (
     HEALTHY,
@@ -134,6 +129,7 @@ def _worker_main(
         retired_slabs: List[SnapshotSlab] = []
         payload = slab.payload
         generation = int(payload["generation"])
+        ctx = FleetContext(fault_plan=plan).armed()
         worker = ShardWorker(
             config,
             worker_id,
@@ -141,11 +137,7 @@ def _worker_main(
             payload["model"],
             payload.get("version"),
             _cascade_view(payload),
-            injector=(
-                FaultInjector(plan).bind(worker=worker_id)
-                if plan is not None
-                else NULL_INJECTOR
-            ),
+            replace(ctx, injector=ctx.injector.bind(worker=worker_id)),
         )
     except Exception:
         _die(conn, worker_id)
@@ -263,6 +255,9 @@ class PipeTransport:
     (requests a dead worker left unanswered) and ``retired`` (the
     last-reported sink of every dead incarnation).  Lifecycle events go to
     ``events``, the fleet's control-plane log, stamped ``time.monotonic``.
+    ``ctx`` is the fleet's (:meth:`FleetContext.check_portable` passed):
+    its injector fires the supervisor's fault points and its ``fault_plan``
+    ships to every worker.
     """
 
     def __init__(
@@ -271,26 +266,16 @@ class PipeTransport:
         model: RankingModel,
         config: FleetConfig,
         version: Optional[str],
-        fault_plan: Optional[FaultPlan],
+        ctx: FleetContext,
         events,
-        **live: Any,
     ) -> None:
-        if live:
-            raise TypeError(
-                f"{sorted(live)} are live objects of this interpreter and apply "
-                "to the in-process backend only"
-            )
         if not shared_memory_available():
             raise RuntimeError(
                 "POSIX shared memory unavailable; use build_fleet(backend='inprocess')"
             )
         self.config = config
-        self.fault_plan = fault_plan
-        self.injector = (
-            FaultInjector(fault_plan, clock=time.monotonic, events=events)
-            if fault_plan is not None
-            else NULL_INJECTOR
-        )
+        self.fault_plan = ctx.fault_plan
+        self.injector = ctx.injector
         self.events = events
         self.generation = 0
         #: Orphan segments reclaimed at startup (crash recovery).

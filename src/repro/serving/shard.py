@@ -16,18 +16,17 @@ what makes the two backends score bit for bit alike.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional
 
 from repro.core.ranking_model import RankingModel
 from repro.data.synthetic import World
 from repro.faults.breaker import CircuitBreaker
-from repro.faults.injector import NULL_INJECTOR, CrashFault
-from repro.obs import ShadowRecallMonitor
+from repro.faults.injector import CrashFault
 from repro.retrieval import CascadeConfig, RetrievalCascade
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import SessionCache
+from repro.serving.context import FleetContext
 from repro.serving.degrade import DegradationPolicy
 from repro.serving.engine import RankedList, SearchEngine
 from repro.serving.metrics import MetricsSink
@@ -131,11 +130,11 @@ class ShardWorker:
     own mutable scratch buffers).  ``cascade`` is a
     :meth:`~repro.retrieval.RetrievalCascade.worker_view` of a build shared
     across the fleet (``None``: the engine builds its own when the config
-    attaches a cascade).  The keyword arguments are live collaborators of
-    the interpreter the shard runs in: ``injector`` is bound with
-    ``shard=<id>`` so fault plans can target individual shards, ``events``
-    receives the breaker's ``circuit_open`` / ``circuit_closed``
-    transitions (default: the shard's own sink).
+    attaches a cascade).  ``ctx`` holds the live collaborators of the
+    interpreter the shard runs in; its injector is bound with ``shard=<id>``
+    so fault plans can target individual shards.  The breaker records its
+    ``circuit_open`` / ``circuit_closed`` transitions on the shard's own
+    sink until the fleet points it at its control log.
     """
 
     def __init__(
@@ -146,16 +145,11 @@ class ShardWorker:
         model: RankingModel,
         version: Optional[str] = None,
         cascade: Optional[RetrievalCascade] = None,
-        *,
-        clock: Callable[[], float] = time.perf_counter,
-        tracer=None,
-        slo=None,
-        shadow_recall: Optional[ShadowRecallMonitor] = None,
-        injector=NULL_INJECTOR,
-        events=None,
+        ctx: FleetContext = FleetContext(),
     ) -> None:
         self.shard_id = int(shard_id)
-        self.injector = injector.bind(shard=self.shard_id)
+        self.injector = ctx.injector.bind(shard=self.shard_id)
+        ctx = replace(ctx, injector=self.injector)
         self.engine = SearchEngine(
             world,
             model,
@@ -165,16 +159,16 @@ class ShardWorker:
             compile=config.compile,
             cascade=config.cascade,
             prebuilt_cascade=cascade,
-            tracer=tracer,
-            shadow_recall=shadow_recall,
-            injector=self.injector,
+            ctx=ctx,
         )
         self.cache = SessionCache(config.cache_capacity)
-        self.metrics = MetricsSink(clock=clock, slo=slo)
+        self.metrics = MetricsSink(clock=ctx.clock, slo=ctx.slo)
         self.breaker = CircuitBreaker(
             failure_threshold=config.breaker_failure_threshold,
             cooldown_s=config.breaker_cooldown_s,
-            clock=clock,
+            clock=ctx.clock,
+            events=self.metrics.events,
+            shard=self.shard_id,
         )
         self.batcher = MicroBatcher(
             self.engine,
@@ -182,14 +176,10 @@ class ShardWorker:
             flush_deadline_ms=config.flush_deadline_ms,
             cache=self.cache,
             metrics=self.metrics,
-            clock=clock,
-            tracer=tracer,
             policy=config.policy,
-            injector=self.injector,
             breaker=self.breaker,
+            ctx=ctx,
         )
-        self._events = events if events is not None else self.metrics.events
-        self._clock = clock
 
     def submit(self, user: int, query_category: int) -> List[RankedList]:
         """Breaker-guarded ``batcher.submit``.
@@ -197,8 +187,11 @@ class ShardWorker:
         An open breaker refuses without an attempt; a
         :class:`~repro.faults.CrashFault` at ``batcher.submit`` counts as a
         breaker failure and refuses.  Either way :class:`ShardRefused`
-        tells the fleet to reroute.  On the healthy path (breaker closed,
-        no crash) this is one attribute compare over a bare submit.
+        tells the fleet to reroute.  A clean enqueue is not an outcome —
+        the flush that scores it reports one — except as the half-open
+        trial, whose admission closes the breaker.  On the healthy path
+        (breaker closed, no crash) this is two attribute compares over a
+        bare submit.
         """
         breaker = self.breaker
         if not breaker.allow():
@@ -206,18 +199,10 @@ class ShardWorker:
         try:
             results = self.batcher.submit(user, query_category)
         except CrashFault:
-            previous = breaker.state
             breaker.record_failure()
-            if breaker.state == CircuitBreaker.OPEN and previous != CircuitBreaker.OPEN:
-                self._events.record(
-                    "circuit_open", self._clock(), shard=self.shard_id,
-                    failures=breaker.failures_total,
-                )
             raise ShardRefused("crash") from None
-        previous = breaker.state
-        breaker.record_success()
-        if previous != CircuitBreaker.CLOSED and breaker.state == CircuitBreaker.CLOSED:
-            self._events.record("circuit_closed", self._clock(), shard=self.shard_id)
+        if breaker.state == CircuitBreaker.HALF_OPEN:
+            breaker.record_success()
         return results
 
     def swap(

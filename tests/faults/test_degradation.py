@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.faults import NULL_INJECTOR, FaultInjector, FaultPlan, FaultSpec
 from repro.retrieval import CascadeConfig
 from repro.serving import (
     TIER_FULL,
@@ -11,12 +11,13 @@ from repro.serving import (
     TIER_PREFILTER,
     DegradationPolicy,
     FleetConfig,
+    FleetContext,
     ManualClock,
     build_fleet,
 )
 
 
-def _cluster(world, model, clock, policy=None, injector=None, **kwargs):
+def _cluster(world, model, clock, policy=None, injector=NULL_INJECTOR, **kwargs):
     kwargs.setdefault("num_workers", 1)
     kwargs.setdefault("max_batch_size", 4)
     kwargs.setdefault("flush_deadline_ms", 1e6)
@@ -25,8 +26,7 @@ def _cluster(world, model, clock, policy=None, injector=None, **kwargs):
         model,
         FleetConfig(seed=0, policy=policy, **kwargs),
         backend="inprocess",
-        clock=clock.now,
-        injector=injector,
+        ctx=FleetContext(clock=clock.now, injector=injector),
     )
 
 
@@ -272,7 +272,7 @@ class TestDisabledPathIdentity:
             results.extend(cluster.flush())
             return results
 
-        plain = run(policy=None, injector=None)
+        plain = run(policy=None, injector=NULL_INJECTOR)
         armed = run(
             policy=DegradationPolicy(deadline_ms=1e9),
             injector=FaultInjector(FaultPlan()),

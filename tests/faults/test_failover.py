@@ -4,6 +4,7 @@ from repro.faults import CircuitBreaker, FaultInjector, FaultPlan, FaultSpec
 from repro.serving import (
     TIER_POPULARITY,
     FleetConfig,
+    FleetContext,
     ManualClock,
     build_fleet,
     shard_for_user,
@@ -30,8 +31,7 @@ def _cluster(world, model, clock, injector, num_shards=2, **kwargs):
             **kwargs,
         ),
         backend="inprocess",
-        clock=clock.now,
-        injector=injector,
+        ctx=FleetContext(clock=clock.now, injector=injector),
     )
 
 
@@ -108,6 +108,32 @@ class TestFailover:
             ]
 
         assert run() == run()
+
+    def test_failing_flushes_open_the_breaker(self, unit_world, make_model):
+        """A shard whose every flush crashes stops being routed to: the clean
+        enqueues between the failed flushes are not successes."""
+        clock = ManualClock()
+        inj = FaultInjector(
+            FaultPlan(specs=[FaultSpec("batcher.flush", "crash", times=None)])
+        )
+        cluster = _cluster(
+            unit_world, make_model(), clock, inj, num_shards=1, flush_deadline_ms=5.0
+        )
+        for user in range(3):
+            assert cluster.submit(user, 0) == []  # queued; the flush is what fails
+            clock.advance(0.01)
+            (answer,) = cluster.poll()  # deadline flush crashes: one tier down
+            assert answer.tier == TIER_POPULARITY
+        breaker = cluster.workers[0].breaker
+        assert breaker.state == CircuitBreaker.OPEN
+        assert (breaker.failures_total, breaker.successes_total, breaker.opens) == (3, 0, 1)
+        (opened,) = cluster.control.events.events("circuit_open")
+        assert opened.attrs == {"shard": 0, "failures": 3}
+        # Open: the shard is skipped without an attempt; the fleet answers.
+        (answer,) = cluster.submit(3, 0)
+        assert answer.tier == TIER_POPULARITY
+        assert cluster.workers[0].batcher.pending == 0
+        assert cluster.control.events.counts().get("load_shed") == 1
 
     def test_all_shards_down_still_answers(self, unit_world, make_model):
         clock = ManualClock()

@@ -15,7 +15,7 @@ from repro.faults import (
 )
 from repro.infer import shared_memory_available
 from repro.obs import AlertManager
-from repro.serving import FleetConfig, ZipfLoadGenerator, build_fleet
+from repro.serving import FleetConfig, FleetContext, ZipfLoadGenerator, build_fleet
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(), reason="POSIX shared memory unavailable"
@@ -135,7 +135,7 @@ class TestFleetSoak:
         )
         fleet = build_fleet(
             unit_world, make_model(), config, backend="process", version="v1",
-            fault_plan=plan,
+            ctx=FleetContext(fault_plan=plan),
         )
         try:
             report = run_fleet_soak(

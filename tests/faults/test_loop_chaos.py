@@ -26,6 +26,7 @@ from repro.online import (
 from repro.serving import (
     DegradationPolicy,
     FleetConfig,
+    FleetContext,
     ManualClock,
     ZipfLoadGenerator,
     build_fleet,
@@ -62,10 +63,8 @@ def _chaos_loop(
             breaker_cooldown_s=breaker_cooldown_s,
         ),
         backend="inprocess",
-        clock=clock,
-        injector=inj,
+        ctx=FleetContext(clock=clock, injector=inj, alerts=alerts),
     )
-    inj.events = cluster.control.events
     loop = OnlineLoop(
         world=unit_world,
         cluster=cluster,
@@ -80,7 +79,6 @@ def _chaos_loop(
         ),
         click_log=ClickLog(path=str(tmp_path / "clicks.jsonl"), injector=inj),
         seed=11,
-        alerts=alerts,
         watch_cycles=watch_cycles,
         retry_backoff_s=0.01,
     )

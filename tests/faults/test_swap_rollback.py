@@ -3,18 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.serving import FleetConfig, ManualClock, SwapFailed, build_fleet, shard_for_user
+from repro.faults import NULL_INJECTOR, FaultInjector, FaultPlan, FaultSpec
+from repro.serving import (
+    FleetConfig,
+    FleetContext,
+    ManualClock,
+    SwapFailed,
+    build_fleet,
+    shard_for_user,
+)
 
 
-def _cluster(world, model, injector=None):
+def _cluster(world, model, injector=NULL_INJECTOR):
     return build_fleet(
         world,
         model,
         FleetConfig(num_workers=2, seed=0, max_batch_size=100, flush_deadline_ms=1e6),
         backend="inprocess",
-        clock=ManualClock().now,
-        injector=injector,
+        ctx=FleetContext(clock=ManualClock().now, injector=injector),
     )
 
 

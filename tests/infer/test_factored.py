@@ -168,8 +168,8 @@ class TestFloat32Factored:
         are charged FLOPs for those rows only; nothing 3H wide is leased."""
         compiled = compile_model(model)
         profiler = PlanProfiler()
-        compiled.attach_profiler(profiler)
-        compiled.predict_proba(factored)
+        with profiler.profiling(compiled.gate_plan, compiled.score_plan):
+            compiled.predict_proba(factored)
         rows = {row["step"]: row for row in profiler.report("score")}
         sessions, seq_len = factored.num_sessions, unit_world.config.max_seq_len
         steps = {step.name: step for step in compiled.score_plan.steps}

@@ -23,7 +23,7 @@ from repro.data import WorldConfig
 from repro.data.amazon import make_amazon_datasets
 from repro.data.dataset import iterate_batches
 from repro.infer import CompiledModel, compile_model, float64_twin
-from repro.serving import FleetConfig, ManualClock, build_fleet
+from repro.serving import FleetConfig, FleetContext, ManualClock, build_fleet
 
 RTOL_F32 = 1e-4
 
@@ -161,7 +161,7 @@ class TestHotSwapBoundary:
                 cache_capacity=64,
             ),
             backend="inprocess",
-            clock=clock,
+            ctx=FleetContext(clock=clock),
         )
         for worker in cluster.workers:
             worker.engine.set_model(model_a, "v1")
@@ -194,7 +194,7 @@ class TestHotSwapBoundary:
     def test_swap_recompiles_plan_object(self, unit_world, make_model):
         cluster = build_fleet(
             unit_world, make_model(trained=True), FleetConfig(num_workers=1, seed=0),
-            backend="inprocess", clock=ManualClock(),
+            backend="inprocess", ctx=FleetContext(clock=ManualClock()),
         )
         worker = cluster.workers[0]
         old_plan = worker.engine.compiled_model

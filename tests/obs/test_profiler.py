@@ -20,23 +20,30 @@ def compiled(test_set):
     return compile_model(model)
 
 
+def _profiled(profiler, compiled, batch, runs=1):
+    """Score ``batch`` ``runs`` times with both plans feeding ``profiler``."""
+    with profiler.profiling(compiled.gate_plan, compiled.score_plan):
+        for _ in range(runs):
+            compiled.predict_proba(batch)
+    return profiler
+
+
 class TestAttachment:
-    def test_detached_plan_has_no_profiler(self, compiled):
-        assert compiled.profiler is None
-        with pytest.raises(RuntimeError, match="no profiler attached"):
-            compiled.profile_report()
-        with pytest.raises(RuntimeError, match="no profiler attached"):
-            compiled.score_plan.profile_report()
+    def test_detached_plan_has_no_profiler(self, compiled, batch):
+        assert compiled.gate_plan.step_hook is None
+        assert compiled.score_plan.step_hook is None
+        profiler = PlanProfiler()
+        compiled.predict_proba(batch)
+        assert profiler.report() == []
 
     def test_attach_and_detach(self, compiled, batch):
         profiler = PlanProfiler()
-        compiled.attach_profiler(profiler)
-        assert compiled.gate_plan.profiler is profiler
-        baseline = compiled.predict_proba(batch)
+        with profiler.profiling(compiled.gate_plan, compiled.score_plan):
+            assert compiled.gate_plan.step_hook is not None
+            baseline = compiled.predict_proba(batch)
         assert profiler.total_seconds() > 0.0
-        compiled.attach_profiler(None)
-        assert compiled.profiler is None
-        # Detached execution is unchanged and records nothing further.
+        # Leaving the block restores the untimed loop.
+        assert compiled.gate_plan.step_hook is compiled.score_plan.step_hook is None
         recorded = profiler.total_seconds()
         again = compiled.predict_proba(batch)
         assert np.array_equal(again, baseline)
@@ -44,17 +51,14 @@ class TestAttachment:
 
     def test_profiled_scores_match_unprofiled(self, compiled, batch):
         baseline = compiled.predict_proba(batch)
-        compiled.attach_profiler(PlanProfiler())
-        assert np.array_equal(compiled.predict_proba(batch), baseline)
+        with PlanProfiler().profiling(compiled.gate_plan, compiled.score_plan):
+            assert np.array_equal(compiled.predict_proba(batch), baseline)
 
 
 class TestAccounting:
     def test_calls_and_shares(self, compiled, batch):
-        profiler = PlanProfiler()
-        compiled.attach_profiler(profiler)
         runs = 3
-        for _ in range(runs):
-            compiled.predict_proba(batch)
+        profiler = _profiled(PlanProfiler(), compiled, batch, runs)
         assert set(profiler.plans()) == {"gate", "score"}
         report = profiler.report()
         assert all(row["calls"] == runs for row in report)
@@ -66,9 +70,7 @@ class TestAccounting:
         assert "experts" in step_names and "mix" in step_names
 
     def test_gemm_steps_carry_flops(self, compiled, batch):
-        profiler = PlanProfiler()
-        compiled.attach_profiler(profiler)
-        compiled.predict_proba(batch)
+        profiler = _profiled(PlanProfiler(), compiled, batch)
         by_step = {(row["plan"], row["step"]): row for row in profiler.report()}
         # The packed expert GEMM and the gate MLPs are cost-model priced...
         assert by_step[("score", "experts")]["mflops"] > 0.0
@@ -77,9 +79,7 @@ class TestAccounting:
         assert by_step[("score", "input.behavior_repr")]["mflops"] == 0.0
 
     def test_reset_clears_stats(self, compiled, batch):
-        profiler = PlanProfiler()
-        compiled.attach_profiler(profiler)
-        compiled.predict_proba(batch)
+        profiler = _profiled(PlanProfiler(), compiled, batch)
         profiler.reset()
         assert profiler.report() == []
         assert profiler.total_seconds() == 0.0
@@ -90,20 +90,16 @@ class TestReports:
         assert PlanProfiler().report_table() == "PlanProfiler: no steps recorded"
 
     def test_combined_table_prefixes_plan_names(self, compiled, batch):
-        profiler = PlanProfiler()
-        compiled.attach_profiler(profiler)
-        compiled.predict_proba(batch)
-        table = compiled.profile_report()
+        profiler = _profiled(PlanProfiler(), compiled, batch)
+        table = profiler.report_table(title="AWMoE kernel profile")
         assert "AWMoE kernel profile" in table
         assert "score.experts" in table
         assert "gate." in table
         assert "% plan" in table and "MFLOP" in table
 
     def test_single_plan_table_drops_prefix(self, compiled, batch):
-        profiler = PlanProfiler()
-        compiled.attach_profiler(profiler)
-        compiled.predict_proba(batch)
-        table = compiled.score_plan.profile_report()
+        profiler = _profiled(PlanProfiler(), compiled, batch)
+        table = profiler.report_table(plan="score", title="plan 'score' kernel profile")
         assert "plan 'score' kernel profile" in table
         assert "score.experts" not in table  # bare step names within one plan
         assert "experts" in table
@@ -111,7 +107,4 @@ class TestReports:
     def test_report_rows_are_json_ready(self, compiled, batch):
         import json
 
-        profiler = PlanProfiler()
-        compiled.attach_profiler(profiler)
-        compiled.predict_proba(batch)
-        json.dumps(profiler.report())
+        json.dumps(_profiled(PlanProfiler(), compiled, batch).report())

@@ -213,22 +213,27 @@ class TestNullObjects:
         assert not NULL_TRACER.enabled
 
     def test_kernel_span_hook_skips_unsampled(self):
-        assert kernel_span_hook(NULL_TRACE, NULL_SPAN) is None
+        assert kernel_span_hook((NULL_TRACE, NULL_SPAN)) is None
+        assert kernel_span_hook() is None
 
     def test_kernel_span_hook_records_child(self):
         clock = ManualClock(start=10.0)
         tracer = Tracer(clock=clock)
-        trace = tracer.trace("q")
-        parent = trace.begin("rank")
-        hook = kernel_span_hook(trace, parent)
+        pairs = []
+        for name in ("q", "r"):
+            trace = tracer.trace(name)
+            pairs.append((trace, trace.begin("rank")))
+        # One batched kernel fans out to every sampled request's rank span.
+        hook = kernel_span_hook(*pairs, (NULL_TRACE, NULL_SPAN))
 
         class Step:
             name, kind, flops = "experts", "experts", 128
 
-        hook(Step, 0.004)
-        parent.end()
-        kernel = trace.spans[-1]
-        assert kernel.name == "experts"
-        assert kernel.parent_id == parent.span_id
-        assert kernel.duration_ms == pytest.approx(4.0)
-        assert kernel.attrs == {"kind": "experts", "flops": 128}
+        hook(Step, 0.004, {})
+        for trace, parent in pairs:
+            parent.end()
+            kernel = trace.spans[-1]
+            assert kernel.name == "experts"
+            assert kernel.parent_id == parent.span_id
+            assert kernel.duration_ms == pytest.approx(4.0)
+            assert kernel.attrs == {"kind": "experts", "flops": 128}

@@ -7,6 +7,7 @@ import pytest
 from repro.retrieval import CascadeConfig
 from repro.serving import (
     FleetConfig,
+    FleetContext,
     ManualClock,
     MicroBatcher,
     SearchEngine,
@@ -38,7 +39,7 @@ def cluster(unit_world, model_a):
             cache_capacity=64,
         ),
         backend="inprocess",
-        clock=clock,
+        ctx=FleetContext(clock=clock),
     )
     for worker in cluster.workers:
         worker.engine.set_model(model_a, "v1")
@@ -124,7 +125,7 @@ class TestCascadeSwapUnderLoad:
                 cache_capacity=64, cascade=self.CASCADE,
             ),
             backend="inprocess",
-            clock=ManualClock(),
+            ctx=FleetContext(clock=ManualClock()),
         )
         for worker in cluster.workers:
             worker.engine.set_model(model_a, "v1")

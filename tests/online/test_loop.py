@@ -15,7 +15,7 @@ from repro.online import (
     OnlineLoop,
     PositionBiasedClickModel,
 )
-from repro.serving import FleetConfig, ManualClock, ZipfLoadGenerator, build_fleet
+from repro.serving import FleetConfig, FleetContext, ManualClock, ZipfLoadGenerator, build_fleet
 
 
 def _make_loop(
@@ -36,7 +36,7 @@ def _make_loop(
             cache_capacity=128,
         ),
         backend="inprocess",
-        clock=clock,
+        ctx=FleetContext(clock=clock),
     )
     loop = OnlineLoop(
         world=unit_world,
@@ -206,6 +206,7 @@ class TestAlertsOnEitherBackend:
             make_model(trained=False),
             FleetConfig(num_workers=2, seed=0, max_batch_size=4, restart_backoff_s=0.01),
             backend=backend,
+            ctx=FleetContext(alerts=alerts),
         ) as fleet:
             loop = OnlineLoop(
                 world=unit_world,
@@ -220,7 +221,6 @@ class TestAlertsOnEitherBackend:
                     unit_world, np.random.default_rng(3), ClickModelConfig()
                 ),
                 seed=11,
-                alerts=alerts,
             )
             loop.bootstrap()
             report = loop.run_cycle(_events(unit_world, 40))

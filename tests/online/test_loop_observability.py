@@ -27,7 +27,7 @@ from repro.online import (
     OnlineLoop,
     PositionBiasedClickModel,
 )
-from repro.serving import FleetConfig, ManualClock, ZipfLoadGenerator, build_fleet
+from repro.serving import FleetConfig, FleetContext, ManualClock, ZipfLoadGenerator, build_fleet
 from repro.utils.rng import generator
 
 
@@ -64,10 +64,9 @@ def _build_loop(tmp_path, learning_rate=1e-3, rules=(), min_samples=10):
             cache_capacity=128,
         ),
         backend="inprocess",
-        clock=clock,
-        slo=SloTracker(latency_slo_ms=50.0),
-        drift=drift,
-        alerts=alerts,
+        ctx=FleetContext(
+            clock=clock, slo=SloTracker(latency_slo_ms=50.0), drift=drift, alerts=alerts
+        ),
     )
     exporter = InMemoryExporter()
     loop = OnlineLoop(
@@ -82,8 +81,6 @@ def _build_loop(tmp_path, learning_rate=1e-3, rules=(), min_samples=10):
         ),
         seed=11,
         tracer=Tracer(sample_rate=1.0, exporter=exporter, clock=clock.now),
-        drift=drift,
-        alerts=alerts,
     )
     loop.bootstrap()
     gen = ZipfLoadGenerator(np.random.default_rng(7), world=world, target_qps=500.0)
@@ -169,11 +166,11 @@ class TestRefreshTracing:
 class TestDriftLifecycle:
     def test_promotion_freezes_live_window_as_reference(self, tmp_path):
         loop, gen, _ = _build_loop(tmp_path)
-        assert not loop.drift.has_reference
+        assert not loop.cluster.ctx.drift.has_reference
         report = loop.run_cycle(gen.generate(200))
         assert report.promoted
-        assert loop.drift.has_reference
-        assert loop.drift.scores()["ctr"]["live_samples"] == 0  # fresh window after freeze
+        assert loop.cluster.ctx.drift.has_reference
+        assert loop.cluster.ctx.drift.scores()["ctr"]["live_samples"] == 0  # fresh window after freeze
         # First cycle has no reference yet, so no scores in its report.
         assert report.drift is None
 
@@ -210,7 +207,7 @@ class TestEndToEndAlertPath:
         loop.run_cycle(gen.generate(250))
         report = loop.run_cycle(gen.generate(250))
         assert report.drift["ctr"]["psi"] < 0.04
-        assert loop.alerts.firing() == ()
+        assert loop.cluster.ctx.alerts.firing() == ()
         assert loop.cluster.control.events.events("alert_fired") == ()
 
     def test_drifted_traffic_fires_alert_through_to_dashboard(self, tmp_path):
@@ -231,7 +228,7 @@ class TestEndToEndAlertPath:
                 report.drift["ctr"]["psi"]
             )}
         ]
-        assert loop.alerts.is_firing("ctr-drift")
+        assert loop.cluster.ctx.alerts.is_firing("ctr-drift")
 
         # 3. A typed event landed in the fleet's control-plane log.
         (fired,) = loop.cluster.control.events.events("alert_fired")

@@ -1,7 +1,7 @@
 """One time base per control-plane log.
 
 The fleet's control log, an online loop over the fleet and both transports'
-fault injectors stamp events from one clock (``Fleet.clock``), so every
+fault injectors stamp events from one clock (``Fleet.ctx.clock``), so every
 entry falls inside a window read from that clock and the log — and the
 merged log, which sorts by timestamp — lists events in record order.
 """
@@ -22,7 +22,7 @@ from repro.online import (
     OnlineLoop,
     PositionBiasedClickModel,
 )
-from repro.serving import FleetConfig, ZipfLoadGenerator, build_fleet
+from repro.serving import FleetConfig, FleetContext, ZipfLoadGenerator, build_fleet
 
 
 def _assert_one_time_base(events, start, stop):
@@ -50,7 +50,10 @@ def test_loop_and_inprocess_fleet_share_the_wall_clock(
         make_model(trained=False),
         FleetConfig(num_workers=2, seed=0, max_batch_size=4, flush_deadline_ms=5.0),
         backend="inprocess",
-        fault_plan=FaultPlan(specs=[FaultSpec("engine.retrieve", "latency", times=3)]),
+        ctx=FleetContext(
+            fault_plan=FaultPlan(specs=[FaultSpec("engine.retrieve", "latency", times=3)]),
+            drift=DriftMonitor(min_samples=1),
+        ),
     )
     loop = OnlineLoop(
         world=unit_world,
@@ -63,7 +66,6 @@ def test_loop_and_inprocess_fleet_share_the_wall_clock(
             unit_world, np.random.default_rng(3), ClickModelConfig()
         ),
         seed=11,
-        drift=DriftMonitor(min_samples=1),
     )
     loop.bootstrap()
     traffic = ZipfLoadGenerator(np.random.default_rng(7), world=unit_world, target_qps=500.0)
@@ -88,7 +90,8 @@ def test_process_fleet_fault_events_read_the_monotonic_clock(unit_world, make_mo
     start = time.monotonic()
     plan = FaultPlan(specs=[FaultSpec("worker.spawn", "latency", times=2)])
     with build_fleet(
-        unit_world, make_model(), FleetConfig(num_workers=2), backend="process", fault_plan=plan
+        unit_world, make_model(), FleetConfig(num_workers=2), backend="process",
+        ctx=FleetContext(fault_plan=plan),
     ) as fleet:
         fleet.flush()
         stop = time.monotonic()

@@ -12,7 +12,7 @@ import repro.serving.engine as engine_module
 from repro.core import ModelConfig, build_model
 from repro.data import UserState, assemble_session
 from repro.retrieval import CascadeConfig
-from repro.serving import ManualClock, MicroBatcher, SearchEngine, SessionCache
+from repro.serving import FleetContext, ManualClock, MicroBatcher, SearchEngine, SessionCache
 
 #: Repeated (user, query-category) traffic: users 3 and 5 re-issue sessions.
 TRAFFIC = [(3, 2), (5, 1), (3, 2), (9, 0), (5, 1), (3, 4), (3, 2), (11, 2)]
@@ -29,7 +29,7 @@ class TestFlushTriggers:
     def test_flush_on_size(self, unit_world, test_set):
         clock = ManualClock()
         batcher = MicroBatcher(
-            _engine(unit_world, test_set), max_batch_size=3, flush_deadline_ms=1e9, clock=clock
+            _engine(unit_world, test_set), max_batch_size=3, flush_deadline_ms=1e9, ctx=FleetContext(clock=clock)
         )
         assert batcher.submit(1, 0) == []
         assert batcher.submit(2, 1) == []
@@ -41,7 +41,7 @@ class TestFlushTriggers:
     def test_flush_on_deadline(self, unit_world, test_set):
         clock = ManualClock()
         batcher = MicroBatcher(
-            _engine(unit_world, test_set), max_batch_size=100, flush_deadline_ms=5.0, clock=clock
+            _engine(unit_world, test_set), max_batch_size=100, flush_deadline_ms=5.0, ctx=FleetContext(clock=clock)
         )
         batcher.submit(1, 0)
         clock.advance(0.004)  # 4 ms < 5 ms deadline
@@ -52,7 +52,7 @@ class TestFlushTriggers:
         assert results[0].latency_ms == pytest.approx(6.0)
 
     def test_poll_without_pending_is_noop(self, unit_world, test_set):
-        batcher = MicroBatcher(_engine(unit_world, test_set), clock=ManualClock())
+        batcher = MicroBatcher(_engine(unit_world, test_set), ctx=FleetContext(clock=ManualClock()))
         assert batcher.poll() == []
         assert batcher.flush() == []
 
@@ -66,7 +66,7 @@ class TestFlushTriggers:
     def test_queueing_latency_accounted_per_query(self, unit_world, test_set):
         clock = ManualClock()
         batcher = MicroBatcher(
-            _engine(unit_world, test_set), max_batch_size=2, flush_deadline_ms=1e9, clock=clock
+            _engine(unit_world, test_set), max_batch_size=2, flush_deadline_ms=1e9, ctx=FleetContext(clock=clock)
         )
         batcher.submit(1, 0)
         clock.advance(0.010)
@@ -84,7 +84,7 @@ class TestScoreParity:
             max_batch_size=4,
             flush_deadline_ms=1e9,
             cache=cache,
-            clock=ManualClock(),
+            ctx=FleetContext(clock=ManualClock()),
         )
         expected = [single.search(user, qcat) for user, qcat in TRAFFIC]
         got = []
@@ -135,7 +135,7 @@ class TestScoreParity:
         cache = SessionCache(64)
         batcher = MicroBatcher(
             batched_engine, max_batch_size=4, flush_deadline_ms=1e9, cache=cache,
-            clock=ManualClock(),
+            ctx=FleetContext(clock=ManualClock()),
         )
         expected = [single.search(user, qcat) for user, qcat in TRAFFIC]
         got = []
@@ -151,7 +151,7 @@ class TestScoreParity:
 class TestAccounting:
     def test_engine_stats_cover_batched_traffic(self, unit_world, test_set):
         engine = _engine(unit_world, test_set)
-        batcher = MicroBatcher(engine, max_batch_size=2, clock=ManualClock())
+        batcher = MicroBatcher(engine, max_batch_size=2, ctx=FleetContext(clock=ManualClock()))
         for user, qcat in TRAFFIC[:4]:
             batcher.submit(user, qcat)
         assert engine.queries_served == 4
@@ -159,7 +159,7 @@ class TestAccounting:
     def test_batch_size_histogram(self, unit_world, test_set):
         batcher = MicroBatcher(
             _engine(unit_world, test_set), max_batch_size=3, flush_deadline_ms=1e9,
-            clock=ManualClock(),
+            ctx=FleetContext(clock=ManualClock()),
         )
         for user, qcat in TRAFFIC[:7]:  # 7 queries -> flushes of 3, 3, then 1
             batcher.submit(user, qcat)
@@ -194,7 +194,7 @@ class TestFlushLevelAssembly:
     ):
         batcher = MicroBatcher(
             _engine(unit_world, test_set, cascade=cascade), max_batch_size=4,
-            flush_deadline_ms=1e9, cache=SessionCache(64), clock=ManualClock(),
+            flush_deadline_ms=1e9, cache=SessionCache(64), ctx=FleetContext(clock=ManualClock()),
         )
         del assemblies[:]  # a cascade build assembles its probe batches
         for user, qcat in TRAFFIC[:3]:
@@ -222,7 +222,7 @@ class TestFlushLevelAssembly:
         weight.data = (weight.data * 25.0).astype(weight.data.dtype)
         reference.set_model(reference.model, "v2")
         cache = SessionCache(64)
-        batcher = MicroBatcher(engine, max_batch_size=64, cache=cache, clock=ManualClock())
+        batcher = MicroBatcher(engine, max_batch_size=64, cache=cache, ctx=FleetContext(clock=ManualClock()))
         queries = [(3, 2), (11, 0), (3, 4)]
         for user, qcat in queries:
             batcher.submit(user, qcat)
@@ -259,7 +259,7 @@ class TestFlushLevelAssembly:
             engine, "user_state", lambda user: built.append(user) or original(user)
         )
         cache = SessionCache(64)
-        batcher = MicroBatcher(engine, max_batch_size=1, cache=cache, clock=ManualClock())
+        batcher = MicroBatcher(engine, max_batch_size=1, cache=cache, ctx=FleetContext(clock=ManualClock()))
         batcher.submit(3, 2)
         state = cache.get_behavior(3)
         assert isinstance(state, UserState) and state.behavior is not None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ModelConfig, build_model
-from repro.serving import FleetConfig, ManualClock, build_fleet, shard_for_user
+from repro.serving import FleetConfig, FleetContext, ManualClock, build_fleet, shard_for_user
 
 
 @pytest.fixture()
@@ -15,7 +15,7 @@ def cluster(unit_world, test_set):
         model,
         FleetConfig(num_workers=3, seed=11, max_batch_size=4, flush_deadline_ms=1e9),
         backend="inprocess",
-        clock=ManualClock(),
+        ctx=FleetContext(clock=ManualClock()),
     )
 
 

@@ -12,6 +12,7 @@ from repro.infer import SnapshotSlab, shared_memory_available
 from repro.serving import (
     TIER_POPULARITY,
     FleetConfig,
+    FleetContext,
     SearchEngine,
     ZipfLoadGenerator,
     build_fleet,
@@ -92,8 +93,10 @@ class TestBackends:
     def test_cluster_kwargs_rejected_on_process_backend(
         self, unit_world, fleet_model
     ):
-        with pytest.raises(TypeError, match="in-process"):
-            build_fleet(unit_world, fleet_model, backend="process", tracer=object())
+        with pytest.raises(TypeError, match=r"\['tracer'\].*in-process"):
+            build_fleet(
+                unit_world, fleet_model, backend="process", ctx=FleetContext(tracer=object())
+            )
 
     def test_process_fleet_matches_inprocess_bitwise(self, unit_world, fleet_model):
         config = FleetConfig(num_workers=3, seed=11)
@@ -141,8 +144,9 @@ class TestOneSurface:
             assert fleet.telemetry_extra()["slab_bytes"] >= 0
             assert fleet.telemetry_extra()["workers_available"] == 2.0
             # Collaborators nobody passed read as None / the null tracer.
-            assert fleet.slo is fleet.drift is fleet.alerts is fleet.shadow_recall is None
-            assert not fleet.tracer.enabled
+            ctx = fleet.ctx
+            assert ctx.slo is ctx.drift is ctx.alerts is ctx.shadow_recall is None
+            assert not ctx.tracer.enabled
             summary = fleet.summary()
             assert summary["backend"] == backend
             assert sum(shard["queries"] for shard in summary["shards"]) == 25
@@ -185,7 +189,7 @@ class TestOneSurface:
                 FleetConfig(num_workers=2),
                 backend=backend,
                 version="v1",
-                fault_plan=plan,
+                ctx=FleetContext(fault_plan=plan),
             ) as fleet:
                 (answer,) = fleet.submit(user, category)
                 shed = fleet.control.events.events("load_shed")
@@ -244,7 +248,8 @@ class TestSupervision:
             restart_backoff_s=5.0,  # keep it down so the death is observable
         )
         with build_fleet(
-            unit_world, fleet_model, config, backend="process", fault_plan=plan
+            unit_world, fleet_model, config, backend="process",
+            ctx=FleetContext(fault_plan=plan),
         ) as fleet:
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
@@ -367,7 +372,8 @@ class TestSwap:
         )
         config = FleetConfig(num_workers=2)
         with build_fleet(
-            unit_world, fleet_model, config, backend="process", fault_plan=plan
+            unit_world, fleet_model, config, backend="process",
+            ctx=FleetContext(fault_plan=plan),
         ) as fleet:
             fleet.swap_model(swap_target, version="v2")
             counts = fleet.control.events.counts()
@@ -416,7 +422,8 @@ class TestConfig:
         )
         config = FleetConfig(num_workers=2, restart_backoff_s=0.01)
         with build_fleet(
-            unit_world, fleet_model, config, backend="process", fault_plan=plan
+            unit_world, fleet_model, config, backend="process",
+            ctx=FleetContext(fault_plan=plan),
         ) as fleet:
             assert fleet.workers_available == 2  # bootstrap unaffected
             fleet.kill_worker(0)

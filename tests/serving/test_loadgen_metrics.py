@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import ModelConfig, build_model
 from repro.serving import (
+    FleetContext,
     ManualClock,
     MetricsSink,
     MicroBatcher,
@@ -75,7 +76,7 @@ class TestReplay:
         engine = SearchEngine(unit_world, model, np.random.default_rng(1))
         batcher = MicroBatcher(
             engine, max_batch_size=4, flush_deadline_ms=20.0,
-            cache=SessionCache(128), clock=clock,
+            cache=SessionCache(128), ctx=FleetContext(clock=clock),
         )
         events = ZipfLoadGenerator(
             np.random.default_rng(4), world=unit_world, target_qps=500.0
@@ -99,7 +100,7 @@ class TestReplay:
             SearchEngine(unit_world, model, np.random.default_rng(1)),
             max_batch_size=100,
             flush_deadline_ms=50.0,
-            clock=clock,
+            ctx=FleetContext(clock=clock),
         )
         events = [
             TrafficEvent(time=0.001, user=1, query_category=0),

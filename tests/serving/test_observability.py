@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from repro.core import ModelConfig, build_model
-from repro.obs import InMemoryExporter, SloTracker, Tracer, report_sections
+from repro.obs import NULL_TRACER, InMemoryExporter, SloTracker, Tracer, report_sections
 from repro.retrieval import CascadeConfig
 from repro.serving import (
     CacheStats,
     FleetConfig,
+    FleetContext,
     ManualClock,
     MetricsSink,
     MicroBatcher,
@@ -25,7 +26,7 @@ from repro.serving import (
 )
 
 
-def _engine(unit_world, test_set, tracer=None, cascade=None, seed=1):
+def _engine(unit_world, test_set, tracer=NULL_TRACER, cascade=None, seed=1):
     model = build_model(
         "aw_moe", ModelConfig.unit(), test_set.meta, np.random.default_rng(0)
     )
@@ -33,8 +34,8 @@ def _engine(unit_world, test_set, tracer=None, cascade=None, seed=1):
         unit_world,
         model,
         np.random.default_rng(seed),
-        tracer=tracer,
         cascade=cascade,
+        ctx=FleetContext(tracer=tracer),
     )
 
 
@@ -269,7 +270,8 @@ class TestBatcherTraces:
         tracer = Tracer(exporter=exporter, clock=clock)
         engine = _engine(unit_world, test_set)
         batcher = MicroBatcher(
-            engine, max_batch_size=2, flush_deadline_ms=1e9, clock=clock, tracer=tracer
+            engine, max_batch_size=2, flush_deadline_ms=1e9,
+            ctx=FleetContext(clock=clock, tracer=tracer),
         )
         batcher.submit(1, 0)
         clock.advance(0.003)
@@ -303,8 +305,7 @@ class TestBatcherTraces:
             _engine(unit_world, test_set),
             max_batch_size=1,
             cache=SessionCache(8),
-            clock=clock,
-            tracer=tracer,
+            ctx=FleetContext(clock=clock, tracer=tracer),
         )
         batcher.submit(3, 2)  # miss: session not yet cached
         batcher.submit(3, 2)  # hit: same session re-issued
@@ -319,7 +320,8 @@ class TestBatcherTraces:
         exporter = InMemoryExporter()
         tracer = Tracer(sample_rate=0.0, exporter=exporter, clock=clock)
         batcher = MicroBatcher(
-            _engine(unit_world, test_set), max_batch_size=2, clock=clock, tracer=tracer
+            _engine(unit_world, test_set), max_batch_size=2,
+            ctx=FleetContext(clock=clock, tracer=tracer),
         )
         batcher.submit(1, 0)
         results = batcher.submit(2, 1)
@@ -342,9 +344,7 @@ class TestClusterObservability:
             model,
             FleetConfig(num_workers=2, max_batch_size=2),
             backend="inprocess",
-            clock=clock,
-            tracer=tracer,
-            slo=slo,
+            ctx=FleetContext(clock=clock, tracer=tracer, slo=slo),
         )
         return cluster, clock
 
@@ -444,7 +444,7 @@ class TestClusterObservability:
         for user in range(8):
             cluster.submit(user, 0)
         cluster.flush()
-        assert cluster.slo.window_requests() == 8
+        assert cluster.ctx.slo.window_requests() == 8
         assert cluster.merged_metrics().summary()["slo"]["window_requests"] == 8
 
     def test_every_request_traced_across_shards(self, cluster):
@@ -452,6 +452,6 @@ class TestClusterObservability:
         for user in range(6):
             cluster.submit(user, 0)
         cluster.flush()
-        stats = cluster.tracer.stats()
+        stats = cluster.ctx.tracer.stats()
         assert stats["started"] == 6
         assert stats["exported"] == 6

@@ -16,6 +16,7 @@ from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.serving import (
     DegradationPolicy,
     FleetConfig,
+    FleetContext,
     ManualClock,
     ZipfLoadGenerator,
     build_fleet,
@@ -59,10 +60,8 @@ def _faulted_replay(world, model, traffic_seed):
             breaker_cooldown_s=0.05,
         ),
         backend="inprocess",
-        clock=clock,
-        injector=injector,
+        ctx=FleetContext(clock=clock, injector=injector),
     )
-    injector.events = fleet.control.events
     traffic = ZipfLoadGenerator(
         np.random.default_rng(traffic_seed), world=world, zipf_exponent=1.1, target_qps=300.0
     ).generate(NUM_EVENTS)

@@ -8,6 +8,7 @@ from repro.obs import MetricsRegistry, ShadowRecallMonitor
 from repro.retrieval import CascadeConfig, RetrievalProbe
 from repro.serving import (
     FleetConfig,
+    FleetContext,
     SearchEngine,
     ZipfLoadGenerator,
     build_fleet,
@@ -68,7 +69,7 @@ class TestEngineShadowProbe:
             model,
             np.random.default_rng(1),
             cascade=CascadeConfig.exhaustive(),
-            shadow_recall=monitor,
+            ctx=FleetContext(shadow_recall=monitor),
         )
         for user, category in [(1, 1), (2, 2), (3, 1), (5, 3)]:
             engine.retrieve(category, user=user)
@@ -87,7 +88,7 @@ class TestEngineShadowProbe:
             model,
             np.random.default_rng(1),
             cascade=config,
-            shadow_recall=monitor,
+            ctx=FleetContext(shadow_recall=monitor),
         )
         for user, category in queries:
             engine.retrieve(category, user=user)
@@ -105,7 +106,7 @@ class TestEngineShadowProbe:
             model,
             np.random.default_rng(1),
             cascade=CascadeConfig(retrieve_n=32, prune=16, nprobe=2),
-            shadow_recall=monitor,
+            ctx=FleetContext(shadow_recall=monitor),
         )
         engine.retrieve(1, user=1)
         assert monitor.requests == 1
@@ -143,7 +144,7 @@ class TestEngineShadowProbe:
         retrieval path (no cascade) does not consult the monitor."""
         monitor = ShadowRecallMonitor(rate=1.0)
         engine = SearchEngine(
-            unit_world, model, np.random.default_rng(1), shadow_recall=monitor
+            unit_world, model, np.random.default_rng(1), ctx=FleetContext(shadow_recall=monitor)
         )
         engine.retrieve(1, user=1)
         assert monitor.requests == 0

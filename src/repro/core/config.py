@@ -94,9 +94,6 @@ class TrainConfig:
     # are 4-5 orders of magnitude smaller, so the default is higher.
     learning_rate: float = 2e-3
     weight_decay: float = 0.01
-    # Learning-rate multiplier for the gate network's parameters (1.0 = off).
-    # Small-scale MoE training benefits from a faster gate; see trainer docs.
-    gate_lr_multiplier: float = 1.0
     # Contrastive learning (§III-D).  Paper-tuned values: p=0.1, l=3, λ=0.05.
     contrastive: bool = False
     mask_prob: float = 0.1

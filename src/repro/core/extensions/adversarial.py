@@ -86,7 +86,7 @@ def train_adversarial_aw_moe(
             loss = rank_loss + corr_loss * adversarial_weight
             optimizer.zero_grad()
             loss.backward()
-            clip_grad_norm(model.parameters(), GRAD_CLIP)
+            clip_grad_norm(optimizer, GRAD_CLIP)
             optimizer.step()
             log.log(step, loss=loss.item(), rank_loss=rank_loss.item(), corr=corr_loss.item())
     model.eval()

@@ -117,18 +117,14 @@ def train_step(
             rank_loss = bce_with_logits(logits, batch["label"])
             loss = rank_loss
             extra = {}
-        for optimizer in optimizers:
-            optimizer.zero_grad()
+        (optimizer,) = optimizers
+        optimizer.zero_grad()
         loss.backward()
         # clip_grad_norm returns the pre-clip global norm — the training
         # health signal the refresh-cycle telemetry streams (a norm spike
         # on a fresh click window is the earliest divergence symptom).
-        extra["grad_norm"] = float(clip_grad_norm(model.parameters(), GRAD_CLIP))
-        for optimizer in optimizers:
-            optimizer.step()
-    if arena is not None:
-        for optimizer in optimizers:
-            arena.release_grads(optimizer.params)
+        extra["grad_norm"] = clip_grad_norm(optimizer, GRAD_CLIP)
+        optimizer.step()
     return {"loss": loss.item(), "rank_loss": rank_loss.item(), **extra}
 
 
@@ -153,31 +149,8 @@ def build_strategy(config: TrainConfig) -> ContrastiveStrategy:
     )
 
 
-def build_optimizers(model: RankingModel, config: TrainConfig) -> list:
-    """AdamW over all parameters; the gate network may get its own rate.
-
-    A higher gate learning rate (``gate_lr_multiplier``) accelerates the
-    expert-specialization / gate-routing co-adaptation that billion-scale
-    training achieves through sheer data volume.
-    """
-    multiplier = config.gate_lr_multiplier
-    gate = getattr(model, "gate", None)
-    if multiplier == 1.0 or gate is None:
-        return [
-            AdamW(model.parameters(), lr=config.learning_rate, weight_decay=config.weight_decay)
-        ]
-    # The embedding tables are shared between the gate and the input network
-    # (§III-C2); they stay in the base group so they get the base rate.
-    shared = getattr(model, "embedder", None)
-    shared_ids = {id(p) for p in shared.parameters()} if shared is not None else set()
-    gate_params = [p for p in gate.parameters() if id(p) not in shared_ids]
-    gate_ids = {id(p) for p in gate_params}
-    rest = [p for p in model.parameters() if id(p) not in gate_ids]
-    return [
-        AdamW(rest, lr=config.learning_rate, weight_decay=config.weight_decay),
-        AdamW(
-            gate_params,
-            lr=config.learning_rate * multiplier,
-            weight_decay=config.weight_decay,
-        ),
-    ]
+def build_optimizers(model: RankingModel, config: TrainConfig) -> List[AdamW]:
+    """One AdamW over all of ``model``'s parameters, as the one-element list
+    :func:`train_step` takes: one optimizer, one flat parameter buffer, so
+    the clip norm sums in model order."""
+    return [AdamW(model.parameters(), lr=config.learning_rate, weight_decay=config.weight_decay)]

@@ -5,18 +5,20 @@ The compiled serving path (:mod:`repro.infer`) executes in a shape-keyed
 same idea to **autograd**: in steady-state training every step re-allocates
 the same gradient arrays — one per op output plus one per parameter — only
 to free them all again before the next step.  :class:`GradArena` recycles
-those buffers across steps, and :func:`fast_math` switches the layers
+the op outputs' buffers across steps, a parameter packed by
+:class:`repro.nn.AdamW` receives its gradient in its own slot of the
+optimizer's flat gradient buffer, and :func:`fast_math` switches the layers
 onto fused kernels (matmul + bias + ReLU as one op, packed-expert GEMMs)
 that cut the op count of the hot training step.
 
 Two coupled switches, one context manager::
 
     arena = GradArena()              # persistent, owned by the trainer
+    optimizer.zero_grad()
     with fast_math(arena):
         loss = model(batch)          # fused forward kernels
-        loss.backward()              # gradients land in recycled buffers
-    optimizer.step()
-    arena.release_grads(optimizer.params)   # buffers return to the pool
+        loss.backward()              # intermediates recycle, parameter
+    optimizer.step()                 # gradients land in their slots
 
 ``fast_math()`` without an arena still enables the fused kernels; gradient
 buffers are then allocated normally.  Outside the context every op takes the
@@ -25,19 +27,19 @@ the fast path is tested against.
 
 Correctness invariants (relied on by :mod:`repro.nn.tensor`):
 
-* every array handed out by :meth:`GradArena.lease` is exclusively owned by
-  the tensor whose ``.grad`` it becomes; backward closures never retain
-  references to other tensors' gradient buffers;
+* every array handed out by :meth:`GradArena.lease_grad` is exclusively
+  owned by the tensor whose ``.grad`` it becomes; backward closures never
+  retain references to other tensors' gradient buffers;
 * intermediate gradients are released back to the pool as soon as their
-  backward closure has propagated them (``Tensor.backward`` does this),
-  parameter gradients only after the optimizer consumed them.
+  backward closure has propagated them (``Tensor.backward`` does this);
+  parameters are leaves and never release theirs.
 """
 
 from __future__ import annotations
 
 import bisect
 import contextlib
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,8 +57,8 @@ class GradArena:
     ``.base``.  A miss drops one too-small buffer for the new one (more than
     128 rows round up to a multiple of 128), so a pool holds as many buffers
     as were ever live at once, each at most the largest size seen — not one
-    set per distinct shape.  The arena never zeroes on lease — callers that
-    need zeroed memory use :meth:`lease_zeros`.
+    set per distinct shape.  The arena never zeroes on lease — a
+    scatter-add caller fills its buffer first.
     """
 
     __slots__ = ("_free", "allocations", "reuses")
@@ -85,11 +87,12 @@ class GradArena:
             buffer = np.empty((capacity, *shape[1:]), dtype=dtype)
         return buffer if len(buffer) == rows else buffer[:rows]
 
-    def lease_zeros(self, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        """Return a zero-filled buffer (for scatter-add accumulation)."""
-        buffer = self.lease(shape, dtype)
-        buffer.fill(0.0)
-        return buffer
+    def lease_grad(self, tensor) -> np.ndarray:
+        """An uninitialised buffer for ``tensor``'s gradient: a packed
+        parameter's own slot in its optimizer's gradient buffer, else a
+        pooled :meth:`lease`."""
+        slot = tensor._grad_slot
+        return self.lease(tensor.data.shape, tensor.data.dtype) if slot is None else slot
 
     def release(self, buffer: Optional[np.ndarray]) -> None:
         """Return ``buffer`` (or the buffer it is a view of) to the pool."""
@@ -99,17 +102,6 @@ class GradArena:
             buffer = buffer.base
         pool = self._free.setdefault((buffer.shape[1:], buffer.dtype), [])
         pool.insert(bisect.bisect_left(pool, len(buffer), key=len), buffer)
-
-    def release_grads(self, params: Iterable) -> None:
-        """Reclaim the ``.grad`` buffers of ``params`` (post optimizer step).
-
-        Clears each parameter's gradient, so this doubles as ``zero_grad``
-        for the following step.
-        """
-        for param in params:
-            if param.grad is not None:
-                self.release(param.grad)
-                param.grad = None
 
     def stats(self) -> Dict[str, int]:
         """Allocation counters plus the pooled buffers' count and bytes."""

@@ -22,6 +22,10 @@ class Parameter(Tensor):
     def __init__(self, data, dtype: np.dtype = np.float32) -> None:
         super().__init__(data, requires_grad=True, dtype=dtype)
 
+    def __getstate__(self):
+        # A copy (deepcopy, pickle) views no optimizer's buffer: no slot.
+        return None, {name: getattr(self, name) for name in Tensor.__slots__}
+
 
 class Module:
     """Base class for all neural network modules.
@@ -119,7 +123,9 @@ class Module:
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameters from :meth:`state_dict` output; strict matching."""
+        """Load parameters from :meth:`state_dict` output; strict matching.
+        Copies into the existing arrays, so packed parameters keep viewing
+        their optimizer's buffer."""
         own = dict(self.named_parameters())
         missing = sorted(set(own) - set(state))
         unexpected = sorted(set(state) - set(own))
@@ -134,4 +140,4 @@ class Module:
                     f"shape mismatch for {name}: "
                     f"checkpoint {value.shape} vs model {param.data.shape}"
                 )
-            param.data = value.copy()
+            param.data[...] = value

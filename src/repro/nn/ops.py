@@ -88,7 +88,8 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
                 # zeroed table per lookup and then adds it into the grad,
                 # two table-sized passes the hot path cannot afford.
                 if weight.grad is None:
-                    weight.grad = arena.lease_zeros(weight.data.shape, weight.data.dtype)
+                    weight.grad = arena.lease_grad(weight)
+                    weight.grad.fill(0.0)
                 np.add.at(
                     weight.grad, indices.reshape(-1), grad.reshape(-1, weight.data.shape[-1])
                 )
@@ -171,17 +172,13 @@ def _accumulate_matmul(tensor: Tensor, a: np.ndarray, b: np.ndarray) -> None:
 
     When the tensor has no gradient yet (the common case — each weight and
     each activation receives exactly one contribution per training step) the
-    product is written straight into a fresh buffer with ``np.matmul(...,
-    out=...)``; only genuine second contributions pay for a temporary plus
-    an add.
+    product is written straight into a fresh buffer (a parameter's slot,
+    under an arena) with ``np.matmul(..., out=...)``; only genuine second
+    contributions pay for a temporary plus an add.
     """
     if tensor.grad is None:
         arena = active_arena()
-        out = (
-            arena.lease(tensor.data.shape, tensor.data.dtype)
-            if arena is not None
-            else np.empty_like(tensor.data)
-        )
+        out = arena.lease_grad(tensor) if arena is not None else np.empty_like(tensor.data)
         np.matmul(a, b, out=out)
         tensor.grad = out
     else:

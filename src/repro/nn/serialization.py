@@ -8,7 +8,9 @@ Two layers of API:
   for inference / serving);
 * :func:`optimizer_state` / :func:`load_optimizer_state` — the mutable state
   of an :class:`~repro.nn.optim.AdamW` (step count, learning rate, moment
-  buffers), keyed by parameter *index* within the optimizer's list;
+  buffers), keyed by parameter *index* within the optimizer's list: the
+  keys predate the flat moment buffers and read / write their per-index
+  views; a parameter that never had a gradient has none (loads as zeros);
 * :func:`save_training_state` / :func:`load_training_state` — one archive
   holding model parameters, every optimizer's state, and arbitrary scalar
   ``extra`` metadata.  This is what warm-start / incremental training
@@ -44,11 +46,6 @@ __all__ = [
     "load_training_state",
 ]
 
-#: Optimizer buffer slots serialized by :func:`optimizer_state`: Adam first
-#: and second moments.
-_BUFFER_SLOTS = ("_m", "_v")
-
-
 def save_state(state: Dict[str, np.ndarray], path: str) -> None:
     """Write a flat state dict to ``path`` (``.npz`` appended if missing)."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -82,16 +79,16 @@ def optimizer_state(optimizer: AdamW) -> Dict[str, np.ndarray]:
     """Flat state dict of an optimizer's mutable state.
 
     Captures the step count (Adam bias correction), the current learning
-    rate, and every moment buffer keyed by the parameter's index in
-    ``optimizer.params``.
+    rate, and copies of the moments of every parameter that ever had a
+    gradient, keyed by its index in ``optimizer.params``.
     """
     state: Dict[str, np.ndarray] = {
         "step_count": np.asarray(optimizer._step_count, dtype=np.int64),
         "lr": np.asarray(optimizer.lr, dtype=np.float64),
     }
-    for slot in _BUFFER_SLOTS:
-        for index, buffer in getattr(optimizer, slot).items():
-            state[f"{slot[1:]}.{index}"] = np.asarray(buffer)
+    for slot, views in (("m", optimizer._m), ("v", optimizer._v)):
+        for index in sorted(optimizer._seen):
+            state[f"{slot}.{index}"] = views[index].copy()
     return state
 
 
@@ -103,26 +100,29 @@ def load_optimizer_state(optimizer: AdamW, state: Dict[str, np.ndarray]) -> Adam
     """
     optimizer._step_count = int(state["step_count"])
     optimizer.lr = float(state["lr"])
-    for slot in _BUFFER_SLOTS:
-        buffers = getattr(optimizer, slot)
-        prefix = slot[1:] + "."
-        buffers.clear()
-        for name, value in state.items():
-            if not name.startswith(prefix):
-                continue
-            index = int(name[len(prefix) :])
-            if index >= len(optimizer.params):
-                raise ValueError(
-                    f"optimizer state references parameter {index} but the "
-                    f"optimizer holds only {len(optimizer.params)}"
-                )
-            expected = optimizer.params[index].data.shape
-            if value.shape != expected:
-                raise ValueError(
-                    f"buffer shape mismatch for {name}: "
-                    f"checkpoint {value.shape} vs parameter {expected}"
-                )
-            buffers[index] = value.copy()
+    moments = {"m": optimizer._m, "v": optimizer._v}
+    for flat in optimizer._flats:
+        flat.m.fill(0.0)
+        flat.v.fill(0.0)
+    optimizer._seen.clear()
+    for name, value in state.items():
+        slot, _, index = name.partition(".")
+        if slot not in moments:
+            continue
+        index = int(index)
+        if index >= len(optimizer.params):
+            raise ValueError(
+                f"optimizer state references parameter {index} but the "
+                f"optimizer holds only {len(optimizer.params)}"
+            )
+        expected = optimizer.params[index].data.shape
+        if value.shape != expected:
+            raise ValueError(
+                f"buffer shape mismatch for {name}: "
+                f"checkpoint {value.shape} vs parameter {expected}"
+            )
+        moments[slot][index][...] = value
+        optimizer._seen.add(index)
     return optimizer
 
 

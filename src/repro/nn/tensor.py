@@ -90,6 +90,10 @@ class Tensor:
     """A NumPy-backed tensor participating in reverse-mode autodiff."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    #: Where the fast-path backward writes this tensor's gradient: a packed
+    #: parameter's view of its optimizer's gradient buffer (set by
+    #: :class:`repro.nn.AdamW`), ``None`` for every other tensor.
+    _grad_slot: Optional[np.ndarray] = None
 
     def __init__(
         self,
@@ -185,12 +189,13 @@ class Tensor:
         if self.grad is None:
             arena = active_arena()
             if arena is not None:
-                # Fast path: copy into a recycled buffer — one memory pass
-                # instead of the reference path's zero-fill + add, and no
-                # allocation in steady state.  ``grad`` is always copied,
-                # never adopted: closures may pass views (reshape/squeeze)
-                # or even the output tensor's own gradient straight through.
-                buffer = arena.lease(self.data.shape, self.data.dtype)
+                # Fast path: copy into a recycled buffer (or the parameter's
+                # slot) — one memory pass instead of the reference path's
+                # zero-fill + add, and no allocation in steady state.
+                # ``grad`` is always copied, never adopted: closures may
+                # pass views (reshape/squeeze) or even the output tensor's
+                # own gradient straight through.
+                buffer = arena.lease_grad(self)
                 np.copyto(buffer, grad)
                 self.grad = buffer
                 return

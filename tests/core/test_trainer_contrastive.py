@@ -83,19 +83,11 @@ class TestOptimizerGroups:
         optimizers = build_optimizers(model, TrainConfig())
         assert len(optimizers) == 1
 
-    def test_gate_multiplier_splits_groups(self, train_set):
-        model = build_model("aw_moe", ModelConfig.unit(), train_set.meta, np.random.default_rng(0))
-        config = TrainConfig(gate_lr_multiplier=3.0)
-        optimizers = build_optimizers(model, config)
-        assert len(optimizers) == 2
-        assert optimizers[1].lr == pytest.approx(3.0 * config.learning_rate)
-        total = len(optimizers[0].params) + len(optimizers[1].params)
-        assert total == len(model.parameters())
-
     def test_gateless_model_single_group(self, train_set):
         model = build_model("dnn", ModelConfig.unit(), train_set.meta, np.random.default_rng(0))
-        optimizers = build_optimizers(model, TrainConfig(gate_lr_multiplier=3.0))
+        optimizers = build_optimizers(model, TrainConfig())
         assert len(optimizers) == 1
+        assert optimizers[0].params == model.parameters()
 
 
 class TestContrastiveStrategy:

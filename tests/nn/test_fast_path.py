@@ -5,10 +5,13 @@ import pytest
 
 from repro.nn import (
     MLP,
+    AdamW,
     GradArena,
     Linear,
+    Parameter,
     Tensor,
     active_arena,
+    embedding,
     fast_math,
     is_fast_math,
     linear,
@@ -203,24 +206,47 @@ class TestGradArena:
         assert arena.stats()["allocations"] == 2
 
     def test_lease_zeros(self):
+        """The arena never zeroes a lease, so the embedding scatter-add fills
+        its (recycled or slot) buffer first: dirty memory never leaks in."""
         arena = GradArena()
-        buffer = arena.lease((4,), np.float32)
+        table = Parameter(np.ones((5, 2), dtype=np.float32))
+        buffer = arena.lease((5, 2), np.float32)
         buffer[:] = 7.0
         arena.release(buffer)
-        assert np.all(arena.lease_zeros((4,), np.float32) == 0.0)
+        with fast_math(arena):
+            embedding(table, np.array([[1], [1], [3]])).sum().backward()
+        assert table.grad is buffer
+        assert np.array_equal(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1], [0, 0]])
+        optimizer = AdamW([table])
+        table.grad = None
+        optimizer._slots[0][:] = 7.0
+        with fast_math(arena):
+            embedding(table, np.array([4])).sum().backward()
+        assert table.grad is optimizer._slots[0]
+        assert np.array_equal(table.grad, [[0, 0]] * 4 + [[1, 1]])
 
     def test_release_none_is_noop(self):
         arena = GradArena()
         arena.release(None)
         assert arena.stats()["pooled"] == 0
 
-    def test_release_grads_clears_and_pools(self):
+    def test_packed_parameter_grads_land_in_their_slots(self):
+        """A parameter an AdamW packed receives its gradient in its slot of
+        the optimizer's gradient buffer (the fused GEMM, the bias sum and
+        the embedding scatter-add alike); the arena pools only
+        intermediates, and the slots are never released into it."""
+        rng = np.random.default_rng(7)
+        table = Parameter(rng.normal(size=(6, 3)))
+        w, b = Parameter(rng.normal(size=(3, 2))), Parameter(rng.normal(size=(2,)))
+        optimizer = AdamW([table, w, b])
         arena = GradArena()
-        param = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-        param.grad = np.ones(3, dtype=np.float32)
-        arena.release_grads([param])
-        assert param.grad is None
-        assert arena.stats()["pooled"] == 1
+        with fast_math(arena):
+            linear(embedding(table, np.array([0, 2, 5])), w, b, relu=True).sum().backward()
+        for param, slot in zip(optimizer.params, optimizer._slots):
+            assert param.grad is slot
+            assert np.shares_memory(slot, optimizer._flats[0].grad)
+        pooled = [buffer for pool in arena._free.values() for buffer in pool]
+        assert pooled and not any(np.shares_memory(p, optimizer._flats[0].rows) for p in pooled)
 
     def test_backward_under_arena_matches_reference(self):
         rng = np.random.default_rng(5)
@@ -249,12 +275,14 @@ class TestGradArena:
     def test_steady_state_stops_allocating(self):
         arena = GradArena()
         rng = np.random.default_rng(6)
-        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True, dtype=np.float64)
+        w = Parameter(rng.normal(size=(3, 2)), dtype=np.float64)
+        optimizer = AdamW([w])
         for step in range(3):
+            optimizer.zero_grad()
             with fast_math(arena):
                 x = Tensor(rng.normal(size=(4, 3)), dtype=np.float64)
                 linear(x, w).sum().backward()
-            arena.release_grads([w])
+            optimizer.step()
             if step == 0:
                 warm = arena.stats()["allocations"]
         assert arena.stats()["allocations"] == warm

@@ -5,7 +5,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import GradArena, Tensor, fast_math, linear, no_grad, repeat_rows, segment_sum
+from repro.nn import (
+    AdamW,
+    GradArena,
+    Parameter,
+    Tensor,
+    fast_math,
+    linear,
+    no_grad,
+    repeat_rows,
+    segment_sum,
+)
 from repro.nn.gradcheck import check_gradients
 
 
@@ -107,17 +117,19 @@ class TestArenaRowCapacity:
         arena allocates nothing more, and its pool is one step's worth."""
         arena = GradArena()
         rng = np.random.default_rng(3)
-        w1 = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
-        w2 = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        w1 = Parameter(rng.normal(size=(6, 8)))
+        w2 = Parameter(rng.normal(size=(8, 3)))
+        optimizer = AdamW([w1, w2])
         sizes = [900, *rng.permutation(np.arange(600, 890, 10))]
         assert len(set(sizes)) == 30
 
         def step(p):
             rows = np.sort(rng.integers(0, 128, size=p))
+            optimizer.zero_grad()
             with fast_math(arena):
                 hidden = linear(Tensor(rng.normal(size=(p, 6))), w1, relu=True)
                 segment_sum(linear(hidden, w2), rows, 128).sum().backward()
-            arena.release_grads([w1, w2])
+            optimizer.step()
 
         step(sizes[0])
         warm = arena.stats()

@@ -71,7 +71,11 @@ class TestOptimizerState:
         clone_optimizer = AdamW(clone_model.parameters(), lr=1e-3)
         load_optimizer_state(clone_optimizer, state)
         assert clone_optimizer._step_count == 5
-        for index in optimizer._m:
+        clone_state = optimizer_state(clone_optimizer)
+        assert clone_state.keys() == state.keys()
+        for name, value in state.items():
+            np.testing.assert_array_equal(value, clone_state[name], err_msg=name)
+        for index in range(len(optimizer.params)):
             np.testing.assert_array_equal(optimizer._m[index], clone_optimizer._m[index])
             np.testing.assert_array_equal(optimizer._v[index], clone_optimizer._v[index])
 

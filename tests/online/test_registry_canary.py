@@ -87,6 +87,26 @@ class TestRegistryPersistence:
         assert fresh_trainer.updates == trainer.updates
         assert fresh_trainer.optimizers[0]._step_count == trainer.optimizers[0]._step_count
 
+    def test_rollback_then_update_still_trains_the_packed_model(
+        self, registry, make_model, online_train_config, train_set
+    ):
+        """The loop's rollback restores a version into the training twin and
+        its optimizer (``load_into(..., trainer=...)``); the restore copies
+        into the packed parameters, so the next update still trains them."""
+        trainer = IncrementalTrainer(make_model(trained=True), online_train_config, seed=2)
+        trainer.update(train_set.subset(np.arange(80)))
+        parent = registry.register(trainer.model, trainer=trainer)
+        trainer.update(train_set.subset(np.arange(80, 160)))
+        registry.load_into(parent.version, trainer.model, trainer=trainer)
+        (optimizer,) = trainer.optimizers
+        (flat,) = optimizer._flats
+        for param in trainer.model.parameters():
+            assert np.shares_memory(param.data, flat.rows)
+        restored = trainer.model.state_dict()
+        trainer.update(train_set.subset(np.arange(160, 240)))
+        after = trainer.model.state_dict()
+        assert all(not np.array_equal(restored[name], after[name]) for name in restored)
+
     def test_trainer_model_mismatch_rejected(
         self, registry, make_model, online_train_config
     ):

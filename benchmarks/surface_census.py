@@ -13,6 +13,14 @@ decorator to last statement; nested functions count with their parent).
 benchmark times would look test-only.  Forked fleet workers leave through
 ``os._exit`` and never report.  ≈ 4 min on 2 cores:
 ``python3 benchmarks/surface_census.py``.
+
+``--knobs`` is a static AST pass instead (seconds, nothing runs): every
+defaulted dataclass field and ``__init__`` keyword of ``src/repro``, by
+class, tagged with where a call sets it — ``src``, ``benchmarks/examples``,
+``tests`` only, or ``nowhere``.  Calls are matched by callee name (keyword
+and positional arguments; ``cls(...)`` inside the class) plus the keywords
+of any ``replace(...)`` call, which count for every dataclass with a field
+of that name.
 """
 
 import ast
@@ -90,7 +98,121 @@ def report(title: str, keys, table) -> None:
         print(f"{module} [{sum(lines for _, lines in entries)}]: {names}")
 
 
+KNOB_SCOPES = {
+    "src": [PKG],
+    "benchmarks/examples": [ROOT / "benchmarks", ROOT / "examples"],
+    "tests": [ROOT / "tests"],
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _class_params(node: ast.ClassDef):
+    """``(parameter names in positional order, the defaulted ones)``."""
+    if _is_dataclass(node):
+        names, defaulted = [], set()
+        for stmt in node.body:
+            if not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name):
+                continue
+            if "ClassVar" in ast.unparse(stmt.annotation):
+                continue
+            value = stmt.value
+            if isinstance(value, ast.Call) and any(
+                k.arg == "init" and isinstance(k.value, ast.Constant) and not k.value.value
+                for k in value.keywords
+            ):
+                continue
+            names.append(stmt.target.id)
+            if value is not None:
+                defaulted.add(stmt.target.id)
+        return names, defaulted
+    inits = [s for s in node.body if isinstance(s, ast.FunctionDef) and s.name == "__init__"]
+    if not inits:
+        return [], set()
+    args = inits[0].args
+    positional = [a.arg for a in args.posonlyargs + args.args][1:]
+    defaulted = set(positional[len(positional) - len(args.defaults) :])
+    defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+    return positional, defaulted
+
+
+def settable_values() -> dict:
+    """``class name -> [(module.Class, positional names, defaulted names)]``."""
+    classes = defaultdict(list)
+    for path in sorted(PKG.rglob("*.py")):
+        module = path.relative_to(PKG.parent).with_suffix("").as_posix().replace("/", ".")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                positional, defaulted = _class_params(node)
+                if defaulted:
+                    classes[node.name].append((f"{module}.{node.name}", positional, defaulted))
+    return classes
+
+
+def _calls(tree: ast.AST):
+    """``(callee name, call)`` for every call; ``cls(...)`` names its class."""
+    pending = [(tree, None)]
+    while pending:
+        node, owner = pending.pop()
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield (owner if func.id == "cls" else func.id), node
+            elif isinstance(func, ast.Attribute):
+                yield func.attr, node
+        pending += [(child, owner) for child in ast.iter_child_nodes(node)]
+
+
+def knob_census() -> None:
+    classes = settable_values()
+    by_field = defaultdict(list)
+    for entries in classes.values():
+        for qualname, _, defaulted in entries:
+            for name in defaulted:
+                by_field[name].append(qualname)
+    set_in = defaultdict(set)  # (module.Class, name) -> scopes
+    for scope, roots in KNOB_SCOPES.items():
+        for path in sorted(p for root in roots for p in root.rglob("*.py")):
+            for callee, call in _calls(ast.parse(path.read_text())):
+                if callee == "replace":
+                    for kw in call.keywords:
+                        for qualname in by_field.get(kw.arg, ()):
+                            set_in[(qualname, kw.arg)].add(scope)
+                for qualname, positional, defaulted in classes.get(callee, ()):
+                    named = [kw.arg for kw in call.keywords if kw.arg is not None]
+                    for i, arg in enumerate(call.args):
+                        if isinstance(arg, ast.Starred):
+                            break
+                        if i < len(positional):
+                            named.append(positional[i])
+                    for name in set(named) & defaulted:
+                        set_in[(qualname, name)].add(scope)
+    totals = defaultdict(int)
+    lines = []
+    for qualname, positional, defaulted in sorted(e for es in classes.values() for e in es):
+        tags = []
+        for name in [n for n in positional if n in defaulted] + sorted(defaulted - set(positional)):
+            where = next((s for s in KNOB_SCOPES if s in set_in[(qualname, name)]), "nowhere")
+            totals[where] += 1
+            tags.append(f"{name} [{where}]")
+        lines.append(f"{qualname}: {', '.join(tags)}")
+    summary = ", ".join(f"{where} {totals[where]}" for where in (*KNOB_SCOPES, "nowhere"))
+    print(f"== settable values: {sum(totals.values())} ({summary})")
+    print("\n".join(lines))
+
+
 if __name__ == "__main__":
+    if "--knobs" in sys.argv[1:]:
+        knob_census()
+        sys.exit()
     table = functions()
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "sitecustomize.py").write_text(SITECUSTOMIZE)

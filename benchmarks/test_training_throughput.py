@@ -52,17 +52,17 @@ def _train_config(fast: bool) -> TrainConfig:
 
 
 def _steps_per_second(model, batches, config) -> tuple:
-    optimizers = build_optimizers(model, config)
+    optimizer = build_optimizers(model, config)
     strategy = build_strategy(config)
     bank = SeedBank(7)
     cl_rng = bank.child("cl")
     arena = GradArena() if config.fast_path else None
     model.train()
     for batch in batches[:2]:  # warm caches, arena, BLAS threads
-        train_step(model, batch, config, optimizers, strategy, cl_rng, arena)
+        train_step(model, batch, config, optimizer, strategy, cl_rng, arena)
     start = time.perf_counter()
     for batch in batches:
-        metrics = train_step(model, batch, config, optimizers, strategy, cl_rng, arena)
+        metrics = train_step(model, batch, config, optimizer, strategy, cl_rng, arena)
     return len(batches) / (time.perf_counter() - start), metrics["loss"]
 
 

@@ -38,13 +38,6 @@ class ModelConfig:
     # Table VI ablation switches: gate unit (GU) and activation unit (AU).
     gate_use_gate_unit: bool = True
     gate_use_activation_unit: bool = True
-    # Learned prior over experts added to the attention sum.  Necessary so
-    # users with empty behaviour sequences ("new users", Fig. 7) still
-    # produce a non-degenerate mixture; documented in DESIGN.md.
-    gate_bias: bool = True
-    # Softmax-normalize the gate output over experts.  The paper's AW gate is
-    # unnormalized (Eq. 8); Category-MoE [34] uses a softmax gate.
-    normalize_gate: bool = False
 
     @staticmethod
     def paper(task: str = "search") -> "ModelConfig":

@@ -40,7 +40,7 @@ from repro.core.config import ModelConfig
 from repro.core.gate_unit import GateUnit
 from repro.core.input_network import FeatureEmbedder, PackedBehavior
 from repro.data.schema import Batch, DatasetMeta
-from repro.nn import MLP, Module, Parameter, Tensor, concat, softmax
+from repro.nn import MLP, Module, Parameter, Tensor, concat
 from repro.nn import is_fast_math, repeat_rows, segment_sum
 
 __all__ = ["GateNetwork"]
@@ -89,12 +89,10 @@ class GateNetwork(Module):
             self.pooled_mlp = MLP(2 * self.hidden_dim, list(config.unit_hidden) + [k], rng)
         else:
             self.pooled_mlp = None
-        # Initialized at 1/K so training starts from a uniform mixture:
-        # experts receive gradient immediately instead of waiting for the
-        # gate to move away from zero.
-        self.bias = (
-            Parameter(np.full((k,), 1.0 / k, dtype=np.float32)) if config.gate_bias else None
-        )
+        # The learned expert prior ``g0``, initialized at 1/K so training
+        # starts from a uniform mixture: experts receive gradient immediately
+        # instead of waiting for the gate to move away from zero.
+        self.bias = Parameter(np.full((k,), 1.0 / k, dtype=np.float32))
 
     def _key_hidden(self, batch: Batch) -> Tensor:
         if self.config.task == "search":
@@ -136,14 +134,7 @@ class GateNetwork(Module):
             else:
                 pooled = (h_behavior * mask[:, :, None]).sum(axis=1) * (1.0 / counts)
             gate = self.pooled_mlp(concat([pooled, h_key], axis=-1))
-        return self._finish(gate)
-
-    def _finish(self, gate: Tensor) -> Tensor:
-        if self.bias is not None:
-            gate = gate + self.bias
-        if self.config.normalize_gate:
-            gate = softmax(gate, axis=-1)
-        return gate
+        return gate + self.bias
 
     def forward_views(
         self,
@@ -198,4 +189,4 @@ class GateNetwork(Module):
             # Ablation variants run the fallback FFN on each view's pooled
             # behaviour hiddens.
             views = [self.pooled_mlp(concat([view, h_key], axis=-1)) for view in views]
-        return [self._finish(gate) for gate in views]
+        return [gate + self.bias for gate in views]

@@ -10,7 +10,7 @@ the ``contrastive`` flag — as in the paper.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -54,7 +54,7 @@ def train_model(
     bank = SeedBank(seed)
     shuffle_rng = bank.child("shuffle")
     cl_rng = bank.child("contrastive")
-    optimizers = build_optimizers(model, config)
+    optimizer = build_optimizers(model, config)
     strategy = build_strategy(config)
     arena = GradArena() if config.fast_path else None
     if log is None:
@@ -67,7 +67,7 @@ def train_model(
             train_set, config.batch_size, rng=shuffle_rng, drop_last=True
         ):
             step += 1
-            metrics = train_step(model, batch, config, optimizers, strategy, cl_rng, arena)
+            metrics = train_step(model, batch, config, optimizer, strategy, cl_rng, arena)
             log.log(step, epoch=epoch, **metrics)
     model.eval()
     return log
@@ -77,7 +77,7 @@ def train_step(
     model: RankingModel,
     batch: Batch,
     config: TrainConfig,
-    optimizers: List[AdamW],
+    optimizer: AdamW,
     strategy: ContrastiveStrategy,
     cl_rng: Optional[np.random.Generator] = None,
     arena: Optional[GradArena] = None,
@@ -117,7 +117,6 @@ def train_step(
             rank_loss = bce_with_logits(logits, batch["label"])
             loss = rank_loss
             extra = {}
-        (optimizer,) = optimizers
         optimizer.zero_grad()
         loss.backward()
         # clip_grad_norm returns the pre-clip global norm — the training
@@ -149,8 +148,8 @@ def build_strategy(config: TrainConfig) -> ContrastiveStrategy:
     )
 
 
-def build_optimizers(model: RankingModel, config: TrainConfig) -> List[AdamW]:
-    """One AdamW over all of ``model``'s parameters, as the one-element list
-    :func:`train_step` takes: one optimizer, one flat parameter buffer, so
-    the clip norm sums in model order."""
-    return [AdamW(model.parameters(), lr=config.learning_rate, weight_decay=config.weight_decay)]
+def build_optimizers(model: RankingModel, config: TrainConfig) -> AdamW:
+    """The one AdamW over all of ``model``'s parameters that
+    :func:`train_step` takes: one flat parameter buffer, so the clip norm
+    sums in model order."""
+    return AdamW(model.parameters(), lr=config.learning_rate, weight_decay=config.weight_decay)

@@ -187,6 +187,23 @@ class World:
         after generation: :func:`drift_world` moves preferences only."""
         return ItemSlab(self)
 
+    @cached_property
+    def category_items(self) -> Tuple[np.ndarray, ...]:
+        """Each category's item ids, ascending (one table for every reader
+        of this world: a tuple, so no reader can swap an entry)."""
+        return tuple(
+            np.flatnonzero(self.item_category == cat) for cat in range(self.config.num_categories)
+        )
+
+    @cached_property
+    def category_popularity(self) -> Tuple[np.ndarray, ...]:
+        """Per category, the popularity prior over :attr:`category_items`
+        (``popularity ** 0.7 + 1e-3``, normalised within the category): what
+        candidate retrieval samples from, and the cascade's popularity
+        feature."""
+        weights = [self.item_popularity[members] ** 0.7 + 1e-3 for members in self.category_items]
+        return tuple(w / w.sum() for w in weights)
+
     def meta(self) -> DatasetMeta:
         """Dataset metadata; +1 everywhere for the padding id 0."""
         cfg = self.config
@@ -483,7 +500,6 @@ def simulate_search_log(
     user_probs = (lengths + 1.0) / (lengths + 1.0).sum()
 
     n_cats = cfg.num_categories
-    by_category = [np.flatnonzero(world.item_category == cat) for cat in range(n_cats)]
     all_items = np.arange(world.num_items)
 
     states: Dict[int, UserState] = {}
@@ -507,11 +523,11 @@ def simulate_search_log(
         spec = int(rng.integers(0, cfg.num_query_specificities))
 
         # Retrieval: popularity-biased within category, a few off-category.
-        members = by_category[query_cat]
+        members = world.category_items[query_cat]
         k_in = min(members.size, max(1, int(round(cfg.items_per_session * 0.9))))
-        weights = world.item_popularity[members] ** 0.7 + 1e-3
-        weights = weights / weights.sum()
-        in_cat = rng.choice(members, size=k_in, replace=False, p=weights)
+        in_cat = rng.choice(
+            members, size=k_in, replace=False, p=world.category_popularity[query_cat]
+        )
         k_out = cfg.items_per_session - k_in
         if k_out > 0:
             out_cat = rng.choice(all_items, size=k_out, replace=False)

@@ -4,14 +4,13 @@ Classic three-state breaker (closed → open → half-open → closed):
 
 * **closed** — healthy; requests flow.  ``allow`` is a single attribute
   compare with no clock read, so the happy path costs nothing.
-* **open** — ``failure_threshold`` consecutive failures tripped it;
-  ``allow`` refuses until ``cooldown_s`` has elapsed on the breaker's
+* **open** — :data:`FAILURE_THRESHOLD` consecutive failures tripped it;
+  ``allow`` refuses until :data:`COOLDOWN_S` has elapsed on the breaker's
   clock (wall time in production, :class:`~repro.serving.metrics.
   ManualClock` in tests — injected latency advances the same clock, so
   recovery is deterministic).
 * **half_open** — cooldown elapsed; trial requests flow.  One failure
-  re-trips immediately; ``success_threshold`` consecutive successes
-  close it again.
+  re-trips immediately; one success closes it again.
 
 The breaker only *counts* — routing decisions (skip this shard, reroute
 to a sibling) live in :class:`~repro.serving.fleet.Fleet` and the guard in
@@ -29,6 +28,11 @@ from typing import Any, Callable, Dict, Optional
 
 __all__ = ["CircuitBreaker"]
 
+#: Consecutive failures that trip a closed breaker open.
+FAILURE_THRESHOLD = 3
+#: Seconds an open breaker refuses before admitting a half-open trial.
+COOLDOWN_S = 0.05
+
 
 class CircuitBreaker:
     CLOSED = "closed"
@@ -37,29 +41,16 @@ class CircuitBreaker:
 
     def __init__(
         self,
-        failure_threshold: int = 3,
-        cooldown_s: float = 0.05,
-        success_threshold: int = 1,
         clock: Callable[[], float] = time.perf_counter,
         events: Any = None,
         shard: Optional[int] = None,
     ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(f"failure_threshold must be >= 1, got {failure_threshold}")
-        if success_threshold < 1:
-            raise ValueError(f"success_threshold must be >= 1, got {success_threshold}")
-        if cooldown_s < 0:
-            raise ValueError(f"cooldown_s must be >= 0, got {cooldown_s}")
-        self.failure_threshold = int(failure_threshold)
-        self.success_threshold = int(success_threshold)
-        self.cooldown_s = float(cooldown_s)
         self._clock = clock
         #: :class:`~repro.obs.EventLog` receiving the state transitions.
         self.events = events
         self.shard = shard
         self.state = self.CLOSED
         self._consecutive_failures = 0
-        self._trial_successes = 0
         self._opened_at = 0.0
         # Lifetime counters for reporting.
         self.opens = 0
@@ -74,21 +65,18 @@ class CircuitBreaker:
         """
         if self.state != self.OPEN:
             return True
-        if self._clock() - self._opened_at < self.cooldown_s:
+        if self._clock() - self._opened_at < COOLDOWN_S:
             return False
         self.state = self.HALF_OPEN
-        self._trial_successes = 0
         return True
 
     def record_success(self) -> None:
         self.successes_total += 1
         if self.state == self.HALF_OPEN:
-            self._trial_successes += 1
-            if self._trial_successes >= self.success_threshold:
-                self.state = self.CLOSED
-                self._consecutive_failures = 0
-                if self.events is not None:
-                    self.events.record("circuit_closed", self._clock(), shard=self.shard)
+            self.state = self.CLOSED
+            self._consecutive_failures = 0
+            if self.events is not None:
+                self.events.record("circuit_closed", self._clock(), shard=self.shard)
         elif self._consecutive_failures:
             self._consecutive_failures = 0
 
@@ -98,7 +86,7 @@ class CircuitBreaker:
             self._trip()
             return
         self._consecutive_failures += 1
-        if self._consecutive_failures >= self.failure_threshold:
+        if self._consecutive_failures >= FAILURE_THRESHOLD:
             self._trip()
 
     def _trip(self) -> None:
@@ -106,7 +94,6 @@ class CircuitBreaker:
         self._opened_at = self._clock()
         self.opens += 1
         self._consecutive_failures = 0
-        self._trial_successes = 0
         if self.events is not None:
             self.events.record(
                 "circuit_open", self._opened_at, shard=self.shard, failures=self.failures_total

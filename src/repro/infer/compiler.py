@@ -61,7 +61,6 @@ from repro.infer.kernels import (
     pairwise_concat,
     segment_pool,
     sigmoid_,
-    softmax_,
     sparsify_top_k_,
 )
 from repro.infer.plan import BufferArena, InferencePlan, PlanStep
@@ -592,23 +591,12 @@ def _build_gate_plan(
         steps.append(_concat_step("gate.pooled_cat", arena, ["pooled", "h_key"], [hidden, hidden], "pooled_cat"))
         steps.append(_mlp_step("gate.pooled_mlp", arena, pooled_pack, "pooled_cat", "gate"))
 
-    if gate.bias is not None:
-        bias = np.array(gate.bias.detach_numpy(), dtype=dtype, order="C")
+    bias = np.array(gate.bias.detach_numpy(), dtype=dtype, order="C")
 
-        def bias_fn(ctx: dict) -> None:
-            ctx["gate"] += bias
+    def bias_fn(ctx: dict) -> None:
+        ctx["gate"] += bias
 
-        steps.append(PlanStep("gate.bias", "bias", bias_fn, reads=("gate",), writes=("gate",)))
-
-    if config.normalize_gate:
-
-        def softmax_fn(ctx: dict) -> None:
-            out = ctx["gate"]
-            scratch_max = arena.lease("gate.softmax", "max", (out.shape[0], 1))
-            scratch_sum = arena.lease("gate.softmax", "sum", (out.shape[0], 1))
-            softmax_(out, scratch_max, scratch_sum)
-
-        steps.append(PlanStep("gate.softmax", "softmax", softmax_fn, reads=("gate",), writes=("gate",)))
+    steps.append(PlanStep("gate.bias", "bias", bias_fn, reads=("gate",), writes=("gate",)))
 
     if top_k is not None:
 

@@ -23,7 +23,7 @@ tensors; training keeps using :mod:`repro.nn`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "masked_pool",
     "segment_pool",
     "sigmoid_",
-    "softmax_",
     "sparsify_top_k_",
 ]
 
@@ -55,16 +54,6 @@ def sigmoid_(buf: np.ndarray) -> None:
     np.exp(buf, out=buf)
     buf += 1.0
     np.divide(1.0, buf, out=buf)
-
-
-def softmax_(buf: np.ndarray, scratch_max: np.ndarray, scratch_sum: np.ndarray) -> None:
-    """In-place softmax over the last axis, mirroring :func:`repro.nn.ops.
-    softmax`'s shifted-exp formulation (``scratch_*`` are ``(..., 1)``)."""
-    buf.max(axis=-1, keepdims=True, out=scratch_max)
-    buf -= scratch_max
-    np.exp(buf, out=buf)
-    buf.sum(axis=-1, keepdims=True, out=scratch_sum)
-    buf /= scratch_sum
 
 
 def sparsify_top_k_(
@@ -110,7 +99,7 @@ class PackedMLP:
 
     __slots__ = ("layers", "in_features", "out_features", "_program")
 
-    def __init__(self, layers: List[Tuple[np.ndarray, Optional[np.ndarray]]]):
+    def __init__(self, layers: List[Tuple[np.ndarray, np.ndarray]]):
         if not layers:
             raise ValueError("PackedMLP needs at least one layer")
         self.layers = layers
@@ -132,11 +121,7 @@ class PackedMLP:
             # live training weights (hot-swap compiles the new model while
             # the old plan keeps serving).
             weight = np.array(linear.weight.detach_numpy(), dtype=dtype, order="C")
-            bias = (
-                np.array(linear.bias.detach_numpy(), dtype=dtype, order="C")
-                if linear.bias is not None
-                else None
-            )
+            bias = np.array(linear.bias.detach_numpy(), dtype=dtype, order="C")
             layers.append((weight, bias))
         return PackedMLP(layers)
 
@@ -152,8 +137,7 @@ class PackedMLP:
         for slot, weight, bias, relu in self._program:
             out = lease(slot, (rows, weight.shape[1]))
             np.matmul(h, weight, out=out)
-            if bias is not None:
-                out += bias
+            out += bias
             if relu:
                 np.maximum(out, 0, out=out)
             h = out
@@ -180,21 +164,12 @@ class PackedExperts:
         self.first_weight = np.ascontiguousarray(
             np.concatenate([p.layers[0][0] for p in packs], axis=1)
         )
-        biases = [p.layers[0][1] for p in packs]
-        self.first_bias = (
-            np.concatenate(biases) if biases[0] is not None else None
-        )
+        self.first_bias = np.concatenate([p.layers[0][1] for p in packs])
         # Deeper layers: (K, H_in, H_out) weight stacks + (K, 1, H_out) biases.
-        self.deep: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
+        self.deep: List[Tuple[np.ndarray, np.ndarray]] = []
         for layer in range(1, depth):
             w = np.ascontiguousarray(np.stack([p.layers[layer][0] for p in packs]))
-            b = (
-                np.ascontiguousarray(
-                    np.stack([p.layers[layer][1] for p in packs])[:, None, :]
-                )
-                if packs[0].layers[layer][1] is not None
-                else None
-            )
+            b = np.ascontiguousarray(np.stack([p.layers[layer][1] for p in packs])[:, None, :])
             self.deep.append((w, b))
         self._deep_program = [
             (f"kbh{i + 1}", w, b, i < len(self.deep) - 1) for i, (w, b) in enumerate(self.deep)
@@ -209,8 +184,7 @@ class PackedExperts:
         h1_width = self.first_weight.shape[1] // k
         h1 = lease("h1", (batch, k * h1_width))
         np.matmul(v_imp, self.first_weight, out=h1)
-        if self.first_bias is not None:
-            h1 += self.first_bias
+        h1 += self.first_bias
         if not self.deep:
             return h1  # single-layer experts: h1 already is (B, K)
         np.maximum(h1, 0, out=h1)
@@ -220,8 +194,7 @@ class PackedExperts:
         for slot, weight, bias, relu in self._deep_program:
             out = lease(slot, (k, batch, weight.shape[2]))
             np.matmul(h, weight, out=out)
-            if bias is not None:
-                out += bias
+            out += bias
             if relu:
                 np.maximum(out, 0, out=out)
             h = out
@@ -271,8 +244,7 @@ class FactoredUnit:
         width = self.w_seq.shape[1]
         seq_bias = lease("seq", (sessions * seq_len, width))
         np.matmul(h_seq.reshape(sessions * seq_len, hidden), self.w_seq, out=seq_bias)
-        if self.bias is not None:
-            seq_bias += self.bias
+        seq_bias += self.bias
         seq_bias = seq_bias.reshape(sessions, seq_len * width)
         weights = lease("weights", (sessions, hidden, seq_len, width))
         np.multiply(h_seq.transpose(0, 2, 1)[:, :, :, None], self.w_pair, out=weights)

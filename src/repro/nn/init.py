@@ -18,9 +18,13 @@ def zeros(shape: Tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape, dtype=np.float32)
 
 
-def normal(shape: Tuple[int, ...], rng: np.random.Generator, std: float = 0.01) -> np.ndarray:
-    """Gaussian initialization with the given standard deviation."""
-    return rng.normal(0.0, std, size=shape).astype(np.float32)
+#: Standard deviation of :func:`normal` (the embedding tables' initialization).
+EMBEDDING_STD = 0.01
+
+
+def normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Gaussian initialization with standard deviation :data:`EMBEDDING_STD`."""
+    return rng.normal(0.0, EMBEDDING_STD, size=shape).astype(np.float32)
 
 
 def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:

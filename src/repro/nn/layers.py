@@ -30,18 +30,12 @@ class Linear(Module):
     He-normal (the layers feed ReLUs), biases zero.
     """
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        rng: np.random.Generator,
-        bias: bool = True,
-    ) -> None:
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator) -> None:
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init.he_normal((in_features, out_features), rng))
-        self.bias = Parameter(init.zeros((out_features,))) if bias else None
+        self.bias = Parameter(init.zeros((out_features,)))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_features:
@@ -52,9 +46,7 @@ class Linear(Module):
             return linear_op(x, self.weight, self.bias)
         leading = x.shape[:-1]
         flat = x.reshape(-1, self.in_features) if x.ndim != 2 else x
-        out = flat.matmul(self.weight)
-        if self.bias is not None:
-            out = out + self.bias
+        out = flat.matmul(self.weight) + self.bias
         if x.ndim != 2:
             out = out.reshape(*leading, self.out_features)
         return out
@@ -67,17 +59,11 @@ class Embedding(Module):
     padded positions explicitly, so no special handling is done here.
     """
 
-    def __init__(
-        self,
-        num_embeddings: int,
-        embedding_dim: int,
-        rng: np.random.Generator,
-        std: float = 0.01,
-    ) -> None:
+    def __init__(self, num_embeddings: int, embedding_dim: int, rng: np.random.Generator) -> None:
         super().__init__()
         self.num_embeddings = num_embeddings
         self.embedding_dim = embedding_dim
-        self.weight = Parameter(init.normal((num_embeddings, embedding_dim), rng, std=std))
+        self.weight = Parameter(init.normal((num_embeddings, embedding_dim), rng))
 
     def forward(self, indices: np.ndarray) -> Tensor:
         indices = np.asarray(indices)

@@ -8,7 +8,7 @@ primitive steps (``linear``, ``softmax``, ``logsumexp``).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -185,7 +185,7 @@ def _accumulate_matmul(tensor: Tensor, a: np.ndarray, b: np.ndarray) -> None:
         tensor.grad += a @ b
 
 
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, relu: bool = False) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
     """Fused affine op: ``x @ weight + bias`` (then ReLU) as ONE graph node.
 
     The eager reference path builds this from three ops (matmul, broadcast
@@ -202,7 +202,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, relu: bool 
     * ``(K, in, out)`` — a **packed** stack of K layers sharing one input
       ``(B, in)`` (broadcast over K) or carrying per-layer inputs
       ``(K, B, in)``; forward and backward each run as one batched GEMM.
-      Bias, when given, has shape ``(K, out)``.
+      Bias has shape ``(K, out)``.
 
     ``relu`` marks a hidden layer of an :class:`repro.nn.layers.MLP`.
     """
@@ -220,8 +220,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, relu: bool 
         leading = xd.shape[:-1]
         flat = xd.reshape(-1, wd.shape[0])
         data = flat @ wd
-        if bias is not None:
-            data += bias.data
+        data += bias.data
         if relu:
             np.maximum(data, 0.0, out=data)
         out_shape = (*leading, wd.shape[1])
@@ -229,21 +228,18 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, relu: bool 
     else:
         if xd.ndim not in (2, 3):
             raise ValueError(f"packed linear input must be (B, in) or (K, B, in), got {xd.shape}")
-        if bias is not None and bias.data.shape != (wd.shape[0], wd.shape[2]):
+        if bias.data.shape != (wd.shape[0], wd.shape[2]):
             raise ValueError(
                 f"packed bias must be (K, out) = {(wd.shape[0], wd.shape[2])}, "
                 f"got {bias.data.shape}"
             )
         data = xd @ wd  # (B, in) @ (K, in, out) -> (K, B, out), batched over K
-        if bias is not None:
-            data += bias.data[:, None, :]
+        data += bias.data[:, None, :]
         if relu:
             np.maximum(data, 0.0, out=data)
 
     if not is_grad_enabled():
         return Tensor._from_data(data)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
         g = grad * (data > 0) if relu else grad
@@ -251,7 +247,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, relu: bool 
             gf = g.reshape(-1, wd.shape[1])
             if weight.requires_grad:
                 _accumulate_matmul(weight, flat.T, gf)
-            if bias is not None and bias.requires_grad:
+            if bias.requires_grad:
                 bias._accumulate(gf.sum(axis=0))
             if x.requires_grad:
                 if x.grad is None:
@@ -272,13 +268,13 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, relu: bool 
                 # (K, in, B) @ (K, B, out) — or broadcast (in, B) for a
                 # shared input — one batched GEMM per step.
                 _accumulate_matmul(weight, xd.swapaxes(-1, -2), g)
-            if bias is not None and bias.requires_grad:
+            if bias.requires_grad:
                 bias._accumulate(g.sum(axis=1))
             if x.requires_grad:
                 xg = g @ wd.swapaxes(-1, -2)  # (K, B, in)
                 x._accumulate(_unbroadcast(xg, xd.shape))
 
-    return Tensor._make(data, parents, backward)
+    return Tensor._make(data, (x, weight, bias), backward)
 
 
 def logsumexp(tensor: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:

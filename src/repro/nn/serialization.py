@@ -12,8 +12,8 @@ Two layers of API:
   keys predate the flat moment buffers and read / write their per-index
   views; a parameter that never had a gradient has none (loads as zeros);
 * :func:`save_training_state` / :func:`load_training_state` — one archive
-  holding model parameters, every optimizer's state, and arbitrary scalar
-  ``extra`` metadata.  This is what warm-start / incremental training
+  holding model parameters, the optimizer's state (if any), and arbitrary
+  scalar ``extra`` metadata.  This is what warm-start / incremental training
   (:mod:`repro.online.incremental`) checkpoints between refresh cycles: a
   restore followed by more training is bitwise-identical to never having
   stopped, because the Adam moment estimates and bias-correction step counts
@@ -28,7 +28,7 @@ order is deterministic.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -127,47 +127,46 @@ def load_optimizer_state(optimizer: AdamW, state: Dict[str, np.ndarray]) -> Adam
 
 
 # ----------------------------------------------------------------------
-# full training state (model + optimizers + metadata)
+# full training state (model + optimizer + metadata)
 # ----------------------------------------------------------------------
 def save_training_state(
     path: str,
     module: Module,
-    optimizers: Sequence[AdamW] = (),
+    optimizer: Optional[AdamW] = None,
     extra: Optional[Dict[str, float]] = None,
 ) -> None:
     """Checkpoint model parameters, optimizer state, and scalar metadata.
 
     ``extra`` holds scalars the caller needs to resume exactly (e.g. the
-    incremental trainer's update counter); they round-trip as floats.
+    incremental trainer's update counter); they round-trip as floats.  The
+    archive counts its optimizers (``num_optimizers``: 0 or 1) and prefixes
+    the one's state ``optim0.``.
     """
     state: Dict[str, np.ndarray] = {
         f"model.{name}": value for name, value in module.state_dict().items()
     }
-    state["num_optimizers"] = np.asarray(len(optimizers), dtype=np.int64)
-    for i, optimizer in enumerate(optimizers):
+    state["num_optimizers"] = np.asarray(int(optimizer is not None), dtype=np.int64)
+    if optimizer is not None:
         for name, value in optimizer_state(optimizer).items():
-            state[f"optim{i}.{name}"] = value
+            state[f"optim0.{name}"] = value
     for name, value in (extra or {}).items():
         state[f"extra.{name}"] = np.asarray(float(value), dtype=np.float64)
     save_state(state, path)
 
 
 def load_training_state(
-    path: str,
-    module: Module,
-    optimizers: Sequence[AdamW] = (),
+    path: str, module: Module, optimizer: Optional[AdamW] = None
 ) -> Dict[str, float]:
     """Restore :func:`save_training_state`; returns the ``extra`` metadata.
 
-    ``optimizers`` must match the checkpoint's count (pass ``()`` to restore
-    only the model, e.g. for serving).
+    Without an ``optimizer`` only the model is restored (e.g. for serving);
+    with one, the checkpoint must hold an optimizer state.
     """
     state = load_state(path)
     saved_optimizers = int(state.pop("num_optimizers", np.asarray(0)))
-    if optimizers and len(optimizers) != saved_optimizers:
+    if optimizer is not None and saved_optimizers != 1:
         raise ValueError(
-            f"checkpoint holds {saved_optimizers} optimizer states, "
-            f"caller passed {len(optimizers)}"
+            f"checkpoint holds {saved_optimizers} optimizer states, caller passed one"
         )
     module.load_state_dict(
         {
@@ -176,14 +175,13 @@ def load_training_state(
             if name.startswith("model.")
         }
     )
-    for i, optimizer in enumerate(optimizers):
-        prefix = f"optim{i}."
+    if optimizer is not None:
         load_optimizer_state(
             optimizer,
             {
-                name[len(prefix) :]: value
+                name[len("optim0.") :]: value
                 for name, value in state.items()
-                if name.startswith(prefix)
+                if name.startswith("optim0.")
             },
         )
     return {

@@ -32,7 +32,7 @@ reference at promotion time.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -115,6 +115,10 @@ def ks_statistic(reference: StreamingHistogram, live: StreamingHistogram) -> flo
     return ks_from_counts(reference.counts, live.counts)
 
 
+#: The one bucket layout of every drift sketch (see :class:`DriftMonitor`).
+_DRIFT_HIST_KWARGS = dict(min_value=5e-2, growth=1.35, num_buckets=32)
+
+
 class DriftMonitor:
     """Named reference/live sketch pairs with streaming drift scores.
 
@@ -132,43 +136,26 @@ class DriftMonitor:
     is nothing to drift from.
 
     Sketches are created lazily per feature name with one shared bucket
-    layout.  The default is deliberately **coarse** — ~11 buckets across
-    ``[0, 1]``, matching the decile binning PSI's conventional thresholds
-    (0.1 / 0.25) were calibrated on; finer buckets inflate the score with
-    per-bucket sampling noise on realistic window sizes.  Negative
-    observations
-    clamp to ``0.0`` — drift features are rates and means, where a tiny
-    negative is numerical noise, not a histogram-contract violation.
+    layout, ``_DRIFT_HIST_KWARGS``.  It is deliberately **coarse** — ~11
+    buckets across ``[0, 1]``, matching the decile binning PSI's
+    conventional thresholds (0.1 / 0.25) were calibrated on; finer buckets
+    inflate the score with per-bucket sampling noise on realistic window
+    sizes.  Negative observations clamp to ``0.0`` — drift features are
+    rates and means, where a tiny negative is numerical noise, not a
+    histogram-contract violation.
     """
 
-    def __init__(
-        self,
-        features: Sequence[str] = (),
-        min_value: float = 5e-2,
-        growth: float = 1.35,
-        num_buckets: int = 32,
-        min_samples: int = 20,
-    ) -> None:
+    def __init__(self, min_samples: int = 20) -> None:
         if min_samples < 1:
             raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-        self.min_value = float(min_value)
-        self.growth = float(growth)
-        self.num_buckets = int(num_buckets)
         self.min_samples = int(min_samples)
         self._live: Dict[str, StreamingHistogram] = {}
         self._reference: Dict[str, StreamingHistogram] = {}
         self.reference_samples = 0
         self.freezes = 0
-        for name in features:
-            self._live[name] = self._new_sketch(name)
 
     def _new_sketch(self, name: str) -> StreamingHistogram:
-        return StreamingHistogram(
-            name,
-            min_value=self.min_value,
-            growth=self.growth,
-            num_buckets=self.num_buckets,
-        )
+        return StreamingHistogram(name, **_DRIFT_HIST_KWARGS)
 
     # ------------------------------------------------------------------
     # observation

@@ -16,6 +16,9 @@ from typing import Any, Deque, Dict, Optional, Tuple
 
 __all__ = ["Event", "EventLog", "EVENT_KINDS"]
 
+#: Events an :class:`EventLog` retains; older ones are dropped (and counted).
+CAPACITY = 256
+
 #: The control-plane vocabulary.  ``record`` rejects unknown kinds so a
 #: typo'd event name fails at the producer, not silently in a dashboard.
 EVENT_KINDS = frozenset(
@@ -65,11 +68,8 @@ class Event:
 class EventLog:
     """Ring buffer of recent events plus eviction-proof per-kind totals."""
 
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._events: Deque[Event] = deque(maxlen=self.capacity)
+    def __init__(self) -> None:
+        self._events: Deque[Event] = deque(maxlen=CAPACITY)
         self.recorded = 0
         self.dropped = 0
         self._counts: Dict[str, int] = {}
@@ -77,7 +77,7 @@ class EventLog:
     def record(self, kind: str, timestamp: float, **attrs: Any) -> Event:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}; known: {sorted(EVENT_KINDS)}")
-        if len(self._events) == self.capacity:
+        if len(self._events) == self._events.maxlen:
             self.dropped += 1
         event = Event(kind, float(timestamp), attrs)
         self._events.append(event)
@@ -103,18 +103,18 @@ class EventLog:
         return len(self._events)
 
     def merge(self, other: "EventLog") -> "EventLog":
-        """Chronological union, bounded by the larger capacity.
+        """Chronological union, bounded like any log.
 
         Retains the **latest** events when the union overflows (old ones
         count as dropped), and sums the eviction-proof totals — so a fleet
         merge reports every swap that ever happened even if the ring only
         shows the recent tail.
         """
-        merged = EventLog(capacity=max(self.capacity, other.capacity))
+        merged = EventLog()
         union = sorted(
             list(self._events) + list(other._events), key=lambda event: event.timestamp
         )
-        overflow = max(len(union) - merged.capacity, 0)
+        overflow = max(len(union) - merged._events.maxlen, 0)
         for event in union[overflow:]:
             merged._events.append(event)
         merged.recorded = self.recorded + other.recorded

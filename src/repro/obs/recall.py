@@ -15,11 +15,10 @@ sampling mirrors :class:`~repro.obs.trace.Tracer`: one seeded RNG draw per
 retrieval, so the unsampled hot path pays a single ``random()`` call and the
 decision is reproducible across runs.
 
-The running recall publishes as a ``retrieval_recall_at_k`` gauge when a
-:class:`~repro.obs.streaming.MetricsRegistry` is attached, and the full
-per-sample distribution lands in a streaming histogram so the dashboard can
-show the spread, not just the mean.  The shards of a fleet share one
-monitor.
+The running recall is what the fleet exports as its
+``retrieval_recall_at_k`` telemetry scalar, and the full per-sample
+distribution lands in a streaming histogram so the dashboard can show the
+spread, not just the mean.  The shards of a fleet share one monitor.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Optional
 
-from repro.obs.streaming import MetricsRegistry, StreamingHistogram
+from repro.obs.streaming import StreamingHistogram
 
 __all__ = ["ShadowRecallMonitor"]
 
@@ -49,10 +48,6 @@ class ShadowRecallMonitor:
     k:
         The oracle depth: recall@k of the survivor set vs the full-model
         top-``k``.
-    registry:
-        Optional :class:`~repro.obs.streaming.MetricsRegistry`; when set,
-        every observation refreshes the ``retrieval_recall_at_k`` gauge
-        (running mean) and a ``retrieval_shadow_recall`` histogram.
     seed:
         Seeds the sampling RNG — shadowed replays are deterministic.
     """
@@ -61,9 +56,7 @@ class ShadowRecallMonitor:
         self,
         rate: float = 0.005,
         k: int = 10,
-        registry: Optional[MetricsRegistry] = None,
         seed: int = 0,
-        gauge_name: str = "retrieval_recall_at_k",
     ) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1], got {rate}")
@@ -71,8 +64,6 @@ class ShadowRecallMonitor:
             raise ValueError(f"k must be >= 1, got {k}")
         self.rate = float(rate)
         self.k = int(k)
-        self.registry = registry
-        self.gauge_name = gauge_name
         self._rng = random.Random(seed)
         self.requests = 0
         self.samples = 0
@@ -100,10 +91,6 @@ class ShadowRecallMonitor:
         self._recall_sum += recall
         self.last_recall = recall
         self.histogram.record(recall)
-        if self.registry is not None:
-            self.registry.gauge(
-                self.gauge_name, "live shadow-sampled retrieval recall@k (running mean)"
-            ).set(self.recall_at_k)
 
     @property
     def recall_at_k(self) -> float:

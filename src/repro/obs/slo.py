@@ -2,7 +2,7 @@
 
 An SLO ("p99 under X ms, 99.9% of requests") is only meaningful over a
 window — lifetime aggregates hide a fleet that was healthy all week and on
-fire for the last minute.  :class:`SloTracker` keeps ``num_buckets``
+fire for the last minute.  :class:`SloTracker` keeps :data:`NUM_BUCKETS`
 rotating sub-windows, each a bounded
 :class:`~repro.obs.streaming.StreamingHistogram` plus violation counters;
 queries merge the live sub-windows, so p99 and the burn rate always reflect
@@ -20,6 +20,10 @@ from typing import Any, Dict, Optional
 from repro.obs.streaming import StreamingHistogram
 
 __all__ = ["SloTracker"]
+
+#: Rotating sub-windows per SLO window: rotation granularity is
+#: ``window_seconds / NUM_BUCKETS``.
+NUM_BUCKETS = 12
 
 
 class _Window:
@@ -45,8 +49,6 @@ class SloTracker:
         Fraction of requests allowed to meet the SLO, e.g. ``0.999``.
     window_seconds:
         Length of the sliding evaluation window.
-    num_buckets:
-        Sub-window count: rotation granularity is ``window / num_buckets``.
     """
 
     def __init__(
@@ -54,7 +56,6 @@ class SloTracker:
         latency_slo_ms: float,
         availability_target: float = 0.999,
         window_seconds: float = 60.0,
-        num_buckets: int = 12,
     ) -> None:
         if latency_slo_ms <= 0:
             raise ValueError(f"latency_slo_ms must be > 0, got {latency_slo_ms}")
@@ -64,13 +65,10 @@ class SloTracker:
             )
         if window_seconds <= 0:
             raise ValueError(f"window_seconds must be > 0, got {window_seconds}")
-        if num_buckets < 1:
-            raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
         self.latency_slo_ms = float(latency_slo_ms)
         self.availability_target = float(availability_target)
         self.window_seconds = float(window_seconds)
-        self.num_buckets = int(num_buckets)
-        self._span = self.window_seconds / self.num_buckets
+        self._span = self.window_seconds / NUM_BUCKETS
         self._windows: Dict[int, _Window] = {}
         self._last_now = 0.0
         self.total_recorded = 0
@@ -85,7 +83,7 @@ class SloTracker:
         return int(now // self._span)
 
     def _evict(self, now: float) -> None:
-        horizon = self._epoch(now) - self.num_buckets
+        horizon = self._epoch(now) - NUM_BUCKETS
         for epoch in [epoch for epoch in self._windows if epoch <= horizon]:
             del self._windows[epoch]
 
@@ -107,7 +105,7 @@ class SloTracker:
 
     def _live(self, now: Optional[float]) -> list:
         now = self._last_now if now is None else float(now)
-        horizon = self._epoch(now) - self.num_buckets
+        horizon = self._epoch(now) - NUM_BUCKETS
         return [window for epoch, window in self._windows.items() if epoch > horizon]
 
     def window_requests(self, now: Optional[float] = None) -> int:

@@ -362,6 +362,10 @@ class InMemoryExporter:
         pass
 
 
+#: Finished traces a :class:`Tracer` retains in its ``finished`` ring.
+KEEP_LAST = 64
+
+
 class Tracer:
     """Head-sampling trace factory shared by a serving fleet.
 
@@ -374,9 +378,9 @@ class Tracer:
         and pays nothing further.
     exporter:
         Optional object with ``export(record: dict)`` (e.g.
-        :class:`JsonlTraceExporter`); finished traces are also kept in the
-        bounded :attr:`finished` ring regardless, so examples and tests can
-        inspect recent traces without an exporter.
+        :class:`JsonlTraceExporter`); the last :data:`KEEP_LAST` finished
+        traces are also kept in the :attr:`finished` ring regardless, so
+        examples and tests can inspect recent traces without an exporter.
     clock:
         Time source in seconds (defaults to ``time.perf_counter``); tests
         pass a :class:`~repro.serving.metrics.ManualClock`.
@@ -392,7 +396,6 @@ class Tracer:
         exporter: Optional[Any] = None,
         clock: Callable[[], float] = time.perf_counter,
         seed: int = 0,
-        keep_last: int = 64,
     ) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1], got {sample_rate}")
@@ -400,7 +403,7 @@ class Tracer:
         self.exporter = exporter
         self._clock = clock
         self._rng = random.Random(seed)
-        self.finished: Deque[Dict[str, Any]] = deque(maxlen=keep_last)
+        self.finished: Deque[Dict[str, Any]] = deque(maxlen=KEEP_LAST)
         self.started = 0
         self.sampled = 0
         self.exported = 0

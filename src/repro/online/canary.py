@@ -32,7 +32,7 @@ and datasets without session structure, replay row for row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.ranking_model import RankingModel
 from repro.data.dataset import RankingDataset
@@ -47,6 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.retrieval import RetrievalProbe
 
 __all__ = ["CanaryReport", "CanaryGate"]
+
+#: The session metrics that gate promotion (paper Eq. 12–13).
+METRICS = {"auc": session_auc, "ndcg": session_ndcg}
 
 
 @dataclass(frozen=True)
@@ -75,12 +78,6 @@ class CanaryGate:
         Maximum allowed drop per metric versus production.  0 demands
         strict non-regression; the default absorbs evaluation noise on
         small holdout windows.
-    metrics:
-        Which session metrics gate promotion (subset of ``auc``/``ndcg``).
-    use_compiled:
-        Replay through the compiled inference plan (default) — the path the
-        fleet serves — falling back to eager for uncompilable models.
-        ``False`` forces the eager forward (used by parity tests).
     retrieval_probe:
         Optional :class:`~repro.retrieval.RetrievalProbe`; when set, the
         candidate must also keep cascade retrieval recall above the probe's
@@ -91,34 +88,27 @@ class CanaryGate:
         the ``canary.judge`` point at entry, so a chaos plan can fail a
         replay transiently (the online loop retries with backoff rather
         than skipping the gate).
-    """
 
-    _METRIC_FNS = {"auc": session_auc, "ndcg": session_ndcg}
+    Every :data:`METRICS` entry gates; the replay runs through the compiled
+    inference plan — the path the fleet serves — and through the eager
+    forward for models with no compiler.
+    """
 
     def __init__(
         self,
         tolerance: float = 0.005,
-        metrics: Sequence[str] = ("auc", "ndcg"),
-        use_compiled: bool = True,
         retrieval_probe: Optional["RetrievalProbe"] = None,
         injector=None,
     ) -> None:
         if tolerance < 0:
             raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-        unknown = set(metrics) - set(self._METRIC_FNS)
-        if unknown:
-            raise ValueError(f"unknown canary metrics: {sorted(unknown)}")
-        if not metrics:
-            raise ValueError("at least one gated metric is required")
         self.tolerance = float(tolerance)
-        self.metrics = tuple(metrics)
-        self.use_compiled = bool(use_compiled)
         self.retrieval_probe = retrieval_probe
         self.injector = injector if injector is not None else NULL_INJECTOR
 
     def _scorer(self, model: RankingModel):
         """The object whose ``predict_proba`` the replay runs — the compiled
-        plan when enabled and available, the eager model otherwise.
+        plan when the model compiles, the eager model otherwise.
 
         Deliberately compiles fresh on every call instead of memoizing per
         model object: the incremental trainer may update a model's weights
@@ -130,12 +120,10 @@ class CanaryGate:
         28 + 4 MiB for the same rows as ≈ 100 sessions) — hence a bounded
         chunk, not one batch.
         """
-        if self.use_compiled:
-            try:
-                return compile_model(model)
-            except CompileError:
-                pass
-        return model
+        try:
+            return compile_model(model)
+        except CompileError:
+            return model
 
     def evaluate(self, model: RankingModel, holdout: RankingDataset) -> Dict[str, float]:
         """The gated session metrics of ``model`` on ``holdout``."""
@@ -144,8 +132,8 @@ class CanaryGate:
     def _evaluate_with(self, scorer, holdout: RankingDataset, span=NULL_SPAN) -> Dict[str, float]:
         scores = predict_scores(scorer, holdout)
         metrics = {
-            name: self._METRIC_FNS[name](scores, holdout.label, holdout.session_id)
-            for name in self.metrics
+            name: metric(scores, holdout.label, holdout.session_id)
+            for name, metric in METRICS.items()
         }
         attrs = {name: round(value, 6) for name, value in metrics.items()}
         if isinstance(scorer, CompiledModel):  # one plan execution per chunk
@@ -204,7 +192,7 @@ class CanaryGate:
             )
         with trace.span("replay", model="production", **shape) as span:
             production_metrics = self._evaluate_with(self._scorer(production), holdout, span)
-        for name in self.metrics:
+        for name in METRICS:
             floor = production_metrics[name] - self.tolerance
             if candidate_metrics[name] < floor:
                 reasons.append(

@@ -4,14 +4,14 @@ Production rankers are not retrained from scratch — each refresh cycle
 continues optimizing the previous deployment's weights on the newest slice
 of the click log (§III-F; the same continuous-update story as AMoE and the
 Yandex system).  :class:`IncrementalTrainer` wraps the exact per-batch update
-of :func:`repro.core.trainer.train_step` and holds its AdamW optimizers
+of :func:`repro.core.trainer.train_step` and holds its AdamW optimizer
 **across** :meth:`update` calls, so the Adam moment estimates and bias-
 correction step counts carry over between cycles instead of resetting (a
 cold optimizer on warm weights wastes the first hundreds of steps
 re-estimating curvature).
 
 Checkpointing goes through :func:`repro.nn.serialization.save_training_state`:
-model parameters, every optimizer's buffers, and the update counter travel
+model parameters, the optimizer's buffers, and the update counter travel
 together, so ``save → load → update`` is bitwise-identical to never having
 stopped (``tests/online/test_incremental.py`` asserts this).
 """
@@ -85,7 +85,7 @@ class IncrementalTrainer:
         self.seed = int(seed)
         self.metrics = metrics
         self.injector = injector if injector is not None else NULL_INJECTOR
-        self.optimizers = build_optimizers(model, config)
+        self.optimizer = build_optimizers(model, config)
         self.strategy = build_strategy(config)
         # One arena for the trainer's lifetime: refresh cycles run the same
         # step shapes over and over, so after the first window the gradient
@@ -142,7 +142,7 @@ class IncrementalTrainer:
                         self.model,
                         batch,
                         self.config,
-                        self.optimizers,
+                        self.optimizer,
                         self.strategy,
                         cl_rng,
                         self.arena,
@@ -198,7 +198,7 @@ class IncrementalTrainer:
         save_training_state(
             path,
             self.model,
-            self.optimizers,
+            self.optimizer,
             extra={
                 "updates": self.updates,
                 "total_steps": self.total_steps,
@@ -209,7 +209,7 @@ class IncrementalTrainer:
     def load(self, path: str) -> None:
         """Restore a :meth:`save` checkpoint; continuing is then bitwise-
         identical to never having stopped."""
-        extra = load_training_state(path, self.model, self.optimizers)
+        extra = load_training_state(path, self.model, self.optimizer)
         self.updates = int(extra.get("updates", 0))
         self.total_steps = int(extra.get("total_steps", 0))
         if "seed" in extra and int(extra["seed"]) != self.seed:

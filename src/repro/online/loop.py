@@ -49,6 +49,19 @@ from repro.serving.metrics import ManualClock
 
 __all__ = ["CycleReport", "OnlineLoop"]
 
+#: Every ``HOLDOUT_EVERY``-th logged session is withheld from training and
+#: reserved for the canary replay (production vs candidate on identical
+#: traffic).
+HOLDOUT_EVERY = 5
+#: Transient-failure policy of the train and canary stages: a
+#: :class:`~repro.faults.TransientFault` is retried up to ``RETRY_ATTEMPTS``
+#: times with exponential backoff (``RETRY_BACKOFF_S * 2**attempt``
+#: seconds, advanced on the fleet's :class:`ManualClock` when it runs on
+#: one, so tests pay no wall-clock).  Exhaustion re-raises — a persistently
+#: failing refresh must be loud.
+RETRY_ATTEMPTS = 3
+RETRY_BACKOFF_S = 0.05
+
 
 @dataclass
 class CycleReport:
@@ -122,23 +135,12 @@ class OnlineLoop:
     registry / canary / click_model:
         The remaining loop components; a fresh :class:`ClickLog` is created
         unless one is passed.
-    holdout_every:
-        Every Nth logged session is withheld from training and reserved for
-        the canary replay (production vs candidate on identical traffic).
     tracer:
         Optional :class:`~repro.obs.Tracer` for **refresh-cycle traces**:
         each :meth:`run_cycle` emits one span tree (``serve → read_new →
         train [per-epoch children] → register → canary [replay +
         recall-probe children] → swap``) — the learning-loop counterpart of
         the fleet's per-request traces.
-    retry_attempts / retry_backoff_s:
-        Transient-failure policy for the train and canary stages: a
-        :class:`~repro.faults.TransientFault` (injected, or any future
-        genuinely-transient failure raised as one) is retried up to
-        ``retry_attempts`` times with exponential backoff (``backoff *
-        2**attempt`` seconds, advanced on the fleet's :class:`ManualClock`
-        when it runs on one, so tests pay no wall-clock).  Exhaustion
-        re-raises — a persistently failing refresh must be loud.
     watch_cycles:
         Post-promotion watch window: if any alert rule *fires* within this
         many cycles of a promotion while the promoted version is still
@@ -180,17 +182,10 @@ class OnlineLoop:
         canary: CanaryGate,
         click_model: PositionBiasedClickModel,
         click_log: Optional[ClickLog] = None,
-        holdout_every: int = 5,
         seed: int = 0,
         tracer=NULL_TRACER,
-        retry_attempts: int = 3,
-        retry_backoff_s: float = 0.05,
         watch_cycles: int = 0,
     ) -> None:
-        if holdout_every < 2:
-            raise ValueError(f"holdout_every must be >= 2, got {holdout_every}")
-        if retry_attempts < 1:
-            raise ValueError(f"retry_attempts must be >= 1, got {retry_attempts}")
         if watch_cycles < 0:
             raise ValueError(f"watch_cycles must be >= 0, got {watch_cycles}")
         self.world = world
@@ -201,13 +196,10 @@ class OnlineLoop:
         self.canary = canary
         self.click_model = click_model
         self.click_log = click_log if click_log is not None else ClickLog()
-        self.holdout_every = int(holdout_every)
         self.clock = cluster.ctx.clock
         #: The fleet's clock when it is simulated (``None`` on wall time).
         self._manual = self.clock if isinstance(self.clock, ManualClock) else None
         self.tracer = tracer
-        self.retry_attempts = int(retry_attempts)
-        self.retry_backoff_s = float(retry_backoff_s)
         self.watch_cycles = int(watch_cycles)
         #: Active post-promotion watch window (``None`` outside one):
         #: ``{"version", "parent", "until"}`` — see ``watch_cycles``.
@@ -290,7 +282,7 @@ class OnlineLoop:
         promoting on a half-run stage).
         """
         last: Optional[TransientFault] = None
-        for attempt in range(self.retry_attempts):
+        for attempt in range(RETRY_ATTEMPTS):
             try:
                 return fn()
             except TransientFault as exc:
@@ -300,10 +292,10 @@ class OnlineLoop:
                     self._now(),
                     stage=stage,
                     attempt=attempt + 1,
-                    max_attempts=self.retry_attempts,
+                    max_attempts=RETRY_ATTEMPTS,
                 )
-                if attempt + 1 < self.retry_attempts:
-                    self._sleep(self.retry_backoff_s * (2.0**attempt))
+                if attempt + 1 < RETRY_ATTEMPTS:
+                    self._sleep(RETRY_BACKOFF_S * (2.0**attempt))
         raise last
 
     def _roll_back(
@@ -503,9 +495,7 @@ class OnlineLoop:
 
         with trace.span("read_new") as read_span:
             records = self.click_log.read_new()
-            holdout_rows = set(
-                range(self.holdout_every - 1, len(records), self.holdout_every)
-            )
+            holdout_rows = set(range(HOLDOUT_EVERY - 1, len(records), HOLDOUT_EVERY))
             holdout_records = [records[i] for i in sorted(holdout_rows)]
             train_records = [
                 record for i, record in enumerate(records) if i not in holdout_rows

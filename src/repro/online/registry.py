@@ -195,7 +195,7 @@ class ModelRegistry:
                 # Training-state checkpoints prefix parameters with
                 # "model."; plain ones store them flat.  Accept both.
                 try:
-                    load_training_state(entry.path, model, ())
+                    load_training_state(entry.path, model)
                 except KeyError:
                     load_module(model, entry.path)
         except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:

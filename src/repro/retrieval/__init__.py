@@ -24,12 +24,7 @@ Cascades are weight snapshots: the serving engine rebuilds them from the
 new model on every hot swap, atomically with the inference plan.
 """
 
-from repro.retrieval.cascade import (
-    CascadeConfig,
-    RetrievalCascade,
-    RetrievalProbe,
-    category_popularity_probs,
-)
+from repro.retrieval.cascade import CascadeConfig, RetrievalCascade, RetrievalProbe
 from repro.retrieval.index import ItemIndex, kmeans
 from repro.retrieval.prefilter import Prefilter
 
@@ -37,7 +32,6 @@ __all__ = [
     "CascadeConfig",
     "RetrievalCascade",
     "RetrievalProbe",
-    "category_popularity_probs",
     "ItemIndex",
     "kmeans",
     "Prefilter",

@@ -72,7 +72,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
 
@@ -93,7 +93,7 @@ from repro.retrieval.prefilter import Prefilter
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.data.synthetic import World
 
-__all__ = ["CascadeConfig", "RetrievalCascade", "RetrievalProbe", "category_popularity_probs"]
+__all__ = ["CascadeConfig", "RetrievalCascade", "RetrievalProbe"]
 
 #: Calibration rows whose target logit falls in the top tail of their probe
 #: query get up-weighted by ``_TOP_WEIGHT``: retrieval recall lives at the
@@ -151,25 +151,6 @@ class CascadeConfig:
         return self.nprobe == "all" and self.prune is None
 
 
-def category_popularity_probs(world: "World") -> List[np.ndarray]:
-    """Per-category popularity sampling probabilities, computed once.
-
-    Exactly the vector ``SearchEngine.retrieve`` historically rebuilt per
-    query (``popularity ** 0.7 + 1e-3``, normalized within the category);
-    precomputed here so the engine samples from it and the cascade reuses it
-    as the index/prefilter popularity prior.
-    """
-    probs: List[np.ndarray] = []
-    for cat in range(world.config.num_categories):
-        members = np.flatnonzero(world.item_category == cat)
-        if members.size == 0:
-            probs.append(np.empty(0))
-            continue
-        weights = world.item_popularity[members] ** 0.7 + 1e-3
-        probs.append(weights / weights.sum())
-    return probs
-
-
 def _logits(scorer, batch) -> np.ndarray:
     """Full-model log-odds for a batch, via whatever scoring surface the
     caller serves through (compiled plan or eager model)."""
@@ -205,14 +186,7 @@ class RetrievalCascade:
     _NUM_STATIC = 2  # popularity prior, sales
     _NUM_DENSE = 4  # price, popularity, quality, style (repro.data.features.item_dense)
 
-    def __init__(
-        self,
-        world: "World",
-        model,
-        config: CascadeConfig,
-        category_probs: Optional[Sequence[np.ndarray]] = None,
-        scorer=None,
-    ) -> None:
+    def __init__(self, world: "World", model, config: CascadeConfig, scorer=None) -> None:
         """Build from a live model.  ``scorer`` optionally supplies the
         scoring surface for the gate/calibration passes (the engine hands
         over its already-compiled plan so the build does not recompile);
@@ -221,8 +195,6 @@ class RetrievalCascade:
         self.config = config
         self._model = model
         self._scorer = model if scorer is None else scorer
-        if category_probs is None:
-            category_probs = category_popularity_probs(world)
 
         # -- raw feature blocks (the embedding copy mirrors the inference
         # compiler's packing; row 0 of the table is the padding id).
@@ -230,17 +202,12 @@ class RetrievalCascade:
         self._emb = np.array(table[1 : world.num_items + 1], dtype=np.float32, order="C")
         self.embed_dim = int(self._emb.shape[1])
         self._dense = world.item_slab.dense
+        self._by_category = world.category_items
         priors = np.zeros(world.num_items, dtype=np.float32)
-        for cat, probs in enumerate(category_probs):
-            members = np.flatnonzero(world.item_category == cat)
-            if members.size:
-                # Rescaled by partition size so "uniform within category"
-                # scores ~1 regardless of catalog scale.
-                priors[members] = probs * members.size
-        self._by_category = [
-            np.flatnonzero(world.item_category == cat)
-            for cat in range(world.config.num_categories)
-        ]
+        for members, probs in zip(self._by_category, world.category_popularity):
+            # The world's popularity prior, rescaled by partition size so
+            # "uniform within category" scores ~1 regardless of catalog scale.
+            priors[members] = probs * members.size
 
         # The age one-hot block width is fixed by the feature schema, not by
         # which ages this world happened to sample.
@@ -287,14 +254,9 @@ class RetrievalCascade:
 
     @classmethod
     def from_model(
-        cls,
-        model,
-        world: "World",
-        config: CascadeConfig,
-        category_probs: Optional[Sequence[np.ndarray]] = None,
-        scorer=None,
+        cls, model, world: "World", config: CascadeConfig, scorer=None
     ) -> "RetrievalCascade":
-        return cls(world, model, config, category_probs=category_probs, scorer=scorer)
+        return cls(world, model, config, scorer=scorer)
 
     def worker_view(self) -> "RetrievalCascade":
         """A per-worker handle onto this build's immutable snapshot.

@@ -6,14 +6,13 @@ to the top-K survivors the expensive ranker actually scores.  Its score is
 deliberately linear — a few hundred FLOPs per candidate against the full
 model's hundreds of thousands:
 
-    score(i) = <u, x_i> + static_i + extra_i
+    score(i) = <u, x_i> + extra_i
 
 where ``x_i`` is the item's row in the cascade's calibrated vector space
 (see :mod:`repro.retrieval.cascade`: probe logit, popularity prior, sales,
 embedding, dense profile and its square), ``u`` the session vector with the
-calibration weights folded in, ``static_i`` an optional per-item term
-computed once at build time, and ``extra_i`` an optional per-query additive
-term (the cascade passes its user x item cross-feature boost here).
+calibration weights folded in, and ``extra_i`` an optional per-query
+additive term (the cascade passes its user x item cross-feature boost here).
 
 The scorer is built as an :class:`~repro.infer.plan.InferencePlan` over the
 same kernels and :class:`~repro.infer.plan.BufferArena` the compiled model
@@ -44,32 +43,16 @@ class Prefilter:
     item_vectors:
         ``(num_items, D)`` item vectors, the same snapshot the
         :class:`~repro.retrieval.index.ItemIndex` slabs hold.
-    static_scores:
-        Optional ``(num_items,)`` precomputed per-item additive term;
-        ``None`` skips the static gather entirely.
     """
 
-    def __init__(
-        self, item_vectors: np.ndarray, static_scores: Optional[np.ndarray] = None
-    ) -> None:
+    def __init__(self, item_vectors: np.ndarray) -> None:
         self.item_vectors = np.ascontiguousarray(item_vectors, dtype=np.float32)
-        self.static_scores = (
-            None
-            if static_scores is None
-            else np.ascontiguousarray(static_scores, dtype=np.float32)
-        )
-        if (
-            self.static_scores is not None
-            and self.static_scores.shape[0] != self.item_vectors.shape[0]
-        ):
-            raise ValueError("static_scores length must match item_vectors")
         self.dim = int(self.item_vectors.shape[1])
         self.plan = self._build_plan()
 
     def _build_plan(self) -> InferencePlan:
         arena = BufferArena(np.float32)
         vectors = self.item_vectors
-        static = self.static_scores
         dim = self.dim
 
         def gather_fn(ctx: dict) -> None:
@@ -82,13 +65,7 @@ class Prefilter:
             candidates = ctx["batch"]["candidates"]
             rows = candidates.shape[0]
             scores = arena.lease("prefilter.score", "scores", (rows,))
-            # One GEMV for the session-dependent term ...
             np.matmul(ctx["candidate_vecs"], ctx["batch"]["session_vec"], out=scores)
-            if static is not None:
-                # ... one gather+add for the whole static term.
-                statics = arena.lease("prefilter.score", "static", (rows,))
-                gather_rows(static, candidates, statics)
-                scores += statics
             extra = ctx["batch"].get("extra")
             if extra is not None:
                 scores += extra

@@ -115,22 +115,13 @@ class LRUCache:
 
 
 class SessionCache:
-    """The serving stack's two cooperating LRU stores.
+    """The serving stack's two cooperating LRU stores, each holding up to
+    ``capacity`` entries: per-(user, query-category) gate vectors and
+    per-user states."""
 
-    Parameters
-    ----------
-    gate_capacity:
-        Maximum number of per-(user, query-category) gate vectors retained.
-    behavior_capacity:
-        Maximum number of per-user states retained; defaults to
-        ``gate_capacity``.
-    """
-
-    def __init__(self, gate_capacity: int, behavior_capacity: Optional[int] = None) -> None:
-        self.gates = LRUCache(gate_capacity)
-        self.behaviors = LRUCache(
-            gate_capacity if behavior_capacity is None else behavior_capacity
-        )
+    def __init__(self, capacity: int) -> None:
+        self.gates = LRUCache(capacity)
+        self.behaviors = LRUCache(capacity)
         #: Model generation the cached gate vectors belong to.  Bumped by
         #: :meth:`invalidate_all` on every model hot-swap; consumers that
         #: hold a gate across a flush boundary (the micro-batcher) record
@@ -163,19 +154,16 @@ class SessionCache:
         self.gates.stats.reset()
         self.behaviors.stats.reset()
 
-    def invalidate_all(self, include_behaviors: bool = False) -> None:
+    def invalidate_all(self) -> None:
         """Drop every cached gate vector and bump :attr:`generation`.
 
         Called on model hot-swap (:meth:`repro.serving.shard.ShardWorker.
         swap`): gate vectors are a function of the model's weights, so
         none may survive a version switch.  User states are pure data
-        features (independent of the model) and are kept unless
-        ``include_behaviors`` is set.
+        features (independent of the model) and are kept.
         """
         self.gates.clear()
         self.generation += 1
-        if include_behaviors:
-            self.behaviors.clear()
 
     def invalidate_user(self, user: int) -> None:
         """Drop every entry derived from ``user``'s behaviour sequence.

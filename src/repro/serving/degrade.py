@@ -56,7 +56,7 @@ def popularity_floor(
     """The ladder's last rung: ``(items, scores)`` ranked by popularity prior.
 
     ``members`` are one category's item ids in ascending order and ``probs``
-    their prior (:func:`repro.retrieval.category_popularity_probs`).  No
+    their prior (:attr:`repro.data.synthetic.World.category_popularity`).  No
     model, no RNG, no per-user state — nothing left to fail.  The one
     implementation behind both :meth:`SearchEngine.degraded_ranking
     <repro.serving.engine.SearchEngine.degraded_ranking>` and the fleet's

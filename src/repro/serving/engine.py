@@ -51,7 +51,7 @@ from repro.data.synthetic import World
 from repro.infer import CompiledModel, CompileError, compile_model
 from repro.obs import NULL_TRACE
 from repro.obs.trace import kernel_span_hook
-from repro.retrieval import CascadeConfig, RetrievalCascade, category_popularity_probs
+from repro.retrieval import CascadeConfig, RetrievalCascade
 from repro.serving.context import FleetContext
 from repro.serving.degrade import (
     TIER_FULL,
@@ -111,14 +111,10 @@ class SearchEngine:
         self.shadow_recall = ctx.shadow_recall
         self.tracer = ctx.tracer
         self.candidates_per_query = candidates_per_query or world.config.items_per_session
-        self._by_category = [
-            np.flatnonzero(world.item_category == cat)
-            for cat in range(world.config.num_categories)
-        ]
-        # Per-category popularity sampling probabilities, computed once:
-        # retrieval used to recompute ``popularity ** 0.7`` and renormalize
-        # on every query.  The cascade reuses these as its retrieval prior.
-        self._category_pop_probs = category_popularity_probs(world)
+        # The world's catalog table: category members and the popularity
+        # prior retrieval samples from, computed once per world.
+        self._by_category = world.category_items
+        self._category_pop_probs = world.category_popularity
         self.queries_served = 0
         self.total_latency_ms = 0.0
         self.compile_enabled = bool(compile)
@@ -179,7 +175,6 @@ class SearchEngine:
                 model,
                 self.world,
                 self.cascade_config,
-                self._category_pop_probs,
                 scorer=compiled if compiled is not None else model,
             )
         else:

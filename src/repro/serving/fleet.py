@@ -32,10 +32,7 @@ import os
 import signal
 import time
 from dataclasses import replace
-from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.ranking_model import RankingModel
 from repro.data.synthetic import World
@@ -49,7 +46,6 @@ from repro.obs import (
     report_sections,
     write_dashboard,
 )
-from repro.retrieval import category_popularity_probs
 from repro.serving.context import FleetContext
 from repro.serving.degrade import TIER_POPULARITY, popularity_floor
 from repro.serving.engine import RankedList
@@ -272,22 +268,16 @@ class Fleet:
             results = results + self._drain()
         return results
 
-    @cached_property
-    def _popularity(self) -> List[tuple]:
-        """Per-category ``(members, prior)``, built on the first last-resort
-        answer — a healthy fleet never pays for it."""
-        probs = category_popularity_probs(self._world)
-        return [
-            (np.flatnonzero(self._world.item_category == cat), probs[cat])
-            for cat in range(len(probs))
-        ]
-
     def _last_resort(self, user: int, query_category: int) -> RankedList:
         """Every shard refused: the popularity prior answers from the fleet
         itself (no model forward, no cascade, no shard — nothing left to
         fail), counted as a shed response on the control sink."""
-        limit = self.config.candidates_per_query or self._world.config.items_per_session
-        items, scores = popularity_floor(*self._popularity[query_category], limit)
+        world = self._world
+        items, scores = popularity_floor(
+            world.category_items[query_category],
+            world.category_popularity[query_category],
+            world.config.items_per_session,
+        )
         now = self.ctx.clock()
         self.control.record_query(0.0, now=now)
         self.control.record_tier(TIER_POPULARITY)
@@ -368,6 +358,11 @@ class Fleet:
         switch sampling on — every shard's engine consults ``monitor`` on
         its next cascade retrieval.
         """
+        if self.backend != "inprocess":
+            raise TypeError(
+                f"attach_shadow_recall needs the engines in this interpreter and applies "
+                f"to the in-process backend only, not backend={self.backend!r}"
+            )
         for worker in self.workers:
             worker.engine.shadow_recall = monitor
         self.ctx = replace(self.ctx, shadow_recall=monitor)
@@ -428,6 +423,11 @@ class Fleet:
 
     def kill_worker(self, shard: int, sig: int = signal.SIGKILL) -> Optional[int]:
         """Crash drill (process backend): signal a shard's worker process."""
+        if self.backend != "process":
+            raise TypeError(
+                f"kill_worker signals a worker process and applies to the process "
+                f"backend only, not backend={self.backend!r}"
+            )
         return self.transport.kill(shard, sig)
 
     def stop(self) -> None:

@@ -99,16 +99,9 @@ class MetricsSink:
     slo:
         Optional shared :class:`~repro.obs.slo.SloTracker` fed every
         recorded latency (a fleet typically shares one across shard sinks).
-    event_capacity:
-        Ring-buffer size of the control-plane :class:`EventLog`.
     """
 
-    def __init__(
-        self,
-        clock=time.perf_counter,
-        slo: Optional[SloTracker] = None,
-        event_capacity: int = 256,
-    ) -> None:
+    def __init__(self, clock=time.perf_counter, slo: Optional[SloTracker] = None) -> None:
         self._clock = clock
         self.slo = slo
         self._bind(MetricsRegistry())
@@ -116,7 +109,7 @@ class MetricsSink:
         self.cache_stats = CacheStats()
         self._first_ts: Optional[float] = None
         self._last_ts: Optional[float] = None
-        self.events = EventLog(capacity=event_capacity)
+        self.events = EventLog()
         self.cost_model: Optional[GateCostReport] = None
 
     def _bind(self, registry: MetricsRegistry, tiers: Iterable[str] = ()) -> None:
@@ -336,11 +329,7 @@ class MetricsSink:
         cost model carries over from whichever sink has one.  The result
         shares no instrument with either operand.
         """
-        merged = MetricsSink(
-            clock=self._clock,
-            slo=self.slo if self.slo is not None else other.slo,
-            event_capacity=max(self.events.capacity, other.events.capacity),
-        )
+        merged = MetricsSink(clock=self._clock, slo=self.slo if self.slo is not None else other.slo)
         # (a dict union, not a set: tier order — and so export order — stays
         # deterministic)
         merged._bind(self.registry.merge(other.registry), {**self._tiers, **other._tiers})

@@ -23,8 +23,9 @@ needs:
   every request takes.
 * **Restart with backoff + flap quarantine** — restarts reuse the
   currently published slab generation and back off exponentially; a worker
-  that keeps dying inside ``quarantine_window_s`` is parked
-  (``worker_quarantined``) and its users reroute to siblings.
+  that dies more than :data:`MAX_RESTARTS` times inside
+  :data:`QUARANTINE_WINDOW_S` is parked (``worker_quarantined``) and its
+  users reroute to siblings.
 * **Atomic hot swap** — :meth:`PipeTransport.swap`: publish → flip workers
   one by one → unlink the old slab; readers can never observe a mixed
   generation because a slab is only attachable once its header commits.
@@ -81,6 +82,20 @@ __all__ = ["PipeTransport"]
 _EXIT_EXEC_CRASH = 13
 #: Exit code for an unexpected exception escaping the worker loop.
 _EXIT_FATAL = 21
+
+#: Supervisor tuning beside :class:`FleetConfig`'s heartbeat and backoff
+#: knobs.  A request waits this long for its ack before the worker is
+#: declared dead, and a spawned worker this long to report ready.
+REQUEST_TIMEOUT_S = 10.0
+STARTUP_TIMEOUT_S = 30.0
+#: Restart backoff doubles from ``FleetConfig.restart_backoff_s`` up to this.
+RESTART_BACKOFF_MAX_S = 2.0
+#: A worker restarted more than ``MAX_RESTARTS`` times within
+#: ``QUARANTINE_WINDOW_S`` seconds is quarantined instead.
+MAX_RESTARTS = 3
+QUARANTINE_WINDOW_S = 30.0
+#: How workers start; where the platform lacks it, ``spawn``.
+START_METHOD = "fork"
 
 
 class _WorkerFailure(Exception):
@@ -286,10 +301,8 @@ class PipeTransport:
         self.orphans: Deque[Tuple[int, int]] = deque()
         self.retired: List[Any] = []
         self._stopped = False
-        method = config.start_method
-        if method not in multiprocessing.get_all_start_methods():
-            method = "spawn"
-        self._ctx = multiprocessing.get_context(method)
+        available = START_METHOD in multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(START_METHOD if available else "spawn")
         self.slab = self._publish(model, version, generation=0)
         self.workers = [_WorkerHandle(self, i) for i in range(config.num_workers)]
         for handle in self.workers:
@@ -387,7 +400,7 @@ class PipeTransport:
         handle.process.start()
         child_conn.close()
         try:
-            ready = self._await(handle, "ready", self.config.startup_timeout_s)
+            ready = self._await(handle, "ready", STARTUP_TIMEOUT_S)
         except _WorkerFailure as failure:
             self._on_death(handle, f"spawn_{failure.args[0]}", detail=failure.detail)
             return
@@ -406,25 +419,22 @@ class PipeTransport:
     def _schedule_restart(self, handle: _WorkerHandle, reason: str) -> None:
         now = time.monotonic()
         handle.restart_times.append(now)
-        while (
-            handle.restart_times
-            and now - handle.restart_times[0] > self.config.quarantine_window_s
-        ):
+        while handle.restart_times and now - handle.restart_times[0] > QUARANTINE_WINDOW_S:
             handle.restart_times.popleft()
         handle.restarts += 1
-        if len(handle.restart_times) > self.config.max_restarts:
+        if len(handle.restart_times) > MAX_RESTARTS:
             handle.state = QUARANTINED
             self._event(
                 "worker_quarantined",
                 worker=handle.worker_id,
                 restarts_in_window=len(handle.restart_times),
-                window_s=self.config.quarantine_window_s,
+                window_s=QUARANTINE_WINDOW_S,
                 reason=reason,
             )
             return
         backoff = min(
             self.config.restart_backoff_s * (2 ** (len(handle.restart_times) - 1)),
-            self.config.restart_backoff_max_s,
+            RESTART_BACKOFF_MAX_S,
         )
         handle.state = RESTARTING
         handle.restart_at = now + backoff
@@ -582,7 +592,7 @@ class PipeTransport:
         self._rid += 1
         try:
             ack = self._await(
-                handle, "ack", timeout or self.config.request_timeout_s, (op, self._rid, *args)
+                handle, "ack", timeout or REQUEST_TIMEOUT_S, (op, self._rid, *args)
             )
         except _WorkerFailure as failure:
             self._on_death(handle, reason=failure.args[0])

@@ -84,30 +84,23 @@ class ShardRefused(Exception):
 class FleetConfig:
     """Everything needed to build a shard's serving stack, on any transport.
     :class:`ShardWorker` reads the first group only; the supervisor knobs
-    (heartbeat, backoff, quarantine) tune the robustness machinery of the
-    process backend and are inert in-process."""
+    (heartbeat, restart backoff) tune the robustness machinery of the
+    process backend and are inert in-process.  The rest of that machinery's
+    tuning is :mod:`repro.serving.pipe` constants, the breaker's
+    :mod:`repro.faults.breaker` constants."""
 
     num_workers: int = 2
     seed: int = 0
     max_batch_size: int = 8
     flush_deadline_ms: float = 5.0
     cache_capacity: int = 512
-    candidates_per_query: Optional[int] = None
     compile: bool = True
     cascade: Optional[CascadeConfig] = None
     policy: Optional[DegradationPolicy] = None
-    breaker_failure_threshold: int = 3
-    breaker_cooldown_s: float = 0.05
     # --- supervisor knobs -------------------------------------------------
     heartbeat_interval_s: float = 0.05
     heartbeat_deadline_s: float = 1.0
-    request_timeout_s: float = 10.0
-    startup_timeout_s: float = 30.0
     restart_backoff_s: float = 0.05
-    restart_backoff_max_s: float = 2.0
-    max_restarts: int = 3
-    quarantine_window_s: float = 30.0
-    start_method: str = "fork"
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
@@ -116,8 +109,6 @@ class FleetConfig:
             raise ValueError("heartbeat_interval_s must be > 0")
         if self.heartbeat_deadline_s < self.heartbeat_interval_s:
             raise ValueError("heartbeat_deadline_s must cover >= 1 interval")
-        if self.max_restarts < 1:
-            raise ValueError(f"max_restarts must be >= 1, got {self.max_restarts}")
 
 
 class ShardWorker:
@@ -154,7 +145,6 @@ class ShardWorker:
             world,
             model,
             SeedBank(config.seed).child(f"shard-{self.shard_id}"),
-            candidates_per_query=config.candidates_per_query,
             model_version=version,
             compile=config.compile,
             cascade=config.cascade,
@@ -164,11 +154,7 @@ class ShardWorker:
         self.cache = SessionCache(config.cache_capacity)
         self.metrics = MetricsSink(clock=ctx.clock, slo=ctx.slo)
         self.breaker = CircuitBreaker(
-            failure_threshold=config.breaker_failure_threshold,
-            cooldown_s=config.breaker_cooldown_s,
-            clock=ctx.clock,
-            events=self.metrics.events,
-            shard=self.shard_id,
+            clock=ctx.clock, events=self.metrics.events, shard=self.shard_id
         )
         self.batcher = MicroBatcher(
             self.engine,

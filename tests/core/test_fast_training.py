@@ -104,7 +104,7 @@ def _run_steps(train_set, fast, steps=6, augmentation="mask", seed=11):
         fast_path=fast,
     )
     model = build_model("aw_moe", ModelConfig.unit(), train_set.meta, bank.child("model"))
-    optimizers = build_optimizers(model, config)
+    optimizer = build_optimizers(model, config)
     strategy = build_strategy(config)
     cl_rng = bank.child("cl")
     arena = GradArena() if fast else None
@@ -114,7 +114,7 @@ def _run_steps(train_set, fast, steps=6, augmentation="mask", seed=11):
     for i, batch in enumerate(batches):
         if i == steps:
             break
-        metrics = train_step(model, batch, config, optimizers, strategy, cl_rng, arena)
+        metrics = train_step(model, batch, config, optimizer, strategy, cl_rng, arena)
         losses.append(metrics["loss"])
     return model, losses
 
@@ -148,13 +148,13 @@ class TestTrainStepParity:
             bank = SeedBank(13)
             config = TrainConfig(epochs=1, batch_size=16, learning_rate=1e-3, fast_path=fast)
             model = build_model("aw_moe", ModelConfig.unit(), train_set.meta, bank.child("m"))
-            optimizers = build_optimizers(model, config)
+            optimizer = build_optimizers(model, config)
             strategy = build_strategy(config)
             arena = GradArena() if fast else None
             model.train()
             batch = train_set.batch_at(np.arange(16))
             losses = [
-                train_step(model, batch, config, optimizers, strategy, None, arena)["loss"]
+                train_step(model, batch, config, optimizer, strategy, None, arena)["loss"]
                 for _ in range(4)
             ]
             results[fast] = losses
@@ -189,10 +189,10 @@ class TestTrainStepParity:
         bank = SeedBank(17)
         config = TrainConfig(epochs=1, batch_size=16, learning_rate=1e-3, fast_path=True)
         model = build_model("dnn", ModelConfig.unit(), train_set.meta, bank.child("m"))
-        optimizers = build_optimizers(model, config)
+        optimizer = build_optimizers(model, config)
         strategy = build_strategy(config)
         batch = train_set.batch_at(np.arange(16))
-        metrics = train_step(model, batch, config, optimizers, strategy, None, GradArena())
+        metrics = train_step(model, batch, config, optimizer, strategy, None, GradArena())
         assert np.isfinite(metrics["loss"])
 
 
@@ -374,7 +374,7 @@ class TestPackedTrunkParity:
         linear_rows, gathers = [], []
         original_linear, original_embedding = layers.linear_op, layers.embedding_op
 
-        def recording_linear(x, weight, bias=None, relu=False):
+        def recording_linear(x, weight, bias, relu=False):
             if id(weight) in trunk:
                 linear_rows.append(x.shape[0] if x.ndim == 2 else -1)
             return original_linear(x, weight, bias, relu=relu)

@@ -103,21 +103,6 @@ class TestGateNetwork:
             masked = gate(batch, mask_override=np.zeros_like(batch["behavior_mask"])).numpy()
         assert not np.allclose(full, masked)
 
-    def test_normalize_gate_softmax(self, test_set, batch):
-        _, _, _, gate = _nets(test_set.meta, normalize_gate=True)
-        with no_grad():
-            out = gate(batch).numpy()
-        assert np.allclose(out.sum(axis=1), 1.0, atol=1e-5)
-        assert np.all(out >= 0)
-
-    def test_no_bias_variant(self, test_set, batch):
-        _, _, _, gate = _nets(test_set.meta, gate_bias=False)
-        assert gate.bias is None
-        empty_mask = np.zeros_like(batch["behavior_mask"])
-        with no_grad():
-            out = gate(batch, mask_override=empty_mask).numpy()
-        assert np.allclose(out, 0.0, atol=1e-6)
-
     def test_reco_mode_uses_target_key(self, test_set, batch):
         _, _, _, gate = _nets(test_set.meta, task="reco")
         with no_grad():

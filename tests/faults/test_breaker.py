@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults import CircuitBreaker
+from repro.faults.breaker import COOLDOWN_S, FAILURE_THRESHOLD
 from repro.serving import ManualClock
 
 
@@ -13,7 +14,7 @@ def clock():
 
 @pytest.fixture()
 def breaker(clock):
-    return CircuitBreaker(failure_threshold=3, cooldown_s=1.0, clock=clock)
+    return CircuitBreaker(clock=clock)
 
 
 class TestTrip:
@@ -22,6 +23,7 @@ class TestTrip:
         assert breaker.allow()
 
     def test_opens_after_consecutive_failures(self, breaker):
+        assert FAILURE_THRESHOLD == 3
         breaker.record_failure()
         breaker.record_failure()
         assert breaker.state == CircuitBreaker.CLOSED
@@ -41,46 +43,34 @@ class TestTrip:
 
 class TestRecovery:
     def _trip(self, breaker):
-        for _ in range(3):
+        for _ in range(FAILURE_THRESHOLD):
             breaker.record_failure()
         assert breaker.state == CircuitBreaker.OPEN
 
     def test_cooldown_gates_half_open(self, breaker, clock):
         self._trip(breaker)
-        clock.advance(0.5)
+        clock.advance(COOLDOWN_S / 2)
         assert not breaker.allow()
-        clock.advance(0.6)
+        clock.advance(COOLDOWN_S * 0.6)
         assert breaker.allow()  # admits the trial request
         assert breaker.state == CircuitBreaker.HALF_OPEN
 
     def test_trial_success_closes(self, breaker, clock):
         self._trip(breaker)
-        clock.advance(1.1)
+        clock.advance(COOLDOWN_S * 1.1)
         assert breaker.allow()
-        breaker.record_success()
+        breaker.record_success()  # one trial success closes it
         assert breaker.state == CircuitBreaker.CLOSED
         assert breaker.allow()
 
     def test_trial_failure_retrips_immediately(self, breaker, clock):
         self._trip(breaker)
-        clock.advance(1.1)
+        clock.advance(COOLDOWN_S * 1.1)
         assert breaker.allow()
         breaker.record_failure()
         assert breaker.state == CircuitBreaker.OPEN
         assert breaker.opens == 2
         assert not breaker.allow()
-
-    def test_success_threshold_requires_streak(self, clock):
-        breaker = CircuitBreaker(
-            failure_threshold=1, cooldown_s=1.0, success_threshold=2, clock=clock
-        )
-        breaker.record_failure()
-        clock.advance(1.1)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
 
 
 class TestStatus:
@@ -93,11 +83,3 @@ class TestStatus:
         assert status["opens"] == 1
         assert status["failures"] == 3
         assert status["successes"] == 1
-
-    def test_validation(self, clock):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0, clock=clock)
-        with pytest.raises(ValueError):
-            CircuitBreaker(success_threshold=0, clock=clock)
-        with pytest.raises(ValueError):
-            CircuitBreaker(cooldown_s=-1.0, clock=clock)

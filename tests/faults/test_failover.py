@@ -23,13 +23,7 @@ def _cluster(world, model, clock, injector, num_shards=2, **kwargs):
     return build_fleet(
         world,
         model,
-        FleetConfig(
-            num_workers=num_shards,
-            seed=0,
-            breaker_failure_threshold=3,
-            breaker_cooldown_s=0.05,
-            **kwargs,
-        ),
+        FleetConfig(num_workers=num_shards, seed=0, **kwargs),
         backend="inprocess",
         ctx=FleetContext(clock=clock.now, injector=injector),
     )

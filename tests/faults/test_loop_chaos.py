@@ -10,10 +10,12 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
     TransientFault,
+    breaker,
     default_chaos_plan,
     run_chaos_soak,
 )
 from repro.obs import AlertManager
+from repro.online.loop import RETRY_ATTEMPTS
 from repro.online import (
     CanaryGate,
     ClickLog,
@@ -42,7 +44,6 @@ def _chaos_loop(
     watch_cycles=0,
     alerts=None,
     policy=None,
-    breaker_cooldown_s=0.05,
 ):
     """The standard loop harness with the fault injector threaded everywhere."""
     clock = ManualClock()
@@ -60,7 +61,6 @@ def _chaos_loop(
             flush_deadline_ms=5.0,
             cache_capacity=128,
             policy=policy,
-            breaker_cooldown_s=breaker_cooldown_s,
         ),
         backend="inprocess",
         ctx=FleetContext(clock=clock, injector=inj, alerts=alerts),
@@ -80,7 +80,6 @@ def _chaos_loop(
         click_log=ClickLog(path=str(tmp_path / "clicks.jsonl"), injector=inj),
         seed=11,
         watch_cycles=watch_cycles,
-        retry_backoff_s=0.01,
     )
     return loop, inj
 
@@ -127,7 +126,7 @@ class TestTransientRetry:
         with pytest.raises(TransientFault):
             loop.run_cycle(_events(unit_world, 100))
         retries = loop.cluster.control.events.events("retry")
-        assert len(retries) == loop.retry_attempts  # every attempt logged
+        assert len(retries) == RETRY_ATTEMPTS  # every attempt logged
         assert loop.production_version == 1  # production untouched
 
 
@@ -195,11 +194,12 @@ class TestDeployRecovery:
 
 class TestWatchWindow:
     def test_alert_inside_watch_window_demotes_the_fresh_version(
-        self, tmp_path, unit_world, make_model, online_train_config
+        self, tmp_path, unit_world, make_model, online_train_config, monkeypatch
     ):
         # Shard 0 starts crashing during cycle 2 — after cycle 1 promoted a
         # fresh version.  The open breaker fires the default resilience rule
         # inside the watch window, demoting the promotion back to its parent.
+        monkeypatch.setattr(breaker, "COOLDOWN_S", 60.0)  # stays open for the whole cycle
         plan = FaultPlan(
             specs=[
                 FaultSpec(
@@ -215,7 +215,6 @@ class TestWatchWindow:
             plan,
             watch_cycles=2,
             alerts=AlertManager(["open-breakers: open_breakers >= 1"]),
-            breaker_cooldown_s=60.0,  # stays open for the whole cycle
         )
         loop.bootstrap()
         first = loop.run_cycle(_events(unit_world, 60))

@@ -7,12 +7,9 @@
   stay within 1e-4 relative of the eager float32 forward.
 
 Both bars hold for every model the registry can promote: AW-MoE (search and
-reco mode, all Table VI gate ablations, the softmax-normalized gate), with
-and without ``gate_override``, the sparse-gate extension — and across
-hot-swap boundaries.
+reco mode, all Table VI gate ablations), with and without ``gate_override``,
+the sparse-gate extension — and across hot-swap boundaries.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,16 +35,14 @@ def batch(test_set):
 
 
 ALL_VARIANTS = [
-    "aw_moe", "ablation_gu0_au0", "ablation_gu1_au0", "ablation_gu0_au1",
-    "normalize_gate", "sparse_top2",
+    "aw_moe", "ablation_gu0_au0", "ablation_gu1_au0", "ablation_gu0_au1", "sparse_top2",
 ]
-GATE_VARIANTS = ["aw_moe", "normalize_gate", "sparse_top2"]
+GATE_VARIANTS = ["aw_moe", "sparse_top2"]
 
 
 def _model_variants(meta):
     """Every promotable architecture: full AW-MoE, the Table VI gate
-    ablations, the softmax-normalized gate (the plan's ``gate.softmax``
-    step), and the sparse top-K extension."""
+    ablations and the sparse top-K extension."""
     variants = {}
     variants["aw_moe"] = build_model(
         "aw_moe", ModelConfig.unit(), meta, np.random.default_rng(0)
@@ -57,9 +52,6 @@ def _model_variants(meta):
         variants[f"ablation_gu{int(gu)}_au{int(au)}"] = build_model(
             "aw_moe", config, meta, np.random.default_rng(1)
         )
-    variants["normalize_gate"] = build_model(
-        "aw_moe", replace(ModelConfig.unit(), normalize_gate=True), meta, np.random.default_rng(3)
-    )
     variants["sparse_top2"] = SparseGatedAWMoE(
         ModelConfig.unit(), meta, np.random.default_rng(2), top_k=2
     )

@@ -32,31 +32,31 @@ def _model(name, train_set):
     return build_model(name, ModelConfig.unit(), train_set.meta, np.random.default_rng(4))
 
 
-def _step(name, model, optimizers, train_set, step, arena):
+def _step(name, model, optimizer, train_set, step, arena):
     config = CONFIGS[name]
     batch = train_set.batch_at(np.arange(BATCH * step, BATCH * (step + 1)))
     strategy = build_strategy(config)
-    train_step(model, batch, config, optimizers, strategy, np.random.default_rng(100 + step), arena)
+    train_step(model, batch, config, optimizer, strategy, np.random.default_rng(100 + step), arena)
 
 
 def write_fixtures(train_set) -> None:
     for name in CONFIGS:
         model = _model(name, train_set)
-        optimizers = build_optimizers(model, CONFIGS[name])
+        optimizer = build_optimizers(model, CONFIGS[name])
         arena = GradArena()
         for step in range(3):
-            _step(name, model, optimizers, train_set, step, arena)
-        save_training_state(str(FIXTURES / f"{name}_3steps.npz"), model, optimizers)
-        _step(name, model, optimizers, train_set, 3, arena)
+            _step(name, model, optimizer, train_set, step, arena)
+        save_training_state(str(FIXTURES / f"{name}_3steps.npz"), model, optimizer)
+        _step(name, model, optimizer, train_set, 3, arena)
         save_state(model.state_dict(), str(FIXTURES / f"{name}_step4.npz"))
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_per_array_checkpoint_resumes_bitwise(train_set, name):
     model = build_model(name, ModelConfig.unit(), train_set.meta, np.random.default_rng(99))
-    optimizers = build_optimizers(model, CONFIGS[name])
-    load_training_state(str(FIXTURES / f"{name}_3steps.npz"), model, optimizers)
-    _step(name, model, optimizers, train_set, 3, GradArena())
+    optimizer = build_optimizers(model, CONFIGS[name])
+    load_training_state(str(FIXTURES / f"{name}_3steps.npz"), model, optimizer)
+    _step(name, model, optimizer, train_set, 3, GradArena())
     expected = load_state(str(FIXTURES / f"{name}_step4.npz"))
     assert expected.keys() == model.state_dict().keys()
     for key, value in model.state_dict().items():

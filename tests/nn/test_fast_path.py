@@ -51,10 +51,10 @@ class TestLinearOp:
 
     def test_packed_per_slice_inputs(self):
         rng = np.random.default_rng(3)
-        x, w = _tensors(rng, (4, 5, 3), (4, 3, 2))
-        fused = linear(x, w)
+        x, w, b = _tensors(rng, (4, 5, 3), (4, 3, 2), (4, 2))
+        fused = linear(x, w, b)
         for k in range(4):
-            assert np.allclose(fused.numpy()[k], x.numpy()[k] @ w.numpy()[k])
+            assert np.allclose(fused.numpy()[k], x.numpy()[k] @ w.numpy()[k] + b.numpy()[k])
 
     def test_gradcheck_2d(self):
         rng = np.random.default_rng(4)
@@ -87,8 +87,8 @@ class TestLinearOp:
     def test_gradcheck_packed_per_slice_inputs(self):
         rng = np.random.default_rng(7)
         ok, message = check_gradients(
-            lambda ts: linear(ts[0], ts[1]),
-            [rng.normal(size=(4, 5, 3)), rng.normal(size=(4, 3, 2))],
+            lambda ts: linear(ts[0], ts[1], ts[2]),
+            [rng.normal(size=(4, 5, 3)), rng.normal(size=(4, 3, 2)), rng.normal(size=(4, 2))],
         )
         assert ok, message
 
@@ -104,27 +104,27 @@ class TestLinearOp:
 
     def test_second_contribution_accumulates(self):
         rng = np.random.default_rng(9)
-        x, w = _tensors(rng, (5, 3), (3, 4))
-        out = linear(x, w) + linear(x, w)
+        x, w, b = _tensors(rng, (5, 3), (3, 4), (4,))
+        out = linear(x, w, b) + linear(x, w, b)
         out.sum().backward()
-        single_x, single_w = _tensors_from([x.numpy(), w.numpy()])
-        linear(single_x, single_w).sum().backward()
-        assert np.allclose(x.grad, 2 * single_x.grad)
-        assert np.allclose(w.grad, 2 * single_w.grad)
+        single = _tensors_from([x.numpy(), w.numpy(), b.numpy()])
+        linear(*single).sum().backward()
+        for twice, once in zip((x, w, b), single):
+            assert np.allclose(twice.grad, 2 * once.grad)
 
     def test_no_grad_fast_path(self):
         rng = np.random.default_rng(10)
-        x, w = _tensors(rng, (5, 3), (3, 4))
+        x, w, b = _tensors(rng, (5, 3), (3, 4), (4,))
         with no_grad():
-            out = linear(x, w)
+            out = linear(x, w, b)
         assert not out.requires_grad
         assert out._backward is None
 
     def test_rejects_shape_mismatch(self):
         rng = np.random.default_rng(12)
-        x, w = _tensors(rng, (5, 3), (2, 4))
+        x, w, b = _tensors(rng, (5, 3), (2, 4), (4,))
         with pytest.raises(ValueError, match="expected input features"):
-            linear(x, w)
+            linear(x, w, b)
 
     def test_rejects_bad_packed_bias(self):
         rng = np.random.default_rng(13)
@@ -276,12 +276,13 @@ class TestGradArena:
         arena = GradArena()
         rng = np.random.default_rng(6)
         w = Parameter(rng.normal(size=(3, 2)), dtype=np.float64)
-        optimizer = AdamW([w])
+        b = Parameter(rng.normal(size=(2,)), dtype=np.float64)
+        optimizer = AdamW([w, b])
         for step in range(3):
             optimizer.zero_grad()
             with fast_math(arena):
                 x = Tensor(rng.normal(size=(4, 3)), dtype=np.float64)
-                linear(x, w).sum().backward()
+                linear(x, w, b).sum().backward()
             optimizer.step()
             if step == 0:
                 warm = arena.stats()["allocations"]

@@ -17,11 +17,6 @@ class TestLinear:
         layer = Linear(4, 3, RNG)
         assert layer(Tensor(np.ones((2, 5, 4)))).shape == (2, 5, 3)
 
-    def test_no_bias(self):
-        layer = Linear(4, 3, RNG, bias=False)
-        assert layer.bias is None
-        assert len(layer.parameters()) == 1
-
     def test_bias_adds_constant(self):
         layer = Linear(2, 2, RNG)
         layer.weight.data[:] = 0.0

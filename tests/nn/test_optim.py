@@ -254,7 +254,7 @@ class TestFlatBuffer:
             build_model("mmoe", ModelConfig.unit(), train_set.meta, np.random.default_rng(5))
             for _ in range(2)
         )
-        optimizers = build_optimizers(model, config)
+        optimizer = build_optimizers(model, config)
         strategy = build_strategy(config)
         oracle = ArrayAdamW(twin.parameters(), config.learning_rate, config.weight_decay)
         names = [name for name, _ in model.named_parameters()]
@@ -264,7 +264,7 @@ class TestFlatBuffer:
         arenas = (GradArena(), GradArena()) if fast else (None, None)
         for step in range(3):
             batch = train_set.batch_at(np.arange(32 * step, 32 * (step + 1)))
-            metrics = train_step(model, batch, config, optimizers, strategy, None, arenas[0])
+            metrics = train_step(model, batch, config, optimizer, strategy, None, arenas[0])
             mode = fast_math(arenas[1]) if fast else contextlib.nullcontext()
             with mode:
                 loss = bce_with_logits(twin.forward(batch), batch["label"])
@@ -274,10 +274,10 @@ class TestFlatBuffer:
                 norm = array_clip_grad_norm(oracle.params, GRAD_CLIP)
                 oracle.step()
             assert (metrics["loss"], metrics["grad_norm"]) == (loss.item(), norm)
-        _assert_twins(optimizers[0], oracle)
+        _assert_twins(optimizer, oracle)
         for index in untouched:
             assert model.parameters()[index].data.tobytes() == initial[index].tobytes()
-        state = optimizer_state(optimizers[0])
+        state = optimizer_state(optimizer)
         assert not any(f"m.{index}" in state for index in untouched)
         assert f"m.{untouched[0] - 1}" in state
 

@@ -117,9 +117,9 @@ class TestArenaRowCapacity:
         arena allocates nothing more, and its pool is one step's worth."""
         arena = GradArena()
         rng = np.random.default_rng(3)
-        w1 = Parameter(rng.normal(size=(6, 8)))
-        w2 = Parameter(rng.normal(size=(8, 3)))
-        optimizer = AdamW([w1, w2])
+        w1, b1 = Parameter(rng.normal(size=(6, 8))), Parameter(rng.normal(size=(8,)))
+        w2, b2 = Parameter(rng.normal(size=(8, 3))), Parameter(rng.normal(size=(3,)))
+        optimizer = AdamW([w1, b1, w2, b2])
         sizes = [900, *rng.permutation(np.arange(600, 890, 10))]
         assert len(set(sizes)) == 30
 
@@ -127,8 +127,8 @@ class TestArenaRowCapacity:
             rows = np.sort(rng.integers(0, 128, size=p))
             optimizer.zero_grad()
             with fast_math(arena):
-                hidden = linear(Tensor(rng.normal(size=(p, 6))), w1, relu=True)
-                segment_sum(linear(hidden, w2), rows, 128).sum().backward()
+                hidden = linear(Tensor(rng.normal(size=(p, 6))), w1, b1, relu=True)
+                segment_sum(linear(hidden, w2, b2), rows, 128).sum().backward()
             optimizer.step()
 
         step(sizes[0])

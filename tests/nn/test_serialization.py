@@ -97,11 +97,11 @@ class TestOptimizerState:
             loss.backward()
             int_optimizer.step()
         path = str(tmp_path / "training")
-        save_training_state(path, interrupted, [int_optimizer], extra={"epoch": 3})
+        save_training_state(path, interrupted, int_optimizer, extra={"epoch": 3})
 
         resumed = MLP(4, [8, 2], np.random.default_rng(99))
         res_optimizer = AdamW(resumed.parameters(), lr=1e-3)
-        extra = load_training_state(path, resumed, [res_optimizer])
+        extra = load_training_state(path, resumed, res_optimizer)
         assert extra == {"epoch": 3.0}
         for _ in range(4):  # finish the remaining steps on the same stream
             x = Tensor(rng.random((8, 4)).astype(np.float32))
@@ -163,20 +163,20 @@ class TestOptimizerState:
         model = MLP(4, [8, 2], np.random.default_rng(0))
         optimizer = AdamW(model.parameters(), lr=1e-3)
         path = str(tmp_path / "ckpt")
-        save_training_state(path, model, [optimizer])
+        save_training_state(path, model)  # weights only: no optimizer state
         with pytest.raises(ValueError):
-            load_training_state(path, model, [optimizer, AdamW(model.parameters(), lr=1e-3)])
+            load_training_state(path, model, optimizer)
 
     def test_model_only_restore_from_training_state(self, tmp_path):
         """Serving restores weights from a training checkpoint without
-        rebuilding optimizers."""
+        rebuilding an optimizer."""
         model = MLP(4, [8, 2], np.random.default_rng(0))
         optimizer = AdamW(model.parameters(), lr=1e-3)
         _train_steps(model, optimizer, 3, seed=4)
         path = str(tmp_path / "ckpt")
-        save_training_state(path, model, [optimizer])
+        save_training_state(path, model, optimizer)
         serving = MLP(4, [8, 2], np.random.default_rng(5))
-        load_training_state(path, serving, ())
+        load_training_state(path, serving)
         x = Tensor(RNG.random((3, 4)).astype(np.float32))
         np.testing.assert_array_equal(model(x).numpy(), serving(x).numpy())
 

@@ -3,6 +3,13 @@
 import pytest
 
 from repro.obs import SloTracker
+from repro.obs import slo as slo_module
+
+
+@pytest.fixture(autouse=True)
+def six_sub_windows(monkeypatch):
+    """10 s rotation on the 60 s window: the times below are chosen for it."""
+    monkeypatch.setattr(slo_module, "NUM_BUCKETS", 6)
 
 
 def make_tracker(**kwargs):
@@ -10,7 +17,6 @@ def make_tracker(**kwargs):
         latency_slo_ms=10.0,
         availability_target=0.9,
         window_seconds=60.0,
-        num_buckets=6,
     )
     defaults.update(kwargs)
     return SloTracker(**defaults)
@@ -109,5 +115,3 @@ class TestStatus:
             SloTracker(latency_slo_ms=1.0, availability_target=1.0)
         with pytest.raises(ValueError):
             SloTracker(latency_slo_ms=1.0, window_seconds=0.0)
-        with pytest.raises(ValueError):
-            SloTracker(latency_slo_ms=1.0, num_buckets=0)

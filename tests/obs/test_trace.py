@@ -13,6 +13,7 @@ from repro.obs import (
     Tracer,
     kernel_span_hook,
 )
+from repro.obs import trace as trace_module
 from repro.serving import ManualClock
 
 
@@ -100,8 +101,9 @@ class TestSpanTree:
         assert exporter.records[0]["attrs"]["latency_ms"] == 1.0
         assert trace.spans[0].end_time is not None
 
-    def test_finished_ring_is_bounded(self):
-        tracer = Tracer(keep_last=4)
+    def test_finished_ring_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "KEEP_LAST", 4)
+        tracer = Tracer()
         for i in range(10):
             tracer.trace(f"q{i}").finish()
         assert len(tracer.finished) == 4

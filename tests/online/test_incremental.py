@@ -33,9 +33,9 @@ class TestUpdate:
         between refresh cycles (warm start, not cold restart)."""
         trainer = IncrementalTrainer(make_model(trained=True), online_train_config, seed=3)
         trainer.update(windows[0])
-        steps_after_first = trainer.optimizers[0]._step_count
+        steps_after_first = trainer.optimizer._step_count
         trainer.update(windows[1])
-        assert trainer.optimizers[0]._step_count > steps_after_first
+        assert trainer.optimizer._step_count > steps_after_first
 
     def test_small_window_still_trains(self, make_model, online_train_config, train_set):
         tiny = train_set.subset(np.arange(7))  # < batch_size
@@ -84,7 +84,7 @@ class TestSaveLoadContinue:
         for name in ref_state:
             np.testing.assert_array_equal(ref_state[name], res_state[name], err_msg=name)
         assert resumed.total_steps == reference.total_steps
-        assert resumed.optimizers[0]._step_count == reference.optimizers[0]._step_count
+        assert resumed.optimizer._step_count == reference.optimizer._step_count
 
     def test_seed_mismatch_rejected(self, tmp_path, make_model, online_train_config, windows):
         trainer = IncrementalTrainer(make_model(trained=True), online_train_config, seed=5)

@@ -144,12 +144,6 @@ class TestSessionReplayIsTheFlatReplay:
         assert set(seen) == {dict}
         assert metrics == CanaryGate().evaluate(model, _flat_twin(holdout))
 
-    def test_eager_gate_replays_flat(self, make_model, holdout, monkeypatch):
-        model = make_model(trained=True)
-        seen = _spy_batches(monkeypatch, model)
-        CanaryGate(use_compiled=False).evaluate(model, holdout)
-        assert set(seen) == {dict}
-
     def test_empty_dataset_scores_to_an_empty_array(self, make_model, holdout):
         model = make_model()
         empty = holdout.subset(np.arange(0))

@@ -28,18 +28,18 @@ def other_model(test_set):
 class TestPrefilter:
     def test_scores_linear_form(self):
         vectors = np.arange(12, dtype=np.float32).reshape(4, 3)
-        static = np.array([0.0, 1.0, -1.0, 2.0], dtype=np.float32)
-        prefilter = Prefilter(vectors, static)
+        extra = np.array([1.0, -1.0, 2.0], dtype=np.float32)
+        prefilter = Prefilter(vectors)
         session = np.array([1.0, 0.0, -1.0], dtype=np.float32)
         candidates = np.array([0, 2, 3])
-        got = prefilter.scores(candidates, session)
-        np.testing.assert_allclose(got, vectors[candidates] @ session + static[candidates])
+        got = prefilter.scores(candidates, session, extra=extra)
+        np.testing.assert_allclose(got, vectors[candidates] @ session + extra)
 
     def test_prune_keeps_top_k_ascending(self):
         vectors = np.eye(5, dtype=np.float32)
-        static = np.array([0.0, 5.0, 1.0, 4.0, 2.0], dtype=np.float32)
-        prefilter = Prefilter(vectors, static)
-        survivors = prefilter.prune(np.arange(5), np.zeros(5, dtype=np.float32), keep=2)
+        extra = np.array([0.0, 5.0, 1.0, 4.0, 2.0], dtype=np.float32)
+        prefilter = Prefilter(vectors)
+        survivors = prefilter.prune(np.arange(5), np.zeros(5, dtype=np.float32), 2, extra=extra)
         np.testing.assert_array_equal(survivors, [1, 3])
 
     def test_prune_from_base_scores_skips_the_plan(self):
@@ -60,16 +60,13 @@ class TestPrefilter:
         assert prefilter.plan.calls == calls
 
     def test_prune_none_is_identity(self):
-        prefilter = Prefilter(np.ones((3, 2), dtype=np.float32), np.zeros(3, dtype=np.float32))
+        prefilter = Prefilter(np.ones((3, 2), dtype=np.float32))
         candidates = np.array([0, 2])
         assert prefilter.prune(candidates, np.zeros(2, dtype=np.float32), None) is candidates
 
     def test_plan_is_allocation_free_after_warmup(self):
         rng = np.random.default_rng(0)
-        prefilter = Prefilter(
-            rng.normal(size=(50, 4)).astype(np.float32),
-            rng.normal(size=50).astype(np.float32),
-        )
+        prefilter = Prefilter(rng.normal(size=(50, 4)).astype(np.float32))
         candidates = np.arange(20)
         session = rng.normal(size=4).astype(np.float32)
         prefilter.scores(candidates, session)

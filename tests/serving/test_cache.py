@@ -106,11 +106,6 @@ class TestSessionCache:
         assert cache.gates.stats.lookups == 0
         assert cache.behaviors.stats.lookups == 0
 
-    def test_separate_behavior_capacity(self):
-        cache = SessionCache(gate_capacity=1, behavior_capacity=3)
-        assert cache.gates.capacity == 1
-        assert cache.behaviors.capacity == 3
-
     def test_invalidate_all_drops_gates_and_bumps_generation(self):
         """Regression test for the stale-cache hazard: after a model swap no
         gate vector from the old model may survive, and the generation tag
@@ -127,12 +122,6 @@ class TestSessionCache:
         assert cache.get_gate(4, 2) is None
         # Behaviour encodings are model-independent and survive by default.
         assert cache.get_behavior(3) is not None
-
-    def test_invalidate_all_can_include_behaviors(self):
-        cache = SessionCache(8)
-        cache.put_behavior(3, (np.zeros(1),) * 4)
-        cache.invalidate_all(include_behaviors=True)
-        assert cache.get_behavior(3) is None
 
     def test_generation_only_moves_forward(self):
         cache = SessionCache(8)

@@ -9,6 +9,8 @@ import pytest
 from repro.core import ModelConfig, build_model
 from repro.faults import FaultPlan, FaultSpec
 from repro.infer import SnapshotSlab, shared_memory_available
+from repro.obs import ShadowRecallMonitor
+from repro.serving import pipe
 from repro.serving import (
     TIER_POPULARITY,
     FleetConfig,
@@ -97,6 +99,25 @@ class TestBackends:
             build_fleet(
                 unit_world, fleet_model, backend="process", ctx=FleetContext(tracer=object())
             )
+
+    def test_kill_worker_on_the_inprocess_backend_is_a_type_error(
+        self, unit_world, fleet_model
+    ):
+        fleet = build_fleet(
+            unit_world, fleet_model, FleetConfig(num_workers=1), backend="inprocess"
+        )
+        with pytest.raises(TypeError, match="process backend only, not backend='inprocess'"):
+            fleet.kill_worker(0)
+
+    def test_attach_shadow_recall_on_the_process_backend_is_a_type_error(
+        self, unit_world, fleet_model
+    ):
+        with build_fleet(
+            unit_world, fleet_model, FleetConfig(num_workers=1), backend="process"
+        ) as fleet:
+            with pytest.raises(TypeError, match="in-process backend only, not backend='process'"):
+                fleet.attach_shadow_recall(ShadowRecallMonitor(rate=1.0))
+            assert fleet.ctx.shadow_recall is None
 
     def test_process_fleet_matches_inprocess_bitwise(self, unit_world, fleet_model):
         config = FleetConfig(num_workers=3, seed=11)
@@ -263,12 +284,11 @@ class TestSupervision:
             assert died[0].attrs["beats_missed"] >= 1
 
     def test_flapping_worker_is_quarantined_and_traffic_reroutes(
-        self, unit_world, fleet_model
+        self, unit_world, fleet_model, monkeypatch
     ):
-        # Two deaths inside the window with max_restarts=1: quarantine.
-        config = FleetConfig(
-            num_workers=2, max_restarts=1, restart_backoff_s=0.01
-        )
+        # Two deaths inside the window with MAX_RESTARTS = 1: quarantine.
+        monkeypatch.setattr(pipe, "MAX_RESTARTS", 1)
+        config = FleetConfig(num_workers=2, restart_backoff_s=0.01)
         with build_fleet(unit_world, fleet_model, config, backend="process") as fleet:
             victim = next(
                 u for u in range(unit_world.config.num_users)

@@ -56,8 +56,6 @@ def _faulted_replay(world, model, traffic_seed):
             flush_deadline_ms=10.0,
             cache_capacity=64,
             policy=DegradationPolicy(deadline_ms=25.0),
-            breaker_failure_threshold=3,
-            breaker_cooldown_s=0.05,
         ),
         backend="inprocess",
         ctx=FleetContext(clock=clock, injector=injector),

@@ -182,7 +182,8 @@ class TestSearchEngine:
     def test_retrieve_empty_category_raises(self, unit_world, test_set):
         model = build_model("dnn", ModelConfig.unit(), test_set.meta, np.random.default_rng(0))
         engine = SearchEngine(unit_world, model, np.random.default_rng(1))
-        engine._by_category[0] = np.array([], dtype=np.int64)
+        # Rebound: the tuple is the world's shared catalog table.
+        engine._by_category = (np.array([], dtype=np.int64), *engine._by_category[1:])
         with pytest.raises(ValueError):
             engine.retrieve(0)
 

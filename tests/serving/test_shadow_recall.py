@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ModelConfig, build_model
-from repro.obs import MetricsRegistry, ShadowRecallMonitor
+from repro.obs import ShadowRecallMonitor
 from repro.retrieval import CascadeConfig, RetrievalProbe
 from repro.serving import (
     FleetConfig,
@@ -49,13 +49,11 @@ class TestSamplingDecision:
 
 
 class TestBookkeeping:
-    def test_running_mean_and_gauge(self):
-        registry = MetricsRegistry()
-        monitor = ShadowRecallMonitor(rate=1.0, registry=registry)
+    def test_running_mean(self):
+        monitor = ShadowRecallMonitor(rate=1.0)
         monitor.observe(1.0)
         monitor.observe(0.5)
         assert monitor.recall_at_k == pytest.approx(0.75)
-        assert registry.gauge("retrieval_recall_at_k").value == pytest.approx(0.75)
         assert monitor.stats()["samples"] == 2
 
 
@@ -135,9 +133,12 @@ class TestEngineShadowProbe:
         assert monitor.requests == 6
         assert monitor.samples == 6
         assert 0.0 <= monitor.recall_at_k <= 1.0
+        # The running mean is what the fleet exports for alert rules.
+        assert cluster.telemetry_extra()["retrieval_recall_at_k"] == monitor.recall_at_k
         cluster.attach_shadow_recall(None)
         replay(cluster, events)
         assert monitor.requests == 6  # detached: no longer consulted
+        assert "retrieval_recall_at_k" not in cluster.telemetry_extra()
 
     def test_sampling_path_without_cascade_never_samples(self, unit_world, model):
         """Shadow recall is a cascade quality probe: the plain sampling

@@ -204,6 +204,12 @@ class World:
         weights = [self.item_popularity[members] ** 0.7 + 1e-3 for members in self.category_items]
         return tuple(w / w.sum() for w in weights)
 
+    @cached_property
+    def category_inverse_popularity(self) -> Tuple[np.ndarray, ...]:
+        """``1 / p`` of :attr:`category_popularity`: the per-item scale of
+        serving retrieval's exponential race (keys ``E / p``)."""
+        return tuple(1.0 / probs for probs in self.category_popularity)
+
     def meta(self) -> DatasetMeta:
         """Dataset metadata; +1 everywhere for the padding id 0."""
         cfg = self.config

@@ -111,10 +111,11 @@ class SearchEngine:
         self.shadow_recall = ctx.shadow_recall
         self.tracer = ctx.tracer
         self.candidates_per_query = candidates_per_query or world.config.items_per_session
-        # The world's catalog table: category members and the popularity
-        # prior retrieval samples from, computed once per world.
+        # The world's catalog table: category members, the popularity prior
+        # and its reciprocal (retrieval's race scale), computed once per world.
         self._by_category = world.category_items
         self._category_pop_probs = world.category_popularity
+        self._category_inv_probs = world.category_inverse_popularity
         self.queries_served = 0
         self.total_latency_ms = 0.0
         self.compile_enabled = bool(compile)
@@ -212,11 +213,19 @@ class SearchEngine:
         ascending id order, exactly like the sampling path's small-category
         case.
 
-        Without a cascade, when the category holds fewer items than
+        Without a cascade, when the category holds no more items than
         ``candidates_per_query`` the whole category is returned (no
         sampling, no RNG draw) — small categories always expose their full
-        inventory.  The sampling probabilities are precomputed per category
-        at construction, not rebuilt per query.
+        inventory.  Otherwise ``candidates_per_query`` members are drawn
+        without replacement, popularity-weighted, by an exponential race:
+        each member gets the key ``E / p`` with ``E ~ Exp(1)`` and the ``k``
+        smallest keys win.  That is the Gumbel-top-k trick without the logs
+        (Kool et al., 2019), the same distribution as successive sampling
+        (numpy's ``choice`` with ``replace=False, p=p``) in one fixed-size
+        draw.  The ``1 / p`` scales live on the world's catalog table
+        (:attr:`~repro.data.synthetic.World.category_inverse_popularity`),
+        computed once per world.  The winners come back in no particular
+        order: the ranker orders them.
         """
         members = self._by_category[query_category]
         if members.size == 0:
@@ -231,14 +240,12 @@ class SearchEngine:
                     recall = self._shadow_probe(user, query_category, candidates)
                     span.set(recall=recall, k=self.shadow_recall.k)
             return candidates
-        if members.size <= self.candidates_per_query:
+        k = self.candidates_per_query
+        if members.size <= k:
             return members.copy()
-        return self._rng.choice(
-            members,
-            size=self.candidates_per_query,
-            replace=False,
-            p=self._category_pop_probs[query_category],
-        )
+        keys = self._rng.standard_exponential(members.size)
+        keys *= self._category_inv_probs[query_category]
+        return members[np.argpartition(keys, k - 1)[:k]]
 
     def _shadow_probe(
         self, user: int, query_category: int, candidates: np.ndarray

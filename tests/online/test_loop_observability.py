@@ -195,29 +195,41 @@ class TestEndToEndAlertPath:
     The near-zero learning rate keeps the promoted model weight-identical to
     its predecessor, so the reference window and the live window are served
     by the same scoring function: any PSI movement is *traffic* drift, not a
-    deployment artifact.  Measured on these seeds: stationary cycle-2
-    drift_psi_ctr ~= 0.009, post-drift_world ~= 0.09 — the 0.04 threshold
-    sits between them with >2x margin each way.
+    deployment artifact.
+
+    The windows are 1,000 events: PSI between two CTR windows carries a
+    sampling-noise floor that shrinks with the window.  Measured over eight
+    (fleet, traffic) seed pairs under both candidate samplers (the numpy
+    ``choice`` draw and the exponential race that replaced it), 16 runs per
+    window size:
+
+    * 250 events: stationary 0.001–0.193, above the 0.04 line in 7/16 runs;
+      drifted 0.040–0.166.  The line separated the cases by one seed's luck.
+    * 1,000 events: stationary 0.003–0.050 (15/16 ≤ 0.034); drifted
+      0.052–0.166 (16/16 above 0.04); drifted / stationary ≥ 1.7 (15/16
+      ≥ 2.5).  At this file's seeds (fleet 0, traffic 7) the race reads
+      0.022 stationary and 0.113 drifted.
     """
 
     RULES = ("ctr-drift: drift_psi_ctr > 0.04 for 1 severity critical",)
+    WINDOW = 1000  # events per cycle
 
     def test_stationary_traffic_stays_quiet(self, tmp_path):
         loop, gen, _ = _build_loop(tmp_path, learning_rate=1e-7, rules=self.RULES)
-        loop.run_cycle(gen.generate(250))
-        report = loop.run_cycle(gen.generate(250))
+        loop.run_cycle(gen.generate(self.WINDOW))
+        report = loop.run_cycle(gen.generate(self.WINDOW))
         assert report.drift["ctr"]["psi"] < 0.04
         assert loop.cluster.ctx.alerts.firing() == ()
         assert loop.cluster.control.events.events("alert_fired") == ()
 
     def test_drifted_traffic_fires_alert_through_to_dashboard(self, tmp_path):
         loop, gen, _ = _build_loop(tmp_path, learning_rate=1e-7, rules=self.RULES)
-        loop.run_cycle(gen.generate(250))  # promote + freeze reference
+        loop.run_cycle(gen.generate(self.WINDOW))  # promote + freeze reference
 
         drift_world(
             loop.world, np.random.default_rng(9), interest_drift=1.0, trend_drift=0.8
         )
-        report = loop.run_cycle(gen.generate(250))
+        report = loop.run_cycle(gen.generate(self.WINDOW))
 
         # 1. The drift monitor measured the shift.
         assert report.drift["ctr"]["psi"] > 0.04

@@ -22,7 +22,6 @@ from repro.core.input_network import FeatureEmbedder, InputNetwork
 from repro.core.ranking_model import RankingModel
 from repro.core.trainer import build_optimizers, build_strategy, train_model, train_step
 from repro.data.schema import DatasetMeta
-from repro.utils.registry import Registry
 
 __all__ = [
     "ActivationUnit",
@@ -42,7 +41,6 @@ __all__ = [
     "ModelConfig",
     "RankingModel",
     "TrainConfig",
-    "MODEL_REGISTRY",
     "build_model",
     "build_optimizers",
     "build_strategy",
@@ -50,38 +48,22 @@ __all__ = [
     "train_step",
 ]
 
-MODEL_REGISTRY = Registry("ranking model")
-
-
-@MODEL_REGISTRY.register("dnn")
-def _build_dnn(config: ModelConfig, meta: DatasetMeta, rng: np.random.Generator) -> DNN:
-    return DNN(config, meta, rng)
-
-
-@MODEL_REGISTRY.register("din")
-def _build_din(config: ModelConfig, meta: DatasetMeta, rng: np.random.Generator) -> DIN:
-    return DIN(config, meta, rng)
-
-
-@MODEL_REGISTRY.register("category_moe")
-def _build_category_moe(
-    config: ModelConfig, meta: DatasetMeta, rng: np.random.Generator
-) -> CategoryMoE:
-    return CategoryMoE(config, meta, rng)
-
-
-@MODEL_REGISTRY.register("aw_moe")
-def _build_aw_moe(config: ModelConfig, meta: DatasetMeta, rng: np.random.Generator) -> AWMoE:
-    return AWMoE(config, meta, rng)
-
-
-@MODEL_REGISTRY.register("mmoe")
-def _build_mmoe(config: ModelConfig, meta: DatasetMeta, rng: np.random.Generator) -> MMoE:
-    return MMoE(config, meta, rng)
+_MODELS = {
+    "dnn": DNN,
+    "din": DIN,
+    "category_moe": CategoryMoE,
+    "aw_moe": AWMoE,
+    "mmoe": MMoE,
+}
 
 
 def build_model(
     name: str, config: ModelConfig, meta: DatasetMeta, rng: np.random.Generator
 ) -> RankingModel:
-    """Instantiate a registered ranking model by name."""
-    return MODEL_REGISTRY.get(name)(config, meta, rng)
+    """Instantiate a compared ranking model by name."""
+    try:
+        model_cls = _MODELS[name]
+    except KeyError:
+        known = ", ".join(sorted(_MODELS))
+        raise KeyError(f"unknown ranking model {name!r}; known: {known}") from None
+    return model_cls(config, meta, rng)

@@ -18,7 +18,7 @@ from repro.core.expert import ExpertPool
 from repro.core.input_network import FeatureEmbedder, InputNetwork
 from repro.core.ranking_model import RankingModel
 from repro.data.schema import Batch, DatasetMeta
-from repro.nn import MLP, Tensor, no_grad, softmax
+from repro.nn import MLP, Tensor, softmax
 
 __all__ = ["CategoryMoE"]
 
@@ -50,9 +50,3 @@ class CategoryMoE(RankingModel):
         category_embed = self.embedder.category(self._gate_key(batch))
         gate = softmax(self.gate_mlp(category_embed), axis=-1)  # (B, K)
         return (gate * scores).sum(axis=1)
-
-    def gate_outputs(self, batch: Batch) -> np.ndarray:
-        """Softmax gate vectors as arrays (for expert-utilization analysis)."""
-        with no_grad():
-            category_embed = self.embedder.category(self._gate_key(batch))
-            return softmax(self.gate_mlp(category_embed), axis=-1).numpy()

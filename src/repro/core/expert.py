@@ -105,6 +105,3 @@ class ExpertPool(Module):
             h = linear_op(h, weights, biases, relu=layer < depth - 1)
         # (K, B, 1) -> (B, K)
         return h.squeeze(2).transpose(1, 0)
-
-    def __len__(self) -> int:
-        return self.num_experts

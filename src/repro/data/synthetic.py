@@ -176,9 +176,6 @@ class World:
     def num_brands(self) -> int:
         return self.config.num_categories * self.config.brands_per_category
 
-    def history_length(self, user: int) -> int:
-        return len(self.histories[user])
-
     @cached_property
     def item_slab(self) -> ItemSlab:
         """The item-only feature columns, built on first use and shared by
@@ -420,9 +417,6 @@ class SearchLog:
     label: np.ndarray  # (N,) float {0, 1}
     session_id: np.ndarray  # (N,)
     user_id: np.ndarray  # (N,)
-
-    def __len__(self) -> int:
-        return len(self.label)
 
 
 def _true_logits(

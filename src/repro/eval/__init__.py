@@ -7,12 +7,6 @@ from repro.eval.evaluator import (
     evaluate_ranking,
     predict_scores,
 )
-from repro.eval.experts import (
-    dominant_expert_share,
-    expert_usage_by_group,
-    gate_entropy,
-    routing_divergence,
-)
 from repro.eval.importance import FeatureImportanceResult, feature_importance_by_user_group
 from repro.eval.ndcg import dcg, session_ndcg
 from repro.eval.significance import (
@@ -35,10 +29,6 @@ __all__ = [
     "predict_scores",
     "FeatureImportanceResult",
     "feature_importance_by_user_group",
-    "dominant_expert_share",
-    "expert_usage_by_group",
-    "gate_entropy",
-    "routing_divergence",
     "dcg",
     "session_ndcg",
     "paired_bootstrap_pvalue",

@@ -154,21 +154,6 @@ class FaultSpec:
         if not 0.0 <= self.truncate_at < 1.0:
             raise ValueError(f"truncate_at must be in [0, 1), got {self.truncate_at}")
 
-    def to_json(self) -> Dict[str, Any]:
-        record: Dict[str, Any] = {"point": self.point, "kind": self.kind}
-        if self.after:
-            record["after"] = self.after
-        record["times"] = self.times
-        if self.probability < 1.0:
-            record["probability"] = self.probability
-        if self.kind == "latency":
-            record["latency_ms"] = self.latency_ms
-        if self.kind == "torn_write":
-            record["truncate_at"] = self.truncate_at
-        if self.match:
-            record["match"] = dict(self.match)
-        return record
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -179,9 +164,6 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "specs", tuple(self.specs))
-
-    def describe(self) -> Dict[str, Any]:
-        return {"seed": self.seed, "specs": [spec.to_json() for spec in self.specs]}
 
 
 class _SpecState:
@@ -349,6 +331,9 @@ class BoundInjector:
     Shards bind ``shard=<id>`` once so every visit they make is targetable
     by ``FaultSpec.match`` without threading the id through call sites.
     Explicit per-call context wins over bound context on key collisions.
+    Shard code only visits fire points; the persistence points
+    (``truncate_fraction`` / ``corrupt_file``) and the fired-fault log are
+    reached through the unbound injector.
     """
 
     enabled = True
@@ -357,28 +342,11 @@ class BoundInjector:
         self._base = base
         self._ctx = ctx
 
-    @property
-    def log(self) -> List[Dict[str, Any]]:
-        return self._base.log
-
-    @property
-    def events(self) -> Any:
-        return self._base.events
-
     def fire(self, point: str, **ctx: Any) -> None:
         self._base.fire(point, **{**self._ctx, **ctx})
 
-    def truncate_fraction(self, point: str, **ctx: Any) -> Optional[float]:
-        return self._base.truncate_fraction(point, **{**self._ctx, **ctx})
-
-    def corrupt_file(self, point: str, path: str, **ctx: Any) -> bool:
-        return self._base.corrupt_file(point, path, **{**self._ctx, **ctx})
-
     def bind(self, **ctx: Any) -> "BoundInjector":
         return BoundInjector(self._base, {**self._ctx, **ctx})
-
-    def fired(self, point: Optional[str] = None) -> int:
-        return self._base.fired(point)
 
 
 class NullInjector:

@@ -620,9 +620,9 @@ class CompiledModel:
 
     Mirrors the :class:`~repro.core.ranking_model.RankingModel` inference
     surface (``predict_logits`` / ``predict_proba`` / ``expert_scores`` /
-    ``serving_gate`` / ``gate_is_candidate_independent``) so the serving
-    stack and the canary gate can swap it in wherever an eager model scored
-    before.
+    ``serving_gate``) so the serving stack and the canary gate can swap it
+    in wherever an eager model scored before; ``source`` is the eager model
+    it was compiled from.
     """
 
     def __init__(
@@ -636,10 +636,6 @@ class CompiledModel:
         self.gate_plan = gate_plan
         self.score_plan = score_plan
         self.dtype = np.dtype(dtype)
-
-    @property
-    def gate_is_candidate_independent(self) -> bool:
-        return bool(getattr(self.source, "gate_is_candidate_independent", False))
 
     # -- scoring --------------------------------------------------------
     def _resolve_gate(self, batch, gate_override) -> np.ndarray:

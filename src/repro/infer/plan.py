@@ -78,10 +78,6 @@ class BufferArena:
         """Total bytes held by the arena (the plan's whole working set)."""
         return sum(buf.nbytes for buf in self._buffers.values())
 
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
 
 @dataclass(frozen=True)
 class PlanStep:

@@ -43,8 +43,6 @@ from repro.obs.dashboard import (
 from repro.obs.drift import (
     DriftMonitor,
     ks_from_counts,
-    ks_statistic,
-    population_stability_index,
     psi_from_counts,
 )
 from repro.obs.events import EVENT_KINDS, Event, EventLog
@@ -56,7 +54,6 @@ from repro.obs.trace import (
     NULL_SPAN,
     NULL_TRACE,
     NULL_TRACER,
-    InMemoryExporter,
     JsonlTraceExporter,
     NullTracer,
     Span,
@@ -80,8 +77,6 @@ __all__ = [
     "ShadowRecallMonitor",
     "psi_from_counts",
     "ks_from_counts",
-    "population_stability_index",
-    "ks_statistic",
     "EVENT_KINDS",
     "Event",
     "EventLog",
@@ -94,7 +89,6 @@ __all__ = [
     "NULL_SPAN",
     "NULL_TRACE",
     "NULL_TRACER",
-    "InMemoryExporter",
     "JsonlTraceExporter",
     "NullTracer",
     "Span",

@@ -30,8 +30,8 @@ the README runbook)::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.drift import DriftMonitor
 from repro.obs.events import EventLog
@@ -81,15 +81,6 @@ class AlertRule:
     def breached(self, value: float) -> bool:
         return _OPS[self.op](float(value), self.threshold)
 
-    def describe(self) -> str:
-        parts = [f"{self.name}: {self.metric} {self.op} {self.threshold:g}"]
-        if self.for_count != 1:
-            parts.append(f"for {self.for_count}")
-        if self.clear_count != 1:
-            parts.append(f"clear {self.clear_count}")
-        parts.append(f"severity {self.severity}")
-        return " ".join(parts)
-
     @staticmethod
     def parse(text: str) -> "AlertRule":
         """Parse the declarative one-line rule syntax (see module doc)."""
@@ -129,7 +120,6 @@ class _RuleState:
     last_value: Optional[float] = None
     fired_count: int = 0
     resolved_count: int = 0
-    history: List[Tuple[float, str]] = field(default_factory=list)
 
 
 def telemetry_snapshot(
@@ -238,7 +228,6 @@ class AlertManager:
                 if not state.firing and state.breach_streak >= rule.for_count:
                     state.firing = True
                     state.fired_count += 1
-                    state.history.append((float(now), "fired"))
                     transitions.append(AlertTransition(rule, "fired", state.last_value, now))
                     if self.events is not None:
                         self.events.record(
@@ -257,7 +246,6 @@ class AlertManager:
                 if state.firing and state.clear_streak >= rule.clear_count:
                     state.firing = False
                     state.resolved_count += 1
-                    state.history.append((float(now), "resolved"))
                     transitions.append(AlertTransition(rule, "resolved", state.last_value, now))
                     if self.events is not None:
                         self.events.record(
@@ -270,14 +258,6 @@ class AlertManager:
                             severity=rule.severity,
                         )
         return transitions
-
-    def firing(self) -> Tuple[str, ...]:
-        """Names of every currently firing rule."""
-        return tuple(name for name, state in self._states.items() if state.firing)
-
-    def is_firing(self, name: str) -> bool:
-        state = self._states.get(name)
-        return state is not None and state.firing
 
     def status(self) -> List[Dict[str, Any]]:
         """One row per rule (dashboard / report table)."""

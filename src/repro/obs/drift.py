@@ -41,8 +41,6 @@ from repro.obs.streaming import StreamingHistogram
 __all__ = [
     "psi_from_counts",
     "ks_from_counts",
-    "population_stability_index",
-    "ks_statistic",
     "DriftMonitor",
 ]
 
@@ -94,25 +92,6 @@ def ks_from_counts(reference_counts: np.ndarray, live_counts: np.ndarray) -> flo
         return 0.0
     gap = np.cumsum(reference_counts) / ref_total - np.cumsum(live_counts) / live_total
     return float(np.max(np.abs(gap)))
-
-
-def _require_same_layout(a: StreamingHistogram, b: StreamingHistogram) -> None:
-    if (a.min_value, a.growth, a.num_buckets) != (b.min_value, b.growth, b.num_buckets):
-        raise ValueError("drift scores require identical bucket layouts")
-
-
-def population_stability_index(
-    reference: StreamingHistogram, live: StreamingHistogram
-) -> float:
-    """PSI between two histograms sharing a bucket layout."""
-    _require_same_layout(reference, live)
-    return psi_from_counts(reference.counts, live.counts)
-
-
-def ks_statistic(reference: StreamingHistogram, live: StreamingHistogram) -> float:
-    """KS statistic between two histograms sharing a bucket layout."""
-    _require_same_layout(reference, live)
-    return ks_from_counts(reference.counts, live.counts)
 
 
 #: The one bucket layout of every drift sketch (see :class:`DriftMonitor`).
@@ -211,14 +190,16 @@ class DriftMonitor:
         pair = self._scoreable(name)
         if pair is None:
             return 0.0
-        return population_stability_index(*pair)
+        reference, live = pair
+        return psi_from_counts(reference.counts, live.counts)
 
     def ks(self, name: str) -> float:
         """KS statistic of ``name``'s live window vs its reference."""
         pair = self._scoreable(name)
         if pair is None:
             return 0.0
-        return ks_statistic(*pair)
+        reference, live = pair
+        return ks_from_counts(reference.counts, live.counts)
 
     def scores(self) -> Dict[str, Dict[str, float]]:
         """Per-feature ``{psi, ks, live_samples, reference_samples}``."""

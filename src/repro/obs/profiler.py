@@ -99,9 +99,6 @@ class PlanProfiler:
         stat.flops += rows * getattr(step, "flops", 0)
         stat.shape = shape
 
-    def reset(self) -> None:
-        self._stats.clear()
-
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------

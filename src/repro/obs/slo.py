@@ -43,8 +43,8 @@ class SloTracker:
     Parameters
     ----------
     latency_slo_ms:
-        The per-request latency objective; a request above it (or flagged
-        ``error=True``) spends error budget.
+        The per-request latency objective; a request above it spends error
+        budget.
     availability_target:
         Fraction of requests allowed to meet the SLO, e.g. ``0.999``.
     window_seconds:
@@ -87,7 +87,7 @@ class SloTracker:
         for epoch in [epoch for epoch in self._windows if epoch <= horizon]:
             del self._windows[epoch]
 
-    def record(self, latency_ms: float, now: float, error: bool = False) -> None:
+    def record(self, latency_ms: float, now: float) -> None:
         """Account one request observed at clock time ``now`` (seconds)."""
         now = float(now)
         self._last_now = max(self._last_now, now)
@@ -99,7 +99,7 @@ class SloTracker:
         window.histogram.record(latency_ms)
         window.total += 1
         self.total_recorded += 1
-        if error or latency_ms > self.latency_slo_ms:
+        if latency_ms > self.latency_slo_ms:
             window.violations += 1
             self.total_violations += 1
 

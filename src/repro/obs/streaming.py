@@ -24,7 +24,7 @@ from __future__ import annotations
 import copy
 import math
 import re
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -131,11 +131,6 @@ class StreamingHistogram:
         self.max = -math.inf
         self._log_growth = math.log(self.growth)
 
-    @property
-    def quantile_error_bound(self) -> float:
-        """Worst-case relative quantile error inside the covered range."""
-        return math.sqrt(self.growth) - 1.0
-
     def _bucket_index(self, value: float) -> int:
         if value <= self.min_value:
             return 0
@@ -153,10 +148,6 @@ class StreamingHistogram:
             self.min = value
         if value > self.max:
             self.max = value
-
-    def record_many(self, values) -> None:
-        for value in values:
-            self.record(value)
 
     @property
     def mean(self) -> float:
@@ -283,9 +274,6 @@ class MetricsRegistry:
         return self._get_or_create(
             name, lambda: StreamingHistogram(name, help, **kwargs), StreamingHistogram
         )
-
-    def get(self, name: str) -> Optional[Metric]:
-        return self._metrics.get(name)
 
     def __iter__(self) -> Iterator[Tuple[str, Metric]]:
         return iter(self._metrics.items())

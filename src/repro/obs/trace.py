@@ -41,7 +41,6 @@ __all__ = [
     "NULL_TRACE",
     "NULL_TRACER",
     "JsonlTraceExporter",
-    "InMemoryExporter",
     "kernel_span_hook",
 ]
 
@@ -192,10 +191,6 @@ class Trace:
         self.spans.append(handle)
         return handle
 
-    def set(self, **attrs: Any) -> "Trace":
-        self.attrs.update(attrs)
-        return self
-
     def finish(self, **attrs: Any) -> None:
         """Close every open span, stamp the end time, export (idempotent)."""
         if self.end_time is not None:
@@ -247,9 +242,6 @@ class _NullTrace:
 
     def record_span(self, name, start_time, end_time, parent=None, **attrs) -> _NullSpan:
         return NULL_SPAN
-
-    def set(self, **attrs: Any) -> "_NullTrace":
-        return self
 
     def finish(self, **attrs: Any) -> None:
         pass
@@ -349,19 +341,6 @@ class JsonlTraceExporter:
         return False
 
 
-class InMemoryExporter:
-    """Collects finished trace records in a list (tests and examples)."""
-
-    def __init__(self) -> None:
-        self.records: List[Dict[str, Any]] = []
-
-    def export(self, record: Dict[str, Any]) -> None:
-        self.records.append(record)
-
-    def close(self) -> None:
-        pass
-
-
 #: Finished traces a :class:`Tracer` retains in its ``finished`` ring.
 KEEP_LAST = 64
 
@@ -455,9 +434,6 @@ class NullTracer:
 
     def trace(self, name: str, **attrs: Any) -> _NullTrace:
         return NULL_TRACE
-
-    def stats(self) -> Dict[str, Any]:
-        return {"enabled": False, "sample_rate": 0.0, "started": 0, "sampled": 0, "exported": 0}
 
     def close(self) -> None:
         pass

@@ -125,10 +125,6 @@ class CanaryGate:
         except CompileError:
             return model
 
-    def evaluate(self, model: RankingModel, holdout: RankingDataset) -> Dict[str, float]:
-        """The gated session metrics of ``model`` on ``holdout``."""
-        return self._evaluate_with(self._scorer(model), holdout)
-
     def _evaluate_with(self, scorer, holdout: RankingDataset, span=NULL_SPAN) -> Dict[str, float]:
         scores = predict_scores(scorer, holdout)
         metrics = {

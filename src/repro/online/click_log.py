@@ -173,14 +173,6 @@ class ClickLog:
         return len(self._records)
 
     @property
-    def records(self) -> Sequence[ClickRecord]:
-        return tuple(self._records)
-
-    @property
-    def total_clicks(self) -> int:
-        return sum(record.num_clicks for record in self._records)
-
-    @property
     def lag(self) -> int:
         """Sessions appended but not yet consumed by :meth:`read_new`."""
         return len(self._records) - self._cursor

@@ -15,8 +15,8 @@ the model sublinear::
 
 * :mod:`~repro.retrieval.index` — category-partitioned IVF-flat index:
   k-means coarse cells, contiguous float32 slabs, ``np.argpartition`` top-N;
-* :mod:`~repro.retrieval.prefilter` — the cheap stage-1 scorer, compiled as
-  a tiny :class:`~repro.infer.plan.InferencePlan` in a ``BufferArena``;
+* :mod:`~repro.retrieval.prefilter` — the cheap stage-2 linear scorer that
+  prunes stage 1's candidates to the survivors;
 * :mod:`~repro.retrieval.cascade` — the cascade and its config, the
   exhaustive-parity oracle mode, and the canary :class:`RetrievalProbe`.
 

@@ -263,10 +263,11 @@ class RetrievalCascade:
 
         Everything expensive about a cascade — the probe pass, the
         calibration fit, the k-means index — produces *read-only* state
-        (item vectors, slabs, weights) that replicas can share; only the
-        prefilter's plan owns mutable scratch buffers.  The view shares the
-        former and gets a fresh :class:`Prefilter`, so a sharded fleet pays
-        for one build per swap instead of one per shard.
+        (item vectors, slabs, weights) that replicas can share.  The view
+        shares it and gets its own :class:`Prefilter` over the same vectors,
+        so a sharded fleet pays for one build per swap instead of one per
+        shard while each shard's ``prefilter.prune`` stays a separate bound
+        method (the perf harness wraps it once per shard).
 
         The view still references the builder's scorer (whose gate plan is
         mutable scratch) until the owning worker calls :meth:`bind_scorer`
@@ -291,11 +292,11 @@ class RetrievalCascade:
 
         The expensive build output — item vectors, index slabs, calibration
         weights, the model's weight arrays — is plain numpy and ships
-        zero-copy through a :class:`~repro.infer.slabs.SnapshotSlab`.  The
-        two members that hold compiled-plan closures are dropped: the
-        prefilter (cheap per-worker scratch, rebuilt by :meth:`worker_view`
-        on the attaching side) and the scorer (each worker binds the plan it
-        compiles via :meth:`bind_scorer`, exactly as in-process shards do).
+        zero-copy through a :class:`~repro.infer.slabs.SnapshotSlab`.  Two
+        per-worker members are dropped: the prefilter (rebuilt by
+        :meth:`worker_view` on the attaching side) and the scorer, which
+        holds compiled-plan closures (each worker binds the plan it compiles
+        via :meth:`bind_scorer`, exactly as in-process shards do).
         """
         detached = copy.copy(self)
         detached.prefilter = None
@@ -678,7 +679,7 @@ class RetrievalCascade:
         boost = self._cross_counts(state, candidates) @ self._count_weights[
             self._regime(state, query_category)
         ]
-        return self.prefilter.scores(candidates, session_vec, extra=boost).copy()
+        return self.prefilter.scores(candidates, session_vec, extra=boost)
 
     def stats(self) -> dict:
         report = self.index.stats()

@@ -1,4 +1,4 @@
-"""Stage-2 prefilter: a cheap linear scorer compiled as a tiny inference plan.
+"""Stage-2 prefilter: a cheap linear scorer over the cascade's item vectors.
 
 Between the ANN index (:mod:`repro.retrieval.index`) and the full compiled
 AW-MoE sits a prefilter that prunes the index's N retrieved candidates down
@@ -14,12 +14,11 @@ embedding, dense profile and its square), ``u`` the session vector with the
 calibration weights folded in, and ``extra_i`` an optional per-query
 additive term (the cascade passes its user x item cross-feature boost here).
 
-The scorer is built as an :class:`~repro.infer.plan.InferencePlan` over the
-same kernels and :class:`~repro.infer.plan.BufferArena` the compiled model
-executes in — gather, GEMV, and top-K selection all run in leased buffers,
-so steady-state prefiltering allocates nothing but its output id array.
-``prune=None`` (or K >= N) disables pruning: every retrieved candidate
-survives, which together with ``nprobe="all"`` is the cascade's
+On the serving path stage 1 hands its inner products over (``prune(...,
+base=...)``), so only ``extra`` is added; :meth:`Prefilter.scores` gathers
+and scores explicit candidates for the degraded tier and the retrieval
+probe.  ``prune=None`` (or K >= N) disables pruning: every retrieved
+candidate survives, which together with ``nprobe="all"`` is the cascade's
 exhaustive-parity mode.
 """
 
@@ -29,14 +28,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.infer.kernels import gather_rows
-from repro.infer.plan import BufferArena, InferencePlan, PlanStep
-
 __all__ = ["Prefilter"]
 
 
 class Prefilter:
-    """Linear candidate scorer with an arena-backed compiled plan.
+    """Linear candidate scorer.
 
     Parameters
     ----------
@@ -47,57 +43,18 @@ class Prefilter:
 
     def __init__(self, item_vectors: np.ndarray) -> None:
         self.item_vectors = np.ascontiguousarray(item_vectors, dtype=np.float32)
-        self.dim = int(self.item_vectors.shape[1])
-        self.plan = self._build_plan()
 
-    def _build_plan(self) -> InferencePlan:
-        arena = BufferArena(np.float32)
-        vectors = self.item_vectors
-        dim = self.dim
-
-        def gather_fn(ctx: dict) -> None:
-            candidates = ctx["batch"]["candidates"]
-            out = arena.lease("prefilter.gather", "vecs", (candidates.shape[0], dim))
-            gather_rows(vectors, candidates, out)
-            ctx["candidate_vecs"] = out
-
-        def score_fn(ctx: dict) -> None:
-            candidates = ctx["batch"]["candidates"]
-            rows = candidates.shape[0]
-            scores = arena.lease("prefilter.score", "scores", (rows,))
-            np.matmul(ctx["candidate_vecs"], ctx["batch"]["session_vec"], out=scores)
-            extra = ctx["batch"].get("extra")
-            if extra is not None:
-                scores += extra
-            ctx["scores"] = scores
-
-        steps = [
-            PlanStep("prefilter.gather", "embed", gather_fn, reads=("candidates",), writes=("candidate_vecs",)),
-            PlanStep(
-                "prefilter.score",
-                "mix",
-                score_fn,
-                reads=("candidate_vecs", "candidates", "session_vec"),
-                writes=("scores",),
-            ),
-        ]
-        return InferencePlan(
-            "prefilter", steps, "scores", arena, inputs=("candidates", "session_vec")
-        )
-
-    # ------------------------------------------------------------------
-    # scoring
-    # ------------------------------------------------------------------
     def scores(
         self,
         candidates: np.ndarray,
         session_vec: np.ndarray,
         extra: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Prefilter scores for ``candidates`` (arena-owned, copy to keep)."""
-        return self.plan.run(
-            {"candidates": candidates, "session_vec": session_vec, "extra": extra}
-        )
+        """Prefilter scores for ``candidates`` (a fresh array)."""
+        scores = self.item_vectors[candidates] @ session_vec
+        if extra is not None:
+            scores += extra
+        return scores
 
     def prune(
         self,

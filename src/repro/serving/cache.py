@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, Optional, Tuple
+from typing import Any, Hashable, Optional
 
 import numpy as np
 
@@ -56,9 +56,6 @@ class CacheStats:
             misses=self.misses + other.misses,
             evictions=self.evictions + other.evictions,
         )
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.evictions = 0
 
 
 class LRUCache:
@@ -102,14 +99,6 @@ class LRUCache:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
 
-    def pop(self, key: Hashable) -> None:
-        """Remove ``key`` if present (no stats impact)."""
-        self._entries.pop(key, None)
-
-    def keys(self) -> Tuple[Hashable, ...]:
-        """Current keys, least recently used first (no stats impact)."""
-        return tuple(self._entries.keys())
-
     def clear(self) -> None:
         self._entries.clear()
 
@@ -150,10 +139,6 @@ class SessionCache:
         """Gate-vector hit rate — the headline §III-F cache metric."""
         return self.gates.stats.hit_rate
 
-    def reset_stats(self) -> None:
-        self.gates.stats.reset()
-        self.behaviors.stats.reset()
-
     def invalidate_all(self) -> None:
         """Drop every cached gate vector and bump :attr:`generation`.
 
@@ -164,14 +149,3 @@ class SessionCache:
         """
         self.gates.clear()
         self.generation += 1
-
-    def invalidate_user(self, user: int) -> None:
-        """Drop every entry derived from ``user``'s behaviour sequence.
-
-        Production systems call this when the user's history changes (a new
-        click invalidates the tables, the encoding and all cached gate vectors).
-        """
-        self.behaviors.pop(user)
-        for key in self.gates.keys():
-            if key[0] == user:
-                self.gates.pop(key)

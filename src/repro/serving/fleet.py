@@ -87,7 +87,7 @@ class InThreadTransport:
         self.workers: List[ShardWorker] = []
         # One cascade build for the whole fleet: shard 0 builds it, every
         # other shard gets a worker view (shared immutable snapshot, own
-        # prefilter scratch) — probe pass, calibration, and k-means are paid
+        # prefilter) — probe pass, calibration, and k-means are paid
         # once, not per shard.
         for shard in range(config.num_workers):
             worker = ShardWorker(
@@ -224,15 +224,6 @@ class Fleet:
         #: Per-shard endpoints: :class:`ShardWorker` in-process, the
         #: supervisor's worker handles on the process backend.
         self.workers = self.transport.workers
-
-    # ------------------------------------------------------------------
-    # routing
-    # ------------------------------------------------------------------
-    def shard_for(self, user: int) -> int:
-        return shard_for_user(user, self.num_shards)
-
-    def worker_for(self, user: int):
-        return self.workers[self.shard_for(user)]
 
     def submit(self, user: int, query_category: int) -> List[RankedList]:
         """Route one query to its owning shard; returns what is ready now.

@@ -113,7 +113,7 @@ def _cascade_view(payload: Dict[str, Any]) -> Optional[RetrievalCascade]:
     detached = payload.get("cascade")
     if detached is None:
         return None
-    # worker_view restores the per-worker prefilter scratch; set_model
+    # worker_view restores the per-worker prefilter; set_model
     # binds this worker's compiled plan as the scorer.
     return detached.worker_view()
 

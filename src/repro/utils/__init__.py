@@ -1,28 +1,23 @@
-"""Shared utilities: deterministic RNG, registries, run logs, table printing,
-crash-safe file writes."""
+"""Shared utilities: deterministic RNG, run logs, table printing, crash-safe
+file writes."""
 
 from repro.utils.atomic import (
     atomic_write_bytes,
-    atomic_write_text,
     crc32_bytes,
     crc32_file,
     recover_jsonl,
 )
 from repro.utils.logging import RunLog
-from repro.utils.registry import Registry
-from repro.utils.rng import SeedBank, generator
+from repro.utils.rng import SeedBank
 from repro.utils.tables import format_float, format_table, print_table
 
 __all__ = [
     "atomic_write_bytes",
-    "atomic_write_text",
     "crc32_bytes",
     "crc32_file",
     "recover_jsonl",
     "RunLog",
-    "Registry",
     "SeedBank",
-    "generator",
     "format_float",
     "format_table",
     "print_table",

@@ -27,7 +27,6 @@ __all__ = [
     "crc32_bytes",
     "crc32_file",
     "atomic_write_bytes",
-    "atomic_write_text",
     "recover_jsonl",
 ]
 
@@ -82,16 +81,6 @@ def atomic_write_bytes(
     if fraction is not None:
         raise TransientFault(f"injected torn write at {point} ({tmp} truncated)")
     os.replace(tmp, path)
-
-
-def atomic_write_text(
-    path: str,
-    text: str,
-    injector: Any = NULL_INJECTOR,
-    point: Optional[str] = None,
-    **ctx: Any,
-) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"), injector=injector, point=point, **ctx)
 
 
 def recover_jsonl(path: str) -> Tuple[List[Dict[str, Any]], int]:

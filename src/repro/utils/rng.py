@@ -10,12 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SeedBank", "generator"]
-
-
-def generator(seed: int) -> np.random.Generator:
-    """Return a fresh PCG64 generator for ``seed``."""
-    return np.random.default_rng(seed)
+__all__ = ["SeedBank"]
 
 
 class SeedBank:
@@ -33,7 +28,6 @@ class SeedBank:
 
     def __init__(self, seed: int) -> None:
         self.seed = int(seed)
-        self._sequence = np.random.SeedSequence(self.seed)
 
     def child(self, name: str) -> np.random.Generator:
         """Return a generator whose stream depends on (root seed, name)."""
@@ -42,7 +36,3 @@ class SeedBank:
             entropy=self.seed, spawn_key=tuple(int(b) for b in digest)
         )
         return np.random.default_rng(derived)
-
-    def spawn(self, count: int) -> list:
-        """Return ``count`` sequentially derived generators."""
-        return [np.random.default_rng(s) for s in self._sequence.spawn(count)]

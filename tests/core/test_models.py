@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    MODEL_REGISTRY,
+    DIN,
+    DNN,
     AWMoE,
+    CategoryMoE,
+    MMoE,
     ModelConfig,
     TrainConfig,
     build_model,
     train_model,
 )
-from repro.nn import bce_with_logits
+from repro.nn import bce_with_logits, no_grad, softmax
 MODEL_NAMES = ["dnn", "din", "category_moe", "aw_moe", "mmoe"]
 
 
@@ -21,11 +24,14 @@ def batch(test_set):
 
 
 class TestRegistry:
-    def test_all_expected_models_registered(self):
-        assert set(MODEL_NAMES) <= set(MODEL_REGISTRY.names())
+    def test_all_expected_models_registered(self, test_set):
+        classes = [DNN, DIN, CategoryMoE, AWMoE, MMoE]
+        for name, cls in zip(MODEL_NAMES, classes):
+            model = build_model(name, ModelConfig.unit(), test_set.meta, np.random.default_rng(0))
+            assert type(model) is cls
 
     def test_unknown_model_rejected(self, test_set):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="aw_moe"):
             build_model("transformer4rec", ModelConfig.unit(), test_set.meta, np.random.default_rng(0))
 
 
@@ -118,7 +124,8 @@ class TestLearning:
         model = build_model("category_moe", ModelConfig.unit(), train_set.meta, np.random.default_rng(1))
         train_model(model, train_set, TrainConfig(epochs=1, batch_size=64, learning_rate=3e-3), seed=2)
         batch = test_set.batch_at(np.arange(64))
-        gates = model.gate_outputs(batch)
+        with no_grad():
+            gates = softmax(model.gate_mlp(model.embedder.category(batch["query_category"])), axis=-1).numpy()
         categories = batch["query_category"]
         if np.unique(categories).size >= 2:
             # gates must coincide within a category and differ somewhere across

@@ -44,8 +44,8 @@ def _world(name):
         "large-catalog": replace(WorldConfig.large_catalog(12_000, 3), num_users=300),
     }[name]
     world = generate_world(config, np.random.default_rng(5))
-    empty = next(u for u in range(world.num_users) if world.history_length(u) == 0)
-    fan = next(u for u in range(world.num_users) if world.history_length(u) >= REPEATS + 2)
+    empty = next(u for u in range(world.num_users) if len(world.histories[u]) == 0)
+    fan = next(u for u in range(world.num_users) if len(world.histories[u]) >= REPEATS + 2)
     history = world.histories[fan].copy()
     history[1 : 1 + REPEATS] = history[0]
     world.histories[fan] = history
@@ -132,7 +132,7 @@ def _flushes(draw, name):
         category = draw(st.integers(0, world.num_categories - 1))
         members = np.flatnonzero(world.item_category == category)
         pools = [members, np.arange(world.num_items)]
-        if world.history_length(user):
+        if len(world.histories[user]):
             pools.append(world.histories[user])
         candidates = [
             int(pool[draw(st.integers(0, len(pool) - 1))])

@@ -19,7 +19,7 @@ from feature_oracles import impression_features
 
 def _active_user(world):
     for user in range(world.num_users):
-        if world.history_length(user) >= 3:
+        if len(world.histories[user]) >= 3:
             return user
     raise AssertionError("no active user in unit world")
 
@@ -34,7 +34,7 @@ class TestUserState:
         np.testing.assert_array_equal(state.brands, unit_world.item_brand[history])
 
     def test_empty_history(self, unit_world):
-        empties = [u for u in range(unit_world.num_users) if unit_world.history_length(u) == 0]
+        empties = [u for u in range(unit_world.num_users) if len(unit_world.histories[u]) == 0]
         assert empties, "unit world should contain new users"
         state = UserState(unit_world, empties[0])
         assert state.length == 0
@@ -50,7 +50,7 @@ class TestCrossFeatures:
             assert values.shape == (5,), key
 
     def test_empty_history_defaults(self, unit_world):
-        empties = [u for u in range(unit_world.num_users) if unit_world.history_length(u) == 0]
+        empties = [u for u in range(unit_world.num_users) if len(unit_world.histories[u]) == 0]
         state = UserState(unit_world, empties[0])
         cross = cross_features(state, unit_world, np.arange(4))
         assert np.all(cross["item_click_cnt"] == 0)
@@ -69,7 +69,7 @@ class TestEncodeBehavior:
         user = _active_user(unit_world)
         max_len = unit_world.config.max_seq_len
         items, cats, dense, mask = encode_behavior(unit_world, user, max_len)
-        n = min(unit_world.history_length(user), max_len)
+        n = min(len(unit_world.histories[user]), max_len)
         assert items.shape == (max_len,)
         assert dense.shape == (max_len, 4)
         assert mask.sum() == n
@@ -166,7 +166,7 @@ class TestSessionBatch:
     QUERIES = [(0, 1, np.arange(6)), (1, 2, np.array([9])), (2, 0, np.arange(3, 7))]
 
     def _sessions(self, world):
-        empty = next(u for u in range(world.num_users) if world.history_length(u) == 0)
+        empty = next(u for u in range(world.num_users) if len(world.histories[u]) == 0)
         users = [_active_user(world), empty, _active_user(world) + 1]
         return [(users[i], category, candidates) for i, category, candidates in self.QUERIES]
 

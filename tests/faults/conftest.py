@@ -5,17 +5,17 @@ test packages); the session-scoped world/dataset fixtures come from the
 top-level conftest.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import ModelConfig, TrainConfig, build_model, train_model
-from repro.utils.rng import generator
 
 
 @pytest.fixture(scope="session")
 def trained_state(unit_world_and_data):
     """State dict of one briefly-trained AW-MoE on the unit world."""
     _, train, _ = unit_world_and_data
-    model = build_model("aw_moe", ModelConfig.unit(), train.meta, generator(0))
+    model = build_model("aw_moe", ModelConfig.unit(), train.meta, np.random.default_rng(0))
     train_model(
         model, train, TrainConfig(epochs=1, batch_size=64, learning_rate=3e-3), seed=8
     )
@@ -30,7 +30,7 @@ def make_model(unit_world_and_data, trained_state):
 
     def factory(trained: bool = False, init_seed: int = 1):
         model = build_model(
-            "aw_moe", ModelConfig.unit(), train.meta, generator(init_seed)
+            "aw_moe", ModelConfig.unit(), train.meta, np.random.default_rng(init_seed)
         )
         if trained:
             model.load_state_dict(trained_state)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, TransientFault
-from repro.utils import atomic_write_bytes, atomic_write_text, crc32_bytes, recover_jsonl
+from repro.utils import atomic_write_bytes, crc32_bytes, recover_jsonl
 
 
 class TestAtomicWrite:
@@ -13,8 +13,8 @@ class TestAtomicWrite:
         path = tmp_path / "state.bin"
         atomic_write_bytes(str(path), b"hello")
         assert path.read_bytes() == b"hello"
-        atomic_write_text(str(path), "world")
-        assert path.read_text() == "world"
+        atomic_write_bytes(str(path), b"world")
+        assert path.read_bytes() == b"world"
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "a" / "b" / "state.bin"

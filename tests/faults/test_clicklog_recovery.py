@@ -4,6 +4,7 @@ import numpy as np
 
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.online import ClickLog
+from repro.utils import recover_jsonl
 
 
 def _log_n(log, n, start_user=0):
@@ -27,11 +28,11 @@ class TestDurability:
         assert len(reloaded) == 5
         assert reloaded.recovered_sessions == 5
         assert reloaded.dropped_records == 0
-        first = reloaded.records[0]
-        assert first.session_id == 0
-        assert first.items.tolist() == [1, 2, 3]
-        assert first.clicks.tolist() == [1.0, 0.0, 0.0]
-        assert first.model_version == "v0001"
+        first = recover_jsonl(path)[0][0]
+        assert first["session_id"] == 0
+        assert first["items"] == [1, 2, 3]
+        assert first["clicks"] == [1.0, 0.0, 0.0]
+        assert first["model_version"] == "v0001"
 
     def test_recovered_history_is_pre_consumed(self, tmp_path):
         path = str(tmp_path / "clicks.jsonl")
@@ -75,8 +76,8 @@ class TestTornAppends:
         assert log.torn_writes == 1
         reloaded = ClickLog(path=path)
         assert reloaded.dropped_records == 1
-        assert [r.session_id for r in reloaded.records] == [0, 1, 3, 4]
         # The damaged file was rewritten clean: next restart drops nothing.
+        assert [r["session_id"] for r in recover_jsonl(path)[0]] == [0, 1, 3, 4]
         again = ClickLog(path=path)
         assert again.dropped_records == 0
         assert len(again) == 4
@@ -93,7 +94,7 @@ class TestTornAppends:
         log = ClickLog(path=path, injector=inj)
         _log_n(log, 3)  # last session torn
         reloaded = ClickLog(path=path)
-        assert [r.session_id for r in reloaded.records] == [0, 1]
+        assert [r["session_id"] for r in recover_jsonl(path)[0]] == [0, 1]
         record = reloaded.log_session(
             user=1, query_category=0, items=np.array([7]), clicks=np.array([0.0])
         )

@@ -25,7 +25,7 @@ def _rel_err(a, b):
 
 
 def _empty_user(world):
-    return next(u for u in range(world.num_users) if world.history_length(u) == 0)
+    return next(u for u in range(world.num_users) if len(world.histories[u]) == 0)
 
 
 def _session(world, user, category, count, seed=0):

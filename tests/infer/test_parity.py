@@ -104,7 +104,7 @@ class TestFloat64Bitwise:
         )
         model.eval()
         compiled = compile_model(model, dtype=np.float64)
-        assert not compiled.gate_is_candidate_independent
+        assert not model.gate_is_candidate_independent
         twin = float64_twin(model)
         twin.eval()
         assert np.array_equal(compiled.predict_proba(rbatch), twin.predict_proba(rbatch))

@@ -83,7 +83,7 @@ class TestPlanStructure:
         """Search mode: the split-out gate plan never reads the candidate,
         which is what makes per-session caching sound (§III-F1)."""
         compiled = compile_model(model)
-        assert compiled.gate_is_candidate_independent
+        assert model.gate_is_candidate_independent
         for key in compiled.gate_plan.inputs:
             assert not key.startswith("target_")
         assert "query" in compiled.gate_plan.inputs

@@ -37,10 +37,6 @@ class TestRuleParsing:
         assert rule.op == "<"
         assert rule.threshold == pytest.approx(0.95)
 
-    def test_describe_round_trips(self):
-        rule = AlertRule.parse("ctr-drift: drift_psi_ctr > 0.25 for 2 severity critical")
-        assert AlertRule.parse(rule.describe()) == rule
-
     @pytest.mark.parametrize(
         "text",
         ["", "no-op-here", "metric !> 1.0", "metric > abc", "metric > 1.0 for zero"],
@@ -66,31 +62,35 @@ class TestOperators:
         assert AlertRule("r", "m", op, 1.0).breached(value) is expected
 
 
+def firing(manager):
+    return tuple(row["rule"] for row in manager.status() if row["firing"])
+
+
 class TestHysteresis:
     def test_fires_only_after_for_count_consecutive_breaches(self):
         manager = AlertManager(["hot: t > 1.0 for 3"])
         assert manager.evaluate({"t": 2.0}, 0.0) == []
         assert manager.evaluate({"t": 2.0}, 1.0) == []
-        assert not manager.is_firing("hot")
+        assert "hot" not in firing(manager)
         (transition,) = manager.evaluate({"t": 2.0}, 2.0)
         assert transition.action == "fired"
-        assert manager.firing() == ("hot",)
+        assert firing(manager) == ("hot",)
 
     def test_breach_streak_resets_on_a_clear_window(self):
         manager = AlertManager(["hot: t > 1.0 for 2"])
         manager.evaluate({"t": 2.0}, 0.0)
         manager.evaluate({"t": 0.5}, 1.0)  # streak broken
         assert manager.evaluate({"t": 2.0}, 2.0) == []  # back to streak 1
-        assert not manager.is_firing("hot")
+        assert "hot" not in firing(manager)
 
     def test_resolves_only_after_clear_count_consecutive_clears(self):
         manager = AlertManager(["hot: t > 1.0 clear 2"])
         manager.evaluate({"t": 2.0}, 0.0)
-        assert manager.is_firing("hot")
+        assert "hot" in firing(manager)
         assert manager.evaluate({"t": 0.5}, 1.0) == []  # one clear: still firing
         (transition,) = manager.evaluate({"t": 0.5}, 2.0)
         assert transition.action == "resolved"
-        assert manager.firing() == ()
+        assert firing(manager) == ()
 
     def test_refire_after_resolve(self):
         manager = AlertManager(["hot: t > 1.0"])
@@ -107,7 +107,7 @@ class TestHysteresis:
         manager = AlertManager(["hot: t > 1.0"])
         assert manager.evaluate({}, 0.0) == []
         manager.evaluate({"t": 2.0}, 1.0)
-        assert manager.is_firing("hot")
+        assert "hot" in firing(manager)
         (transition,) = manager.evaluate({}, 2.0)
         assert transition.action == "resolved"
         assert transition.value is None
@@ -153,7 +153,9 @@ class TestTelemetrySnapshot:
         registry = MetricsRegistry()
         registry.counter("queries_total").inc(7)
         registry.gauge("lag").set(3.0)
-        registry.histogram("latency_ms").record_many([1.0, 2.0, 10.0])
+        latency = registry.histogram("latency_ms")
+        for value in (1.0, 2.0, 10.0):
+            latency.record(value)
         slo = SloTracker(latency_slo_ms=50.0)
         slo.record(5.0, now=0.0)
         drift = DriftMonitor(min_samples=1)

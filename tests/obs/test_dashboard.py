@@ -3,7 +3,6 @@
 from repro.obs import (
     AlertManager,
     DriftMonitor,
-    InMemoryExporter,
     MetricsRegistry,
     EventLog,
     ShadowRecallMonitor,
@@ -24,7 +23,9 @@ def _full_telemetry():
     registry = MetricsRegistry()
     registry.counter("queries_total", "queries").inc(100)
     registry.gauge("log_lag").set(2.0)
-    registry.histogram("latency_ms", "latency").record_many([1.0, 2.0, 9.0])
+    latency = registry.histogram("latency_ms", "latency")
+    for value in (1.0, 2.0, 9.0):
+        latency.record(value)
     slo = SloTracker(latency_slo_ms=50.0)
     slo.record(5.0, now=0.0)
     events = EventLog()
@@ -40,7 +41,7 @@ def _full_telemetry():
     shadow = ShadowRecallMonitor(rate=1.0, k=10)
     shadow.observe(0.9)
     clock = ManualClock()
-    tracer = Tracer(sample_rate=1.0, exporter=InMemoryExporter(), clock=clock)
+    tracer = Tracer(sample_rate=1.0, clock=clock)
     trace = tracer.trace("refresh", cycle=0)
     with trace.span("serve"):
         clock.advance(0.001)

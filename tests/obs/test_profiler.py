@@ -78,12 +78,6 @@ class TestAccounting:
         # ...while gathers/concats are free in the FLOP model.
         assert by_step[("score", "input.behavior_repr")]["mflops"] == 0.0
 
-    def test_reset_clears_stats(self, compiled, batch):
-        profiler = _profiled(PlanProfiler(), compiled, batch)
-        profiler.reset()
-        assert profiler.report() == []
-        assert profiler.total_seconds() == 0.0
-
 
 class TestReports:
     def test_empty_report_message(self):

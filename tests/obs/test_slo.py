@@ -35,11 +35,6 @@ class TestAccounting:
         assert tracker.error_budget_burn_rate() == 1.0
         assert tracker.healthy()  # exactly on budget
 
-    def test_error_flag_spends_budget_regardless_of_latency(self):
-        tracker = make_tracker()
-        tracker.record(1.0, now=0.0, error=True)
-        assert tracker.window_violations() == 1
-
     def test_burning_fleet_is_unhealthy(self):
         tracker = make_tracker(availability_target=0.999)
         for _ in range(10):

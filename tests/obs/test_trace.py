@@ -8,7 +8,6 @@ from repro.obs import (
     NULL_SPAN,
     NULL_TRACE,
     NULL_TRACER,
-    InMemoryExporter,
     JsonlTraceExporter,
     Tracer,
     kernel_span_hook,
@@ -91,14 +90,13 @@ class TestSpanTree:
         assert shared.attrs == {"sessions": 3}
 
     def test_finish_closes_open_spans_and_exports_once(self):
-        exporter = InMemoryExporter()
-        tracer = Tracer(exporter=exporter)
+        tracer = Tracer()
         trace = tracer.trace("q")
         trace.span("left-open")
         trace.finish(latency_ms=1.0)
         trace.finish()  # idempotent: one export
-        assert len(exporter.records) == 1
-        assert exporter.records[0]["attrs"]["latency_ms"] == 1.0
+        assert len(tracer.finished) == 1
+        assert tracer.finished[0]["attrs"]["latency_ms"] == 1.0
         assert trace.spans[0].end_time is not None
 
     def test_finished_ring_is_bounded(self, monkeypatch):

@@ -20,7 +20,7 @@ class TestClickLog:
         second = _log_one(log)
         assert (first.session_id, second.session_id) == (0, 1)
         assert len(log) == 2
-        assert log.total_clicks == 4
+        assert first.num_clicks + second.num_clicks == 4
 
     def test_misaligned_items_and_clicks_raise(self):
         with pytest.raises(ValueError):

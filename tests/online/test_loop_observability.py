@@ -14,7 +14,6 @@ from repro.data.synthetic import drift_world
 from repro.obs import (
     AlertManager,
     DriftMonitor,
-    InMemoryExporter,
     MetricsRegistry,
     SloTracker,
     Tracer,
@@ -28,20 +27,19 @@ from repro.online import (
     PositionBiasedClickModel,
 )
 from repro.serving import FleetConfig, FleetContext, ManualClock, ZipfLoadGenerator, build_fleet
-from repro.utils.rng import generator
 
 
 def _build_loop(tmp_path, learning_rate=1e-3, rules=(), min_samples=10):
     """A fresh world + fully wired observable loop (own mutable world)."""
     world, train, _ = make_search_datasets(WorldConfig.unit(), 400, 150, seed=2)
-    model = build_model("aw_moe", ModelConfig.unit(), train.meta, generator(0))
+    model = build_model("aw_moe", ModelConfig.unit(), train.meta, np.random.default_rng(0))
     train_model(
         model, train, TrainConfig(epochs=1, batch_size=64, learning_rate=3e-3), seed=8
     )
     state = model.state_dict()
 
     def make_model(trained=False):
-        fresh = build_model("aw_moe", ModelConfig.unit(), train.meta, generator(1))
+        fresh = build_model("aw_moe", ModelConfig.unit(), train.meta, np.random.default_rng(1))
         if trained:
             fresh.load_state_dict(state)
         return fresh
@@ -68,7 +66,7 @@ def _build_loop(tmp_path, learning_rate=1e-3, rules=(), min_samples=10):
             clock=clock, slo=SloTracker(latency_slo_ms=50.0), drift=drift, alerts=alerts
         ),
     )
-    exporter = InMemoryExporter()
+    tracer = Tracer(sample_rate=1.0, clock=clock.now)
     loop = OnlineLoop(
         world=world,
         cluster=cluster,
@@ -80,23 +78,23 @@ def _build_loop(tmp_path, learning_rate=1e-3, rules=(), min_samples=10):
             world, np.random.default_rng(3), ClickModelConfig()
         ),
         seed=11,
-        tracer=Tracer(sample_rate=1.0, exporter=exporter, clock=clock.now),
+        tracer=tracer,
     )
     loop.bootstrap()
     gen = ZipfLoadGenerator(np.random.default_rng(7), world=world, target_qps=500.0)
-    return loop, gen, exporter
+    return loop, gen, tracer
 
 
 class TestRefreshTracing:
     def test_cycle_emits_nested_span_tree(self, tmp_path):
-        loop, gen, exporter = _build_loop(tmp_path)
+        loop, gen, tracer = _build_loop(tmp_path)
         windows = []
         update = loop.trainer.update
         loop.trainer.update = lambda dataset, **kw: windows.append(dataset) or update(dataset, **kw)
         report = loop.run_cycle(gen.generate(200))
         assert report.promoted
 
-        (record,) = [r for r in exporter.records if r["name"] == "refresh"]
+        (record,) = [r for r in tracer.finished if r["name"] == "refresh"]
         assert record["attrs"]["cycle"] == 0
         assert record["attrs"]["promoted"] is True
         assert record["attrs"]["version"] == "v0002"
@@ -145,10 +143,10 @@ class TestRefreshTracing:
         assert spans["canary"]["attrs"]["passed"] is True
 
     def test_no_feedback_cycle_traces_early_return(self, tmp_path):
-        loop, _, exporter = _build_loop(tmp_path)
+        loop, _, tracer = _build_loop(tmp_path)
         report = loop.run_cycle([])
         assert not report.promoted
-        (record,) = [r for r in exporter.records if r["name"] == "refresh"]
+        (record,) = [r for r in tracer.finished if r["name"] == "refresh"]
         assert record["attrs"]["reason"] == "no_usable_feedback"
 
     def test_train_step_metrics_stream_into_registry(self, tmp_path):
@@ -219,7 +217,7 @@ class TestEndToEndAlertPath:
         loop.run_cycle(gen.generate(self.WINDOW))
         report = loop.run_cycle(gen.generate(self.WINDOW))
         assert report.drift["ctr"]["psi"] < 0.04
-        assert loop.cluster.ctx.alerts.firing() == ()
+        assert not any(row["firing"] for row in loop.cluster.ctx.alerts.status())
         assert loop.cluster.control.events.events("alert_fired") == ()
 
     def test_drifted_traffic_fires_alert_through_to_dashboard(self, tmp_path):
@@ -240,7 +238,8 @@ class TestEndToEndAlertPath:
                 report.drift["ctr"]["psi"]
             )}
         ]
-        assert loop.cluster.ctx.alerts.is_firing("ctr-drift")
+        (status,) = loop.cluster.ctx.alerts.status()
+        assert status["firing"] is True
 
         # 3. A typed event landed in the fleet's control-plane log.
         (fired,) = loop.cluster.control.events.events("alert_fired")

@@ -19,7 +19,6 @@ from repro.data.synthetic import generate_world, true_relevance
 from repro.eval import predict_scores
 from repro.infer import compile_model
 from repro.online import CanaryGate, ClickLog, build_dataset
-from repro.utils.rng import generator
 
 
 def _click_holdout(world, sessions, shown, seed=0):
@@ -38,7 +37,7 @@ def _click_holdout(world, sessions, shown, seed=0):
         clicks = np.zeros(size, dtype=np.float32)
         clicks[np.argsort(-relevance)[: max(1, size // 3)]] = 1.0
         log.log_session(user, category, items, clicks)
-    return build_dataset(world, log.records)
+    return build_dataset(world, log.read_new())
 
 
 def _flat_twin(dataset):
@@ -79,7 +78,7 @@ class TestBuildDatasetKeepsSessions:
     def test_downsampled_training_window_keeps_them_too(self, unit_world, holdout):
         log = ClickLog()
         log.log_session(1, 2, np.arange(6), np.array([1, 0, 0, 1, 0, 0], dtype=np.float32))
-        train = build_dataset(unit_world, log.records, rng=np.random.default_rng(0))
+        train = build_dataset(unit_world, log.read_new(), rng=np.random.default_rng(0))
         assert train.sessions.num_rows == len(train) == 4
 
 
@@ -138,11 +137,11 @@ class TestSessionReplayIsTheFlatReplay:
 
     @pytest.mark.parametrize("name", ["din", "category_moe"])
     def test_uncompilable_baselines_replay_flat(self, unit_world, holdout, monkeypatch, name):
-        model = build_model(name, ModelConfig.unit(), unit_world.meta(), generator(3))
+        model = build_model(name, ModelConfig.unit(), unit_world.meta(), np.random.default_rng(3))
         seen = _spy_batches(monkeypatch, model)
-        metrics = CanaryGate().evaluate(model, holdout)
+        metrics = CanaryGate().judge(model, None, holdout).candidate
         assert set(seen) == {dict}
-        assert metrics == CanaryGate().evaluate(model, _flat_twin(holdout))
+        assert metrics == CanaryGate().judge(model, None, _flat_twin(holdout)).candidate
 
     def test_empty_dataset_scores_to_an_empty_array(self, make_model, holdout):
         model = make_model()
@@ -165,7 +164,7 @@ class TestReplayCostByCount:
         world = generate_world(WorldConfig.small(), np.random.default_rng(23))
         holdout = _click_holdout(world, sessions=169, shown=10)
         assert (holdout.sessions.num_sessions, len(holdout)) == (169, 1690)
-        model = build_model("aw_moe", ModelConfig.small(), world.meta(), generator(0))
+        model = build_model("aw_moe", ModelConfig.small(), world.meta(), np.random.default_rng(0))
 
         compiled, gate_rows = [], []
 

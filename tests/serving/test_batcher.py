@@ -266,7 +266,7 @@ class TestFlushLevelAssembly:
         cache.invalidate_all()  # model swap: gates go, data features stay
         batcher.submit(3, 2)
         assert built == [3] and cache.get_behavior(3) is state
-        cache.invalidate_user(3)  # history changed: tables and encoding go
+        cache.behaviors.clear()  # history changed: tables and encoding go
         assert cache.get_behavior(3) is None
         batcher.submit(3, 2)
         assert built == [3, 3] and cache.get_behavior(3) is not state

@@ -58,11 +58,6 @@ class TestCacheStats:
         merged = CacheStats(1, 2, 3).merge(CacheStats(10, 20, 30))
         assert (merged.hits, merged.misses, merged.evictions) == (11, 22, 33)
 
-    def test_reset(self):
-        stats = CacheStats(5, 5, 5)
-        stats.reset()
-        assert stats.lookups == 0
-
 
 class TestSessionCache:
     def test_gate_round_trip(self):
@@ -85,26 +80,6 @@ class TestSessionCache:
         cache.put_behavior(7, encoding)
         assert cache.get_behavior(7) is not None
         assert cache.behaviors.stats.hits == 1
-
-    def test_invalidate_user_drops_all_entries(self):
-        cache = SessionCache(8)
-        cache.put_gate(3, 1, np.zeros(2))
-        cache.put_gate(3, 2, np.zeros(2))
-        cache.put_gate(4, 1, np.ones(2))
-        cache.put_behavior(3, (np.zeros(1),) * 4)
-        cache.invalidate_user(3)
-        assert cache.get_gate(3, 1) is None
-        assert cache.get_gate(3, 2) is None
-        assert cache.get_behavior(3) is None
-        assert cache.get_gate(4, 1) is not None
-
-    def test_reset_stats(self):
-        cache = SessionCache(8)
-        cache.get_gate(1, 1)
-        cache.get_behavior(1)
-        cache.reset_stats()
-        assert cache.gates.stats.lookups == 0
-        assert cache.behaviors.stats.lookups == 0
 
     def test_invalidate_all_drops_gates_and_bumps_generation(self):
         """Regression test for the stale-cache hazard: after a model swap no

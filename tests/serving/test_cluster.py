@@ -41,7 +41,7 @@ class TestRouting:
 
     def test_cluster_routes_to_owning_worker(self, cluster):
         for user in (1, 7, 42):
-            worker = cluster.worker_for(user)
+            worker = cluster.workers[shard_for_user(user, cluster.num_shards)]
             assert worker.shard_id == shard_for_user(user, cluster.num_shards)
 
 
@@ -56,7 +56,7 @@ class TestClusterServing:
 
     def test_queries_land_only_on_owned_shard(self, cluster):
         cluster.submit(5, 0)
-        owner = cluster.shard_for(5)
+        owner = shard_for_user(5, cluster.num_shards)
         for worker in cluster.workers:
             expected = 1 if worker.shard_id == owner else 0
             assert worker.batcher.pending == expected
@@ -82,7 +82,7 @@ class TestClusterServing:
         for _ in range(3):
             cluster.submit(5, 1)
             cluster.flush()
-        owner = cluster.worker_for(5)
+        owner = cluster.workers[shard_for_user(5, cluster.num_shards)]
         assert owner.cache.gates.stats.hits == 2
         assert cluster.merged_metrics().cache_stats.hits == 2
 

@@ -19,6 +19,7 @@ from repro.serving import (
     ZipfLoadGenerator,
     build_fleet,
     replay,
+    shard_for_user,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -292,7 +293,7 @@ class TestSupervision:
         with build_fleet(unit_world, fleet_model, config, backend="process") as fleet:
             victim = next(
                 u for u in range(unit_world.config.num_users)
-                if fleet.shard_for(u) == 0
+                if shard_for_user(u, fleet.num_shards) == 0
             )
             for _ in range(2):
                 fleet.kill_worker(0)

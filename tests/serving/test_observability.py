@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import ModelConfig, build_model
-from repro.obs import NULL_TRACER, InMemoryExporter, SloTracker, Tracer, report_sections
+from repro.obs import NULL_TRACER, SloTracker, Tracer, report_sections
 from repro.retrieval import CascadeConfig
 from repro.serving import (
     CacheStats,
@@ -81,18 +81,18 @@ class TestSinkModes:
         sink = MetricsSink(clock=ManualClock())
         sink.record_query(2.0)
         sink.record_tier("full")
-        assert sink.registry.get("repro_latency_ms").count == 1
-        assert sink.registry.get("repro_served_full_total").value == 1
+        assert dict(sink.registry)["repro_latency_ms"].count == 1
+        assert dict(sink.registry)["repro_served_full_total"].value == 1
         exported = sink.to_registry()
         merged = sink.merge(MetricsSink(clock=ManualClock()))
         sink.record_query(3.0)
         sink.record_tier("full")
         sink.record_swap()
-        assert sink.registry.get("repro_latency_ms").count == sink.queries == 2
+        assert dict(sink.registry)["repro_latency_ms"].count == sink.queries == 2
         for snapshot in (exported, merged.registry):
-            assert snapshot.get("repro_latency_ms").count == 1
-            assert snapshot.get("repro_served_full_total").value == 1
-            assert snapshot.get("repro_model_swaps_total").value == 0
+            assert dict(snapshot)["repro_latency_ms"].count == 1
+            assert dict(snapshot)["repro_served_full_total"].value == 1
+            assert dict(snapshot)["repro_model_swaps_total"].value == 0
         # ...and recording into a merged sink leaves its operands alone.
         merged.record_query(5.0)
         merged.record_tier("popularity")
@@ -112,12 +112,12 @@ class TestSinkModes:
         b.record_tier("popularity")
         b.record_shed()
         merged = a.merge(b).to_registry()
-        assert merged.get("repro_mean_batch_size").value == pytest.approx(14 / 4)
-        assert merged.get("repro_shed_rate").value == pytest.approx(1 / 10)
-        assert merged.get("repro_degraded_share").value == pytest.approx(1 / 10)
+        assert dict(merged)["repro_mean_batch_size"].value == pytest.approx(14 / 4)
+        assert dict(merged)["repro_shed_rate"].value == pytest.approx(1 / 10)
+        assert dict(merged)["repro_degraded_share"].value == pytest.approx(1 / 10)
         # ...where each shard alone reads 2.0 / 8.0 and 0.0 / 1.0.
-        assert b.to_registry().get("repro_mean_batch_size").value == 8.0
-        assert b.to_registry().get("repro_shed_rate").value == 1.0
+        assert dict(b.to_registry())["repro_mean_batch_size"].value == 8.0
+        assert dict(b.to_registry())["repro_shed_rate"].value == 1.0
 
     def test_export_names_and_values_for_fixed_traffic(self):
         """The Prometheus / JSON surface for a fixed recorded traffic — the
@@ -222,11 +222,10 @@ class TestSinkExport:
 # ----------------------------------------------------------------------
 class TestEngineTraces:
     def test_search_emits_stage_and_kernel_spans(self, unit_world, test_set):
-        exporter = InMemoryExporter()
-        tracer = Tracer(exporter=exporter)
+        tracer = Tracer()
         engine = _engine(unit_world, test_set, tracer=tracer)
         engine.search(user=3, query_category=1)
-        (record,) = exporter.records
+        (record,) = tracer.finished
         assert record["name"] == "search"
         assert record["attrs"]["user"] == 3
         spans, children = _span_tree(record)
@@ -240,8 +239,7 @@ class TestEngineTraces:
         assert experts["attrs"]["flops"] > 0
 
     def test_cascade_substages_traced(self, unit_world, test_set):
-        exporter = InMemoryExporter()
-        tracer = Tracer(exporter=exporter)
+        tracer = Tracer()
         engine = _engine(
             unit_world,
             test_set,
@@ -249,7 +247,7 @@ class TestEngineTraces:
             cascade=CascadeConfig(retrieve_n=12, prune=8, nprobe=1),
         )
         engine.search(user=3, query_category=1)
-        (record,) = exporter.records
+        (record,) = tracer.finished
         _, children = _span_tree(record)
         top_level = [s["name"] for s in record["spans"] if s["parent"] is None]
         assert top_level[0] == "gate"  # session gate resolved once, up front
@@ -266,8 +264,7 @@ class TestEngineTraces:
 class TestBatcherTraces:
     def test_batched_request_span_tree(self, unit_world, test_set):
         clock = ManualClock()
-        exporter = InMemoryExporter()
-        tracer = Tracer(exporter=exporter, clock=clock)
+        tracer = Tracer(clock=clock)
         engine = _engine(unit_world, test_set)
         batcher = MicroBatcher(
             engine, max_batch_size=2, flush_deadline_ms=1e9,
@@ -277,8 +274,8 @@ class TestBatcherTraces:
         clock.advance(0.003)
         results = batcher.submit(2, 1)  # size trigger flushes both
         assert len(results) == 2
-        assert len(exporter.records) == 2
-        first, second = exporter.records
+        assert len(tracer.finished) == 2
+        first, second = tracer.finished
         spans, children = _span_tree(first)
         top_level = [s["name"] for s in first["spans"] if s["parent"] is None]
         assert top_level == ["submit", "queue-wait", "flush"]
@@ -297,8 +294,7 @@ class TestBatcherTraces:
 
     def test_gate_cache_hit_lands_on_span(self, unit_world, test_set):
         clock = ManualClock()
-        exporter = InMemoryExporter()
-        tracer = Tracer(exporter=exporter, clock=clock)
+        tracer = Tracer(clock=clock)
         from repro.serving import SessionCache
 
         batcher = MicroBatcher(
@@ -310,15 +306,14 @@ class TestBatcherTraces:
         batcher.submit(3, 2)  # miss: session not yet cached
         batcher.submit(3, 2)  # hit: same session re-issued
         hits = []
-        for record in exporter.records:
+        for record in tracer.finished:
             gate = next(s for s in record["spans"] if s["name"] == "gate")
             hits.append(gate["attrs"]["cache_hit"])
         assert hits == [False, True]
 
     def test_unsampled_traffic_records_nothing(self, unit_world, test_set):
         clock = ManualClock()
-        exporter = InMemoryExporter()
-        tracer = Tracer(sample_rate=0.0, exporter=exporter, clock=clock)
+        tracer = Tracer(sample_rate=0.0, clock=clock)
         batcher = MicroBatcher(
             _engine(unit_world, test_set), max_batch_size=2,
             ctx=FleetContext(clock=clock, tracer=tracer),
@@ -326,7 +321,7 @@ class TestBatcherTraces:
         batcher.submit(1, 0)
         results = batcher.submit(2, 1)
         assert len(results) == 2
-        assert exporter.records == []
+        assert not tracer.finished
         assert tracer.stats()["started"] == 2
 
 
@@ -337,7 +332,7 @@ class TestClusterObservability:
             "aw_moe", ModelConfig.unit(), test_set.meta, np.random.default_rng(0)
         )
         clock = ManualClock()
-        tracer = Tracer(exporter=InMemoryExporter(), clock=clock)
+        tracer = Tracer(clock=clock)
         slo = SloTracker(latency_slo_ms=1e6, window_seconds=600.0)
         cluster = build_fleet(
             unit_world,
@@ -454,4 +449,4 @@ class TestClusterObservability:
         cluster.flush()
         stats = cluster.ctx.tracer.stats()
         assert stats["started"] == 6
-        assert stats["exported"] == 6
+        assert len(cluster.ctx.tracer.finished) == 6

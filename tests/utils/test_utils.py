@@ -1,9 +1,9 @@
-"""Utilities: seeded RNG, registry, run log, tables."""
+"""Utilities: seeded RNG, model lookup by name, run log, tables."""
 
 import numpy as np
 import pytest
 
-from repro.utils import Registry, RunLog, SeedBank, format_float, format_table
+from repro.utils import RunLog, SeedBank, format_float, format_table
 
 
 class TestSeedBank:
@@ -22,43 +22,13 @@ class TestSeedBank:
         b = SeedBank(2).child("x").random(5)
         assert not np.allclose(a, b)
 
-    def test_spawn_count(self):
-        assert len(SeedBank(0).spawn(4)) == 4
-
-    def test_spawned_streams_independent(self):
-        rngs = SeedBank(0).spawn(2)
-        assert not np.allclose(rngs[0].random(5), rngs[1].random(5))
-
 
 class TestRegistry:
-    def test_register_and_get(self):
-        reg = Registry("widget")
+    def test_unknown_lists_known(self, test_set):
+        from repro.core import ModelConfig, build_model
 
-        @reg.register("a")
-        def make_a():
-            return "A"
-
-        assert reg.get("a")() == "A"
-        assert "a" in reg
-
-    def test_duplicate_rejected(self):
-        reg = Registry("widget")
-        reg.register("x")(lambda: None)
-        with pytest.raises(KeyError):
-            reg.register("x")(lambda: None)
-
-    def test_unknown_lists_known(self):
-        reg = Registry("widget")
-        reg.register("alpha")(lambda: None)
-        with pytest.raises(KeyError, match="alpha"):
-            reg.get("beta")
-
-    def test_iteration_sorted(self):
-        reg = Registry("widget")
-        reg.register("b")(lambda: None)
-        reg.register("a")(lambda: None)
-        assert list(reg) == ["a", "b"]
-        assert reg.names() == ["a", "b"]
+        with pytest.raises(KeyError, match="known: aw_moe, category_moe, din, dnn, mmoe"):
+            build_model("beta", ModelConfig.unit(), test_set.meta, np.random.default_rng(0))
 
 
 class TestRunLog:

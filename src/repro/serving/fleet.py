@@ -16,10 +16,12 @@ hosts each in a supervised worker process.  A transport is
 * over all shards: ``poll()``, ``flush()``, ``next_flush_due()``,
   ``swap(model, version)``, ``reports(fresh)`` — one status row per shard,
   its sink under ``metrics`` while it has one — ``describe()``, ``stop()``;
-* state: ``generation``, and three buffers the fleet drains —
+* state: ``generation``, and four buffers the fleet drains —
   ``delivered`` (results that arrived outside an exchange), ``orphans``
-  (requests of a dead shard, to re-dispatch) and ``retired`` (sinks of
-  dead incarnations).
+  (requests of a dead shard, to re-dispatch), ``refused``
+  (``(user, category, shard, reason)`` a shard refused after its
+  ``submit`` returned, to re-route from the next shard) and ``retired``
+  (sinks of dead incarnations).
 
 Swap-failure handling is the one place the transports legitimately differ:
 an in-thread shard is rolled back, a process that fails its flip is killed
@@ -69,9 +71,9 @@ class InThreadTransport:
     every operation a direct call on it, built on the fleet's ``ctx``; each
     shard's breaker records its transitions on ``events``, the control log."""
 
-    # Nothing arrives outside a call and nothing dies, so the buffers the
-    # fleet drains are permanently empty.
-    delivered = orphans = retired = ()
+    # Nothing arrives outside a call, nothing dies and nothing is refused
+    # inside a batch, so the buffers the fleet drains are permanently empty.
+    delivered = orphans = refused = retired = ()
 
     def __init__(
         self,
@@ -237,27 +239,38 @@ class Fleet:
         fallback shard (its gate/behaviour caches stay warm there for the
         duration of the incident).  If every shard refuses, the popularity
         prior answers as the last-resort tier: a submitted query *always*
-        yields a response.  On the healthy in-process path this is the
-        home shard's :meth:`ShardWorker.submit` and nothing else.
+        yields a response (on the process backend by the next :meth:`poll`
+        / :meth:`flush`: a buffered request is refused when its batch is
+        sent).  On the healthy in-process path this is the home shard's
+        :meth:`ShardWorker.submit` and nothing else.
         """
+        return self._route(user, query_category, 0)
+
+    def _route(self, user: int, query_category: int, first_offset: int) -> List[RankedList]:
+        """:meth:`submit` from the ``first_offset``-th shard of the user's
+        failover order on."""
         workers = self.workers
         home = shard_for_user(user, self.num_shards)
-        for offset in range(self.num_shards):
+        for offset in range(first_offset, self.num_shards):
             shard = (home + offset) % self.num_shards
             try:
                 results = workers[shard].submit(user, query_category)
                 break
             except ShardRefused as refused:
-                if refused.reason == "crash":
-                    self.control.events.record(
-                        "shard_failover", self.ctx.clock(), shard=shard, user=int(user)
-                    )
+                self._record_refusal(user, shard, refused.reason)
         else:
             results = [self._last_resort(user, query_category)]
         transport = self.transport
-        if transport.orphans or transport.delivered:
+        if transport.orphans or transport.delivered or transport.refused:
             results = results + self._drain()
         return results
+
+    def _record_refusal(self, user: int, shard: int, reason: str) -> None:
+        """A batcher crash is the one refusal that counts as a failover."""
+        if reason == "crash":
+            self.control.events.record(
+                "shard_failover", self.ctx.clock(), shard=shard, user=int(user)
+            )
 
     def _last_resort(self, user: int, query_category: int) -> RankedList:
         """Every shard refused: the popularity prior answers from the fleet
@@ -288,14 +301,23 @@ class Fleet:
 
     def _drain(self) -> List[RankedList]:
         """Re-submit what dead shards left unanswered (so: down the same
-        failover order), then collect what arrived outside an exchange."""
+        failover order) and what a shard refused inside a batch (from the
+        next shard in that order), then collect what arrived outside an
+        exchange."""
         transport = self.transport
         results: List[RankedList] = []
         if transport.orphans:
             orphans = list(transport.orphans)
             transport.orphans.clear()
             for user, category in orphans:
-                results.extend(self.submit(user, category))
+                results.extend(self._route(user, category, 0))
+        if transport.refused:
+            refused = list(transport.refused)
+            transport.refused.clear()
+            for user, category, shard, reason in refused:
+                self._record_refusal(user, shard, reason)
+                offset = (shard - shard_for_user(user, self.num_shards)) % self.num_shards
+                results.extend(self._route(user, category, offset + 1))
         if transport.delivered:
             results.extend(transport.delivered)
             transport.delivered.clear()
@@ -306,13 +328,20 @@ class Fleet:
         return self.transport.poll() + self._drain()
 
     def next_flush_due(self) -> Optional[float]:
-        """Earliest deadline-trigger time across shards (``None`` if idle,
-        or when shards flush on their own timers)."""
+        """Earliest deadline-trigger time across shards, ``None`` if idle.
+        On the process backend, whose workers flush on their own timers,
+        the time the oldest still-unsent request was buffered: a caller
+        that polls when this comes due sends partial batches at once."""
         return self.transport.next_flush_due()
 
     def flush(self) -> List[RankedList]:
-        """Force-flush every shard (end-of-traffic drain)."""
-        return self.transport.flush() + self._drain()
+        """Force-flush every shard (end-of-traffic drain), until no request
+        re-routed by the drain is left buffered."""
+        transport = self.transport
+        results = transport.flush() + self._drain()
+        while transport.next_flush_due() is not None:
+            results += transport.flush() + self._drain()
+        return results
 
     # ------------------------------------------------------------------
     # model lifecycle

@@ -10,6 +10,10 @@ processes serve.  Fleet *policy* lives in
 :class:`~repro.serving.fleet.Fleet`; what is here is what only a process
 needs:
 
+* **One exchange per batch** — requests are buffered per worker and sent
+  as one ``"submit"`` message once ``max_batch_size`` are waiting (``poll``
+  / ``flush`` / ``swap`` send partial buffers); one ack carries the results
+  and the refusals, which the fleet re-routes from the next shard.
 * **Heartbeats** — workers beat over their pipe every
   ``heartbeat_interval_s`` carrying their cumulative
   :meth:`~repro.serving.shard.ShardWorker.report`; a worker silent past
@@ -18,9 +22,9 @@ needs:
   the supervisor emits a typed ``worker_died`` event (exit code, beats
   missed, outstanding requests) and retires the worker's **last-flushed
   report** so no telemetry is lost to an abnormal exit.
-* **Zero drops** — requests queued on a dead worker are handed back to the
-  fleet (``orphans``), which re-dispatches them down the failover order
-  every request takes.
+* **Zero drops** — requests queued on a dead worker, or still in its send
+  buffer, are handed back to the fleet (``orphans``), which re-dispatches
+  them down the failover order every request takes.
 * **Restart with backoff + flap quarantine** — restarts reuse the
   currently published slab generation and back off exponentially; a worker
   that dies more than :data:`MAX_RESTARTS` times inside
@@ -84,7 +88,7 @@ _EXIT_EXEC_CRASH = 13
 _EXIT_FATAL = 21
 
 #: Supervisor tuning beside :class:`FleetConfig`'s heartbeat and backoff
-#: knobs.  A request waits this long for its ack before the worker is
+#: knobs.  An exchange waits this long for its ack before the worker is
 #: declared dead, and a spawned worker this long to report ready.
 REQUEST_TIMEOUT_S = 10.0
 STARTUP_TIMEOUT_S = 30.0
@@ -125,6 +129,26 @@ def _die(conn: Any, worker_id: int) -> None:
     except OSError:
         pass
     os._exit(_EXIT_FATAL)
+
+
+def _submit_batch(worker: ShardWorker, injector: Any, batch: List[Tuple[int, int]]) -> Tuple:
+    """One ``"submit"`` message: every request in order through its own
+    ``worker.exec`` fault point and :meth:`ShardWorker.submit`.  Returns
+    the flushed results and ``(index, reason)`` per refusal."""
+    results: List[RankedList] = []
+    refusals: List[Tuple[int, str]] = []
+    for index, (user, category) in enumerate(batch):
+        try:
+            try:
+                injector.fire("worker.exec", op="submit", user=user)
+            except CrashFault:
+                os._exit(_EXIT_EXEC_CRASH)  # simulated OOM kill
+            results.extend(worker.submit(user, category))
+        except ShardRefused as refused:
+            refusals.append((index, refused.reason))
+        except InjectedFault as fault:
+            refusals.append((index, type(fault).__name__))
+    return results, refusals
 
 
 def _worker_main(
@@ -185,12 +209,7 @@ def _worker_main(
                 break
             try:
                 if op == "submit":
-                    _, _, user, category = message
-                    try:
-                        injector.fire("worker.exec", op="submit", user=user)
-                    except CrashFault:
-                        os._exit(_EXIT_EXEC_CRASH)  # simulated OOM kill
-                    result: Any = worker.submit(user, category)
+                    result: Any = _submit_batch(worker, injector, message[2])
                 elif op == "flush":
                     injector.fire("worker.exec", op="flush")
                     result = batcher.flush()
@@ -252,6 +271,9 @@ class _WorkerHandle:
     last_report: Optional[Dict[str, Any]] = None
     #: FIFO of ``(user, category)`` queued on the worker, unanswered.
     outstanding: Deque[Tuple[int, int]] = field(default_factory=deque)
+    #: Requests not yet sent, and when the first of them was buffered.
+    buffer: List[Tuple[int, int]] = field(default_factory=list, init=False)
+    buffered_at: float = field(default=0.0, init=False)
     restart_times: Deque[float] = field(default_factory=deque)
     restart_at: float = 0.0
     restarts: int = 0
@@ -265,10 +287,11 @@ class PipeTransport:
     """Own a pool of worker processes serving one published slab generation.
 
     ``workers`` are the per-slot :class:`_WorkerHandle` records.  The
-    fleet drains three buffers after every operation: ``delivered``
+    fleet drains four buffers after every operation: ``delivered``
     (deadline flushes the workers ran on their own timers), ``orphans``
-    (requests a dead worker left unanswered) and ``retired`` (the
-    last-reported sink of every dead incarnation).  Lifecycle events go to
+    (requests a dead worker left unanswered), ``refused`` (requests a
+    worker refused inside a batch) and ``retired`` (the last-reported sink
+    of every dead incarnation).  Lifecycle events go to
     ``events``, the fleet's control-plane log, stamped ``time.monotonic``.
     ``ctx`` is the fleet's (:meth:`FleetContext.check_portable` passed):
     its injector fires the supervisor's fault points and its ``fault_plan``
@@ -299,6 +322,8 @@ class PipeTransport:
         self._rid = 0
         self.delivered: List[RankedList] = []
         self.orphans: Deque[Tuple[int, int]] = deque()
+        #: ``(user, category, shard, reason)`` a worker refused inside a batch.
+        self.refused: List[Tuple[int, int, int, str]] = []
         self.retired: List[Any] = []
         self._stopped = False
         available = START_METHOD in multiprocessing.get_all_start_methods()
@@ -478,10 +503,12 @@ class PipeTransport:
             "worker": handle.worker_id,
             "reason": reason,
             "exit_code": self._reap(handle),
-            "outstanding": len(handle.outstanding),
+            "outstanding": len(handle.outstanding) + len(handle.buffer),
         }
         self.orphans.extend(handle.outstanding)
+        self.orphans.extend(handle.buffer)
         handle.outstanding.clear()
+        handle.buffer = []
         if beats_missed is not None:
             attrs["beats_missed"] = beats_missed
         if detail is not None:
@@ -604,27 +631,63 @@ class PipeTransport:
     # the operations the fleet drives
     # ------------------------------------------------------------------
     def submit(self, handle: _WorkerHandle, user: int, category: int) -> List[RankedList]:
+        """Buffer one request for ``handle``'s worker; the one that fills
+        the buffer to ``max_batch_size`` sends it (:meth:`_send`)."""
         self._service()
-        user, category = int(user), int(category)
-        results = self._call(handle, "submit", user, category)
+        if handle.state != HEALTHY:
+            raise ShardRefused("unavailable")
+        if not handle.buffer:
+            handle.buffered_at = time.monotonic()
+        handle.buffer.append((int(user), int(category)))
+        if len(handle.buffer) < self.config.max_batch_size:
+            return []
+        return self._send(handle, trigger=True)
+
+    def _send(self, handle: _WorkerHandle, trigger: bool = False) -> List[RankedList]:
+        """Send ``handle``'s buffer as one exchange; returns what the worker
+        flushed.  Refusals go to ``refused`` and, if the worker dies, the
+        batch to ``orphans`` — except the ``trigger`` (the last request,
+        whose submit filled the buffer): it raises :class:`ShardRefused`,
+        with the results parked in ``delivered``."""
+        batch, handle.buffer = handle.buffer, []
+        try:
+            results, refusals = self._call(handle, "submit", batch)
+        except ShardRefused:
+            self.orphans.extend(batch[:-1] if trigger else batch)
+            if trigger:
+                raise
+            return []
         # Queued on the worker from the ack on; a worker that dies *during*
-        # the exchange never held it, so the fleet's failover alone
-        # re-routes it (no orphan, no duplicate answer).
-        handle.outstanding.append((user, category))
-        return self._settle(handle, results)
+        # the exchange never held them, so they are orphans, not outstanding.
+        skipped = {index for index, _ in refusals}
+        handle.outstanding.extend(r for i, r in enumerate(batch) if i not in skipped)
+        results = self._settle(handle, results)
+        for index, reason in refusals:
+            if trigger and index == len(batch) - 1:
+                self.delivered.extend(results)
+                raise ShardRefused(reason)
+            self.refused.append((*batch[index], handle.worker_id, reason))
+        return results
+
+    def _send_all(self) -> List[RankedList]:
+        return [got for handle in self.workers if handle.buffer for got in self._send(handle)]
 
     def poll(self) -> List[RankedList]:
-        """Workers flush on their own deadlines in real time and push the
-        results; the housekeeping pass moves them to ``delivered``."""
+        """Send every buffered request.  Workers flush on their own
+        deadlines in real time and push the results; the housekeeping pass
+        moves those to ``delivered``."""
         self._service()
-        return []
+        return self._send_all()
 
-    def next_flush_due(self) -> None:
-        return None
+    def next_flush_due(self) -> Optional[float]:
+        """When the oldest unsent request was buffered (``time.monotonic``,
+        the fleet clock), ``None`` once every buffer is sent: due at once,
+        since the flush deadline runs in the worker."""
+        return min((h.buffered_at for h in self.workers if h.buffer), default=None)
 
     def flush(self) -> List[RankedList]:
         self._service()
-        results: List[RankedList] = []
+        results = self._send_all()
         for handle in self.workers:
             try:
                 results.extend(self._settle(handle, self._call(handle, "flush")))
@@ -652,7 +715,7 @@ class PipeTransport:
                 "pid": handle.pid,
                 "generation": handle.generation,
                 "restarts": handle.restarts,
-                "outstanding": len(handle.outstanding),
+                "outstanding": len(handle.outstanding) + len(handle.buffer),
             })
         return rows
 
@@ -670,7 +733,8 @@ class PipeTransport:
         The new slab is published and verified first (torn publishes are
         destroyed and retried; exhaustion raises :class:`SwapFailed` with
         the fleet still consistently on the old generation).  Once the new
-        slab is durable the supervisor commits: every worker restart from
+        slab is durable (buffered requests were sent before the publish)
+        the supervisor commits: every worker restart from
         here attaches the *new* generation, each live worker drains its
         batcher and flips (drain → attach → ack — no flush can mix
         versions), and the old slab is unlinked only after every live
@@ -679,10 +743,10 @@ class PipeTransport:
         converges rather than mixing.
         """
         self._service()
+        drained = self._send_all()
         old_slab = self.slab
         # Commit point: restarts now attach the new generation.
         self.slab = self._publish(model, version, generation=self.generation + 1)
-        drained: List[RankedList] = []
         for handle in self.workers:
             try:
                 drained.extend(

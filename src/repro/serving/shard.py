@@ -71,9 +71,11 @@ class SwapFailed(RuntimeError):
 class ShardRefused(Exception):
     """The shard did not take this request; the fleet fails over.
     ``reason``: ``"breaker_open"``, ``"crash"`` (the batcher crashed on the
-    submit — the one refusal that counts as a ``shard_failover``),
-    ``"unavailable"`` (a worker process that is down) or ``"died"`` (it went
-    down during the exchange)."""
+    submit — the one refusal that counts as a ``shard_failover``), the class
+    name of any other injected fault the submit raised (e.g.
+    ``"TransientFault"``, from a worker process), ``"unavailable"`` (a
+    worker process that is down) or ``"died"`` (it went down during the
+    exchange)."""
 
     def __init__(self, reason: str) -> None:
         super().__init__(reason)

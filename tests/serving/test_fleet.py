@@ -213,7 +213,9 @@ class TestOneSurface:
                 version="v1",
                 ctx=FleetContext(fault_plan=plan),
             ) as fleet:
-                (answer,) = fleet.submit(user, category)
+                # A process worker refuses a buffered request when its batch
+                # is sent, so the answer may come from the flush.
+                (answer,) = fleet.submit(user, category) + fleet.flush()
                 shed = fleet.control.events.events("load_shed")
                 assert fleet.merged_metrics().shed == 1
             assert (answer.tier, answer.model_version) == (tier, "v1")
@@ -223,6 +225,75 @@ class TestOneSurface:
             assert [event.attrs for event in shed] == [
                 {"user": user, "reason": "all_shards_unavailable"}
             ]
+
+
+def _homed_on(world, shard, num_shards, count):
+    users = [
+        u for u in range(world.config.num_users) if shard_for_user(u, num_shards) == shard
+    ][:count]
+    return [(u, int(np.argmax(world.user_interests[u]))) for u in users]
+
+
+class TestBatchedExchange:
+    """The process backend sends each worker one message per batch."""
+
+    def test_one_submit_exchange_per_full_batch(self, unit_world, fleet_model, monkeypatch):
+        ops = []
+        call = pipe.PipeTransport._call
+
+        def counting(self, handle, op, *args, **kwargs):
+            ops.append(op)
+            return call(self, handle, op, *args, **kwargs)
+
+        monkeypatch.setattr(pipe.PipeTransport, "_call", counting)
+        config = FleetConfig(num_workers=1, max_batch_size=8)
+        with build_fleet(unit_world, fleet_model, config, backend="process") as fleet:
+            answers = [fleet.submit(user, category) for user, category in _traffic(unit_world, 24)]
+            assert ops.count("submit") == 3
+            assert [len(got) for got in answers] == [0] * 7 + [8] + [0] * 7 + [8] + [0] * 7 + [8]
+            assert fleet.flush() == [] and ops.count("submit") == 3
+
+    def test_refusal_inside_a_buffered_batch_fails_over_like_inprocess(
+        self, unit_world, fleet_model
+    ):
+        traffic = _homed_on(unit_world, 0, 2, 5)
+        user = traffic[2][0]
+        plan = FaultPlan(
+            seed=0,
+            specs=(FaultSpec("batcher.submit", "crash", match={"user": user, "shard": 0}),),
+        )
+        seen = {}
+        for backend in ("inprocess", "process"):
+            with build_fleet(
+                unit_world, fleet_model, FleetConfig(num_workers=2), backend=backend,
+                ctx=FleetContext(fault_plan=plan),
+            ) as fleet:
+                answers = [r for r in _drain(fleet, traffic) if r.user == user]
+                failovers = fleet.control.events.events("shard_failover")
+            (answer,) = answers
+            seen[backend] = (answer, [event.attrs for event in failovers])
+        (inproc, inproc_events), (answer, events) = seen["inprocess"], seen["process"]
+        assert events == inproc_events == [{"shard": 0, "user": user}]
+        assert (answer.tier, answer.model_version) == (inproc.tier, inproc.model_version)
+        np.testing.assert_array_equal(answer.items, inproc.items)
+        np.testing.assert_array_equal(answer.scores, inproc.scores)
+
+    def test_killed_worker_buffer_is_answered_exactly_once(self, unit_world, fleet_model):
+        traffic = _homed_on(unit_world, 0, 2, 3)
+        config = FleetConfig(num_workers=2, restart_backoff_s=5.0)
+        with build_fleet(unit_world, fleet_model, config, backend="process") as fleet:
+            before = time.monotonic()
+            for user, category in traffic:
+                assert fleet.submit(user, category) == []
+            after = time.monotonic()
+            assert before <= fleet.next_flush_due() <= after
+            assert fleet.kill_worker(0) is not None
+            results = fleet.flush()
+            assert fleet.next_flush_due() is None
+            (died,) = fleet.control.events.events("worker_died")
+            assert died.attrs["outstanding"] == 3
+        assert sorted((r.user, r.query_category) for r in results) == sorted(traffic)
+        assert {r.tier for r in results} == {"full"}
 
 
 class TestSupervision:

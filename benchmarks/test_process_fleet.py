@@ -19,7 +19,8 @@ shard cluster it generalizes:
 The whole file runs under an internal wall-clock watchdog (a hung fleet
 must fail loudly, not eat the CI job; the CI step adds a hard ``timeout``
 on top).  Artifacts (CI-uploaded): ``process_fleet.json`` (the combined
-report) and ``fleet_events.jsonl`` (the supervisor's control-plane event
+report, with the published slab's ``describe()``: bytes and externalized
+array count) and ``fleet_events.jsonl`` (the supervisor's control-plane event
 log, one JSON object per line).  ``REPRO_SMOKE=1`` shrinks world and
 traffic for CI.
 """
@@ -127,6 +128,7 @@ def test_process_fleet():
     fleet = build_fleet(world, serve_model, config, backend="process")
     fleet_results, multi_s = _drive(fleet, traffic)
     got = _identity_key(fleet_results)
+    slab = fleet.summary()["slab"]
     fleet.stop()
     # Same requests, same routing, same ranking order.  Scores are allowed
     # 1-ULP float32 jitter: zero-copy slab views sit at different addresses
@@ -208,6 +210,7 @@ def test_process_fleet():
             "score_atol": 1e-6,
         },
         "qps": qps,
+        "slab": slab,
         "soak": soak,
         "elapsed_s": time.monotonic() - _START,
     }
@@ -226,6 +229,8 @@ def test_process_fleet():
                 f"{NUM_WORKERS}-worker qps",
                 f"{qps[f'process_{NUM_WORKERS}_workers']:.0f}",
             ],
+            ["slab KiB", f"{slab['nbytes'] / 1024:.0f}"],
+            ["slab arrays", str(slab["arrays"])],
             ["soak submitted", str(soak["submitted"])],
             ["soak answered", str(soak["answered"])],
             ["soak restarts", str(soak["restarts"])],

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -138,7 +138,15 @@ class WorldConfig:
 
 @dataclass
 class World:
-    """Generated entities; all entity ids are 0-based (padding added later)."""
+    """Generated entities; all entity ids are 0-based (padding added later).
+
+    A world pickles ``histories`` as one flat item-id array plus per-user
+    lengths and unpickles them as per-user slices of that array, so a
+    process-fleet slab externalizes one array for every user's history
+    instead of one per user (readers still index ``histories[user]``).
+    ``copy.copy`` goes through the same pair, so a copy's histories are
+    copies, not the original arrays.
+    """
 
     config: WorldConfig
     # items
@@ -159,6 +167,21 @@ class World:
     user_interests: np.ndarray  # (U, C) rows sum to 1
     user_style: np.ndarray  # (U,) float in [0, 1], preferred style
     histories: List[np.ndarray]  # per user: chronological item ids, oldest first
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        histories = state.pop("histories")
+        state["history_lengths"] = np.asarray([len(h) for h in histories], dtype=np.int64)
+        state["history_items"] = (
+            np.concatenate(histories) if histories else np.empty(0, dtype=np.int64)
+        )
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        items, lengths = state.pop("history_items"), state.pop("history_lengths")
+        ends = np.cumsum(lengths).tolist()
+        state["histories"] = [items[end - n : end] for n, end in zip(lengths.tolist(), ends)]
+        self.__dict__.update(state)
 
     @property
     def num_items(self) -> int:

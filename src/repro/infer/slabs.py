@@ -41,7 +41,7 @@ import os
 import pickle
 import struct
 import zlib
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -169,11 +169,14 @@ class _SlabUnpickler(pickle.Unpickler):
         super().__init__(file)
         self._buf = buf
         self._region = region_start
+        #: Distinct persistent ids resolved (a deduplicated array is one).
+        self.pids: Set[Tuple] = set()
 
     def persistent_load(self, pid: Tuple) -> np.ndarray:
         tag, offset, shape, dtype = pid
         if tag != _PID_TAG:
             raise pickle.UnpicklingError(f"unknown persistent id tag {tag!r}")
+        self.pids.add(pid)
         view = np.ndarray(shape, np.dtype(dtype), buffer=self._buf, offset=self._region + offset)
         view.flags.writeable = False
         return view
@@ -199,6 +202,7 @@ class SnapshotSlab:
         nbytes: int,
         pickle_bytes: int,
         array_bytes: int,
+        arrays: int,
     ) -> None:
         self._segment = segment
         self.name = name
@@ -207,6 +211,9 @@ class SnapshotSlab:
         self.nbytes = int(nbytes)
         self.pickle_bytes = int(pickle_bytes)
         self.array_bytes = int(array_bytes)
+        #: Arrays externalized into the region: each costs a pickler
+        #: callback at publish and a view construction at every attach.
+        self.arrays = int(arrays)
 
     # ------------------------------------------------------------------
     # writer side
@@ -251,7 +258,9 @@ class SnapshotSlab:
             dest[...] = array
         buf[_HEADER_SIZE : _HEADER_SIZE + len(pickled)] = pickled
         crc = zlib.crc32(buf[_HEADER_SIZE:total])
-        slab = cls(segment, name, payload, total, len(pickled), pickler.cursor)
+        slab = cls(
+            segment, name, payload, total, len(pickled), pickler.cursor, len(pickler.arrays)
+        )
         fraction = injector.truncate_fraction("slab.publish", slab=name, **fault_ctx)
         if fraction is not None:
             survived = _HEADER_SIZE + int((total - _HEADER_SIZE) * fraction)
@@ -298,9 +307,11 @@ class SnapshotSlab:
             raise
         region_start = _align(_HEADER_SIZE + pickle_len)
         pickled = io.BytesIO(bytes(buf[_HEADER_SIZE : _HEADER_SIZE + pickle_len]))
-        payload = _SlabUnpickler(pickled, buf, region_start).load()
+        unpickler = _SlabUnpickler(pickled, buf, region_start)
+        payload = unpickler.load()
         return cls(
-            segment, name, payload, total, pickle_len, total - region_start
+            segment, name, payload, total, pickle_len, total - region_start,
+            len(unpickler.pids),
         )
 
     @staticmethod
@@ -352,6 +363,7 @@ class SnapshotSlab:
             "nbytes": self.nbytes,
             "pickle_bytes": self.pickle_bytes,
             "array_bytes": self.array_bytes,
+            "arrays": self.arrays,
         }
 
 

@@ -101,6 +101,7 @@ def report_sections(summary: Mapping[str, Any]) -> List[Section]:
             title += (
                 f", generation {summary['generation']},"
                 f" slab {summary['slab_bytes'] / 1024:.0f} KiB"
+                f" in {summary['slab']['arrays']} arrays"
             )
         sections.append(Section(
             title,

@@ -1,11 +1,15 @@
 """Shared-memory snapshot slabs: publish/attach roundtrip, corruption
-detection, and the startup orphan sweep."""
+detection, the startup orphan sweep, and a world's histories travelling
+as one array."""
 
 import os
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.data import WorldConfig, generate_world
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.infer import (
     SlabFormatError,
@@ -96,6 +100,20 @@ class TestRoundtrip:
         finally:
             slab.destroy()
 
+    def test_describe_counts_each_distinct_array_once_on_both_sides(self):
+        shared = np.arange(10.0)
+        slab = _publish({"a": shared, "same": shared, "b": np.ones(3), "n": 7})
+        try:
+            assert slab.describe()["arrays"] == 2
+            reader = SnapshotSlab.attach(slab.name)
+            try:
+                assert reader.describe()["arrays"] == 2
+            finally:
+                reader.payload = None
+                reader.close()
+        finally:
+            slab.destroy()
+
     def test_exists_tracks_lifecycle(self):
         slab = _publish({"x": 1})
         name = slab.name
@@ -182,3 +200,80 @@ class TestOrphanSweep:
         removed = sweep_orphan_slabs()
         assert name in removed
         assert not os.path.exists(path)
+
+
+_CACHED = ("item_slab", "category_items", "category_popularity", "category_inverse_popularity")
+
+
+def _world(num_users=200):
+    """A unit world whose cached catalog tables are built (so they travel)."""
+    config = replace(WorldConfig.unit(), num_users=num_users)
+    world = generate_world(config, np.random.default_rng(4))
+    for name in _CACHED:
+        getattr(world, name)
+    return world
+
+
+def _assert_same_world(got, want):
+    assert len(got.histories) == len(want.histories)
+    for ours, theirs in zip(got.histories, want.histories):
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        np.testing.assert_array_equal(ours, theirs)
+    for name in _CACHED:
+        assert name in vars(got), f"{name} was rebuilt, not carried"
+    for name in _CACHED[1:]:
+        assert len(getattr(got, name)) == len(getattr(want, name))
+        for ours, theirs in zip(getattr(got, name), getattr(want, name)):
+            np.testing.assert_array_equal(ours, theirs)
+    for column in type(want.item_slab).__slots__:
+        np.testing.assert_array_equal(
+            getattr(got.item_slab, column), getattr(want.item_slab, column)
+        )
+
+
+class TestWorldHistoriesTravelAsOneArray:
+    def test_pickle_roundtrip_keeps_every_history(self):
+        world = _world()
+        assert any(len(h) == 0 for h in world.histories)
+        _assert_same_world(pickle.loads(pickle.dumps(world)), world)
+
+    def test_worlds_without_users_roundtrip(self):
+        world = _world()
+        empty = replace(world, histories=[])
+        assert pickle.loads(pickle.dumps(empty)).histories == []
+        blank = replace(world, histories=[np.empty(0, dtype=np.int64)] * 3)
+        got = pickle.loads(pickle.dumps(blank)).histories
+        assert [(h.dtype, h.shape) for h in got] == [(np.dtype(np.int64), (0,))] * 3
+
+    def test_slab_roundtrip_gives_read_only_views(self):
+        world = _world()
+        slab = _publish({"world": world})
+        try:
+            reader = SnapshotSlab.attach(slab.name)
+            try:
+                got = reader.payload["world"]
+                _assert_same_world(got, world)
+                rich = next(h for h in got.histories if len(h))
+                assert not rich.flags.writeable and not rich.flags.owndata
+                with pytest.raises(ValueError):
+                    rich[0] = 0
+                # Every history is a slice of one externalized array.
+                flat = got.histories[0].base
+                assert isinstance(flat, np.ndarray)
+                assert flat.size == sum(len(h) for h in world.histories)
+                assert all(h.base is flat for h in got.histories)
+            finally:
+                reader.payload = None
+                reader.close()
+        finally:
+            slab.destroy()
+
+    def test_array_count_does_not_grow_with_users(self):
+        counts = []
+        for num_users in (100, 400):
+            slab = _publish({"world": _world(num_users)})
+            try:
+                counts.append(slab.describe()["arrays"])
+            finally:
+                slab.destroy()
+        assert counts[0] == counts[1]

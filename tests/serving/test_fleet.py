@@ -176,6 +176,8 @@ class TestOneSurface:
             report = fleet.fleet_report(dashboard_path=str(html))
             assert "fleet — 2 shard(s), model v1" in report
             assert "p95 ms" in report and "degradation ladder" in report
+            if backend == "process":
+                assert f"KiB in {summary['slab']['arrays']} arrays" in report
             assert f"dashboard: {html}" in report and html.stat().st_size > 0
             assert fleet.dashboard(str(html)) == str(html)
             fleet.swap_model(swap_target, "v2")

@@ -187,6 +187,12 @@ def test_retrieval_cascade_speedup_and_recall():
     fleet_results = replay(cluster, events)
     fleet_qps = NUM_QUERIES / (time.perf_counter() - start)
     assert len(fleet_results) == NUM_QUERIES
+    # Each shard's compiled working set (score + gate arenas) after serving
+    # every flush size its traffic produced: the arena's high-water mark.
+    arena_bytes = [
+        sum(worker.engine.compiled_model.stats()[plan]["arena_bytes"] for plan in ("score", "gate"))
+        for worker in cluster.workers
+    ]
     fleet_recall = float(
         np.mean(
             [
@@ -252,7 +258,12 @@ def test_retrieval_cascade_speedup_and_recall():
             "index": engine.cascade.stats(),
         },
         "exhaustive": {"qps": exhaustive_qps},
-        "fleet": {"num_shards": 2, "qps": fleet_qps, "recall_at_10": fleet_recall},
+        "fleet": {
+            "num_shards": 2,
+            "qps": fleet_qps,
+            "recall_at_10": fleet_recall,
+            "arena_bytes": arena_bytes,
+        },
         "shadow_recall": {
             "rate": 1.0,
             "samples": shadow.samples,

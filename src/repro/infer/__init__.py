@@ -6,9 +6,9 @@ millions of times on identical batch geometry.  This package separates the
 two concerns the way deployed ranking systems do (§III-F): ``compile_model``
 freezes a trained model into an :class:`InferencePlan` — a flat list of
 fused NumPy kernels over packed contiguous float32 weights, executing in a
-preallocated shape-keyed :class:`BufferArena` with **zero steady-state
-allocations** — and the serving stack (:mod:`repro.serving`) executes plans
-instead of eager forwards.
+slot-keyed :class:`BufferArena` (one buffer per kernel slot, sized by the
+largest batch) with **zero steady-state allocations** — and the serving
+stack (:mod:`repro.serving`) executes plans instead of eager forwards.
 
 The candidate-independent gate subgraph is compiled as its own plan, so the
 session-gate cache (§III-F1) feeds the score plan directly.  A float64

@@ -6,12 +6,11 @@ fused kernel steps** operating on raw ``np.ndarray``s.  There is no graph
 walk, no operator dispatch, and no autodiff bookkeeping at execution time —
 each step is a plain Python callable closed over packed weights.
 
-All intermediate storage is leased from a :class:`BufferArena`: a dictionary
-keyed by ``(step, slot, shape)`` whose buffers are allocated on first use and
-reused verbatim on every later call with the same shapes.  Serving traffic
-re-scores the same batch geometry over and over (``candidates_per_query``
-rows per session, micro-batches of the configured flush size), so after a
-one-call warmup the plan executes with **zero array allocations** — the
+All intermediate storage is leased from a :class:`BufferArena`, which keeps
+one flat buffer per ``(step, slot, dtype)`` at the largest size ever leased
+and hands out C-contiguous views of its prefix.  A shard flushes every batch
+size from 1 to ``max_batch_size``; all share the buffers the largest grew, so
+once it has run the plan executes with **zero array allocations** — the
 arena's hit/miss counters make that measurable (``tests/infer/test_plan.py``
 asserts it).
 
@@ -23,6 +22,7 @@ as each training process owns its own activations.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -35,19 +35,28 @@ __all__ = ["BufferArena", "PlanStep", "InferencePlan"]
 
 
 class BufferArena:
-    """Shape-keyed pool of preallocated scratch buffers.
+    """One scratch buffer per ``(step, slot, dtype)``, shared by every shape.
 
-    ``lease(step, slot, shape)`` returns a contiguous ``np.empty`` buffer of
-    the plan dtype, cached under ``(step, slot, shape)``.  Buffer contents
-    are *not* zeroed between calls — every kernel fully overwrites its
-    output, which the parity tests verify by running the same plan twice.
+    ``lease(step, slot, shape)`` returns ``flat[:prod(shape)].reshape(shape)``:
+    C-contiguous with exactly the requested shape, so a kernel computes the
+    same floats whatever size the buffer grew to.  A lease larger than the
+    buffer replaces it (a *miss*, the only allocation); views are cached per
+    shape, so a repeated lease is one dict lookup.  Contents are never
+    zeroed — every kernel fully overwrites its output.  All shapes of a key
+    alias one buffer, so a plan leases each key at most once per ``run``
+    (both tested), and a result is valid until the next ``run``.
     """
 
-    __slots__ = ("dtype", "_buffers", "hits", "misses")
+    __slots__ = ("dtype", "_slots", "_views", "_view_keys", "hits", "misses")
 
     def __init__(self, dtype: np.dtype = np.float32) -> None:
         self.dtype = np.dtype(dtype)
-        self._buffers: Dict[Tuple, np.ndarray] = {}
+        #: ``(step, slot, dtype)`` -> the slot's flat buffer.
+        self._slots: Dict[Tuple, np.ndarray] = {}
+        #: ``(step, slot, shape, dtype)`` -> a view of the current buffer.
+        self._views: Dict[Tuple, np.ndarray] = {}
+        #: ``(step, slot, dtype)`` -> the ``_views`` keys of its buffer.
+        self._view_keys: Dict[Tuple, List[Tuple]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -55,15 +64,25 @@ class BufferArena:
         self, step: str, slot: str, shape: Tuple[int, ...], dtype: Optional[np.dtype] = None
     ) -> np.ndarray:
         wanted = self.dtype if dtype is None else np.dtype(dtype)
-        key = (step, slot, shape, wanted)
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=wanted)
-            self._buffers[key] = buf
+        view_key = (step, slot, shape, wanted)
+        view = self._views.get(view_key)
+        if view is not None:
+            self.hits += 1
+            return view
+        key = (step, slot, wanted)
+        size = math.prod(shape)
+        flat = self._slots.get(key)
+        if flat is None or flat.size < size:
+            # Drop the outgrown buffer's views: they would keep it alive.
+            for stale in self._view_keys.pop(key, ()):
+                del self._views[stale]
+            flat = self._slots[key] = np.empty(size, dtype=wanted)
             self.misses += 1
         else:
             self.hits += 1
-        return buf
+        self._view_keys.setdefault(key, []).append(view_key)
+        view = self._views[view_key] = flat[:size].reshape(shape)
+        return view
 
     def binder(self, step: str, dtype: Optional[np.dtype] = None) -> Callable:
         """A ``lease(slot, shape)`` closure pinned to one step name."""
@@ -71,12 +90,12 @@ class BufferArena:
 
     @property
     def num_buffers(self) -> int:
-        return len(self._buffers)
+        return len(self._slots)
 
     @property
     def nbytes(self) -> int:
         """Total bytes held by the arena (the plan's whole working set)."""
-        return sum(buf.nbytes for buf in self._buffers.values())
+        return sum(buf.nbytes for buf in self._slots.values())
 
 
 @dataclass(frozen=True)

@@ -115,10 +115,11 @@ class CanaryGate:
         in place between refresh cycles, and a cached plan (a weight
         *snapshot*) would silently replay stale weights.  Packing is
         sub-millisecond at this scale; staleness is a wrong promotion.  What
-        a fresh compile does cost is a cold arena per distinct chunk shape
-        (score + gate 46 + 42 MiB when 1024 *rows* ran the flat kernels,
-        28 + 4 MiB for the same rows as ≈ 100 sessions) — hence a bounded
-        chunk, not one batch.
+        a fresh compile does cost is a cold arena, one buffer per slot at
+        the largest chunk's size (score + gate 27.6 + 25.5 MiB when 1024
+        *rows* ran the flat kernels, 17.0 + 2.5 MiB for the same rows as
+        ≈ 100 sessions) — hence a bounded chunk, not one batch.  Smaller
+        chunks view the same buffers and cost no memory.
         """
         try:
             return compile_model(model)

@@ -318,8 +318,9 @@ class RetrievalCascade:
     def _build_rows(self) -> int:
         """Rows per build-time scoring call: what a one-session serving flush
         ranks (``prune`` survivors, else a whole category).  The serving
-        plan does the build and its arena keeps a buffer set per shape, so
-        the build scores only in shapes serving allocates anyway."""
+        plan does the build; scoring in serving's shapes gives it the floats
+        a serving flush gives and keeps the plan's arena under serving's
+        high-water mark."""
         return self.config.prune or max(members.size for members in self._by_category)
 
     def _probe_pass(self) -> np.ndarray:
@@ -342,7 +343,7 @@ class RetrievalCascade:
                 continue
             rows = min(self._build_rows, members.size)
             # Equal-shape chunks; the last one steps back over rows already
-            # scored rather than leave a remainder shape in the arena.
+            # scored rather than score a remainder in a shape serving never runs.
             for start in [*range(0, members.size - rows, rows), members.size - rows]:
                 chunk = members[start : start + rows]
                 batch = assemble_session(self.world, state.user, cat, chunk, state=state)

@@ -16,6 +16,7 @@ from repro.core.extensions.sparse_gate import SparseGatedAWMoE
 from repro.data import SessionBatch, WorldConfig, assemble_session
 from repro.data.amazon import make_amazon_datasets
 from repro.infer import PlanProfiler, compile_model, float64_twin
+from repro.infer.plan import BufferArena
 
 RTOL_F32 = 1e-4
 
@@ -163,10 +164,23 @@ class TestFloat32Factored:
             compiled.predict_proba(factored),
         ) < RTOL_F32
 
-    def test_session_side_kernels_run_on_session_rows(self, unit_world, model, factored):
+    def test_session_side_kernels_run_on_session_rows(
+        self, monkeypatch, unit_world, model, factored
+    ):
         """The saving, observed: behaviour/query steps output S(·M) rows and
-        are charged FLOPs for those rows only; nothing 3H wide is leased."""
+        are charged FLOPs for those rows only; nothing 3H wide is leased —
+        while the flat twin, which takes the pairwise path, does lease it."""
         compiled = compile_model(model)
+        score_arena = compiled.score_plan.arena
+        leased = []
+        lease = BufferArena.lease
+
+        def recording(arena, step, slot, shape, dtype=None):
+            if arena is score_arena:
+                leased.append(shape)
+            return lease(arena, step, slot, shape, dtype)
+
+        monkeypatch.setattr(BufferArena, "lease", recording)
         profiler = PlanProfiler()
         with profiler.profiling(compiled.gate_plan, compiled.score_plan):
             compiled.predict_proba(factored)
@@ -185,10 +199,13 @@ class TestFloat32Factored:
             assert rows[name]["mflops"] == pytest.approx(want * steps[name].flops / 1e6)
         assert "input.att_pairwise" not in rows
         hidden = model.input_network.hidden_dim
-        assert not any(
-            buf.ndim == 3 and buf.shape[-1] == 3 * hidden
-            for buf in compiled.score_plan.arena._buffers.values()
-        )
+
+        def pairwise_leased():
+            return any(len(shape) == 3 and shape[-1] == 3 * hidden for shape in leased)
+
+        assert leased and not pairwise_leased()
+        compiled.predict_proba(factored.flat())
+        assert pairwise_leased()
 
     def test_zero_allocations_after_warmup(self, model, factored):
         compiled = compile_model(model)

@@ -1,11 +1,16 @@
-"""Plan mechanics: arena reuse, gate-subgraph split, fallback, API contracts."""
+"""Plan mechanics: arena reuse, lease-once runs, gate-subgraph split, fallback, API contracts."""
+
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.core import ModelConfig, build_model
+from repro.core.extensions.sparse_gate import SparseGatedAWMoE
+from repro.data import SessionBatch, assemble_session
 from repro.data.dataset import iterate_batches
 from repro.infer import CompileError, compile_model
+from repro.infer.plan import BufferArena, InferencePlan
 from repro.nn import Tensor, no_grad
 from repro.serving import SearchEngine
 
@@ -20,6 +25,18 @@ def model(test_set):
 @pytest.fixture(scope="module")
 def batch(test_set):
     return next(iterate_batches(test_set, 32))
+
+
+def _sessions(world, count):
+    """``count`` sessions of unequal size (1 to 7 candidates) as one batch."""
+    rng = np.random.default_rng(count)
+    parts = []
+    for s in range(count):
+        category = s % world.config.num_categories
+        members = np.flatnonzero(world.item_category == category)
+        chosen = rng.choice(members, size=min(1 + (3 * s) % 7, members.size), replace=False)
+        parts.append(assemble_session(world, 3 + 5 * s, category, chosen))
+    return SessionBatch.concat(parts)
 
 
 class TestBufferArena:
@@ -46,17 +63,52 @@ class TestBufferArena:
         assert first is second
 
     def test_new_shape_extends_arena_once(self, model, test_set):
+        """A larger batch grows the existing slot buffers — no new slots —
+        and every smaller batch then runs in their prefix: after small and
+        large, the arena holds exactly what a large-only plan holds."""
         compiled = compile_model(model)
         small = next(iterate_batches(test_set, 8))
         large = next(iterate_batches(test_set, 16))
+        arena = compiled.score_plan.arena
         compiled.predict_proba(small)
-        count_small = compiled.score_plan.arena.num_buffers
+        counts_small = (arena.num_buffers, arena.misses)
         compiled.predict_proba(large)
-        count_both = compiled.score_plan.arena.num_buffers
-        assert count_both > count_small
+        assert arena.misses > counts_small[1]
+        assert arena.num_buffers == counts_small[0]
+        counts_both = (arena.num_buffers, arena.misses)
         compiled.predict_proba(small)
         compiled.predict_proba(large)
-        assert compiled.score_plan.arena.num_buffers == count_both
+        assert (arena.num_buffers, arena.misses) == counts_both
+        large_only = compile_model(model)
+        large_only.predict_proba(large)
+        assert arena.nbytes == large_only.score_plan.arena.nbytes
+        assert compiled.gate_plan.arena.nbytes == large_only.gate_plan.arena.nbytes
+
+    def test_growth_frees_the_outgrown_buffer(self):
+        """A growth replaces the slot buffer and drops the cached views that
+        would keep the old one alive; smaller shapes then view the new one."""
+        arena = BufferArena()
+        arena.lease("step", "out", (2, 3))
+        outgrown = weakref.ref(arena._slots[("step", "out", np.dtype(np.float32))])
+        big = arena.lease("step", "out", (4, 3))
+        assert outgrown() is None
+        small = arena.lease("step", "out", (2, 3))
+        assert small.base is big.base and small.flags.c_contiguous
+        assert (arena.num_buffers, arena.misses, arena.nbytes) == (1, 2, big.nbytes)
+
+    def test_smaller_batches_see_no_stale_rows(self, model, unit_world):
+        """One plan fed 8, 3, 8, 1 and 5 sessions answers bitwise like a
+        fresh plan per batch: nothing a larger batch left in a slot buffer
+        leaks into a smaller one."""
+        shared = compile_model(model)
+        for sessions in (8, 3, 8, 1, 5):
+            batch = _sessions(unit_world, sessions)
+            fresh = compile_model(model)
+            for name in ("predict_logits", "serving_gate", "expert_scores"):
+                got = getattr(shared, name)(batch)
+                want = getattr(fresh, name)(batch)
+                assert got.shape == want.shape, (sessions, name)
+                assert np.array_equal(got, want), (sessions, name)
 
     def test_arena_reports_working_set(self, model, batch):
         compiled = compile_model(model)
@@ -65,6 +117,69 @@ class TestBufferArena:
         assert stats["score"]["arena_bytes"] > 0
         assert stats["gate"]["arena_buffers"] > 0
         assert stats["score"]["calls"] >= 1
+
+
+def _guard_leases(monkeypatch):
+    """Fail any plan ``run`` that leases one ``(step, slot, dtype)`` twice —
+    all shapes of a slot alias one buffer, so the second lease would
+    overwrite the first.  Returns the per-run lease counts."""
+    lease, run = BufferArena.lease, InferencePlan.run
+    live, runs = {}, []
+
+    def guarded_lease(arena, step, slot, shape, dtype=None):
+        buf = lease(arena, step, slot, shape, dtype)
+        seen = live[id(arena)]
+        key = (step, slot, buf.dtype)
+        assert key not in seen, f"{key} leased twice in one run"
+        seen.add(key)
+        return buf
+
+    def guarded_run(plan, batch, output=None, **bound):
+        live[id(plan.arena)] = set()
+        try:
+            return run(plan, batch, output, **bound)
+        finally:
+            runs.append((plan.name, len(live.pop(id(plan.arena)))))
+
+    monkeypatch.setattr(BufferArena, "lease", guarded_lease)
+    monkeypatch.setattr(InferencePlan, "run", guarded_run)
+    return runs
+
+
+#: Table VI switches (gate unit, activation unit): the full gate and both
+#: ablations, which take the pooled-MLP path.
+_GATE_ABLATIONS = {"aw_moe": (True, True), "base": (False, False), "base_au": (False, True)}
+
+
+def _guard_model(name, meta):
+    rng = np.random.default_rng(0)
+    if name == "sparse_top2":
+        model = SparseGatedAWMoE(ModelConfig.unit(), meta, rng, top_k=2)
+    else:
+        config = ModelConfig.unit().with_gate_ablation(*_GATE_ABLATIONS[name])
+        model = build_model("aw_moe", config, meta, rng)
+    model.eval()
+    return model
+
+
+class TestLeaseOncePerRun:
+    """Gate and score plans lease each slot at most once per ``run`` — on
+    flat and session batches, in float32 and float64 parity, for every gate
+    shape and the sparse top-K gate."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ["aw_moe", "base", "base_au", "sparse_top2"])
+    def test_gate_and_score_plans(self, monkeypatch, test_set, unit_world, batch, name, dtype):
+        compiled = compile_model(_guard_model(name, test_set.meta), dtype=dtype)
+        runs = _guard_leases(monkeypatch)
+        factored = _sessions(unit_world, 4)
+        for rows in (batch, factored):
+            compiled.predict_proba(rows)
+            compiled.expert_scores(rows)
+            gates = compiled.serving_gate(rows)
+        compiled.predict_proba(factored, gate_override=gates)
+        assert {plan for plan, _ in runs} == {"gate", "score"}
+        assert all(count > 0 for _, count in runs)
 
 
 class TestPlanStructure:

@@ -189,7 +189,7 @@ class TestReplayCostByCount:
         stats = candidate.stats()
         assert stats["score"]["calls"] == stats["gate"]["calls"] == 2
         arena_mib = (stats["score"]["arena_bytes"] + stats["gate"]["arena_bytes"]) / 2**20
-        assert arena_mib < 40, f"replay arenas hold {arena_mib:.1f} MiB"
+        assert arena_mib < 25, f"replay arenas hold {arena_mib:.1f} MiB"
 
         # The flat twin of the same judgement is what the budget replaces.
         del compiled[:], gate_rows[:]

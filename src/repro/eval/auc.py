@@ -14,8 +14,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from scipy.stats import rankdata
-
 __all__ = ["binary_auc", "session_auc", "session_auc_at_k", "per_session_auc", "global_auc"]
 
 
@@ -32,7 +30,10 @@ def binary_auc(scores: np.ndarray, labels: np.ndarray) -> Optional[float]:
     negatives = int((labels == 0).sum())
     if positives == 0 or negatives == 0:
         return None
-    ranks = rankdata(scores)
+    # Tie-averaged ascending ranks: a run of ``count`` equal scores starting
+    # at 0-based position ``start`` shares rank ``start + (count + 1) / 2``.
+    _, run, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - counts + (counts + 1) / 2)[run]
     rank_sum = ranks[labels == 1].sum()
     return float((rank_sum - positives * (positives + 1) / 2) / (positives * negatives))
 

@@ -9,11 +9,10 @@ resamples in which the challenger does not beat the reference.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
-
-from scipy.stats import norm
 
 from repro.eval.auc import per_session_auc
 from repro.eval.ndcg import per_session_ndcg
@@ -94,6 +93,5 @@ def two_proportion_z_test(
     variance = pooled * (1 - pooled) * (1 / total_a + 1 / total_b)
     if variance == 0:
         return 0.0, 0.5
-    z = (p_b - p_a) / np.sqrt(variance)
-    p_value = float(norm.sf(z))
-    return float(z), p_value
+    z = (p_b - p_a) / math.sqrt(variance)
+    return float(z), 0.5 * math.erfc(z / math.sqrt(2.0))

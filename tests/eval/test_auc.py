@@ -1,5 +1,7 @@
 """AUC metrics (Eq. 12): hand-computed cases and properties."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +54,36 @@ class TestBinaryAUC:
         a = binary_auc(scores, labels)
         b = binary_auc(np.exp(3 * scores), labels)
         assert a == pytest.approx(b)
+
+
+@st.composite
+def _scored_group(draw):
+    """One group's scores on a coarse grid (ties are the rule, float32 half
+    the time) and labels that leave it single-class at the extremes."""
+    rows = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([1, 2, 3, 4, 1000]))
+    scores = rng.integers(0, levels, size=rows) / levels
+    if draw(st.booleans()):
+        scores = scores.astype(np.float32)
+    labels = (rng.random(rows) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))).astype(np.float32)
+    return scores, labels
+
+
+class TestRankSumEqualsPairCount:
+    """``binary_auc``'s tie-averaged rank sum is Eq. 12's indicator double
+    sum over (positive, negative) pairs, a tie counting half, to the bit."""
+
+    @given(_scored_group())
+    def test_equals_brute_force_pair_count(self, group):
+        scores, labels = group
+        positives, negatives = scores[labels == 1], scores[labels == 0]
+        if not positives.size or not negatives.size:
+            assert binary_auc(scores, labels) is None
+            return
+        twice_wins = sum(2 * int(p > n) + int(p == n) for p in positives for n in negatives)
+        exact = Fraction(twice_wins, 2 * positives.size * negatives.size)
+        assert binary_auc(scores, labels) == float(exact)
 
 
 class TestSessionAUC:

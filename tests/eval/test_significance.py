@@ -1,5 +1,7 @@
 """Bootstrap and z-test significance machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,28 @@ class TestTwoProportionZTest:
     def test_zero_totals_rejected(self):
         with pytest.raises(ValueError):
             two_proportion_z_test(0, 0, 1, 10)
+
+    def test_tails_sum_to_one(self):
+        for counts in [(400, 1000, 480, 1000), (50, 100, 60, 100), (3, 7, 1, 9), (0, 5, 5, 5)]:
+            z_up, p_up = two_proportion_z_test(*counts)
+            z_down, p_down = two_proportion_z_test(*counts[2:], *counts[:2])
+            assert z_down == -z_up
+            assert abs(p_up + p_down - 1.0) <= 1e-15
+
+    def test_two_sided_five_percent_point(self):
+        # These counts put z within 1e-5 of the 97.5 % normal quantile q; a
+        # second-order Taylor step from p(q) = 0.025 (the third-order term
+        # is below 1e-15) must then give the returned p to 1e-12.
+        q = 1.959963984540054
+        z, p = two_proportion_z_test(50_000_000, 100_000_000, 50_013_859, 100_000_000)
+        assert abs(z - q) < 1e-5
+        density = math.exp(-q * q / 2) / math.sqrt(2 * math.pi)
+        assert abs(p - (0.025 - density * (z - q) + q * density * (z - q) ** 2 / 2)) <= 1e-12
+
+    def test_far_tail_stays_positive(self):
+        z, p = two_proportion_z_test(500_000, 1_000_000, 505_657, 1_000_000)
+        assert z == pytest.approx(8.0, abs=1e-3)
+        assert 0.0 < p < 1e-14
 
     def test_degenerate_pooled_variance(self):
         z, p = two_proportion_z_test(0, 10, 0, 10)

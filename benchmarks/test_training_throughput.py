@@ -3,14 +3,17 @@
 Runs what the serve→learn→swap loop actually pays for (§III-F): ``train_step``
 over one epoch of the AW-MoE contrastive configuration, and a full
 :class:`~repro.online.incremental.IncrementalTrainer` refresh cycle.  The
-fast path (``TrainConfig.fast_path``) runs packed-expert GEMMs, fused linear
-kernels, the shared-trunk contrastive pair, and the gradient-buffer arena;
-the eager path is the bitwise-reproducible reference.
+fast path (``TrainConfig.fast_path``) runs AW-MoE's compiled train step
+(:func:`repro.infer.compile_train_step`); the eager path is the
+bitwise-reproducible reference.  A batch-size sweep (8 / 32 / 128 / 256)
+records the median ms per step of both paths, their fixed-plus-per-row fit,
+and the compiled step's persistent buffer bytes.
 
 Asserted: after one epoch over identical batches and rng streams the two
-paths' losses agree.  The steps/sec and seconds columns are one reading each,
-written to ``benchmarks/artifacts/training_throughput.json``; training speed
-is judged by ``benchmarks/perf/run.py`` (``train_rows_per_s``, ``refresh_s``).
+paths' losses agree.  Every timing is one reading, written to
+``benchmarks/artifacts/training_throughput.json`` and printed, never gated;
+training speed is judged by ``benchmarks/perf/run.py`` (``train_rows_per_s``,
+``refresh_s``).
 
 ``REPRO_SMOKE=1`` shrinks the dataset so CI can run the training path on
 every push.
@@ -27,6 +30,7 @@ from repro.core import ModelConfig, TrainConfig, build_model
 from repro.core.trainer import build_optimizers, build_strategy, train_step
 from repro.data import WorldConfig, make_search_datasets
 from repro.data.dataset import iterate_batches
+from repro.infer import compile_train_step
 from repro.nn import GradArena
 from repro.online import IncrementalTrainer
 from repro.utils import SeedBank, print_table
@@ -35,6 +39,8 @@ SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
 TRAIN_SESSIONS = 400 if SMOKE else 2000
 REFRESH_SESSIONS = 120 if SMOKE else 500
 BATCH_SIZE = 256
+SWEEP_SIZES = (8, 32, 128, 256)
+SWEEP_STEPS = 5 if SMOKE else 40
 _SUFFIX = "_smoke" if SMOKE else ""
 ARTIFACT = Path(__file__).parent / "artifacts" / f"training_throughput{_SUFFIX}.json"
 
@@ -64,6 +70,41 @@ def _steps_per_second(model, batches, config) -> tuple:
     for batch in batches:
         metrics = train_step(model, batch, config, optimizer, strategy, cl_rng, arena)
     return len(batches) / (time.perf_counter() - start), metrics["loss"]
+
+
+def _sweep(train) -> dict:
+    """Median ms per step of the compiled and the eager step at each batch
+    size (after two warm-up steps), a least-squares ``fixed + per_row·B``
+    fit of each, and the compiled step's arena bytes after the sweep."""
+    rng = np.random.default_rng(17)
+    batches = {
+        size: [train.batch_at(rng.choice(len(train), size, replace=False)) for _ in range(SWEEP_STEPS + 2)]
+        for size in SWEEP_SIZES
+    }
+    sweep = {"batch_sizes": list(SWEEP_SIZES)}
+    for label, fast in (("compiled", True), ("eager", False)):
+        config = _train_config(fast)
+        model = build_model("aw_moe", ModelConfig.small(), train.meta, SeedBank(101).child("model"))
+        optimizer, strategy = build_optimizers(model, config), build_strategy(config)
+        cl_rng = np.random.default_rng(19)
+        compiled = compile_train_step(model, optimizer, config.augmentation) if fast else None
+        model.train()
+        medians = []
+        for size in SWEEP_SIZES:
+            elapsed = []
+            for batch in batches[size]:
+                start = time.perf_counter()
+                if compiled is None:
+                    train_step(model, batch, config, optimizer, strategy, cl_rng)
+                else:
+                    compiled(batch, optimizer, strategy, cl_rng)
+                elapsed.append(time.perf_counter() - start)
+            medians.append(float(np.median(elapsed[2:])) * 1000.0)
+        per_row, fixed = np.polyfit(SWEEP_SIZES, medians, 1)
+        sweep[label] = {"ms_per_step": medians, "fixed_ms": fixed, "per_row_ms": per_row}
+        if compiled is not None:
+            sweep["compiled_buffer_bytes"] = compiled.nbytes
+    return sweep
 
 
 def test_training_throughput():
@@ -105,6 +146,7 @@ def test_training_throughput():
         results["fast"]["final_loss"], results["eager"]["final_loss"], rtol=5e-3
     ), "fast path diverged from the eager objective"
 
+    sweep = _sweep(train)
     report = {
         "smoke": SMOKE,
         "train_sessions": TRAIN_SESSIONS,
@@ -118,6 +160,7 @@ def test_training_throughput():
             "eager_seconds": refresh["eager"]["seconds"],
             "fast_seconds": refresh["fast"]["seconds"],
         },
+        "step_sweep": sweep,
     }
     ARTIFACT.parent.mkdir(parents=True, exist_ok=True)
     ARTIFACT.write_text(json.dumps(report, indent=2))
@@ -138,4 +181,21 @@ def test_training_throughput():
         ],
         title=f"Training throughput — artifact: {ARTIFACT.name}"
         + (" [smoke]" if SMOKE else ""),
+    )
+    print_table(
+        ["Batch", "compiled ms/step", "eager ms/step"],
+        [
+            [size, f"{compiled:.2f}", f"{eager:.2f}"]
+            for size, compiled, eager in zip(
+                SWEEP_SIZES, sweep["compiled"]["ms_per_step"], sweep["eager"]["ms_per_step"]
+            )
+        ]
+        + [
+            [
+                "fixed + per row",
+                f"{sweep['compiled']['fixed_ms']:.2f} + {sweep['compiled']['per_row_ms']:.4f}·B",
+                f"{sweep['eager']['fixed_ms']:.2f} + {sweep['eager']['per_row_ms']:.4f}·B",
+            ]
+        ],
+        title=f"Train-step sweep — compiled step buffers {sweep['compiled_buffer_bytes'] / 2**20:.2f} MiB",
     )

@@ -53,36 +53,20 @@ class ContrastiveStrategy:
         ``anchor_gate`` must be the gate output already computed during the
         ranking forward pass, so the gradient flows through a shared graph —
         exactly the paper's "auxiliary loss imposed to the output of the
-        gate network".
+        gate network".  ``rng`` draws the positive view, then the in-batch
+        negatives; the compiled train step (:mod:`repro.infer.training`)
+        draws in the same order, so both see the same augmentations.
         """
         if not model.supports_contrastive:
             raise TypeError(f"{type(model).__name__} does not expose a gate network")
-        positive_mask = self.positive_view(batch, rng)
-        positive_gate = model.gate_vector(batch, mask_override=positive_mask)
-        return self.loss_from_gates(anchor_gate, positive_gate, rng)
+        batch_size = anchor_gate.shape[0]
+        if batch_size < 2:
+            raise ValueError("contrastive loss needs at least 2 examples in the batch")
+        positive_gate = model.gate_vector(batch, mask_override=self.positive_view(batch, rng))
+        negative_rows = sample_in_batch_negatives(batch_size, self.num_negatives, rng)
+        negatives = take(anchor_gate, negative_rows, axis=0)  # (B, l, K)
+        return info_nce(anchor_gate, positive_gate, negatives) * self.weight
 
     def positive_view(self, batch: Batch, rng: np.random.Generator) -> np.ndarray:
         """Draw the positive-view behaviour mask (the paper's masked u')."""
         return augment_mask(batch, rng, self.augmentation, self.mask_prob)
-
-    def loss_from_gates(
-        self,
-        anchor_gate: Tensor,
-        positive_gate: Tensor,
-        rng: np.random.Generator,
-    ) -> Tensor:
-        """Weighted InfoNCE from already-computed anchor/positive gates.
-
-        The fast training path obtains both gates from one shared-trunk
-        forward (:meth:`repro.core.aw_moe.AWMoE.forward_with_gate_views`)
-        and lands here; :meth:`loss` is the eager reference that recomputes
-        the positive gate with a second full pass.  Both consume ``rng``
-        identically (mask draw, then negative draw), so the two paths see
-        the same augmentations and negatives for the same stream.
-        """
-        batch_size = anchor_gate.shape[0]
-        if batch_size < 2:
-            raise ValueError("contrastive loss needs at least 2 examples in the batch")
-        negative_rows = sample_in_batch_negatives(batch_size, self.num_negatives, rng)
-        negatives = take(anchor_gate, negative_rows, axis=0)  # (B, l, K)
-        return info_nce(anchor_gate, positive_gate, negatives) * self.weight

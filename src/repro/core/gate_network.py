@@ -31,17 +31,16 @@ pooling weights are uniform (plain sums over valid positions).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.core.activation_unit import ActivationUnit, pairwise
+from repro.core.activation_unit import ActivationUnit
 from repro.core.config import ModelConfig
 from repro.core.gate_unit import GateUnit
-from repro.core.input_network import FeatureEmbedder, PackedBehavior
+from repro.core.input_network import FeatureEmbedder
 from repro.data.schema import Batch, DatasetMeta
 from repro.nn import MLP, Module, Parameter, Tensor, concat
-from repro.nn import is_fast_math, repeat_rows, segment_sum
 
 __all__ = ["GateNetwork"]
 
@@ -105,11 +104,9 @@ class GateNetwork(Module):
         ``mask_override`` substitutes the behaviour validity mask — the
         contrastive learning strategy (§III-D) passes the randomly masked
         mask here to obtain the positive view ``g(u')`` without rebuilding
-        the batch.  This is the padded reference; under
-        :func:`repro.nn.fast_math` the packed :meth:`forward_views` answers.
+        the batch.  Training's compiled step (:mod:`repro.infer.training`)
+        runs the same gate on the valid positions only.
         """
-        if is_fast_math():
-            return self.forward_views(batch, [mask_override])[0]
         mask = batch["behavior_mask"] if mask_override is None else mask_override
         mask = np.asarray(mask, dtype=np.float32)
         h_behavior = self.behavior_mlp(self.embedder.behavior(batch))  # (B, M, H)
@@ -135,58 +132,3 @@ class GateNetwork(Module):
                 pooled = (h_behavior * mask[:, :, None]).sum(axis=1) * (1.0 / counts)
             gate = self.pooled_mlp(concat([pooled, h_key], axis=-1))
         return gate + self.bias
-
-    def forward_views(
-        self,
-        batch: Batch,
-        masks: Sequence[Optional[np.ndarray]],
-        packed: Optional[PackedBehavior] = None,
-    ) -> List[Tensor]:
-        """Gate vectors for several mask views of ONE behaviour sequence.
-
-        The contrastive objective (§III-D) needs the gate under the original
-        mask (anchor) and under a randomly masked view (positive).  None of
-        the trunk — embeddings, ``MLP^G``, the key MLP, both unit MLPs —
-        depends on the mask, which only gates the final pooling (Eq. 8), and
-        a padded position never reaches a sum.  So the trunk runs once, on
-        the ``P`` positions valid under *any* view (``packed``, gathered here
-        unless the caller shares one), both units read one pairwise tensor,
-        and every view is a per-position weight ``mask_v[rows, cols]``
-        applied before one segment-sum back to ``(B, V, ·)``.
-
-        ``None`` entries resolve to the batch's own ``behavior_mask``.
-        Views only share the trunk when the id arrays are identical — the
-        "reorder" augmentation rewrites ids and must keep using two full
-        forward passes.
-        """
-        stacked = np.stack([
-            np.asarray(batch["behavior_mask"] if mask is None else mask, dtype=np.float32)
-            for mask in masks
-        ])  # (V, B, M)
-        rows, cols, embedded = packed or self.embedder.packed(batch, stacked)
-        h_behavior = self.behavior_mlp(embedded)  # (P, H)
-        h_key = self._key_hidden(batch)  # (B, H)
-        view_weights = stacked[:, rows, cols].T  # (P, V)
-
-        # What every view pools per position: the gate unit's expert scores
-        # (else the behaviour hiddens), attention-weighted when configured.
-        per_position = h_behavior
-        if self.gate_unit is not None or self.activation_unit is not None:
-            pair = pairwise(h_behavior, repeat_rows(h_key, rows))
-            if self.gate_unit is not None:
-                per_position = self.gate_unit.mlp(pair)  # (P, K)
-            if self.activation_unit is not None:
-                per_position = per_position * self.activation_unit.mlp(pair)  # (P, 1)
-                if self.gate_unit is not None:
-                    # The reference masks scores and weights separately.
-                    view_weights = view_weights * view_weights
-        scale = 1.0 / np.maximum(stacked.sum(axis=2), 1.0).T  # (B, V)
-        pooled = segment_sum(
-            per_position.expand_dims(1) * view_weights[:, :, None], rows, stacked.shape[1]
-        ) * scale[:, :, None]  # (B, V, K or H)
-        views = [pooled[:, v] for v in range(len(masks))]
-        if self.gate_unit is None:
-            # Ablation variants run the fallback FFN on each view's pooled
-            # behaviour hiddens.
-            views = [self.pooled_mlp(concat([view, h_key], axis=-1)) for view in views]
-        return [gate + self.bias for gate in views]

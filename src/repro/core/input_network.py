@@ -11,7 +11,7 @@ replaces the attention with plain sum pooling as in YouTube-DNN.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -65,14 +65,14 @@ class FeatureEmbedder(Module):
         dense = Tensor(batch["behavior_dense"][at])
         return concat([items, categories, dense], axis=-1)
 
-    def packed(self, batch: Batch, masks: Sequence[np.ndarray]) -> PackedBehavior:
-        """The positions valid under *any* of ``masks``, embedded once.
+    def packed(self, batch: Batch) -> PackedBehavior:
+        """The batch's valid behaviour positions, embedded once.
 
         Padded positions contribute exact zeros to every pooled sum (their
         scores meet a 0 mask before any reduction), so dropping them changes
         GEMM row counts, never the mathematics.
         """
-        rows, cols = np.nonzero((np.asarray(masks) != 0).any(axis=0))
+        rows, cols = np.nonzero(np.asarray(batch["behavior_mask"]) != 0)
         return PackedBehavior(rows, cols, self.behavior(batch, at=(rows, cols)))
 
     def target(self, batch: Batch) -> Tensor:
@@ -146,14 +146,13 @@ class InputNetwork(Module):
             weighted = h_behavior * np.asarray(mask, dtype=np.float32)[:, :, None]
         return weighted.sum(axis=1)
 
-    def forward(self, batch: Batch, packed: Optional[PackedBehavior] = None) -> Tensor:
+    def forward(self, batch: Batch) -> Tensor:
         """Impression representation ``v_imp`` (Eq. 4), shape (B, output_dim).
 
         Under :func:`repro.nn.fast_math` the behaviour side runs packed, on
-        the view handed in (AW-MoE shares one with its gate) or its own.
+        the batch's valid positions only.
         """
-        if packed is None and is_fast_math():
-            packed = self.embedder.packed(batch, [batch["behavior_mask"]])
+        packed = self.embedder.packed(batch) if is_fast_math() else None
         h_target = self.behavior_mlp(self.embedder.target(batch))
         v_user = self.user_vector(batch, h_target, packed)
         h_other = self.other_mlp(Tensor(batch["other_features"]))

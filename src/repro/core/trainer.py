@@ -10,6 +10,7 @@ the ``contrastive`` flag — as in the paper.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from typing import Dict, Optional
 
 import numpy as np
@@ -89,27 +90,27 @@ def train_step(
     guarantees the online refresh path optimizes exactly the offline
     objective.
 
-    With ``config.fast_path`` the step runs under :func:`repro.nn.fast_math`
-    — packed-expert GEMMs, fused linear kernels, the behaviour trunk on the
-    step's valid positions only (gathered once per step), and (for AW-MoE
-    with a mask-type augmentation) the shared-trunk contrastive pair — while
-    ``arena``, when supplied by a surrounding training loop, recycles
-    gradient buffers across steps.  Both paths draw from ``cl_rng`` in the
-    same order, so fast and eager runs see identical augmentations and
-    in-batch negatives.
+    With ``config.fast_path`` an AW-MoE trains through its compiled step
+    (:func:`repro.infer.compile_train_step`, built once per optimizer): flat
+    fused forward and backward kernels over the step's valid behaviour
+    positions, one trunk pass for the logits and both contrastive views.
+    What it does not compile — other models, the ``reorder`` augmentation —
+    runs the tape under :func:`repro.nn.fast_math` (fused linear kernels,
+    packed experts and trunk, ``arena`` recycling gradient buffers across
+    steps).  Every path draws from ``cl_rng`` in the same order, so fast
+    and eager runs see identical augmentations and in-batch negatives.
     """
+    contrastive = strategy if config.contrastive else None
+    if config.fast_path:
+        compiled = _compiled_step(model, optimizer, contrastive)
+        if compiled is not None:
+            return compiled(batch, optimizer, contrastive, cl_rng)
     mode = fast_math(arena) if config.fast_path else contextlib.nullcontext()
     with mode:
-        if config.contrastive:
-            if config.fast_path and _can_share_gate_trunk(model, strategy):
-                positive_mask = strategy.positive_view(batch, cl_rng)
-                logits, gates = model.forward_with_gate_views(batch, [positive_mask])
-                rank_loss = bce_with_logits(logits, batch["label"])
-                cl_loss = strategy.loss_from_gates(gates[0], gates[1], cl_rng)
-            else:
-                logits, gate = model.forward_with_gate(batch)
-                rank_loss = bce_with_logits(logits, batch["label"])
-                cl_loss = strategy.loss(model, batch, gate, cl_rng)
+        if contrastive is not None:
+            logits, gate = model.forward_with_gate(batch)
+            rank_loss = bce_with_logits(logits, batch["label"])
+            cl_loss = strategy.loss(model, batch, gate, cl_rng)
             loss = rank_loss + cl_loss
             extra = {"cl_loss": cl_loss.item()}
         else:
@@ -127,15 +128,25 @@ def train_step(
     return {"loss": loss.item(), "rank_loss": rank_loss.item(), **extra}
 
 
-def _can_share_gate_trunk(model: RankingModel, strategy: ContrastiveStrategy) -> bool:
-    """Whether the contrastive pair can reuse one gate-trunk forward.
+#: One compiled step per optimizer (weakly keyed, so it goes with the
+#: optimizer): ``(model, augmentation, step or None when it did not compile)``.
+_COMPILED: "weakref.WeakKeyDictionary[AdamW, tuple]" = weakref.WeakKeyDictionary()
 
-    Mask-type augmentations ("mask", "crop") leave the behaviour ids
-    untouched, so anchor and positive share every mask-independent
-    activation; "reorder" rewrites the id arrays and must run two full
-    passes.
-    """
-    return strategy.augmentation != "reorder" and hasattr(model, "forward_with_gate_views")
+
+def _compiled_step(model, optimizer, strategy):
+    """The compiled step for ``(model, optimizer)`` under ``strategy``'s
+    augmentation, or ``None`` where the tape must run (CompileError)."""
+    augmentation = None if strategy is None else strategy.augmentation
+    entry = _COMPILED.get(optimizer)
+    if entry is None or entry[0] is not model or entry[1] != augmentation:
+        from repro.infer import CompileError, compile_train_step
+
+        try:
+            step = compile_train_step(model, optimizer, augmentation)
+        except CompileError:
+            step = None
+        entry = _COMPILED[optimizer] = (model, augmentation, step)
+    return entry[2]
 
 
 def build_strategy(config: TrainConfig) -> ContrastiveStrategy:

@@ -13,6 +13,9 @@ stack (:mod:`repro.serving`) executes plans instead of eager forwards.
 The candidate-independent gate subgraph is compiled as its own plan, so the
 session-gate cache (§III-F1) feeds the score plan directly.  A float64
 parity mode replays the exact eager op order for bitwise verification.
+``compile_train_step`` applies the same discipline to the AW-MoE train
+step: flat fused forward and hand-written backward kernels over live
+weights, gradients straight into the optimizer's slots.
 """
 
 from repro.infer.compiler import (
@@ -23,6 +26,7 @@ from repro.infer.compiler import (
 )
 from repro.infer.kernels import PackedExperts, PackedMLP, sigmoid_
 from repro.infer.plan import BufferArena, InferencePlan, PlanStep
+from repro.infer.training import CompiledTrainStep, compile_train_step
 from repro.infer.slabs import (
     SlabFormatError,
     SnapshotSlab,
@@ -38,6 +42,8 @@ __all__ = [
     "CompileError",
     "compile_model",
     "float64_twin",
+    "CompiledTrainStep",
+    "compile_train_step",
     "PackedExperts",
     "PackedMLP",
     "sigmoid_",

@@ -455,20 +455,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def __getitem__(self, index) -> "Tensor":
-        if not _GRAD_ENABLED:
-            return Tensor._from_data(self.data[index])
-        data = self.data[index]
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
-                self._accumulate(full)
-
-        return Tensor._make(data, (self,), backward)
-
-
 def _wrap(value: Arrayish, dtype: np.dtype) -> Tensor:
     if isinstance(value, Tensor):
         return value

@@ -97,6 +97,13 @@ class IncrementalTrainer:
     # ------------------------------------------------------------------
     # training
     # ------------------------------------------------------------------
+    @property
+    def min_batch_rows(self) -> int:
+        """The fewest rows a batch must hold to train: ``l + 1`` under the
+        contrastive objective (``l`` in-batch negatives besides the anchor),
+        else 1.  A window smaller than this trains nothing."""
+        return self.config.num_negatives + 1 if self.config.contrastive else 1
+
     def update(
         self,
         dataset: RankingDataset,
@@ -125,7 +132,7 @@ class IncrementalTrainer:
         shuffle_rng = bank.child(f"update-{self.updates}-shuffle")
         cl_rng = bank.child(f"update-{self.updates}-contrastive")
         batch_size = min(self.config.batch_size, len(dataset))
-        min_rows = self.config.num_negatives + 1 if self.config.contrastive else 1
+        min_rows = self.min_batch_rows
         self.model.train()
         step = 0
         for epoch in range(self.config.epochs):

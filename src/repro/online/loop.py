@@ -468,7 +468,9 @@ class OnlineLoop:
         """One full refresh cycle; returns its audit report.
 
         A cycle with no usable feedback (no events, or no session with both
-        a click and a skip) trains nothing and leaves production untouched.
+        a click and a skip), or with fewer training rows than one batch
+        needs (:attr:`IncrementalTrainer.min_batch_rows`), trains nothing
+        and leaves production untouched: no candidate is registered.
         """
         if self.registry.production is None:
             raise RuntimeError("call bootstrap() before running cycles")
@@ -513,10 +515,11 @@ class OnlineLoop:
         report.train_rows = 0 if train_set is None else len(train_set)
         self.cycles_run += 1
         drift = self.cluster.ctx.drift
-        if train_set is None:
+        if train_set is None or len(train_set) < self.trainer.min_batch_rows:
             if drift is not None:
                 drift.reset_live()
-            trace.finish(promoted=False, reason="no_usable_feedback")
+            reason = "no_usable_feedback" if train_set is None else "no_trainable_batch"
+            trace.finish(promoted=False, reason=reason)
             self.reports.append(report)
             return report
 

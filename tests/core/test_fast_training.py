@@ -1,11 +1,15 @@
 """Parity of the fast training path against the eager reference.
 
 The fast path (``TrainConfig.fast_path``) must optimize *exactly* the same
-objective as the eager reference: packed-expert GEMMs, fused linear kernels,
-the shared-trunk contrastive pair and the behaviour trunk packed to its valid
-positions are all float-level reorderings of the reference computation, never
-different math.  These tests pin that contract at every level — expert pool,
-gate views, packed vs padded trunk, and full training steps.  None reads a
+objective as the eager reference.  AW-MoE trains through its compiled step
+(:mod:`repro.infer.training`: flat fused kernels, the behaviour trunk on its
+valid positions, one trunk pass for both contrastive views); other models
+and the ``reorder`` augmentation run the tape with fused linear kernels and
+packed experts.  All of it is float-level reordering of the reference
+computation, never different math: logits and gates ≤ 1e-6, gradients
+≤ 1e-5, the float64 random-direction projection ≤ 1e-10.  These tests pin
+that contract at every level — expert pool, gate views, packed vs padded
+trunk, full training steps, and which path each model takes.  None reads a
 clock.
 """
 
@@ -16,8 +20,14 @@ from repro.core import ModelConfig, TrainConfig, build_model
 from repro.core.expert import ExpertPool
 from repro.core.trainer import build_optimizers, build_strategy, train_step
 from repro.data.dataset import iterate_batches
-from repro.nn import GradArena, Tensor, fast_math
+from repro.infer import CompiledTrainStep, compile_train_step
+from repro.nn import AdamW, GradArena, Tensor, fast_math
 from repro.utils import SeedBank
+
+
+def _compiled(model):
+    """The model's compiled train step (over a fresh AdamW's slots)."""
+    return compile_train_step(model, AdamW(model.parameters()), "mask")
 
 
 def _pool(seed=0):
@@ -56,6 +66,8 @@ class TestPackedExpertPool:
 
 
 class TestGateViews:
+    """The compiled step's one trunk pass yields the gate under both views."""
+
     def _model(self, train_set, config=None):
         config = config or ModelConfig.unit()
         return build_model("aw_moe", config, train_set.meta, np.random.default_rng(7))
@@ -66,9 +78,9 @@ class TestGateViews:
         positive = batch["behavior_mask"] * (np.random.default_rng(8).random(batch["behavior_mask"].shape) > 0.3)
         anchor_ref = model.gate.forward(batch)
         positive_ref = model.gate.forward(batch, mask_override=positive)
-        anchor, positive_view = model.gate.forward_views(batch, [None, positive])
-        assert np.allclose(anchor.numpy(), anchor_ref.numpy(), atol=1e-6)
-        assert np.allclose(positive_view.numpy(), positive_ref.numpy(), atol=1e-6)
+        _, anchor, positive_view = _compiled(model).forward(batch, positive)
+        assert np.allclose(anchor, anchor_ref.numpy(), atol=1e-6)
+        assert np.allclose(positive_view, positive_ref.numpy(), atol=1e-6)
 
     @pytest.mark.parametrize("gate_unit,activation_unit", [(True, False), (False, True), (False, False)])
     def test_views_match_for_ablation_variants(self, train_set, gate_unit, activation_unit):
@@ -76,21 +88,23 @@ class TestGateViews:
         model = self._model(train_set, config)
         batch = train_set.batch_at(np.arange(8))
         positive = batch["behavior_mask"] * (np.random.default_rng(9).random(batch["behavior_mask"].shape) > 0.3)
-        anchor, view = model.gate.forward_views(batch, [None, positive])
-        assert np.allclose(anchor.numpy(), model.gate.forward(batch).numpy(), atol=1e-6)
+        _, anchor, view = _compiled(model).forward(batch, positive)
+        assert np.allclose(anchor, model.gate.forward(batch).numpy(), atol=1e-6)
         assert np.allclose(
-            view.numpy(), model.gate.forward(batch, mask_override=positive).numpy(), atol=1e-6
+            view, model.gate.forward(batch, mask_override=positive).numpy(), atol=1e-6
         )
 
     def test_forward_with_gate_views_logits_match(self, train_set):
+        """The compiled forward's logits and anchor are the eager
+        ``forward_with_gate``'s."""
         model = self._model(train_set)
         batch = train_set.batch_at(np.arange(8))
         positive = batch["behavior_mask"].copy()
         logits_ref, gate_ref = model.forward_with_gate(batch)
-        logits, gates = model.forward_with_gate_views(batch, [positive])
-        assert len(gates) == 2
-        assert np.allclose(logits.numpy(), logits_ref.numpy(), atol=1e-6)
-        assert np.allclose(gates[0].numpy(), gate_ref.numpy(), atol=1e-6)
+        logits, anchor, view = _compiled(model).forward(batch, positive)
+        assert view is not None
+        assert np.allclose(logits, logits_ref.numpy(), atol=1e-6)
+        assert np.allclose(anchor, gate_ref.numpy(), atol=1e-6)
 
 
 def _run_steps(train_set, fast, steps=6, augmentation="mask", seed=11):
@@ -161,9 +175,9 @@ class TestTrainStepParity:
         assert np.allclose(results[False], results[True], rtol=1e-4, atol=1e-5)
 
     def test_sparse_gate_fast_path_keeps_top_k(self, train_set):
-        """The sparse extension's anchor gate must stay top-K sparsified on
-        the shared-trunk fast path (it both weights the experts and anchors
-        the contrastive loss, exactly as in eager training)."""
+        """The sparse extension's anchor gate must stay top-K sparsified in
+        the compiled step (it both weights the experts and anchors the
+        contrastive loss, exactly as in eager training)."""
         from repro.core.extensions import SparseGatedAWMoE
 
         model = SparseGatedAWMoE(
@@ -172,20 +186,19 @@ class TestTrainStepParity:
         batch = train_set.batch_at(np.arange(8))
         positive = batch["behavior_mask"].copy()
         logits_ref, gate_ref = model.forward_with_gate(batch)
-        logits, gates = model.forward_with_gate_views(batch, [positive])
+        logits, anchor, view = _compiled(model).forward(batch, positive)
         k = ModelConfig.unit().num_experts
-        assert np.all((gates[0].numpy() == 0.0).sum(axis=1) == k - 1)
-        assert np.allclose(gates[0].numpy(), gate_ref.numpy(), atol=1e-6)
-        assert np.allclose(logits.numpy(), logits_ref.numpy(), atol=1e-6)
+        assert np.all((anchor == 0.0).sum(axis=1) == k - 1)
+        assert np.allclose(anchor, gate_ref.numpy(), atol=1e-6)
+        assert np.allclose(logits, logits_ref.numpy(), atol=1e-6)
         # The positive view stays dense, matching eager gate_vector().
         assert np.allclose(
-            gates[1].numpy(), model.gate_vector(batch, mask_override=positive).numpy(),
-            atol=1e-6,
+            view, model.gate_vector(batch, mask_override=positive).numpy(), atol=1e-6
         )
 
     def test_baseline_without_gate_views_still_trains_fast(self, train_set):
-        """Models lacking forward_with_gate_views run fast_path without the
-        shared-trunk contrastive branch (packed experts + fused kernels only)."""
+        """Models the step compiler does not take run fast_path on the tape
+        (packed experts + fused kernels only)."""
         bank = SeedBank(17)
         config = TrainConfig(epochs=1, batch_size=16, learning_rate=1e-3, fast_path=True)
         model = build_model("dnn", ModelConfig.unit(), train_set.meta, bank.child("m"))
@@ -220,15 +233,18 @@ def _awkward_batch(train_set, rows=12):
     return batch, positive.astype(np.float32)
 
 
-def _objective(model, batch, positive, weights, packed):
+def _objective(model, batch, positive, weights, packed, step=None):
     """A scalar reading logits, anchor gate and positive gate; ``packed``
-    selects the fast path, otherwise the padded reference computes it."""
+    selects the compiled step (``step``, or one compiled here), otherwise
+    the padded reference computes it.  The compiled objective returns
+    ``(value, logits, anchor, view, step)``."""
     if packed:
-        with fast_math():
-            logits, (anchor, view) = model.forward_with_gate_views(batch, [positive])
-    else:
-        logits, anchor = model.forward_with_gate(batch)
-        view = model.gate_vector(batch, mask_override=positive)
+        step = step or _compiled(model)
+        logits, anchor, view = step.forward(batch, positive)
+        value = (logits * weights[0]).sum() + (anchor * weights[1]).sum() + (view * weights[2]).sum()
+        return value, Tensor(logits), Tensor(anchor), Tensor(view), step
+    logits, anchor = model.forward_with_gate(batch)
+    view = model.gate_vector(batch, mask_override=positive)
     loss = (logits * weights[0]).sum() + (anchor * weights[1]).sum() + (view * weights[2]).sum()
     return loss, logits, anchor, view
 
@@ -239,10 +255,17 @@ def _weights(batch, num_experts, seed=5):
     return [rng.normal(size=(rows,)), rng.normal(size=(rows, num_experts)), rng.normal(size=(rows, num_experts))]
 
 
-def _grads(model, loss):
+def _grads(model, loss, weights=None):
+    """Every touched parameter's gradient of ``loss``: a tape loss, or a
+    compiled objective (the compiled step and ``weights`` as its upstream
+    gradients)."""
     for param in model.parameters():
         param.grad = None
-    loss.backward()
+    if isinstance(loss, CompiledTrainStep):
+        dtype = loss.dtype
+        loss.backward(*(np.asarray(w, dtype=dtype) for w in weights))
+    else:
+        loss.backward()
     return {name: p.grad.copy() for name, p in model.named_parameters() if p.grad is not None}
 
 
@@ -254,12 +277,12 @@ def _to_float64(model):
 
 def _assert_packed_matches_padded(model, batch, positive):
     """Logits, anchor and positive gates <= 1e-6, every gradient <= 1e-5;
-    returns the packed (logits, anchor, view)."""
+    returns the compiled (logits, anchor, view)."""
     weights = _weights(batch, model.config.num_experts)
     ref_loss, *ref_outputs = _objective(model, batch, positive, weights, packed=False)
     ref_grads = _grads(model, ref_loss)
-    fast_loss, *fast_outputs = _objective(model, batch, positive, weights, packed=True)
-    fast_grads = _grads(model, fast_loss)
+    _, *fast_outputs, step = _objective(model, batch, positive, weights, packed=True)
+    fast_grads = _grads(model, step, weights)
     for ref, fast in zip(ref_outputs, fast_outputs):
         assert np.allclose(ref.numpy(), fast.numpy(), atol=1e-6)
     assert ref_grads.keys() == fast_grads.keys()
@@ -296,15 +319,21 @@ class TestPackedTrunkParity:
         norm = np.sqrt(sum((d * d).sum() for d in direction.values()))
         direction = {name: d / norm for name, d in direction.items()}
 
+        step = _compiled(model)
+
         def projected(packed):
-            grads = _grads(model, _objective(model, batch, positive, weights, packed)[0])
+            if packed:
+                _objective(model, batch, positive, weights, True, step)
+                grads = _grads(model, step, weights)
+            else:
+                grads = _grads(model, _objective(model, batch, positive, weights, False)[0])
             return sum((grads[name] * direction[name]).sum() for name in grads)
 
         def shifted(eps):
             for name, param in params.items():
                 param.data += eps * direction[name]
             try:
-                return float(_objective(model, batch, positive, weights, True)[0].numpy())
+                return float(_objective(model, batch, positive, weights, True, step)[0])
             finally:
                 for name, param in params.items():
                     param.data -= eps * direction[name]
@@ -333,7 +362,7 @@ class TestPackedTrunkParity:
         # (row 0 is empty: its gate is the uniform bias, a four-way tie.)
         zeros = (anchor.numpy()[1:] == 0.0).sum(axis=1)
         assert np.all(zeros == model.config.num_experts - 2)
-        # The plain forward takes the packed path under fast_math too.
+        # The tape's fused forward (reorder's path) agrees too.
         with fast_math():
             assert np.allclose(model.forward(batch).numpy(), logits.numpy(), atol=1e-6)
 
@@ -353,59 +382,178 @@ class TestPackedTrunkParity:
             assert np.allclose(grad, fast_grads[key], atol=1e-5), key
 
     def test_trunk_runs_on_valid_positions_only(self, train_set, monkeypatch):
-        """The 13 position-wise linears (both behaviour MLPs, the attention,
-        gate and activation units) see exactly nnz(mask) rows, and each
-        behaviour table is gathered once for the whole step."""
-        import repro.nn.layers as layers
+        """The position-wise trunk — both behaviour MLPs, the attention,
+        gate and activation units — runs on exactly nnz(mask) rows (MLP^I
+        encodes the B target rows in the same pass), and each behaviour
+        table is gathered once for the whole step."""
+        import repro.infer.kernels as kernels
+        import repro.infer.training as training
 
         model = self._model(train_set)
         batch, _ = _awkward_batch(train_set)
         positive = batch["behavior_mask"] * (np.random.default_rng(2).random(batch["behavior_mask"].shape) > 0.3)
         rows, valid = batch["label"].shape[0], int(np.count_nonzero(batch["behavior_mask"]))
         assert valid not in (rows, batch["behavior_mask"].size)
-        trunk = {
-            id(p)
-            for module in (
-                model.input_network.behavior_mlp, model.input_network.attention,
-                model.gate.behavior_mlp, model.gate.gate_unit, model.gate.activation_unit,
-            )
-            for p in module.parameters()
-        }
-        linear_rows, gathers = [], []
-        original_linear, original_embedding = layers.linear_op, layers.embedding_op
+        runs, gathers = {}, []
+        original_run, original_gather = kernels.PackedMLP.run, training.gather_rows
 
-        def recording_linear(x, weight, bias, relu=False):
-            if id(weight) in trunk:
-                linear_rows.append(x.shape[0] if x.ndim == 2 else -1)
-            return original_linear(x, weight, bias, relu=relu)
+        def recording_run(pack, x2d, lease):
+            runs[id(pack.layers[0][0])] = x2d.shape[0]
+            return original_run(pack, x2d, lease)
 
-        def recording_embedding(weight, indices):
-            gathers.append((id(weight), np.shape(indices)))
-            return original_embedding(weight, indices)
+        def recording_gather(table, indices, out):
+            gathers.append((id(table), len(indices)))
+            return original_gather(table, indices, out)
 
-        monkeypatch.setattr(layers, "linear_op", recording_linear)
-        monkeypatch.setattr(layers, "embedding_op", recording_embedding)
-        with fast_math():
-            logits, gates = model.forward_with_gate_views(batch, [positive])
-            (logits.sum() + gates[1].sum()).backward()
-        # MLP^I also encodes the target item: its two layers see B rows.
-        assert sorted(linear_rows) == sorted([rows] * 2 + [valid] * 13)
+        monkeypatch.setattr(kernels.PackedMLP, "run", recording_run)
+        monkeypatch.setattr(training, "gather_rows", recording_gather)
+        step = _compiled(model)
+        step.forward(batch, positive)
+        k = model.config.num_experts
+        step.backward(np.ones(rows, np.float32), None, np.ones((rows, k), np.float32))
+
+        def layer(mlp, index):
+            return id(mlp._linears[index].weight.data)
+
+        gate = model.gate
+        assert runs[layer(model.input_network.behavior_mlp, 0)] == valid + rows
+        assert runs[layer(gate.behavior_mlp, 0)] == valid
+        for unit in (model.input_network.attention, gate.gate_unit, gate.activation_unit):
+            assert runs[layer(unit.mlp, 1)] == valid  # their first layers: one GEMM each
+        assert step.attention.z.shape[0] == step.units.z.shape[0] == valid
         for table in (model.embedder.item, model.embedder.category):
-            shapes = [shape for weight, shape in gathers if weight == id(table.weight)]
-            assert sorted(shapes) == sorted([(rows,), (valid,)])
+            assert [n for t, n in gathers if t == id(table.weight.data)] == [valid + rows]
 
     @pytest.mark.parametrize("augmentation,trunk_passes", [("mask", 1), ("crop", 1), ("reorder", 2)])
-    def test_trunk_passes_per_step(self, train_set, augmentation, trunk_passes):
+    def test_trunk_passes_per_step(self, train_set, monkeypatch, augmentation, trunk_passes):
+        """mask / crop: one compiled trunk pass serves the logits and both
+        views; reorder rewrites the ids, so the tape runs the gate twice."""
         config = TrainConfig(
             epochs=1, batch_size=16, contrastive=True, augmentation=augmentation, fast_path=True
         )
         model = self._model(train_set)
         calls = []
-        original = model.gate.forward_views
-        model.gate.forward_views = lambda *a, **k: calls.append(1) or original(*a, **k)
+        tape_gate = model.gate.forward
+        model.gate.forward = lambda *a, **k: calls.append("tape") or tape_gate(*a, **k)
+        compiled_gate = CompiledTrainStep._gate_behavior
+        monkeypatch.setattr(
+            CompiledTrainStep, "_gate_behavior",
+            lambda step, ctx, lease: calls.append("compiled") or compiled_gate(step, ctx, lease),
+        )
         model.train()
         train_step(
             model, train_set.batch_at(np.arange(16)), config, build_optimizers(model, config),
             build_strategy(config), np.random.default_rng(0), GradArena(),
         )
         assert len(calls) == trunk_passes
+        assert set(calls) == {"tape" if augmentation == "reorder" else "compiled"}
+
+
+def _contrastive_config(augmentation="mask", fast=True):
+    return TrainConfig(
+        epochs=1, batch_size=16, learning_rate=1e-3, contrastive=True,
+        augmentation=augmentation, fast_path=fast,
+    )
+
+
+class TestCompiledStep:
+    def test_second_step_allocates_nothing(self, train_set):
+        """After a step, a step at the same or a smaller P (and B) leases
+        every buffer from the arena: no miss, no growth."""
+        model = build_model("aw_moe", ModelConfig.unit(), train_set.meta, np.random.default_rng(3))
+        config = _contrastive_config()
+        optimizer, strategy = build_optimizers(model, config), build_strategy(config)
+        step = compile_train_step(model, optimizer, "mask")
+        rng = np.random.default_rng(4)
+        large, small = train_set.batch_at(np.arange(32)), train_set.batch_at(np.arange(16))
+        assert np.count_nonzero(small["behavior_mask"]) < np.count_nonzero(large["behavior_mask"])
+        step(large, optimizer, strategy, rng)
+        misses, nbytes = step.arena.misses, step.nbytes
+        for batch in (large, small, large):
+            step(batch, optimizer, strategy, rng)
+        assert (step.arena.misses, step.nbytes) == (misses, nbytes)
+
+    @pytest.mark.parametrize("augmentation", ["mask", "crop"])
+    def test_draws_match_eager(self, train_set, monkeypatch, augmentation):
+        """The compiled step draws the same positive views and in-batch
+        negatives from ``cl_rng``, in the same order, as the eager step."""
+        import repro.core.contrastive as contrastive
+        import repro.infer.training as training
+
+        draws = {False: [], True: []}
+        side = []
+
+        def recording(name, fn):
+            def draw(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                draws[side[-1]].append((name, np.array(out, copy=True)))
+                return out
+
+            return draw
+
+        monkeypatch.setattr(contrastive, "augment_mask", recording("view", contrastive.augment_mask))
+        for module in (contrastive, training):
+            negatives = recording("negatives", module.sample_in_batch_negatives)
+            monkeypatch.setattr(module, "sample_in_batch_negatives", negatives)
+        states = {}
+        for fast in (False, True):
+            side.append(fast)
+            config = _contrastive_config(augmentation, fast)
+            model = build_model("aw_moe", ModelConfig.unit(), train_set.meta, np.random.default_rng(3))
+            optimizer, strategy = build_optimizers(model, config), build_strategy(config)
+            rng = np.random.default_rng(5)
+            for start in (0, 16):
+                batch = train_set.batch_at(np.arange(start, start + 16))
+                train_step(model, batch, config, optimizer, strategy, rng, GradArena())
+            states[fast] = rng.bit_generator.state
+        assert [name for name, _ in draws[True]] == ["view", "negatives"] * 2
+        assert [name for name, _ in draws[False]] == ["view", "negatives"] * 2
+        for (_, eager), (_, fast) in zip(draws[False], draws[True]):
+            assert np.array_equal(eager, fast)
+        assert states[False] == states[True]
+
+
+_PATHS = [
+    ("aw_moe", ModelConfig.unit(), "mask", True),
+    ("aw_moe", ModelConfig.unit(), "crop", True),
+    ("aw_moe", ModelConfig.unit(), None, True),
+    ("aw_moe", ModelConfig.unit(), "reorder", False),
+    ("sparse", ModelConfig.unit(), "mask", True),
+    *[("aw_moe", ModelConfig.unit().with_gate_ablation(gu, au), "mask", True)
+      for gu, au in [(True, False), (False, True), (False, False)]],
+    *[(name, ModelConfig.unit(), None, False) for name in ("din", "dnn", "mmoe", "category_moe")],
+]
+
+
+class TestPathGuard:
+    """Which path each model and augmentation trains on under fast_path.
+    AW-MoE with mask or crop must run compiled, so a silent fall-back to
+    the tape cannot hide a lost speed-up; the rest keep the tape."""
+
+    @pytest.mark.parametrize("name,config,augmentation,compiled", _PATHS)
+    def test_path(self, train_set, monkeypatch, name, config, augmentation, compiled):
+        from repro.core.extensions import SparseGatedAWMoE
+
+        taken = []
+        compiled_call, tape_backward = CompiledTrainStep.__call__, Tensor.backward
+        monkeypatch.setattr(
+            CompiledTrainStep, "__call__",
+            lambda step, *a, **k: taken.append("compiled") or compiled_call(step, *a, **k),
+        )
+        monkeypatch.setattr(
+            Tensor, "backward", lambda t, *a, **k: taken.append("tape") or tape_backward(t, *a, **k)
+        )
+        rng = np.random.default_rng(6)
+        if name == "sparse":
+            model = SparseGatedAWMoE(config, train_set.meta, rng, top_k=2)
+        else:
+            model = build_model(name, config, train_set.meta, rng)
+        train = _contrastive_config(augmentation or "mask")
+        if augmentation is None:
+            train = TrainConfig(epochs=1, batch_size=16, learning_rate=1e-3)
+        metrics = train_step(
+            model, train_set.batch_at(np.arange(16)), train, build_optimizers(model, train),
+            build_strategy(train), np.random.default_rng(7), GradArena(),
+        )
+        assert np.isfinite(metrics["loss"])
+        assert taken == ["compiled" if compiled else "tape"]

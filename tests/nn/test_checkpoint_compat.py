@@ -4,13 +4,16 @@
 archives written by the per-array optimizer (one ``m`` / ``v`` array per
 parameter, none for a parameter that never had a gradient) after three
 train steps; ``{aw_moe,mmoe}_step4.npz`` hold each model's weights after a
-fourth.  Loading the archive into the flat-buffer optimizer and taking that
-fourth step must reproduce those weights bit for bit.  MMoE trains its first
+fourth, taken on the eager reference path (``fast_path=False``), whose
+arithmetic no fast-path change touches.  Loading the archive into the
+flat-buffer optimizer and taking that fourth step must reproduce those
+weights bit for bit.  MMoE trains its first
 task only, so its archive has no moments for ``gate1.*``: the missing-key
 path.  Regenerate (only ever from a tree whose optimizer is the per-array
 one) with ``PYTHONPATH=src python tests/nn/test_checkpoint_compat.py``.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +35,8 @@ def _model(name, train_set):
     return build_model(name, ModelConfig.unit(), train_set.meta, np.random.default_rng(4))
 
 
-def _step(name, model, optimizer, train_set, step, arena):
-    config = CONFIGS[name]
+def _step(name, model, optimizer, train_set, step, arena, fast=True):
+    config = CONFIGS[name] if fast else replace(CONFIGS[name], fast_path=False)
     batch = train_set.batch_at(np.arange(BATCH * step, BATCH * (step + 1)))
     strategy = build_strategy(config)
     train_step(model, batch, config, optimizer, strategy, np.random.default_rng(100 + step), arena)
@@ -47,7 +50,7 @@ def write_fixtures(train_set) -> None:
         for step in range(3):
             _step(name, model, optimizer, train_set, step, arena)
         save_training_state(str(FIXTURES / f"{name}_3steps.npz"), model, optimizer)
-        _step(name, model, optimizer, train_set, 3, arena)
+        _step(name, model, optimizer, train_set, 3, arena, fast=False)
         save_state(model.state_dict(), str(FIXTURES / f"{name}_step4.npz"))
 
 
@@ -56,7 +59,7 @@ def test_per_array_checkpoint_resumes_bitwise(train_set, name):
     model = build_model(name, ModelConfig.unit(), train_set.meta, np.random.default_rng(99))
     optimizer = build_optimizers(model, CONFIGS[name])
     load_training_state(str(FIXTURES / f"{name}_3steps.npz"), model, optimizer)
-    _step(name, model, optimizer, train_set, 3, GradArena())
+    _step(name, model, optimizer, train_set, 3, GradArena(), fast=False)
     expected = load_state(str(FIXTURES / f"{name}_step4.npz"))
     assert expected.keys() == model.state_dict().keys()
     for key, value in model.state_dict().items():

@@ -125,13 +125,6 @@ class TestShapeGrads:
     def test_broadcast_to_new_axis(self):
         assert_grad_ok(lambda ts: ts[0].expand_dims(0).broadcast_to((4, 3)), [RNG.random(3)])
 
-    def test_getitem_slice(self):
-        assert_grad_ok(lambda ts: ts[0][1:3], [RNG.random((5, 2))])
-
-    def test_getitem_integer_array(self):
-        idx = np.array([0, 2, 2])
-        assert_grad_ok(lambda ts: ts[0][idx], [RNG.random((4, 3))])
-
 
 class TestCompositeGrads:
     def test_two_layer_network(self):

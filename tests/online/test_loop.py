@@ -185,6 +185,29 @@ class TestEmptyLogIdentity:
         np.testing.assert_array_equal(before, loop.production_model.predict_proba(batch))
 
 
+    def test_window_too_small_for_one_contrastive_batch_is_a_noop(
+        self, tmp_path, unit_world, make_model, online_train_config
+    ):
+        """One usable session downsamples to 2 rows, fewer than the l + 1
+        a contrastive batch needs: the refresh would train nothing, so the
+        cycle registers, canaries and swaps nothing either."""
+        loop = _make_loop(
+            tmp_path,
+            unit_world,
+            make_model,
+            online_train_config.with_contrastive(),
+            relevance_fn=lambda user, items, category: (np.arange(len(items)) == 0) * 1.0,
+        )
+        loop.bootstrap()
+        report = loop.run_cycle(_events(unit_world, 1))
+        assert 0 < report.train_rows < loop.trainer.config.num_negatives + 1
+        assert report.candidate_version is None
+        assert not report.promoted
+        assert loop.production_version == 1
+        assert loop.trainer.updates == 0
+        assert loop.cluster.model_version == "v0001"
+
+
 class TestAlertsOnEitherBackend:
     @pytest.mark.parametrize("backend", ["inprocess", "process"])
     def test_one_cycle_evaluates_a_rule_over_fleet_health(

@@ -36,13 +36,13 @@ MODEL_ROWS = ["dnn", "din", "category_moe", "aw_moe", "aw_moe_cl"]
 
 def bench_train_config() -> TrainConfig:
     # The benchmarks that train their own models (fig 8, the three §V
-    # ablations, tables 5 and 6) take the fast path.  Measured with the flag
-    # flipped for the whole suite, the 13 paper-table/figure files take 59 s
-    # on it against 199 s on the reference path (fig 8 93 -> 17 s,
-    # sequence-augmentation 27 -> 6 s, table 5 17 -> 4 s, table 6 14 -> 6 s,
-    # adversarial 11 -> 8 s, sparse top-K 9 -> 4 s) and 12 of 13 pass
-    # untouched; only fig 7's t-SNE purity moves (0.387 against its 0.40
-    # line, t-SNE-seed noise), and fig 7 reads ``trained_models`` below.
+    # ablations, tables 5 and 6) take the fast path: every AW-MoE runs its
+    # compiled step, the baselines and the adversarial loop the eager tape.
+    # On a 2-vCPU box these four files take 65 s on it against 303 s with
+    # the flag flipped to the reference path, and pass either way (fig 8
+    # 158 -> 20 s, sequence-augmentation 45 -> 6 s, table 5 29 -> 9 s,
+    # table 6 29 -> 7 s, sparse top-K 18 -> 4 s; adversarial 17 / 13 s,
+    # eager on both).  Fig 7 reads ``trained_models`` below.
     return TrainConfig(epochs=2, batch_size=256, learning_rate=1.5e-3)
 
 

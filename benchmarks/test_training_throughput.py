@@ -31,7 +31,6 @@ from repro.core.trainer import build_optimizers, build_strategy, train_step
 from repro.data import WorldConfig, make_search_datasets
 from repro.data.dataset import iterate_batches
 from repro.infer import compile_train_step
-from repro.nn import GradArena
 from repro.online import IncrementalTrainer
 from repro.utils import SeedBank, print_table
 
@@ -62,13 +61,12 @@ def _steps_per_second(model, batches, config) -> tuple:
     strategy = build_strategy(config)
     bank = SeedBank(7)
     cl_rng = bank.child("cl")
-    arena = GradArena() if config.fast_path else None
     model.train()
-    for batch in batches[:2]:  # warm caches, arena, BLAS threads
-        train_step(model, batch, config, optimizer, strategy, cl_rng, arena)
+    for batch in batches[:2]:  # warm caches, the compiled step's arena, BLAS threads
+        train_step(model, batch, config, optimizer, strategy, cl_rng)
     start = time.perf_counter()
     for batch in batches:
-        metrics = train_step(model, batch, config, optimizer, strategy, cl_rng, arena)
+        metrics = train_step(model, batch, config, optimizer, strategy, cl_rng)
     return len(batches) / (time.perf_counter() - start), metrics["loss"]
 
 
@@ -87,7 +85,7 @@ def _sweep(train) -> dict:
         model = build_model("aw_moe", ModelConfig.small(), train.meta, SeedBank(101).child("model"))
         optimizer, strategy = build_optimizers(model, config), build_strategy(config)
         cl_rng = np.random.default_rng(19)
-        compiled = compile_train_step(model, optimizer, config.augmentation) if fast else None
+        compiled = compile_train_step(model, optimizer) if fast else None
         model.train()
         medians = []
         for size in SWEEP_SIZES:

@@ -27,12 +27,8 @@ __all__ = ["ActivationUnit", "pairwise", "padded_key"]
 
 
 def pairwise(h: Tensor, key: Tensor) -> Tensor:
-    """``[h ‖ h ⊙ key ‖ key]`` — the input of both units (Fig. 4a/4c).
-
-    ``key`` is already expanded to ``h``'s shape, so the helper is
-    layout-agnostic: padded ``(B, M, H)`` on the reference path, packed
-    ``(P, H)`` valid positions on the fast path.
-    """
+    """``[h ‖ h ⊙ key ‖ key]`` — the input of both units (Fig. 4a/4c);
+    ``key`` is already expanded to ``h``'s shape (:func:`padded_key`)."""
     return concat([h, h * key, key], axis=-1)
 
 
@@ -47,10 +43,11 @@ def padded_key(h_seq: Tensor, h_key: Tensor) -> Tensor:
 class ActivationUnit(Module):
     """Attention scorer producing one weight per behaviour item.
 
-    ``self.mlp`` maps a :func:`pairwise` tensor of either layout to
-    ``outputs`` scores per item; the validity mask enters only as the final
-    multiply, so callers that score one sequence under several masks (or on
-    packed valid positions only) call the MLP once and mask downstream.
+    ``self.mlp`` maps a :func:`pairwise` tensor to ``outputs`` scores per
+    item; the validity mask enters only as the final multiply, so callers
+    that score one sequence under several masks (or on packed valid
+    positions only, as the compiled train step does) call the MLP once and
+    mask downstream.
     """
 
     def __init__(

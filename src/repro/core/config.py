@@ -95,11 +95,11 @@ class TrainConfig:
     # Behaviour-sequence augmentation: "mask" (paper), "reorder" or "crop"
     # (future-work extensions, §V).
     augmentation: str = "mask"
-    # Train through the fused fast path: packed-expert GEMMs, fused
-    # linear+bias+ReLU kernels, shared-trunk contrastive views, and a
-    # recycled gradient-buffer arena.  ``False`` selects the eager reference
-    # path — op for op the original implementation, with bitwise-reproducible
-    # loss curves — which the fast path is parity-tested against.
+    # Train AW-MoE through its compiled step (fused kernels, one trunk pass
+    # for both contrastive views); other models run the eager tape either
+    # way.  ``False`` selects the eager reference path for every model — op
+    # for op the original implementation, with bitwise-reproducible loss
+    # curves — which the compiled step is parity-tested against.
     fast_path: bool = True
 
     def __post_init__(self) -> None:

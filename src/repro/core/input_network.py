@@ -11,26 +11,14 @@ replaces the attention with plain sum pooling as in YouTube-DNN.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
-
 import numpy as np
 
-from repro.core.activation_unit import ActivationUnit, pairwise
+from repro.core.activation_unit import ActivationUnit
 from repro.core.config import ModelConfig
 from repro.data.schema import Batch, DatasetMeta
-from repro.nn import MLP, Embedding, Module, Tensor, concat, is_fast_math, repeat_rows, segment_sum
+from repro.nn import MLP, Embedding, Module, Tensor, concat
 
-__all__ = ["InputNetwork", "FeatureEmbedder", "PackedBehavior"]
-
-
-class PackedBehavior(NamedTuple):
-    """One step's P valid positions of the padded ``(B, M)`` layout in
-    row-major order (``rows`` sorted, as :func:`repro.nn.segment_sum` needs)
-    and the item representations gathered there, ``(P, item_repr_dim)``."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    embedded: Tensor
+__all__ = ["InputNetwork", "FeatureEmbedder"]
 
 
 class FeatureEmbedder(Module):
@@ -51,29 +39,18 @@ class FeatureEmbedder(Module):
         )
         self.query_repr_dim = config.query_embed_dim
 
-    def behavior(self, batch: Batch, at=...) -> Tensor:
+    def behavior(self, batch: Batch) -> Tensor:
         """Behaviour item representations ``(B, M, item_repr_dim)``.
 
         Each behaviour item is represented by its id embedding, its category
         embedding, and its dense profile features (price / popularity /
         quality) — the side information production systems attach to
-        sequence items.  ``at=(rows, cols)`` gathers only those positions,
-        ``(P, item_repr_dim)``.
+        sequence items.
         """
-        items = self.item(batch["behavior_items"][at])
-        categories = self.category(batch["behavior_categories"][at])
-        dense = Tensor(batch["behavior_dense"][at])
+        items = self.item(batch["behavior_items"])
+        categories = self.category(batch["behavior_categories"])
+        dense = Tensor(batch["behavior_dense"])
         return concat([items, categories, dense], axis=-1)
-
-    def packed(self, batch: Batch) -> PackedBehavior:
-        """The batch's valid behaviour positions, embedded once.
-
-        Padded positions contribute exact zeros to every pooled sum (their
-        scores meet a 0 mask before any reduction), so dropping them changes
-        GEMM row counts, never the mathematics.
-        """
-        rows, cols = np.nonzero(np.asarray(batch["behavior_mask"]) != 0)
-        return PackedBehavior(rows, cols, self.behavior(batch, at=(rows, cols)))
 
     def target(self, batch: Batch) -> Tensor:
         """Target item representations ``(B, item_repr_dim)``."""
@@ -121,23 +98,9 @@ class InputNetwork(Module):
         components = 3 if config.task == "search" else 2
         self.output_dim = (components + 1) * self.hidden_dim
 
-    def user_vector(
-        self, batch: Batch, h_target: Tensor, packed: Optional[PackedBehavior] = None
-    ) -> Tensor:
-        """Target-aware user representation ``v_u`` (Eq. 3), shape (B, H).
-
-        With ``packed`` the behaviour MLP and the attention unit run on the
-        valid positions only and one segment-sum pools them back per row.
-        """
+    def user_vector(self, batch: Batch, h_target: Tensor) -> Tensor:
+        """Target-aware user representation ``v_u`` (Eq. 3), shape (B, H)."""
         mask = batch["behavior_mask"]
-        if packed is not None:
-            rows, cols, embedded = packed
-            h_behavior = self.behavior_mlp(embedded)  # (P, H)
-            weights = np.asarray(mask, dtype=np.float32)[rows, cols][:, None]
-            if self.pooling == "attention":
-                key = repeat_rows(h_target, rows)
-                weights = self.attention.mlp(pairwise(h_behavior, key)) * weights
-            return segment_sum(h_behavior * weights, rows, mask.shape[0])
         h_behavior = self.behavior_mlp(self.embedder.behavior(batch))
         if self.pooling == "attention":
             weights = self.attention(h_behavior, h_target, mask)  # (B, M)
@@ -147,14 +110,9 @@ class InputNetwork(Module):
         return weighted.sum(axis=1)
 
     def forward(self, batch: Batch) -> Tensor:
-        """Impression representation ``v_imp`` (Eq. 4), shape (B, output_dim).
-
-        Under :func:`repro.nn.fast_math` the behaviour side runs packed, on
-        the batch's valid positions only.
-        """
-        packed = self.embedder.packed(batch) if is_fast_math() else None
+        """Impression representation ``v_imp`` (Eq. 4), shape (B, output_dim)."""
         h_target = self.behavior_mlp(self.embedder.target(batch))
-        v_user = self.user_vector(batch, h_target, packed)
+        v_user = self.user_vector(batch, h_target)
         h_other = self.other_mlp(Tensor(batch["other_features"]))
         parts = [v_user, h_target]
         if self.query_mlp is not None:

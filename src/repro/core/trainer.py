@@ -9,7 +9,6 @@ the ``contrastive`` flag — as in the paper.
 
 from __future__ import annotations
 
-import contextlib
 import weakref
 from typing import Dict, Optional
 
@@ -20,7 +19,7 @@ from repro.core.contrastive import ContrastiveStrategy
 from repro.core.ranking_model import RankingModel
 from repro.data.dataset import RankingDataset, iterate_batches
 from repro.data.schema import Batch
-from repro.nn import AdamW, GradArena, bce_with_logits, clip_grad_norm, fast_math
+from repro.nn import AdamW, GradArena, bce_with_logits, clip_grad_norm
 from repro.utils.logging import RunLog
 from repro.utils.rng import SeedBank
 
@@ -57,7 +56,6 @@ def train_model(
     cl_rng = bank.child("contrastive")
     optimizer = build_optimizers(model, config)
     strategy = build_strategy(config)
-    arena = GradArena() if config.fast_path else None
     if log is None:
         log = RunLog(name=type(model).__name__)
 
@@ -68,7 +66,7 @@ def train_model(
             train_set, config.batch_size, rng=shuffle_rng, drop_last=True
         ):
             step += 1
-            metrics = train_step(model, batch, config, optimizer, strategy, cl_rng, arena)
+            metrics = train_step(model, batch, config, optimizer, strategy, cl_rng)
             log.log(step, epoch=epoch, **metrics)
     model.eval()
     return log
@@ -94,59 +92,55 @@ def train_step(
     (:func:`repro.infer.compile_train_step`, built once per optimizer): flat
     fused forward and backward kernels over the step's valid behaviour
     positions, one trunk pass for the logits and both contrastive views.
-    What it does not compile — other models, the ``reorder`` augmentation —
-    runs the tape under :func:`repro.nn.fast_math` (fused linear kernels,
-    packed experts and trunk, ``arena`` recycling gradient buffers across
-    steps).  Every path draws from ``cl_rng`` in the same order, so fast
-    and eager runs see identical augmentations and in-batch negatives.
+    Every other model, and every model under ``fast_path=False``, runs the
+    eager reference tape.  Both paths draw from ``cl_rng`` in the same
+    order, so they see identical augmentations and in-batch negatives.
+    ``arena`` is accepted and ignored (see :class:`repro.nn.GradArena`).
     """
     contrastive = strategy if config.contrastive else None
     if config.fast_path:
-        compiled = _compiled_step(model, optimizer, contrastive)
+        compiled = _compiled_step(model, optimizer)
         if compiled is not None:
             return compiled(batch, optimizer, contrastive, cl_rng)
-    mode = fast_math(arena) if config.fast_path else contextlib.nullcontext()
-    with mode:
-        if contrastive is not None:
-            logits, gate = model.forward_with_gate(batch)
-            rank_loss = bce_with_logits(logits, batch["label"])
-            cl_loss = strategy.loss(model, batch, gate, cl_rng)
-            loss = rank_loss + cl_loss
-            extra = {"cl_loss": cl_loss.item()}
-        else:
-            logits = model.forward(batch)
-            rank_loss = bce_with_logits(logits, batch["label"])
-            loss = rank_loss
-            extra = {}
-        optimizer.zero_grad()
-        loss.backward()
-        # clip_grad_norm returns the pre-clip global norm — the training
-        # health signal the refresh-cycle telemetry streams (a norm spike
-        # on a fresh click window is the earliest divergence symptom).
-        extra["grad_norm"] = clip_grad_norm(optimizer, GRAD_CLIP)
-        optimizer.step()
+    if contrastive is not None:
+        logits, gate = model.forward_with_gate(batch)
+        rank_loss = bce_with_logits(logits, batch["label"])
+        cl_loss = strategy.loss(model, batch, gate, cl_rng)
+        loss = rank_loss + cl_loss
+        extra = {"cl_loss": cl_loss.item()}
+    else:
+        logits = model.forward(batch)
+        rank_loss = bce_with_logits(logits, batch["label"])
+        loss = rank_loss
+        extra = {}
+    optimizer.zero_grad()
+    loss.backward()
+    # clip_grad_norm returns the pre-clip global norm — the training
+    # health signal the refresh-cycle telemetry streams (a norm spike
+    # on a fresh click window is the earliest divergence symptom).
+    extra["grad_norm"] = clip_grad_norm(optimizer, GRAD_CLIP)
+    optimizer.step()
     return {"loss": loss.item(), "rank_loss": rank_loss.item(), **extra}
 
 
 #: One compiled step per optimizer (weakly keyed, so it goes with the
-#: optimizer): ``(model, augmentation, step or None when it did not compile)``.
+#: optimizer): ``(model, step or None when it did not compile)``.
 _COMPILED: "weakref.WeakKeyDictionary[AdamW, tuple]" = weakref.WeakKeyDictionary()
 
 
-def _compiled_step(model, optimizer, strategy):
-    """The compiled step for ``(model, optimizer)`` under ``strategy``'s
-    augmentation, or ``None`` where the tape must run (CompileError)."""
-    augmentation = None if strategy is None else strategy.augmentation
+def _compiled_step(model, optimizer):
+    """The compiled step for ``(model, optimizer)``, or ``None`` where the
+    tape runs (CompileError)."""
     entry = _COMPILED.get(optimizer)
-    if entry is None or entry[0] is not model or entry[1] != augmentation:
+    if entry is None or entry[0] is not model:
         from repro.infer import CompileError, compile_train_step
 
         try:
-            step = compile_train_step(model, optimizer, augmentation)
+            step = compile_train_step(model, optimizer)
         except CompileError:
             step = None
-        entry = _COMPILED[optimizer] = (model, augmentation, step)
-    return entry[2]
+        entry = _COMPILED[optimizer] = (model, step)
+    return entry[1]
 
 
 def build_strategy(config: TrainConfig) -> ContrastiveStrategy:

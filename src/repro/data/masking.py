@@ -6,13 +6,14 @@ mentions *reordering*; *cropping* is the third standard augmentation from the
 contrastive sequential-recommendation literature the paper cites [43], [44].
 
 All augmentations operate on the ``(B, M)`` validity mask (and, for reorder,
-the id arrays) without touching the underlying dataset; models consume the
-augmented view through the ``mask_override`` hook of the gate network.
+the per-position arrays) without touching the underlying dataset; models
+consume the augmented view through the ``mask_override`` hook of the gate
+network.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -68,31 +69,31 @@ def random_crop(mask: np.ndarray, rng: np.random.Generator, ratio: float = 0.8) 
 
 
 def random_reorder(
-    items: np.ndarray,
-    categories: np.ndarray,
+    columns: Sequence[np.ndarray],
     mask: np.ndarray,
     rng: np.random.Generator,
     p: float = 0.2,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> List[np.ndarray]:
     """Shuffle a random fraction ``p`` of valid positions (future work §V).
 
-    Returns reordered copies of ``(items, categories)``.  Note the AW-MoE
-    gate is permutation-invariant over the sequence, so reordering only
+    ``columns`` are per-position arrays ``(B, M, ...)`` — a behaviour item's
+    id, category and dense profile.  Returns reordered copies in which each
+    position moves whole: every column is permuted by the same draw.  The
+    AW-MoE pools (Eq. 3, Eq. 8) are sums over positions, so reordering only
     perturbs models/features sensitive to order; it is provided for the
     augmentation-ablation benchmark.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"reorder probability must be in [0, 1], got {p}")
-    items = np.array(items, copy=True)
-    categories = np.array(categories, copy=True)
-    for row in range(items.shape[0]):
+    columns = [np.array(column, copy=True) for column in columns]
+    for row in range(mask.shape[0]):
         valid = np.flatnonzero(mask[row] > 0)
         chosen = valid[rng.random(valid.size) < p]
         if chosen.size > 1:
             permuted = rng.permutation(chosen)
-            items[row, chosen] = items[row, permuted]
-            categories[row, chosen] = categories[row, permuted]
-    return items, categories
+            for column in columns:
+                column[row, chosen] = column[row, permuted]
+    return columns
 
 
 def augment_mask(
@@ -104,8 +105,9 @@ def augment_mask(
     """Return the positive-view mask for the requested strategy.
 
     ``"mask"`` follows the paper; ``"crop"`` keeps a contiguous window of
-    size ``1 - p``; ``"reorder"`` permutes ids in place and returns the
-    original mask (the batch's id arrays are replaced by reordered copies).
+    size ``1 - p``; ``"reorder"`` permutes whole positions and returns the
+    original mask (the batch's behaviour id, category and dense arrays are
+    replaced by reordered copies).
     """
     mask = batch["behavior_mask"]
     if strategy == "mask":
@@ -113,11 +115,9 @@ def augment_mask(
     if strategy == "crop":
         return random_crop(mask, rng, ratio=max(1.0 - p, 0.05))
     if strategy == "reorder":
-        items, categories = random_reorder(
-            batch["behavior_items"], batch["behavior_categories"], mask, rng, p=max(p, 0.2)
-        )
-        batch["behavior_items"] = items
-        batch["behavior_categories"] = categories
+        keys = ("behavior_items", "behavior_categories", "behavior_dense")
+        reordered = random_reorder([batch[key] for key in keys], mask, rng, p=max(p, 0.2))
+        batch.update(zip(keys, reordered))
         return np.asarray(mask, dtype=np.float32)
     raise ValueError(f"unknown augmentation strategy {strategy!r}")
 

@@ -32,12 +32,14 @@ hand-written backward kernels, run in reverse.  No autograd tape is built.
 The step runs in the parameters' dtype (float32, or float64 for the
 gradient checks).  The contrastive masks and negatives are drawn from
 ``cl_rng`` in the eager step's order (positive view, then negatives), so the
-two paths see the same augmentations.  The eager ``fast_path=False`` step
-is the oracle (``tests/core/test_fast_training.py``).  What the kernels do
-not cover raises :class:`~repro.infer.kernels.CompileError` and
-:func:`repro.core.trainer.train_step` keeps the tape: any model that is not
-an :class:`~repro.core.aw_moe.AWMoE`, and the ``reorder`` augmentation,
-which rewrites the behaviour ids and so cannot share one trunk pass.
+two paths see the same augmentations.  ``reorder`` permutes whole
+behaviour positions of the batch before the forward, and Eq. 3 and Eq. 8
+are sums over positions, so its positive view is the anchor's mask and
+shares the one trunk pass too.  The eager ``fast_path=False`` step is the
+oracle (``tests/core/test_fast_training.py``).  A model that is not an
+:class:`~repro.core.aw_moe.AWMoE` raises
+:class:`~repro.infer.kernels.CompileError`, and
+:func:`repro.core.trainer.train_step` runs the eager tape for it.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from repro.data.masking import sample_in_batch_negatives
 from repro.infer.kernels import CompileError, PackedExperts, PackedMLP, gather_rows
 from repro.infer.plan import BufferArena
 from repro.nn import clip_grad_norm
-from repro.nn.ops import _segment_sum as segment_sum
 
 __all__ = ["CompiledTrainStep", "compile_train_step"]
 
@@ -62,6 +63,18 @@ Slots = Dict[int, np.ndarray]
 
 def _rows_capacity(rows: int) -> int:
     return rows if rows <= 128 else -(-rows // 128) * 128
+
+
+def segment_sum(x: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """Sum rows of ``x`` (P, ...) into ``size`` segments; ``rows`` is sorted.
+    ``np.add.reduceat`` returns the *element* at an empty segment's start, so
+    it is only shown the non-empty segments; empty ones stay exactly 0."""
+    out = np.zeros((size, *x.shape[1:]), dtype=x.dtype)
+    counts = np.bincount(rows, minlength=size)
+    filled = counts > 0
+    if x.shape[0]:
+        out[filled] = np.add.reduceat(x, (np.cumsum(counts) - counts)[filled], axis=0)
+    return out
 
 
 def _scatter_add(table_grad: np.ndarray, ids: np.ndarray, grad: np.ndarray) -> None:
@@ -737,15 +750,10 @@ def _accumulate(ctx: dict, key: str, grad: np.ndarray) -> None:
         ctx[key] = grad
 
 
-def compile_train_step(model, optimizer, augmentation: Optional[str] = None) -> CompiledTrainStep:
-    """Compile ``model``'s train step against ``optimizer``'s gradient slots.
-
-    ``augmentation`` is the contrastive strategy's view transform (``None``
-    without the contrastive term).  Raises :class:`CompileError` for what
-    keeps the tape: a model that is not an AW-MoE, and ``"reorder"``.
-    """
+def compile_train_step(model, optimizer) -> CompiledTrainStep:
+    """Compile ``model``'s train step against ``optimizer``'s gradient slots,
+    with or without the contrastive term and under every augmentation.
+    Raises :class:`CompileError` for a model that is not an AW-MoE."""
     if not isinstance(model, AWMoE):
         raise CompileError(f"no train-step compiler for {type(model).__name__}")
-    if augmentation == "reorder":
-        raise CompileError("'reorder' rewrites the behaviour ids: anchor and positive share no trunk")
     return CompiledTrainStep(model, optimizer)

@@ -7,29 +7,18 @@ hidden layers, linear output), the paper's optimizer AdamW, and the two
 losses the paper combines — binary cross-entropy ranking loss (Eq. 1) and
 InfoNCE contrastive loss (Eq. 10).
 
-Training has two execution modes: the eager reference path (every op its
-own graph node — the bitwise-reproducible specification) and the fused fast
-path under :func:`fast_math` — the :func:`linear` kernel collapses
-matmul+bias+ReLU into one node, and a :class:`GradArena` recycles
-gradient buffers across steps (see :mod:`repro.nn.arena`).
+The tape here has one execution mode: every op its own graph node, the
+bitwise-reproducible reference.  Every model but AW-MoE trains on it; AW-MoE
+trains through its compiled step (:func:`repro.infer.compile_train_step`),
+whose gradients land in :class:`AdamW`'s slots and which is tested against
+this tape.
 """
 
-from repro.nn.arena import GradArena, active_arena, fast_math, is_fast_math
+from repro.nn.arena import GradArena
 from repro.nn.tensor import Tensor, no_grad, is_grad_enabled
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import Embedding, Linear, MLP
-from repro.nn.ops import (
-    concat,
-    embedding,
-    linear,
-    logsumexp,
-    masked_fill,
-    repeat_rows,
-    segment_sum,
-    softmax,
-    stack,
-    take,
-)
+from repro.nn.ops import concat, embedding, logsumexp, masked_fill, softmax, take
 from repro.nn.losses import bce_with_logits, info_nce
 from repro.nn.optim import AdamW, clip_grad_norm
 from repro.nn.serialization import (
@@ -48,21 +37,14 @@ __all__ = [
     "no_grad",
     "is_grad_enabled",
     "GradArena",
-    "fast_math",
-    "is_fast_math",
-    "active_arena",
     "Module",
     "Parameter",
     "Linear",
     "Embedding",
     "MLP",
     "concat",
-    "stack",
     "embedding",
     "take",
-    "repeat_rows",
-    "segment_sum",
-    "linear",
     "softmax",
     "logsumexp",
     "masked_fill",

@@ -13,10 +13,8 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.nn import init
-from repro.nn.arena import is_fast_math
 from repro.nn.module import Module, Parameter
 from repro.nn.ops import embedding as embedding_op
-from repro.nn.ops import linear as linear_op
 from repro.nn.tensor import Tensor
 
 __all__ = ["Linear", "Embedding", "MLP"]
@@ -42,8 +40,6 @@ class Linear(Module):
             raise ValueError(
                 f"Linear expected last dim {self.in_features}, got input shape {x.shape}"
             )
-        if is_fast_math():
-            return linear_op(x, self.weight, self.bias)
         leading = x.shape[:-1]
         flat = x.reshape(-1, self.in_features) if x.ndim != 2 else x
         out = flat.matmul(self.weight) + self.bias
@@ -100,13 +96,8 @@ class MLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         last = len(self._linears) - 1
-        fused = is_fast_math()
         for i, layer in enumerate(self._linears):
-            if fused:
-                # One graph node per layer: matmul + bias + ReLU fused.
-                x = linear_op(x, layer.weight, layer.bias, relu=i < last)
-            else:
-                x = layer(x)
-                if i < last:
-                    x = x.relu()
+            x = layer(x)
+            if i < last:
+                x = x.relu()
         return x

@@ -3,8 +3,9 @@ global-norm gradient clipping, as a few whole-buffer array ops.
 
 :class:`AdamW` packs its parameters, in order, into one buffer per dtype:
 each ``Parameter.data`` becomes a view of it, and each parameter gets a
-gradient *slot* in a parallel buffer that the ``fast_math(arena)`` backward
-writes into (:meth:`repro.nn.GradArena.lease_grad`).  The float order is the
+gradient *slot* in a parallel buffer: the compiled train step
+(:mod:`repro.infer.training`) writes its gradients there, and a tape
+gradient is copied in before the clip or the update.  The float order is the
 per-array update's, so results are bitwise equal to it
 (``tests/nn/test_optim.py`` keeps that loop as the oracle).
 """
@@ -72,10 +73,9 @@ class AdamW:
                 rows = [row[start:stop].reshape(shape) for row in flat.rows[:4]]
                 views[index] = (*rows, flat.squares[start:stop])
         self._data, self._slots, self._m, self._v, self._squares = map(list, zip(*views))
-        for param, data, slot in zip(self.params, self._data, self._slots):
+        for param, data in zip(self.params, self._data):
             data[...] = param.data
             param.data = data
-            param._grad_slot = slot
 
     def zero_grad(self) -> None:
         """Clear gradients on all managed parameters."""
@@ -84,7 +84,7 @@ class AdamW:
 
     def _gather(self) -> List[bool]:
         """Which parameters have a gradient; moves one not already in its
-        slot (the eager path's) there."""
+        slot (the tape's) there."""
         touched = []
         for index, (param, data, slot) in enumerate(zip(self.params, self._data, self._slots)):
             if param.data is not data:

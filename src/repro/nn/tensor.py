@@ -34,8 +34,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.nn.arena import active_arena
-
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
 Arrayish = Union["Tensor", np.ndarray, float, int, list, tuple]
@@ -90,10 +88,6 @@ class Tensor:
     """A NumPy-backed tensor participating in reverse-mode autodiff."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
-    #: Where the fast-path backward writes this tensor's gradient: a packed
-    #: parameter's view of its optimizer's gradient buffer (set by
-    #: :class:`repro.nn.AdamW`), ``None`` for every other tensor.
-    _grad_slot: Optional[np.ndarray] = None
 
     def __init__(
         self,
@@ -187,18 +181,6 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            arena = active_arena()
-            if arena is not None:
-                # Fast path: copy into a recycled buffer (or the parameter's
-                # slot) — one memory pass instead of the reference path's
-                # zero-fill + add, and no allocation in steady state.
-                # ``grad`` is always copied, never adopted: closures may
-                # pass views (reshape/squeeze) or even the output tensor's
-                # own gradient straight through.
-                buffer = arena.lease_grad(self)
-                np.copyto(buffer, grad)
-                self.grad = buffer
-                return
             self.grad = np.zeros_like(self.data)
         self.grad += grad
 
@@ -240,7 +222,6 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        arena = active_arena()
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -249,14 +230,6 @@ class Tensor:
                 if node is not self:
                     node._backward = None
                     node._parents = ()
-                if arena is not None:
-                    # An op output's gradient is dead once its closure has
-                    # propagated it; recycle the buffer for the next
-                    # accumulation.  This covers the root (loss) too —
-                    # parameters are leaves, never reach this branch, and
-                    # keep their gradients for the optimizer.
-                    arena.release(node.grad)
-                    node.grad = None
 
     # ------------------------------------------------------------------
     # elementwise arithmetic

@@ -28,7 +28,7 @@ from repro.core.ranking_model import RankingModel
 from repro.core.trainer import build_optimizers, build_strategy, train_step
 from repro.data.dataset import RankingDataset, iterate_batches
 from repro.faults.injector import NULL_INJECTOR
-from repro.nn import GradArena, load_training_state, save_training_state
+from repro.nn import load_training_state, save_training_state
 from repro.obs import NULL_TRACE, MetricsRegistry
 from repro.utils.logging import RunLog
 from repro.utils.rng import SeedBank
@@ -87,10 +87,6 @@ class IncrementalTrainer:
         self.injector = injector if injector is not None else NULL_INJECTOR
         self.optimizer = build_optimizers(model, config)
         self.strategy = build_strategy(config)
-        # One arena for the trainer's lifetime: refresh cycles run the same
-        # step shapes over and over, so after the first window the gradient
-        # buffers of every subsequent cycle come from the pool.
-        self.arena = GradArena() if config.fast_path else None
         self.updates = 0
         self.total_steps = 0
 
@@ -152,7 +148,6 @@ class IncrementalTrainer:
                         self.optimizer,
                         self.strategy,
                         cl_rng,
-                        self.arena,
                     )
                     log.log(step, epoch=epoch, **metrics)
                     epoch_steps += 1

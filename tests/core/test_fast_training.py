@@ -3,66 +3,29 @@
 The fast path (``TrainConfig.fast_path``) must optimize *exactly* the same
 objective as the eager reference.  AW-MoE trains through its compiled step
 (:mod:`repro.infer.training`: flat fused kernels, the behaviour trunk on its
-valid positions, one trunk pass for both contrastive views); other models
-and the ``reorder`` augmentation run the tape with fused linear kernels and
-packed experts.  All of it is float-level reordering of the reference
-computation, never different math: logits and gates ≤ 1e-6, gradients
-≤ 1e-5, the float64 random-direction projection ≤ 1e-10.  These tests pin
-that contract at every level — expert pool, gate views, packed vs padded
-trunk, full training steps, and which path each model takes.  None reads a
-clock.
+valid positions, one trunk pass for both contrastive views, under every
+augmentation); every other model runs the eager tape either way.  The
+compiled step is float-level reordering of the reference computation, never
+different math: logits and gates ≤ 1e-6, gradients ≤ 1e-5, the float64
+random-direction projection ≤ 1e-10.  These tests pin that contract at
+every level — gate views, packed vs padded trunk, full training steps, and
+which path each model takes.  None reads a clock.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import ModelConfig, TrainConfig, build_model
-from repro.core.expert import ExpertPool
 from repro.core.trainer import build_optimizers, build_strategy, train_step
 from repro.data.dataset import iterate_batches
 from repro.infer import CompiledTrainStep, compile_train_step
-from repro.nn import AdamW, GradArena, Tensor, fast_math
+from repro.nn import AdamW, Tensor
 from repro.utils import SeedBank
 
 
 def _compiled(model):
     """The model's compiled train step (over a fresh AdamW's slots)."""
-    return compile_train_step(model, AdamW(model.parameters()), "mask")
-
-
-def _pool(seed=0):
-    return ExpertPool(12, (16, 8), 4, np.random.default_rng(seed))
-
-
-class TestPackedExpertPool:
-    def test_forward_matches_eager(self):
-        pool = _pool()
-        v_imp = Tensor(np.random.default_rng(1).normal(size=(6, 12)).astype(np.float32))
-        eager = pool.forward_eager(v_imp)
-        packed = pool.forward_packed(v_imp)
-        assert packed.shape == (6, 4)
-        assert np.allclose(eager.numpy(), packed.numpy(), atol=1e-6)
-
-    def test_gradients_match_eager(self):
-        pool = _pool()
-        data = np.random.default_rng(2).normal(size=(6, 12)).astype(np.float32)
-        upstream = np.random.default_rng(3).normal(size=(6, 4)).astype(np.float32)
-
-        pool.forward_eager(Tensor(data)).backward(upstream)
-        eager_grads = {name: p.grad.copy() for name, p in pool.named_parameters()}
-        for param in pool.parameters():
-            param.grad = None
-        pool.forward_packed(Tensor(data)).backward(upstream)
-        for name, param in pool.named_parameters():
-            assert np.allclose(eager_grads[name], param.grad, atol=1e-5), name
-
-    def test_forward_dispatches_packed_under_fast_math(self):
-        pool = _pool()
-        v_imp = Tensor(np.random.default_rng(4).normal(size=(3, 12)).astype(np.float32))
-        eager = pool(v_imp)
-        with fast_math():
-            fast = pool(v_imp)
-        assert np.allclose(eager.numpy(), fast.numpy(), atol=1e-6)
+    return compile_train_step(model, AdamW(model.parameters()))
 
 
 class TestGateViews:
@@ -121,14 +84,13 @@ def _run_steps(train_set, fast, steps=6, augmentation="mask", seed=11):
     optimizer = build_optimizers(model, config)
     strategy = build_strategy(config)
     cl_rng = bank.child("cl")
-    arena = GradArena() if fast else None
     model.train()
     losses = []
     batches = iterate_batches(train_set, 16, rng=bank.child("shuffle"), drop_last=True)
     for i, batch in enumerate(batches):
         if i == steps:
             break
-        metrics = train_step(model, batch, config, optimizer, strategy, cl_rng, arena)
+        metrics = train_step(model, batch, config, optimizer, strategy, cl_rng)
         losses.append(metrics["loss"])
     return model, losses
 
@@ -164,11 +126,10 @@ class TestTrainStepParity:
             model = build_model("aw_moe", ModelConfig.unit(), train_set.meta, bank.child("m"))
             optimizer = build_optimizers(model, config)
             strategy = build_strategy(config)
-            arena = GradArena() if fast else None
             model.train()
             batch = train_set.batch_at(np.arange(16))
             losses = [
-                train_step(model, batch, config, optimizer, strategy, None, arena)["loss"]
+                train_step(model, batch, config, optimizer, strategy)["loss"]
                 for _ in range(4)
             ]
             results[fast] = losses
@@ -197,15 +158,15 @@ class TestTrainStepParity:
         )
 
     def test_baseline_without_gate_views_still_trains_fast(self, train_set):
-        """Models the step compiler does not take run fast_path on the tape
-        (packed experts + fused kernels only)."""
+        """Models the step compiler does not take run fast_path on the
+        eager tape."""
         bank = SeedBank(17)
         config = TrainConfig(epochs=1, batch_size=16, learning_rate=1e-3, fast_path=True)
         model = build_model("dnn", ModelConfig.unit(), train_set.meta, bank.child("m"))
         optimizer = build_optimizers(model, config)
         strategy = build_strategy(config)
         batch = train_set.batch_at(np.arange(16))
-        metrics = train_step(model, batch, config, optimizer, strategy, None, GradArena())
+        metrics = train_step(model, batch, config, optimizer, strategy)
         assert np.isfinite(metrics["loss"])
 
 
@@ -358,28 +319,10 @@ class TestPackedTrunkParity:
             ModelConfig.unit(), train_set.meta, np.random.default_rng(19), top_k=2
         )
         batch, positive = _awkward_batch(train_set)
-        logits, anchor, _ = _assert_packed_matches_padded(model, batch, positive)
+        _, anchor, _ = _assert_packed_matches_padded(model, batch, positive)
         # (row 0 is empty: its gate is the uniform bias, a four-way tie.)
         zeros = (anchor.numpy()[1:] == 0.0).sum(axis=1)
         assert np.all(zeros == model.config.num_experts - 2)
-        # The tape's fused forward (reorder's path) agrees too.
-        with fast_math():
-            assert np.allclose(model.forward(batch).numpy(), logits.numpy(), atol=1e-6)
-
-    @pytest.mark.parametrize("name", ["din", "dnn"])
-    def test_input_network_baselines(self, train_set, name):
-        model = self._model(train_set, name=name)
-        batch, _ = _awkward_batch(train_set)
-        upstream = np.random.default_rng(6).normal(size=batch["label"].shape).astype(np.float32)
-        reference = model.forward(batch)
-        ref_grads = _grads(model, (reference * upstream).sum())
-        with fast_math():
-            fast = model.forward(batch)
-        fast_grads = _grads(model, (fast * upstream).sum())
-        assert np.allclose(reference.numpy(), fast.numpy(), atol=1e-6)
-        assert ref_grads.keys() == fast_grads.keys()
-        for key, grad in ref_grads.items():
-            assert np.allclose(grad, fast_grads[key], atol=1e-5), key
 
     def test_trunk_runs_on_valid_positions_only(self, train_set, monkeypatch):
         """The position-wise trunk — both behaviour MLPs, the attention,
@@ -424,10 +367,11 @@ class TestPackedTrunkParity:
         for table in (model.embedder.item, model.embedder.category):
             assert [n for t, n in gathers if t == id(table.weight.data)] == [valid + rows]
 
-    @pytest.mark.parametrize("augmentation,trunk_passes", [("mask", 1), ("crop", 1), ("reorder", 2)])
+    @pytest.mark.parametrize("augmentation,trunk_passes", [("mask", 1), ("crop", 1), ("reorder", 1)])
     def test_trunk_passes_per_step(self, train_set, monkeypatch, augmentation, trunk_passes):
-        """mask / crop: one compiled trunk pass serves the logits and both
-        views; reorder rewrites the ids, so the tape runs the gate twice."""
+        """Under every augmentation one compiled trunk pass serves the
+        logits and both views: reorder moves whole positions, and the pools
+        are sums over positions."""
         config = TrainConfig(
             epochs=1, batch_size=16, contrastive=True, augmentation=augmentation, fast_path=True
         )
@@ -443,10 +387,9 @@ class TestPackedTrunkParity:
         model.train()
         train_step(
             model, train_set.batch_at(np.arange(16)), config, build_optimizers(model, config),
-            build_strategy(config), np.random.default_rng(0), GradArena(),
+            build_strategy(config), np.random.default_rng(0),
         )
-        assert len(calls) == trunk_passes
-        assert set(calls) == {"tape" if augmentation == "reorder" else "compiled"}
+        assert calls == ["compiled"] * trunk_passes
 
 
 def _contrastive_config(augmentation="mask", fast=True):
@@ -463,7 +406,7 @@ class TestCompiledStep:
         model = build_model("aw_moe", ModelConfig.unit(), train_set.meta, np.random.default_rng(3))
         config = _contrastive_config()
         optimizer, strategy = build_optimizers(model, config), build_strategy(config)
-        step = compile_train_step(model, optimizer, "mask")
+        step = compile_train_step(model, optimizer)
         rng = np.random.default_rng(4)
         large, small = train_set.batch_at(np.arange(32)), train_set.batch_at(np.arange(16))
         assert np.count_nonzero(small["behavior_mask"]) < np.count_nonzero(large["behavior_mask"])
@@ -473,7 +416,7 @@ class TestCompiledStep:
             step(batch, optimizer, strategy, rng)
         assert (step.arena.misses, step.nbytes) == (misses, nbytes)
 
-    @pytest.mark.parametrize("augmentation", ["mask", "crop"])
+    @pytest.mark.parametrize("augmentation", ["mask", "crop", "reorder"])
     def test_draws_match_eager(self, train_set, monkeypatch, augmentation):
         """The compiled step draws the same positive views and in-batch
         negatives from ``cl_rng``, in the same order, as the eager step."""
@@ -504,7 +447,7 @@ class TestCompiledStep:
             rng = np.random.default_rng(5)
             for start in (0, 16):
                 batch = train_set.batch_at(np.arange(start, start + 16))
-                train_step(model, batch, config, optimizer, strategy, rng, GradArena())
+                train_step(model, batch, config, optimizer, strategy, rng)
             states[fast] = rng.bit_generator.state
         assert [name for name, _ in draws[True]] == ["view", "negatives"] * 2
         assert [name for name, _ in draws[False]] == ["view", "negatives"] * 2
@@ -517,7 +460,7 @@ _PATHS = [
     ("aw_moe", ModelConfig.unit(), "mask", True),
     ("aw_moe", ModelConfig.unit(), "crop", True),
     ("aw_moe", ModelConfig.unit(), None, True),
-    ("aw_moe", ModelConfig.unit(), "reorder", False),
+    ("aw_moe", ModelConfig.unit(), "reorder", True),
     ("sparse", ModelConfig.unit(), "mask", True),
     *[("aw_moe", ModelConfig.unit().with_gate_ablation(gu, au), "mask", True)
       for gu, au in [(True, False), (False, True), (False, False)]],
@@ -527,8 +470,9 @@ _PATHS = [
 
 class TestPathGuard:
     """Which path each model and augmentation trains on under fast_path.
-    AW-MoE with mask or crop must run compiled, so a silent fall-back to
-    the tape cannot hide a lost speed-up; the rest keep the tape."""
+    AW-MoE must run compiled under every augmentation, so a silent
+    fall-back to the tape cannot hide a lost speed-up; the baselines run
+    the eager tape."""
 
     @pytest.mark.parametrize("name,config,augmentation,compiled", _PATHS)
     def test_path(self, train_set, monkeypatch, name, config, augmentation, compiled):
@@ -553,7 +497,7 @@ class TestPathGuard:
             train = TrainConfig(epochs=1, batch_size=16, learning_rate=1e-3)
         metrics = train_step(
             model, train_set.batch_at(np.arange(16)), train, build_optimizers(model, train),
-            build_strategy(train), np.random.default_rng(7), GradArena(),
+            build_strategy(train), np.random.default_rng(7),
         )
         assert np.isfinite(metrics["loss"])
         assert taken == ["compiled" if compiled else "tape"]

@@ -85,7 +85,7 @@ class TestRandomReorder:
         items = np.arange(1, 9).reshape(1, 8).astype(np.int32)
         cats = items + 100
         mask = np.ones((1, 8), dtype=np.float32)
-        new_items, new_cats = random_reorder(items, cats, mask, np.random.default_rng(0), p=1.0)
+        new_items, new_cats = random_reorder([items, cats], mask, np.random.default_rng(0), p=1.0)
         assert sorted(new_items[0]) == sorted(items[0])
         assert sorted(new_cats[0]) == sorted(cats[0])
 
@@ -93,19 +93,19 @@ class TestRandomReorder:
         items = np.arange(1, 9).reshape(1, 8).astype(np.int32)
         cats = items * 10
         mask = np.ones((1, 8), dtype=np.float32)
-        new_items, new_cats = random_reorder(items, cats, mask, np.random.default_rng(0), p=1.0)
+        new_items, new_cats = random_reorder([items, cats], mask, np.random.default_rng(0), p=1.0)
         assert np.array_equal(new_cats, new_items * 10)
 
     def test_does_not_mutate_inputs(self):
         items = np.arange(1, 9).reshape(1, 8).astype(np.int32)
         original = items.copy()
-        random_reorder(items, items + 1, np.ones((1, 8), dtype=np.float32), np.random.default_rng(0), p=1.0)
+        random_reorder([items, items + 1], np.ones((1, 8), dtype=np.float32), np.random.default_rng(0), p=1.0)
         assert np.array_equal(items, original)
 
     def test_padded_positions_untouched(self):
         items = np.arange(1, 9).reshape(1, 8).astype(np.int32)
         mask = _mask(rows=1, cols=8, valid=4)
-        new_items, _ = random_reorder(items, items.copy(), mask, np.random.default_rng(0), p=1.0)
+        new_items, _ = random_reorder([items, items.copy()], mask, np.random.default_rng(0), p=1.0)
         assert np.array_equal(new_items[0, 4:], items[0, 4:])
 
 
@@ -126,6 +126,23 @@ class TestAugmentDispatch:
         original_mask = batch["behavior_mask"].copy()
         out = augment_mask(batch, np.random.default_rng(0), "reorder", 0.5)
         assert np.array_equal(out, original_mask)
+
+    def test_reorder_moves_whole_positions(self, test_set):
+        """Each position's id, category and dense profile move together:
+        every row keeps its multiset of (id, category, dense) positions."""
+        batch = test_set.batch_at(np.arange(8))
+        keys = ("behavior_items", "behavior_categories", "behavior_dense")
+        before = [batch[key].copy() for key in keys]
+        augment_mask(batch, np.random.default_rng(0), "reorder", 0.5)
+        after = [batch[key] for key in keys]
+
+        def positions(columns, row):
+            items, categories, dense = (column[row] for column in columns)
+            return sorted(zip(items.tolist(), categories.tolist(), map(tuple, dense.tolist())))
+
+        assert not np.array_equal(before[0], after[0])
+        for row in range(8):
+            assert positions(before, row) == positions(after, row)
 
     def test_unknown_strategy(self, test_set):
         batch = test_set.batch_at(np.arange(4))

@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import ModelConfig, TrainConfig, build_model
 from repro.core.trainer import build_optimizers, build_strategy, train_step
-from repro.nn import GradArena, load_state, load_training_state, save_state, save_training_state
+from repro.nn import load_state, load_training_state, save_state, save_training_state
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 BATCH = 32
@@ -35,22 +35,21 @@ def _model(name, train_set):
     return build_model(name, ModelConfig.unit(), train_set.meta, np.random.default_rng(4))
 
 
-def _step(name, model, optimizer, train_set, step, arena, fast=True):
+def _step(name, model, optimizer, train_set, step, fast=True):
     config = CONFIGS[name] if fast else replace(CONFIGS[name], fast_path=False)
     batch = train_set.batch_at(np.arange(BATCH * step, BATCH * (step + 1)))
     strategy = build_strategy(config)
-    train_step(model, batch, config, optimizer, strategy, np.random.default_rng(100 + step), arena)
+    train_step(model, batch, config, optimizer, strategy, np.random.default_rng(100 + step))
 
 
 def write_fixtures(train_set) -> None:
     for name in CONFIGS:
         model = _model(name, train_set)
         optimizer = build_optimizers(model, CONFIGS[name])
-        arena = GradArena()
         for step in range(3):
-            _step(name, model, optimizer, train_set, step, arena)
+            _step(name, model, optimizer, train_set, step)
         save_training_state(str(FIXTURES / f"{name}_3steps.npz"), model, optimizer)
-        _step(name, model, optimizer, train_set, 3, arena, fast=False)
+        _step(name, model, optimizer, train_set, 3, fast=False)
         save_state(model.state_dict(), str(FIXTURES / f"{name}_step4.npz"))
 
 
@@ -59,7 +58,7 @@ def test_per_array_checkpoint_resumes_bitwise(train_set, name):
     model = build_model(name, ModelConfig.unit(), train_set.meta, np.random.default_rng(99))
     optimizer = build_optimizers(model, CONFIGS[name])
     load_training_state(str(FIXTURES / f"{name}_3steps.npz"), model, optimizer)
-    _step(name, model, optimizer, train_set, 3, GradArena(), fast=False)
+    _step(name, model, optimizer, train_set, 3, fast=False)
     expected = load_state(str(FIXTURES / f"{name}_step4.npz"))
     assert expected.keys() == model.state_dict().keys()
     for key, value in model.state_dict().items():

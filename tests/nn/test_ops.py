@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, concat, embedding, logsumexp, masked_fill, softmax, stack, take
+from repro.nn import Tensor, concat, embedding, logsumexp, masked_fill, softmax, take
 from repro.nn.gradcheck import check_gradients
 
 RNG = np.random.default_rng(7)
@@ -39,19 +39,6 @@ class TestConcat:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             concat([])
-
-
-class TestStack:
-    def test_forward(self):
-        out = stack([Tensor(np.ones(3)), Tensor(np.zeros(3))], axis=0)
-        assert out.shape == (2, 3)
-
-    def test_grad(self):
-        assert_grad_ok(lambda ts: stack(list(ts), axis=1), [RNG.random(4), RNG.random(4)])
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            stack([])
 
 
 class TestEmbedding:

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import Tensor, concat, linear, softmax
+from repro.nn import Tensor, concat, softmax
 from repro.nn.tensor import _unbroadcast
 
 settings.register_profile("ci", deadline=None, max_examples=40)
@@ -107,87 +107,6 @@ class TestSoftmaxProperties:
         base = softmax(Tensor(a, dtype=np.float64), axis=-1).numpy()
         shifted = softmax(Tensor(a + shift, dtype=np.float64), axis=-1).numpy()
         assert np.allclose(base, shifted, atol=1e-8)
-
-
-class TestPackedLinearProperties:
-    """The packed-expert GEMM path: one (K, in, out) batched op must behave
-    exactly like K independent 2-D linears — forward and backward — for any
-    shape hypothesis throws at it."""
-
-    @given(
-        st.integers(1, 5),  # K experts
-        st.integers(1, 6),  # batch
-        st.integers(1, 5),  # in features
-        st.integers(1, 5),  # out features
-        st.booleans(),  # relu
-        st.integers(0, 2**31 - 1),
-    )
-    def test_packed_forward_matches_per_expert(self, k, batch, din, dout, relu, seed):
-        rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(batch, din)), dtype=np.float64)
-        w = Tensor(rng.normal(size=(k, din, dout)), dtype=np.float64)
-        b = Tensor(rng.normal(size=(k, dout)), dtype=np.float64)
-        packed = linear(x, w, b, relu=relu).numpy()
-        for expert in range(k):
-            reference = x.numpy() @ w.numpy()[expert] + b.numpy()[expert]
-            if relu:
-                reference = np.maximum(reference, 0.0)
-            assert np.allclose(packed[expert], reference, atol=1e-10)
-
-    @given(
-        st.integers(1, 4),
-        st.integers(1, 5),
-        st.integers(1, 4),
-        st.integers(1, 4),
-        st.integers(0, 2**31 - 1),
-    )
-    def test_packed_gradients_match_per_expert(self, k, batch, din, dout, seed):
-        rng = np.random.default_rng(seed)
-        x_data = rng.normal(size=(batch, din))
-        w_data = rng.normal(size=(k, din, dout))
-        b_data = rng.normal(size=(k, dout))
-        upstream = rng.normal(size=(k, batch, dout))
-
-        x = Tensor(x_data, requires_grad=True, dtype=np.float64)
-        w = Tensor(w_data, requires_grad=True, dtype=np.float64)
-        b = Tensor(b_data, requires_grad=True, dtype=np.float64)
-        linear(x, w, b).backward(upstream)
-
-        x_grad = np.zeros_like(x_data)
-        for expert in range(k):
-            xe = Tensor(x_data, requires_grad=True, dtype=np.float64)
-            we = Tensor(w_data[expert], requires_grad=True, dtype=np.float64)
-            be = Tensor(b_data[expert], requires_grad=True, dtype=np.float64)
-            (xe.matmul(we) + be).backward(upstream[expert])
-            assert np.allclose(w.grad[expert], we.grad, atol=1e-9)
-            assert np.allclose(b.grad[expert], be.grad, atol=1e-9)
-            x_grad += xe.grad
-        assert np.allclose(x.grad, x_grad, atol=1e-9)
-
-    @given(
-        st.integers(1, 5),
-        st.integers(1, 6),
-        st.integers(1, 5),
-        st.integers(1, 5),
-        st.integers(0, 2**31 - 1),
-    )
-    def test_fused_linear_matches_composed_ops(self, batch, m, din, dout, seed):
-        rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(batch, m, din)), requires_grad=True, dtype=np.float64)
-        w = Tensor(rng.normal(size=(din, dout)), requires_grad=True, dtype=np.float64)
-        b = Tensor(rng.normal(size=(dout,)), requires_grad=True, dtype=np.float64)
-        fused = linear(x, w, b, relu=True)
-        fused.sum().backward()
-        fused_grads = (x.grad.copy(), w.grad.copy(), b.grad.copy())
-
-        x2 = Tensor(x.numpy(), requires_grad=True, dtype=np.float64)
-        w2 = Tensor(w.numpy(), requires_grad=True, dtype=np.float64)
-        b2 = Tensor(b.numpy(), requires_grad=True, dtype=np.float64)
-        reference = (x2.reshape(-1, din).matmul(w2) + b2).relu().reshape(batch, m, dout)
-        assert np.allclose(fused.numpy(), reference.numpy(), atol=1e-10)
-        reference.sum().backward()
-        for fused_grad, ref_grad in zip(fused_grads, (x2.grad, w2.grad, b2.grad)):
-            assert np.allclose(fused_grad, ref_grad, atol=1e-9)
 
 
 class TestConcatProperties:

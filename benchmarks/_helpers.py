@@ -1,6 +1,6 @@
 """Shared helpers for the benchmarks: table building and the kernel-share gate."""
 
-from typing import Dict, List, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -16,10 +16,46 @@ from repro.utils import format_float, print_table
 SHARE_FAIL_DELTA = 0.25
 
 
+class TraceCollector(list):
+    """A trace exporter that keeps every finished record in memory."""
+
+    export = list.append
+
+
+def kernel_profile(traces: Iterable[Dict[str, Any]]) -> Dict[str, Dict[str, Dict[str, Any]]]:
+    """Per-kernel rows, ``{plan: {step: {op, flops, calls, ms, share}}}``,
+    from exported trace records.
+
+    Each trace's top-level spans are one parent per plan, named after it;
+    their children are the kernel spans :func:`repro.obs.kernel_span_hook`
+    recorded (``flops`` is per output row).  A step's ``share`` is its
+    summed span time over the summed time of its plan's kernels, so a
+    plan's shares add up to 1.
+    """
+    profile: Dict[str, Dict[str, Dict[str, Any]]] = {}
+    for record in traces:
+        plans = {span["id"]: span["name"] for span in record["spans"] if span["parent"] is None}
+        for span in record["spans"]:
+            plan = plans.get(span["parent"])
+            if plan is None:
+                continue
+            attrs = span["attrs"]
+            row = profile.setdefault(plan, {}).setdefault(
+                span["name"], {"op": attrs["kind"], "flops": attrs["flops"], "calls": 0, "ms": 0.0}
+            )
+            row["calls"] += 1
+            row["ms"] += span["duration_ms"]
+    for steps in profile.values():
+        total = sum(row["ms"] for row in steps.values())
+        for row in steps.values():
+            row["share"] = row["ms"] / total if total > 0 else 0.0
+    return profile
+
+
 def compare_profile_shares(
     shares: Dict[str, Dict[str, float]], baseline: Dict[str, Dict[str, float]]
 ) -> None:
-    """Gate on per-kernel time *shares* from the plan profiler.
+    """Gate on per-kernel time *shares* from the kernel spans.
 
     Both arguments map ``{plan: {step: share}}``, a share being the step's
     fraction of its plan's wall time within one run — the one profile

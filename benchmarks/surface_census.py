@@ -21,11 +21,18 @@ class, tagged with where a call sets it — ``src``, ``benchmarks/examples``,
 and positional arguments; ``cls(...)`` inside the class) plus the keywords
 of any ``replace(...)`` call, which count for every dataclass with a field
 of that name.
+
+``--readers`` is another static pass: for each name in ``repro.obs.__all__``
+it lists the files outside ``tests/`` that mention it (whole-word text
+match) — ``src/repro`` outside ``obs``, ``benchmarks/`` with the perf
+harness, ``examples/`` and ``README.md`` — and names first those no such
+file mentions.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -209,9 +216,36 @@ def knob_census() -> None:
     print("\n".join(lines))
 
 
+def reader_census() -> None:
+    obs = PKG / "obs"
+    names = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse((obs / "__init__.py").read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", "") == "__all__" for target in node.targets)
+    )
+    paths = [path for path in PKG.rglob("*.py") if obs not in path.parents]
+    paths += [*(ROOT / "benchmarks").rglob("*.py"), *(ROOT / "examples").rglob("*.py")]
+    texts = {
+        path.relative_to(ROOT).as_posix(): path.read_text()
+        for path in sorted(paths) + [ROOT / "README.md"]
+    }
+    readers = {
+        name: [rel for rel, text in texts.items() if re.search(rf"\b{re.escape(name)}\b", text)]
+        for name in names
+    }
+    unread = [name for name in names if not readers[name]]
+    print(f"== repro.obs readers: {len(names)} names, {len(unread)} read by no file outside tests/")
+    for name in unread + [name for name in names if readers[name]]:
+        print(f"{name}: {', '.join(readers[name]) or '-'}")
+
+
 if __name__ == "__main__":
     if "--knobs" in sys.argv[1:]:
         knob_census()
+        sys.exit()
+    if "--readers" in sys.argv[1:]:
+        reader_census()
         sys.exit()
     table = functions()
     with tempfile.TemporaryDirectory() as tmp:

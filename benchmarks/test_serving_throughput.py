@@ -11,16 +11,17 @@ Four benchmarks share this module:
   (:mod:`repro.infer`) beside the eager ``Tensor`` forward — single-query
   scoring, a mixed micro-batch flush, and a 2-shard fleet on identical
   traffic — writing ``benchmarks/artifacts/compiled_inference.json``, then
-  profiles every fused kernel and gates each step's *time share* of its
-  plan (:func:`benchmarks._helpers.compare_profile_shares`) against
+  times every fused kernel through the tracer's kernel spans
+  (:func:`repro.obs.kernel_span_hook`) and gates each step's *time share*
+  of its plan (:func:`benchmarks._helpers.compare_profile_shares`) against
   :data:`PROFILE_SHARES`;
 * :func:`test_tracing_overhead` replays the batched path with no tracer, a
   tracer that samples nothing and a fully sampled one, plus a cascade
   engine with and without its 0%-rate monitors: the answers must be
   identical (``benchmarks/artifacts/observability.json``);
 * :func:`test_traced_fleet_artifacts` runs fully sampled traced traffic
-  through a cascade-backed fleet and exports the JSONL trace plus metrics
-  snapshots (JSON + Prometheus text) as CI artifacts.
+  through a cascade-backed fleet and exports the JSONL trace plus the JSON
+  metrics snapshot as CI artifacts.
 
 The QPS and microsecond columns these print are single readings for the
 artifact, not gates: speed is judged by ``benchmarks/perf/run.py`` (compiled
@@ -37,15 +38,21 @@ from pathlib import Path
 
 import numpy as np
 
-from _helpers import assert_same_rankings, compare_profile_shares
+from _helpers import (
+    TraceCollector,
+    assert_same_rankings,
+    compare_profile_shares,
+    kernel_profile,
+)
 from repro.data import SessionBatch
-from repro.infer import PlanProfiler, compile_model
+from repro.infer import compile_model
 from repro.obs import (
     NULL_TRACER,
     JsonlTraceExporter,
     ShadowRecallMonitor,
     SloTracker,
     Tracer,
+    kernel_span_hook,
 )
 from repro.retrieval import CascadeConfig
 from repro.serving import (
@@ -59,7 +66,7 @@ from repro.serving import (
     build_fleet,
     replay,
 )
-from repro.utils import print_table
+from repro.utils import format_table, print_table
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
 NUM_QUERIES = 80 if SMOKE else 400
@@ -73,11 +80,10 @@ COMPILED_ARTIFACT = _ARTIFACTS / f"compiled_inference{_SUFFIX}.json"
 OBSERVABILITY_ARTIFACT = _ARTIFACTS / f"observability{_SUFFIX}.json"
 TRACE_ARTIFACT = _ARTIFACTS / f"trace{_SUFFIX}.jsonl"
 METRICS_SNAPSHOT = _ARTIFACTS / f"metrics_snapshot{_SUFFIX}.json"
-PROMETHEUS_SNAPSHOT = _ARTIFACTS / f"metrics_snapshot{_SUFFIX}.prom"
 
 #: Each fused kernel's share of its plan's wall time on a 16-session,
-#: 192-row flush (``ModelConfig.small``, float32), as the plan profiler
-#: reads it.  A ratio within one run, so it holds on any machine; a step
+#: 192-row flush (``ModelConfig.small``, float32), as its kernel spans
+#: read it.  A ratio within one run, so it holds on any machine; a step
 #: gaining more than 25 share points on these fails the build.
 PROFILE_SHARES = {
     "gate": {
@@ -278,13 +284,38 @@ def test_compiled_inference_speedup(search_data, trained_models):
     # -- per-kernel profile ---------------------------------------------
     # Shares (fraction of plan time per fused kernel) are gated: a kernel
     # suddenly eating a much larger slice of the plan is a code regression
-    # whatever the machine's absolute speed.
-    profiler = PlanProfiler()
-    with profiler.profiling(compiled.gate_plan, compiled.score_plan):
-        for _ in range(loops):
-            compiled.predict_proba(flush_batch)
-    profile_table = profiler.report_table(title="AWMoE kernel profile")
-    profile_shares = {plan: profiler.shares(plan) for plan in profiler.plans()}
+    # whatever the machine's absolute speed.  Each flush is one trace with
+    # one span per plan, in serving order (the gate plan, then the score
+    # plan fed its gates), and that plan's kernel spans as the span's
+    # children.  The exporter keeps every trace; the tracer's ``finished``
+    # ring would keep only the last 64.
+    traces = TraceCollector()
+    tracer = Tracer(sample_rate=1.0, exporter=traces)
+    for _ in range(loops):
+        trace = tracer.trace("flush")
+        with trace.span(compiled.gate_plan.name) as parent:
+            compiled.gate_plan.step_hook = kernel_span_hook((trace, parent))
+            gates = compiled.serving_gate(flush_batch)
+        with trace.span(compiled.score_plan.name) as parent:
+            compiled.score_plan.step_hook = kernel_span_hook((trace, parent))
+            compiled.predict_proba(flush_batch, gate_override=gates)
+        trace.finish()
+    compiled.gate_plan.step_hook = compiled.score_plan.step_hook = None
+    profile = kernel_profile(traces)
+    profile_shares = {
+        plan: {step: row["share"] for step, row in steps.items()}
+        for plan, steps in profile.items()
+    }
+    profile_table = format_table(
+        ["step", "op", "calls", "total ms", "% plan", "FLOPs/row"],
+        [
+            [f"{plan}.{step}", row["op"], row["calls"], f"{row['ms']:.3f}",
+             f"{row['share'] * 100.0:5.1f}%", row["flops"]]
+            for plan, steps in profile.items()
+            for step, row in steps.items()
+        ],
+        title="AWMoE kernel profile (kernel spans)",
+    )
 
     report = {
         "smoke": SMOKE,
@@ -417,9 +448,8 @@ def test_traced_fleet_artifacts(search_data, trained_models):
     * ``trace.jsonl`` — one line per request, spans covering queue-wait,
       gate (cache hit/miss), retrieval sub-stages (ivf-probe), and the
       per-kernel rank steps (the ISSUE's acceptance trace);
-    * ``metrics_snapshot.json`` — fleet summary + Prometheus-style registry
-      dump + SLO status;
-    * ``metrics_snapshot.prom`` — the Prometheus text exposition.
+    * ``metrics_snapshot.json`` — fleet summary + registry JSON dump +
+      tracer stats.
     """
     world, _, _ = search_data
     model, _ = trained_models["aw_moe"]
@@ -461,7 +491,6 @@ def test_traced_fleet_artifacts(search_data, trained_models):
         "tracer": tracer.stats(),
     }
     METRICS_SNAPSHOT.write_text(json.dumps(snapshot, indent=2))
-    PROMETHEUS_SNAPSHOT.write_text(merged.prometheus_text())
 
     print(cluster.fleet_report())
     print(f"\ntrace artifact: {TRACE_ARTIFACT.name} ({traces_written} traces)")

@@ -34,10 +34,8 @@ from repro.infer.slabs import (
     shared_memory_available,
     sweep_orphan_slabs,
 )
-from repro.obs.profiler import PlanProfiler
 
 __all__ = [
-    "PlanProfiler",
     "CompiledModel",
     "CompileError",
     "compile_model",

@@ -76,7 +76,7 @@ __all__ = [
 def _pack_flops(pack: PackedMLP) -> int:
     """Per-row MAC count of a packed MLP, via the §III-F cost model's
     arithmetic (``repro.serving.cost.mlp_flops`` over the packed shapes) —
-    the number the :class:`~repro.obs.profiler.PlanProfiler` aggregates.
+    the number each kernel span carries.
     """
     # Lazy import: repro.serving imports repro.infer at package-init time,
     # so a module-level import here would be order-sensitive.
@@ -159,8 +159,7 @@ def _embed_concat_step(
             out[..., offset:] = batch[dense_key]
         ctx[out_key] = out
 
-    reads = tuple(key for _, key in tables) + ((dense_key,) if dense_key else ())
-    return PlanStep(name, "embed", fn, reads=reads, writes=(out_key,))
+    return PlanStep(name, "embed", fn, writes=(out_key,))
 
 
 def _mlp_step(
@@ -183,7 +182,7 @@ def _mlp_step(
             out = out.reshape(shape[:-1] + (pack.out_features,))
         ctx[out_key] = out
 
-    return PlanStep(name, "mlp", fn, reads=(in_key,), writes=(out_key,), flops=_pack_flops(pack))
+    return PlanStep(name, "mlp", fn, writes=(out_key,), flops=_pack_flops(pack))
 
 
 def _batch_mlp_step(name: str, arena: BufferArena, pack: PackedMLP, batch_key: str, out_key: str) -> PlanStep:
@@ -194,9 +193,7 @@ def _batch_mlp_step(name: str, arena: BufferArena, pack: PackedMLP, batch_key: s
     def fn(ctx: dict) -> None:
         ctx[out_key] = pack.run(ctx["batch"][batch_key], binder)
 
-    return PlanStep(
-        name, "mlp", fn, reads=(batch_key,), writes=(out_key,), flops=_pack_flops(pack)
-    )
+    return PlanStep(name, "mlp", fn, writes=(out_key,), flops=_pack_flops(pack))
 
 
 def _pairwise_step(name: str, arena: BufferArena, seq_key: str, key_key: str, out_key: str) -> PlanStep:
@@ -210,7 +207,7 @@ def _pairwise_step(name: str, arena: BufferArena, seq_key: str, key_key: str, ou
         pairwise_concat(h_seq, ctx[key_key], out)
         ctx[out_key] = out
 
-    return PlanStep(name, "attention", fn, reads=(seq_key, key_key), writes=(out_key,))
+    return PlanStep(name, "attention", fn, writes=(out_key,))
 
 
 def _unit_scores_step(
@@ -242,7 +239,6 @@ def _unit_scores_step(
         name,
         "attention",
         fn,
-        reads=(pairwise_key, "behavior_mask"),
         writes=(out_key,),
         flops=_pack_flops(pack),
     )
@@ -273,7 +269,7 @@ def _concat_step(
             offset += width
         ctx[out_key] = out
 
-    return PlanStep(name, "concat", fn, reads=tuple(part_keys), writes=(out_key,))
+    return PlanStep(name, "concat", fn, writes=(out_key,))
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +344,6 @@ def _build_score_plan(model, dtype: np.dtype, parity: bool) -> InferencePlan:
             "input.att_weights",
             "attention",
             att_fn,
-            reads=("h_behavior", "h_target", "behavior_mask"),
             writes=("att_weights",),
             flops=_pack_flops(att_pack),
         )
@@ -365,7 +360,7 @@ def _build_score_plan(model, dtype: np.dtype, parity: bool) -> InferencePlan:
             segment_pool(h_behavior, weights, bounds, out)
         ctx["v_user"] = out
 
-    steps.append(PlanStep("input.v_user", "pool", pool_fn, reads=("h_behavior", "att_weights"), writes=("v_user",)))
+    steps.append(PlanStep("input.v_user", "pool", pool_fn, writes=("v_user",)))
 
     other_pack = PackedMLP.from_module(net.other_mlp, dtype)
     steps.append(_batch_mlp_step("input.h_other", arena, other_pack, "other_features", "h_other"))
@@ -409,7 +404,6 @@ def _build_score_plan(model, dtype: np.dtype, parity: bool) -> InferencePlan:
                 "experts",
                 "experts",
                 experts_fn,
-                reads=("v_imp",),
                 writes=("expert_scores",),
                 flops=experts_flops,
             )
@@ -432,7 +426,6 @@ def _build_score_plan(model, dtype: np.dtype, parity: bool) -> InferencePlan:
                 "experts",
                 "experts",
                 experts_fn,
-                reads=("v_imp",),
                 writes=("expert_scores",),
                 flops=experts_flops,
             )
@@ -450,7 +443,7 @@ def _build_score_plan(model, dtype: np.dtype, parity: bool) -> InferencePlan:
         weighted.sum(axis=1, out=logits)
         ctx["logits"] = logits
 
-    steps.append(PlanStep("mix", "mix", mix_fn, reads=("expert_scores", "gate"), writes=("logits",)))
+    steps.append(PlanStep("mix", "mix", mix_fn, writes=("logits",)))
 
     inputs = ["behavior_items", "behavior_categories", "behavior_dense", "behavior_mask",
               "target_item", "target_category", "target_dense", "other_features"]
@@ -520,7 +513,7 @@ def _build_gate_plan(
         np.divide(1.0, counts, out=inv)
         ctx["inv_counts"] = inv
 
-    steps.append(PlanStep("gate.counts", "pool", counts_fn, reads=("behavior_mask",), writes=("inv_counts",)))
+    steps.append(PlanStep("gate.counts", "pool", counts_fn, writes=("inv_counts",)))
 
     steps.append(_pairwise_step("gate.pairwise", arena, "h_behavior", "h_key", "gate_pw"))
     num_experts = int(config.num_experts)
@@ -544,8 +537,6 @@ def _build_gate_plan(
                 tmp.sum(axis=1, out=out)
                 np.multiply(out, ctx["inv_counts"], out=out)
                 ctx["gate"] = out
-
-            reads = ("item_scores", "att_weights", "inv_counts")
         else:
 
             def pool_fn(ctx: dict) -> None:
@@ -555,8 +546,7 @@ def _build_gate_plan(
                 np.multiply(out, ctx["inv_counts"], out=out)
                 ctx["gate"] = out
 
-            reads = ("item_scores", "inv_counts")
-        steps.append(PlanStep("gate.pool", "pool", pool_fn, reads=reads, writes=("gate",)))
+        steps.append(PlanStep("gate.pool", "pool", pool_fn, writes=("gate",)))
     else:
         # Ablation variants (Table VI "Base"/"Base+AU"): pooled behaviour ‖ key -> FFN.
         pooled_pack = PackedMLP.from_module(gate.pooled_mlp, dtype)
@@ -573,8 +563,6 @@ def _build_gate_plan(
                 masked_pool(h_behavior, ctx["att_weights"], scratch, out)
                 np.multiply(out, ctx["inv_counts"], out=out)
                 ctx["pooled"] = out
-
-            reads = ("h_behavior", "att_weights", "inv_counts")
         else:
 
             def pooled_fn(ctx: dict) -> None:
@@ -586,8 +574,7 @@ def _build_gate_plan(
                 np.multiply(out, ctx["inv_counts"], out=out)
                 ctx["pooled"] = out
 
-            reads = ("h_behavior", "behavior_mask", "inv_counts")
-        steps.append(PlanStep("gate.pooled", "pool", pooled_fn, reads=reads, writes=("pooled",)))
+        steps.append(PlanStep("gate.pooled", "pool", pooled_fn, writes=("pooled",)))
         steps.append(_concat_step("gate.pooled_cat", arena, ["pooled", "h_key"], [hidden, hidden], "pooled_cat"))
         steps.append(_mlp_step("gate.pooled_mlp", arena, pooled_pack, "pooled_cat", "gate"))
 
@@ -596,7 +583,7 @@ def _build_gate_plan(
     def bias_fn(ctx: dict) -> None:
         ctx["gate"] += bias
 
-    steps.append(PlanStep("gate.bias", "bias", bias_fn, reads=("gate",), writes=("gate",)))
+    steps.append(PlanStep("gate.bias", "bias", bias_fn, writes=("gate",)))
 
     if top_k is not None:
 
@@ -606,7 +593,7 @@ def _build_gate_plan(
             scratch_drop = arena.lease("gate.topk", "drop", out.shape, dtype=np.bool_)
             sparsify_top_k_(out, top_k, scratch_sorted, scratch_drop)
 
-        steps.append(PlanStep("gate.topk", "sparsify", sparsify_fn, reads=("gate",), writes=("gate",)))
+        steps.append(PlanStep("gate.topk", "sparsify", sparsify_fn, writes=("gate",)))
 
     inputs = ["behavior_items", "behavior_categories", "behavior_dense", "behavior_mask"] + key_inputs
     return InferencePlan(

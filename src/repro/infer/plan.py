@@ -104,18 +104,18 @@ class PlanStep:
 
     ``fn(ctx)`` reads earlier results from the ``ctx`` dict (plus the bound
     batch under ``ctx["batch"]``) and writes its own outputs back into it;
-    ``reads``/``writes`` document dataflow for introspection and tests.
+    ``writes`` names them, so ``run(output=)`` knows where to stop.
     """
 
     name: str
     kind: str
     fn: Callable[[dict], None]
-    reads: Tuple[str, ...] = ()
     writes: Tuple[str, ...] = ()
     #: Estimated multiply-accumulate FLOPs **per output row**, stamped by
     #: the compiler from the packed weight shapes (the §III-F cost-model
     #: arithmetic).  0 for steps whose cost is not GEMM-shaped (gathers,
-    #: concats, pools); consumed by :class:`~repro.obs.profiler.PlanProfiler`.
+    #: concats, pools); carried on each kernel span by
+    #: :func:`~repro.obs.trace.kernel_span_hook`.
     flops: int = 0
 
     def __repr__(self) -> str:  # keep plan dumps compact
@@ -142,8 +142,7 @@ class InferencePlan:
     #: Optional per-kernel hook ``(step, seconds, ctx) -> None``, called
     #: after each step with its wall time and the execution ctx (the step's
     #: outputs are in it).  The one way kernels are timed: the tracer's
-    #: :func:`~repro.obs.trace.kernel_span_hook` and
-    #: :meth:`~repro.obs.profiler.PlanProfiler.profiling` install one.  ``None``
+    #: :func:`~repro.obs.trace.kernel_span_hook` installs one.  ``None``
     #: keeps the untimed loop.
     step_hook: Optional[Callable[[PlanStep, float, dict], None]] = field(
         default=None, repr=False, compare=False

@@ -7,17 +7,18 @@ package is the instrument layer threaded through all of them:
 * :mod:`~repro.obs.trace` — request tracing with nested spans
   (``submit → queue-wait → gate → retrieve → rank → flush``), head-based
   sampling, and a JSONL exporter; disabled tracing is a shared no-op
-  singleton, so the hot path never branches on "is tracing on?";
+  singleton, so the hot path never branches on "is tracing on?".
+  :func:`kernel_span_hook` is the one kernel timer: installed as a compiled
+  :class:`~repro.infer.plan.InferencePlan`'s ``step_hook`` it records each
+  fused kernel as a child span carrying its op kind and per-row FLOPs;
 * :mod:`~repro.obs.streaming` — counters, gauges, and fixed-size
   exponential-bucket histograms (quantile error ≤ 2%, O(1) memory) that
   replace the unbounded per-query lists, mergeable across shards and
-  exportable as Prometheus text or JSON;
+  exported as JSON (:meth:`MetricsRegistry.to_json`);
 * :mod:`~repro.obs.events` — typed control-plane events (hot swaps, canary
   verdicts, recall probes, click-log lag) in a bounded ring buffer;
 * :mod:`~repro.obs.slo` — sliding-window p99 and error-budget burn rate;
-* :mod:`~repro.obs.profiler` — per-kernel timing + FLOP attribution for
-  compiled :class:`~repro.infer.plan.InferencePlan` executions;
-* :mod:`~repro.obs.drift` — streaming PSI/KS between a training-time
+* :mod:`~repro.obs.drift` — streaming PSI between a training-time
   reference sketch and live-traffic sketches;
 * :mod:`~repro.obs.recall` — head-sampled live retrieval recall@k, the
   online counterpart of the build-time :class:`~repro.retrieval.RetrievalProbe`;
@@ -40,13 +41,8 @@ from repro.obs.dashboard import (
     report_sections,
     write_dashboard,
 )
-from repro.obs.drift import (
-    DriftMonitor,
-    ks_from_counts,
-    psi_from_counts,
-)
+from repro.obs.drift import DriftMonitor, psi_from_counts
 from repro.obs.events import EVENT_KINDS, Event, EventLog
-from repro.obs.profiler import PlanProfiler
 from repro.obs.recall import ShadowRecallMonitor
 from repro.obs.slo import SloTracker
 from repro.obs.streaming import Counter, Gauge, MetricsRegistry, StreamingHistogram
@@ -76,11 +72,9 @@ __all__ = [
     "DriftMonitor",
     "ShadowRecallMonitor",
     "psi_from_counts",
-    "ks_from_counts",
     "EVENT_KINDS",
     "Event",
     "EventLog",
-    "PlanProfiler",
     "SloTracker",
     "Counter",
     "Gauge",

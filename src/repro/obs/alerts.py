@@ -4,7 +4,7 @@ Dashboards answer "what is happening"; alerts answer "should a human look".
 :class:`AlertRule` is a predicate over one scalar in a flat **telemetry
 snapshot** — metric values and histogram quantiles from a
 :class:`~repro.obs.streaming.MetricsRegistry`, SLO burn rate from a
-:class:`~repro.obs.slo.SloTracker`, and PSI/KS scores from a
+:class:`~repro.obs.slo.SloTracker`, and PSI scores from a
 :class:`~repro.obs.drift.DriftMonitor` — and :class:`AlertManager` evaluates
 every rule against each snapshot with **hysteresis**: a rule must breach
 ``for_count`` consecutive evaluations before it fires and must clear
@@ -134,8 +134,8 @@ def telemetry_snapshot(
     * histograms → ``<name>_p50`` / ``_p95`` / ``_p99`` / ``_mean`` /
       ``_count``;
     * SLO → ``slo_p99_ms``, ``slo_violation_rate``, ``slo_burn_rate``;
-    * drift → ``drift_psi_<feature>``, ``drift_ks_<feature>``, plus the
-      headline ``drift_psi_worst``;
+    * drift → ``drift_psi_<feature>``, plus the headline
+      ``drift_psi_worst``;
     * ``extra`` merges last (the online loop injects
       ``Fleet.telemetry()``'s scalars — worker / breaker / shed,
       ``retrieval_recall_at_k`` — and click-log lag).
@@ -161,7 +161,6 @@ def telemetry_snapshot(
         worst_psi = 0.0
         for feature, scores in drift.scores().items():
             snapshot[f"drift_psi_{feature}"] = scores["psi"]
-            snapshot[f"drift_ks_{feature}"] = scores["ks"]
             worst_psi = max(worst_psi, scores["psi"])
         snapshot["drift_psi_worst"] = worst_psi
     if extra:

@@ -206,13 +206,12 @@ def report_sections(summary: Mapping[str, Any]) -> List[Section]:
             features = sorted(drift["features"].items())
             sections.append(Section(
                 title,
-                ["feature", "psi", "", "ks", "live n", "ref n"],
+                ["feature", "psi", "", "live n", "ref n"],
                 [
                     [
                         name, f"{scores['psi']:.4f}",
                         Bar(scores["psi"] / (2 * _PSI_ALARM), warn=scores["psi"] > _PSI_ALARM),
-                        f"{scores['ks']:.4f}", scores["live_samples"],
-                        scores["reference_samples"],
+                        scores["live_samples"], scores["reference_samples"],
                     ]
                     for name, scores in features
                 ],

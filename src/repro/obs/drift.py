@@ -1,4 +1,4 @@
-"""Drift monitors: streaming PSI/KS between training-time and live traffic.
+"""Drift monitors: streaming PSI between training-time and live traffic.
 
 The online loop's silent failure mode is *distribution drift*: the world
 moves (user interests rotate, category trends flip) while the production
@@ -13,16 +13,12 @@ Both sides are :class:`~repro.obs.streaming.StreamingHistogram`\\ s, so the
 whole monitor inherits the streaming-metrics contract: O(1) memory per
 feature.  The online loop owns the one monitor.
 
-Two scores per feature, both computed from the shared exponential bucket
-layout:
-
-* **PSI** (population stability index): ``sum((p_i - q_i) * ln(p_i / q_i))``
-  over buckets, the standard industry drift score.  Symmetric, zero iff the
-  bucketed distributions are identical.  The conventional reading: < 0.1
-  stationary, 0.1–0.25 moderate shift, > 0.25 act.
-* **KS** (Kolmogorov–Smirnov statistic): the max absolute CDF gap, in
-  ``[0, 1]``.  Less sensitive to tail buckets than PSI, so the pair
-  disambiguates "mass moved" from "tails got fatter".
+One score per feature, computed from the shared exponential bucket layout:
+the **PSI** (population stability index), ``sum((p_i - q_i) * ln(p_i / q_i))``
+over buckets, the standard industry drift score.  Symmetric, zero iff the
+bucketed distributions are identical.  The conventional reading: < 0.1
+stationary, 0.1–0.25 moderate shift, > 0.25 act.  Every alert rule and the
+``drift_score`` event read it.
 
 Like everything in :mod:`repro.obs` this imports nothing from the serving
 stack; the online loop feeds it per-session features (CTR, predicted
@@ -38,11 +34,7 @@ import numpy as np
 
 from repro.obs.streaming import StreamingHistogram
 
-__all__ = [
-    "psi_from_counts",
-    "ks_from_counts",
-    "DriftMonitor",
-]
+__all__ = ["psi_from_counts", "DriftMonitor"]
 
 #: Probability floor for empty buckets: PSI's ``ln(p/q)`` diverges when one
 #: side of a populated bucket is empty, so both sides are clamped here.
@@ -76,22 +68,6 @@ def psi_from_counts(
     p = np.maximum(reference_counts[mask] / ref_total, epsilon)
     q = np.maximum(live_counts[mask] / live_total, epsilon)
     return float(np.sum((p - q) * np.log(p / q)))
-
-
-def ks_from_counts(reference_counts: np.ndarray, live_counts: np.ndarray) -> float:
-    """Kolmogorov–Smirnov statistic (max CDF gap) between aligned counts."""
-    reference_counts = np.asarray(reference_counts, dtype=np.float64)
-    live_counts = np.asarray(live_counts, dtype=np.float64)
-    if reference_counts.shape != live_counts.shape:
-        raise ValueError(
-            f"count vectors must align, got {reference_counts.shape} vs {live_counts.shape}"
-        )
-    ref_total = float(reference_counts.sum())
-    live_total = float(live_counts.sum())
-    if ref_total <= 0 or live_total <= 0:
-        return 0.0
-    gap = np.cumsum(reference_counts) / ref_total - np.cumsum(live_counts) / live_total
-    return float(np.max(np.abs(gap)))
 
 
 #: The one bucket layout of every drift sketch (see :class:`DriftMonitor`).
@@ -193,23 +169,14 @@ class DriftMonitor:
         reference, live = pair
         return psi_from_counts(reference.counts, live.counts)
 
-    def ks(self, name: str) -> float:
-        """KS statistic of ``name``'s live window vs its reference."""
-        pair = self._scoreable(name)
-        if pair is None:
-            return 0.0
-        reference, live = pair
-        return ks_from_counts(reference.counts, live.counts)
-
     def scores(self) -> Dict[str, Dict[str, float]]:
-        """Per-feature ``{psi, ks, live_samples, reference_samples}``."""
+        """Per-feature ``{psi, live_samples, reference_samples}``."""
         result: Dict[str, Dict[str, float]] = {}
         for name in self.features():
             reference = self._reference.get(name)
             live = self._live.get(name)
             result[name] = {
                 "psi": self.psi(name),
-                "ks": self.ks(name),
                 "live_samples": 0 if live is None else live.count,
                 "reference_samples": 0 if reference is None else reference.count,
             }
@@ -217,22 +184,29 @@ class DriftMonitor:
 
     def worst(self) -> Tuple[Optional[str], float]:
         """The feature with the highest PSI and its score."""
-        worst_name: Optional[str] = None
-        worst_psi = 0.0
-        for name in self.features():
-            score = self.psi(name)
-            if worst_name is None or score > worst_psi:
-                worst_name, worst_psi = name, score
-        return worst_name, worst_psi
+        return _worst(self.scores())
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready snapshot (dashboard / benchmark artifacts)."""
-        worst_name, worst_psi = self.worst()
+        """JSON-ready snapshot (dashboard / benchmark artifacts, and the
+        online loop's ``drift_score`` event): one scoring pass feeds both
+        the per-feature table and the worst feature."""
+        scores = self.scores()
+        worst_name, worst_psi = _worst(scores)
         return {
             "has_reference": self.has_reference,
             "freezes": self.freezes,
             "reference_samples": self.reference_samples,
             "worst_feature": worst_name,
             "worst_psi": worst_psi,
-            "features": self.scores(),
+            "features": scores,
         }
+
+
+def _worst(scores: Dict[str, Dict[str, float]]) -> Tuple[Optional[str], float]:
+    """The first feature (in name order) with the highest PSI, and its PSI."""
+    worst_name: Optional[str] = None
+    worst_psi = 0.0
+    for name, score in scores.items():
+        if worst_name is None or score["psi"] > worst_psi:
+            worst_name, worst_psi = name, score["psi"]
+    return worst_name, worst_psi

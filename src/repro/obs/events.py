@@ -92,7 +92,10 @@ class EventLog:
         return tuple(event for event in self._events if event.kind == kind)
 
     def tail(self, n: int = 10) -> Tuple[Event, ...]:
-        """The ``n`` most recent retained events, oldest-first."""
+        """The ``n`` most recent retained events, oldest-first (none for
+        ``n <= 0``)."""
+        if n <= 0:
+            return ()
         return tuple(self._events)[-n:]
 
     def counts(self) -> Dict[str, int]:

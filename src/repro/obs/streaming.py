@@ -11,8 +11,10 @@ million requests.  The primitives here are **fixed-size**:
   quantile estimates, the relative quantile error is bounded by
   ``sqrt(g) - 1`` (≈ 2% at the default ``g = 1.04``) for any value inside
   the covered range — property-tested in ``tests/obs``;
-* :class:`MetricsRegistry` — a named collection of the above, exportable as
-  a Prometheus text snapshot or JSON.
+* :class:`MetricsRegistry` — a named collection of the above, exported as
+  JSON (:meth:`MetricsRegistry.to_json`).  Metric names follow the
+  Prometheus naming rule, and each metric's ``help`` string documents it at
+  its registration site.
 
 All three merge associatively (bucket counts and counters add), so per-shard
 instances fold into one fleet view in any order — the same property the
@@ -24,7 +26,7 @@ from __future__ import annotations
 import copy
 import math
 import re
-from typing import Any, Dict, Iterator, List, Tuple, Union
+from typing import Any, Dict, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -153,12 +155,6 @@ class StreamingHistogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def bucket_upper_edge(self, index: int) -> float:
-        """Inclusive upper bound of bucket ``index``."""
-        if index <= 0:
-            return self.min_value
-        return self.min_value * self.growth**index
-
     def quantile(self, p: float) -> float:
         """Nearest-rank quantile estimate (0.0 when empty).
 
@@ -203,11 +199,6 @@ class StreamingHistogram:
         merged.max = max(self.max, other.max)
         return merged
 
-    def nonzero_buckets(self) -> Iterator[Tuple[int, int]]:
-        """``(bucket index, count)`` for every populated bucket."""
-        for index in np.flatnonzero(self.counts):
-            yield int(index), int(self.counts[index])
-
     def to_dict(self) -> Dict[str, Any]:
         empty = self.count == 0
         return {
@@ -226,7 +217,7 @@ Metric = Union[Counter, Gauge, StreamingHistogram]
 
 
 class MetricsRegistry:
-    """Named metrics with get-or-create access and text/JSON export.
+    """Named metrics with get-or-create access and JSON export.
 
     ``counter``/``gauge``/``histogram`` return the existing instance when
     the name is already registered (so call sites need no "does it exist
@@ -306,37 +297,3 @@ class MetricsRegistry:
             else:
                 payload[name] = {"type": "gauge", "value": metric.value}
         return payload
-
-    def prometheus_text(self) -> str:
-        """Prometheus exposition-format snapshot.
-
-        Histograms emit cumulative ``_bucket{le=...}`` lines at the upper
-        edges of populated buckets only (a dense dump of 2048 mostly-empty
-        buckets per histogram would swamp the scrape), plus the standard
-        ``_sum``/``_count`` pair and ``le="+Inf"``.
-        """
-        lines: List[str] = []
-        for name, metric in self._metrics.items():
-            if metric.help:
-                lines.append(f"# HELP {name} {metric.help}")
-            if isinstance(metric, Counter):
-                lines.append(f"# TYPE {name} counter")
-                lines.append(f"{name} {metric.value}")
-            elif isinstance(metric, Gauge):
-                lines.append(f"# TYPE {name} gauge")
-                lines.append(f"{name} {_format_value(metric.value)}")
-            else:
-                lines.append(f"# TYPE {name} histogram")
-                cumulative = 0
-                for index, count in metric.nonzero_buckets():
-                    cumulative += count
-                    edge = _format_value(metric.bucket_upper_edge(index))
-                    lines.append(f'{name}_bucket{{le="{edge}"}} {cumulative}')
-                lines.append(f'{name}_bucket{{le="+Inf"}} {metric.count}')
-                lines.append(f"{name}_sum {_format_value(metric.total)}")
-                lines.append(f"{name}_count {metric.count}")
-        return "\n".join(lines) + "\n"
-
-
-def _format_value(value: float) -> str:
-    return f"{value:.6g}"

@@ -416,13 +416,13 @@ class OnlineLoop:
         now = self._now()
         ctx = self.cluster.ctx
         if ctx.drift is not None and ctx.drift.has_reference:
-            report.drift = ctx.drift.scores()
-            worst_name, worst_psi = ctx.drift.worst()
+            drift = ctx.drift.to_dict()
+            report.drift = drift["features"]
             self.cluster.control.events.record(
                 "drift_score",
                 now,
-                worst_feature=worst_name,
-                worst_psi=round(worst_psi, 4),
+                worst_feature=drift["worst_feature"],
+                worst_psi=round(drift["worst_psi"], 4),
                 **{
                     f"psi_{name}": round(scores["psi"], 4)
                     for name, scores in report.drift.items()

@@ -31,7 +31,7 @@ high-throughput subsystem::
 * :mod:`~repro.serving.metrics` — QPS, latency percentiles, batch-size
   histogram, cache hit rate: :class:`MetricsSink` records into the
   instruments of a :class:`repro.obs.MetricsRegistry` it owns (bounded
-  memory; Prometheus-text export via ``MetricsSink.prometheus_text``);
+  memory; one JSON export, ``MetricsSink.to_registry().to_json()``);
 * :mod:`~repro.serving.cost` / :mod:`~repro.serving.ab_test` — the paper's
   FLOP cost model and simulated online A/B test.
 

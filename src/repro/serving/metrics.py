@@ -15,10 +15,9 @@ instruments — the latency histogram (fixed-size exponential buckets,
 quantile error ≤ 2%), the swap / canary / shed / per-tier counters and the
 click-log-lag gauge — so a sink that has absorbed ten million queries is
 the same size as one that absorbed ten, shard sinks pool with
-``MetricsRegistry.merge``, and the Prometheus / JSON exports
-(:meth:`MetricsSink.to_registry`, :meth:`MetricsSink.prometheus_text`) are
-a snapshot of those same instruments plus the values derived from them at
-read time.
+``MetricsRegistry.merge``, and the one export,
+``MetricsSink.to_registry().to_json()``, is a snapshot of those same
+instruments plus the values derived from them at read time.
 Beside the registry the sink keeps only what a registry cannot express: the
 batch-size count map, first/last completion stamps, the cache's cumulative
 :class:`~repro.serving.cache.CacheStats`, the bounded control-plane
@@ -426,7 +425,3 @@ class MetricsSink:
             self.degraded_share
         )
         return self.registry.merge(derived)
-
-    def prometheus_text(self) -> str:
-        """Prometheus exposition-format snapshot of this sink."""
-        return self.to_registry().prometheus_text()

@@ -15,7 +15,7 @@ from repro.core import ModelConfig, build_model
 from repro.core.extensions.sparse_gate import SparseGatedAWMoE
 from repro.data import SessionBatch, WorldConfig, assemble_session
 from repro.data.amazon import make_amazon_datasets
-from repro.infer import PlanProfiler, compile_model, float64_twin
+from repro.infer import compile_model, float64_twin
 from repro.infer.plan import BufferArena
 
 RTOL_F32 = 1e-4
@@ -181,10 +181,17 @@ class TestFloat32Factored:
             return lease(arena, step, slot, shape, dtype)
 
         monkeypatch.setattr(BufferArena, "lease", recording)
-        profiler = PlanProfiler()
-        with profiler.profiling(compiled.gate_plan, compiled.score_plan):
-            compiled.predict_proba(factored)
-        rows = {row["step"]: row for row in profiler.report("score")}
+        rows, flops = {}, {}
+
+        def step_hook(step, seconds, ctx):
+            # Rows a step processed: all but the feature axis of its output.
+            shape = ctx[step.writes[0]].shape
+            rows[step.name] = int(np.prod(shape[:-1]))
+            flops[step.name] = rows[step.name] * step.flops
+
+        compiled.score_plan.step_hook = step_hook
+        compiled.predict_proba(factored)
+        compiled.score_plan.step_hook = None
         sessions, seq_len = factored.num_sessions, unit_world.config.max_seq_len
         steps = {step.name: step for step in compiled.score_plan.steps}
         for name, want in [
@@ -195,8 +202,8 @@ class TestFloat32Factored:
             ("input.h_target", factored.num_rows),
             ("experts", factored.num_rows),
         ]:
-            assert rows[name]["rows"] == want, name
-            assert rows[name]["mflops"] == pytest.approx(want * steps[name].flops / 1e6)
+            assert rows[name] == want, name
+            assert flops[name] == want * steps[name].flops, name
         assert "input.att_pairwise" not in rows
         hidden = model.input_network.hidden_dim
 

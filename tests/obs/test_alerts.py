@@ -174,7 +174,9 @@ class TestTelemetrySnapshot:
         assert "slo_burn_rate" in snapshot and "slo_p99_ms" in snapshot
         assert snapshot["drift_psi_ctr"] > 0.25
         assert snapshot["drift_psi_worst"] == snapshot["drift_psi_ctr"]
-        assert "drift_ks_ctr" in snapshot
+        assert set(name for name in snapshot if name.startswith("drift_")) == {
+            "drift_psi_ctr", "drift_psi_worst"
+        }
         assert snapshot["click_log_lag"] == 2.0
 
     def test_empty_sources_give_empty_snapshot(self):

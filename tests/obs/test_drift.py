@@ -1,9 +1,10 @@
-"""Drift monitors: PSI/KS correctness and the reference lifecycle."""
+"""Drift monitors: PSI correctness and the reference lifecycle."""
 
 import numpy as np
 import pytest
 
-from repro.obs import DriftMonitor, StreamingHistogram, ks_from_counts, psi_from_counts
+from repro.obs import DriftMonitor, StreamingHistogram, psi_from_counts
+from repro.obs import drift as drift_module
 
 
 def observe_all(monitor, name, values):
@@ -55,21 +56,10 @@ class TestPsiFromCounts:
             psi_from_counts([1, 2], [1, 2, 3])
 
 
-class TestKsFromCounts:
-    def test_identical_is_zero_and_disjoint_is_one(self):
-        counts = np.array([10, 20, 30], dtype=np.int64)
-        assert ks_from_counts(counts, counts) == 0.0
-        assert ks_from_counts([100, 0], [0, 100]) == pytest.approx(1.0)
-
-    def test_known_cdf_gap(self):
-        # CDFs: ref (0.5, 1.0) vs live (0.1, 1.0) -> max gap 0.4.
-        assert ks_from_counts([50, 50], [10, 90]) == pytest.approx(0.4)
-
-
 class TestHistogramScoring:
     def test_histogram_psi_matches_counts_psi(self):
         """The monitor scores its sketches' bucket counts: the same values
-        recorded into histograms of its one layout give the same PSI / KS."""
+        recorded into histograms of its one layout give the same PSI."""
         rng = np.random.default_rng(0)
         ref_values, live_values = rng.uniform(0.0, 1.0, 500), rng.beta(2.0, 5.0, 500)
         monitor = DriftMonitor(min_samples=1)
@@ -83,7 +73,6 @@ class TestHistogramScoring:
         for value in live_values:
             live.record(value)
         assert monitor.psi("x") == psi_from_counts(ref.counts, live.counts) > 0.0
-        assert monitor.ks("x") == ks_from_counts(ref.counts, live.counts) > 0.0
 
 
 class TestDriftMonitorLifecycle:
@@ -160,3 +149,25 @@ class TestDriftMonitorLifecycle:
         assert summary["reference_samples"] == 2
         assert list(summary["features"]) == ["ctr"]
         assert summary["worst_feature"] == "ctr"
+
+    def test_to_dict_scores_each_feature_once(self, monkeypatch):
+        """The worst feature comes out of the same scoring pass as the
+        per-feature table: one PSI per feature, not two."""
+        windows = {"a": (0.1, 0.9), "b": (0.5, 0.5), "c": (0.2, 0.3)}
+        monitor = DriftMonitor(min_samples=1)
+        for name, (before, _) in windows.items():
+            observe_all(monitor, name, [before] * 20)
+        monitor.freeze_reference()
+        for name, (_, after) in windows.items():
+            observe_all(monitor, name, [after] * 20)
+        calls = []
+
+        def counting(reference, live):
+            calls.append(1)
+            return psi_from_counts(reference, live)
+
+        monkeypatch.setattr(drift_module, "psi_from_counts", counting)
+        summary = monitor.to_dict()
+        assert len(calls) == 3
+        assert summary["worst_feature"] == "a"
+        assert summary["worst_psi"] == summary["features"]["a"]["psi"] > 0.25

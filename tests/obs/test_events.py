@@ -44,6 +44,15 @@ class TestRecord:
         assert [event.timestamp for event in log.events("hot_swap")] == [1.0, 3.0]
         assert [event.timestamp for event in log.tail(2)] == [2.0, 3.0]
 
+    @pytest.mark.parametrize("n", [0, -1, -5])
+    def test_tail_of_nothing_is_empty(self, n):
+        """A non-positive ``n`` asks for no events, not for a slice from
+        the front of the ring."""
+        log = EventLog()
+        for timestamp in (1.0, 2.0, 3.0):
+            log.record("hot_swap", timestamp)
+        assert log.tail(n) == ()
+
 
 class TestMerge:
     def test_chronological_union(self):

@@ -2,8 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.core import ModelConfig, build_model
+from repro.data import SessionBatch, assemble_session
+from repro.infer import compile_model
 from repro.obs import (
     NULL_SPAN,
     NULL_TRACE,
@@ -237,3 +241,35 @@ class TestNullObjects:
             assert kernel.parent_id == parent.span_id
             assert kernel.duration_ms == pytest.approx(4.0)
             assert kernel.attrs == {"kind": "experts", "flops": 128}
+
+
+class TestKernelSpans:
+    def test_one_span_per_plan_step(self, unit_world, test_set):
+        """Both plans hooked, one ``predict_proba`` on a session batch: each
+        plan's parent span gets exactly one child per step, named after the
+        step and carrying its op kind and per-row FLOPs — the spans the
+        benchmarks' kernel-share gate adds up."""
+        model = build_model("aw_moe", ModelConfig.unit(), test_set.meta, np.random.default_rng(0))
+        compiled = compile_model(model)
+        members = np.flatnonzero(unit_world.item_category == 1)
+        batch = SessionBatch.concat(
+            [assemble_session(unit_world, 3, 1, members[:5]),
+             assemble_session(unit_world, 11, 1, members[:2])]
+        )
+        tracer = Tracer()
+        hooked = []
+        for plan in (compiled.gate_plan, compiled.score_plan):
+            trace = tracer.trace("flush")
+            parent = trace.begin(plan.name)
+            plan.step_hook = kernel_span_hook((trace, parent))
+            hooked.append((plan, trace, parent))
+        compiled.predict_proba(batch)
+        for plan, trace, parent in hooked:
+            trace.finish()
+            kernels = [span for span in trace.spans if span is not parent]
+            assert all(span.parent_id == parent.span_id for span in kernels)
+            assert [span.name for span in kernels] == [step.name for step in plan.steps]
+            assert [span.attrs for span in kernels] == [
+                {"kind": step.kind, "flops": step.flops} for step in plan.steps
+            ]
+            assert any(step.flops for step in plan.steps)

@@ -120,8 +120,8 @@ class TestSinkModes:
         assert dict(b.to_registry())["repro_shed_rate"].value == 1.0
 
     def test_export_names_and_values_for_fixed_traffic(self):
-        """The Prometheus / JSON surface for a fixed recorded traffic — the
-        metric names and values the pre-instrument sink exported."""
+        """The JSON export for a fixed recorded traffic — the metric names
+        and values the pre-instrument sink exported."""
         sink = MetricsSink(clock=ManualClock())
         for latency in (1.0, 2.0, 8.0):
             sink.record_query(latency)
@@ -159,11 +159,6 @@ class TestSinkModes:
         assert set(payload) - set(scalars) == {"repro_latency_ms"}
         assert payload["repro_latency_ms"]["count"] == 4
         assert payload["repro_latency_ms"]["sum"] == 11.0
-        text = sink.prometheus_text()
-        for name, value in scalars.items():
-            assert f"{name} {value:g}" in text.splitlines()
-        assert "# TYPE repro_latency_ms histogram" in text
-        assert 'repro_latency_ms_bucket{le="+Inf"} 4' in text
 
 
 class TestSinkEventsAndSlo:
@@ -197,7 +192,7 @@ class TestSinkEventsAndSlo:
 
 
 class TestSinkExport:
-    def test_registry_and_prometheus_snapshot(self):
+    def test_registry_snapshot(self):
         sink = MetricsSink(clock=ManualClock())
         for latency in (1.0, 2.0, 8.0):
             sink.record_query(latency)
@@ -211,9 +206,6 @@ class TestSinkExport:
         hist = registry.histogram("repro_latency_ms")
         assert hist.count == 3
         assert hist.quantile(50) == pytest.approx(2.0, rel=0.02)
-        text = sink.prometheus_text()
-        assert "repro_queries_total 3" in text
-        assert 'repro_latency_ms_bucket{le="+Inf"} 3' in text
         json.dumps(registry.to_json())
 
 

@@ -19,23 +19,28 @@ Differences from the eager ``Tensor`` forward, and why they are safe:
   of building it twice (bitwise-identical values);
 * the K expert heads run as one packed GEMM per layer
   (:class:`~repro.infer.kernels.PackedExperts`) instead of K small matmuls;
-* on a :class:`~repro.data.schema.SessionBatch` the behaviour and query
-  halves of the score plan run **once per session**, not once per candidate
-  — they never read the candidate, exactly like the gate — the attention
-  unit's first layer is split so the pairwise buffer is never built
-  (:class:`~repro.infer.kernels.FactoredUnit`), the attention pooling is one
-  GEMM per session, and the gate and query hiddens are broadcast per
-  session.  A flat :data:`~repro.data.schema.Batch` carries no session
-  structure and runs row for row;
+* on a :class:`~repro.data.schema.SessionBatch` the query side runs
+  **once per session** and the behaviour side on the **valid history
+  positions only**, packed session-major by one nonzero scan of
+  ``behavior_mask`` per plan run (P = Σ L_s rows, not S·M): the eager
+  units multiply padded positions by a zero mask, so no term of Eq. 3 or
+  Eq. 6–8 is dropped.  The attention unit's first layer is split so the
+  pairwise buffer is never built (:class:`~repro.infer.kernels.
+  FactoredUnit`), its pooling is one ``(n_s, L_s) @ (L_s, H)`` GEMM per
+  session, and the gate plan pools its packed rows with a segment sum.  A
+  flat :data:`~repro.data.schema.Batch` runs row for row over all M
+  positions, masked as the eager forward masks them;
 * every intermediate lives in a :class:`~repro.infer.plan.BufferArena`
-  buffer, so steady-state execution allocates nothing.
+  buffer (packed row counts at :func:`~repro.infer.plan.rows_capacity`),
+  so steady-state execution allocates nothing.
 
 ``dtype=np.float64`` selects **parity mode**: fusions that could change
-floating-point evaluation order (the packed expert GEMM, the factored
-session side) are disabled — a session batch is expanded to flat rows first
-— and the plan replays the exact eager op order, making compiled scores
-bitwise equal to a float64 eager forward — the compiler's correctness
-oracle (``tests/infer/test_parity.py``).
+floating-point evaluation order (the packed expert GEMM, the packed and
+factored session side) are disabled — a session batch is expanded to flat
+rows first — and the plan replays the exact eager op order, making compiled
+scores bitwise equal to a float64 eager forward — the compiler's
+correctness oracle (``tests/infer/test_parity.py``).  Fused float32 never
+evaluates padding and sums in another order; it stays within 1e-4 of eager.
 
 Models that are not an :class:`~repro.core.aw_moe.AWMoE` raise
 :class:`CompileError`, which the serving stack treats as "fall back to the
@@ -45,7 +50,7 @@ eager forward".
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -57,9 +62,6 @@ from repro.infer.kernels import (
     PackedMLP,
     expand_rows,
     gather_rows,
-    masked_pool,
-    pairwise_concat,
-    segment_pool,
     sigmoid_,
     sparsify_top_k_,
 )
@@ -133,6 +135,37 @@ def _mask32(ctx: dict, arena: BufferArena, step: str) -> np.ndarray:
     return buf
 
 
+class _Packed(NamedTuple):
+    """A factored batch's valid behaviour positions, session-major: ``at``
+    their flat ``(session, position)`` indices, and ``blocks`` one
+    ``(s, start, stop, lo, hi)`` per session ``s`` with a history —
+    candidate rows ``start:stop``, packed rows ``lo:hi``."""
+
+    at: np.ndarray
+    blocks: List[Tuple[int, int, int, int, int]]
+
+
+def _packed(ctx: dict) -> _Packed:
+    """The run's packed positions: one nonzero scan of the flattened
+    behaviour mask per plan run, shared by every step that reads it.  A
+    position is valid where the mask is nonzero — the 0/1 mask the
+    assembler writes."""
+    packed = ctx.get("packed")
+    if packed is None:
+        mask = ctx["batch"]["behavior_mask"]
+        sessions, seq_len = mask.shape
+        at = mask.reshape(-1).nonzero()[0]
+        offsets = at.searchsorted(np.arange(0, sessions * seq_len + 1, seq_len)).tolist()
+        bounds = ctx["factored"]
+        blocks = [
+            (s, *block)
+            for s, block in enumerate(zip(bounds, bounds[1:], offsets, offsets[1:]))
+            if block[3] > block[2]
+        ]
+        packed = ctx["packed"] = _Packed(at, blocks)
+    return packed
+
+
 def _embed_concat_step(
     name: str,
     arena: BufferArena,
@@ -140,23 +173,29 @@ def _embed_concat_step(
     dense_key: Optional[str],
     dense_dim: int,
     out_key: str,
+    packed: bool = False,
 ) -> PlanStep:
     """Fused gather+concat: id embeddings and dense profile features written
     straight into one representation buffer (the eager path's ``Embedding``
-    lookups plus ``concat``)."""
+    lookups plus ``concat``).  ``packed`` steps read the behaviour sequence
+    and, on a factored batch, gather its valid positions only: (P, D)."""
     widths = [table.shape[1] for table, _ in tables]
     total = sum(widths) + dense_dim
 
     def fn(ctx: dict) -> None:
         batch = ctx["batch"]
-        lead = batch[tables[0][1]].shape  # (B,) or (B, M)
-        out = arena.lease(name, "out", lead + (total,))
+        at = _packed(ctx).at if packed and ctx["factored"] is not None else None
+        lead = batch[tables[0][1]].shape if at is None else at.shape  # (B,), (B, M) or (P,)
+        out = (arena.lease if at is None else arena.lease_rows)(name, "out", lead + (total,))
         offset = 0
         for (table, key), width in zip(tables, widths):
-            gather_rows(table, batch[key], out[..., offset : offset + width])
+            ids = batch[key] if at is None else batch[key].take(at)
+            gather_rows(table, ids, out[..., offset : offset + width])
             offset += width
-        if dense_key is not None:
+        if dense_key is not None and at is None:
             out[..., offset:] = batch[dense_key]
+        elif dense_key is not None:
+            gather_rows(batch[dense_key].reshape(-1, dense_dim), at, out[:, offset:])
         ctx[out_key] = out
 
     return PlanStep(name, "embed", fn, writes=(out_key,))
@@ -168,16 +207,19 @@ def _mlp_step(
     pack: PackedMLP,
     in_key: str,
     out_key: str,
+    packed: bool = False,
 ) -> PlanStep:
-    """Fused matmul+bias+ReLU chain; 3-D inputs run as one flat GEMM."""
+    """Fused matmul+bias+ReLU chain; 3-D inputs run as one flat GEMM.
+    ``packed`` steps lease a factored batch's positions at row capacity."""
 
     binder = arena.binder(name)
+    rows_binder = arena.row_binder(name) if packed else binder
 
     def fn(ctx: dict) -> None:
         x = ctx[in_key]
         shape = x.shape
         flat = x.reshape(-1, shape[-1]) if x.ndim != 2 else x
-        out = pack.run(flat, binder)
+        out = pack.run(flat, binder if ctx["factored"] is None else rows_binder)
         if x.ndim != 2:
             out = out.reshape(shape[:-1] + (pack.out_features,))
         ctx[out_key] = out
@@ -198,13 +240,23 @@ def _batch_mlp_step(name: str, arena: BufferArena, pack: PackedMLP, batch_key: s
 
 def _pairwise_step(name: str, arena: BufferArena, seq_key: str, key_key: str, out_key: str) -> PlanStep:
     """Attention-unit input ``[h ‖ h⊙key ‖ key]`` — built once and shared by
-    the gate and activation units (the eager path materializes it twice)."""
+    the gate and activation units (the eager path materializes it twice).
+    On a factored batch: one row per packed position, keyed by its session."""
 
     def fn(ctx: dict) -> None:
-        h_seq = ctx[seq_key]
-        batch, seq_len, hidden = h_seq.shape
-        out = arena.lease(name, "pw", (batch, seq_len, 3 * hidden))
-        pairwise_concat(h_seq, ctx[key_key], out)
+        h_seq, h_key = ctx[seq_key], ctx[key_key]
+        hidden = h_seq.shape[-1]
+        factored = ctx["factored"] is not None
+        lease = arena.lease_rows if factored else arena.lease
+        out = lease(name, "pw", h_seq.shape[:-1] + (3 * hidden,))
+        out[..., :hidden] = h_seq
+        key = out[..., 2 * hidden :]
+        if factored:  # (P, 3H): each position keyed by its session
+            for s, _, _, lo, hi in _packed(ctx).blocks:
+                key[lo:hi] = h_key[s]
+        else:  # (B, M, 3H): the key broadcast over M
+            key[...] = h_key[:, None, :]
+        np.multiply(h_seq, key, out=out[..., hidden : 2 * hidden])
         ctx[out_key] = out
 
     return PlanStep(name, "attention", fn, writes=(out_key,))
@@ -218,12 +270,18 @@ def _unit_scores_step(
     out_key: str,
     squeeze: bool,
 ) -> PlanStep:
-    """Activation/gate-unit MLP over the pairwise input, masked at padding."""
+    """Activation/gate-unit MLP over the pairwise input, masked at padding —
+    or over the packed positions of a factored batch, which hold none."""
 
     binder = arena.binder(name)
+    rows_binder = arena.row_binder(name)
 
     def fn(ctx: dict) -> None:
         pw = ctx[pairwise_key]
+        if ctx["factored"] is not None:
+            out = pack.run(pw, rows_binder)
+            ctx[out_key] = out.reshape(-1) if squeeze else out
+            return
         batch, seq_len, width = pw.shape
         out = pack.run(pw.reshape(batch * seq_len, width), binder)
         mask = _mask32(ctx, arena, name)
@@ -272,6 +330,31 @@ def _concat_step(
     return PlanStep(name, "concat", fn, writes=(out_key,))
 
 
+def _pool_positions(
+    ctx: dict, arena: BufferArena, step: str, x: np.ndarray, weights: Optional[np.ndarray]
+) -> np.ndarray:
+    """Eq. 3 / Eq. 8's (``weights``-weighted) sum of ``x`` over each row's
+    positions: axis 1 of a padded (B, M, C) buffer, or a segment sum of
+    packed (P, C) rows.  ``np.add.reduceat`` sees only sessions with a
+    history (it returns the *element* at an empty segment's start)."""
+    bounds = ctx["factored"]
+    if weights is not None:
+        weighted = (arena.lease if bounds is None else arena.lease_rows)(step, "weighted", x.shape)
+        x = np.multiply(x, weights[..., None], out=weighted)
+    if bounds is None:
+        out = arena.lease(step, "sum", (x.shape[0], x.shape[-1]))
+        return x.sum(axis=1, out=out)
+    out = arena.lease(step, "sum", (len(bounds) - 1, x.shape[-1]))
+    blocks = _packed(ctx).blocks
+    starts = [lo for _, _, _, lo, _ in blocks]
+    if len(starts) == len(out):
+        return np.add.reduceat(x, starts, axis=0, out=out)
+    out[...] = 0
+    if starts:
+        out[[s for s, *_ in blocks]] = np.add.reduceat(x, starts, axis=0)
+    return out
+
+
 # ----------------------------------------------------------------------
 # AW-MoE compiler
 # ----------------------------------------------------------------------
@@ -300,6 +383,7 @@ def _build_score_plan(model, dtype: np.dtype, parity: bool) -> InferencePlan:
             "behavior_dense",
             dense_dim,
             "behavior_repr",
+            packed=True,
         ),
         _embed_concat_step(
             "input.target_repr",
@@ -312,7 +396,9 @@ def _build_score_plan(model, dtype: np.dtype, parity: bool) -> InferencePlan:
     ]
     behavior_pack = PackedMLP.from_module(net.behavior_mlp, dtype)
     steps.append(_mlp_step("input.h_target", arena, behavior_pack, "target_repr", "h_target"))
-    steps.append(_mlp_step("input.h_behavior", arena, behavior_pack, "behavior_repr", "h_behavior"))
+    steps.append(
+        _mlp_step("input.h_behavior", arena, behavior_pack, "behavior_repr", "h_behavior", True)
+    )
 
     if net.pooling != "attention":  # pragma: no cover - AW-MoE always pools by attention
         raise CompileError(f"unsupported input pooling {net.pooling!r}")
@@ -323,7 +409,7 @@ def _build_score_plan(model, dtype: np.dtype, parity: bool) -> InferencePlan:
         "input.att_weights", arena, att_pack, "att_pw", "att_weights", squeeze=True
     )
     att_factored = FactoredUnit(att_pack, hidden)
-    att_binder = arena.binder("input.att_weights")
+    att_binder = arena.row_binder("input.att_weights")
 
     def att_fn(ctx: dict) -> None:
         bounds = ctx["factored"]
@@ -331,13 +417,9 @@ def _build_score_plan(model, dtype: np.dtype, parity: bool) -> InferencePlan:
             att_pairwise.fn(ctx)
             att_unit.fn(ctx)
             return
-        h_behavior, h_target = ctx["h_behavior"], ctx["h_target"]
-        scores = att_factored.run(h_behavior, h_target, bounds, att_binder)
-        scores = scores.reshape(h_target.shape[0], h_behavior.shape[1])
-        mask = _mask32(ctx, arena, "input.att_weights")
-        for s in range(len(bounds) - 1):
-            scores[bounds[s] : bounds[s + 1]] *= mask[s]
-        ctx["att_weights"] = scores
+        blocks = _packed(ctx).blocks
+        scores = att_factored.run(ctx["h_behavior"], ctx["h_target"], blocks, att_binder)
+        ctx["att_weights"] = scores.reshape(-1)  # (candidate, position) pairs
 
     steps.append(
         PlanStep(
@@ -352,12 +434,21 @@ def _build_score_plan(model, dtype: np.dtype, parity: bool) -> InferencePlan:
     def pool_fn(ctx: dict) -> None:
         h_behavior, weights = ctx["h_behavior"], ctx["att_weights"]
         bounds = ctx["factored"]
-        out = arena.lease("input.v_user", "out", (weights.shape[0], hidden))
         if bounds is None:
-            scratch = arena.lease("input.v_user", "weighted", h_behavior.shape)
-            masked_pool(h_behavior, weights, scratch, out)
-        else:
-            segment_pool(h_behavior, weights, bounds, out)
+            ctx["v_user"] = _pool_positions(ctx, arena, "input.v_user", h_behavior, weights)
+            return
+        # Eq. 3 per session: its candidates' (n_s, L_s) weights pool its
+        # L_s packed positions in one GEMM; an empty history pools to 0.
+        out = arena.lease("input.v_user", "out", (bounds[-1], hidden))
+        blocks = _packed(ctx).blocks
+        if len(blocks) < len(bounds) - 1:
+            out[...] = 0
+        cursor = 0
+        for _, start, stop, lo, hi in blocks:
+            end = cursor + (stop - start) * (hi - lo)
+            pairs = weights[cursor:end].reshape(stop - start, hi - lo)
+            np.matmul(pairs, h_behavior[lo:hi], out=out[start:stop])
+            cursor = end
         ctx["v_user"] = out
 
     steps.append(PlanStep("input.v_user", "pool", pool_fn, writes=("v_user",)))
@@ -479,10 +570,13 @@ def _build_gate_plan(
             "behavior_dense",
             dense_dim,
             "behavior_repr",
+            packed=True,
         ),
     ]
     behavior_pack = PackedMLP.from_module(gate.behavior_mlp, dtype)
-    steps.append(_mlp_step("gate.h_behavior", arena, behavior_pack, "behavior_repr", "h_behavior"))
+    steps.append(
+        _mlp_step("gate.h_behavior", arena, behavior_pack, "behavior_repr", "h_behavior", True)
+    )
 
     if config.task == "search":
         steps.append(
@@ -516,7 +610,6 @@ def _build_gate_plan(
     steps.append(PlanStep("gate.counts", "pool", counts_fn, writes=("inv_counts",)))
 
     steps.append(_pairwise_step("gate.pairwise", arena, "h_behavior", "h_key", "gate_pw"))
-    num_experts = int(config.num_experts)
 
     if gate.gate_unit is not None:
         gu_pack = PackedMLP.from_module(gate.gate_unit.mlp, dtype)
@@ -529,22 +622,10 @@ def _build_gate_plan(
                 _unit_scores_step("gate.att_weights", arena, au_pack, "gate_pw", "att_weights", squeeze=True)
             )
 
-            def pool_fn(ctx: dict) -> None:
-                item_scores = ctx["item_scores"]
-                tmp = arena.lease("gate.pool", "weighted", item_scores.shape)
-                np.multiply(item_scores, ctx["att_weights"][:, :, None], out=tmp)
-                out = arena.lease("gate.pool", "gate", (item_scores.shape[0], num_experts))
-                tmp.sum(axis=1, out=out)
-                np.multiply(out, ctx["inv_counts"], out=out)
-                ctx["gate"] = out
-        else:
-
-            def pool_fn(ctx: dict) -> None:
-                item_scores = ctx["item_scores"]
-                out = arena.lease("gate.pool", "gate", (item_scores.shape[0], num_experts))
-                item_scores.sum(axis=1, out=out)
-                np.multiply(out, ctx["inv_counts"], out=out)
-                ctx["gate"] = out
+        def pool_fn(ctx: dict) -> None:
+            scores, weights = ctx["item_scores"], ctx.get("att_weights")
+            out = _pool_positions(ctx, arena, "gate.pool", scores, weights)
+            ctx["gate"] = np.multiply(out, ctx["inv_counts"], out=out)
 
         steps.append(PlanStep("gate.pool", "pool", pool_fn, writes=("gate",)))
     else:
@@ -556,23 +637,12 @@ def _build_gate_plan(
                 _unit_scores_step("gate.att_weights", arena, au_pack, "gate_pw", "att_weights", squeeze=True)
             )
 
-            def pooled_fn(ctx: dict) -> None:
-                h_behavior = ctx["h_behavior"]
-                out = arena.lease("gate.pooled", "out", (h_behavior.shape[0], hidden))
-                scratch = arena.lease("gate.pooled", "weighted", h_behavior.shape)
-                masked_pool(h_behavior, ctx["att_weights"], scratch, out)
-                np.multiply(out, ctx["inv_counts"], out=out)
-                ctx["pooled"] = out
-        else:
-
-            def pooled_fn(ctx: dict) -> None:
-                h_behavior = ctx["h_behavior"]
-                mask = _mask32(ctx, arena, "gate.pooled")
-                out = arena.lease("gate.pooled", "out", (h_behavior.shape[0], hidden))
-                scratch = arena.lease("gate.pooled", "weighted", h_behavior.shape)
-                masked_pool(h_behavior, mask, scratch, out)
-                np.multiply(out, ctx["inv_counts"], out=out)
-                ctx["pooled"] = out
+        def pooled_fn(ctx: dict) -> None:
+            weights = ctx.get("att_weights")
+            if weights is None and ctx["factored"] is None:  # padded: mask
+                weights = _mask32(ctx, arena, "gate.pooled")
+            out = _pool_positions(ctx, arena, "gate.pooled", ctx["h_behavior"], weights)
+            ctx["pooled"] = np.multiply(out, ctx["inv_counts"], out=out)
 
         steps.append(PlanStep("gate.pooled", "pool", pooled_fn, writes=("pooled",)))
         steps.append(_concat_step("gate.pooled_cat", arena, ["pooled", "h_key"], [hidden, hidden], "pooled_cat"))

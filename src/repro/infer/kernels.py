@@ -10,12 +10,14 @@ Two execution styles share these kernels:
 
 * **fused float32** (production): ReLUs applied in place, the K expert
   heads evaluated as one packed GEMM per layer (see :class:`PackedExperts`),
-  and — on a session-factored batch — the attention unit's first layer split
-  so its behaviour and key thirds run once per session / per candidate
+  and — on a session-factored batch — the behaviour side on its packed
+  valid history positions only, with the attention unit's first layer split
+  so its behaviour and key thirds run once per position / per candidate
   instead of once per pair (see :class:`FactoredUnit`);
 * **float64 parity** (testing): the compiler keeps the exact op order of the
-  eager :class:`~repro.nn.tensor.Tensor` forward so results are bitwise
-  reproducible against a float64 eager model (``tests/infer/test_parity.py``).
+  eager :class:`~repro.nn.tensor.Tensor` forward — all M positions, padding
+  masked to 0 — so results are bitwise reproducible against a float64 eager
+  model (``tests/infer/test_parity.py``).
 
 The kernels are deliberately *not* differentiable — this module never builds
 tensors; training keeps using :mod:`repro.nn`.
@@ -34,9 +36,6 @@ __all__ = [
     "FactoredUnit",
     "gather_rows",
     "expand_rows",
-    "pairwise_concat",
-    "masked_pool",
-    "segment_pool",
     "sigmoid_",
     "sparsify_top_k_",
 ]
@@ -204,100 +203,74 @@ class PackedExperts:
 
 
 class FactoredUnit:
-    """An activation unit evaluated on a session-factored batch.
+    """An activation unit over a session-factored batch's packed valid
+    behaviour positions.
 
     The unit's first layer reads ``[h ‖ h⊙key ‖ key]``; split row-wise into
     ``W_a``, ``W_b``, ``W_c`` it is ``h·W_a + (h⊙key)·W_b + key·W_c``.  Only
-    the key varies within a session, so for session ``s`` the layer is one
-    GEMM over its candidates' keys,
+    the key varies within a session, so for session ``s`` with valid
+    positions ``p`` the layer is one GEMM over its candidates' keys,
 
-        z[n, (m, u)] = Σ_h key[n, h] · (h_s[m, h]·W_b[h, u] + W_c[h, u])
-                       + (h_s·W_a + b)[m, u]
+        z[n, (p, u)] = Σ_h key[n, h] · T[h, p, u] + (h_p·W_a + b)[p, u],
+        T[h, p, u]   = h_p[h]·W_b[h, u] + W_c[h, u],
 
-    with a per-session weight ``(H, M·U)`` and a per-session bias built from
-    S·M rows: neither the 3H-wide pairwise input nor the (N, M, H) product
-    is ever materialized.  Sums are reassociated relative to the unsplit
-    layer — fused float32 only, never parity mode.
+    and ``T`` is one batched GEMM, ``(H, P, 2) @ (H, 2, U)`` of ``[h_p, 1]``
+    against ``[W_b; W_c]`` (stacked at compile time), over at most
+    :data:`SLAB` positions at a time — a serving flush is one slab.  Padding
+    is never evaluated, and neither the 3H-wide pairwise input nor the
+    (N, M, H) product is materialized.  Sums are reassociated relative to
+    the unsplit layer — fused float32 only, never parity mode.
     """
 
-    __slots__ = ("w_seq", "w_pair", "w_key", "bias", "rest")
+    #: Positions per ``T`` slab: bounds its (H, ·, U) buffer on a replay chunk.
+    SLAB = 128
+
+    __slots__ = ("w_seq", "w_stack", "bias", "rest")
 
     def __init__(self, pack: PackedMLP, hidden: int):
         weight, self.bias = pack.layers[0]
         self.w_seq = np.ascontiguousarray(weight[:hidden])
-        self.w_pair = weight[hidden : 2 * hidden][:, None, :]  # (H, 1, U)
-        self.w_key = weight[2 * hidden :][:, None, :]
+        self.w_stack = np.ascontiguousarray(
+            np.stack([weight[hidden : 2 * hidden], weight[2 * hidden :]], axis=1)
+        )
         self.rest = PackedMLP(pack.layers[1:]) if len(pack.layers) > 1 else None
 
     def run(
         self,
-        h_seq: np.ndarray,
+        h_pos: np.ndarray,
         h_key: np.ndarray,
-        bounds: Sequence[int],
+        blocks: Sequence[Tuple[int, int, int, int, int]],
         lease: Callable[[str, Tuple[int, ...]], np.ndarray],
     ) -> np.ndarray:
-        """Unit outputs ``(N·M, out)`` for sessions ``h_seq`` (S, M, H) and
-        candidates ``h_key`` (N, H), candidate rows ``bounds[s]:bounds[s+1]``
-        belonging to session ``s``."""
-        sessions, seq_len, hidden = h_seq.shape
-        rows = h_key.shape[0]
+        """Unit outputs ``(Σ n_s·L_s, out)`` for packed positions ``h_pos``
+        (P, H) and candidates ``h_key`` (N, H).  ``blocks`` holds ``(s,
+        start, stop, lo, hi)`` per session ``s`` with a history — candidates
+        ``start:stop``, positions ``lo:hi`` — and each session's (candidate,
+        position) pairs follow the previous one's, candidate-major."""
+        positions, hidden = h_pos.shape
         width = self.w_seq.shape[1]
-        seq_bias = lease("seq", (sessions * seq_len, width))
-        np.matmul(h_seq.reshape(sessions * seq_len, hidden), self.w_seq, out=seq_bias)
+        seq_bias = lease("seq", (positions, width))
+        np.matmul(h_pos, self.w_seq, out=seq_bias)
         seq_bias += self.bias
-        seq_bias = seq_bias.reshape(sessions, seq_len * width)
-        weights = lease("weights", (sessions, hidden, seq_len, width))
-        np.multiply(h_seq.transpose(0, 2, 1)[:, :, :, None], self.w_pair, out=weights)
-        weights += self.w_key
-        weights = weights.reshape(sessions, hidden, seq_len * width)
+        span = max([self.SLAB] + [hi - lo for *_, lo, hi in blocks])
+        lhs = lease("lhs", (hidden, span, 2))
+        t = lease("t", (hidden, span, width))
         # Not "fc0": the remaining layers lease fc0.. under the same binder.
-        out = lease("split", (rows, seq_len * width))
-        for s in range(sessions):
-            segment = out[bounds[s] : bounds[s + 1]]
-            np.matmul(h_key[bounds[s] : bounds[s + 1]], weights[s], out=segment)
-            segment += seq_bias[s]
-        out = out.reshape(rows * seq_len, width)
+        out = lease("split", (sum((b - a) * (hi - lo) for _, a, b, lo, hi in blocks), width))
+        cursor = base = 0
+        for index, (_, start, stop, lo, hi) in enumerate(blocks):
+            if index == 0 or hi - base > span:  # the block starts the next slab
+                base, size = lo, min(positions - lo, span)
+                lhs[:, :size, 0] = h_pos[lo : lo + size].T
+                lhs[:, :size, 1] = 1.0
+                np.matmul(lhs[:, :size], self.w_stack, out=t[:, :size])
+            n, length = stop - start, hi - lo
+            block = out[cursor : cursor + n * length].reshape(n, length * width)
+            weight = t[:, lo - base : hi - base].reshape(hidden, length * width)
+            np.matmul(h_key[start:stop], weight, out=block)
+            block += seq_bias[lo:hi].reshape(length * width)
+            cursor += n * length
         if self.rest is None:
             return out
         np.maximum(out, 0, out=out)
         return self.rest.run(out, lease)
-
-
-def pairwise_concat(
-    h_seq: np.ndarray,
-    h_key: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """The activation/gate units' input ``[h_seq ‖ h_seq⊙key ‖ key]``.
-
-    Fuses the eager path's ``expand_dims + broadcast_to + concat`` (two full
-    materialized copies) into three strided writes on ``out`` (B, M, 3H).
-    """
-    hidden = h_seq.shape[-1]
-    out[..., :hidden] = h_seq
-    np.multiply(h_seq, h_key[:, None, :], out=out[..., hidden : 2 * hidden])
-    out[..., 2 * hidden :] = h_key[:, None, :]
-
-
-def masked_pool(
-    h_seq: np.ndarray,
-    weights: np.ndarray,
-    scratch: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """``out = (h_seq * weights[:, :, None]).sum(axis=1)`` — the attention
-    pooling of Eq. 3 — with ``scratch`` (B, M, H) absorbing the product."""
-    np.multiply(h_seq, weights[:, :, None], out=scratch)
-    scratch.sum(axis=1, out=out)
-
-
-def segment_pool(
-    h_seq: np.ndarray, weights: np.ndarray, bounds: Sequence[int], out: np.ndarray
-) -> None:
-    """:func:`masked_pool` on a session-factored batch: the candidates of
-    session ``s`` all pool the same ``h_seq[s]`` (M, H), so Eq. 3 is one
-    ``(n_s, M) @ (M, H)`` GEMM per session and the (N, M, H) product is
-    never materialized."""
-    for s in range(len(bounds) - 1):
-        start, stop = bounds[s], bounds[s + 1]
-        np.matmul(weights[start:stop], h_seq[s], out=out[start:stop])

@@ -25,13 +25,20 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.infer.kernels import expand_rows
 
-__all__ = ["BufferArena", "PlanStep", "InferencePlan"]
+__all__ = ["BufferArena", "PlanStep", "InferencePlan", "rows_capacity"]
+
+
+def rows_capacity(rows: int) -> int:
+    """The row count a varying leading dim is leased at: exact up to 128,
+    then the next multiple of 128, so a slot caches a bounded set of views."""
+    return rows if rows <= 128 else -(-rows // 128) * 128
 
 
 class BufferArena:
@@ -84,9 +91,23 @@ class BufferArena:
         view = self._views[view_key] = flat[:size].reshape(shape)
         return view
 
+    def lease_rows(
+        self, step: str, slot: str, shape: Tuple[int, ...], dtype: Optional[np.dtype] = None
+    ) -> np.ndarray:
+        """:meth:`lease` at :func:`rows_capacity` rows, returning the first
+        ``shape[0]``: for row counts that vary run to run (packed positions)."""
+        rows = shape[0]
+        if rows <= 128:  # exact: no rounding, no slice
+            return self.lease(step, slot, shape, dtype)
+        return self.lease(step, slot, (rows_capacity(rows), *shape[1:]), dtype)[:rows]
+
     def binder(self, step: str, dtype: Optional[np.dtype] = None) -> Callable:
         """A ``lease(slot, shape)`` closure pinned to one step name."""
         return lambda slot, shape: self.lease(step, slot, shape, dtype=dtype)
+
+    def row_binder(self, step: str) -> Callable:
+        """:meth:`binder` over :meth:`lease_rows`."""
+        return partial(self.lease_rows, step)
 
     @property
     def num_buffers(self) -> int:

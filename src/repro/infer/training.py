@@ -52,17 +52,13 @@ from repro.core.aw_moe import AWMoE
 from repro.core.trainer import GRAD_CLIP
 from repro.data.masking import sample_in_batch_negatives
 from repro.infer.kernels import CompileError, PackedExperts, PackedMLP, gather_rows
-from repro.infer.plan import BufferArena
+from repro.infer.plan import BufferArena, rows_capacity
 from repro.nn import clip_grad_norm
 
 __all__ = ["CompiledTrainStep", "compile_train_step"]
 
 Lease = Callable[..., np.ndarray]
 Slots = Dict[int, np.ndarray]
-
-
-def _rows_capacity(rows: int) -> int:
-    return rows if rows <= 128 else -(-rows // 128) * 128
 
 
 def segment_sum(x: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
@@ -377,9 +373,7 @@ class CompiledTrainStep:
         arena = self.arena
 
         def lease(slot: str, shape, dtype=None) -> np.ndarray:
-            rows = shape[0]
-            full = arena.lease(step, slot, (_rows_capacity(rows), *shape[1:]), dtype)
-            return full[:rows]
+            return arena.lease_rows(step, slot, shape, dtype)
 
         return lease
 
@@ -404,7 +398,7 @@ class CompiledTrainStep:
         views = stacked[:, rows, cols].T  # (P, V)
         longest = len(rows) + stacked.shape[0] * stacked.shape[1] + 4 * self.hidden
         if len(self.ones) < longest:
-            self.ones = np.ones(_rows_capacity(longest), dtype=self.dtype)
+            self.ones = np.ones(rows_capacity(longest), dtype=self.dtype)
         ctx.update(
             batch=batch,
             ones=self.ones,

@@ -33,7 +33,6 @@ import re
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.drift import DriftMonitor
 from repro.obs.events import EventLog
 from repro.obs.slo import SloTracker
 from repro.obs.streaming import Counter, Gauge, MetricsRegistry, StreamingHistogram
@@ -125,7 +124,7 @@ class _RuleState:
 def telemetry_snapshot(
     registry: Optional[MetricsRegistry] = None,
     slo: Optional[SloTracker] = None,
-    drift: Optional[DriftMonitor] = None,
+    drift: Optional[Dict[str, Dict[str, float]]] = None,
     extra: Optional[Dict[str, float]] = None,
 ) -> Dict[str, float]:
     """Flatten the fleet's telemetry into the scalar namespace rules see.
@@ -134,8 +133,9 @@ def telemetry_snapshot(
     * histograms → ``<name>_p50`` / ``_p95`` / ``_p99`` / ``_mean`` /
       ``_count``;
     * SLO → ``slo_p99_ms``, ``slo_violation_rate``, ``slo_burn_rate``;
-    * drift → ``drift_psi_<feature>``, plus the headline
-      ``drift_psi_worst``;
+    * drift — per-feature scores as :meth:`~repro.obs.drift.DriftMonitor.scores` returns
+      them, already computed by the caller (PSI is scored once per cycle)
+      → ``drift_psi_<feature>``, plus the headline ``drift_psi_worst``;
     * ``extra`` merges last (the online loop injects
       ``Fleet.telemetry()``'s scalars — worker / breaker / shed,
       ``retrieval_recall_at_k`` — and click-log lag).
@@ -159,7 +159,7 @@ def telemetry_snapshot(
         snapshot["slo_burn_rate"] = float(status["error_budget_burn_rate"])
     if drift is not None:
         worst_psi = 0.0
-        for feature, scores in drift.scores().items():
+        for feature, scores in drift.items():
             snapshot[f"drift_psi_{feature}"] = scores["psi"]
             worst_psi = max(worst_psi, scores["psi"])
         snapshot["drift_psi_worst"] = worst_psi

@@ -136,7 +136,15 @@ class StreamingHistogram:
     def _bucket_index(self, value: float) -> int:
         if value <= self.min_value:
             return 0
-        index = int(math.log(value / self.min_value) / self._log_growth) + 1
+        # Upper edges are inclusive: the smallest i with value <= min·g^i.
+        # The float log ratio can land one off at an edge: check the guess.
+        index = max(math.ceil(math.log(value / self.min_value) / self._log_growth), 1)
+        if index >= self.num_buckets:
+            return self.num_buckets - 1
+        if index > 1 and value <= self.min_value * self.growth ** (index - 1):
+            index -= 1
+        elif value > self.min_value * self.growth**index:
+            index += 1
         return min(index, self.num_buckets - 1)
 
     def record(self, value: float) -> None:

@@ -117,9 +117,11 @@ class CanaryGate:
         sub-millisecond at this scale; staleness is a wrong promotion.  What
         a fresh compile does cost is a cold arena, one buffer per slot at
         the largest chunk's size (score + gate 27.6 + 25.5 MiB when 1024
-        *rows* ran the flat kernels, 17.0 + 2.5 MiB for the same rows as
-        ≈ 100 sessions) — hence a bounded chunk, not one batch.  Smaller
-        chunks view the same buffers and cost no memory.
+        *rows* ran the flat kernels, 6.3 + 1.0 MiB for the same rows as
+        ≈ 100 sessions, whose behaviour side runs on valid positions only)
+        — hence a bounded chunk, not one batch, and :meth:`judge` drops
+        the candidate's plan before production's replay.  Smaller chunks
+        view the same buffers and cost no memory.
         """
         try:
             return compile_model(model)
@@ -180,6 +182,9 @@ class CanaryGate:
                     f"retrieval recall collapsed: {recall:.4f} < "
                     f"{self.retrieval_probe.min_recall} (cascade vs exhaustive oracle)"
                 )
+        # The candidate's plan is done: drop it (and its arenas) before the
+        # production replay grows its own, so one replay plan is live at a time.
+        del candidate_scorer
         if production is None:
             return CanaryReport(
                 passed=not reasons,

@@ -415,9 +415,10 @@ class OnlineLoop:
         """
         now = self._now()
         ctx = self.cluster.ctx
+        drift_scores = None
         if ctx.drift is not None and ctx.drift.has_reference:
             drift = ctx.drift.to_dict()
-            report.drift = drift["features"]
+            report.drift = drift_scores = drift["features"]
             self.cluster.control.events.record(
                 "drift_score",
                 now,
@@ -435,8 +436,10 @@ class OnlineLoop:
             extra["click_log_lag"] = float(self.click_log.lag)
             if self.trainer.metrics is not None:
                 registry = registry.merge(self.trainer.metrics)
+            if drift_scores is None and ctx.drift is not None:
+                drift_scores = ctx.drift.scores()  # no reference: every PSI is 0
             snapshot = telemetry_snapshot(
-                registry=registry, slo=ctx.slo, drift=ctx.drift, extra=extra
+                registry=registry, slo=ctx.slo, drift=drift_scores, extra=extra
             )
             transitions = ctx.alerts.evaluate(snapshot, now)
             if transitions:

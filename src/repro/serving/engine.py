@@ -440,6 +440,10 @@ class SearchEngine:
             retrieve_span.set(candidates=int(candidates.size))
         with trace.span("assemble"):
             batch = self.build_batches([state], [query_category], [candidates])
+        if gate is None and self.supports_session_gate:
+            # From the session rows, as the micro-batcher and the cascade
+            # resolve it: one gate path, so exhaustive parity is bitwise.
+            gate = self.serving_gate(batch.session)
         with trace.span("rank", rows=int(candidates.size)) as rank_span:
             scores = self.score_candidates(
                 batch, gate=gate, step_hook=kernel_span_hook((trace, rank_span))

@@ -167,9 +167,10 @@ class TestFloat32Factored:
     def test_session_side_kernels_run_on_session_rows(
         self, monkeypatch, unit_world, model, factored
     ):
-        """The saving, observed: behaviour/query steps output S(·M) rows and
-        are charged FLOPs for those rows only; nothing 3H wide is leased —
-        while the flat twin, which takes the pairwise path, does lease it."""
+        """The saving, observed: behaviour steps output one row per valid
+        history position and query steps one per session, and are charged
+        FLOPs for those rows only; nothing 3H wide is leased — while the
+        flat twin, which takes the pairwise path, does lease it."""
         compiled = compile_model(model)
         score_arena = compiled.score_plan.arena
         leased = []
@@ -192,11 +193,12 @@ class TestFloat32Factored:
         compiled.score_plan.step_hook = step_hook
         compiled.predict_proba(factored)
         compiled.score_plan.step_hook = None
-        sessions, seq_len = factored.num_sessions, unit_world.config.max_seq_len
+        sessions, positions = factored.num_sessions, int(factored["behavior_mask"].sum())
+        assert positions < sessions * unit_world.config.max_seq_len
         steps = {step.name: step for step in compiled.score_plan.steps}
         for name, want in [
-            ("input.behavior_repr", sessions * seq_len),
-            ("input.h_behavior", sessions * seq_len),
+            ("input.behavior_repr", positions),
+            ("input.h_behavior", positions),
             ("input.query_repr", sessions),
             ("input.h_query", sessions),
             ("input.h_target", factored.num_rows),
@@ -226,6 +228,126 @@ class TestFloat32Factored:
             compiled.predict_proba(factored, gate_override=gates)
         assert [(arena.num_buffers, arena.misses) for arena in arenas] == before
         assert all(arena.hits > 0 for arena in arenas)
+
+
+def _scattered(batch, order):
+    """``batch`` with its behaviour positions permuted by ``order``: the
+    same history, padding no longer at the end."""
+    session = {
+        key: rows[:, order] if key.startswith("behavior_") else rows
+        for key, rows in batch.session.items()
+    }
+    return SessionBatch(session, batch.candidate, batch.counts)
+
+
+def _full_user(world):
+    return next(
+        u for u in range(world.num_users) if len(world.histories[u]) >= world.config.max_seq_len
+    )
+
+
+def _short_user(world):
+    return next(
+        u for u in range(world.num_users)
+        if 1 < len(world.histories[u]) < world.config.max_seq_len - 1
+    )
+
+
+class TestPackedPositions:
+    """The fused float32 plans run the behaviour side on the valid history
+    positions only (P = Σ L_s rows); eager runs all M and masks."""
+
+    def _cases(self, world):
+        seq_len = world.config.max_seq_len
+        empty, full, short = _empty_user(world), _full_user(world), _short_user(world)
+        # Valid positions interleaved with padding, the first one last.
+        order = np.r_[seq_len - 1, np.arange(seq_len - 1)][np.argsort(np.arange(seq_len) % 2)]
+        return {
+            "empty_history": SessionBatch.concat(
+                [_session(world, empty, 2, 6), _session(world, 3, 1, 4)]
+            ),
+            "all_empty": _session(world, empty, 5, 3),
+            "full_history": SessionBatch.concat(
+                [_session(world, full, 1, 5), _session(world, short, 3, 7)]
+            ),
+            "not_left_aligned": _scattered(
+                SessionBatch.concat([_session(world, short, 4, 6), _session(world, full, 0, 3)]),
+                order,
+            ),
+            "one_candidate": SessionBatch.concat(
+                [_session(world, short, 2, 1), _session(world, full, 6, 1)]
+            ),
+            "one_session": _session(world, full, 7, 9),
+        }
+
+    @pytest.mark.parametrize(
+        "case",
+        ["empty_history", "all_empty", "full_history", "not_left_aligned", "one_candidate",
+         "one_session"],
+    )
+    @pytest.mark.parametrize("name", ["aw_moe", "ablation_gu0_au1", "sparse_top2"])
+    def test_matches_eager(self, test_set, unit_world, name, case):
+        batch = self._cases(unit_world)[case]
+        model = _models(test_set.meta)[name]
+        compiled = compile_model(model)
+        flat = batch.flat()
+        assert _rel_err(compiled.predict_proba(batch), model.predict_proba(flat)) < RTOL_F32
+        np.testing.assert_allclose(
+            batch.expand(compiled.serving_gate(batch)),
+            model.serving_gate(flat),
+            rtol=RTOL_F32,
+            atol=1e-6,
+        )
+
+    def test_behaviour_side_runs_on_valid_positions(self, unit_world, model):
+        batch = self._cases(unit_world)["not_left_aligned"]
+        positions = int(batch["behavior_mask"].sum())
+        compiled = compile_model(model)
+        rows = {}
+
+        def step_hook(step, seconds, ctx):
+            rows[step.name] = ctx[step.writes[0]].shape[0]
+
+        compiled.gate_plan.step_hook = compiled.score_plan.step_hook = step_hook
+        compiled.predict_proba(batch)
+        for name in ("gate.behavior_repr", "gate.h_behavior", "gate.pairwise",
+                     "gate.item_scores", "gate.att_weights",
+                     "input.behavior_repr", "input.h_behavior"):
+            assert rows[name] == positions, name
+        pairs = int((batch["behavior_mask"].sum(axis=1) * batch.counts).sum())
+        assert rows["input.att_weights"] == pairs
+
+    def test_same_or_fewer_positions_are_all_hits(self, unit_world, model):
+        cases = self._cases(unit_world)
+        big = SessionBatch.concat([cases["full_history"], cases["not_left_aligned"]])
+        compiled = compile_model(model)
+        compiled.predict_proba(big)
+        arenas = (compiled.score_plan.arena, compiled.gate_plan.arena)
+        before = [(arena.num_buffers, arena.misses) for arena in arenas]
+        for batch in (big, *cases.values(), big):
+            compiled.predict_proba(batch)
+        assert [(arena.num_buffers, arena.misses) for arena in arenas] == before
+
+    def test_view_cache_stays_bounded(self, unit_world, model):
+        """Position counts vary run to run; the packed slots lease them at
+        row capacity, so P above 128 reuses a handful of views per slot."""
+        compiled = compile_model(model)
+        rng = np.random.default_rng(4)
+        seen = set()
+        for _ in range(12):
+            users = rng.integers(0, unit_world.num_users, size=int(rng.integers(24, 40)))
+            batch = SessionBatch.concat([_session(unit_world, int(u), 1, 2) for u in users])
+            seen.add(int(batch["behavior_mask"].sum()))
+            compiled.predict_proba(batch)
+        assert min(seen) > 128 and len(seen) > 4
+        for arena in (compiled.score_plan.arena, compiled.gate_plan.arena):
+            views = {}
+            for step, slot, shape, _ in arena._views:
+                views.setdefault((step, slot), set()).add(shape)
+            packed = ("gate.h_behavior", "fc0")
+            if arena is compiled.score_plan.arena:
+                packed = ("input.h_behavior", "fc0")
+            assert len(views[packed]) <= 2, views[packed]
 
 
 settings.register_profile("factored", deadline=None, max_examples=25)

@@ -165,7 +165,7 @@ class TestTelemetrySnapshot:
         for _ in range(30):
             drift.observe("ctr", 0.9)
         snapshot = telemetry_snapshot(
-            registry=registry, slo=slo, drift=drift, extra={"click_log_lag": 2.0}
+            registry=registry, slo=slo, drift=drift.scores(), extra={"click_log_lag": 2.0}
         )
         assert snapshot["queries_total"] == 7.0
         assert snapshot["lag"] == 3.0

@@ -171,6 +171,25 @@ class TestBucketGeometry:
             hist.record(value)
         assert np.flatnonzero(hist.counts).tolist() == [0, 1, 3, 4, 7]
 
+    def test_upper_edges_are_inclusive(self):
+        hist = StreamingHistogram(min_value=1.0, growth=2.0, num_buckets=8)
+        for value, bucket in [(1.0, 0), (2.0, 1), (4.0, 2), (8.0, 3), (64.0, 6)]:
+            assert hist._bucket_index(value) == bucket, value
+            assert hist._bucket_index(math.nextafter(value, math.inf)) == bucket + 1, value
+        hist.record(2.0)
+        hist.record(8.0)
+        assert np.flatnonzero(hist.counts).tolist() == [1, 3]
+
+    @pytest.mark.parametrize("growth", [1.04, 1.1, 1.35])
+    def test_float_edges_land_in_the_bucket_they_close(self, growth):
+        """``log`` of a computed edge can round either way; every edge
+        still closes its own bucket and the next float opens the next."""
+        hist = StreamingHistogram(min_value=1e-4, growth=growth, num_buckets=2048)
+        for i in range(1, 2047):
+            edge = hist.min_value * growth**i
+            assert hist._bucket_index(edge) == i
+            assert hist._bucket_index(math.nextafter(edge, math.inf)) == i + 1
+
     def test_overflow_saturates_last_bucket(self):
         hist = StreamingHistogram(min_value=1.0, growth=2.0, num_buckets=4)
         hist.record(1e12)

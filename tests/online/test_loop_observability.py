@@ -185,6 +185,22 @@ class TestDriftLifecycle:
         assert "worst_feature" in drift_event.attrs
         assert "psi_ctr" in drift_event.attrs
 
+    def test_psi_is_scored_once_per_cycle(self, tmp_path, monkeypatch):
+        """The drift event and the alert snapshot share one scoring pass:
+        one ``psi_from_counts`` call per feature, not two."""
+        from repro.obs import drift as drift_module
+
+        loop, gen, _ = _build_loop(tmp_path, rules=("drift_psi_worst > 100",))
+        loop.run_cycle(gen.generate(200))  # promote + freeze reference
+        calls = []
+        psi = drift_module.psi_from_counts
+        monkeypatch.setattr(
+            drift_module, "psi_from_counts", lambda *a: calls.append(1) or psi(*a)
+        )
+        report = loop.run_cycle(gen.generate(200))
+        assert len(report.drift) == 6
+        assert len(calls) == 6
+
 
 class TestEndToEndAlertPath:
     """ISSUE acceptance: drifted traffic -> drift rule fires -> typed event

@@ -1,9 +1,16 @@
 """Model registry lifecycle/persistence and the canary regression gate."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.online import CanaryGate, IncrementalTrainer, ModelRegistry
+import repro.online.canary as canary_module
+from repro.core import ModelConfig, build_model
+from repro.data import WorldConfig
+from repro.data.synthetic import generate_world
+from repro.infer import compile_model
+from repro.online import CanaryGate, ClickLog, IncrementalTrainer, ModelRegistry, build_dataset
 
 
 @pytest.fixture()
@@ -145,3 +152,63 @@ class TestCanaryGate:
     def test_validation(self):
         with pytest.raises(ValueError):
             CanaryGate(tolerance=-0.1)
+
+
+class TestCanaryMemory:
+    """One 1,024-row replay chunk (128 sessions of 8) on the small world
+    and model ``refresh-loop`` serves, asserted by count (arena bytes, live
+    plans), never by clock."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        world = generate_world(WorldConfig.small(), np.random.default_rng(23))
+        rng = np.random.default_rng(0)
+        log = ClickLog()
+        for _ in range(128):
+            clicks = np.zeros(8, dtype=np.float32)
+            clicks[:2] = 1.0
+            log.log_session(
+                int(rng.integers(world.config.num_users)),
+                int(rng.integers(world.config.num_categories)),
+                rng.choice(world.num_items, size=8, replace=False),
+                clicks,
+            )
+        holdout = build_dataset(world, log.read_new())
+        assert (len(holdout), holdout.num_sessions()) == (1024, 128)
+        models = [
+            build_model("aw_moe", ModelConfig.small(), world.meta(), np.random.default_rng(seed))
+            for seed in (0, 1)
+        ]
+        return holdout, models
+
+    def test_candidate_plan_is_released_before_production_compiles(self, setup, monkeypatch):
+        holdout, (candidate, production) = setup
+        plans = []
+
+        def tracking_compile(model, *args, **kwargs):
+            if plans:  # the production compile: the candidate's plan is gone
+                assert plans[0]() is None
+            scorer = compile_model(model, *args, **kwargs)
+            plans.append(weakref.ref(scorer))
+            return scorer
+
+        monkeypatch.setattr(canary_module, "compile_model", tracking_compile)
+        report = CanaryGate(tolerance=1.0).judge(candidate, production, holdout)
+        assert report.passed and report.production is not None
+        assert len(plans) == 2
+
+    def test_replay_arenas_skip_the_padding(self, setup, monkeypatch):
+        holdout, (candidate, _) = setup
+        plans = []
+
+        def keeping_compile(model, *args, **kwargs):
+            plans.append(compile_model(model, *args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(canary_module, "compile_model", keeping_compile)
+        CanaryGate().judge(candidate, None, holdout)
+        (plan,) = plans
+        stats = plan.stats()
+        assert stats["score"]["calls"] == stats["gate"]["calls"] == 1  # one chunk
+        arena_mib = (stats["score"]["arena_bytes"] + stats["gate"]["arena_bytes"]) / 2**20
+        assert arena_mib <= 10, f"replay arenas hold {arena_mib:.1f} MiB"

@@ -8,8 +8,9 @@ for dense features — matching the model input contract documented on
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -153,6 +154,17 @@ class SessionBatch:
             {key: side[rows] for key, side in self.candidate.items()},
             self.counts[start:stop],
         )
+
+    def blocks(self, max_rows: int) -> Iterator["SessionBatch"]:
+        """Runs of consecutive whole sessions of at most ``max_rows`` rows,
+        in order; a larger session is a block by itself."""
+        if max_rows <= 0:
+            raise ValueError(f"max_rows must be positive, got {max_rows}")
+        bounds, start = self.bounds, 0
+        while start < self.num_sessions:
+            stop = max(bisect_right(bounds, bounds[start] + max_rows) - 1, start + 1)
+            yield self.sessions(start, stop)
+            start = stop
 
     @staticmethod
     def concat(batches: Sequence["SessionBatch"]) -> "SessionBatch":

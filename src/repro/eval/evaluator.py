@@ -7,14 +7,12 @@ reference models via :mod:`repro.eval.significance`.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.ranking_model import RankingModel
 from repro.data.dataset import RankingDataset, iterate_batches
-from repro.data.schema import SessionBatch
 from repro.eval.auc import session_auc, session_auc_at_k
 from repro.eval.ndcg import session_ndcg
 from repro.infer import CompiledModel
@@ -33,28 +31,16 @@ def predict_scores(
     :class:`~repro.core.ranking_model.RankingModel` or a compiled
     :class:`~repro.infer.CompiledModel` (the canary gate replays through
     the latter).  A compiled model scoring a dataset that carries its
-    ``sessions`` gets session slices of at most ``batch_size`` rows, so the
-    replay runs serving's session-factored kernels; any other pairing
-    iterates flat row batches.
+    ``sessions`` gets its :meth:`~repro.data.schema.SessionBatch.blocks` of
+    at most ``batch_size`` rows, so the replay runs serving's
+    session-factored kernels; any other pairing iterates flat row batches.
     """
     if isinstance(model, CompiledModel) and dataset.sessions is not None:
-        batches = _session_slices(dataset.sessions, batch_size)
+        batches = dataset.sessions.blocks(batch_size)
     else:
         batches = iterate_batches(dataset, batch_size)
     chunks = [model.predict_proba(batch) for batch in batches]
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float32)
-
-
-def _session_slices(sessions: SessionBatch, max_rows: int) -> Iterator[SessionBatch]:
-    """Contiguous session slices of at most ``max_rows`` rows (one session
-    at least), in order — the session-batch twin of ``iterate_batches``."""
-    if max_rows <= 0:
-        raise ValueError(f"batch_size must be positive, got {max_rows}")
-    bounds, start = sessions.bounds, 0
-    while start < sessions.num_sessions:
-        stop = max(bisect_right(bounds, bounds[start] + max_rows) - 1, start + 1)
-        yield sessions.sessions(start, stop)
-        start = stop
 
 
 def evaluate_ranking(

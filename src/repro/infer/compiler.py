@@ -668,7 +668,7 @@ def _build_gate_plan(
     inputs = ["behavior_items", "behavior_categories", "behavior_dense", "behavior_mask"] + key_inputs
     return InferencePlan(
         "gate", steps, "gate", arena, tuple(inputs),
-        expand_sessions=parity or config.task != "search",
+        expand_sessions=parity or config.task != "search", session_rows=True,
     )
 
 

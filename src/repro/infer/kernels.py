@@ -69,11 +69,15 @@ def sparsify_top_k_(
 
 
 def gather_rows(table: np.ndarray, indices: np.ndarray, out: np.ndarray) -> None:
-    """``out[...] = table[indices]`` without temporary allocation.
+    """``out[...] = table[indices]``, written into ``out`` (no result array).
 
-    ``out`` may be a strided slice of a wider concat buffer (``ndarray.take``
-    buffers through it directly).  Out-of-range ids raise ``IndexError``
-    exactly like :class:`repro.nn.layers.Embedding`.
+    ``out`` may be a strided slice of a wider concat buffer.  Out-of-range
+    ids raise ``IndexError`` exactly like :class:`repro.nn.layers.Embedding`;
+    for that, ``take`` in ``raise`` mode gathers into a temporary of
+    ``out``'s size and then copies it (≈ 240 KB for 10,240 × 6 float32
+    rows, strided or contiguous).  Only ``mode="clip"`` into a contiguous
+    ``out`` writes in place, and clipping would need its own bounds check,
+    slower at serving's 96-row flushes and no help into strided slices.
     """
     table.take(indices, axis=0, out=out)
 
@@ -174,6 +178,12 @@ class PackedExperts:
             (f"kbh{i + 1}", w, b, i < len(self.deep) - 1) for i, (w, b) in enumerate(self.deep)
         ]
 
+    def by_expert(self, h1: np.ndarray) -> np.ndarray:
+        """The first layer's ``(B, K*H)`` output as a ``(K, B, H)`` view, no
+        copy: each expert's ``(B, H)`` slice is a BLAS operand with row
+        stride ``K*H``, so the batched GEMMs read ``h1`` in place."""
+        return h1.reshape(h1.shape[0], self.num_experts, -1).transpose(1, 0, 2)
+
     def run(
         self, v_imp: np.ndarray, lease: Callable[[str, Tuple[int, ...]], np.ndarray]
     ) -> np.ndarray:
@@ -187,9 +197,7 @@ class PackedExperts:
         if not self.deep:
             return h1  # single-layer experts: h1 already is (B, K)
         np.maximum(h1, 0, out=h1)
-        # (B, K*H) -> (K, B, H) for batched per-expert GEMMs.
-        h = lease("kbh0", (k, batch, h1_width))
-        h[...] = h1.reshape(batch, k, h1_width).transpose(1, 0, 2)
+        h = self.by_expert(h1)
         for slot, weight, bias, relu in self._deep_program:
             out = lease(slot, (k, batch, weight.shape[2]))
             np.matmul(h, weight, out=out)

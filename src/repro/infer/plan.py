@@ -14,6 +14,15 @@ once it has run the plan executes with **zero array allocations** — the
 arena's hit/miss counters make that measurable (``tests/infer/test_plan.py``
 asserts it).
 
+The arena is sized to a **block**, not to the largest flush: a
+:class:`~repro.data.schema.SessionBatch` of more than :data:`BLOCK_ROWS`
+rows runs one block of whole sessions at a time
+(:meth:`~repro.data.schema.SessionBatch.blocks`), and each block's output
+is copied into one buffer for the whole run.  A 10,240-row cascade flush
+then holds one 1,280-row session's working set, not all eight; a
+flat batch, float64 parity and any run of at most :data:`BLOCK_ROWS` rows
+(every head flush, every canary replay chunk) run in one pass.
+
 Thread-safety: a plan owns mutable buffers, so one plan must not be executed
 concurrently from multiple threads — give each worker its own compiled plan
 (:class:`~repro.serving.shard.ShardWorker` compiles per shard), exactly
@@ -32,7 +41,11 @@ import numpy as np
 
 from repro.infer.kernels import expand_rows
 
-__all__ = ["BufferArena", "PlanStep", "InferencePlan", "rows_capacity"]
+__all__ = ["BLOCK_ROWS", "BufferArena", "PlanStep", "InferencePlan", "rows_capacity"]
+
+#: Rows a plan runs at once: a session batch with more runs in blocks of
+#: whole sessions (a larger session is a block by itself).
+BLOCK_ROWS = 1024
 
 
 def rows_capacity(rows: int) -> int:
@@ -50,8 +63,9 @@ class BufferArena:
     buffer replaces it (a *miss*, the only allocation); views are cached per
     shape, so a repeated lease is one dict lookup.  Contents are never
     zeroed — every kernel fully overwrites its output.  All shapes of a key
-    alias one buffer, so a plan leases each key at most once per ``run``
-    (both tested), and a result is valid until the next ``run``.
+    alias one buffer, so a plan leases each key at most once per pass over
+    a batch or block (both tested), and a result is valid until the next
+    ``run``.
     """
 
     __slots__ = ("dtype", "_slots", "_views", "_view_keys", "hits", "misses")
@@ -159,6 +173,9 @@ class InferencePlan:
     #: keyed on the candidate).  ``False`` runs session-side kernels on one
     #: row per session.
     expand_sessions: bool = False
+    #: On a factored batch the output holds one row per session (the search
+    #: gate), not one per candidate: how a blocked run places each block's.
+    session_rows: bool = False
     calls: int = 0
     #: Optional per-kernel hook ``(step, seconds, ctx) -> None``, called
     #: after each step with its wall time and the execution ctx (the step's
@@ -180,7 +197,11 @@ class InferencePlan:
         :class:`~repro.data.schema.SessionBatch`; steps find the latter's
         row offsets under ``ctx["bounds"]`` (``None`` for a flat batch) and,
         while its session side still has one row per session, under
-        ``ctx["factored"]`` too.
+        ``ctx["factored"]`` too.  A factored batch of more than
+        :data:`BLOCK_ROWS` rows runs block by block: every step runs over one
+        block, ``bound`` arrays with one row per session (or per candidate)
+        are sliced to it, and the result gathers the blocks' outputs — one
+        row per candidate, or per session for a :attr:`session_rows` plan.
 
         The returned array is **owned by the arena** and is only valid until
         the next ``run`` on this plan — serving consumes it immediately;
@@ -191,6 +212,23 @@ class InferencePlan:
         missing = [key for key in self.inputs if key not in batch]
         if missing:
             raise KeyError(f"plan {self.name!r} missing batch inputs {missing}")
+        steps = self.steps
+        if output is None:
+            output = self.output
+        else:
+            steps = steps[: 1 + max(i for i, step in enumerate(steps) if output in step.writes)]
+        blocks = ()
+        if not self.expand_sessions and getattr(batch, "num_rows", 0) > BLOCK_ROWS:
+            blocks = list(batch.blocks(BLOCK_ROWS))
+        if len(blocks) > 1:
+            result = self._run_blocks(batch, blocks, steps, output, bound)
+        else:
+            result = self._run_steps(batch, steps, output, bound)
+        self.calls += 1
+        return result
+
+    def _run_steps(self, batch, steps: List[PlanStep], output: str, bound: dict) -> np.ndarray:
+        """One pass of ``steps`` over the whole of ``batch``."""
         ctx = self._ctx
         ctx.clear()
         bounds = ctx["bounds"] = getattr(batch, "bounds", None)
@@ -200,11 +238,6 @@ class InferencePlan:
         ctx["batch"] = batch
         ctx["factored"] = bounds
         ctx.update(bound)
-        steps = self.steps
-        if output is None:
-            output = self.output
-        else:
-            steps = steps[: 1 + max(i for i, step in enumerate(steps) if output in step.writes)]
         hook = self.step_hook
         if hook is None:
             for step in steps:
@@ -215,8 +248,27 @@ class InferencePlan:
                 begin = clock()
                 step.fn(ctx)
                 hook(step, clock() - begin, ctx)
-        self.calls += 1
         return ctx[output]
+
+    def _run_blocks(self, batch, blocks: list, steps: List[PlanStep], output: str, bound: dict) -> np.ndarray:
+        """One pass per block, each block's output copied into one arena
+        buffer for the whole of ``batch``."""
+        sessions, rows = batch.num_sessions, batch.num_rows
+        result, s0, r0 = None, 0, 0
+        for block in blocks:
+            s1, r1 = s0 + block.num_sessions, r0 + block.num_rows
+            cut = {key: _block_of(value, sessions, rows, s0, s1, r0, r1) for key, value in bound.items()}
+            part = self._run_steps(block, steps, output, cut)
+            lo, hi = (s0, s1) if self.session_rows else (r0, r1)
+            if part.shape[0] != hi - lo:
+                side = "session" if self.session_rows else "candidate"
+                raise ValueError(f"plan {self.name!r}: {output!r} is not one row per {side}; it cannot run in blocks")
+            if result is None:
+                shape = (sessions if self.session_rows else rows,) + part.shape[1:]
+                result = self.arena.lease("run", output, shape, dtype=part.dtype)
+            result[lo:hi] = part
+            s0, r0 = s1, r1
+        return result
 
     def _expanded(self, batch, bounds: List[int]) -> Dict[str, np.ndarray]:
         """The plan's inputs with the session side of ``batch`` repeated to
@@ -235,3 +287,14 @@ class InferencePlan:
     @property
     def num_steps(self) -> int:
         return len(self.steps)
+
+
+def _block_of(value, sessions: int, rows: int, s0: int, s1: int, r0: int, r1: int):
+    """A bound input cut to one block: by session when it holds one row per
+    session, by row when one per candidate; anything else as is."""
+    lead = getattr(value, "shape", ())[:1]
+    if lead == (sessions,):
+        return value[s0:s1]
+    if lead == (rows,):
+        return value[r0:r1]
+    return value

@@ -258,6 +258,7 @@ class _Experts:
         batch = d_scores.shape[0]
         ones = ones[:batch]
         if packed.deep:
+            h1 = packed.by_expert(outs["h1"])
             grad = lease("g_out", (k, batch, 1))
             grad[:, :, 0] = d_scores.T
             for j in range(len(packed.deep) - 1, -1, -1):
@@ -266,7 +267,7 @@ class _Experts:
                     active = lease(f"m{j + 1}", grad.shape, np.bool_)
                     np.greater(outs[f"kbh{j + 1}"], 0, out=active)
                     np.multiply(grad, active, out=grad)
-                h_in = outs[f"kbh{j}"]
+                h_in = outs[f"kbh{j}"] if j else h1
                 for e, (w_slot, b_slot) in enumerate(self.slots[j + 1]):
                     np.matmul(h_in[e].T, grad[e], out=w_slot)
                     np.matmul(ones, grad[e], out=b_slot)
@@ -277,7 +278,7 @@ class _Experts:
                     np.matmul(grad, weight.transpose(0, 2, 1), out=dx)
                 grad = dx
             active = lease("m0", grad.shape, np.bool_)
-            np.greater(outs["kbh0"], 0, out=active)
+            np.greater(h1, 0, out=active)
             np.multiply(grad, active, out=grad)
             first = lease("g_first", (batch, packed.first_weight.shape[1]))
             first.reshape(batch, k, -1)[...] = grad.transpose(1, 0, 2)

@@ -22,8 +22,8 @@ The replay scores through the **compiled inference path** (:mod:`repro.
 infer`) — the plan the fleet will execute after promotion — fed what serving
 feeds it: a click-log hold-out keeps the :class:`~repro.data.schema.
 SessionBatch` it was assembled as, and :func:`~repro.eval.predict_scores`
-hands a compiled model session slices of it, so gate, behaviour encoder and
-query side run once per *session* (§III-F1).  The canary therefore gates the
+hands a compiled model blocks of whole sessions, so gate, behaviour encoder
+and query side run once per *session* (§III-F1).  The canary therefore gates the
 plan production serves, factored kernels and compilation included; a bug in
 either is caught here, before the swap.  Models with no registered compiler,
 and datasets without session structure, replay row for row.
@@ -116,12 +116,13 @@ class CanaryGate:
         *snapshot*) would silently replay stale weights.  Packing is
         sub-millisecond at this scale; staleness is a wrong promotion.  What
         a fresh compile does cost is a cold arena, one buffer per slot at
-        the largest chunk's size (score + gate 27.6 + 25.5 MiB when 1024
-        *rows* ran the flat kernels, 6.3 + 1.0 MiB for the same rows as
-        ≈ 100 sessions, whose behaviour side runs on valid positions only)
-        — hence a bounded chunk, not one batch, and :meth:`judge` drops
-        the candidate's plan before production's replay.  Smaller chunks
-        view the same buffers and cost no memory.
+        the largest block's size: a plan runs at most
+        :data:`~repro.infer.plan.BLOCK_ROWS` rows of whole sessions at a
+        time whatever chunk it is handed (score + gate 6.3 + 1.0 MiB for
+        1,024 rows as ≈ 100 sessions, whose behaviour side runs on valid
+        positions only) — so the plan, not the replay chunk, bounds it, and
+        :meth:`judge` drops the candidate's plan before production's
+        replay.  Smaller chunks view the same buffers and cost no memory.
         """
         try:
             return compile_model(model)

@@ -220,3 +220,26 @@ class TestSessionBatch:
             SessionBatch(
                 concat_batches([batch.session, batch.session]), batch.candidate, np.array([5, 0])
             )
+    def test_blocks_are_maximal_runs_of_whole_sessions(self):
+        """``blocks(max_rows)`` cuts the batch in order into runs of whole
+        sessions: each at most ``max_rows`` rows unless it is one larger
+        session, and each as long as the next session allows."""
+        rng = np.random.default_rng(0)
+        for max_rows in (1, 4, 6, 25):
+            counts = rng.integers(1, 10, size=30)
+            batch = SessionBatch(
+                {"query": np.arange(30)}, {"label": np.arange(int(counts.sum()))}, counts
+            )
+            blocks = list(batch.blocks(max_rows))
+            assert np.array_equal(np.concatenate([b["query"] for b in blocks]), np.arange(30))
+            assert np.array_equal(
+                np.concatenate([b["label"] for b in blocks]), np.arange(counts.sum())
+            )
+            taken = 0
+            for block in blocks:
+                taken += block.num_sessions
+                assert block.num_rows <= max_rows or block.num_sessions == 1
+                if taken < 30:
+                    assert block.num_rows + counts[taken] > max_rows
+        with pytest.raises(ValueError, match="max_rows"):
+            next(batch.blocks(0))

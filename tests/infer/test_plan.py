@@ -1,6 +1,8 @@
-"""Plan mechanics: arena reuse, lease-once runs, gate-subgraph split, fallback, API contracts."""
+"""Plan mechanics: arena reuse, lease-once runs, blocked runs, gate-subgraph
+split, fallback, API contracts."""
 
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from repro.core import ModelConfig, build_model
 from repro.core.extensions.sparse_gate import SparseGatedAWMoE
 from repro.data import SessionBatch, assemble_session
 from repro.data.dataset import iterate_batches
-from repro.infer import CompileError, compile_model
-from repro.infer.plan import BufferArena, InferencePlan
-from repro.nn import Tensor, no_grad
+from repro.infer import CompileError, compile_model, compile_train_step
+from repro.infer import plan as plan_module
+from repro.infer.kernels import PackedExperts
+from repro.infer.plan import BLOCK_ROWS, BufferArena, InferencePlan
+from repro.nn import AdamW, Tensor, no_grad
 from repro.serving import SearchEngine
 
 
@@ -180,6 +184,165 @@ class TestLeaseOncePerRun:
         compiled.predict_proba(factored, gate_override=gates)
         assert {plan for plan, _ in runs} == {"gate", "score"}
         assert all(count > 0 for _, count in runs)
+
+
+def _block_batch(world, blocks, counts=(256, 256, 256, 256)):
+    """``blocks`` runs of sessions with ``counts`` candidates each, every run
+    the same users (so the same history lengths, an empty one among them)
+    under other queries: one shape per run, other values."""
+    empty = next(u for u in range(world.num_users) if len(world.histories[u]) == 0)
+    users = [3, empty, 11, 40]
+    rng = np.random.default_rng(blocks)
+    parts = []
+    for b in range(blocks):
+        for s, count in enumerate(counts):
+            category = (b + s) % world.config.num_categories
+            members = np.flatnonzero(world.item_category == category)
+            parts.append(
+                assemble_session(world, users[s % 4], category, rng.choice(members, size=count))
+            )
+    return SessionBatch.concat(parts)
+
+
+def _by_block(batch, run, *bound):
+    """``run(block, *bound cut to it)`` for each block, concatenated: the
+    reference a blocked run must equal bit for bit."""
+    parts, s0, r0 = [], 0, 0
+    for block in batch.blocks(BLOCK_ROWS):
+        s1, r1 = s0 + block.num_sessions, r0 + block.num_rows
+        cut = [rows[s0:s1] if len(rows) == batch.num_sessions else rows[r0:r1] for rows in bound]
+        parts.append(run(block, *cut))
+        s0, r0 = s1, r1
+    return np.concatenate(parts)
+
+
+def _slot_bytes(arena):
+    return {key: buf.nbytes for key, buf in arena._slots.items()}
+
+
+class TestBlocks:
+    """A session batch of more than ``BLOCK_ROWS`` rows runs block by block;
+    every assertion is a count or a value, none reads a clock."""
+
+    @pytest.fixture(scope="class")
+    def big(self, unit_world):
+        return _block_batch(unit_world, 10)
+
+    def test_ten_blocks_equal_each_block_alone(self, model, big):
+        assert big.num_rows == 10 * BLOCK_ROWS
+        assert [b.num_rows for b in big.blocks(BLOCK_ROWS)] == [BLOCK_ROWS] * 10
+        blocked, alone = compile_model(model), compile_model(model)
+        for name in ("predict_proba", "expert_scores", "serving_gate"):
+            got = getattr(blocked, name)(big)
+            assert np.array_equal(got, _by_block(big, getattr(alone, name))), name
+        rng, k = np.random.default_rng(0), model.config.num_experts
+        per_session = rng.random((big.num_sessions, k), dtype=np.float32)
+        per_row = rng.random((big.num_rows, k), dtype=np.float32)
+        for gates in (per_session, per_row):
+            got = blocked.predict_proba(big, gate_override=gates)
+            want = _by_block(big, lambda b, g: alone.predict_proba(b, gate_override=g), gates)
+            assert np.array_equal(got, want)
+        eager = model.predict_proba(big.flat())
+        scores = blocked.predict_proba(big)
+        assert np.max(np.abs(scores - eager) / np.maximum(np.abs(eager), 1e-8)) <= 1e-4
+
+    def test_arenas_hold_one_block(self, model, big):
+        """Score and gate arenas after the 10-block batch hold what one
+        block leaves, plus the run's output buffer."""
+        blocked, one = compile_model(model), compile_model(model)
+        blocked.predict_proba(big)
+        one.predict_proba(next(big.blocks(BLOCK_ROWS)))
+        f32, k = np.dtype(np.float32), model.config.num_experts
+        outputs = {
+            "score": {("run", "logits", f32): big.num_rows * f32.itemsize},
+            "gate": {("run", "gate", f32): big.num_sessions * k * f32.itemsize},
+        }
+        for name in ("score", "gate"):
+            got = _slot_bytes(getattr(blocked, f"{name}_plan").arena)
+            want = _slot_bytes(getattr(one, f"{name}_plan").arena)
+            assert got == {**want, **outputs[name]}, name
+
+    def test_an_oversized_session_runs_alone(self, model, unit_world):
+        batch = _block_batch(unit_world, 1, counts=(300, 1300, 300))
+        assert [b.num_rows for b in batch.blocks(BLOCK_ROWS)] == [300, 1300, 300]
+        blocked, alone = compile_model(model), compile_model(model)
+        assert np.array_equal(blocked.predict_proba(batch), _by_block(batch, alone.predict_proba))
+        rows = blocked.score_plan.arena._slots[("mix", "logits", np.dtype(np.float32))]
+        assert rows.size == 1300
+
+    def test_calls_once_and_hook_once_per_step_per_block(self, model, big):
+        plan = compile_model(model).score_plan
+        fired = Counter()
+        plan.step_hook = lambda step, seconds, ctx: fired.update([id(step)])
+        gate = np.ones((big.num_sessions, model.config.num_experts), dtype=np.float32)
+        for calls in (1, 2):
+            plan.run(big, gate=gate)
+            assert plan.calls == calls
+            assert fired == {id(step): 10 * calls for step in plan.steps}
+
+    def test_an_output_of_packed_rows_cannot_run_in_blocks(self, model, big):
+        plan = compile_model(model).score_plan
+        gate = np.ones((big.num_sessions, model.config.num_experts), dtype=np.float32)
+        assert plan.run(big, output="v_imp", gate=gate).shape[0] == big.num_rows
+        with pytest.raises(ValueError, match="cannot run in blocks"):
+            plan.run(big, output="h_behavior", gate=gate)
+
+    def test_runs_within_a_block_are_one_pass(self, model, big, monkeypatch):
+        """At most ``BLOCK_ROWS`` rows, a flat batch and float64 parity run
+        one pass over the whole batch, with no output buffer of its own:
+        bitwise what the plan gives with blocks switched off."""
+        cases = {
+            "block": (np.float32, next(big.blocks(BLOCK_ROWS))),
+            "flat": (np.float32, big.sessions(0, 8).flat()),
+            "parity": (np.float64, big.sessions(0, 8)),
+        }
+        for name, (dtype, batch) in cases.items():
+            compiled = compile_model(model, dtype=dtype)
+            fired = Counter()
+            compiled.score_plan.step_hook = lambda step, seconds, ctx: fired.update([id(step)])
+            got = compiled.predict_proba(batch)
+            assert set(fired.values()) == {1}, name
+            assert not any(key[0] == "run" for key in compiled.score_plan.arena._slots), name
+            with monkeypatch.context() as patch:
+                patch.setattr(plan_module, "BLOCK_ROWS", 10 * BLOCK_ROWS)
+                single = compile_model(model, dtype=dtype).predict_proba(batch)
+            assert np.array_equal(got, single), name
+
+
+class TestExpertsReadH1InPlace:
+    """The experts' deep layers read the first layer's ``(B, K*H)`` output
+    through a ``(K, B, H)`` view: bitwise what a contiguous copy gives, in
+    serving and in the compiled train step's gradients."""
+
+    @staticmethod
+    def _run(model, batches, train_batch):
+        compiled = compile_model(model)
+        served = [compiled.predict_proba(b) for b in batches]
+        served += [compiled.expert_scores(b) for b in batches]
+        step = compile_train_step(model, AdamW(model.parameters()))
+        rng = np.random.default_rng(0)
+        mask = train_batch["behavior_mask"]
+        positive = mask * (rng.random(mask.shape) > 0.3).astype(np.float32)
+        logits, anchor, view = step.forward(train_batch, positive)
+        step.backward(*(rng.normal(size=x.shape).astype(np.float32) for x in (logits, anchor, view)))
+        grads = {name: p.grad.copy() for name, p in model.named_parameters() if p.grad is not None}
+        return served, grads, compiled
+
+    def test_view_equals_a_copy(self, test_set, train_set, unit_world, monkeypatch):
+        model = build_model("aw_moe", ModelConfig.unit(), test_set.meta, np.random.default_rng(4))
+        batches = [_sessions(unit_world, 8), next(iterate_batches(test_set, 32))]
+        train_batch = train_set.batch_at(np.arange(32))
+        served, grads, compiled = self._run(model, batches, train_batch)
+        assert not any("kbh0" in key for key in compiled.score_plan.arena._slots)
+        view = PackedExperts.by_expert
+        monkeypatch.setattr(
+            PackedExperts, "by_expert", lambda self, h1: np.ascontiguousarray(view(self, h1))
+        )
+        copied, copied_grads, _ = self._run(model, batches, train_batch)
+        assert all(np.array_equal(a, b) for a, b in zip(served, copied))
+        assert grads.keys() == copied_grads.keys() and len(grads) > 0
+        for name, grad in grads.items():
+            assert np.array_equal(grad, copied_grads[name]), name
 
 
 class TestPlanStructure:
